@@ -21,6 +21,7 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
 #include "fec/reed_solomon.hpp"
@@ -28,6 +29,7 @@
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "oracles/resampler_reference.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"
@@ -382,6 +384,58 @@ std::vector<MicroCase> build_micro_cases() {
         [modem, audio] {
           auto bins = modem::OfdmKernelProbe::analyze(*modem, *audio, 128);
           benchmark::DoNotOptimize(bins.data());
+        }});
+  }
+
+  // Resampling on 0.1 s of program audio: the FM modulator's 1:5 upsampler
+  // (44.1 -> 220.5 kHz), the demodulator's 5:1 stage (before: 63-tap
+  // low-pass then the per-tap-kernel decimator; after: the fused
+  // Resampler::decimator), and the acoustic clock-skew stage at +30 ppm. Before is the
+  // per-tap kernel oracle, after the table-driven path.
+  {
+    auto audio = std::make_shared<std::vector<float>>(4410);
+    for (auto& v : *audio) v = static_cast<float>(rng->uniform(-0.7, 0.7));
+    auto iq_audio = std::make_shared<std::vector<float>>(oracles::resample_reference(*audio, 5.0));
+    auto up = std::make_shared<dsp::Resampler>(5.0);
+    cases.push_back(MicroCase{
+        "resample_up5", static_cast<double>(audio->size()), "samples",
+        [audio] {
+          auto out = oracles::resample_reference(*audio, 5.0);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [up, audio] {
+          auto out = up->process(*audio);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    const auto taps = dsp::design_lowpass(15000.0, 220500.0, 63);
+    auto lp = std::make_shared<dsp::FirFilter>(taps);
+    auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps));
+    cases.push_back(MicroCase{
+        "resample_down5", static_cast<double>(iq_audio->size()), "samples",
+        [lp, iq_audio] {
+          lp->reset();
+          auto out = oracles::resample_reference(lp->process(*iq_audio), 0.2);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [down, iq_audio] {
+          down->reset();
+          auto out = down->push(*iq_audio);
+          auto tail = down->flush();
+          benchmark::DoNotOptimize(out.data());
+          benchmark::DoNotOptimize(tail.data());
+        }});
+
+    auto skew = std::make_shared<dsp::Resampler>(1.0 + 30e-6);
+    cases.push_back(MicroCase{
+        "resample_skew", static_cast<double>(audio->size()), "samples",
+        [audio] {
+          auto out = oracles::resample_reference(*audio, 1.0 + 30e-6);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [skew, audio] {
+          auto out = skew->process(*audio);
+          benchmark::DoNotOptimize(out.data());
         }});
   }
 

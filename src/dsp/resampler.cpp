@@ -1,12 +1,45 @@
 #include "dsp/resampler.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/units.hpp"
 
 namespace sonic::dsp {
+
+// One ratio's kernel weights, rows of `width` taps. An output centred on
+// input c reads inputs c - before .. c + after; tap j of a row weights input
+// c - before + j, and for the Hann-sinc kernel (before = after = reach) holds
+// it at offset frac + reach - j, frac being the row's fractional input
+// position.
+struct ResamplerTable {
+  long before = 0, after = 0;
+  std::size_t width = 0;  // before + after + 1
+  // Rational ratio L/M: one exact row per output phase.
+  bool rational = false;
+  std::uint64_t up = 1, down = 1;  // L, M
+  // Rational: `up` rows, row r at frac = r / up. Grid: kGridPhases + 1 rows,
+  // row r at frac = r / kGridPhases; the extra row (frac = 1) gives every
+  // interpolation an upper neighbour.
+  std::vector<float> weights;
+
+  const float* row(std::size_t r) const { return weights.data() + r * width; }
+};
+
 namespace {
+
+// Largest phase count a rational ratio gets exact rows for, and the phase
+// resolution of the interpolated grid for every other ratio.
+constexpr std::uint64_t kMaxRationalPhases = 4096;
+constexpr std::size_t kGridPhases = 4096;
+// At most this many tables stay memoized: each acoustic trial with ratio < 1
+// has its own cutoff and so its own grid.
+constexpr std::size_t kMaxCachedTables = 64;
 
 double sinc(double x) {
   if (std::fabs(x) < 1e-12) return 1.0;
@@ -22,66 +55,220 @@ double kernel(double x, double cutoff, double half_width) {
   return cutoff * sinc(cutoff * x) * window;
 }
 
+double cutoff_for(double ratio) { return ratio >= 1.0 ? 1.0 : ratio; }
+
+long reach_for(double cutoff) { return static_cast<long>(std::ceil(4.0 / cutoff)); }
+
+// ratio == up/down exactly enough (1e-12 relative) with up <=
+// kMaxRationalPhases, found by continued-fraction expansion.
+bool as_rational(double ratio, std::uint64_t& up, std::uint64_t& down) {
+  std::uint64_t h0 = 0, h1 = 1, k0 = 1, k1 = 0;
+  double x = ratio;
+  for (int term = 0; term < 40; ++term) {
+    const double a = std::floor(x);
+    if (a > static_cast<double>(kMaxRationalPhases)) return false;
+    const auto ai = static_cast<std::uint64_t>(a);
+    const std::uint64_t h2 = ai * h1 + h0;
+    const std::uint64_t k2 = ai * k1 + k0;
+    if (h2 > kMaxRationalPhases || k2 > (std::uint64_t{1} << 24)) return false;
+    h0 = h1, h1 = h2, k0 = k1, k1 = k2;
+    if (h1 > 0 && std::fabs(static_cast<double>(h1) / static_cast<double>(k1) - ratio) <=
+                      1e-12 * ratio) {
+      up = h1;
+      down = k1;
+      return true;
+    }
+    const double frac = x - a;
+    if (frac <= 0.0) return false;
+    x = 1.0 / frac;
+  }
+  return false;
+}
+
+std::shared_ptr<const ResamplerTable> build_table(bool rational, std::uint64_t up,
+                                                  std::uint64_t down, double cutoff) {
+  auto t = std::make_shared<ResamplerTable>();
+  const double half_width = 4.0 / cutoff;
+  const long reach = reach_for(cutoff);
+  t->before = t->after = reach;
+  t->width = static_cast<std::size_t>(2 * reach + 1);
+  t->rational = rational;
+  t->up = up;
+  t->down = down;
+  const std::size_t phases = rational ? static_cast<std::size_t>(up) : kGridPhases;
+  const std::size_t rows = rational ? phases : phases + 1;
+  t->weights.resize(rows * t->width);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double frac = static_cast<double>(r) / static_cast<double>(phases);
+    float* w = t->weights.data() + r * t->width;
+    for (std::size_t j = 0; j < t->width; ++j) {
+      const double x = frac + static_cast<double>(reach) - static_cast<double>(j);
+      w[j] = static_cast<float>(kernel(x, cutoff, half_width));
+    }
+  }
+  return t;
+}
+
+// Process-wide memo, keyed by (rational, L, M, cutoff). Tables are immutable
+// once built, so handing out shared pointers is thread-safe; clearing the
+// map on overflow leaves tables held by live resamplers intact.
+std::shared_ptr<const ResamplerTable> table_for(double ratio) {
+  std::uint64_t up = 0, down = 0;
+  const bool rational = as_rational(ratio, up, down);
+  const double cutoff =
+      rational ? cutoff_for(static_cast<double>(up) / static_cast<double>(down)) : cutoff_for(ratio);
+  const auto key = rational ? std::tuple(true, up, down, cutoff)
+                            : std::tuple(false, std::uint64_t{0}, std::uint64_t{0}, cutoff);
+  static std::mutex mu;
+  static std::map<std::tuple<bool, std::uint64_t, std::uint64_t, double>,
+                  std::shared_ptr<const ResamplerTable>>
+      cache;
+  std::lock_guard<std::mutex> lock(mu);
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  if (cache.size() >= kMaxCachedTables) cache.clear();
+  auto table = build_table(rational, up, down, cutoff);
+  cache.emplace(key, table);
+  return table;
+}
+
+// Dot product in double of n inputs against n weights. Four independent
+// partial sums keep the adds from waiting on each other; the summation order
+// is fixed, so every caller gets bit-identical results for the same window.
+double dot(const float* x, const float* w, long n) {
+  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  long j = 0;
+  for (; j + 4 <= n; j += 4) {
+    a0 += static_cast<double>(x[j]) * static_cast<double>(w[j]);
+    a1 += static_cast<double>(x[j + 1]) * static_cast<double>(w[j + 1]);
+    a2 += static_cast<double>(x[j + 2]) * static_cast<double>(w[j + 2]);
+    a3 += static_cast<double>(x[j + 3]) * static_cast<double>(w[j + 3]);
+  }
+  for (; j < n; ++j) a0 += static_cast<double>(x[j]) * static_cast<double>(w[j]);
+  return (a0 + a1) + (a2 + a3);
+}
+
 }  // namespace
 
 Resampler::Resampler(double ratio) : ratio_(ratio) {
-  if (ratio <= 0) throw std::invalid_argument("resample ratio must be positive");
-  // When downsampling, lower the kernel cutoff to avoid aliasing and widen
-  // the support so the stretched sinc still spans 4 zero-crossings.
-  cutoff_ = ratio_ >= 1.0 ? 1.0 : ratio_;
-  half_width_ = 4.0 / cutoff_;
-  reach_ = static_cast<long>(std::ceil(half_width_));
+  if (!(ratio > 0)) throw std::invalid_argument("resample ratio must be positive");
+  table_ = table_for(ratio_);
+}
+
+Resampler::Resampler(double ratio, std::shared_ptr<const ResamplerTable> table)
+    : ratio_(ratio), table_(std::move(table)) {}
+
+Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefilter) {
+  if (factor == 0) throw std::invalid_argument("decimation factor must be positive");
+  if (prefilter.empty()) throw std::invalid_argument("empty prefilter");
+  const double ratio = 1.0 / static_cast<double>(factor);
+  const double cutoff = cutoff_for(ratio);
+  const double half_width = 4.0 / cutoff;
+  const long reach = reach_for(cutoff);
+  const long p = static_cast<long>(prefilter.size());
+  // c[m] = sum_u kernel(u) * prefilter[m - u] for m in [-reach, reach + p - 1],
+  // accumulated in double at index m + reach.
+  std::vector<double> c(static_cast<std::size_t>(2 * reach + p), 0.0);
+  for (long u = -reach; u <= reach; ++u) {
+    const double k = kernel(static_cast<double>(u), cutoff, half_width);
+    for (long q = 0; q < p; ++q) {
+      c[static_cast<std::size_t>(u + q + reach)] +=
+          k * static_cast<double>(prefilter[static_cast<std::size_t>(q)]);
+    }
+  }
+  // Output i centres on input factor*i and reads inputs factor*i - m, so
+  // tap j (input centre - before + j) carries offset m = before - j: the
+  // composite in reverse, one phase.
+  auto t = std::make_shared<ResamplerTable>();
+  t->before = reach + p - 1;
+  t->after = reach;
+  t->width = c.size();
+  t->rational = true;
+  t->up = 1;
+  t->down = factor;
+  t->weights.assign(c.rbegin(), c.rend());
+  return Resampler(ratio, std::move(t));
+}
+
+Resampler::KernelPos Resampler::locate(std::size_t i) const {
+  const ResamplerTable& t = *table_;
+  if (t.rational) {
+    const std::uint64_t q = i * t.down;
+    return {static_cast<long>(q / t.up), static_cast<std::size_t>(q % t.up), 0.0};
+  }
+  const double src = static_cast<double>(i) / ratio_;
+  const double c = std::floor(src);
+  return {static_cast<long>(c), 0, src - c};
+}
+
+void Resampler::advance(KernelPos& p, std::size_t next) const {
+  const ResamplerTable& t = *table_;
+  if (!t.rational) {
+    p = locate(next);
+    return;
+  }
+  // (i+1)*M = i*M + M: step the quotient and remainder without dividing.
+  p.centre += static_cast<long>(t.down / t.up);
+  p.phase += static_cast<std::size_t>(t.down % t.up);
+  if (p.phase >= t.up) {
+    p.phase -= static_cast<std::size_t>(t.up);
+    ++p.centre;
+  }
+}
+
+float Resampler::evaluate(const float* x, long lo, long hi, const KernelPos& p) const {
+  const ResamplerTable& t = *table_;
+  // Clamping the window to the input leaves the taps of the row that face
+  // it: the row starts at input centre - before.
+  const long skip = lo - (p.centre - t.before);
+  const long n = hi - lo + 1;
+  if (n <= 0) return 0.0f;
+  if (t.rational) return static_cast<float>(dot(x, t.row(p.phase) + skip, n));
+  // Grid: interpolate between the rows either side of the fractional
+  // position (the weights are linear in it, so interpolating the two dot
+  // products is the same as interpolating the rows).
+  const double pos = p.frac * static_cast<double>(kGridPhases);
+  const auto r = std::min(static_cast<std::size_t>(pos), kGridPhases - 1);
+  const double w = pos - static_cast<double>(r);
+  const double a = dot(x, t.row(r) + skip, n);
+  const double b = dot(x, t.row(r + 1) + skip, n);
+  return static_cast<float>(a + w * (b - a));
 }
 
 std::vector<float> Resampler::process(std::span<const float> input) const {
   if (input.empty()) return {};
   const std::size_t out_len = static_cast<std::size_t>(std::floor(static_cast<double>(input.size()) * ratio_));
+  const ResamplerTable& t = *table_;
+  const long last = static_cast<long>(input.size()) - 1;
   std::vector<float> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) {
-    const double src = static_cast<double>(i) / ratio_;
-    const long center = static_cast<long>(std::floor(src));
-    // Clamp the kernel window to the input once, instead of bounds-checking
-    // every tap: the inner loop then runs branch-free over a contiguous
-    // range, which is what lets the compiler vectorize it.
-    const long lo = std::max<long>(center - reach_, 0);
-    const long hi = std::min<long>(center + reach_, static_cast<long>(input.size()) - 1);
-    double acc = 0.0;
-    for (long k = lo; k <= hi; ++k) {
-      acc += static_cast<double>(input[static_cast<std::size_t>(k)]) *
-             kernel(src - static_cast<double>(k), cutoff_, half_width_);
-    }
-    out[i] = static_cast<float>(acc);
+  KernelPos p = locate(0);
+  for (std::size_t i = 0; i < out_len; advance(p, ++i)) {
+    const long lo = std::max<long>(p.centre - t.before, 0);
+    out[i] = evaluate(input.data() + lo, lo, std::min<long>(p.centre + t.after, last), p);
   }
   return out;
 }
 
 void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
+  const ResamplerTable& t = *table_;
   const std::size_t out_total =
       static_cast<std::size_t>(std::floor(static_cast<double>(total_in_) * ratio_));
-  for (;; ++next_out_) {
-    const double src = static_cast<double>(next_out_) / ratio_;
-    const long center = static_cast<long>(std::floor(src));
+  KernelPos p = locate(next_out_);
+  for (;; advance(p, ++next_out_)) {
     if (final_flush) {
       if (next_out_ >= out_total) break;
     } else {
       // Hold this output until its whole kernel window has been received.
-      if (center + reach_ >= static_cast<long>(total_in_)) break;
+      if (p.centre + t.after >= static_cast<long>(total_in_)) break;
     }
-    // Same clamped branch-free window as the batch path (the history vector
-    // is contiguous with absolute base hist_base_), keeping the two paths
-    // term-for-term identical.
-    const long lo = std::max<long>(center - reach_, 0);
-    const long hi = std::min<long>(center + reach_, static_cast<long>(total_in_) - 1);
-    double acc = 0.0;
-    for (long k = lo; k <= hi; ++k) {
-      acc += static_cast<double>(hist_[static_cast<std::size_t>(k) - hist_base_]) *
-             kernel(src - static_cast<double>(k), cutoff_, half_width_);
-    }
-    out.push_back(static_cast<float>(acc));
+    // Same clamped window as the batch path (hist_ is contiguous with
+    // absolute base hist_base_), keeping the two paths term-for-term
+    // identical.
+    const long lo = std::max<long>(p.centre - t.before, 0);
+    out.push_back(evaluate(hist_.data() + (lo - static_cast<long>(hist_base_)), lo,
+                           std::min<long>(p.centre + t.after, static_cast<long>(total_in_) - 1), p));
   }
   // Evict history the next output can no longer reach.
-  const long keep_from =
-      static_cast<long>(std::floor(static_cast<double>(next_out_) / ratio_)) - reach_;
+  const long keep_from = p.centre - t.before;
   if (keep_from > static_cast<long>(hist_base_)) {
     const std::size_t drop =
         std::min(hist_.size(), static_cast<std::size_t>(keep_from) - hist_base_);

@@ -5,29 +5,61 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
 namespace sonic::dsp {
 
-// Windowed-sinc interpolation resampler (8-tap kernel per output sample).
-// Suitable both for large ratio changes (44.1k -> 192k) and for tiny clock
-// skews (ratio 1 + epsilon).
+// Precomputed kernel weights for one ratio (defined in resampler.cpp).
+struct ResamplerTable;
+
+// Windowed-sinc interpolation resampler. The kernel is a Hann-windowed sinc
+// spanning 4 zero-crossings on each side; when downsampling, its cutoff
+// drops to the ratio and it stretches to match, so it has
+// 2*ceil(4/cutoff)+1 taps: 9 when upsampling, 41 at ratio 0.2. Suitable both
+// for large ratio changes (44.1k -> 192k) and for tiny clock skews
+// (ratio 1 + epsilon).
+//
+// The kernel is never evaluated per sample. A polyphase table built once per
+// ratio holds one row of weights per output phase:
+//  * rational ratios L/M (L <= 4096, e.g. 5, 0.2, 640/147) get one exact row
+//    per phase; output i centres on input (i*M) div L and takes row
+//    (i*M) mod L, both in integer arithmetic;
+//  * any other ratio (the acoustic clock skew 1 +- epsilon) gets a fine grid
+//    of 4096 phases per input sample, linearly interpolated between the two
+//    rows around each output's fractional position.
+// Tables are memoized process-wide and immutable, so every resampler with
+// the same ratio (and every skew resampler with ratio >= 1, which all share
+// cutoff 1) reuses one table.
 //
 // Two modes:
 //  * batch: process(input) resamples one whole buffer (stateless, const).
 //  * streaming: push(chunk)* then flush() resamples an unbounded stream in
-//    chunks with bounded memory. Interpolation state — the sinc kernel's
-//    history window and the fractional output position — carries across
-//    push() calls, so concat(push(c1), push(c2), ..., flush()) is
-//    sample-identical to process(c1 + c2 + ...) for any chunking. push()
-//    withholds outputs whose kernel window still reaches past the samples
-//    received so far; flush() emits them treating the beyond-end region as
-//    silence, exactly like the batch path's edge handling.
+//    chunks with bounded memory. Interpolation state — the kernel's history
+//    window and the output position — carries across push() calls, so
+//    concat(push(c1), push(c2), ..., flush()) is sample-identical to
+//    process(c1 + c2 + ...) for any chunking. push() withholds outputs whose
+//    kernel window still reaches past the samples received so far; flush()
+//    emits them treating the beyond-end region as silence, exactly like the
+//    batch path's edge handling.
 class Resampler {
  public:
   // ratio = output_rate / input_rate.
   explicit Resampler(double ratio);
+
+  // Integer-factor decimator (ratio 1/factor) with `prefilter`, a causal
+  // FIR at the input rate, folded into its kernel: one filter whose taps are
+  // the prefilter convolved with the 1/factor Hann-sinc kernel, computed
+  // once and evaluated only at the outputs, so a low-pass followed by a
+  // decimating resampler costs one filter stage instead of two. Output
+  // i = sum_n c[factor*i - n] * x[n], c spanning offsets
+  // -4*factor .. 4*factor + prefilter.size() - 1. Output count and the
+  // streaming contract are those of any Resampler. Past the last input the
+  // stream is silence, so the prefilter's tail rings on into the last 4
+  // outputs, where a separate low-pass and Resampler(1.0 / factor) cut the
+  // low-pass output off instead; every earlier output is the same.
+  static Resampler decimator(std::size_t factor, std::span<const float> prefilter);
 
   // Batch: whole buffer in, floor(n * ratio) samples out.
   std::vector<float> process(std::span<const float> input) const;
@@ -46,14 +78,27 @@ class Resampler {
   std::size_t history_size() const { return hist_.size(); }
 
  private:
+  // Where one output's kernel sits: the input its window centres on, and
+  // its phase row (rational ratios) or fractional position (grid).
+  struct KernelPos {
+    long centre;
+    std::size_t phase;
+    double frac;
+  };
+  KernelPos locate(std::size_t i) const;
+  // Moves `p` from output next-1 to output `next`.
+  void advance(KernelPos& p, std::size_t next) const;
+  // One output from the inputs lo..hi (absolute indices; `x` points at
+  // input lo).
+  float evaluate(const float* x, long lo, long hi, const KernelPos& p) const;
   // Emits out[next_out_...] while the kernel window is satisfied; with
   // `final_flush` the stream is complete and end-of-input is silence.
   void emit_ready(std::vector<float>& out, bool final_flush);
 
+  Resampler(double ratio, std::shared_ptr<const ResamplerTable> table);
+
   double ratio_;
-  double cutoff_;
-  double half_width_;
-  long reach_;
+  std::shared_ptr<const ResamplerTable> table_;
 
   // Streaming state: hist_[0] is absolute input index hist_base_.
   std::vector<float> hist_;

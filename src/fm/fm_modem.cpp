@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/biquad.hpp"
 #include "dsp/fir.hpp"
@@ -9,6 +10,18 @@
 #include "util/units.hpp"
 
 namespace sonic::fm {
+namespace {
+
+std::size_t decimation_factor(const FmParams& p) {
+  const double ratio = p.iq_rate_hz / p.audio_rate_hz;
+  const double factor = std::round(ratio);
+  if (!(factor >= 1.0) || std::fabs(ratio - factor) > 1e-9 * ratio) {
+    throw std::invalid_argument("FmParams::iq_rate_hz must be an integer multiple of audio_rate_hz");
+  }
+  return static_cast<std::size_t>(factor);
+}
+
+}  // namespace
 
 FmModulator::FmModulator(FmParams params) : params_(params) {}
 
@@ -46,8 +59,9 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
 
 FmDemodulator::FmDemodulator(FmParams params)
     : params_(params),
-      lp_(dsp::design_lowpass(params_.audio_lowpass_hz, params_.iq_rate_hz, 63)),
-      decim_(params_.audio_rate_hz / params_.iq_rate_hz),
+      decim_(dsp::Resampler::decimator(
+          decimation_factor(params_),
+          dsp::design_lowpass(params_.audio_lowpass_hz, params_.iq_rate_hz, 63))),
       de_emphasis_(params_.emphasis_tau_us > 0
                        ? dsp::Biquad::fm_deemphasis(params_.emphasis_tau_us, params_.audio_rate_hz)
                        : dsp::Biquad(1.0, 0.0, 0.0, 0.0, 0.0)),
@@ -83,9 +97,9 @@ std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
     }
     prev_ = cur;
   }
-  // Band-limit at the IQ rate, then decimate to the audio rate; both filters
-  // keep their state so chunk boundaries are seamless.
-  return postprocess(decim_.push(lp_.process(freq)));
+  // Band-limit and decimate to the audio rate in one stage; it keeps its
+  // state so chunk boundaries are seamless.
+  return postprocess(decim_.push(freq));
 }
 
 std::vector<float> FmDemodulator::finish() { return postprocess(decim_.flush()); }
@@ -93,7 +107,6 @@ std::vector<float> FmDemodulator::finish() { return postprocess(decim_.flush());
 void FmDemodulator::reset() {
   prev_ = cplx(1.0f, 0.0f);
   have_prev_ = false;
-  lp_.reset();
   decim_.reset();
   de_emphasis_.reset();
 }

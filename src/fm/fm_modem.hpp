@@ -46,13 +46,19 @@ class FmModulator {
   FmParams params_;
 };
 
-// Streaming demodulator: discriminator phase history, the post-detection
-// low-pass, the decimator, and the de-emphasis network are all members, so
+// Streaming demodulator: discriminator phase history, the decimating
+// low-pass, and the de-emphasis network are all members, so
 // feeding the IQ stream in chunks produces exactly the same audio as one
 // batch call — concat(demodulate(c1), demodulate(c2), ..., finish()) ==
 // demodulate(c1 + c2 + ...) + finish() for any chunking. The first sample
 // after construction/reset() produces zero instantaneous frequency instead
 // of a spurious phase impulse against an arbitrary reference.
+//
+// The post-detection low-pass (63 taps at iq_rate) and the iq_rate ->
+// audio_rate decimator are one filter stage (dsp::Resampler::decimator), the
+// low-pass folded into the decimation kernel and evaluated only at the
+// audio-rate outputs. iq_rate_hz must therefore be an integer multiple of
+// audio_rate_hz (the constructor throws std::invalid_argument otherwise).
 class FmDemodulator {
  public:
   explicit FmDemodulator(FmParams params = {});
@@ -71,8 +77,7 @@ class FmDemodulator {
   FmParams params_;
   cplx prev_{1.0f, 0.0f};
   bool have_prev_ = false;
-  dsp::FirFilter lp_;
-  dsp::Resampler decim_;
+  dsp::Resampler decim_;  // low-pass + decimator, one stage
   dsp::Biquad de_emphasis_;  // identity when emphasis_tau_us == 0
   bool de_emphasis_on_ = false;
   double de_mid_gain_ = 1.0;

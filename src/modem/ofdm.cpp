@@ -143,6 +143,41 @@ std::span<const cplx> OfdmModem::analyze_symbol(std::span<const float> samples, 
   return carriers_;
 }
 
+void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
+                           std::vector<float>& out) const {
+  util::ByteWriter hw;
+  hw.u16(kMagic);
+  hw.u16(static_cast<std::uint16_t>(frame_len));
+  hw.u16(static_cast<std::uint16_t>(frame_count));
+  hw.u16(crc16_ccitt(hw.bytes()));
+  const util::Bytes header_coded = header_codec_.encode(hw.bytes());
+  const std::size_t header_bits = header_codec_.encoded_bits(8);
+
+  std::vector<float> sym;
+  auto emit = [&](std::span<const cplx> carriers) {
+    synth_symbol(carriers, sym);
+    out.insert(out.end(), sym.begin(), sym.end());
+  };
+  emit(preamble_a_);
+  emit(preamble_b_);
+
+  // Header symbols: BPSK on data carriers.
+  util::BitReader hbr(header_coded);
+  std::size_t sent = 0;
+  for (std::size_t s = 0; s < header_symbols(); ++s) {
+    std::vector<cplx> carriers = pilots_;
+    for (int i = 0; i < profile_.num_subcarriers; ++i) {
+      if (is_pilot(i)) continue;
+      // Whitened like the payload: the fixed header pattern must not form
+      // a high-crest OFDM symbol.
+      const int bit = (sent < header_bits ? hbr.bit() : 0) ^ scrambler_bit(sent);
+      ++sent;
+      carriers[static_cast<std::size_t>(i)] = cplx(bit ? 1.0f : -1.0f, 0.0f);
+    }
+    emit(carriers);
+  }
+}
+
 std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) const {
   if (frames.empty()) throw std::invalid_argument("empty burst");
   const std::size_t frame_len = frames.front().size();
@@ -151,15 +186,9 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   }
   if (frame_len == 0 || frame_len > 0xffff || frames.size() > 0xffff)
     throw std::invalid_argument("frame size/count out of range");
-
-  // Header.
-  util::ByteWriter hw;
-  hw.u16(kMagic);
-  hw.u16(static_cast<std::uint16_t>(frame_len));
-  hw.u16(static_cast<std::uint16_t>(frames.size()));
-  hw.u16(crc16_ccitt(hw.bytes()));
-  const util::Bytes header_coded = header_codec_.encode(hw.bytes());
-  const std::size_t header_bits = header_codec_.encoded_bits(8);
+  // Receivers reject headers claiming more (decode_burst), so never send it.
+  if (burst_samples(frame_len, frames.size()) > kMaxBurstSamples)
+    throw std::invalid_argument("burst longer than OfdmModem::kMaxBurstSamples");
 
   // Payload bit stream: per-frame PacketCodec output, concatenated.
   std::vector<std::uint8_t> payload_bits;
@@ -177,26 +206,7 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
     out.insert(out.end(), sym.begin(), sym.end());
   };
 
-  emit(preamble_a_);
-  emit(preamble_b_);
-
-  // Header symbols: BPSK on data carriers.
-  {
-    util::BitReader hbr(header_coded);
-    std::size_t sent = 0;
-    for (std::size_t s = 0; s < header_symbols(); ++s) {
-      std::vector<cplx> carriers = pilots_;
-      for (int i = 0; i < profile_.num_subcarriers; ++i) {
-        if (is_pilot(i)) continue;
-        // Whitened like the payload: the fixed header pattern must not form
-        // a high-crest OFDM symbol.
-        const int bit = (sent < header_bits ? hbr.bit() : 0) ^ scrambler_bit(sent);
-        ++sent;
-        carriers[static_cast<std::size_t>(i)] = cplx(bit ? 1.0f : -1.0f, 0.0f);
-      }
-      emit(carriers);
-    }
-  }
+  synth_head(frame_len, frames.size(), out);
 
   // Payload symbols.
   {
@@ -446,6 +456,11 @@ std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, s
       frame_count == 0) {
     return std::nullopt;
   }
+  // The header is off the air: a corrupted one that passes the magic and
+  // CRC16 can claim up to 65535 frames of 65535 bytes. Everything below
+  // allocates and decodes in proportion to the claim, so bound it before
+  // trusting it.
+  if (burst_samples(frame_len, frame_count) > kMaxBurstSamples) return std::nullopt;
 
   // Payload.
   const std::size_t nsym = payload_symbols(frame_len, frame_count);

@@ -59,6 +59,12 @@ struct RxBurst {
 // the FFT plan itself is shared through dsp::FftPlan's cache.
 class OfdmModem {
  public:
+  // Longest burst, in samples, a modem sends or accepts (~47.5 s at
+  // 44.1 kHz; SONIC's 16-frame bursts take about 2 s). decode_burst rejects
+  // headers that claim more, which bounds what a corrupted header can make
+  // the receiver allocate; modulate throws for longer bursts.
+  static constexpr std::size_t kMaxBurstSamples = std::size_t{1} << 21;
+
   explicit OfdmModem(OfdmProfile profile);
 
   const OfdmProfile& profile() const { return profile_; }
@@ -74,7 +80,8 @@ class OfdmModem {
 
   // Decodes the burst whose preamble-A cyclic prefix starts at `start`
   // (timing already established, e.g. by StreamReceiver's incremental
-  // sync). Returns nullopt when the header is undecodable. `sync_ncc` is
+  // sync). Returns nullopt when the header is undecodable or claims a burst
+  // longer than kMaxBurstSamples. `sync_ncc` is
   // recorded into the burst for observability.
   std::optional<RxBurst> decode_burst(std::span<const float> samples, std::size_t start,
                                       float sync_ncc = 1.0f) const;
@@ -100,6 +107,9 @@ class OfdmModem {
   std::size_t header_symbols() const;
   std::size_t payload_symbols(std::size_t frame_len, std::size_t frame_count) const;
 
+  // Appends the preambles and the header symbols announcing `frame_count`
+  // frames of `frame_len` bytes to `out`.
+  void synth_head(std::size_t frame_len, std::size_t frame_count, std::vector<float>& out) const;
   // Synthesizes one OFDM symbol (CP + body) from per-subcarrier values
   // indexed relative to first_bin. `out` keeps its capacity across calls, so
   // the steady-state path allocates nothing.
@@ -136,9 +146,17 @@ class OfdmModem {
 
 // Test/bench peephole into the private per-symbol kernels. The kernel tests
 // use it to verify the steady-state analyze/synthesize path performs no heap
-// allocation; bench/micro_dsp_fec uses it for the per-symbol before/after
-// cases.
+// allocation and to forge burst headers; bench/micro_dsp_fec uses it for the
+// per-symbol before/after cases.
 struct OfdmKernelProbe {
+  // Preambles plus a valid header (magic, CRC16) claiming any frame length
+  // and count, with no payload behind it.
+  static std::vector<float> burst_head(const OfdmModem& m, std::uint16_t frame_len,
+                                       std::uint16_t frame_count) {
+    std::vector<float> out;
+    m.synth_head(frame_len, frame_count, out);
+    return out;
+  }
   static std::span<const cplx> analyze(const OfdmModem& m, std::span<const float> samples,
                                        std::size_t pos) {
     return m.analyze_symbol(samples, pos);

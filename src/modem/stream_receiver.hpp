@@ -37,8 +37,9 @@ struct StreamReceiverParams {
   // Hard cap on buffered audio. A burst longer than the cap is decoded with
   // what fits (the overflow decodes as erasures) rather than growing the
   // buffer. Must be at least 2x OfdmModem::min_decode_samples().
-  // Default ~2M samples = ~47 s at 44.1 kHz, a few MB of floats.
-  std::size_t max_buffer_samples = std::size_t{1} << 21;
+  // The default holds the longest burst a modem sends (kMaxBurstSamples,
+  // ~47 s at 44.1 kHz, a few MB of floats).
+  std::size_t max_buffer_samples = OfdmModem::kMaxBurstSamples;
   // Optional observability sink; must outlive the receiver.
   core::Metrics* metrics = nullptr;
 };

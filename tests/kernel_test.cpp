@@ -8,9 +8,12 @@
 //    byte-identical across both codes and all puncture rates under noise;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * contiguous-window FirFilter vs. the ring-buffer reference;
+//  * the table-driven Resampler vs. the per-tap kernel oracle, and the
+//    FmDemodulator's fused decimating low-pass vs. the old two-stage chain;
 //
-// plus the allocation-free guarantee for the OFDM steady-state symbol path,
-// verified with a real global operator new counter.
+// plus the allocation-free guarantee for the OFDM steady-state symbol path
+// and the bounded allocation for forged OFDM headers, verified with a real
+// global operator new counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,10 +25,14 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
+#include "fm/fm_modem.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "modem/stream_receiver.hpp"
+#include "oracles/resampler_reference.hpp"
 #include "util/rng.hpp"
 
 // ------------------------------------------------------ allocation probe ---
@@ -35,20 +42,27 @@
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
+std::atomic<std::size_t> g_alloc_max{0};  // largest single request since reset
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  // Load-then-store: exact for the single-threaded tests that read it.
+  if (size > g_alloc_max.load(std::memory_order_relaxed)) {
+    g_alloc_max.store(size, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined next to a call of the replaced operator new,
+// free() makes GCC report a new/free mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sonic {
 namespace {
@@ -277,6 +291,162 @@ TEST(OfdmSymbolPath, SteadyStateAnalyzeAndSynthesizeDoNotAllocate) {
   const std::size_t after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "steady-state symbol path allocated "
                            << (after - before) << " times in 400 kernel calls";
+}
+
+// ------------------------------------------------------------ resampler ---
+
+std::vector<float> random_audio(Rng& rng, std::size_t n, double amp) {
+  std::vector<float> out(n);
+  for (auto& s : out) s = static_cast<float>(rng.uniform(-amp, amp));
+  return out;
+}
+
+double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b, std::size_t n) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    worst = std::max(worst, std::fabs(static_cast<double>(a[i]) - static_cast<double>(b[i])));
+  }
+  return worst;
+}
+
+class ResamplerOracleTest : public ::testing::TestWithParam<double> {};
+
+// The table-driven resampler (exact rows for rational ratios, the
+// interpolated grid for the rest) stays within 1e-6 of the per-tap kernel
+// it replaced, edges included, with the same output count.
+TEST_P(ResamplerOracleTest, TableMatchesPerTapKernel) {
+  Rng rng(61);
+  const auto input = random_audio(rng, 20000, 0.9);
+  const auto expect = oracles::resample_reference(input, GetParam());
+  const auto got = dsp::Resampler(GetParam()).process(input);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_LE(max_abs_diff(got, expect, got.size()), 1e-6);
+}
+
+constexpr const char* kOracleRatioNames[] = {"FmUp5",   "FmDown5", "PhaseWrap", "Up217",
+                                             "Down037", "SkewUp",  "SkewDown",  "Skew100ppm"};
+
+INSTANTIATE_TEST_SUITE_P(Ratios, ResamplerOracleTest,
+                         ::testing::Values(5.0, 0.2, 640.0 / 147.0, 2.17, 0.37, 1.0 + 30e-6,
+                                           1.0 - 17e-6, 1.0001),
+                         [](const auto& info) { return std::string(kOracleRatioNames[info.index]); });
+
+// Tables are memoized process-wide behind a mutex; resamplers built on
+// several threads at once (the pipeline's workers, the figure benches) must
+// get the same output as one built alone. Run under TSan by
+// scripts/tier1.sh.
+TEST(ResamplerTables, ConcurrentConstructionMatchesSerial) {
+  Rng rng(64);
+  const auto input = random_audio(rng, 4000, 0.5);
+  const double ratios[] = {5.0, 0.2, 1.0 + 30e-6, 1.0 - 17e-6};
+  std::vector<std::vector<float>> expect;
+  for (double r : ratios) expect.push_back(oracles::resample_reference(input, r));
+
+  std::vector<std::vector<std::vector<float>>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (double r : ratios) got[t].push_back(dsp::Resampler(r).process(input));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& per_thread : got) {
+    ASSERT_EQ(per_thread.size(), expect.size());
+    for (std::size_t k = 0; k < expect.size(); ++k) {
+      ASSERT_EQ(per_thread[k], got[0][k]);
+      EXPECT_LE(max_abs_diff(per_thread[k], expect[k], expect[k].size()), 1e-6);
+    }
+  }
+}
+
+// The FM demodulator's one decimating stage (low-pass folded into the 5:1
+// kernel) against the old low-pass + Resampler(0.2) chain, on a noisy FM
+// signal. Interior outputs agree to float rounding; only the last
+// ceil(reach / 5) outputs of the flushed stream may differ, because the
+// fused filter lets the low-pass ring on past the last input where the old
+// chain cut the low-pass output off.
+TEST(FmDecimatorEquivalence, FusedStageMatchesTwoStageOracle) {
+  Rng rng(62);
+  const fm::FmParams params;
+  const auto audio = random_audio(rng, 30000, 0.8);
+  fm::RfChannel rf(fm::RfChannelParams{}, Rng(63));
+  const auto iq = rf.process(fm::FmModulator(params).modulate(audio));
+
+  fm::FmDemodulator demod(params);
+  auto got = demod.demodulate(iq);
+  const auto tail = demod.finish();
+  got.insert(got.end(), tail.begin(), tail.end());
+  const auto expect = oracles::fm_demodulate_reference(iq, params);
+  ASSERT_EQ(got.size(), expect.size());
+
+  // The 5:1 kernel reaches 4 zero-crossings = 20 IQ samples past an
+  // output's centre: ceil(20 / 5) outputs see past the end of the stream.
+  const std::size_t tail_len = 4;
+  ASSERT_GT(got.size(), tail_len);
+  const std::size_t interior = got.size() - tail_len;
+  EXPECT_LE(max_abs_diff(got, expect, interior), 1e-6);
+}
+
+// ---------------------------------------------- forged OFDM header bound ---
+
+// A header that passes the magic and CRC16 checks but claims 65535 frames of
+// 65535 bytes used to make decode_burst size its soft-bit buffer for the
+// claim: tens of GB decided by bytes off the air. It is now rejected before
+// anything is allocated for it.
+TEST(OfdmHeaderBound, ForgedHugeClaimIsRejectedWithoutAllocatingForIt) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  auto audio = modem::OfdmKernelProbe::burst_head(modem, 0xffff, 0xffff);
+  audio.resize(audio.size() + 20000, 0.0f);
+
+  (void)modem.decode_burst(audio, 0);  // warm the decoder scratch
+  g_alloc_max.store(0);
+  const auto burst = modem.decode_burst(audio, 0);
+  EXPECT_FALSE(burst.has_value());
+  EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
+
+  // The streaming receiver reaches the same decode through its sync; it
+  // resyncs past the forged burst without allocating for the claim either.
+  std::vector<float> stream(1000, 0.0f);
+  stream.insert(stream.end(), audio.begin(), audio.end());
+  modem::StreamReceiver rx(modem);
+  g_alloc_max.store(0);
+  std::size_t bursts = 0;
+  for (std::size_t pos = 0; pos < stream.size(); pos += 882) {
+    const std::size_t len = std::min<std::size_t>(882, stream.size() - pos);
+    bursts += rx.push(std::span<const float>(stream).subspan(pos, len)).size();
+  }
+  bursts += rx.flush().size();
+  EXPECT_EQ(bursts, 0u);
+  EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
+}
+
+// The bound sits at kMaxBurstSamples: a claim one frame past it is
+// rejected, the largest claim within it still decodes (truncated, every
+// frame an erasure) with allocations bounded by the limit, not the header.
+TEST(OfdmHeaderBound, ClaimsAreBoundedByMaxBurstSamples) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  const std::uint16_t frame_len = 4000;
+  std::uint16_t fits = 1;
+  while (modem.burst_samples(frame_len, fits + 1u) <= modem::OfdmModem::kMaxBurstSamples) ++fits;
+  ASSERT_LT(fits, 0xffff);
+
+  auto over = modem::OfdmKernelProbe::burst_head(modem, frame_len, static_cast<std::uint16_t>(fits + 1));
+  over.resize(over.size() + 20000, 0.0f);
+  EXPECT_FALSE(modem.decode_burst(over, 0).has_value());
+
+  auto within = modem::OfdmKernelProbe::burst_head(modem, frame_len, fits);
+  within.resize(within.size() + 20000, 0.0f);
+  g_alloc_max.store(0);
+  const auto burst = modem.decode_burst(within, 0);
+  ASSERT_TRUE(burst.has_value());
+  EXPECT_TRUE(burst->truncated);
+  EXPECT_EQ(burst->frames.size(), fits);
+  EXPECT_EQ(burst->frames_ok(), 0u);
+  EXPECT_LE(g_alloc_max.load(), modem::OfdmModem::kMaxBurstSamples * sizeof(float));
+
+  // The transmitter refuses to send what receivers reject.
+  std::vector<util::Bytes> frames(fits + 1u, util::Bytes(frame_len, 0x5a));
+  EXPECT_THROW((void)modem.modulate(frames), std::invalid_argument);
 }
 
 }  // namespace

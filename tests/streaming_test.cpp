@@ -124,8 +124,12 @@ TEST_P(ResamplerRatioTest, ChunkedMatchesBatch) {
 INSTANTIATE_TEST_SUITE_P(Ratios, ResamplerRatioTest,
                          ::testing::Values(0.2,            // FM IQ -> audio decimation
                                            1.0 + 30e-6,    // clock-skew epsilon
-                                           2.17),          // generic upsample
+                                           2.17,           // generic upsample
+                                           5.0,            // FM audio -> IQ, exact
+                                           640.0 / 147.0), // 44.1k -> 192k, phase wrap
                          [](const auto& info) {
+                           if (info.param == 5.0) return std::string("FmUpsample");
+                           if (info.param == 640.0 / 147.0) return std::string("PhaseWrap");
                            return info.param < 1.0   ? std::string("Decimate")
                                   : info.param < 1.1 ? std::string("Skew")
                                                      : std::string("Upsample");
