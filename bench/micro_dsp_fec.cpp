@@ -29,7 +29,9 @@
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
+#include "oracles/viterbi_reference.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"
@@ -93,7 +95,7 @@ void BM_Fft1024Legacy(benchmark::State& state) {
   for (auto _ : state) {
     std::copy(data.begin(), data.end(), scratch.begin());
     const auto t0 = std::chrono::steady_clock::now();
-    dsp::fft_recurrence(scratch);
+    oracles::fft_recurrence(scratch);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(scratch.data());
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
@@ -115,11 +117,12 @@ void BM_ViterbiV29Decode100B(benchmark::State& state) {
 BENCHMARK(BM_ViterbiV29Decode100B);
 
 void BM_ViterbiV29Decode100BReference(benchmark::State& state) {
-  fec::ConvolutionalCodec codec({fec::ConvCode::kV29, fec::PunctureRate::kRate1_2});
+  const fec::ConvSpec spec{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
+  fec::ConvolutionalCodec codec(spec);
   util::Rng rng(2);
   const auto soft = noisy_soft_bits(codec, 100, rng);
   for (auto _ : state) {
-    auto out = codec.decode_soft_reference(soft, 100);
+    auto out = oracles::decode_soft_reference(spec, soft, 100);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
@@ -294,8 +297,8 @@ std::vector<MicroCase> build_micro_cases() {
     cases.push_back(MicroCase{
         "fft_" + std::to_string(n), static_cast<double>(2 * n), "samples",
         [buf_before] {
-          dsp::fft_recurrence(*buf_before);
-          dsp::ifft_recurrence(*buf_before);
+          oracles::fft_recurrence(*buf_before);
+          oracles::ifft_recurrence(*buf_before);
           benchmark::DoNotOptimize(buf_before->data());
         },
         [buf_after, plan] {
@@ -309,13 +312,13 @@ std::vector<MicroCase> build_micro_cases() {
   // noisy soft bits, 100-byte payloads.
   for (auto [name, code] : {std::pair{"viterbi_v29_100B", fec::ConvCode::kV29},
                             std::pair{"viterbi_v27_100B", fec::ConvCode::kV27}}) {
-    auto codec = std::make_shared<fec::ConvolutionalCodec>(
-        fec::ConvSpec{code, fec::PunctureRate::kRate1_2});
+    const fec::ConvSpec spec{code, fec::PunctureRate::kRate1_2};
+    auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
     auto soft = std::make_shared<std::vector<float>>(noisy_soft_bits(*codec, 100, *rng));
     cases.push_back(MicroCase{
         name, 100.0, "bytes",
-        [codec, soft] {
-          auto out = codec->decode_soft_reference(*soft, 100);
+        [spec, soft] {
+          auto out = oracles::decode_soft_reference(spec, *soft, 100);
           benchmark::DoNotOptimize(out.data());
         },
         [codec, soft] {
@@ -333,7 +336,7 @@ std::vector<MicroCase> build_micro_cases() {
     cases.push_back(MicroCase{
         "fountain_xor_" + std::to_string(len) + "B", static_cast<double>(len), "bytes",
         [dst_b, src] {
-          fec::xor_into_reference(*dst_b, *src);
+          oracles::xor_into_reference(*dst_b, *src);
           benchmark::DoNotOptimize(dst_b->data());
         },
         [dst_a, src] {
@@ -351,7 +354,7 @@ std::vector<MicroCase> build_micro_cases() {
     cases.push_back(MicroCase{
         "fir_63tap_4096", 4096.0, "samples",
         [taps, x] {
-          auto out = dsp::fir_reference(*taps, *x);
+          auto out = oracles::fir_reference(*taps, *x);
           benchmark::DoNotOptimize(out.data());
         },
         [filt, x] {
@@ -376,7 +379,7 @@ std::vector<MicroCase> build_micro_cases() {
         [audio, nfft, nsub, first_bin] {
           std::vector<dsp::cplx> spec(nfft, dsp::cplx(0, 0));
           for (std::size_t i = 0; i < nfft; ++i) spec[i] = dsp::cplx((*audio)[128 + i], 0.0f);
-          dsp::fft_recurrence(spec);
+          oracles::fft_recurrence(spec);
           std::vector<dsp::cplx> out(nsub);
           for (std::size_t i = 0; i < nsub; ++i) out[i] = spec[first_bin + i] / 8.0f;
           benchmark::DoNotOptimize(out.data());

@@ -11,43 +11,6 @@ namespace sonic::dsp {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-namespace {
-
-void fft_recurrence_impl(std::span<cplx> a, bool inverse) {
-  const std::size_t n = a.size();
-  if (!is_power_of_two(n)) throw std::invalid_argument("fft size must be a power of two");
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = (inverse ? 2.0 : -2.0) * sonic::util::kPi / static_cast<double>(len);
-    const cplx wlen(static_cast<float>(std::cos(ang)), static_cast<float>(std::sin(ang)));
-    for (std::size_t i = 0; i < n; i += len) {
-      cplx w(1.0f, 0.0f);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const cplx u = a[i + j];
-        const cplx v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-
-  if (inverse) {
-    const float inv_n = 1.0f / static_cast<float>(n);
-    for (auto& x : a) x *= inv_n;
-  }
-}
-
-}  // namespace
-
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_power_of_two(n)) throw std::invalid_argument("fft size must be a power of two");
   bitrev_.resize(n);
@@ -120,9 +83,6 @@ std::shared_ptr<const FftPlan> FftPlan::get(std::size_t n) {
 
 void fft(std::span<cplx> data) { FftPlan::get(data.size())->forward(data); }
 void ifft(std::span<cplx> data) { FftPlan::get(data.size())->inverse(data); }
-
-void fft_recurrence(std::span<cplx> data) { fft_recurrence_impl(data, false); }
-void ifft_recurrence(std::span<cplx> data) { fft_recurrence_impl(data, true); }
 
 std::vector<cplx> dft_naive(std::span<const cplx> data) {
   const std::size_t n = data.size();

@@ -13,12 +13,6 @@
 //
 //  * fft()/ifft() — convenience wrappers over the cached plan, keeping the
 //    original one-shot API.
-//
-// The pre-plan kernel (per-call twiddle recurrence) is kept as
-// fft_recurrence()/ifft_recurrence(): it is the before-case of
-// bench/micro_dsp_fec and the accuracy foil of the kernel-equivalence tests
-// (the recurrence accumulates O(N) ulps of twiddle error and fails a tight
-// tolerance against dft_naive at N=4096; the table-driven plan passes).
 #pragma once
 
 #include <complex>
@@ -60,11 +54,6 @@ void fft(std::span<cplx> data);
 
 // In-place inverse FFT, including the 1/N normalization.
 void ifft(std::span<cplx> data);
-
-// Legacy per-call twiddle-recurrence kernel, kept as the reference/before
-// implementation for equivalence tests and benchmarks.
-void fft_recurrence(std::span<cplx> data);
-void ifft_recurrence(std::span<cplx> data);
 
 // Naive O(N^2) DFT with double-precision accumulation, used by tests as the
 // ground truth.

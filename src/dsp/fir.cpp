@@ -111,24 +111,6 @@ std::vector<float> FirFilter::process(std::span<const float> x) {
   return out;
 }
 
-std::vector<float> fir_reference(std::span<const float> taps, std::span<const float> x) {
-  std::vector<float> history(taps.size(), 0.0f);
-  std::size_t pos = 0;
-  std::vector<float> out(x.size());
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    history[pos] = x[n];
-    float acc = 0.0f;
-    std::size_t idx = pos;
-    for (float tap : taps) {
-      acc += tap * history[idx];
-      idx = idx == 0 ? history.size() - 1 : idx - 1;
-    }
-    pos = (pos + 1) % history.size();
-    out[n] = acc;
-  }
-  return out;
-}
-
 double FirFilter::magnitude_at(double f_hz, double sample_rate_hz) const {
   std::complex<double> resp(0.0, 0.0);
   const double w = sonic::util::kTwoPi * f_hz / sample_rate_hz;

@@ -25,8 +25,7 @@ std::vector<float> design_bandpass(double lo_hz, double hi_hz, double sample_rat
 // ring modulo — so the inner loop auto-vectorizes. The per-sample overload
 // shares the same dot-product (identical summation order), so any mix of
 // per-sample and block calls produces bit-identical output for the same
-// input stream. fir_reference() below is the pre-optimization ring-buffer
-// kernel, kept for equivalence tests and benchmarks.
+// input stream.
 class FirFilter {
  public:
   explicit FirFilter(std::vector<float> taps);
@@ -48,9 +47,5 @@ class FirFilter {
   std::vector<float> hist_;      // last taps-1 inputs, oldest first
   std::vector<float> work_;      // contiguous [history | chunk] scratch
 };
-
-// Reference: filters `x` from zero initial state with the original
-// per-sample ring-buffer kernel. Used by tests/bench as the before-case.
-std::vector<float> fir_reference(std::span<const float> taps, std::span<const float> x);
 
 }  // namespace sonic::dsp

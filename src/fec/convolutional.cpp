@@ -1,15 +1,54 @@
 #include "fec/convolutional.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace sonic::fec {
 namespace {
 
 int parity(std::uint32_t v) { return std::popcount(v) & 1; }
+
+// Puncturing patterns over consecutive (out0, out1) pairs; 1 = transmit.
+constexpr std::uint8_t kPattern1_2[] = {1, 1};
+constexpr std::uint8_t kPattern2_3[] = {1, 1, 1, 0};
+constexpr std::uint8_t kPattern3_4[] = {1, 1, 0, 1, 1, 0};
+
+std::span<const std::uint8_t> puncture_pattern(PunctureRate rate) {
+  switch (rate) {
+    case PunctureRate::kRate1_2: return kPattern1_2;
+    case PunctureRate::kRate2_3: return kPattern2_3;
+    case PunctureRate::kRate3_4: return kPattern3_4;
+  }
+  return kPattern1_2;
+}
+
+// Four ACS lanes: path metrics, and the all-ones/zero masks that their
+// comparisons produce.
+typedef float V4f __attribute__((vector_size(16)));
+typedef std::int32_t V4i __attribute__((vector_size(16)));
+
+// Lane i's mask bit in bit i.
+inline unsigned movemask(V4i m) {
+#if defined(__SSE2__)
+  return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(reinterpret_cast<__m128i>(m))));
+#else
+  return (m[0] & 1u) | (m[1] & 2u) | (m[2] & 4u) | (m[3] & 8u);
+#endif
+}
+
+// Lanes of `hi` where `take` is set, else lanes of `lo`.
+inline V4f select(V4i take, V4f hi, V4f lo) {
+  const V4i h = reinterpret_cast<V4i>(hi);
+  const V4i l = reinterpret_cast<V4i>(lo);
+  return reinterpret_cast<V4f>((take & h) | (~take & l));
+}
 
 }  // namespace
 
@@ -30,27 +69,30 @@ ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
   }
   num_states_ = 1 << (k_ - 1);
   branches_.resize(static_cast<std::size_t>(num_states_) << 1);
-  branch_sym_.resize(static_cast<std::size_t>(num_states_) << 1);
   for (int state = 0; state < num_states_; ++state) {
     for (int bit = 0; bit < 2; ++bit) {
       const std::uint32_t reg = (static_cast<std::uint32_t>(state) << 1) | static_cast<std::uint32_t>(bit);
       Branch& br = branches_[(static_cast<std::size_t>(state) << 1) | static_cast<std::size_t>(bit)];
       br.out0 = static_cast<std::uint8_t>(parity(reg & poly_a_));
       br.out1 = static_cast<std::uint8_t>(parity(reg & poly_b_));
-      branch_sym_[(static_cast<std::size_t>(state) << 1) | static_cast<std::size_t>(bit)] =
-          static_cast<std::uint8_t>(br.out0 * 2 + br.out1);
     }
   }
-}
-
-std::vector<int> ConvolutionalCodec::puncture_pattern() const {
-  // Patterns over consecutive (out0, out1) pairs; 1 = transmit.
-  switch (spec_.rate) {
-    case PunctureRate::kRate1_2: return {1, 1};
-    case PunctureRate::kRate2_3: return {1, 1, 1, 0};
-    case PunctureRate::kRate3_4: return {1, 1, 0, 1, 1, 0};
+  // decode_soft's butterfly needs both polynomials to tap the register's
+  // MSB and LSB, and whole decision bytes (half a multiple of 8).
+  const std::uint32_t ends = 1u | (1u << (k_ - 1));
+  if ((poly_a_ & ends) != ends || (poly_b_ & ends) != ends || num_states_ < 16) {
+    throw std::logic_error("convolutional code does not fit the butterfly decoder");
   }
-  return {1, 1};
+  // s_j, the symbol of butterfly j's branch j -> 2j (branches_[j << 1]),
+  // is linear in j over GF(2), and 4g and i < 4 share no bits, so
+  // s_(4g + i) = s_(4g) ^ s_i.
+  auto sym = [&](std::size_t j) {
+    const Branch& br = branches_[j << 1];
+    return static_cast<std::uint8_t>(br.out0 * 2 + br.out1);
+  };
+  for (std::size_t i = 0; i < 4; ++i) lane_sym_[i] = sym(i);
+  group_sym_.resize(static_cast<std::size_t>(num_states_) / 8);
+  for (std::size_t g = 0; g < group_sym_.size(); ++g) group_sym_[g] = sym(4 * g);
 }
 
 double ConvolutionalCodec::rate() const {
@@ -80,11 +122,12 @@ void ConvolutionalCodec::raw_encode_bits(std::span<const std::uint8_t> data,
 std::size_t ConvolutionalCodec::encoded_bits(std::size_t payload_bytes) const {
   const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
   const std::size_t raw = in_bits * 2;
-  const auto pat = puncture_pattern();
-  const std::size_t kept_per_period = static_cast<std::size_t>(std::count(pat.begin(), pat.end(), 1));
+  const auto pat = puncture_pattern(spec_.rate);
+  std::size_t kept_per_period = 0;
+  for (std::uint8_t keep : pat) kept_per_period += keep;
   const std::size_t full = raw / pat.size();
   std::size_t bits = full * kept_per_period;
-  for (std::size_t i = full * pat.size(); i < raw; ++i) bits += static_cast<std::size_t>(pat[i % pat.size()]);
+  for (std::size_t i = 0; i < raw - full * pat.size(); ++i) bits += pat[i];
   return bits;
 }
 
@@ -93,10 +136,12 @@ util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const
   raw.reserve(data.size() * 16 + 32);
   raw_encode_bits(data, raw);
 
-  const auto pat = puncture_pattern();
+  const auto pat = puncture_pattern(spec_.rate);
   util::BitWriter bw;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (pat[i % pat.size()]) bw.bit(raw[i]);
+  std::size_t p = 0;
+  for (std::uint8_t bit : raw) {
+    if (pat[p]) bw.bit(bit);
+    if (++p == pat.size()) p = 0;
   }
   return bw.take();
 }
@@ -105,14 +150,16 @@ void ConvolutionalCodec::depuncture(std::span<const float> soft, std::size_t in_
                                     std::vector<float>& pairs) const {
   // De-puncture into per-step (out0, out1) soft pairs; punctured positions
   // become 0.5 (no information).
-  const auto pat = puncture_pattern();
+  const auto pat = puncture_pattern(spec_.rate);
   pairs.assign(in_bits * 2, 0.5f);
   std::size_t soft_idx = 0;
+  std::size_t p = 0;
   for (std::size_t i = 0; i < in_bits * 2; ++i) {
-    if (pat[i % pat.size()]) {
+    if (pat[p]) {
       pairs[i] = soft_idx < soft.size() ? soft[soft_idx] : 0.5f;
       ++soft_idx;
     }
+    if (++p == pat.size()) p = 0;
   }
 }
 
@@ -122,9 +169,9 @@ namespace {
 // codec member so concurrent decodes on a shared codec stay safe.
 struct ViterbiWorkspace {
   std::vector<float> pairs;
-  std::vector<float> metric;
-  std::vector<float> next_metric;
-  std::vector<std::uint64_t> survivors;  // in_bits * words_per_step packed bits
+  std::vector<V4f> metric;       // ns / 4 vectors, state order
+  std::vector<V4f> next_metric;
+  std::vector<std::uint8_t> decisions;  // in_bits * ns / 8 bitmap bytes
   std::vector<std::uint8_t> bits;
 };
 
@@ -135,127 +182,79 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const float> soft,
   const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
   const std::size_t ns = static_cast<std::size_t>(num_states_);
   const std::size_t half = ns / 2;
+  const std::size_t step_bytes = ns / 8;
 
   thread_local ViterbiWorkspace ws;
   depuncture(soft, in_bits, ws.pairs);
 
   constexpr float kInf = std::numeric_limits<float>::max() / 4;
-  ws.metric.assign(ns, kInf);
-  ws.next_metric.assign(ns, kInf);
-  ws.metric[0] = 0.0f;  // encoder starts in state 0
+  ws.metric.assign(ns / 4, V4f{kInf, kInf, kInf, kInf});
+  ws.next_metric.resize(ns / 4);
+  ws.metric[0][0] = 0.0f;  // encoder starts in state 0
+  ws.decisions.resize(in_bits * step_bytes);  // every byte is written below
 
-  // Survivor bits packed 64 states per word: bit `next` of a step's words is
-  // the evicted MSB of the winning predecessor (0 = low predecessor
-  // next >> 1, 1 = high predecessor (next >> 1) + half).
-  const std::size_t words = (ns + 63) / 64;
-  ws.survivors.assign(in_bits * words, 0);
-
-  const std::uint8_t* bsym = branch_sym_.data();
+  const std::uint8_t* group_sym = group_sym_.data();
+  const auto [l0, l1, l2, l3] = lane_sym_;
   for (std::size_t step = 0; step < in_bits; ++step) {
     const float s0 = ws.pairs[step * 2];
     const float s1 = ws.pairs[step * 2 + 1];
-    // The 4 possible branch metrics (L1 distance to expected output pair),
-    // hoisted out of the state loop.
+    // The 4 possible branch metrics (L1 distance to the expected output
+    // pair), then the step's four lane patterns: lanes[c] holds
+    // bm[s_i ^ c] in lane i, which is `a` of every group with base symbol c
+    // and `b` of every group with base symbol c ^ 3.
     const float d0 = std::fabs(s0);
     const float d0c = std::fabs(s0 - 1.0f);
     const float d1 = std::fabs(s1);
     const float d1c = std::fabs(s1 - 1.0f);
     const float bm[4] = {d0 + d1, d0 + d1c, d0c + d1, d0c + d1c};
+    V4f lanes[4];
+    for (unsigned c = 0; c < 4; ++c) lanes[c] = V4f{bm[l0 ^ c], bm[l1 ^ c], bm[l2 ^ c], bm[l3 ^ c]};
 
-    const float* m = ws.metric.data();
-    float* nm = ws.next_metric.data();
-    std::uint64_t* surv = ws.survivors.data() + step * words;
-    // ACS butterfly over next states: next = (prev << 1 | bit) & mask, so
-    // next's two predecessors are next >> 1 and (next >> 1) + half, and
-    // their branch symbols sit at bsym[next] and bsym[next + ns]. No
-    // branches in the loop body — the select compiles to min/cmov and
-    // auto-vectorizes. Ties keep the low predecessor, matching the
-    // reference's first-writer-wins update.
-    for (std::size_t next = 0; next < ns; ++next) {
-      const std::size_t p0 = next >> 1;
-      const float m0 = m[p0] + bm[bsym[next]];
-      const float m1 = m[p0 + half] + bm[bsym[next + ns]];
-      const bool take_high = m1 < m0;
-      nm[next] = take_high ? m1 : m0;
-      surv[next / 64] |= static_cast<std::uint64_t>(take_high) << (next % 64);
+    const V4f* m_lo = ws.metric.data();
+    const V4f* m_hi = ws.metric.data() + half / 4;
+    V4f* nm = ws.next_metric.data();
+    std::uint8_t* dec_even = ws.decisions.data() + step * step_bytes;
+    std::uint8_t* dec_odd = dec_even + half / 8;
+
+    // Butterflies j .. j+3 (g = j / 4): returns the even and odd
+    // successors' decision nibbles.
+    auto acs4 = [&](std::size_t g) {
+      const V4f a = lanes[group_sym[g]];
+      const V4f b = lanes[group_sym[g] ^ 3];
+      const V4f m0e = m_lo[g] + a, m1e = m_hi[g] + b;
+      const V4f m0o = m_lo[g] + b, m1o = m_hi[g] + a;
+      const V4i take_e = m1e < m0e;
+      const V4i take_o = m1o < m0o;
+      const V4f ne = select(take_e, m1e, m0e);
+      const V4f no = select(take_o, m1o, m0o);
+      nm[2 * g] = __builtin_shufflevector(ne, no, 0, 4, 1, 5);
+      nm[2 * g + 1] = __builtin_shufflevector(ne, no, 2, 6, 3, 7);
+      return std::pair{movemask(take_e), movemask(take_o)};
+    };
+    for (std::size_t g = 0; g < half / 4; g += 2) {
+      const auto [e_lo, o_lo] = acs4(g);
+      const auto [e_hi, o_hi] = acs4(g + 1);
+      dec_even[g / 2] = static_cast<std::uint8_t>(e_lo | (e_hi << 4));
+      dec_odd[g / 2] = static_cast<std::uint8_t>(o_lo | (o_hi << 4));
     }
     ws.metric.swap(ws.next_metric);
   }
 
-  // Traceback from state 0 (guaranteed by the K-1 flush bits).
+  // Traceback from state 0 (guaranteed by the K-1 flush bits). A set
+  // decision means the winning predecessor was the high one, whose evicted
+  // MSB was 1.
   std::uint32_t state = 0;
   util::Bytes out(payload_bytes, 0);
   ws.bits.resize(in_bits);
   for (std::size_t step = in_bits; step-- > 0;) {
     ws.bits[step] = static_cast<std::uint8_t>(state & 1);  // input bit that produced `state`
-    const std::uint64_t word = ws.survivors[step * words + state / 64];
-    const std::uint32_t evicted = static_cast<std::uint32_t>((word >> (state % 64)) & 1);
+    const std::size_t idx = (state & 1) * half + (state >> 1);
+    const std::uint32_t evicted = (ws.decisions[step * step_bytes + idx / 8] >> (idx % 8)) & 1u;
     state = (state >> 1) | (evicted << (k_ - 2));
   }
 
   for (std::size_t i = 0; i < payload_bytes * 8; ++i) {
     if (ws.bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
-  }
-  return out;
-}
-
-util::Bytes ConvolutionalCodec::decode_soft_reference(std::span<const float> soft,
-                                                      std::size_t payload_bytes) const {
-  const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
-  std::vector<float> pairs;
-  depuncture(soft, in_bits, pairs);
-
-  constexpr float kInf = std::numeric_limits<float>::max() / 4;
-  std::vector<float> metric(static_cast<std::size_t>(num_states_), kInf);
-  std::vector<float> next_metric(static_cast<std::size_t>(num_states_), kInf);
-  metric[0] = 0.0f;  // encoder starts in state 0
-
-  // Survivor storage: transitioning prev -> next with input bit b gives
-  // next = ((prev << 1) | b) & mask, so b == (next & 1) and prev is fully
-  // determined by next plus prev's evicted MSB. One evicted bit per
-  // (step, state) is all the traceback needs.
-  std::vector<std::uint8_t> survivors(in_bits * static_cast<std::size_t>(num_states_));
-
-  const std::uint32_t state_mask = static_cast<std::uint32_t>(num_states_ - 1);
-  for (std::size_t step = 0; step < in_bits; ++step) {
-    const float s0 = pairs[step * 2];
-    const float s1 = pairs[step * 2 + 1];
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    std::uint8_t* surv = survivors.data() + step * static_cast<std::size_t>(num_states_);
-    for (int state = 0; state < num_states_; ++state) {
-      const float base = metric[static_cast<std::size_t>(state)];
-      if (base >= kInf) continue;
-      for (int bit = 0; bit < 2; ++bit) {
-        const Branch& br = branches_[(static_cast<std::size_t>(state) << 1) | static_cast<std::size_t>(bit)];
-        // Branch metric: L1 distance between expected and observed soft
-        // bits, summed before adding to the path metric so the arithmetic
-        // (and therefore the decode) is bit-identical to the hot decoder's
-        // precomputed-metric form.
-        const float bm = std::fabs(s0 - static_cast<float>(br.out0)) +
-                         std::fabs(s1 - static_cast<float>(br.out1));
-        const float m = base + bm;
-        const std::uint32_t ns = ((static_cast<std::uint32_t>(state) << 1) | static_cast<std::uint32_t>(bit)) & state_mask;
-        if (m < next_metric[ns]) {
-          next_metric[ns] = m;
-          surv[ns] = static_cast<std::uint8_t>((state >> (k_ - 2)) & 1);  // evicted MSB of prev
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  // Traceback from state 0 (guaranteed by the K-1 flush bits).
-  std::uint32_t state = 0;
-  util::Bytes out(payload_bytes, 0);
-  std::vector<std::uint8_t> bits(in_bits);
-  for (std::size_t step = in_bits; step-- > 0;) {
-    bits[step] = static_cast<std::uint8_t>(state & 1);  // the input bit that produced `state`
-    const std::uint32_t evicted = survivors[step * static_cast<std::size_t>(num_states_) + state];
-    state = (state >> 1) | (evicted << (k_ - 2));
-  }
-
-  for (std::size_t i = 0; i < payload_bytes * 8; ++i) {
-    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
   }
   return out;
 }

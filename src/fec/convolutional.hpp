@@ -9,6 +9,7 @@
 // exactly 0.0 / 1.0.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,14 +51,29 @@ class ConvolutionalCodec {
   // bytes; the code is always decodable (it picks the best path), so
   // integrity must be checked by an outer CRC.
   //
-  // The hot implementation precomputes the 4 possible branch metrics once
-  // per trellis step, runs the ACS butterfly branchlessly over next states,
-  // packs survivor bits into flat 64-bit words, and reuses all buffers
-  // across calls through a thread-local workspace. decode_soft_reference is
-  // the straightforward per-state scalar loop; both produce byte-identical
-  // output (ties break toward the lower predecessor state in each).
+  // The trellis runs as add-compare-select butterflies, four per SIMD
+  // vector (GCC/Clang vector extensions at the default ISA). Butterfly j
+  // joins predecessors j and j + half to successors 2j (input bit 0) and
+  // 2j + 1 (input bit 1). Both codes tap the register's MSB and LSB in both
+  // polynomials, so a butterfly's four branches carry only two metrics:
+  // a = bm[s_j] on j -> 2j and j + half -> 2j + 1, b = bm[s_j ^ 3] on the
+  // crossing branches, where s_j = out0 * 2 + out1 of branch j -> 2j and bm
+  // is the step's four float L1 branch metrics. s_j is linear in j, so the
+  // constructor stores s_i of the four lanes and s_4g of each group g of
+  // four butterflies; per step, four lane vectors bm[s_i ^ c] serve every
+  // group as a (c = s_4g) and b (c = s_4g ^ 3). A successor takes the high
+  // predecessor only if its metric is strictly lower, so ties keep the low
+  // predecessor.
+  //
+  // Each step's decisions (1 = high predecessor won) form an ns-bit
+  // bitmap, packed with a movemask and laid out by successor as
+  // (next & 1) * half + (next >> 1): even successors first, then odd ones,
+  // one whole byte per eight butterflies. Traceback reads that layout. All
+  // buffers are reused across calls through a thread-local workspace, so
+  // concurrent decodes on a shared codec are safe. The output is
+  // byte-identical to the per-state reference decoder
+  // (oracles::decode_soft_reference in the test-only library).
   util::Bytes decode_soft(std::span<const float> soft, std::size_t payload_bytes) const;
-  util::Bytes decode_soft_reference(std::span<const float> soft, std::size_t payload_bytes) const;
 
   // Convenience: hard-decision decode from packed bits.
   util::Bytes decode_hard(std::span<const std::uint8_t> packed_bits, std::size_t payload_bytes) const;
@@ -72,7 +88,6 @@ class ConvolutionalCodec {
     std::uint8_t out1;  // second output bit
   };
 
-  std::vector<int> puncture_pattern() const;  // 1 = keep, over output bit pairs
   void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) const;
   void depuncture(std::span<const float> soft, std::size_t in_bits, std::vector<float>& pairs) const;
 
@@ -82,9 +97,10 @@ class ConvolutionalCodec {
   std::uint32_t poly_b_;
   int num_states_;
   std::vector<Branch> branches_;  // [state << 1 | input_bit]
-  // branch_sym_[state << 1 | bit] = out0*2 + out1, indexing the 4 branch
-  // metrics precomputed per trellis step by the hot decoder.
-  std::vector<std::uint8_t> branch_sym_;
+  // decode_soft's branch symbols: s_i of lanes i = 0..3, and s_(4g) of
+  // each group g of four butterflies.
+  std::array<std::uint8_t, 4> lane_sym_{};
+  std::vector<std::uint8_t> group_sym_;
 };
 
 }  // namespace sonic::fec

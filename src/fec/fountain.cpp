@@ -86,10 +86,6 @@ void xor_into(util::Bytes& dst, std::span<const std::uint8_t> src) {
   for (; i < n; ++i) d[i] ^= s[i];
 }
 
-void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src) {
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
-}
-
 std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
                                               std::size_t k, const FountainParams& params) {
   if (k == 0) return {};

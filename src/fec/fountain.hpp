@@ -74,11 +74,8 @@ struct FountainParams {
 // XOR-accumulate src into dst over dst.size() bytes (src must be at least
 // as long) — the inner loop of LT repair-row generation and of BP/GE
 // elimination. Word-wide: 8 bytes per uint64 step with a scalar tail,
-// correct for any alignment and length. xor_into_reference is the
-// byte-at-a-time loop, kept for the kernel-equivalence tests and as the
-// before-case of bench/micro_dsp_fec.
+// correct for any alignment and length.
 void xor_into(util::Bytes& dst, std::span<const std::uint8_t> src);
-void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src);
 
 // LT-mode neighbor set (sorted, distinct source indices in [0, k)) of
 // repair symbol `repair_seq` for a k-block page. Shared by encoder and

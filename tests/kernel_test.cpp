@@ -4,8 +4,11 @@
 //
 //  * FftPlan vs. the legacy twiddle-recurrence kernel vs. dft_naive ground
 //    truth, including the accuracy-drift regression the tables fix;
-//  * branchless/word-packed Viterbi vs. the scalar per-state loop,
-//    byte-identical across both codes and all puncture rates under noise;
+//  * the SIMD-butterfly Viterbi vs. the scalar per-state decoder,
+//    byte-identical across both codes and all puncture rates on noisy,
+//    hard-decision, all-erasure and long-tie inputs and payloads of 0 to
+//    1024 bytes, plus the trellis structure the butterfly relies on and
+//    concurrent decodes on one shared codec;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * contiguous-window FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -16,11 +19,14 @@
 // global operator new counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -32,7 +38,9 @@
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "modem/stream_receiver.hpp"
+#include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
+#include "oracles/viterbi_reference.hpp"
 #include "util/rng.hpp"
 
 // ------------------------------------------------------ allocation probe ---
@@ -101,7 +109,7 @@ TEST(FftAccuracy, PlanPassesTightToleranceRecurrenceDrifts) {
   for (std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
     const auto sig = random_signal(rng, n);
     const double plan_err = rel_error_vs_naive(sig, &dsp::fft);
-    const double rec_err = rel_error_vs_naive(sig, &dsp::fft_recurrence);
+    const double rec_err = rel_error_vs_naive(sig, &oracles::fft_recurrence);
     EXPECT_LT(plan_err, kTol) << "plan drifted at n=" << n;
     EXPECT_GT(rec_err, plan_err) << "n=" << n;
     if (n >= 4096) {
@@ -118,7 +126,7 @@ TEST(FftPlan, MatchesLegacyForwardWithinTolerance) {
     auto plan_out = sig;
     auto legacy_out = sig;
     dsp::FftPlan::get(n)->forward(plan_out);
-    dsp::fft_recurrence(legacy_out);
+    oracles::fft_recurrence(legacy_out);
     double scale = 0;
     for (const auto& x : plan_out) scale = std::max(scale, static_cast<double>(std::abs(x)));
     for (std::size_t i = 0; i < n; ++i) {
@@ -159,32 +167,168 @@ TEST(FftPlan, RejectsBadSizes) {
 
 // --------------------------------------------------------------- Viterbi ---
 
+constexpr fec::ConvSpec kAllSpecs[] = {
+    {fec::ConvCode::kV27, fec::PunctureRate::kRate1_2}, {fec::ConvCode::kV27, fec::PunctureRate::kRate2_3},
+    {fec::ConvCode::kV27, fec::PunctureRate::kRate3_4}, {fec::ConvCode::kV29, fec::PunctureRate::kRate1_2},
+    {fec::ConvCode::kV29, fec::PunctureRate::kRate2_3}, {fec::ConvCode::kV29, fec::PunctureRate::kRate3_4},
+};
+
+std::string spec_name(const fec::ConvSpec& spec) {
+  return std::string(spec.code == fec::ConvCode::kV27 ? "v27" : "v29") + " rate=" +
+         std::to_string(static_cast<int>(spec.rate));
+}
+
+util::Bytes random_bytes(Rng& rng, std::size_t n) {
+  util::Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  return data;
+}
+
+// The coded bits of a random payload as soft values, noisy with standard
+// deviation `sigma` and clamped to the decoder's [0, 1] domain.
+std::vector<float> soft_bits(const fec::ConvolutionalCodec& codec, Rng& rng, std::size_t payload,
+                             double sigma) {
+  const auto coded = codec.encode(random_bytes(rng, payload));
+  std::vector<float> soft(codec.encoded_bits(payload));
+  util::BitReader br(coded);
+  for (auto& s : soft) {
+    const float noisy = static_cast<float>(br.bit()) + static_cast<float>(rng.normal(0.0, sigma));
+    s = std::min(1.0f, std::max(0.0f, noisy));
+  }
+  return soft;
+}
+
 TEST(ViterbiEquivalence, ByteIdenticalAcrossCodesAndRatesUnderNoise) {
   Rng rng(21);
-  for (fec::ConvCode code : {fec::ConvCode::kV27, fec::ConvCode::kV29}) {
-    for (fec::PunctureRate rate :
-         {fec::PunctureRate::kRate1_2, fec::PunctureRate::kRate2_3, fec::PunctureRate::kRate3_4}) {
-      fec::ConvolutionalCodec codec({code, rate});
-      for (int trial = 0; trial < 4; ++trial) {
-        const std::size_t payload = 64;
-        util::Bytes data(payload);
-        for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-        const auto coded = codec.encode(data);
-        std::vector<float> soft(codec.encoded_bits(payload));
-        util::BitReader br(coded);
-        for (auto& s : soft) {
-          // Noisy soft bits: enough noise that survivor choices genuinely
-          // differ between branches, clamped to the decoder's [0,1] domain.
-          const float noisy = static_cast<float>(br.bit()) + static_cast<float>(rng.normal(0.0, 0.25));
-          s = std::min(1.0f, std::max(0.0f, noisy));
-        }
-        const auto fast = codec.decode_soft(soft, payload);
-        const auto ref = codec.decode_soft_reference(soft, payload);
-        ASSERT_EQ(fast, ref) << "code=" << static_cast<int>(code)
-                             << " rate=" << static_cast<int>(rate) << " trial=" << trial;
-      }
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (int trial = 0; trial < 4; ++trial) {
+      // Enough noise that survivor choices genuinely differ between branches.
+      const auto soft = soft_bits(codec, rng, 64, 0.25);
+      ASSERT_EQ(codec.decode_soft(soft, 64), oracles::decode_soft_reference(spec, soft, 64))
+          << spec_name(spec) << " trial=" << trial;
     }
   }
+}
+
+// Exact 0/1 input through decode_hard: every metric is an integer, so
+// equal-metric paths (ties) are everywhere, with and without bit errors.
+TEST(ViterbiEquivalence, HardDecisionInputWithTiesEverywhere) {
+  Rng rng(23);
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (double flip : {0.0, 0.03, 0.12}) {
+      const std::size_t payload = 64;
+      const auto coded = codec.encode(random_bytes(rng, payload));
+      const std::size_t nbits = codec.encoded_bits(payload);
+      util::BitReader br(coded);
+      util::BitWriter bw;
+      std::vector<float> soft(nbits);
+      for (auto& s : soft) {
+        const int bit = br.bit() ^ (rng.bernoulli(flip) ? 1 : 0);
+        bw.bit(bit);
+        s = static_cast<float>(bit);
+      }
+      const auto packed = bw.take();
+      ASSERT_EQ(codec.decode_hard(packed, payload), oracles::decode_soft_reference(spec, soft, payload))
+          << spec_name(spec) << " flip=" << flip;
+    }
+  }
+}
+
+// All-erasure input (every metric ties at every step) and noisy input with
+// long erasure runs, where the metrics of many paths stay equal for
+// hundreds of steps.
+TEST(ViterbiEquivalence, ErasuresAndLongTieRuns) {
+  Rng rng(24);
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (std::size_t payload : {std::size_t{1}, std::size_t{64}}) {
+      const std::vector<float> erased(codec.encoded_bits(payload), 0.5f);
+      ASSERT_EQ(codec.decode_soft(erased, payload), oracles::decode_soft_reference(spec, erased, payload))
+          << spec_name(spec) << " all-erasure payload=" << payload;
+    }
+    auto soft = soft_bits(codec, rng, 120, 0.2);
+    for (std::size_t start : {std::size_t{0}, std::size_t{300}, soft.size() - 250}) {
+      std::fill(soft.begin() + static_cast<long>(start), soft.begin() + static_cast<long>(start + 200), 0.5f);
+    }
+    ASSERT_EQ(codec.decode_soft(soft, 120), oracles::decode_soft_reference(spec, soft, 120))
+        << spec_name(spec) << " erasure runs";
+  }
+}
+
+// 0 and 1 bytes (flush bits only, one decision byte), 120 bytes (about a
+// sonic-10k frame after CRC and RS) and 1024 bytes.
+TEST(ViterbiEquivalence, PayloadSizesFromEmptyToOneKilobyte) {
+  Rng rng(25);
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (std::size_t payload : {std::size_t{0}, std::size_t{1}, std::size_t{120}, std::size_t{1024}}) {
+      const auto soft = soft_bits(codec, rng, payload, 0.3);
+      const auto fast = codec.decode_soft(soft, payload);
+      ASSERT_EQ(fast.size(), payload);
+      ASSERT_EQ(fast, oracles::decode_soft_reference(spec, soft, payload))
+          << spec_name(spec) << " payload=" << payload;
+    }
+  }
+}
+
+// The butterfly gives each predecessor pair only two branch metrics, which
+// holds because both polynomials of both codes tap the register's LSB (the
+// newest input bit) and MSB (the bit about to be evicted). The encoder's
+// impulse response reads the taps out: output pair i of a lone 1 bit is
+// (poly_a bit i, poly_b bit i). Both pairs at the ends must be (1, 1).
+TEST(ViterbiStructure, BothPolynomialsTapRegisterMsbAndLsb) {
+  for (fec::ConvCode code : {fec::ConvCode::kV27, fec::ConvCode::kV29}) {
+    fec::ConvolutionalCodec codec({code, fec::PunctureRate::kRate1_2});
+    const int k = codec.constraint_length();
+    const auto coded = codec.encode(util::Bytes{0x80});
+    util::BitReader br(coded);
+    std::vector<std::pair<int, int>> pairs;
+    for (int i = 0; i < k; ++i) {
+      const int a = br.bit();
+      const int b = br.bit();
+      pairs.emplace_back(a, b);
+    }
+    const auto polys = oracles::conv_polys(code);
+    ASSERT_EQ(k, polys.k);
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(pairs[static_cast<std::size_t>(i)],
+                std::make_pair(static_cast<int>((polys.poly_a >> i) & 1), static_cast<int>((polys.poly_b >> i) & 1)))
+          << "k=" << k << " tap " << i;
+    }
+    EXPECT_EQ(pairs.front(), std::make_pair(1, 1)) << "k=" << k << ": LSB not tapped by both";
+    EXPECT_EQ(pairs.back(), std::make_pair(1, 1)) << "k=" << k << ": MSB not tapped by both";
+  }
+}
+
+// Four threads decode distinct inputs on one shared codec; each result must
+// equal the serial decode. decode_soft keeps its buffers in a thread_local
+// workspace, so this is the test TSan (scripts/tier1.sh) runs for it.
+TEST(ViterbiConcurrency, SharedCodecMatchesSerialDecodes) {
+  Rng rng(26);
+  const fec::ConvolutionalCodec codec({fec::ConvCode::kV29, fec::PunctureRate::kRate2_3});
+  constexpr std::size_t kThreads = 4, kPerThread = 6;
+  const std::size_t sizes[] = {1, 120, 64, 300, 0, 120};
+  std::vector<std::vector<std::vector<float>>> inputs(kThreads);
+  std::vector<std::vector<util::Bytes>> expect(kThreads), got(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      inputs[t].push_back(soft_bits(codec, rng, sizes[i], 0.3));
+      expect[t].push_back(codec.decode_soft(inputs[t][i], sizes[i]));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        got[t].clear();
+        for (std::size_t i = 0; i < kPerThread; ++i) got[t].push_back(codec.decode_soft(inputs[t][i], sizes[i]));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expect[t]) << "thread " << t;
 }
 
 TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
@@ -211,7 +355,7 @@ TEST(XorIntoEquivalence, WordWideMatchesByteLoopOnOddAndUnalignedSpans) {
       util::Bytes dst_ref = dst_fast;
       const std::span<const std::uint8_t> src(backing.data() + offset, len);
       fec::xor_into(dst_fast, src);
-      fec::xor_into_reference(dst_ref, src);
+      oracles::xor_into_reference(dst_ref, src);
       ASSERT_EQ(dst_fast, dst_ref) << "offset=" << offset << " len=" << len;
     }
   }
@@ -237,7 +381,7 @@ TEST(FirEquivalence, BlockPathMatchesRingReference) {
   for (auto& v : x) v = static_cast<float>(rng.normal());
   dsp::FirFilter f(taps);
   const auto fast = f.process(x);
-  const auto ref = dsp::fir_reference(taps, x);
+  const auto ref = oracles::fir_reference(taps, x);
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < fast.size(); ++i) ASSERT_NEAR(fast[i], ref[i], 1e-4) << i;
 }

@@ -1,0 +1,32 @@
+// Reference (pre-optimization) FFT, FIR and fountain XOR kernels, kept as
+// test oracles and as the before-cases of bench/micro_dsp_fec. They live in
+// the sonic_oracles library, which only tests and benches link.
+#pragma once
+
+#include <complex>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "util/bytes.hpp"
+
+namespace sonic::oracles {
+
+using cplx = std::complex<float>;
+
+// The pre-plan radix-2 FFT: per-call bit reversal and a per-stage twiddle
+// recurrence (w *= w_len), in place; data.size() must be a power of two.
+// The recurrence accumulates O(N) ulps of twiddle error, so it drifts past
+// a tight tolerance against dsp::dft_naive at N = 4096 where dsp::FftPlan
+// does not. The inverse includes the 1/N normalization.
+void fft_recurrence(std::span<cplx> data);
+void ifft_recurrence(std::span<cplx> data);
+
+// Filters `x` from zero initial state with the original per-sample
+// ring-buffer FIR kernel.
+std::vector<float> fir_reference(std::span<const float> taps, std::span<const float> x);
+
+// Byte-at-a-time XOR of src into dst over dst.size() bytes.
+void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src);
+
+}  // namespace sonic::oracles

@@ -1,0 +1,103 @@
+#include "oracles/viterbi_reference.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
+namespace sonic::oracles {
+
+ConvPolys conv_polys(fec::ConvCode code) {
+  switch (code) {
+    case fec::ConvCode::kV27: return {7, 0x6d, 0x4f};
+    case fec::ConvCode::kV29: return {9, 0x1af, 0x11d};
+  }
+  throw std::invalid_argument("unknown convolutional code");
+}
+
+util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const float> soft,
+                                  std::size_t payload_bytes) {
+  const ConvPolys code = conv_polys(spec.code);
+  const int num_states = 1 << (code.k - 1);
+  const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(code.k - 1);
+
+  // Depuncture: pattern over consecutive (out0, out1) positions, 1 = sent;
+  // punctured and missing positions read as 0.5 (no information).
+  std::vector<int> pattern;
+  switch (spec.rate) {
+    case fec::PunctureRate::kRate1_2: pattern = {1, 1}; break;
+    case fec::PunctureRate::kRate2_3: pattern = {1, 1, 1, 0}; break;
+    case fec::PunctureRate::kRate3_4: pattern = {1, 1, 0, 1, 1, 0}; break;
+  }
+  std::vector<float> pairs(in_bits * 2, 0.5f);
+  std::size_t soft_idx = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pattern[i % pattern.size()]) {
+      if (soft_idx < soft.size()) pairs[i] = soft[soft_idx];
+      ++soft_idx;
+    }
+  }
+
+  // Trellis: expected output bits of every (state << 1 | input bit)
+  // register value.
+  std::vector<float> expect_a(static_cast<std::size_t>(num_states) * 2);
+  std::vector<float> expect_b(expect_a.size());
+  for (std::uint32_t reg = 0; reg < expect_a.size(); ++reg) {
+    expect_a[reg] = static_cast<float>(std::popcount(reg & code.poly_a) & 1);
+    expect_b[reg] = static_cast<float>(std::popcount(reg & code.poly_b) & 1);
+  }
+
+  constexpr float kInf = std::numeric_limits<float>::max() / 4;
+  std::vector<float> metric(static_cast<std::size_t>(num_states), kInf);
+  std::vector<float> next_metric(static_cast<std::size_t>(num_states), kInf);
+  metric[0] = 0.0f;  // encoder starts in state 0
+
+  // Transitioning prev -> next with input bit b gives
+  // next = ((prev << 1) | b) & mask, so b == (next & 1) and prev is fully
+  // determined by next plus prev's evicted MSB. One evicted bit per
+  // (step, state) is all the traceback needs.
+  std::vector<std::uint8_t> survivors(in_bits * static_cast<std::size_t>(num_states));
+  const std::uint32_t state_mask = static_cast<std::uint32_t>(num_states - 1);
+  for (std::size_t step = 0; step < in_bits; ++step) {
+    const float s0 = pairs[step * 2];
+    const float s1 = pairs[step * 2 + 1];
+    std::fill(next_metric.begin(), next_metric.end(), kInf);
+    std::uint8_t* surv = survivors.data() + step * static_cast<std::size_t>(num_states);
+    for (int state = 0; state < num_states; ++state) {
+      const float base = metric[static_cast<std::size_t>(state)];
+      if (base >= kInf) continue;
+      for (int bit = 0; bit < 2; ++bit) {
+        const std::uint32_t reg = (static_cast<std::uint32_t>(state) << 1) | static_cast<std::uint32_t>(bit);
+        // Branch metric: L1 distance between expected and observed soft
+        // bits, summed before it is added to the path metric.
+        const float bm = std::fabs(s0 - expect_a[reg]) + std::fabs(s1 - expect_b[reg]);
+        const float m = base + bm;
+        const std::uint32_t next = reg & state_mask;
+        if (m < next_metric[next]) {
+          next_metric[next] = m;
+          surv[next] = static_cast<std::uint8_t>((state >> (code.k - 2)) & 1);  // evicted MSB of prev
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+
+  // Traceback from state 0 (guaranteed by the K-1 flush bits).
+  std::uint32_t state = 0;
+  std::vector<std::uint8_t> bits(in_bits);
+  for (std::size_t step = in_bits; step-- > 0;) {
+    bits[step] = static_cast<std::uint8_t>(state & 1);  // the input bit that produced `state`
+    const std::uint32_t evicted = survivors[step * static_cast<std::size_t>(num_states) + state];
+    state = (state >> 1) | (evicted << (code.k - 2));
+  }
+
+  util::Bytes out(payload_bytes, 0);
+  for (std::size_t i = 0; i < payload_bytes * 8; ++i) {
+    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
+  }
+  return out;
+}
+
+}  // namespace sonic::oracles

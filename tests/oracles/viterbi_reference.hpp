@@ -1,0 +1,31 @@
+// Reference Viterbi decoder, kept as the test oracle and the before-case of
+// bench/micro_dsp_fec for fec::ConvolutionalCodec::decode_soft. It lives in
+// the sonic_oracles library, which only tests and benches link.
+#pragma once
+
+#include <cstdint>
+#include <span>
+
+#include "fec/convolutional.hpp"
+#include "util/bytes.hpp"
+
+namespace sonic::oracles {
+
+// Generator polynomials and constraint length of `code`, written out here
+// rather than read from the codec under test.
+struct ConvPolys {
+  int k;
+  std::uint32_t poly_a;
+  std::uint32_t poly_b;
+};
+ConvPolys conv_polys(fec::ConvCode code);
+
+// The straightforward per-state scalar Viterbi decoder: it derives its own
+// trellis and depuncturing from `spec`, visits every reachable state and
+// both its input bits, and keeps the first of equal metrics, so ties go to
+// the lower predecessor state. `soft` and the result follow
+// ConvolutionalCodec::decode_soft.
+util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const float> soft,
+                                  std::size_t payload_bytes);
+
+}  // namespace sonic::oracles
