@@ -25,10 +25,13 @@
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
 #include "fec/reed_solomon.hpp"
+#include "fm/acoustic.hpp"
+#include "fm/fm_modem.hpp"
 #include "image/column_codec.hpp"
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "oracles/fm_reference.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
@@ -439,6 +442,76 @@ std::vector<MicroCase> build_micro_cases() {
         [skew, audio] {
           auto out = skew->process(*audio);
           benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
+  // The FM stages on 0.1 s of sonic-10k OFDM audio (4410 samples, 22050 IQ
+  // samples): before is the per-sample libm oracle, after the vector
+  // kernels and the bulk Gaussian draw. rf_awgn is at RSSI -86 dB; both
+  // sides draw from generators that keep advancing, the same work per op.
+  {
+    const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+    auto audio = std::make_shared<std::vector<float>>(
+        modem.modulate({random_bytes(*rng, 200), random_bytes(*rng, 200)}));
+    audio->resize(4410, 0.0f);
+    const fm::FmParams params;
+    auto iq = std::make_shared<std::vector<fm::cplx>>(fm::FmModulator(params).modulate(*audio));
+    cases.push_back(MicroCase{
+        "fm_modulate", static_cast<double>(audio->size()), "samples",
+        [audio, params] {
+          auto out = oracles::fm_modulate_reference(*audio, params);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [audio, params] {
+          auto out = fm::FmModulator(params).modulate(*audio);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    fm::RfChannelParams rf_params;
+    rf_params.rssi_db = -86.0;
+    auto rf_rng = std::make_shared<util::Rng>(43);
+    auto rf = std::make_shared<fm::RfChannel>(rf_params, util::Rng(43));
+    cases.push_back(MicroCase{
+        "rf_awgn", static_cast<double>(iq->size()), "iq_samples",
+        [iq, rf_params, rf_rng] {
+          auto out = oracles::rf_channel_reference(*iq, rf_params, *rf_rng);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [iq, rf] {
+          auto out = rf->process(*iq);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    auto noisy = std::make_shared<std::vector<fm::cplx>>(fm::RfChannel(rf_params, util::Rng(44)).process(*iq));
+    auto demod = std::make_shared<fm::FmDemodulator>(params);
+    cases.push_back(MicroCase{
+        "fm_demodulate", static_cast<double>(noisy->size()), "iq_samples",
+        [noisy, params] {
+          auto out = oracles::fm_demodulate_arg_reference(*noisy, params);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [noisy, demod] {
+          demod->reset();
+          auto out = demod->demodulate(*noisy);
+          auto tail = demod->finish();
+          benchmark::DoNotOptimize(out.data());
+          benchmark::DoNotOptimize(tail.data());
+        }});
+
+    fm::AcousticParams air;
+    air.distance_m = 0.2;
+    cases.push_back(MicroCase{
+        "acoustic_20cm", static_cast<double>(audio->size()), "samples",
+        [audio, air] {
+          auto out = oracles::acoustic_reference(*audio, air, util::Rng(45));
+          benchmark::DoNotOptimize(out.data());
+        },
+        [audio, air] {
+          fm::AcousticChannel channel(air, util::Rng(45));
+          auto out = channel.process(*audio);
+          auto tail = channel.finish();
+          benchmark::DoNotOptimize(out.data());
+          benchmark::DoNotOptimize(tail.data());
         }});
   }
 

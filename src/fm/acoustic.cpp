@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dsp/fast_math.hpp"
 #include "util/units.hpp"
 
 namespace sonic::fm {
@@ -68,27 +69,38 @@ std::vector<float> AcousticChannel::process(std::span<const float> audio) {
     noise_sigma_ = std::sqrt(p_in / sonic::util::db_to_linear(anchor_db));
   }
 
-  if (params_.distance_m <= 0.0) {
-    // Cable: tiny residual noise plus clock skew.
-    for (auto& s : out) s += static_cast<float>(rng_.normal(0.0, *noise_sigma_));
-  } else {
+  if (params_.distance_m > 0.0) {
+    namespace fastmath = dsp::fastmath;
     const float g = static_cast<float>(sonic::util::db_to_amplitude(trial_gain_db_));
     // Slow fading: depth grows with distance (hand-held phone, moving
     // listener); the phase and running sample index persist across chunks.
+    // The gain 10^(wob_db / 20) is taken as 2^(wob_db · log2(10) / 20), with
+    // wob_db = −depth_db / 2 · (1 + sin(w · index + phase)), four samples at
+    // a time.
     const double depth_db = params_.wobble_depth_db_at_1m * params_.distance_m;
     const double w = sonic::util::kTwoPi * params_.wobble_rate_hz / params_.sample_rate_hz;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const double wob_db =
-          -0.5 * depth_db *
-          (1.0 + std::sin(w * static_cast<double>(wobble_index_ + i) + wobble_phase_));
-      out[i] *= g * static_cast<float>(sonic::util::db_to_amplitude(wob_db));
+    const float exponent_per_unit = static_cast<float>(-0.5 * depth_db * std::log2(10.0) / 20.0);
+    const std::size_t n = out.size();
+    out.resize((n + 3) / 4 * 4, 0.0f);  // whole groups of four
+    for (std::size_t i = 0; i < n; i += 4) {
+      double theta[4];
+      for (std::size_t j = 0; j < 4; ++j) {
+        theta[j] = w * static_cast<double>(wobble_index_ + i + j) + wobble_phase_;
+      }
+      fastmath::V4f sin_theta, cos_theta;
+      fastmath::sincos(theta, sin_theta, cos_theta);
+      const fastmath::V4f wobble = fastmath::exp2(exponent_per_unit * (1.0f + sin_theta));
+      fastmath::store(&out[i], fastmath::load(&out[i]) * (g * wobble));
     }
-    wobble_index_ += out.size();
+    out.resize(n);
+    wobble_index_ += n;
     if (tilt_on_) out = tilt_.process(out);
-    // Ambient noise anchored so SNR at the reference distance equals
-    // ref_snr_db for a unit-gain trial.
-    for (auto& s : out) s += static_cast<float>(rng_.normal(0.0, *noise_sigma_));
   }
+  // Ambient noise, anchored so SNR at the reference distance equals
+  // ref_snr_db for a unit-gain trial; in cable mode, the tiny residual noise.
+  std::vector<float> noise(out.size());
+  rng_.fill_normal(noise, 0.0, *noise_sigma_);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] += noise[i];
 
   if (skew_.has_value()) out = skew_->push(out);
   return out;

@@ -5,12 +5,16 @@
 #include <stdexcept>
 
 #include "dsp/biquad.hpp"
+#include "dsp/fast_math.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
 #include "util/units.hpp"
 
 namespace sonic::fm {
 namespace {
+
+namespace fastmath = dsp::fastmath;
+using fastmath::V4f;
 
 std::size_t decimation_factor(const FmParams& p) {
   const double ratio = p.iq_rate_hz / p.audio_rate_hz;
@@ -19,6 +23,22 @@ std::size_t decimation_factor(const FmParams& p) {
     throw std::invalid_argument("FmParams::iq_rate_hz must be an integer multiple of audio_rate_hz");
   }
   return static_cast<std::size_t>(factor);
+}
+
+// float(atan2(im, re) * scale) of z = cur·conj(prev) for four samples; the
+// product takes the same float operations as std::complex's.
+void discriminate4(const cplx* cur, const cplx* prev, double scale, float* out) {
+  typedef double V4d __attribute__((vector_size(32)));
+  const float* c = reinterpret_cast<const float*>(cur);
+  const float* p = reinterpret_cast<const float*>(prev);
+  const V4f c01 = fastmath::load(c), c23 = fastmath::load(c + 4);
+  const V4f p01 = fastmath::load(p), p23 = fastmath::load(p + 4);
+  const V4f cr = __builtin_shufflevector(c01, c23, 0, 2, 4, 6);
+  const V4f ci = __builtin_shufflevector(c01, c23, 1, 3, 5, 7);
+  const V4f pr = __builtin_shufflevector(p01, p23, 0, 2, 4, 6);
+  const V4f pi = __builtin_shufflevector(p01, p23, 1, 3, 5, 7);
+  const V4f dphi = fastmath::atan2(ci * pr - cr * pi, cr * pr + ci * pi);
+  fastmath::store(out, __builtin_convertvector(__builtin_convertvector(dphi, V4d) * scale, V4f));
 }
 
 }  // namespace
@@ -44,16 +64,32 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
   }
   std::vector<float> up = dsp::resample(program, params_.audio_rate_hz, params_.iq_rate_hz);
 
-  // Phase integration: d(phi)/dt = 2*pi*deviation*m(t).
-  std::vector<cplx> iq(up.size());
+  // Phase integration, d(phi)/dt = 2*pi*deviation*m(t), is a sequential
+  // pass in double over a cache-sized block; cos and sin of the block's
+  // phases are then taken four at a time and interleaved into the IQ, which
+  // is padded to whole groups of four until the end.
+  std::vector<cplx> iq((up.size() + 3) / 4 * 4);
+  float* out = reinterpret_cast<float*>(iq.data());
+  constexpr std::size_t kBlock = 256;
+  double phases[kBlock] = {};
   double phase = 0.0;
   const double k = sonic::util::kTwoPi * params_.deviation_hz / params_.iq_rate_hz;
-  for (std::size_t i = 0; i < up.size(); ++i) {
-    phase += k * static_cast<double>(up[i]);
-    if (phase > sonic::util::kPi) phase -= sonic::util::kTwoPi;
-    if (phase < -sonic::util::kPi) phase += sonic::util::kTwoPi;
-    iq[i] = cplx(static_cast<float>(std::cos(phase)), static_cast<float>(std::sin(phase)));
+  for (std::size_t b = 0; b < up.size(); b += kBlock) {
+    const std::size_t n = std::min(kBlock, up.size() - b);
+    for (std::size_t i = 0; i < n; ++i) {
+      phase += k * static_cast<double>(up[b + i]);
+      if (phase > sonic::util::kPi) phase -= sonic::util::kTwoPi;
+      if (phase < -sonic::util::kPi) phase += sonic::util::kTwoPi;
+      phases[i] = phase;
+    }
+    for (std::size_t i = 0; i < n; i += 4) {
+      V4f s, c;
+      fastmath::sincos(phases + i, s, c);
+      fastmath::store(out + 2 * (b + i), __builtin_shufflevector(c, s, 0, 4, 1, 5));
+      fastmath::store(out + 2 * (b + i) + 4, __builtin_shufflevector(c, s, 2, 6, 3, 7));
+    }
   }
+  iq.resize(up.size());
   return iq;
 }
 
@@ -80,22 +116,37 @@ std::vector<float> FmDemodulator::postprocess(std::vector<float> audio) {
 }
 
 std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
-  // Quadrature discriminator: instantaneous frequency from the phase delta.
-  // The reference sample carries across calls; the very first sample of a
-  // stream has no predecessor, so its delta is dropped (zero frequency)
-  // rather than measured against an arbitrary phase.
-  std::vector<float> freq(iq.size(), 0.0f);
+  // Quadrature discriminator: instantaneous frequency from the phase delta,
+  // four samples at a time. The reference sample carries across calls, and
+  // every sample runs the same lane-wise kernel, so chunk boundaries change
+  // nothing. The very first sample of a stream has no predecessor, so its
+  // delta is dropped (zero frequency) rather than measured against an
+  // arbitrary phase.
+  const std::size_t n = iq.size();
+  std::vector<float> freq(n);
   const double scale =
       params_.iq_rate_hz / (sonic::util::kTwoPi * params_.deviation_hz * params_.input_gain);
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    const cplx cur = iq[i];
-    if (have_prev_) {
-      const float dphi = std::arg(cur * std::conj(prev_));
-      freq[i] = static_cast<float>(dphi * scale);
-    } else {
-      have_prev_ = true;
+  // Samples [i, min(i + 4, n)) through copies: the head (whose first
+  // predecessor is prev_) and the tail.
+  const auto partial = [&](std::size_t i) {
+    cplx cur[4] = {}, prev[4] = {};
+    float lanes[4] = {};
+    const std::size_t m = std::min<std::size_t>(4, n - i);
+    for (std::size_t j = 0; j < m; ++j) {
+      cur[j] = iq[i + j];
+      prev[j] = i + j == 0 ? prev_ : iq[i + j - 1];
     }
-    prev_ = cur;
+    discriminate4(cur, prev, scale, lanes);
+    std::copy_n(lanes, m, freq.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  if (n > 0) {
+    partial(0);
+    std::size_t i = 4;
+    for (; i + 4 <= n; i += 4) discriminate4(&iq[i], &iq[i - 1], scale, &freq[i]);
+    if (i < n) partial(i);
+    if (!have_prev_) freq[0] = 0.0f;
+    have_prev_ = true;
+    prev_ = iq.back();
   }
   // Band-limit and decimate to the audio rate in one stage; it keeps its
   // state so chunk boundaries are seamless.
@@ -127,10 +178,15 @@ std::vector<cplx> RfChannel::process(std::span<const cplx> iq) {
   const double p_noise = p_sig / cnr;
   const double sigma_axis = std::sqrt(p_noise / 2.0);
 
+  // One draw per axis, the imaginary part first. This used to be
+  // cplx(float(normal()), float(normal())), which leaves the order to the
+  // compiler; GCC evaluates those arguments right to left, and every
+  // committed figure was made with that noise.
   std::vector<cplx> out(iq.size());
+  float* noise = reinterpret_cast<float*>(out.data());  // draw 2i, draw 2i + 1
+  rng_.fill_normal(std::span<float>(noise, 2 * out.size()), 0.0, sigma_axis);
   for (std::size_t i = 0; i < iq.size(); ++i) {
-    out[i] = iq[i] + cplx(static_cast<float>(rng_.normal(0.0, sigma_axis)),
-                          static_cast<float>(rng_.normal(0.0, sigma_axis)));
+    out[i] = iq[i] + cplx(out[i].imag(), out[i].real());
   }
   return out;
 }

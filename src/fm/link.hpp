@@ -18,7 +18,10 @@ struct FmLinkConfig {
   AcousticParams acoustic;     // distance etc. (distance 0 = cable)
   bool enable_rf = true;       // false: bypass the RF hop entirely (ideal
                                // radio, e.g. when only the acoustic hop is
-                               // under study — ~5x faster)
+                               // under study). transmit() then runs 6-8x
+                               // faster at 20 cm, 7-10x over cable (one
+                               // 16-frame sonic-10k burst, Release build,
+                               // 4-core x86-64 container)
   std::uint64_t seed = 1;
 };
 

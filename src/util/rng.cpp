@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sonic::util {
@@ -15,6 +16,24 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step.
+inline std::uint64_t xoshiro_next(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+// Rng::uniform(-1.0, 1.0) of one 64-bit draw, the same arithmetic.
+inline double symmetric_unit(std::uint64_t x) {
+  return -1.0 + 2.0 * (static_cast<double>(x >> 11) * 0x1.0p-53);
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
@@ -22,17 +41,7 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   for (auto& s : s_) s = splitmix64(x);
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next() { return xoshiro_next(s_); }
 
 double Rng::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -66,6 +75,45 @@ double Rng::normal(double mean, double stddev) {
   gauss_ = v * f;
   have_gauss_ = true;
   return mean + stddev * u * f;
+}
+
+void Rng::fill_normal(std::span<float> out, double mean, double stddev) {
+  std::size_t i = 0;
+  if (have_gauss_ && !out.empty()) {
+    have_gauss_ = false;
+    out[i++] = static_cast<float>(mean + stddev * gauss_);
+  }
+  constexpr std::size_t kPairs = kNormalBlock / 2;
+  double u[kPairs] = {}, v[kPairs] = {}, f[kPairs] = {};
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  while (i < out.size()) {
+    const std::size_t pairs = std::min(kPairs, (out.size() - i + 1) / 2);
+    // The polar method's rejection loop without its branch: every candidate
+    // is written, and the slot only advances past an accepted one. The
+    // generator steps exactly as normal()'s do-while would.
+    for (std::size_t k = 0; k < pairs;) {
+      const double cu = symmetric_unit(xoshiro_next(s));
+      const double cv = symmetric_unit(xoshiro_next(s));
+      const double cs = cu * cu + cv * cv;
+      u[k] = cu;
+      v[k] = cv;
+      f[k] = cs;
+      k += static_cast<std::size_t>((cs < 1.0) & (cs != 0.0));
+    }
+    for (std::size_t k = 0; k < pairs; ++k) f[k] = std::sqrt(-2.0 * std::log(f[k]) / f[k]);
+    // normal()'s two results per pair, same parenthesization; an odd count
+    // leaves the last pair's second deviate cached.
+    for (std::size_t k = 0; k < pairs; ++k) {
+      out[i++] = static_cast<float>(mean + stddev * u[k] * f[k]);
+      if (i == out.size()) {
+        gauss_ = v[k] * f[k];
+        have_gauss_ = true;
+        break;
+      }
+      out[i++] = static_cast<float>(mean + stddev * (v[k] * f[k]));
+    }
+  }
+  std::copy(std::begin(s), std::end(s), s_);
 }
 
 double Rng::exponential(double rate) {

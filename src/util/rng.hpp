@@ -5,7 +5,9 @@
 // are reproducible. The core generator is xoshiro256** seeded via splitmix64.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace sonic::util {
@@ -19,6 +21,14 @@ class Rng {
   double uniform(double lo, double hi);    // [lo, hi)
   std::uint64_t uniform_int(std::uint64_t n);  // [0, n), n > 0
   double normal(double mean = 0.0, double stddev = 1.0);
+  // out[i] = float(normal(mean, stddev)) for i = 0, 1, ..., bit for bit, and
+  // leaves the generator (including the cached second deviate of the polar
+  // method) exactly where those scalar calls would. Draws are batched in
+  // blocks of kNormalBlock deviates: candidates for the polar method's
+  // rejection loop are generated branch-free, then the accepted pairs are
+  // scaled.
+  void fill_normal(std::span<float> out, double mean = 0.0, double stddev = 1.0);
+  static constexpr std::size_t kNormalBlock = 256;
   double exponential(double rate);
   bool bernoulli(double p);
   int poisson(double mean);

@@ -13,6 +13,11 @@
 //  * contiguous-window FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
 //    FmDemodulator's fused decimating low-pass vs. the old two-stage chain;
+//  * Rng::fill_normal vs. scalar normal() draws, bit for bit, and the RF
+//    channel's draw order;
+//  * the fast_math sincos/atan2/exp2 kernels vs. libm, and the FM
+//    modulator, RF channel, demodulator and acoustic hop built on them vs.
+//    their per-sample libm oracles;
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path
 // and the bounded allocation for forged OFDM headers, verified with a real
@@ -29,19 +34,23 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/fast_math.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
+#include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "modem/stream_receiver.hpp"
+#include "oracles/fm_reference.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 // ------------------------------------------------------ allocation probe ---
 // Counts every global operator new in this test binary. The steady-state
@@ -529,6 +538,308 @@ TEST(FmDecimatorEquivalence, FusedStageMatchesTwoStageOracle) {
   ASSERT_GT(got.size(), tail_len);
   const std::size_t interior = got.size() - tail_len;
   EXPECT_LE(max_abs_diff(got, expect, interior), 1e-6);
+}
+
+// ------------------------------------------------------ Gaussian draws ---
+
+// fill_normal is normal() called n times: same floats, same cached second
+// deviate, same generator state after. Sizes straddle the block and the
+// pair boundaries, with and without a deviate cached on entry.
+TEST(Rng, FillNormalMatchesScalarDraws) {
+  const std::size_t block = Rng::kNormalBlock;
+  const std::size_t sizes[] = {0, 1, 2, 3, block - 1, block, block + 1, 100000};
+  for (const bool cached : {false, true}) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " cached=" << cached);
+      Rng scalar(70 + n), bulk(70 + n);
+      if (cached) {
+        ASSERT_EQ(scalar.normal(), bulk.normal());  // leaves a deviate cached
+      }
+      std::vector<float> expect(n), got(n);
+      for (auto& v : expect) v = static_cast<float>(scalar.normal(0.25, 1.5));
+      bulk.fill_normal(got, 0.25, 1.5);
+      ASSERT_EQ(got, expect);
+      EXPECT_EQ(bulk.normal(-1.0, 0.5), scalar.normal(-1.0, 0.5));
+      EXPECT_EQ(bulk.normal(), scalar.normal());
+      EXPECT_EQ(bulk.next(), scalar.next());
+    }
+  }
+}
+
+// Consecutive fills chain exactly like one fill of the total length.
+TEST(Rng, FillNormalChunkedMatchesOneFill) {
+  Rng whole(71), chunked(71);
+  std::vector<float> expect(3000), got;
+  whole.fill_normal(expect, 0.0, 0.3);
+  Rng sizes(72);
+  while (got.size() < expect.size()) {
+    std::vector<float> part(std::min<std::size_t>(sizes.uniform_int(600), expect.size() - got.size()));
+    chunked.fill_normal(part, 0.0, 0.3);
+    got.insert(got.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(got, expect);
+}
+
+// Regression: cplx(float(normal()), float(normal())) left the draw order to
+// the compiler. GCC draws the imaginary part first, and every committed
+// figure was made that way; RfChannel now states it: after the fading draw,
+// IQ sample i gets draw 2i on its imaginary axis and draw 2i + 1 on its
+// real one.
+TEST(RfChannelDrawOrder, ImaginaryTakesTheFirstDrawAfterFading) {
+  Rng rng(73);
+  std::vector<fm::cplx> iq(1001);
+  for (auto& s : iq) s = fm::cplx(static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1)));
+  fm::RfChannelParams params;
+  params.rssi_db = -86.0;
+  fm::RfChannel rf(params, Rng(74));
+  const auto got = rf.process(iq);
+
+  Rng draws(74);
+  double p_sig = 0.0;
+  for (const auto& s : iq) p_sig += std::norm(s);
+  p_sig /= static_cast<double>(iq.size());
+  const double fading = draws.normal(0.0, params.fading_sigma_db);
+  const double cnr = util::db_to_linear(params.rssi_db - params.noise_floor_db + fading);
+  const double sigma = std::sqrt(p_sig / cnr / 2.0);
+  ASSERT_EQ(got.size(), iq.size());
+  for (std::size_t i = 0; i < iq.size(); ++i) {
+    const float first = static_cast<float>(draws.normal(0.0, sigma));
+    const float second = static_cast<float>(draws.normal(0.0, sigma));
+    ASSERT_EQ(got[i], iq[i] + fm::cplx(second, first)) << i;
+  }
+}
+
+// ------------------------------------------------------------ fast math ---
+
+namespace fastmath = dsp::fastmath;
+
+// Runs a four-lane kernel over whole arrays, zero-padding the last group.
+template <typename Kernel>
+std::vector<float> lanes_map(std::size_t n, Kernel&& kernel) {
+  std::vector<float> out((n + 3) / 4 * 4);
+  for (std::size_t i = 0; i < n; i += 4) fastmath::store(&out[i], kernel(i));
+  out.resize(n);
+  return out;
+}
+
+void expect_sincos_close(const std::vector<double>& x, double bound) {
+  std::vector<double> padded(x);
+  padded.resize((x.size() + 3) / 4 * 4, 0.0);
+  std::vector<float> s(padded.size()), c(padded.size());
+  for (std::size_t i = 0; i < padded.size(); i += 4) {
+    fastmath::V4f vs, vc;
+    fastmath::sincos(&padded[i], vs, vc);
+    fastmath::store(&s[i], vs);
+    fastmath::store(&c[i], vc);
+  }
+  double worst_s = 0.0, worst_c = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    worst_s = std::max(worst_s, std::fabs(s[i] - std::sin(x[i])));
+    worst_c = std::max(worst_c, std::fabs(c[i] - std::cos(x[i])));
+  }
+  EXPECT_LE(worst_s, bound);
+  EXPECT_LE(worst_c, bound);
+}
+
+TEST(FastMath, SincosMatchesLibmOnPrincipalRange) {
+  std::vector<double> x;
+  for (int i = -200000; i <= 200000; ++i) x.push_back(util::kPi * i / 200000.0);
+  // Quadrant boundaries and their neighbours.
+  for (int q = -4; q <= 4; ++q) {
+    for (double d : {-1e-9, 0.0, 1e-9}) x.push_back(q * util::kPi / 4 + d);
+  }
+  x.push_back(-0.0);
+  expect_sincos_close(x, 1.2e-7);
+}
+
+TEST(FastMath, SincosMatchesLibmOnLargeArguments) {
+  Rng rng(75);
+  std::vector<double> x;
+  for (int i = 0; i < 200000; ++i) x.push_back(rng.uniform(-1e5, 1e5));
+  for (double v : {1e5, -1e5, 99999.5, 31415.9265358979, 1e3 * util::kPi / 2}) x.push_back(v);
+  expect_sincos_close(x, 1.2e-7);
+}
+
+double atan2_error(const std::vector<float>& y, const std::vector<float>& x) {
+  const auto got = lanes_map(x.size(), [&](std::size_t i) {
+    float ly[4] = {}, lx[4] = {};
+    for (std::size_t j = 0; j < 4 && i + j < x.size(); ++j) {
+      ly[j] = y[i + j];
+      lx[j] = x[i + j];
+    }
+    return fastmath::atan2(fastmath::load(ly), fastmath::load(lx));
+  });
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, std::fabs(got[i] - std::atan2(static_cast<double>(y[i]), static_cast<double>(x[i]))));
+  }
+  return worst;
+}
+
+TEST(FastMath, Atan2MatchesLibmInAllQuadrants) {
+  Rng rng(76);
+  std::vector<float> y, x;
+  for (int i = 0; i < 400000; ++i) {
+    y.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+    x.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+  }
+  // Every octant boundary: the axes, the diagonals, and around tan(pi/8).
+  for (int k = 0; k < 16; ++k) {
+    const double a = k * util::kPi / 8;
+    for (double d : {-1e-6, 0.0, 1e-6}) {
+      y.push_back(static_cast<float>(std::sin(a + d)));
+      x.push_back(static_cast<float>(std::cos(a + d)));
+    }
+  }
+  EXPECT_LE(atan2_error(y, x), 2.5e-7);
+}
+
+TEST(FastMath, Atan2SignedZerosAndAxes) {
+  const float values[] = {0.0f, -0.0f, 1.0f, -1.0f, 3.5e-3f, -7.25f};
+  for (float y : values) {
+    for (float x : values) {
+      SCOPED_TRACE(::testing::Message() << "atan2(" << y << ", " << x << ")");
+      const float got = fastmath::atan2(fastmath::splat(y), fastmath::splat(x))[0];
+      const float expect = std::atan2(y, x);
+      EXPECT_NEAR(got, expect, 2.5e-7);
+      EXPECT_EQ(std::signbit(got), std::signbit(expect));
+      if (expect == 0.0f) {
+        EXPECT_EQ(got, 0.0f);
+      }
+    }
+  }
+  // std::arg of the origin is 0, as the discriminator's was.
+  EXPECT_EQ(fastmath::atan2(fastmath::splat(0.0f), fastmath::splat(0.0f))[0], std::arg(fm::cplx(0.0f, 0.0f)));
+}
+
+TEST(FastMath, Atan2TinyAndHugeMagnitudes) {
+  Rng rng(77);
+  std::vector<float> y, x;
+  for (double scale : {1e-38, 1e-30, 1e-20, 1e20, 1e30, 1e37}) {
+    for (int i = 0; i < 20000; ++i) {
+      y.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * scale));
+      x.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * scale));
+    }
+  }
+  // Mixed: one tiny, one huge component.
+  for (float tiny : {1e-38f, -1e-30f}) {
+    for (float huge : {1e30f, -1e37f}) {
+      y.push_back(tiny);
+      x.push_back(huge);
+      y.push_back(huge);
+      x.push_back(tiny);
+    }
+  }
+  EXPECT_LE(atan2_error(y, x), 2.5e-7);
+}
+
+// The acoustic wobble's range: 10^(wob_db / 20) for wob_db in
+// [-depth, 0], depth up to 9 dB/m at several metres, plus the integers and
+// half-integers where the reduction changes k.
+TEST(FastMath, Exp2MatchesLibmOverWobbleRange) {
+  std::vector<float> x;
+  for (int i = 0; i <= 200000; ++i) x.push_back(static_cast<float>(-6.0 + 6.5 * i / 200000.0));
+  for (int k = -6; k <= 1; ++k) {
+    for (float d : {-0.5f, -1e-6f, 0.0f, 1e-6f, 0.5f}) x.push_back(static_cast<float>(k) + d);
+  }
+  const auto got = lanes_map(x.size(), [&](std::size_t i) {
+    float lx[4] = {};
+    for (std::size_t j = 0; j < 4 && i + j < x.size(); ++j) lx[j] = x[i + j];
+    return fastmath::exp2(fastmath::load(lx));
+  });
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double expect = std::exp2(static_cast<double>(x[i]));
+    worst = std::max(worst, std::fabs(got[i] - expect) / expect);
+  }
+  EXPECT_LE(worst, 2e-7);
+  EXPECT_EQ(fastmath::exp2(fastmath::splat(0.0f))[0], 1.0f);
+}
+
+// --------------------------------------------------------- FM oracles ---
+
+// About 0.25 s of sonic-10k OFDM audio: what the FM chain carries.
+std::vector<float> ofdm_audio(Rng& rng) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  std::vector<util::Bytes> frames(3, util::Bytes(200));
+  for (auto& f : frames) {
+    for (auto& b : f) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  }
+  return modem.modulate(frames);
+}
+
+double max_abs_diff(const std::vector<fm::cplx>& a, const std::vector<fm::cplx>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max({worst, std::fabs(static_cast<double>(a[i].real()) - b[i].real()),
+                      std::fabs(static_cast<double>(a[i].imag()) - b[i].imag())});
+  }
+  return worst;
+}
+
+constexpr double kFmOracleBound = 3e-7;
+
+TEST(FmOracleEquivalence, ModulatorWithinBoundOfPerSampleLibm) {
+  Rng rng(78);
+  const fm::FmParams params;
+  const auto audio = ofdm_audio(rng);
+  const auto got = fm::FmModulator(params).modulate(audio);
+  const auto expect = oracles::fm_modulate_reference(audio, params);
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_LE(max_abs_diff(got, expect), kFmOracleBound);
+
+  // Also with pre-emphasis and on a buffer that is not a whole number of
+  // blocks or vectors.
+  fm::FmParams emph;
+  emph.emphasis_tau_us = 75.0;
+  const std::vector<float> odd(audio.begin(), audio.begin() + 1237);
+  const auto got_odd = fm::FmModulator(emph).modulate(odd);
+  const auto expect_odd = oracles::fm_modulate_reference(odd, emph);
+  ASSERT_EQ(got_odd.size(), expect_odd.size());
+  EXPECT_LE(max_abs_diff(got_odd, expect_odd), kFmOracleBound);
+}
+
+// The RF noise is bit-identical to the scalar draws; the demodulator stays
+// within the bound of the std::arg discriminator, at a clean, a marginal
+// and a click-ridden RSSI.
+TEST(FmOracleEquivalence, RfChannelAndDemodulatorAcrossRssi) {
+  Rng rng(79);
+  const fm::FmParams params;
+  const auto iq_tx = fm::FmModulator(params).modulate(ofdm_audio(rng));
+  for (const double rssi : {-70.0, -86.0, -89.0}) {
+    SCOPED_TRACE(::testing::Message() << "rssi=" << rssi);
+    fm::RfChannelParams rf_params;
+    rf_params.rssi_db = rssi;
+    fm::RfChannel rf(rf_params, Rng(80));
+    const auto iq = rf.process(iq_tx);
+    Rng oracle_rng(80);
+    ASSERT_EQ(iq, oracles::rf_channel_reference(iq_tx, rf_params, oracle_rng));
+
+    fm::FmDemodulator demod(params);
+    auto got = demod.demodulate(iq);
+    const auto tail = demod.finish();
+    got.insert(got.end(), tail.begin(), tail.end());
+    const auto expect = oracles::fm_demodulate_arg_reference(iq, params);
+    ASSERT_EQ(got.size(), expect.size());
+    EXPECT_LE(max_abs_diff(got, expect, got.size()), kFmOracleBound);
+  }
+}
+
+TEST(FmOracleEquivalence, AcousticHopAcrossDistances) {
+  Rng rng(81);
+  const auto audio = ofdm_audio(rng);
+  for (const double distance : {0.2, 0.96, 0.0}) {
+    SCOPED_TRACE(::testing::Message() << "distance=" << distance);
+    fm::AcousticParams params;
+    params.distance_m = distance;
+    fm::AcousticChannel air(params, Rng(82));
+    auto got = air.process(audio);
+    const auto tail = air.finish();
+    got.insert(got.end(), tail.begin(), tail.end());
+    const auto expect = oracles::acoustic_reference(audio, params, Rng(82));
+    ASSERT_EQ(got.size(), expect.size());
+    EXPECT_LE(max_abs_diff(got, expect, got.size()), kFmOracleBound);
+  }
 }
 
 // ---------------------------------------------- forged OFDM header bound ---

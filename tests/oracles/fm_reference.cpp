@@ -1,0 +1,152 @@
+#include "oracles/fm_reference.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <optional>
+
+#include "dsp/biquad.hpp"
+#include "dsp/fir.hpp"
+#include "dsp/resampler.hpp"
+#include "oracles/resampler_reference.hpp"
+#include "util/units.hpp"
+
+namespace sonic::oracles {
+namespace {
+
+std::vector<float> de_emphasize(std::vector<float> audio, const fm::FmParams& params) {
+  if (params.emphasis_tau_us > 0) {
+    auto de = dsp::Biquad::fm_deemphasis(params.emphasis_tau_us, params.audio_rate_hz);
+    const double mid_gain = de.magnitude_at(3000.0, params.audio_rate_hz);
+    audio = de.process(audio);
+    for (auto& s : audio) s = static_cast<float>(s / mid_gain);
+  }
+  return audio;
+}
+
+}  // namespace
+
+std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
+                                            const fm::FmParams& params) {
+  std::vector<float> program(audio.begin(), audio.end());
+  if (params.emphasis_tau_us > 0) {
+    auto pre = dsp::Biquad::fm_preemphasis(params.emphasis_tau_us, params.audio_rate_hz);
+    const double mid_gain = pre.magnitude_at(3000.0, params.audio_rate_hz);
+    program = pre.process(program);
+    for (auto& s : program) s = static_cast<float>(s / mid_gain);
+  }
+  dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.audio_rate_hz, 63));
+  program = lp.process(program);
+  for (auto& s : program) {
+    s = std::clamp(static_cast<float>(s * params.input_gain), -1.0f, 1.0f);
+  }
+  const std::vector<float> up = dsp::resample(program, params.audio_rate_hz, params.iq_rate_hz);
+
+  std::vector<fm::cplx> iq(up.size());
+  double phase = 0.0;
+  const double k = util::kTwoPi * params.deviation_hz / params.iq_rate_hz;
+  for (std::size_t i = 0; i < up.size(); ++i) {
+    phase += k * static_cast<double>(up[i]);
+    if (phase > util::kPi) phase -= util::kTwoPi;
+    if (phase < -util::kPi) phase += util::kTwoPi;
+    iq[i] = fm::cplx(static_cast<float>(std::cos(phase)), static_cast<float>(std::sin(phase)));
+  }
+  return iq;
+}
+
+std::vector<fm::cplx> rf_channel_reference(std::span<const fm::cplx> iq,
+                                           const fm::RfChannelParams& params, util::Rng& rng) {
+  if (iq.empty()) return {};
+  double p_sig = 0.0;
+  for (const auto& s : iq) p_sig += std::norm(s);
+  p_sig /= static_cast<double>(iq.size());
+  const double fading = params.fading_sigma_db > 0 ? rng.normal(0.0, params.fading_sigma_db) : 0.0;
+  const double cnr = util::db_to_linear(params.rssi_db - params.noise_floor_db + fading);
+  const double sigma_axis = std::sqrt(p_sig / cnr / 2.0);
+
+  std::vector<fm::cplx> out(iq.size());
+  for (std::size_t i = 0; i < iq.size(); ++i) {
+    const float im = static_cast<float>(rng.normal(0.0, sigma_axis));
+    const float re = static_cast<float>(rng.normal(0.0, sigma_axis));
+    out[i] = iq[i] + fm::cplx(re, im);
+  }
+  return out;
+}
+
+std::vector<float> fm_discriminate_reference(std::span<const fm::cplx> iq,
+                                             const fm::FmParams& params) {
+  std::vector<float> freq(iq.size(), 0.0f);
+  const double scale = params.iq_rate_hz / (util::kTwoPi * params.deviation_hz * params.input_gain);
+  for (std::size_t i = 1; i < iq.size(); ++i) {
+    freq[i] = static_cast<float>(std::arg(iq[i] * std::conj(iq[i - 1])) * scale);
+  }
+  return freq;
+}
+
+std::vector<float> fm_demodulate_arg_reference(std::span<const fm::cplx> iq,
+                                               const fm::FmParams& params) {
+  const auto factor = static_cast<std::size_t>(std::round(params.iq_rate_hz / params.audio_rate_hz));
+  auto decim = dsp::Resampler::decimator(
+      factor, dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
+  auto audio = decim.push(fm_discriminate_reference(iq, params));
+  const auto tail = decim.flush();
+  audio.insert(audio.end(), tail.begin(), tail.end());
+  return de_emphasize(std::move(audio), params);
+}
+
+std::vector<float> fm_demodulate_reference(std::span<const fm::cplx> iq,
+                                           const fm::FmParams& params) {
+  dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
+  return de_emphasize(resample_reference(lp.process(fm_discriminate_reference(iq, params)),
+                                         params.audio_rate_hz / params.iq_rate_hz),
+                      params);
+}
+
+std::vector<float> acoustic_reference(std::span<const float> audio,
+                                      const fm::AcousticParams& params, util::Rng rng) {
+  // Construction-time draws, in AcousticChannel's order.
+  const double d = params.distance_m;
+  double trial_gain_db = 0.0;
+  double wobble_phase = 0.0;
+  std::optional<dsp::Biquad> tilt;
+  if (d > 0.0) {
+    double gain = -20.0 * std::log10(std::max(d, params.ref_distance_m) / params.ref_distance_m);
+    if (d > params.directivity_knee_m) gain -= (d - params.directivity_knee_m) * params.directivity_db_per_m;
+    gain += rng.normal(0.0, params.align_sigma_db_at_1m * d);
+    trial_gain_db = gain;
+    wobble_phase = rng.uniform(0.0, util::kTwoPi);
+    if (params.mic_band_tilt) tilt = dsp::Biquad::lowpass(12000.0, params.sample_rate_hz, 0.6);
+  }
+  std::optional<dsp::Resampler> skew;
+  if (params.clock_skew_ppm > 0.0) {
+    skew.emplace(1.0 + rng.uniform(-params.clock_skew_ppm, params.clock_skew_ppm) * 1e-6);
+  }
+
+  std::vector<float> out(audio.begin(), audio.end());
+  double p_in = 0.0;
+  for (float s : out) p_in += static_cast<double>(s) * s;
+  p_in /= std::max<std::size_t>(out.size(), 1);
+  if (p_in > 0.0) {
+    const double sigma = std::sqrt(p_in / util::db_to_linear(d <= 0.0 ? params.cable_snr_db
+                                                                      : params.ref_snr_db));
+    if (d > 0.0) {
+      const float g = static_cast<float>(util::db_to_amplitude(trial_gain_db));
+      const double depth_db = params.wobble_depth_db_at_1m * d;
+      const double w = util::kTwoPi * params.wobble_rate_hz / params.sample_rate_hz;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const double wob_db =
+            -0.5 * depth_db * (1.0 + std::sin(w * static_cast<double>(i) + wobble_phase));
+        out[i] *= g * static_cast<float>(util::db_to_amplitude(wob_db));
+      }
+      if (tilt) out = tilt->process(out);
+    }
+    for (auto& s : out) s += static_cast<float>(rng.normal(0.0, sigma));
+    if (skew) out = skew->push(out);
+  }
+  if (skew) {
+    const auto tail = skew->flush();
+    out.insert(out.end(), tail.begin(), tail.end());
+  }
+  return out;
+}
+
+}  // namespace sonic::oracles

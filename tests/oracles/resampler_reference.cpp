@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/biquad.hpp"
-#include "dsp/fir.hpp"
 #include "util/units.hpp"
 
 namespace sonic::oracles {
@@ -44,25 +42,6 @@ std::vector<float> resample_reference(std::span<const float> input, double ratio
     out[i] = static_cast<float>(acc);
   }
   return out;
-}
-
-std::vector<float> fm_demodulate_reference(std::span<const fm::cplx> iq,
-                                           const fm::FmParams& params) {
-  std::vector<float> freq(iq.size(), 0.0f);
-  const double scale =
-      params.iq_rate_hz / (util::kTwoPi * params.deviation_hz * params.input_gain);
-  for (std::size_t i = 1; i < iq.size(); ++i) {
-    freq[i] = static_cast<float>(std::arg(iq[i] * std::conj(iq[i - 1])) * scale);
-  }
-  dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
-  auto audio = resample_reference(lp.process(freq), params.audio_rate_hz / params.iq_rate_hz);
-  if (params.emphasis_tau_us > 0) {
-    auto de = dsp::Biquad::fm_deemphasis(params.emphasis_tau_us, params.audio_rate_hz);
-    const double mid_gain = de.magnitude_at(3000.0, params.audio_rate_hz);
-    audio = de.process(audio);
-    for (auto& s : audio) s = static_cast<float>(s / mid_gain);
-  }
-  return audio;
 }
 
 }  // namespace sonic::oracles
