@@ -31,6 +31,7 @@
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "oracles/column_reference.hpp"
 #include "oracles/fm_reference.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
@@ -512,6 +513,43 @@ std::vector<MicroCase> build_micro_cases() {
           auto tail = channel.finish();
           benchmark::DoNotOptimize(out.data());
           benchmark::DoNotOptimize(tail.data());
+        }});
+  }
+
+  // The column codec on one corpus page at the default 1080-px layout:
+  // before is the per-pixel oracle, after the strip codec. The decode
+  // drops every 7th segment, as a lossy broadcast would.
+  {
+    const web::PkCorpus corpus;
+    auto page = std::make_shared<image::Raster>(
+        web::render_html(corpus.html(corpus.pages()[0], 0), web::LayoutParams{}).image);
+    const image::ColumnCodecParams params{10, 94};
+    const double pixels = static_cast<double>(page->width()) * page->height();
+    cases.push_back(MicroCase{
+        "column_encode_1080", pixels, "pixels",
+        [page, params] {
+          auto out = oracles::column_encode_reference(*page, params);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [page, params] {
+          auto out = image::column_encode(*page, params);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    auto kept = std::make_shared<std::vector<image::ColumnSegment>>();
+    const auto segments = image::column_encode(*page, params);
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      if (i % 7 != 3) kept->push_back(segments[i]);
+    }
+    cases.push_back(MicroCase{
+        "column_decode_1080", pixels, "pixels",
+        [page, kept, params] {
+          auto out = oracles::column_decode_reference(page->width(), page->height(), *kept, params);
+          benchmark::DoNotOptimize(out.mask.data());
+        },
+        [page, kept, params] {
+          auto out = image::column_decode(page->width(), page->height(), *kept, params);
+          benchmark::DoNotOptimize(out.mask.data());
         }});
   }
 

@@ -19,6 +19,6 @@ cmake -B build-tsan -S . -DSONIC_TSAN=ON
 cmake --build build-tsan -j "$JOBS" \
   --target sonic_tests sonic_uplink_tests sonic_streaming_tests sonic_kernel_tests
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Pipeline|Metrics|ServerShards|Scheduler\.|Fountain|Carousel|Uplink|StreamReceiver|Streaming|FftPlan.CacheReturnsSharedInstance|ResamplerTables|ViterbiConcurrency'
+  -R 'Pipeline|Metrics|ServerShards|Scheduler\.|Fountain|Carousel|Uplink|StreamReceiver|Streaming|FftPlan.CacheReturnsSharedInstance|ResamplerTables|ViterbiConcurrency|ColumnCodecConcurrency'
 
 echo "tier-1 OK"

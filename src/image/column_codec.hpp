@@ -10,6 +10,15 @@
 // vertical prediction and Exp-Golomb residuals, greedily sized to fit the
 // frame payload budget. Chroma is vertically subsampled 2:1. The quality
 // knob follows the same libjpeg-style scale as swebp.
+//
+// Memory layout: the raster is row-major, but segments run down columns,
+// so both directions work on strips of 64 columns. The encoder quantizes a
+// strip in row order (contiguous pixel reads, each RGB value converted once
+// through a per-call cache) into 64 column buffers of packed
+// y | cb << 11 | cr << 22 words, then codes each column from its buffer.
+// The decoder orders the segments by column, keeping arrival order within
+// a column, decodes each strip's segments into column buffers of received
+// RGB words, and writes the strip back row by row.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +52,8 @@ struct ColumnCodecParams {
 };
 
 // Splits the image into per-column segments, each fitting the budget.
+// Throws std::invalid_argument for rasters wider or taller than 65535 px,
+// which the u16 `col`/`row0` fields cannot address.
 std::vector<ColumnSegment> column_encode(const Raster& img, const ColumnCodecParams& params);
 
 // Received-pixel mask: one byte per pixel, 1 = covered by a received segment.
@@ -53,7 +64,10 @@ struct ColumnDecodeResult {
 };
 
 // Reassembles from whichever segments survived; width/height come from the
-// transport metadata.
+// transport metadata. Segments are applied in order, so a later segment
+// overwrites the rows it shares with an earlier one; segments outside the
+// image are ignored, and a segment ends early at truncated data or at a
+// decoded component outside [0, 2047].
 ColumnDecodeResult column_decode(int width, int height,
                                  std::span<const ColumnSegment> segments,
                                  const ColumnCodecParams& params);

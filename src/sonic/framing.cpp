@@ -143,6 +143,11 @@ std::optional<PageMetadata> parse_metadata(std::span<const std::uint8_t> blob) {
 PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
                        const web::RenderResult& page, const image::ColumnCodecParams& codec_in,
                        std::uint32_t expiry_s, const UepPolicy& uep) {
+  // Segment col/row0 are u16; checked up front because the UEP path below
+  // adds the boundary row to row0, which can wrap even when both halves fit.
+  if (page.image.width() > 0xffff || page.image.height() > 0xffff) {
+    throw std::invalid_argument("page raster exceeds the 16-bit column/row fields");
+  }
   PageBundle bundle;
   bundle.page_id = page_id;
   bundle.metadata.url = url;

@@ -91,7 +91,9 @@ struct UepPolicy {
   int copies = 2;
 };
 
-// Builds the frame sequence for a rendered page.
+// Builds the frame sequence for a rendered page. Throws
+// std::invalid_argument for rasters wider or taller than 65535 px and for
+// pages needing more than 0xffff frames.
 PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
                        const web::RenderResult& page, const image::ColumnCodecParams& codec,
                        std::uint32_t expiry_s = 24 * 3600, const UepPolicy& uep = {});

@@ -4,6 +4,8 @@
 // low-entropy payloads before OFDM mapping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "modem/packet.hpp"
 #include "sonic/client.hpp"
 #include "sonic/framing.hpp"
@@ -48,6 +50,18 @@ TEST(Uep, AddsFramesOnlyForTopRegion) {
   // region split plus the top copies roughly triples the count; on real
   // 10k-px pages (many segments per column) the overhead is ~top_fraction.
   EXPECT_LT(protected_bundle.frames.size(), base.frames.size() * 35 / 10);
+}
+
+TEST(Uep, RejectsPagesTallerThanSixteenBitRows) {
+  // Both UEP halves of a 70000-row page fit in u16, but shifting the bottom
+  // half's row0 past the boundary would wrap.
+  web::RenderResult tall;
+  tall.image = image::Raster(1, 70000);
+  core::UepPolicy uep;
+  uep.enabled = true;
+  uep.top_fraction = 0.5;
+  EXPECT_THROW(core::make_bundle(1, "tall.pk/", tall, {10, 94}, 3600, uep), std::invalid_argument);
+  EXPECT_THROW(core::make_bundle(1, "tall.pk/", tall, {10, 94}), std::invalid_argument);
 }
 
 TEST(Uep, DuplicateFramesStillReassembleExactly) {
