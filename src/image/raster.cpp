@@ -7,10 +7,13 @@
 
 namespace sonic::image {
 
-Raster::Raster(int width, int height, Rgb fill)
-    : width_(width), height_(height),
-      pixels_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), fill) {
+Raster::Raster(int width, int height, Rgb fill) { reset(width, height, fill); }
+
+void Raster::reset(int width, int height, Rgb fill) {
   if (width < 0 || height < 0) throw std::invalid_argument("negative raster dims");
+  width_ = width;
+  height_ = height;
+  pixels_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), fill);
 }
 
 const Rgb& Raster::at_clamped(int x, int y) const {

@@ -19,6 +19,11 @@ class Raster {
   Raster() = default;
   Raster(int width, int height, Rgb fill = {255, 255, 255});
 
+  // Re-dimensions to width x height, every pixel `fill`, keeping the pixel
+  // storage when it is large enough: a renderer drawing page after page can
+  // recycle one canvas instead of allocating (and faulting in) a new one.
+  void reset(int width, int height, Rgb fill = {255, 255, 255});
+
   int width() const { return width_; }
   int height() const { return height_; }
   bool empty() const { return width_ == 0 || height_ == 0; }

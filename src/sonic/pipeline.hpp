@@ -13,6 +13,11 @@
 // insertions/evictions replay in request order after the pool drains, so a
 // parallel pipeline produces byte-identical bundles (and identical cache
 // state) to a serial one given the same request sequence.
+//
+// A batch of one job (the SMS request path's usual cache miss) renders on
+// the submitting thread, which would otherwise only wait for it: no thread
+// handoff. Each worker, and the submitting thread, recycles one page-sized
+// canvas from render to render instead of allocating a raster per page.
 #pragma once
 
 #include <condition_variable>
@@ -88,7 +93,9 @@ class BroadcastPipeline {
     std::shared_ptr<PageBundle> out;
   };
 
-  void render_job(Job& job);
+  // Renders and frames one page, drawing on `canvas` and handing the page's
+  // raster back in it for the next render.
+  void render_job(Job& job, image::Raster& canvas);
   void run_jobs(std::vector<Job>& jobs);
   void worker_loop();
   std::string cache_key(const std::string& url) const;
@@ -109,6 +116,7 @@ class BroadcastPipeline {
   Histogram* encode_hist_;
 
   std::mutex prepare_mu_;  // serializes whole batches
+  image::Raster caller_canvas_;  // jobs rendered on the submitting thread; under prepare_mu_
   BundleCache cache_;
   std::uint32_t next_page_id_ = 1;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "web/font.hpp"
 
@@ -41,12 +42,16 @@ struct Style {
 
 class Layouter {
  public:
-  Layouter(const LayoutParams& params, bool dry_run)
-      : params_(params),
-        cap_(params.max_height > 0 ? std::min(params.max_height, kHardHeightCeiling)
-                                   : kHardHeightCeiling),
-        dry_run_(dry_run),
-        image_(dry_run ? image::Raster() : image::Raster(params.width, cap_)) {}
+  // A dry run only measures; a real one draws onto `canvas`, reset to
+  // `canvas_height` white rows (drawing clips to it).
+  Layouter(const LayoutParams& params, bool dry_run, int canvas_height = 0, image::Raster canvas = {})
+      : params_(params), cap_(height_cap(params)), dry_run_(dry_run), image_(std::move(canvas)) {
+    if (!dry_run_) image_.reset(params.width, canvas_height);
+  }
+
+  static int height_cap(const LayoutParams& params) {
+    return params.max_height > 0 ? std::min(params.max_height, kHardHeightCeiling) : kHardHeightCeiling;
+  }
 
   void run(const Node& root) {
     Style body;
@@ -56,9 +61,7 @@ class Layouter {
   }
 
   int used_height() const { return std::min(cursor_y_ + params_.margin / 2, cap_); }
-  image::Raster take_image(int height) {
-    return image_.cropped_to_height(height);
-  }
+  image::Raster take_image() { return std::move(image_); }
   std::vector<ClickRegion> take_click_map() { return std::move(click_map_); }
 
  private:
@@ -307,7 +310,7 @@ class Layouter {
 
 }  // namespace
 
-RenderResult render_html(const Node& root, const LayoutParams& params) {
+RenderResult render_html(const Node& root, const LayoutParams& params, image::Raster canvas) {
   // Measure the uncropped layout height first (reported as full_height so
   // callers can see what the PH cap discarded).
   LayoutParams uncapped = params;
@@ -316,11 +319,14 @@ RenderResult render_html(const Node& root, const LayoutParams& params) {
   dry.run(root);
   const int full_height = dry.used_height();
 
-  Layouter real(params, false);
+  // The cursor advances the same way whatever the cap (the cap only clips
+  // drawing), so the page is min(full height, cap) rows: the canvas is
+  // exactly that size and needs no crop.
+  const int height = std::max(1, std::min(full_height, Layouter::height_cap(params)));
+  Layouter real(params, false, height, std::move(canvas));
   real.run(root);
   RenderResult out;
-  const int height = std::max(1, real.used_height());
-  out.image = real.take_image(height);
+  out.image = real.take_image();
   out.click_map = real.take_click_map();
   out.full_height = full_height;
   // Drop click regions that fell below the crop.
@@ -328,8 +334,8 @@ RenderResult render_html(const Node& root, const LayoutParams& params) {
   return out;
 }
 
-RenderResult render_html(const std::string& html, const LayoutParams& params) {
-  return render_html(parse_html(html), params);
+RenderResult render_html(const std::string& html, const LayoutParams& params, image::Raster canvas) {
+  return render_html(parse_html(html), params, std::move(canvas));
 }
 
 RenderResult scale_for_device(const RenderResult& page, int device_width) {

@@ -40,8 +40,12 @@ struct LayoutParams {
   bool operator==(const LayoutParams&) const = default;
 };
 
-RenderResult render_html(const Node& root, const LayoutParams& params = {});
-RenderResult render_html(const std::string& html, const LayoutParams& params = {});
+// The page is drawn onto `canvas`'s pixel storage (re-dimensioned and
+// cleared first), so a caller rendering page after page can hand the last
+// page's raster back in instead of allocating a new one per page.
+RenderResult render_html(const Node& root, const LayoutParams& params = {}, image::Raster canvas = {});
+RenderResult render_html(const std::string& html, const LayoutParams& params = {},
+                         image::Raster canvas = {});
 
 // Client-side §3.2 resize: scales the image by device_width / image width
 // and rescales the click map coordinates with the same factor.

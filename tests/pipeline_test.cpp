@@ -93,6 +93,33 @@ TEST(Pipeline, ParallelOutputIsByteIdenticalToSerial) {
             parallel.metrics().counter_value("frames_emitted"));
 }
 
+TEST(Pipeline, SingleJobBatchesMatchSerial) {
+  // One-miss batches render on the submitting thread, larger ones on the
+  // workers; both recycle their canvases across pages of different heights.
+  web::PkCorpus corpus;
+  auto pp = small_pipeline_params();
+  BroadcastPipeline serial(&corpus, pp);
+  pp.num_threads = 2;
+  BroadcastPipeline parallel(&corpus, pp);
+  const auto& pages = corpus.pages();
+  const std::vector<std::vector<std::string>> batches = {
+      {pages[0].url}, {pages[1].url, pages[2].url, pages[3].url}, {pages[4].url},
+      {"search:rain"}, {pages[5].url, pages[0].url}, {pages[6].url}};
+  for (const auto& batch : batches) {
+    const auto a = serial.prepare(batch, 0.0);
+    const auto b = parallel.prepare(batch, 0.0);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_NE(a[i].bundle, nullptr);
+      ASSERT_NE(b[i].bundle, nullptr);
+      EXPECT_EQ(a[i].bundle->page_id, b[i].bundle->page_id) << batch[i];
+      EXPECT_EQ(a[i].bundle->frames, b[i].bundle->frames) << batch[i];
+    }
+  }
+  EXPECT_EQ(serial.metrics().counter_value("pages_rendered"),
+            parallel.metrics().counter_value("pages_rendered"));
+}
+
 TEST(Pipeline, CacheHitsWithinHourAndRerenderOnRotation) {
   web::PkCorpus corpus;
   BroadcastPipeline pipeline(&corpus, small_pipeline_params());

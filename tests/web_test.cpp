@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "image/dct_codec.hpp"
@@ -179,6 +180,52 @@ TEST(Layout, PixelHeightCapCropsPage) {
   uncapped.max_height = 0;
   const auto full = render_html(lots, uncapped);
   EXPECT_GT(full.image.height(), 400);
+}
+
+TEST(Layout, CappedPageKeepsTheUncappedLayout) {
+  // The renderer draws a capped page onto a canvas of exactly the cropped
+  // height. The cap only clips drawing (a text line crossing it is left
+  // out), so the page is min(full height, cap) rows and, above the last
+  // line that could cross the cap, the uncapped page's pixels.
+  std::string html = "<h1>Head</h1><div bgcolor=\"#ffeecc\"><p>";
+  for (int i = 0; i < 200; ++i) html += "words in a tinted block ";
+  html += "</p></div><img src=\"a.jpg\" width=\"600\" height=\"500\" alt=\"photo\"/><ul>";
+  for (int i = 0; i < 40; ++i) html += "<li><a href=\"l.pk/\">item link</a></li>";
+  html += "</ul>";
+  LayoutParams uncapped;
+  uncapped.max_height = 0;
+  const auto full = render_html(html, uncapped);
+  constexpr int kTallestLine = 64;
+  for (const int cap : {1, 37, 400, 1000, full.image.height() - 1, full.image.height(), 50000}) {
+    LayoutParams capped;
+    capped.max_height = cap;
+    const auto page = render_html(html, capped);
+    EXPECT_EQ(page.full_height, full.full_height);
+    ASSERT_EQ(page.image.height(), std::min(cap, full.image.height())) << "cap " << cap;
+    const int same_rows = cap >= full.image.height() ? cap : std::max(0, cap - kTallestLine);
+    const auto want = full.image.cropped_to_height(same_rows);
+    const auto got = page.image.cropped_to_height(same_rows);
+    EXPECT_EQ(got.pixels(), want.pixels()) << "cap " << cap;
+  }
+}
+
+TEST(Layout, RecycledCanvasRendersTheSamePage) {
+  PkCorpus corpus;
+  const LayoutParams params{360, 3000, 12, 2};
+  // A dirty canvas larger than any page, then each page's raster handed
+  // back in for the next one, as the broadcast pipeline's workers do.
+  image::Raster canvas(500, 5000, image::Rgb{1, 2, 3});
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::string html = corpus.html(corpus.pages()[i], 0);
+    const auto fresh = render_html(html, params);
+    auto recycled = render_html(html, params, std::move(canvas));
+    EXPECT_EQ(recycled.image.width(), fresh.image.width());
+    EXPECT_EQ(recycled.image.height(), fresh.image.height());
+    EXPECT_EQ(recycled.image.pixels(), fresh.image.pixels());
+    EXPECT_EQ(recycled.full_height, fresh.full_height);
+    EXPECT_EQ(recycled.click_map.size(), fresh.click_map.size());
+    canvas = std::move(recycled.image);
+  }
 }
 
 TEST(Layout, ImagePlaceholderRespectsDims) {
