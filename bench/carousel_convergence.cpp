@@ -25,8 +25,8 @@
 #include "sms/sms.hpp"
 #include "sonic/client.hpp"
 #include "sonic/framing.hpp"
-#include "sonic/metrics.hpp"
 #include "sonic/server.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"

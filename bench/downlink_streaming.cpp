@@ -1,12 +1,14 @@
 // Streaming downlink: the Figure 4(a) distance sweep run through the
-// chunk-fed StreamReceiver instead of batch receive_all, feeding each trial's
-// radio audio in 20 ms mic-callback chunks.
+// chunk-fed StreamReceiver, feeding each trial's radio audio in 20 ms
+// mic-callback chunks.
 //
-// Checks, per trial, that the batch result is a byte-identical prefix of the
-// streaming result (identical bursts, frames, and sample indices; streaming
-// may only ever find MORE bursts, because it resyncs where receive_all gives
-// up) — and then runs a long broadcast-carousel stream through a capped
-// buffer to show memory stays bounded however long the radio plays.
+// Checks, per trial, that the chunking does not change what is received:
+// receive_all (the same receiver fed one-second chunks) must match the 20 ms
+// feed burst for burst (identical bursts, frames, and sample indices; the
+// "prefix" column reports the check and "extra" counts bursts only the 20 ms
+// feed found, which must stay 0) — and then runs a long broadcast-carousel
+// stream through a capped buffer to show memory stays bounded however long
+// the radio plays.
 //
 //   ./downlink_streaming [--trials 10] [--frames 20] [--seed 1]
 //                        [--chunk 882] [--carousel-secs 100]
@@ -53,7 +55,8 @@ bool same_burst(const modem::RxBurst& a, const modem::RxBurst& b) {
   return true;
 }
 
-// Batch must be a byte-identical prefix of streaming.
+// The one-second-chunk result must be a byte-identical prefix of the 20 ms
+// one (with "extra" == 0, equal to it).
 bool batch_is_prefix(const std::vector<modem::RxBurst>& batch,
                      const std::vector<modem::RxBurst>& streaming) {
   if (streaming.size() < batch.size()) return false;

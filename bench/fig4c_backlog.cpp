@@ -18,8 +18,8 @@
 
 #include "bench_util.hpp"
 #include "image/dct_codec.hpp"
-#include "sonic/metrics.hpp"
 #include "sonic/scheduler.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"

@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Figure-bench regression check: runs the deterministic figure and ablation
+# benches at their default settings from two build directories (e.g. a build
+# of the parent commit and a build of the change) and diffs their stdout.
+# A change that should not move any figure must print identical output.
+#
+#   scripts/figure_diff.sh <parent_build> <change_build>
+#
+# Each argument is a CMake build directory holding bench/<name> binaries.
+# The one wall-clock figure these benches print (throughput_profiles'
+# "simulated in X s") is masked before comparing; everything else must
+# match byte for byte. Outputs are kept in a temporary directory, named on
+# a mismatch. Exits 0 when every bench matches, 1 otherwise.
+set -uo pipefail
+
+if [ "$#" -ne 2 ]; then
+  echo "usage: $0 <parent_build> <change_build>" >&2
+  exit 2
+fi
+PARENT="$1"
+CHANGE="$2"
+
+BENCHES=(
+  fig4a_distance_loss
+  rssi_loss_sweep
+  ber_waterfall
+  ablation_fec
+  ablation_modulation
+  throughput_profiles
+  downlink_streaming
+  ablation_interpolation
+  fig5_user_study
+  ablation_uep
+  fig4b_size_cdf
+)
+
+OUT="$(mktemp -d)"
+failed=0
+for bench in "${BENCHES[@]}"; do
+  for side in parent change; do
+    if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
+    bin="$dir/bench/$bench"
+    if [ ! -x "$bin" ]; then
+      echo "missing $bin" >&2
+      exit 2
+    fi
+    "$bin" > "$OUT/$bench.$side.raw" 2>/dev/null
+    echo "$?" > "$OUT/$bench.$side.rc"
+    sed -E 's/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/' \
+      "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
+  done
+  if cmp -s "$OUT/$bench.parent" "$OUT/$bench.change" &&
+     cmp -s "$OUT/$bench.parent.rc" "$OUT/$bench.change.rc"; then
+    echo "identical  $bench"
+  else
+    echo "DIFFERENT  $bench (exit $(cat "$OUT/$bench.parent.rc") vs $(cat "$OUT/$bench.change.rc"))"
+    diff "$OUT/$bench.parent" "$OUT/$bench.change" | head -20
+    failed=1
+  fi
+done
+
+if [ "$failed" -ne 0 ]; then
+  echo "figure benches differ; outputs in $OUT"
+  exit 1
+fi
+rm -rf "$OUT"
+echo "all ${#BENCHES[@]} figure benches identical"

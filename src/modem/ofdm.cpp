@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
+#include "modem/stream_receiver.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -23,6 +25,28 @@ std::vector<cplx> prbs_qpsk(std::size_t n, std::uint64_t stream) {
     v = cplx(rng.bernoulli(0.5) ? a : -a, rng.bernoulli(0.5) ? a : -a);
   }
   return out;
+}
+
+// receive_all's chunk size: one second at 44.1 kHz. StreamReceiver erases
+// consumed audio from the front of its buffer, so feeding a long recording
+// in one push would move the rest of it after every burst.
+constexpr std::size_t kRecordingChunkSamples = 44100;
+
+// Feeds `samples` through a StreamReceiver until at least `want` bursts are
+// out, flushing at the end of the recording.
+std::vector<RxBurst> receive_bursts(const OfdmModem& modem, std::span<const float> samples,
+                                    std::size_t want) {
+  StreamReceiver rx(modem);
+  std::vector<RxBurst> bursts;
+  auto take = [&](std::vector<RxBurst>&& got) {
+    for (auto& b : got) bursts.push_back(std::move(b));
+  };
+  for (std::size_t pos = 0; pos < samples.size() && bursts.size() < want;
+       pos += kRecordingChunkSamples) {
+    take(rx.push(samples.subspan(pos, std::min(kRecordingChunkSamples, samples.size() - pos))));
+  }
+  if (bursts.size() < want) take(rx.flush());
+  return bursts;
 }
 
 }  // namespace
@@ -75,12 +99,7 @@ OfdmModem::OfdmModem(OfdmProfile profile)
   tx_gain_ = profile_.amplitude * static_cast<float>(profile_.fft_size) /
              std::sqrt(2.0f * static_cast<float>(n));
 
-  std::vector<float> tmpl;
-  synth_symbol(preamble_a_, tmpl);
-  template_a_ = tmpl;
-  synth_symbol(preamble_b_, tmpl);
-  template_b_ = tmpl;
-  for (float v : template_b_) template_b_energy_ += static_cast<double>(v) * v;
+  synth_symbol(preamble_b_, template_b_);
 }
 
 bool OfdmModem::is_pilot(int rel_idx) const {
@@ -234,109 +253,27 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   return out;
 }
 
-std::optional<OfdmModem::Sync> OfdmModem::find_sync(std::span<const float> samples,
-                                                    std::size_t from) const {
-  const int N = profile_.fft_size;
-  const int half = N / 2;
-  const std::size_t sym = static_cast<std::size_t>(symbol_len());
-  if (samples.size() < from + 2 * sym + static_cast<std::size_t>(N)) return std::nullopt;
-
-  // Schmidl & Cox coarse detection on the half-symbol periodicity of
-  // preamble A. Running sums updated per sample.
-  double p = 0, r = 0;
-  const std::size_t end = samples.size() - static_cast<std::size_t>(N) - sym;
-  for (int m = 0; m < half; ++m) {
-    const std::size_t i = from + static_cast<std::size_t>(m);
-    p += static_cast<double>(samples[i]) * samples[i + static_cast<std::size_t>(half)];
-    r += static_cast<double>(samples[i + static_cast<std::size_t>(half)]) * samples[i + static_cast<std::size_t>(half)];
-  }
-  double best_metric = 0;
-  std::size_t best_d = from;
-  bool in_plateau = false;
-  std::size_t plateau_end_guard = 0;
-  for (std::size_t d = from; d < end; ++d) {
-    const double metric = r > 1e-9 ? (p * p) / (r * r) : 0.0;
-    if (metric > 0.5) {
-      if (!in_plateau) {
-        in_plateau = true;
-        best_metric = 0;
-      }
-      if (metric > best_metric) {
-        best_metric = metric;
-        best_d = d;
-      }
-      plateau_end_guard = 0;
-    } else if (in_plateau) {
-      // Allow brief dips; end plateau after cp_len consecutive low samples.
-      if (++plateau_end_guard > static_cast<std::size_t>(profile_.cp_len)) break;
-    }
-    // Slide.
-    p += static_cast<double>(samples[d + static_cast<std::size_t>(half)]) * samples[d + static_cast<std::size_t>(N)] -
-         static_cast<double>(samples[d]) * samples[d + static_cast<std::size_t>(half)];
-    r += static_cast<double>(samples[d + static_cast<std::size_t>(N)]) * samples[d + static_cast<std::size_t>(N)] -
-         static_cast<double>(samples[d + static_cast<std::size_t>(half)]) * samples[d + static_cast<std::size_t>(half)];
-  }
-  if (!in_plateau) return std::nullopt;
-
-  // Fine timing: normalized cross-correlation with the preamble B template
-  // around the coarse estimate. Preamble B starts one symbol after A.
-  const long search_lo = static_cast<long>(best_d) - 2L * profile_.cp_len;
-  const long search_hi = static_cast<long>(best_d) + 2L * profile_.cp_len;
-  const double tmpl_energy = template_b_energy_;
-  double best_ncc = 0;
-  long best_b_start = -1;
-  for (long cand = search_lo; cand <= search_hi; ++cand) {
-    const long b_start = cand + static_cast<long>(sym);
-    // The burst start is b_start - sym; candidates with b_start < sym would
-    // underflow size_t into a huge offset when the coarse peak sits within
-    // 2*cp_len of the buffer start (e.g. a stream cut mid-preamble).
-    if (b_start < static_cast<long>(sym)) continue;
-    if (static_cast<std::size_t>(b_start) + template_b_.size() > samples.size()) break;
-    double dot = 0, energy = 0;
-    for (std::size_t i = 0; i < template_b_.size(); ++i) {
-      const double s = samples[static_cast<std::size_t>(b_start) + i];
-      dot += s * template_b_[i];
-      energy += s * s;
-    }
-    const double ncc = energy > 1e-12 ? std::fabs(dot) / std::sqrt(energy * tmpl_energy) : 0.0;
-    if (ncc > best_ncc) {
-      best_ncc = ncc;
-      best_b_start = b_start;
-    }
-  }
-  if (best_b_start < 0 || best_ncc < 0.2) return std::nullopt;
-  return Sync{static_cast<std::size_t>(best_b_start) - sym, static_cast<float>(best_ncc)};
-}
-
 std::size_t OfdmModem::min_decode_samples() const {
   return (2 + header_symbols()) * static_cast<std::size_t>(symbol_len()) +
          static_cast<std::size_t>(profile_.fft_size);
 }
 
-std::optional<RxBurst> OfdmModem::receive_one(std::span<const float> samples, std::size_t from) const {
-  const auto sync = find_sync(samples, from);
-  if (!sync) return std::nullopt;
-  return decode_burst(samples, sync->start, sync->quality);
+std::size_t OfdmModem::window_pos(std::size_t start, std::size_t symbol_index) const {
+  // Sample the FFT window slightly inside the CP to tolerate timing error.
+  // The channel estimate sees the same early-sampling phase ramp, so
+  // equalization removes it.
+  const std::size_t cp = static_cast<std::size_t>(profile_.cp_len);
+  return start + symbol_index * static_cast<std::size_t>(symbol_len()) + cp -
+         std::min<std::size_t>(cp / 4, 8);
 }
 
-std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, std::size_t start,
-                                               float sync_ncc) const {
-  const std::size_t sym = static_cast<std::size_t>(symbol_len());
-  const std::size_t cp = static_cast<std::size_t>(profile_.cp_len);
+std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float> samples,
+                                                          std::size_t start) const {
   const int n = profile_.num_subcarriers;
-  // Sample the FFT window slightly inside the CP to tolerate timing error.
-  const std::size_t cp_backoff = std::min<std::size_t>(cp / 4, 8);
-  auto body = [&](std::size_t symbol_index) {
-    return start + symbol_index * sym + cp - cp_backoff;
-  };
-  // Compensate the intentional early sampling: rotate bin k by
-  // exp(+j*2*pi*k*backoff/N) after FFT (applied via the channel estimate,
-  // which sees the same shift).
-
-  if (body(2) + static_cast<std::size_t>(profile_.fft_size) > samples.size()) return std::nullopt;
+  if (window_pos(start, 2) + static_cast<std::size_t>(profile_.fft_size) > samples.size()) return std::nullopt;
 
   // Channel estimate from preamble B.
-  const auto yb = analyze_symbol(samples, body(1));
+  const auto yb = analyze_symbol(samples, window_pos(start, 1));
   auto& h = h_;
   h.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -366,80 +303,15 @@ std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, s
     if (std::norm(h_smooth[static_cast<std::size_t>(i)]) < 1e-9f) h_smooth[static_cast<std::size_t>(i)] = cplx(1e-4f, 0);
   }
 
-  // Demodulate one symbol: equalize, pilot phase/timing fit, soft bits.
-  float ema_noise = noise_var / std::max(sig_pow, 1e-9f);  // normalized post-eq noise
-  auto demod_symbol = [&](std::size_t symbol_index, bool bpsk, std::vector<float>& soft_out) {
-    const auto y = analyze_symbol(samples, body(symbol_index));
-    auto& eq = eq_;
-    eq.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      eq[static_cast<std::size_t>(i)] = y[static_cast<std::size_t>(i)] / h_smooth[static_cast<std::size_t>(i)];
-    }
-    // Pilot linear-phase fit: theta(i) ~ a + b*i.
-    double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
-    int np = 0;
-    double prev_th = 0;
-    double amp_acc = 0;
-    for (int i = 0; i < n; ++i) {
-      if (!is_pilot(i)) continue;
-      const cplx e = eq[static_cast<std::size_t>(i)] / pilots_[static_cast<std::size_t>(i)];
-      double th = std::arg(e);
-      if (np > 0) {
-        while (th - prev_th > sonic::util::kPi) th -= sonic::util::kTwoPi;
-        while (th - prev_th < -sonic::util::kPi) th += sonic::util::kTwoPi;
-      }
-      prev_th = th;
-      amp_acc += std::abs(e);
-      sum_k += i;
-      sum_k2 += static_cast<double>(i) * i;
-      sum_th += th;
-      sum_kth += static_cast<double>(i) * th;
-      ++np;
-    }
-    double a = 0, b = 0;
-    double amp = 1.0;
-    if (np >= 2) {
-      const double det = np * sum_k2 - sum_k * sum_k;
-      if (std::fabs(det) > 1e-9) {
-        b = (np * sum_kth - sum_k * sum_th) / det;
-        a = (sum_th - b * sum_k) / np;
-      }
-      amp = std::max(amp_acc / np, 1e-6);
-    }
-    // Apply correction and collect soft bits + pilot residual noise.
-    float pilot_noise = 0;
-    int pilot_cnt = 0;
-    const int qbits = bpsk ? 1 : qam_.bits_per_symbol();
-    for (int i = 0; i < n; ++i) {
-      const double phi = a + b * i;
-      const cplx corr = eq[static_cast<std::size_t>(i)] *
-                        cplx(static_cast<float>(std::cos(-phi) / amp), static_cast<float>(std::sin(-phi) / amp));
-      if (is_pilot(i)) {
-        pilot_noise += std::norm(corr - pilots_[static_cast<std::size_t>(i)]);
-        ++pilot_cnt;
-        continue;
-      }
-      if (bpsk) {
-        const float llr1 = 2.0f * corr.real() / std::max(ema_noise * 0.5f, 1e-7f);
-        soft_out.push_back(1.0f / (1.0f + std::exp(-llr1)));
-      } else {
-        float tmp[10];
-        qam_.demap_soft(corr, ema_noise, std::span<float>(tmp, static_cast<std::size_t>(qbits)));
-        for (int bix = 0; bix < qbits; ++bix) soft_out.push_back(tmp[bix]);
-      }
-    }
-    if (pilot_cnt > 0) {
-      const float obs = pilot_noise / static_cast<float>(pilot_cnt);
-      ema_noise = 0.7f * ema_noise + 0.3f * std::max(obs, 1e-7f);
-    }
-  };
-
-  // Header.
+  Header header;
+  header.noise = noise_var / std::max(sig_pow, 1e-9f);  // normalized post-eq noise
   auto& header_soft = header_soft_;
   header_soft.clear();
   const std::size_t hdr_syms = header_symbols();
-  if (body(2 + hdr_syms) > samples.size()) return std::nullopt;
-  for (std::size_t s = 0; s < hdr_syms; ++s) demod_symbol(2 + s, true, header_soft);
+  if (window_pos(start, 2 + hdr_syms) > samples.size()) return std::nullopt;
+  for (std::size_t s = 0; s < hdr_syms; ++s) {
+    demod_symbol(samples, window_pos(start, 2 + s), true, header.noise, header_soft);
+  }
   const std::size_t header_bits = header_codec_.encoded_bits(8);
   if (header_soft.size() < header_bits) return std::nullopt;
   for (std::size_t i = 0; i < header_soft.size(); ++i) {
@@ -449,41 +321,126 @@ std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, s
       std::span(header_soft).subspan(0, header_bits), 8);
   util::ByteReader hr(hdr);
   const std::uint16_t magic = hr.u16();
-  const std::uint16_t frame_len = hr.u16();
-  const std::uint16_t frame_count = hr.u16();
+  header.frame_len = hr.u16();
+  header.frame_count = hr.u16();
   const std::uint16_t hcrc = hr.u16();
-  if (magic != kMagic || crc16_ccitt(std::span(hdr).subspan(0, 6)) != hcrc || frame_len == 0 ||
-      frame_count == 0) {
+  if (magic != kMagic || crc16_ccitt(std::span(hdr).subspan(0, 6)) != hcrc ||
+      header.frame_len == 0 || header.frame_count == 0) {
     return std::nullopt;
   }
   // The header is off the air: a corrupted one that passes the magic and
-  // CRC16 can claim up to 65535 frames of 65535 bytes. Everything below
+  // CRC16 can claim up to 65535 frames of 65535 bytes. Everything after it
   // allocates and decodes in proportion to the claim, so bound it before
   // trusting it.
-  if (burst_samples(frame_len, frame_count) > kMaxBurstSamples) return std::nullopt;
+  if (burst_samples(header.frame_len, header.frame_count) > kMaxBurstSamples) return std::nullopt;
+  return header;
+}
+
+void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
+                             float& noise, std::vector<float>& soft_out) const {
+  const int n = profile_.num_subcarriers;
+  const auto y = analyze_symbol(samples, pos);
+  auto& eq = eq_;
+  eq.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    eq[static_cast<std::size_t>(i)] = y[static_cast<std::size_t>(i)] / h_smooth_[static_cast<std::size_t>(i)];
+  }
+  // Pilot linear-phase fit: theta(i) ~ a + b*i.
+  double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
+  int np = 0;
+  double prev_th = 0;
+  double amp_acc = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!is_pilot(i)) continue;
+    const cplx e = eq[static_cast<std::size_t>(i)] / pilots_[static_cast<std::size_t>(i)];
+    double th = std::arg(e);
+    if (np > 0) {
+      while (th - prev_th > sonic::util::kPi) th -= sonic::util::kTwoPi;
+      while (th - prev_th < -sonic::util::kPi) th += sonic::util::kTwoPi;
+    }
+    prev_th = th;
+    amp_acc += std::abs(e);
+    sum_k += i;
+    sum_k2 += static_cast<double>(i) * i;
+    sum_th += th;
+    sum_kth += static_cast<double>(i) * th;
+    ++np;
+  }
+  double a = 0, b = 0;
+  double amp = 1.0;
+  if (np >= 2) {
+    const double det = np * sum_k2 - sum_k * sum_k;
+    if (std::fabs(det) > 1e-9) {
+      b = (np * sum_kth - sum_k * sum_th) / det;
+      a = (sum_th - b * sum_k) / np;
+    }
+    amp = std::max(amp_acc / np, 1e-6);
+  }
+  // Apply correction and collect soft bits + pilot residual noise.
+  float pilot_noise = 0;
+  int pilot_cnt = 0;
+  const int qbits = bpsk ? 1 : qam_.bits_per_symbol();
+  for (int i = 0; i < n; ++i) {
+    const double phi = a + b * i;
+    const cplx corr = eq[static_cast<std::size_t>(i)] *
+                      cplx(static_cast<float>(std::cos(-phi) / amp), static_cast<float>(std::sin(-phi) / amp));
+    if (is_pilot(i)) {
+      pilot_noise += std::norm(corr - pilots_[static_cast<std::size_t>(i)]);
+      ++pilot_cnt;
+      continue;
+    }
+    if (bpsk) {
+      const float llr1 = 2.0f * corr.real() / std::max(noise * 0.5f, 1e-7f);
+      soft_out.push_back(1.0f / (1.0f + std::exp(-llr1)));
+    } else {
+      float tmp[10];
+      qam_.demap_soft(corr, noise, std::span<float>(tmp, static_cast<std::size_t>(qbits)));
+      for (int bix = 0; bix < qbits; ++bix) soft_out.push_back(tmp[bix]);
+    }
+  }
+  if (pilot_cnt > 0) {
+    const float obs = pilot_noise / static_cast<float>(pilot_cnt);
+    noise = 0.7f * noise + 0.3f * std::max(obs, 1e-7f);
+  }
+}
+
+std::optional<std::size_t> OfdmModem::peek_burst_samples(std::span<const float> samples,
+                                                         std::size_t start) const {
+  const auto header = decode_header(samples, start);
+  if (!header) return std::nullopt;
+  return burst_samples(header->frame_len, header->frame_count);
+}
+
+std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, std::size_t start,
+                                               float sync_ncc) const {
+  auto header = decode_header(samples, start);
+  if (!header) return std::nullopt;
+  const std::size_t frame_len = header->frame_len;
+  const std::size_t frame_count = header->frame_count;
 
   // Payload.
+  const std::size_t hdr_syms = header_symbols();
   const std::size_t nsym = payload_symbols(frame_len, frame_count);
   auto& soft = soft_;
   soft.clear();
   soft.reserve(nsym * static_cast<std::size_t>(profile_.data_carriers() * qam_.bits_per_symbol()));
   for (std::size_t s = 0; s < nsym; ++s) {
-    const std::size_t pos = body(2 + hdr_syms + s);
+    const std::size_t pos = window_pos(start, 2 + hdr_syms + s);
     if (pos + static_cast<std::size_t>(profile_.fft_size) > samples.size()) {
       // Truncated stream: erase the rest.
       soft.resize(nsym * static_cast<std::size_t>(profile_.data_carriers() * qam_.bits_per_symbol()), 0.5f);
       break;
     }
-    demod_symbol(2 + hdr_syms + s, false, soft);
+    demod_symbol(samples, pos, false, header->noise, soft);
   }
 
   RxBurst burst;
   burst.start_sample = start;
-  burst.needed_end = start + (2 + hdr_syms + nsym + 1) * sym;
+  burst.needed_end = start + burst_samples(frame_len, frame_count);
   burst.end_sample = std::min(samples.size(), burst.needed_end);
   burst.truncated = burst.needed_end > samples.size();
   burst.sync_ncc = sync_ncc;
-  burst.snr_db = static_cast<float>(-10.0 * std::log10(std::max(static_cast<double>(ema_noise), 1e-9)));
+  burst.snr_db = static_cast<float>(-10.0 * std::log10(std::max(static_cast<double>(header->noise), 1e-9)));
   const std::size_t bits_per_frame = payload_codec_.encoded_bits(frame_len);
   for (std::size_t f = 0; f < frame_count; ++f) {
     const std::size_t off = f * bits_per_frame;
@@ -497,15 +454,13 @@ std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, s
 }
 
 std::vector<RxBurst> OfdmModem::receive_all(std::span<const float> samples) const {
-  std::vector<RxBurst> bursts;
-  std::size_t pos = 0;
-  while (pos + static_cast<std::size_t>(3 * symbol_len()) < samples.size()) {
-    auto burst = receive_one(samples, pos);
-    if (!burst) break;
-    pos = std::max(burst->end_sample, pos + 1);
-    bursts.push_back(std::move(*burst));
-  }
-  return bursts;
+  return receive_bursts(*this, samples, std::numeric_limits<std::size_t>::max());
+}
+
+std::optional<RxBurst> OfdmModem::receive_one(std::span<const float> samples) const {
+  auto bursts = receive_bursts(*this, samples, 1);
+  if (bursts.empty()) return std::nullopt;
+  return std::move(bursts.front());
 }
 
 }  // namespace sonic::modem

@@ -72,19 +72,29 @@ class OfdmModem {
   // Modulates a burst of equal-sized frames into audio samples in [-1, 1].
   std::vector<float> modulate(const std::vector<util::Bytes>& frames) const;
 
-  // Finds and decodes the first burst at or after `from`.
-  std::optional<RxBurst> receive_one(std::span<const float> samples, std::size_t from = 0) const;
-
-  // Decodes every burst in the stream.
+  // Decodes every burst in a finished recording: a StreamReceiver fed
+  // `samples` in one-second chunks, then flushed, so a failed burst costs
+  // only itself and the receiver resyncs on the next preamble. Sample
+  // indices in the result are offsets into `samples`.
   std::vector<RxBurst> receive_all(std::span<const float> samples) const;
 
+  // The first burst receive_all(samples) would return, without decoding the
+  // audio after it.
+  std::optional<RxBurst> receive_one(std::span<const float> samples) const;
+
   // Decodes the burst whose preamble-A cyclic prefix starts at `start`
-  // (timing already established, e.g. by StreamReceiver's incremental
-  // sync). Returns nullopt when the header is undecodable or claims a burst
-  // longer than kMaxBurstSamples. `sync_ncc` is
-  // recorded into the burst for observability.
+  // (timing already established by StreamReceiver's sync). Returns nullopt
+  // when the header is undecodable or claims a burst longer than
+  // kMaxBurstSamples. `sync_ncc` is recorded into the burst for
+  // observability.
   std::optional<RxBurst> decode_burst(std::span<const float> samples, std::size_t start,
                                       float sync_ncc = 1.0f) const;
+
+  // Samples the burst at `start` occupies (as burst_samples), read from its
+  // header without decoding the payload. Returns nullopt exactly when
+  // decode_burst would.
+  std::optional<std::size_t> peek_burst_samples(std::span<const float> samples,
+                                                std::size_t start) const;
 
   // Samples needed past a burst's start to decode its header and learn the
   // burst's full length (preambles + header symbols + one FFT window).
@@ -93,13 +103,16 @@ class OfdmModem {
   // Samples occupied by a burst of `frame_count` frames of `frame_len` bytes.
   std::size_t burst_samples(std::size_t frame_len, std::size_t frame_count) const;
 
+  // Time-domain preamble B (with CP): the fine-timing correlation template.
+  std::span<const float> preamble_b_template() const { return template_b_; }
+
  private:
-  friend class StreamReceiver;   // reuses the sync templates and profile
   friend struct OfdmKernelProbe;  // tests/bench: per-symbol kernel access
 
-  struct Sync {
-    std::size_t start;   // first sample of preamble A's cyclic prefix
-    float quality;       // normalized correlation in [0,1]
+  struct Header {
+    std::size_t frame_len = 0;
+    std::size_t frame_count = 0;
+    float noise = 0.0f;  // normalized post-equalization noise, updated per symbol
   };
 
   int symbol_len() const { return profile_.fft_size + profile_.cp_len; }
@@ -117,8 +130,18 @@ class OfdmModem {
   // FFT of one symbol body at `pos`; the returned span points into member
   // scratch and is valid until the next analyze_symbol call.
   std::span<const cplx> analyze_symbol(std::span<const float> samples, std::size_t pos) const;
-
-  std::optional<Sync> find_sync(std::span<const float> samples, std::size_t from) const;
+  // First sample of the FFT window of symbol `symbol_index` of the burst at
+  // `start`.
+  std::size_t window_pos(std::size_t start, std::size_t symbol_index) const;
+  // Estimates the channel from preamble B (into h_smooth_) and decodes the
+  // header of the burst at `start`; nullopt when it is missing, corrupt or
+  // claims more than kMaxBurstSamples.
+  std::optional<Header> decode_header(std::span<const float> samples, std::size_t start) const;
+  // Equalizes the symbol whose FFT window starts at `pos`, fits the pilot
+  // phase, appends its soft bits to `soft_out` and updates `noise` from the
+  // pilot residual.
+  void demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk, float& noise,
+                    std::vector<float>& soft_out) const;
 
   OfdmProfile profile_;
   QamMapper qam_;
@@ -128,9 +151,7 @@ class OfdmModem {
   std::vector<cplx> preamble_a_;  // per-used-bin values (zeros on odd bins)
   std::vector<cplx> preamble_b_;
   std::vector<cplx> pilots_;      // fixed pilot values (zero on data bins)
-  std::vector<float> template_a_;  // time-domain preamble A (with CP)
   std::vector<float> template_b_;  // time-domain preamble B (with CP)
-  double template_b_energy_ = 0;   // sum of squares, hoisted out of find_sync
   float tx_gain_;
 
   // Per-symbol and per-burst scratch, reused across calls (see the class

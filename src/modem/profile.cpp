@@ -120,8 +120,7 @@ struct Registry {
 };
 
 Registry& registry() {
-  // Built-ins registered on first touch, slowest rung first (the order
-  // all_profiles() has always reported).
+  // Built-ins registered on first touch, slowest rung first.
   static Registry* r = [] {
     auto* reg = new Registry;
     reg->insert_locked(make_robust2k());
@@ -167,12 +166,5 @@ std::vector<OfdmProfile> all() {
 }
 
 }  // namespace profiles
-
-OfdmProfile profile_sonic10k() { return make_sonic10k(); }
-OfdmProfile profile_audible7k() { return make_audible7k(); }
-OfdmProfile profile_robust2k() { return make_robust2k(); }
-OfdmProfile profile_cable64k() { return make_cable64k(); }
-
-std::vector<OfdmProfile> all_profiles() { return profiles::all(); }
 
 }  // namespace sonic::modem

@@ -70,19 +70,4 @@ std::vector<OfdmProfile> all();
 
 }  // namespace profiles
 
-// Deprecated free-function wrappers, kept so existing call sites compile;
-// new code should use modem::profiles::get("<name>").
-
-// The paper's profile: ≈10 kbps net over the FM mono channel.
-[[deprecated("use modem::profiles::get(\"sonic-10k\")")]] OfdmProfile profile_sonic10k();
-// A Quiet "audible-7k-channel"-like rung: 16-QAM, rate-1/2.
-[[deprecated("use modem::profiles::get(\"audible-7k\")")]] OfdmProfile profile_audible7k();
-// Very robust low-rate rung for weak receivers: QPSK, rate-1/2, RS-heavy.
-[[deprecated("use modem::profiles::get(\"robust-2k\")")]] OfdmProfile profile_robust2k();
-// Audio-jack profile mirroring Quiet's 64 kbps cable claim: wideband,
-// dense constellation (cable has no acoustic distortion).
-[[deprecated("use modem::profiles::get(\"cable-64k\")")]] OfdmProfile profile_cable64k();
-
-[[deprecated("use modem::profiles::all()")]] std::vector<OfdmProfile> all_profiles();
-
 }  // namespace sonic::modem

@@ -18,7 +18,7 @@ StreamReceiver::StreamReceiver(const OfdmModem& modem, StreamReceiverParams para
         "StreamReceiverParams::max_buffer_samples must be at least 2x "
         "OfdmModem::min_decode_samples() or no burst header could ever decode");
   }
-  for (float v : modem_.template_b_) tmpl_energy_ += static_cast<double>(v) * v;
+  for (float v : modem_.preamble_b_template()) tmpl_energy_ += static_cast<double>(v) * v;
 }
 
 void StreamReceiver::count(const char* name, std::uint64_t n) {
@@ -39,15 +39,16 @@ void StreamReceiver::restart_scan(std::size_t from) {
   pending_needed_ = 0;
 }
 
-// Mirrors OfdmModem::find_sync's coarse loop, one metric position at a time,
-// pausing wherever the buffered audio runs out and resuming when more
-// arrives. The running sums p_/r_ are slid with exactly the batch path's
-// arithmetic, so the plateau and its best position match bit for bit.
+// Schmidl & Cox coarse detection on the half-symbol periodicity of preamble
+// A, one metric position at a time, pausing wherever the buffered audio runs
+// out and resuming when more arrives. The running sums p_/r_ carry across
+// chunk boundaries, so the plateau and its best position do not depend on
+// how the audio was chunked.
 StreamReceiver::Step StreamReceiver::scan(bool final_flush) {
   if (!seeded_) {
-    // receive_all's loop guard: it stops scanning when fewer than three
-    // symbols remain past pos, so the streaming path must too or flush()
-    // could emit a tail burst the batch path never looks for.
+    // Fewer than three symbols past the scan start cannot hold preambles A
+    // and B plus a header window, so there is nothing to look for yet (or,
+    // at the end of the stream, ever).
     if (total_ <= scan_from_ + 3 * sym_) return final_flush ? Step::kDone : Step::kStall;
     p_ = r_ = 0.0;
     for (std::size_t m = 0; m < half_; ++m) {
@@ -87,8 +88,7 @@ StreamReceiver::Step StreamReceiver::scan(bool final_flush) {
 
   if (!final_flush) return Step::kStall;
   // End of stream: a plateau still open when the scan range runs out is
-  // promoted to the coarse estimate, exactly as the batch loop falls
-  // through to fine timing.
+  // promoted to the coarse estimate and goes on to fine timing.
   if (in_plateau_) {
     coarse_ready_ = true;
     return Step::kProgress;
@@ -96,15 +96,16 @@ StreamReceiver::Step StreamReceiver::scan(bool final_flush) {
   return Step::kDone;
 }
 
-// Mirrors OfdmModem::find_sync's fine-timing pass: normalized cross-
-// correlation with the preamble-B template around the coarse peak.
+// Fine timing: normalized cross-correlation with the preamble-B template
+// around the coarse peak. Preamble B starts one symbol after A.
 StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   const long lo = static_cast<long>(best_d_) - 2L * static_cast<long>(cp_);
   const long hi = static_cast<long>(best_d_) + 2L * static_cast<long>(cp_);
-  const std::size_t tmpl_len = modem_.template_b_.size();
+  const std::span<const float> tmpl = modem_.preamble_b_template();
+  const std::size_t tmpl_len = tmpl.size();
   if (!final_flush &&
       total_ < static_cast<std::size_t>(hi) + sym_ + tmpl_len) {
-    return Step::kStall;  // evaluate the full candidate range, like batch
+    return Step::kStall;  // evaluate the full candidate range at once
   }
   count("rx_sync_attempts");
 
@@ -112,12 +113,15 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   long best_b_start = -1;
   for (long cand = lo; cand <= hi; ++cand) {
     const long b_start = cand + static_cast<long>(sym_);
-    if (b_start < static_cast<long>(sym_)) continue;  // burst start would underflow
+    // The burst start is b_start - sym; candidates with b_start < sym would
+    // underflow size_t into a huge offset when the coarse peak sits within
+    // 2*cp_len of the stream start (e.g. a stream cut mid-preamble).
+    if (b_start < static_cast<long>(sym_)) continue;
     if (static_cast<std::size_t>(b_start) + tmpl_len > total_) break;
     double dot = 0.0, energy = 0.0;
     for (std::size_t i = 0; i < tmpl_len; ++i) {
       const double s = at(static_cast<std::size_t>(b_start) + i);
-      dot += s * modem_.template_b_[i];
+      dot += s * tmpl[i];
       energy += s * s;
     }
     const double ncc = energy > 1e-12 ? std::fabs(dot) / std::sqrt(energy * tmpl_energy_) : 0.0;
@@ -143,26 +147,27 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
 }
 
 StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool final_flush) {
-  if (!final_flush) {
-    // Header first (to learn the burst length), then the whole burst.
-    if (pending_needed_ == 0 && total_ < sync_start_ + modem_.min_decode_samples()) {
-      return Step::kStall;
-    }
-    if (pending_needed_ > 0 && total_ < pending_needed_) return Step::kStall;
-  }
-
   const std::span<const float> window(buf_.data() + (sync_start_ - base_),
                                       buf_.size() - (sync_start_ - base_));
-  auto burst = modem_.decode_burst(window, 0, sync_ncc_);
-  if (!burst.has_value()) {
+  auto resync = [&] {
     count("rx_resyncs");
     restart_scan(sync_start_ + sym_);
     return Step::kProgress;
-  }
-  if (burst->truncated && !final_flush) {
-    pending_needed_ = sync_start_ + burst->needed_end;
+  };
+  if (!final_flush) {
+    // Header first, to learn the burst length; then the whole burst once it
+    // is buffered. Decoding the payload before then would be thrown away.
+    if (pending_needed_ == 0) {
+      if (total_ < sync_start_ + modem_.min_decode_samples()) return Step::kStall;
+      const auto length = modem_.peek_burst_samples(window, 0);
+      if (!length.has_value()) return resync();
+      pending_needed_ = sync_start_ + *length;
+    }
     if (total_ < pending_needed_) return Step::kStall;
   }
+
+  auto burst = modem_.decode_burst(window, 0, sync_ncc_);
+  if (!burst.has_value()) return resync();
 
   burst->start_sample += sync_start_;
   burst->end_sample += sync_start_;

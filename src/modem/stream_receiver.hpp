@@ -10,14 +10,16 @@
 //   * runs the Schmidl & Cox preamble search incrementally — the running
 //     correlation sums, plateau tracker, and scan position carry across
 //     chunk boundaries, so a preamble split across two chunks is found
-//     exactly where a batch scan over the whole recording would find it;
-//   * decodes each burst once enough audio is buffered, via the same
-//     OfdmModem::decode_burst the batch path uses — feeding the same audio
-//     in any chunking yields byte-identical frames to
-//     OfdmModem::receive_all over the whole buffer;
+//     exactly where one chunk holding the whole recording would put it;
+//   * decodes each burst once enough audio is buffered, via
+//     OfdmModem::decode_burst — feeding the same audio in any chunking
+//     yields byte-identical bursts;
 //   * resyncs after a failed burst: a corrupted preamble or undecodable
-//     header skips one symbol and resumes scanning, so one bad burst no
-//     longer desyncs the rest of a carousel pass (receive_all gives up).
+//     header skips one symbol and resumes scanning, so one bad burst does
+//     not desync the rest of a carousel pass.
+//
+// This is the modem's only receive path: OfdmModem::receive_all and
+// receive_one feed a finished recording through it.
 //
 // Observability goes through the sonic::core::Metrics registry when one is
 // provided: sync attempts/hits/resyncs, per-burst NCC and estimated SNR,
@@ -53,9 +55,9 @@ class StreamReceiver {
   // start/end/needed expressed as absolute sample indices into the stream.
   std::vector<RxBurst> push(std::span<const float> chunk);
 
-  // End of stream: resolve whatever is pending exactly like the batch path
-  // at the end of its buffer (truncated bursts decode their missing symbols
-  // as erasures). After flush(), call reset() before pushing again.
+  // End of stream: resolve whatever is pending (truncated bursts decode
+  // their missing symbols as erasures). After flush(), call reset() before
+  // pushing again.
   std::vector<RxBurst> flush();
 
   // Forget the stream; the next push starts at absolute sample 0.
@@ -90,7 +92,7 @@ class StreamReceiver {
   std::size_t high_water_ = 0;
   bool flushed_ = false;
 
-  // Incremental Schmidl & Cox state (mirrors OfdmModem::find_sync).
+  // Incremental Schmidl & Cox state.
   std::size_t scan_from_ = 0;
   bool seeded_ = false;
   double p_ = 0.0, r_ = 0.0;

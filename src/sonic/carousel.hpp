@@ -26,8 +26,8 @@
 
 #include "fec/fountain.hpp"
 #include "sonic/framing.hpp"
-#include "sonic/metrics.hpp"
 #include "sonic/pipeline.hpp"
+#include "util/metrics.hpp"
 
 namespace sonic::core {
 

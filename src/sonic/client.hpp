@@ -33,7 +33,7 @@
 #include "sms/sms.hpp"
 #include "sonic/cache.hpp"
 #include "sonic/framing.hpp"
-#include "sonic/metrics.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::core {

@@ -32,7 +32,7 @@
 #include "image/column_codec.hpp"
 #include "sonic/cache.hpp"
 #include "sonic/framing.hpp"
-#include "sonic/metrics.hpp"
+#include "util/metrics.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"
 

@@ -27,9 +27,9 @@
 #include "sms/sms.hpp"
 #include "sonic/carousel.hpp"
 #include "sonic/framing.hpp"
-#include "sonic/metrics.hpp"
 #include "sonic/pipeline.hpp"
 #include "sonic/scheduler.hpp"
+#include "util/metrics.hpp"
 #include "web/corpus.hpp"
 #include "web/layout.hpp"
 

@@ -7,8 +7,7 @@
 //
 // Lives in src/util (lowest layer) so that sonic_modem can report receiver
 // observability without depending on sonic_core, which itself links the
-// modem. The namespace stays sonic::core — every existing call site, and the
-// forwarding header sonic/metrics.hpp, keeps compiling unchanged.
+// modem. The types keep the namespace sonic::core.
 #pragma once
 
 #include <atomic>

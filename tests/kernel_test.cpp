@@ -857,6 +857,7 @@ TEST(OfdmHeaderBound, ForgedHugeClaimIsRejectedWithoutAllocatingForIt) {
   g_alloc_max.store(0);
   const auto burst = modem.decode_burst(audio, 0);
   EXPECT_FALSE(burst.has_value());
+  EXPECT_FALSE(modem.peek_burst_samples(audio, 0).has_value());
   EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
 
   // The streaming receiver reaches the same decode through its sync; it
@@ -888,9 +889,11 @@ TEST(OfdmHeaderBound, ClaimsAreBoundedByMaxBurstSamples) {
   auto over = modem::OfdmKernelProbe::burst_head(modem, frame_len, static_cast<std::uint16_t>(fits + 1));
   over.resize(over.size() + 20000, 0.0f);
   EXPECT_FALSE(modem.decode_burst(over, 0).has_value());
+  EXPECT_FALSE(modem.peek_burst_samples(over, 0).has_value());
 
   auto within = modem::OfdmKernelProbe::burst_head(modem, frame_len, fits);
   within.resize(within.size() + 20000, 0.0f);
+  EXPECT_EQ(modem.peek_burst_samples(within, 0), modem.burst_samples(frame_len, fits));
   g_alloc_max.store(0);
   const auto burst = modem.decode_burst(within, 0);
   ASSERT_TRUE(burst.has_value());

@@ -237,20 +237,6 @@ TEST(ProfileRegistry, BuiltinsRegisteredSlowestFirst) {
   for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].name, names[i]);
 }
 
-// The deprecated free-function wrappers must keep returning the registry's
-// rungs until they are removed. This is the one deliberate call site; every
-// other caller has migrated to profiles::get()/profiles::all().
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ProfileRegistry, DeprecatedWrappersStillMatchRegistry) {
-  EXPECT_EQ(profile_sonic10k().name, profiles::get("sonic-10k")->name);
-  EXPECT_EQ(profile_audible7k().name, profiles::get("audible-7k")->name);
-  EXPECT_EQ(profile_robust2k().name, profiles::get("robust-2k")->name);
-  EXPECT_EQ(profile_cable64k().name, profiles::get("cable-64k")->name);
-  EXPECT_EQ(all_profiles().size(), profiles::all().size());
-}
-#pragma GCC diagnostic pop
-
 TEST(ProfileRegistry, LookupIsLooseOnPunctuationAndCase) {
   ASSERT_TRUE(profiles::get("sonic-10k").has_value());
   ASSERT_TRUE(profiles::get("sonic10k").has_value());
@@ -375,6 +361,74 @@ TEST(Ofdm, ReceiveAllFindsMultipleBursts) {
     ASSERT_EQ(bursts[b].frames.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
       ASSERT_TRUE(bursts[b].frames[i].has_value());
+      EXPECT_EQ(*bursts[b].frames[i], sent[b][i]);
+    }
+  }
+}
+
+TEST(Ofdm, ReceiveOneSkipsUndecodableFirstBurst) {
+  // The first burst's preambles are intact but its header is noise: sync
+  // succeeds, the header fails, and the receiver must resync onto the next
+  // burst rather than report nothing.
+  OfdmModem modem(*profiles::get("sonic-10k"));
+  Rng rng(19);
+  std::vector<std::vector<Bytes>> sent;
+  std::vector<float> stream(1000, 0.0f);
+  std::vector<std::size_t> starts;
+  for (int b = 0; b < 2; ++b) {
+    std::vector<Bytes> frames;
+    for (int i = 0; i < 3; ++i) frames.push_back(random_bytes(rng, 60));
+    sent.push_back(frames);
+    starts.push_back(stream.size());
+    const auto s = modem.modulate(frames);
+    stream.insert(stream.end(), s.begin(), s.end());
+    stream.insert(stream.end(), 800, 0.0f);
+  }
+  const std::size_t symbol =
+      static_cast<std::size_t>(modem.profile().fft_size + modem.profile().cp_len);
+  for (std::size_t i = starts[0] + 2 * symbol; i < starts[0] + 4 * symbol; ++i) {
+    stream[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+
+  const auto burst = modem.receive_one(stream);
+  ASSERT_TRUE(burst.has_value());
+  EXPECT_NEAR(static_cast<double>(burst->start_sample), static_cast<double>(starts[1]), 4.0);
+  ASSERT_EQ(burst->frames.size(), sent[1].size());
+  for (std::size_t i = 0; i < sent[1].size(); ++i) {
+    ASSERT_TRUE(burst->frames[i].has_value()) << i;
+    EXPECT_EQ(*burst->frames[i], sent[1][i]);
+  }
+}
+
+TEST(Ofdm, ReceiveAllDecodesRecordingLongerThanReceiverCap) {
+  // A recording longer than the receiver's buffer cap, with bursts at both
+  // ends and in the middle: receive_all must feed it through in pieces and
+  // report every burst at its offset in the whole recording.
+  OfdmModem modem(*profiles::get("sonic-10k"));
+  Rng rng(20);
+  const std::size_t spacing = OfdmModem::kMaxBurstSamples / 2 + 12345;
+  std::vector<std::vector<Bytes>> sent;
+  std::vector<std::size_t> starts;
+  std::vector<float> stream(500, 0.0f);
+  for (int b = 0; b < 3; ++b) {
+    std::vector<Bytes> frames;
+    for (int i = 0; i < 2; ++i) frames.push_back(random_bytes(rng, 40));
+    sent.push_back(frames);
+    starts.push_back(stream.size());
+    const auto s = modem.modulate(frames);
+    stream.insert(stream.end(), s.begin(), s.end());
+    if (b < 2) stream.resize(starts.back() + spacing, 0.0f);
+  }
+  stream.insert(stream.end(), 700, 0.0f);
+  ASSERT_GT(stream.size(), OfdmModem::kMaxBurstSamples);
+
+  const auto bursts = modem.receive_all(stream);
+  ASSERT_EQ(bursts.size(), sent.size());
+  for (std::size_t b = 0; b < sent.size(); ++b) {
+    EXPECT_EQ(bursts[b].start_sample, starts[b]) << "burst " << b;
+    ASSERT_EQ(bursts[b].frames.size(), sent[b].size()) << "burst " << b;
+    for (std::size_t i = 0; i < sent[b].size(); ++i) {
+      ASSERT_TRUE(bursts[b].frames[i].has_value()) << "burst " << b << " frame " << i;
       EXPECT_EQ(*bursts[b].frames[i], sent[b][i]);
     }
   }

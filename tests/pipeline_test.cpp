@@ -7,11 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "sonic/metrics.hpp"
 #include "sonic/pipeline.hpp"
 #include "sonic/scheduler.hpp"
 #include "sonic/server.hpp"
 #include "sonic/client.hpp"
+#include "util/metrics.hpp"
 #include "web/corpus.hpp"
 
 namespace sonic::core {

@@ -366,10 +366,8 @@ TEST(StreamReceiverTest, MatchesBatchOnNoisyAudio) {
 
   StreamReceiver rx(modem);
   const auto got = receive_chunked(rx, stream, rng, 1321);
-  // The streaming receiver resyncs where receive_all gives up, so the batch
-  // result is a prefix of the streaming one.
-  ASSERT_GE(got.size(), batch.size());
-  expect_same_bursts(batch, {got.begin(), got.begin() + static_cast<long>(batch.size())});
+  // receive_all is the same receiver fed one-second chunks.
+  expect_same_bursts(batch, got);
 }
 
 TEST(StreamReceiverTest, AnyChunkingGivesIdenticalBursts) {
@@ -405,11 +403,8 @@ TEST(StreamReceiverTest, ResyncsAfterCorruptedBurst) {
     stream[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
   }
 
-  // Batch gives up at the undecodable burst...
-  const auto batch = modem.receive_all(stream);
-  EXPECT_LT(batch.size(), 2u);
-
-  // ...the streaming receiver skips past it and still delivers burst 2.
+  // The receiver skips past the undecodable burst and still delivers
+  // burst 2, whether streamed in 20 ms chunks or decoded by receive_all.
   core::Metrics metrics;
   StreamReceiverParams params;
   params.metrics = &metrics;
@@ -417,12 +412,16 @@ TEST(StreamReceiverTest, ResyncsAfterCorruptedBurst) {
   const auto got = receive_chunked(rx, stream, rng, 882);
   ASSERT_GE(got.size(), 1u);
   const auto& last = got.back();
+  EXPECT_EQ(last.start_sample, batch_clean[1].start_sample);
   ASSERT_EQ(last.frames.size(), sent[1].size());
   for (std::size_t f = 0; f < sent[1].size(); ++f) {
     ASSERT_TRUE(last.frames[f].has_value()) << f;
     EXPECT_EQ(*last.frames[f], sent[1][f]) << f;
   }
   EXPECT_GE(metrics.counter_value("rx_resyncs"), 1u);
+
+  const auto batch = modem.receive_all(stream);
+  expect_same_bursts(got, batch);
 }
 
 TEST(StreamReceiverTest, BoundedMemoryUnderEndlessPlateau) {
