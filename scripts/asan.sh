@@ -3,7 +3,9 @@
 # cmake -DSONIC_ASAN=ON, to catch out-of-bounds reads/writes in the
 # hand-indexed byte-buffer paths (frame parsing, fountain GF(2^8)
 # elimination, WebP-ish codecs) and UB in the receiver's signed/unsigned
-# index arithmetic (the fine-timing underflow class of bug).
+# index arithmetic (the fine-timing underflow class of bug), and
+# float-cast-overflow in float-to-int conversions such as the Viterbi
+# soft-bit quantizer.
 #
 #   scripts/asan.sh [jobs]
 set -euo pipefail

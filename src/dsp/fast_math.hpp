@@ -2,8 +2,7 @@
 // exp2, four lanes at a time.
 //
 // Written with GCC/Clang vector extensions at the default ISA (plain SSE2 on
-// x86-64; no -march change, no runtime dispatch), like the Viterbi
-// butterfly. Every range or quadrant decision is a lane select, never a
+// x86-64; no -march change, no runtime dispatch). Every range or quadrant decision is a lane select, never a
 // branch: under the default -ftrapping-math the compiler will not
 // if-convert the selects and the guarded division of a plain scalar loop,
 // so such loops would stay scalar. Each lane's result depends only on that

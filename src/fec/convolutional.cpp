@@ -1,8 +1,9 @@
 #include "fec/convolutional.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -29,25 +30,74 @@ std::span<const std::uint8_t> puncture_pattern(PunctureRate rate) {
   return kPattern1_2;
 }
 
-// Four ACS lanes: path metrics, and the all-ones/zero masks that their
-// comparisons produce.
-typedef float V4f __attribute__((vector_size(16)));
-typedef std::int32_t V4i __attribute__((vector_size(16)));
-
-// Lane i's mask bit in bit i.
-inline unsigned movemask(V4i m) {
+// Eight int16 ACS lanes and the ops decode_soft runs on them: SSE2
+// intrinsics, or the same lane-wise arithmetic without SSE2.
 #if defined(__SSE2__)
-  return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(reinterpret_cast<__m128i>(m))));
+using V8 = __m128i;
+
+inline V8 load(const std::int16_t* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
+inline void store(std::int16_t* p, V8 v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
+inline V8 splat(std::int16_t v) { return _mm_set1_epi16(v); }
+inline V8 adds(V8 a, V8 b) { return _mm_adds_epi16(a, b); }
+inline V8 subs(V8 a, V8 b) { return _mm_subs_epi16(a, b); }
+inline V8 min(V8 a, V8 b) { return _mm_min_epi16(a, b); }
+inline V8 greater(V8 a, V8 b) { return _mm_cmpgt_epi16(a, b); }
+inline V8 interleave_lo(V8 a, V8 b) { return _mm_unpacklo_epi16(a, b); }
+inline V8 interleave_hi(V8 a, V8 b) { return _mm_unpackhi_epi16(a, b); }
+// Lanes of `set` where `mask` is all ones, else lanes of `clear`.
+inline V8 select(V8 mask, V8 set, V8 clear) {
+  return _mm_or_si128(_mm_and_si128(mask, set), _mm_andnot_si128(mask, clear));
+}
+// Bit i: lane i of mask `lo` is set; bit 8 + i: lane i of mask `hi`.
+inline unsigned movemask(V8 lo, V8 hi) {
+  return static_cast<unsigned>(_mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+}
 #else
-  return (m[0] & 1u) | (m[1] & 2u) | (m[2] & 4u) | (m[3] & 8u);
+typedef std::int16_t V8 __attribute__((vector_size(16)));
+
+inline V8 load(const std::int16_t* p) {
+  V8 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store(std::int16_t* p, V8 v) { std::memcpy(p, &v, sizeof v); }
+inline V8 splat(std::int16_t v) { return V8{v, v, v, v, v, v, v, v}; }
+inline V8 adds(V8 a, V8 b) {
+  V8 v;
+  for (int i = 0; i < 8; ++i) v[i] = static_cast<std::int16_t>(std::clamp(a[i] + b[i], -32768, 32767));
+  return v;
+}
+inline V8 subs(V8 a, V8 b) {
+  V8 v;
+  for (int i = 0; i < 8; ++i) v[i] = static_cast<std::int16_t>(std::clamp(a[i] - b[i], -32768, 32767));
+  return v;
+}
+inline V8 min(V8 a, V8 b) { return a < b ? a : b; }
+inline V8 greater(V8 a, V8 b) { return a > b; }
+inline V8 interleave_lo(V8 a, V8 b) { return __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11); }
+inline V8 interleave_hi(V8 a, V8 b) { return __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15); }
+inline V8 select(V8 mask, V8 set, V8 clear) { return (mask & set) | (~mask & clear); }
+inline unsigned movemask(V8 lo, V8 hi) {
+  unsigned bits = 0;
+  for (int i = 0; i < 8; ++i) bits |= ((lo[i] & 1u) << i) | ((hi[i] & 1u) << (8 + i));
+  return bits;
+}
 #endif
+
+// The smallest of the eight lanes.
+inline std::int16_t lane_min(V8 v) {
+  std::int16_t lanes[8];
+  std::memcpy(lanes, &v, sizeof lanes);
+  return *std::min_element(lanes, lanes + 8);
 }
 
-// Lanes of `hi` where `take` is set, else lanes of `lo`.
-inline V4f select(V4i take, V4f hi, V4f lo) {
-  const V4i h = reinterpret_cast<V4i>(hi);
-  const V4i l = reinterpret_cast<V4i>(lo);
-  return reinterpret_cast<V4f>((take & h) | (~take & l));
+constexpr std::int16_t kErasure = ConvolutionalCodec::kSoftScale / 2;
+static_assert(ConvolutionalCodec::kSoftScale % 2 == 0, "0.5 must quantize exactly");
+
+// round(clamp(s, 0, 1) * kSoftScale), with NaN read as an erasure.
+std::int16_t quantize(float s) {
+  if (std::isnan(s)) return kErasure;
+  return static_cast<std::int16_t>(std::clamp(s, 0.0f, 1.0f) * ConvolutionalCodec::kSoftScale + 0.5f);
 }
 
 }  // namespace
@@ -84,15 +134,15 @@ ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
     throw std::logic_error("convolutional code does not fit the butterfly decoder");
   }
   // s_j, the symbol of butterfly j's branch j -> 2j (branches_[j << 1]),
-  // is linear in j over GF(2), and 4g and i < 4 share no bits, so
-  // s_(4g + i) = s_(4g) ^ s_i.
+  // is linear in j over GF(2), and 8g and i < 8 share no bits, so
+  // s_(8g + i) = s_(8g) ^ s_i.
   auto sym = [&](std::size_t j) {
     const Branch& br = branches_[j << 1];
     return static_cast<std::uint8_t>(br.out0 * 2 + br.out1);
   };
-  for (std::size_t i = 0; i < 4; ++i) lane_sym_[i] = sym(i);
-  group_sym_.resize(static_cast<std::size_t>(num_states_) / 8);
-  for (std::size_t g = 0; g < group_sym_.size(); ++g) group_sym_[g] = sym(4 * g);
+  for (std::size_t i = 0; i < 8; ++i) lane_sym_[i] = sym(i);
+  group_sym_.resize(static_cast<std::size_t>(num_states_) / 16);
+  for (std::size_t g = 0; g < group_sym_.size(); ++g) group_sym_[g] = sym(8 * g);
 }
 
 double ConvolutionalCodec::rate() const {
@@ -147,16 +197,16 @@ util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const
 }
 
 void ConvolutionalCodec::depuncture(std::span<const float> soft, std::size_t in_bits,
-                                    std::vector<float>& pairs) const {
-  // De-puncture into per-step (out0, out1) soft pairs; punctured positions
-  // become 0.5 (no information).
+                                    std::vector<std::int16_t>& pairs) const {
+  // De-puncture into per-step quantized (out0, out1) pairs; punctured and
+  // missing positions are erasures.
   const auto pat = puncture_pattern(spec_.rate);
-  pairs.assign(in_bits * 2, 0.5f);
+  pairs.assign(in_bits * 2, kErasure);
   std::size_t soft_idx = 0;
   std::size_t p = 0;
   for (std::size_t i = 0; i < in_bits * 2; ++i) {
     if (pat[p]) {
-      pairs[i] = soft_idx < soft.size() ? soft[soft_idx] : 0.5f;
+      if (soft_idx < soft.size()) pairs[i] = quantize(soft[soft_idx]);
       ++soft_idx;
     }
     if (++p == pat.size()) p = 0;
@@ -168,9 +218,9 @@ namespace {
 // Buffers for decode_soft, reused across calls. Thread-local rather than a
 // codec member so concurrent decodes on a shared codec stay safe.
 struct ViterbiWorkspace {
-  std::vector<float> pairs;
-  std::vector<V4f> metric;       // ns / 4 vectors, state order
-  std::vector<V4f> next_metric;
+  std::vector<std::int16_t> pairs;
+  std::vector<std::int16_t> metric;  // path metric of each state
+  std::vector<std::int16_t> next_metric;
   std::vector<std::uint8_t> decisions;  // in_bits * ns / 8 bitmap bytes
   std::vector<std::uint8_t> bits;
 };
@@ -183,61 +233,73 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const float> soft,
   const std::size_t ns = static_cast<std::size_t>(num_states_);
   const std::size_t half = ns / 2;
   const std::size_t step_bytes = ns / 8;
+  constexpr std::int16_t Q = kSoftScale;
 
   thread_local ViterbiWorkspace ws;
   depuncture(soft, in_bits, ws.pairs);
 
-  constexpr float kInf = std::numeric_limits<float>::max() / 4;
-  ws.metric.assign(ns / 4, V4f{kInf, kInf, kInf, kInf});
-  ws.next_metric.resize(ns / 4);
-  ws.metric[0][0] = 0.0f;  // encoder starts in state 0
+  // State 0 starts at 0, every other state at 16384 (see the header on
+  // why int16 holds).
+  constexpr std::int16_t kUnreached = 16384;
+  ws.metric.assign(ns, kUnreached);
+  ws.metric[0] = 0;
+  ws.next_metric.resize(ns);
   ws.decisions.resize(in_bits * step_bytes);  // every byte is written below
 
-  const std::uint8_t* group_sym = group_sym_.data();
-  const auto [l0, l1, l2, l3] = lane_sym_;
-  for (std::size_t step = 0; step < in_bits; ++step) {
-    const float s0 = ws.pairs[step * 2];
-    const float s1 = ws.pairs[step * 2 + 1];
-    // The 4 possible branch metrics (L1 distance to the expected output
-    // pair), then the step's four lane patterns: lanes[c] holds
-    // bm[s_i ^ c] in lane i, which is `a` of every group with base symbol c
-    // and `b` of every group with base symbol c ^ 3.
-    const float d0 = std::fabs(s0);
-    const float d0c = std::fabs(s0 - 1.0f);
-    const float d1 = std::fabs(s1);
-    const float d1c = std::fabs(s1 - 1.0f);
-    const float bm[4] = {d0 + d1, d0 + d1c, d0c + d1, d0c + d1c};
-    V4f lanes[4];
-    for (unsigned c = 0; c < 4; ++c) lanes[c] = V4f{bm[l0 ^ c], bm[l1 ^ c], bm[l2 ^ c], bm[l3 ^ c]};
+  // Lanes whose symbol s_i has out0 (bit 1) or out1 (bit 0) set.
+  std::int16_t out0[8], out1[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    out0[i] = static_cast<std::int16_t>(lane_sym_[i] & 2 ? -1 : 0);
+    out1[i] = static_cast<std::int16_t>(lane_sym_[i] & 1 ? -1 : 0);
+  }
+  const V8 out0_mask = load(out0);
+  const V8 out1_mask = load(out1);
 
-    const V4f* m_lo = ws.metric.data();
-    const V4f* m_hi = ws.metric.data() + half / 4;
-    V4f* nm = ws.next_metric.data();
+  const std::uint8_t* group_sym = group_sym_.data();
+  std::int16_t* metric = ws.metric.data();
+  std::int16_t* next_metric = ws.next_metric.data();
+  for (std::size_t step = 0; step < in_bits; ++step) {
+    const std::int16_t q0 = ws.pairs[step * 2];
+    const std::int16_t q1 = ws.pairs[step * 2 + 1];
+    // The step's four lane patterns: lanes[c] holds bm[s_i ^ c] in lane i,
+    // which is `a` of every group with base symbol c and `b` of every group
+    // with base symbol c ^ 3. Each half of bm is the distance of one
+    // received value to the expected bit: q for a 0, Q - q for a 1.
+    const V8 d0 = splat(q0), d0c = splat(static_cast<std::int16_t>(Q - q0));
+    const V8 d1 = splat(q1), d1c = splat(static_cast<std::int16_t>(Q - q1));
+    const V8 x0 = select(out0_mask, d0c, d0), x0_flip = select(out0_mask, d0, d0c);
+    const V8 x1 = select(out1_mask, d1c, d1), x1_flip = select(out1_mask, d1, d1c);
+    const V8 lanes[4] = {adds(x0, x1), adds(x0, x1_flip), adds(x0_flip, x1), adds(x0_flip, x1_flip)};
+
+    const std::int16_t* m_lo = metric;
+    const std::int16_t* m_hi = metric + half;
+    std::int16_t* __restrict nm = next_metric;
     std::uint8_t* dec_even = ws.decisions.data() + step * step_bytes;
     std::uint8_t* dec_odd = dec_even + half / 8;
 
-    // Butterflies j .. j+3 (g = j / 4): returns the even and odd
-    // successors' decision nibbles.
-    auto acs4 = [&](std::size_t g) {
-      const V4f a = lanes[group_sym[g]];
-      const V4f b = lanes[group_sym[g] ^ 3];
-      const V4f m0e = m_lo[g] + a, m1e = m_hi[g] + b;
-      const V4f m0o = m_lo[g] + b, m1o = m_hi[g] + a;
-      const V4i take_e = m1e < m0e;
-      const V4i take_o = m1o < m0o;
-      const V4f ne = select(take_e, m1e, m0e);
-      const V4f no = select(take_o, m1o, m0o);
-      nm[2 * g] = __builtin_shufflevector(ne, no, 0, 4, 1, 5);
-      nm[2 * g + 1] = __builtin_shufflevector(ne, no, 2, 6, 3, 7);
-      return std::pair{movemask(take_e), movemask(take_o)};
-    };
-    for (std::size_t g = 0; g < half / 4; g += 2) {
-      const auto [e_lo, o_lo] = acs4(g);
-      const auto [e_hi, o_hi] = acs4(g + 1);
-      dec_even[g / 2] = static_cast<std::uint8_t>(e_lo | (e_hi << 4));
-      dec_odd[g / 2] = static_cast<std::uint8_t>(o_lo | (o_hi << 4));
+    // Butterflies 8g .. 8g+7.
+    for (std::size_t g = 0; g < half / 8; ++g) {
+      const V8 a = lanes[group_sym[g]];
+      const V8 b = lanes[group_sym[g] ^ 3];
+      const V8 lo = load(m_lo + 8 * g), hi = load(m_hi + 8 * g);
+      const V8 m0e = adds(lo, a), m1e = adds(hi, b);
+      const V8 m0o = adds(lo, b), m1o = adds(hi, a);
+      const V8 ne = min(m0e, m1e);
+      const V8 no = min(m0o, m1o);
+      store(nm + 16 * g, interleave_lo(ne, no));
+      store(nm + 16 * g + 8, interleave_hi(ne, no));
+      const unsigned taken = movemask(greater(m0e, m1e), greater(m0o, m1o));
+      dec_even[g] = static_cast<std::uint8_t>(taken);
+      dec_odd[g] = static_cast<std::uint8_t>(taken >> 8);
     }
-    ws.metric.swap(ws.next_metric);
+    std::swap(metric, next_metric);
+
+    if (step % 8 == 7) {
+      V8 lowest = load(metric);
+      for (std::size_t i = 8; i < ns; i += 8) lowest = min(lowest, load(metric + i));
+      const V8 shift = splat(lane_min(lowest));
+      for (std::size_t i = 0; i < ns; i += 8) store(metric + i, subs(load(metric + i), shift));
+    }
   }
 
   // Traceback from state 0 (guaranteed by the K-1 flush bits). A set

@@ -71,7 +71,9 @@ OfdmModem::OfdmModem(OfdmProfile profile)
   if (profile_.first_bin() < 1 || profile_.first_bin() + n >= profile_.fft_size / 2)
     throw std::invalid_argument("subcarriers do not fit below Nyquist");
   fft_plan_ = dsp::FftPlan::get(static_cast<std::size_t>(profile_.fft_size));
+  half_plan_ = dsp::FftPlan::get(static_cast<std::size_t>(profile_.fft_size / 2));
   spec_.resize(static_cast<std::size_t>(profile_.fft_size));
+  packed_.resize(static_cast<std::size_t>(profile_.fft_size / 2));
   carriers_.resize(static_cast<std::size_t>(n));
 
   // Preamble A: PRBS QPSK on even absolute FFT bins only -> time-domain
@@ -98,6 +100,15 @@ OfdmModem::OfdmModem(OfdmProfile profile)
   // post-IFFT RMS is sqrt(2K)/N; scale to the profile's amplitude target.
   tx_gain_ = profile_.amplitude * static_cast<float>(profile_.fft_size) /
              std::sqrt(2.0f * static_cast<float>(n));
+
+  split_twiddle_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double angle = -sonic::util::kTwoPi * (profile_.first_bin() + i) / profile_.fft_size;
+    // -i W / 2 = (sin, -cos) / 2 for W = (cos, sin).
+    split_twiddle_[static_cast<std::size_t>(i)] =
+        cplx(static_cast<float>(0.5 * std::sin(angle) / tx_gain_),
+             static_cast<float>(-0.5 * std::cos(angle) / tx_gain_));
+  }
 
   synth_symbol(preamble_b_, template_b_);
 }
@@ -144,20 +155,28 @@ void OfdmModem::synth_symbol(std::span<const cplx> carriers, std::vector<float>&
 }
 
 std::span<const cplx> OfdmModem::analyze_symbol(std::span<const float> samples, std::size_t pos) const {
-  const int N = profile_.fft_size;
+  const std::size_t half = packed_.size();
   // Whole windows stay in range in steady state; the per-sample bound only
   // matters for the final (truncated) window, so hoist it out of the loop.
+  // Samples past the end read as zeros, so an odd count in range leaves a
+  // zero imaginary part in its last pair.
   const std::size_t avail = pos < samples.size() ? samples.size() - pos : 0;
-  const int in_range = static_cast<int>(std::min<std::size_t>(avail, static_cast<std::size_t>(N)));
+  const std::size_t in_range = std::min(avail, 2 * half);
   const float* src = samples.data() + pos;
-  for (int i = 0; i < in_range; ++i) {
-    spec_[static_cast<std::size_t>(i)] = dsp::cplx(src[i], 0.0f);
-  }
-  for (int i = in_range; i < N; ++i) spec_[static_cast<std::size_t>(i)] = dsp::cplx(0, 0);
-  fft_plan_->forward(spec_);
-  const float inv_gain = 1.0f / tx_gain_;
-  for (int i = 0; i < profile_.num_subcarriers; ++i) {
-    carriers_[static_cast<std::size_t>(i)] = spec_[static_cast<std::size_t>(profile_.first_bin() + i)] * inv_gain;
+  for (std::size_t i = 0; i < in_range / 2; ++i) packed_[i] = dsp::cplx(src[2 * i], src[2 * i + 1]);
+  std::size_t filled = in_range / 2;
+  if (in_range % 2 == 1) packed_[filled++] = dsp::cplx(src[in_range - 1], 0.0f);
+  std::fill(packed_.begin() + static_cast<long>(filled), packed_.end(), dsp::cplx(0, 0));
+  half_plan_->forward(packed_);
+
+  // Z[k] holds E[k] + i O[k], the spectra of the even and odd samples, and
+  // Z*[N/2 - k] holds E[k] - i O[k]; X[k] = E[k] + W_N^k O[k].
+  const float half_gain = 0.5f / tx_gain_;
+  const std::size_t first = static_cast<std::size_t>(profile_.first_bin());
+  for (std::size_t i = 0; i < carriers_.size(); ++i) {
+    const cplx z = packed_[first + i];
+    const cplx mirror = std::conj(packed_[half - first - i]);
+    carriers_[i] = (z + mirror) * half_gain + split_twiddle_[i] * (z - mirror);
   }
   return carriers_;
 }

@@ -127,8 +127,10 @@ class OfdmModem {
   // indexed relative to first_bin. `out` keeps its capacity across calls, so
   // the steady-state path allocates nothing.
   void synth_symbol(std::span<const cplx> carriers, std::vector<float>& out) const;
-  // FFT of one symbol body at `pos`; the returned span points into member
-  // scratch and is valid until the next analyze_symbol call.
+  // Used bins of the FFT of one symbol body at `pos`, computed from one
+  // fft_size/2-point complex FFT of the even and odd samples packed as
+  // z[n] = x[2n] + i x[2n+1]; the returned span points into member scratch
+  // and is valid until the next analyze_symbol call.
   std::span<const cplx> analyze_symbol(std::span<const float> samples, std::size_t pos) const;
   // First sample of the FFT window of symbol `symbol_index` of the burst at
   // `start`.
@@ -148,6 +150,12 @@ class OfdmModem {
   PacketCodec payload_codec_;
   fec::ConvolutionalCodec header_codec_;
   std::shared_ptr<const dsp::FftPlan> fft_plan_;
+  std::shared_ptr<const dsp::FftPlan> half_plan_;  // fft_size / 2 points
+  // analyze_symbol's split of used bin first_bin + i:
+  // X = (Z[k] + Z*[N/2 - k]) / 2 - i W_N^k (Z[k] - Z*[N/2 - k]) / 2, with
+  // W_N^k = exp(-2 pi i k / N); the ratios hold -i W_N^k / 2 and both
+  // halves carry the 1 / tx_gain_ receive scale.
+  std::vector<cplx> split_twiddle_;
   std::vector<cplx> preamble_a_;  // per-used-bin values (zeros on odd bins)
   std::vector<cplx> preamble_b_;
   std::vector<cplx> pilots_;      // fixed pilot values (zero on data bins)
@@ -155,9 +163,11 @@ class OfdmModem {
   float tx_gain_;
 
   // Per-symbol and per-burst scratch, reused across calls (see the class
-  // comment on thread safety). spec_ holds the FFT-size working buffer,
-  // carriers_ the used-bin view analyze_symbol returns.
+  // comment on thread safety). spec_ holds synth_symbol's FFT-size working
+  // buffer, packed_ analyze_symbol's half-size one, carriers_ the used-bin
+  // view analyze_symbol returns.
   mutable std::vector<dsp::cplx> spec_;
+  mutable std::vector<dsp::cplx> packed_;
   mutable std::vector<cplx> carriers_;
   // decode_burst working vectors (channel estimate, equalized bins, soft
   // bits), cleared and refilled per burst instead of reallocated.

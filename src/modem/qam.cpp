@@ -1,6 +1,7 @@
 #include "modem/qam.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -45,6 +46,7 @@ QamMapper::QamMapper(Constellation c) : constellation_(c), bits_(sonic::modem::b
   const int L = static_cast<int>(std::lround(std::sqrt(static_cast<double>(order))));
   if (L * L != order) throw std::invalid_argument("constellation must be square");
   axis_bits_ = ilog2(L);
+  if (L > kMaxAxisLevels) throw std::invalid_argument("constellation too large");
   const float scale = std::sqrt(3.0f / (2.0f * (static_cast<float>(L) * static_cast<float>(L) - 1.0f)));
   levels_.assign(static_cast<std::size_t>(L), 0.0f);
   for (int i = 0; i < L; ++i) {
@@ -90,11 +92,16 @@ void QamMapper::axis_demap_soft(float r, float noise_var, std::span<float> soft_
   // Max-log LLR per axis bit; per-axis noise variance is half the complex
   // noise variance.
   const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
+  // Squared distance to each level, once per axis; every bit then takes its
+  // minima from this array.
+  std::array<float, kMaxAxisLevels> dist;
+  const std::size_t num_levels = levels_.size();
+  for (std::size_t g = 0; g < num_levels; ++g) dist[g] = (r - levels_[g]) * (r - levels_[g]);
   for (int k = 0; k < axis_bits_; ++k) {
     float d0 = std::numeric_limits<float>::max();
     float d1 = std::numeric_limits<float>::max();
-    for (std::uint32_t g = 0; g < levels_.size(); ++g) {
-      const float d = (r - levels_[g]) * (r - levels_[g]);
+    for (std::uint32_t g = 0; g < num_levels; ++g) {
+      const float d = dist[g];
       if ((g >> (axis_bits_ - 1 - k)) & 1u) {
         d1 = std::min(d1, d);
       } else {

@@ -57,6 +57,9 @@ class QamMapper {
   std::vector<cplx> points_;       // indexed by bit label
   float min_dist_;
 
+  // Levels per axis of the largest constellation (kQam1024).
+  static constexpr int kMaxAxisLevels = 32;
+
   // Per-axis helpers: Gray-coded level index <-> amplitude.
   float axis_map(std::uint32_t gray_bits) const;
   void axis_demap_soft(float r, float noise_var, std::span<float> soft_out) const;

@@ -5,6 +5,28 @@
 #include <stdexcept>
 
 namespace sonic::modem {
+namespace {
+
+typedef double V2d __attribute__((vector_size(16)));
+
+// Dot product in double over eight lanes (index mod 8) summed in a fixed
+// order, plus a serial tail: the same window gives the same bits wherever
+// it sits in the buffer.
+double lane_dot(const float* x, const float* w, std::size_t n) {
+  V2d acc[4] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      acc[l] += V2d{x[i + 2 * l], x[i + 2 * l + 1]} * V2d{w[i + 2 * l], w[i + 2 * l + 1]};
+    }
+  }
+  const V2d sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  double dot = sum[0] + sum[1];
+  for (; i < n; ++i) dot += static_cast<double>(x[i]) * w[i];
+  return dot;
+}
+
+}  // namespace
 
 StreamReceiver::StreamReceiver(const OfdmModem& modem, StreamReceiverParams params)
     : modem_(modem),
@@ -109,21 +131,24 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   }
   count("rx_sync_attempts");
 
+  // Candidates whose burst start is at least one symbol into the stream
+  // (the burst start is b_start - sym; lower ones would underflow size_t
+  // when the coarse peak sits within 2*cp_len of the stream start, e.g. a
+  // stream cut mid-preamble) and whose template window is buffered.
+  const long b_lo = std::max(lo + static_cast<long>(sym_), static_cast<long>(sym_));
+  const long b_hi = std::min(hi + static_cast<long>(sym_), static_cast<long>(total_) - static_cast<long>(tmpl_len));
   double best_ncc = 0.0;
   long best_b_start = -1;
-  for (long cand = lo; cand <= hi; ++cand) {
-    const long b_start = cand + static_cast<long>(sym_);
-    // The burst start is b_start - sym; candidates with b_start < sym would
-    // underflow size_t into a huge offset when the coarse peak sits within
-    // 2*cp_len of the stream start (e.g. a stream cut mid-preamble).
-    if (b_start < static_cast<long>(sym_)) continue;
-    if (static_cast<std::size_t>(b_start) + tmpl_len > total_) break;
-    double dot = 0.0, energy = 0.0;
-    for (std::size_t i = 0; i < tmpl_len; ++i) {
-      const double s = at(static_cast<std::size_t>(b_start) + i);
-      dot += s * tmpl[i];
-      energy += s * s;
+  double energy = 0.0;  // of the window at b_start, slid from the previous one
+  for (long b_start = b_lo; b_start <= b_hi; ++b_start) {
+    const float* window = buf_.data() + (static_cast<std::size_t>(b_start) - base_);
+    if (b_start == b_lo) {
+      for (std::size_t i = 0; i < tmpl_len; ++i) energy += static_cast<double>(window[i]) * window[i];
+    } else {
+      energy += static_cast<double>(window[tmpl_len - 1]) * window[tmpl_len - 1] -
+                static_cast<double>(window[-1]) * window[-1];
     }
+    const double dot = lane_dot(window, tmpl.data(), tmpl_len);
     const double ncc = energy > 1e-12 ? std::fabs(dot) / std::sqrt(energy * tmpl_energy_) : 0.0;
     if (ncc > best_ncc) {
       best_ncc = ncc;

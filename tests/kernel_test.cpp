@@ -4,11 +4,16 @@
 //
 //  * FftPlan vs. the legacy twiddle-recurrence kernel vs. dft_naive ground
 //    truth, including the accuracy-drift regression the tables fix;
-//  * the SIMD-butterfly Viterbi vs. the scalar per-state decoder,
-//    byte-identical across both codes and all puncture rates on noisy,
-//    hard-decision, all-erasure and long-tie inputs and payloads of 0 to
-//    1024 bytes, plus the trellis structure the butterfly relies on and
+//  * the int16 SIMD-butterfly Viterbi vs. the scalar per-state decoder on
+//    the same quantized input, byte-identical across both codes and all
+//    puncture rates on noisy, hard-decision, all-erasure and long-tie
+//    inputs, soft values within half a quantization step of a tie,
+//    saturating metrics, NaN and out-of-range inputs and payloads of 0 to
+//    1024 bytes; its bit errors against the float per-state decoder on a
+//    noise grid; the trellis structure the butterfly relies on and
 //    concurrent decodes on one shared codec;
+//  * the real-input OFDM symbol analysis vs. the complex-input FFT, and
+//    the QAM soft demapper vs. its per-bit level loop;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * contiguous-window FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -26,8 +31,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -44,9 +52,11 @@
 #include "fm/fm_modem.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "modem/qam.hpp"
 #include "modem/stream_receiver.hpp"
 #include "oracles/fm_reference.hpp"
 #include "oracles/kernel_reference.hpp"
+#include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
 #include "util/rng.hpp"
@@ -214,7 +224,7 @@ TEST(ViterbiEquivalence, ByteIdenticalAcrossCodesAndRatesUnderNoise) {
     for (int trial = 0; trial < 4; ++trial) {
       // Enough noise that survivor choices genuinely differ between branches.
       const auto soft = soft_bits(codec, rng, 64, 0.25);
-      ASSERT_EQ(codec.decode_soft(soft, 64), oracles::decode_soft_reference(spec, soft, 64))
+      ASSERT_EQ(codec.decode_soft(soft, 64), oracles::decode_soft_quantized_reference(spec, soft, 64))
           << spec_name(spec) << " trial=" << trial;
     }
   }
@@ -239,7 +249,7 @@ TEST(ViterbiEquivalence, HardDecisionInputWithTiesEverywhere) {
         s = static_cast<float>(bit);
       }
       const auto packed = bw.take();
-      ASSERT_EQ(codec.decode_hard(packed, payload), oracles::decode_soft_reference(spec, soft, payload))
+      ASSERT_EQ(codec.decode_hard(packed, payload), oracles::decode_soft_quantized_reference(spec, soft, payload))
           << spec_name(spec) << " flip=" << flip;
     }
   }
@@ -254,14 +264,14 @@ TEST(ViterbiEquivalence, ErasuresAndLongTieRuns) {
     fec::ConvolutionalCodec codec(spec);
     for (std::size_t payload : {std::size_t{1}, std::size_t{64}}) {
       const std::vector<float> erased(codec.encoded_bits(payload), 0.5f);
-      ASSERT_EQ(codec.decode_soft(erased, payload), oracles::decode_soft_reference(spec, erased, payload))
+      ASSERT_EQ(codec.decode_soft(erased, payload), oracles::decode_soft_quantized_reference(spec, erased, payload))
           << spec_name(spec) << " all-erasure payload=" << payload;
     }
     auto soft = soft_bits(codec, rng, 120, 0.2);
     for (std::size_t start : {std::size_t{0}, std::size_t{300}, soft.size() - 250}) {
       std::fill(soft.begin() + static_cast<long>(start), soft.begin() + static_cast<long>(start + 200), 0.5f);
     }
-    ASSERT_EQ(codec.decode_soft(soft, 120), oracles::decode_soft_reference(spec, soft, 120))
+    ASSERT_EQ(codec.decode_soft(soft, 120), oracles::decode_soft_quantized_reference(spec, soft, 120))
         << spec_name(spec) << " erasure runs";
   }
 }
@@ -276,7 +286,7 @@ TEST(ViterbiEquivalence, PayloadSizesFromEmptyToOneKilobyte) {
       const auto soft = soft_bits(codec, rng, payload, 0.3);
       const auto fast = codec.decode_soft(soft, payload);
       ASSERT_EQ(fast.size(), payload);
-      ASSERT_EQ(fast, oracles::decode_soft_reference(spec, soft, payload))
+      ASSERT_EQ(fast, oracles::decode_soft_quantized_reference(spec, soft, payload))
           << spec_name(spec) << " payload=" << payload;
     }
   }
@@ -338,6 +348,115 @@ TEST(ViterbiConcurrency, SharedCodecMatchesSerialDecodes) {
   }
   for (auto& th : threads) th.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expect[t]) << "thread " << t;
+}
+
+// Soft values less than half a quantization step from a tie: from an exact
+// erasure, or from a confident 0 or 1 with bit errors. The quantizer maps
+// them onto the tie, so the int16 decoder must break every such tie to the
+// low predecessor like its oracle, while the float decoder follows the tiny
+// offsets and decodes differently.
+TEST(ViterbiEquivalence, SoftValuesWithinHalfAStepOfATie) {
+  Rng rng(27);
+  constexpr float kStep = 1.0f / fec::ConvolutionalCodec::kSoftScale;
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    const std::size_t payload = 64;
+    const auto coded = codec.encode(random_bytes(rng, payload));
+    const std::size_t nbits = codec.encoded_bits(payload);
+    util::BitReader br(coded);
+    std::vector<float> soft(nbits);
+    for (std::size_t i = 0; i < nbits; ++i) {
+      const int bit = br.bit() ^ (rng.bernoulli(0.1) ? 1 : 0);
+      const float offset = static_cast<float>(rng.uniform(0.0, 0.45)) * kStep;
+      if (i % 300 < 150) {
+        soft[i] = rng.bernoulli(0.5) ? 0.5f + offset : 0.5f - offset;  // erasure runs
+      } else {
+        soft[i] = bit ? 1.0f - offset : offset;
+      }
+    }
+    const auto fast = codec.decode_soft(soft, payload);
+    ASSERT_EQ(fast, oracles::decode_soft_quantized_reference(spec, soft, payload)) << spec_name(spec);
+    EXPECT_NE(fast, oracles::decode_soft_reference(spec, soft, payload))
+        << spec_name(spec) << ": these inputs do not tell the int16 decoder from the float one";
+  }
+}
+
+// 1-KB payloads at the two extremes of the int16 range: clean confident
+// input keeps the metric spread at its (K-1) * 2Q maximum, and heavy noise
+// raises the minimum metric by about Q/4 per step, so over the 8200 steps
+// int16 metrics would saturate within a few hundred without the periodic
+// renormalization.
+TEST(ViterbiEquivalence, OneKilobyteWithSaturatingMetrics) {
+  Rng rng(28);
+  const std::size_t payload = 1024;
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (double sigma : {0.0, 0.6}) {
+      const auto soft = soft_bits(codec, rng, payload, sigma);
+      ASSERT_EQ(codec.decode_soft(soft, payload), oracles::decode_soft_quantized_reference(spec, soft, payload))
+          << spec_name(spec) << " sigma=" << sigma;
+    }
+  }
+}
+
+// NaN decodes as an erasure and values outside [0, 1] (infinities too) as
+// their clamped values.
+TEST(ViterbiEquivalence, NanAndOutOfRangeInputsDecodeAsErasuresAndClamped) {
+  Rng rng(29);
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    const std::size_t payload = 64;
+    const auto clean = soft_bits(codec, rng, payload, 0.3);
+    auto wild = clean, tamed = clean;
+    for (std::size_t i = 0; i < wild.size(); ++i) {
+      switch (rng.uniform_int(6)) {
+        case 0: wild[i] = kNan; tamed[i] = 0.5f; break;
+        case 1: wild[i] = clean[i] + static_cast<float>(rng.uniform(0.01, 3.0)); tamed[i] = std::min(1.0f, wild[i]); break;
+        case 2: wild[i] = clean[i] - static_cast<float>(rng.uniform(0.01, 3.0)); tamed[i] = std::max(0.0f, wild[i]); break;
+        case 3: wild[i] = rng.bernoulli(0.5) ? kInf : -kInf; tamed[i] = wild[i] > 0 ? 1.0f : 0.0f; break;
+        default: break;
+      }
+    }
+    const auto fast = codec.decode_soft(wild, payload);
+    ASSERT_EQ(fast, codec.decode_soft(tamed, payload)) << spec_name(spec);
+    ASSERT_EQ(fast, oracles::decode_soft_quantized_reference(spec, wild, payload)) << spec_name(spec);
+  }
+}
+
+// Coding gain is checked, not assumed: on a seeded noise grid per code and
+// rate, from clean decodes through each rate's cliff (bit error rates from
+// 0 to about 40 %), the int16 decoder's bit errors may exceed the float
+// per-state decoder's by at most 5 % plus 8 bits per grid cell of 10 240
+// bits.
+TEST(ViterbiCodingGain, Int16BitErrorsWithinMarginOfFloatReference) {
+  Rng rng(30);
+  const std::size_t payload = 64;
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    for (double sigma : {0.25, 0.3, 0.35, 0.4, 0.45}) {
+      std::size_t int16_errors = 0, float_errors = 0;
+      for (int trial = 0; trial < 20; ++trial) {
+        const auto data = random_bytes(rng, payload);
+        const auto coded = codec.encode(data);
+        std::vector<float> soft(codec.encoded_bits(payload));
+        util::BitReader br(coded);
+        for (auto& s : soft) s = static_cast<float>(br.bit()) + static_cast<float>(rng.normal(0.0, sigma));
+        auto bit_errors = [&](const util::Bytes& got) {
+          std::size_t n = 0;
+          for (std::size_t i = 0; i < payload; ++i) n += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(got[i] ^ data[i])));
+          return n;
+        };
+        int16_errors += bit_errors(codec.decode_soft(soft, payload));
+        float_errors += bit_errors(oracles::decode_soft_reference(spec, soft, payload));
+      }
+      std::printf("coding gain %s sigma=%.2f: int16 %zu float %zu bit errors\n", spec_name(spec).c_str(), sigma,
+                  int16_errors, float_errors);
+      EXPECT_LE(static_cast<double>(int16_errors), 1.05 * static_cast<double>(float_errors) + 8.0)
+          << spec_name(spec) << " sigma=" << sigma;
+    }
+  }
 }
 
 TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
@@ -444,6 +563,60 @@ TEST(OfdmSymbolPath, SteadyStateAnalyzeAndSynthesizeDoNotAllocate) {
   const std::size_t after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "steady-state symbol path allocated "
                            << (after - before) << " times in 400 kernel calls";
+}
+
+// The real-input analysis (one half-size FFT of the packed even and odd
+// samples, then a split over the used bins) against the complex-input FFT:
+// full windows, and the truncated last windows with an even and an odd
+// number of samples in range.
+TEST(OfdmSymbolPath, RealInputSplitMatchesComplexInputFft) {
+  Rng rng(52);
+  for (const auto& profile : modem::profiles::all()) {
+    modem::OfdmModem modem(profile);
+    const std::size_t n = static_cast<std::size_t>(profile.fft_size);
+    std::vector<float> audio(n * 3);
+    for (auto& s : audio) s = static_cast<float>(rng.uniform(-0.5, 0.5));
+    for (std::size_t pos : {std::size_t{0}, std::size_t{37}, n, 2 * n,  // whole windows
+                            2 * n + 2, 2 * n + 1, 3 * n - 2, 3 * n - 1, 3 * n, 3 * n + 5}) {
+      const auto fast = modem::OfdmKernelProbe::analyze(modem, audio, pos);
+      const auto ref = oracles::ofdm_analyze_reference(profile, audio, pos);
+      ASSERT_EQ(fast.size(), ref.size());
+      double peak = 0.0, err = 0.0;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        peak = std::max(peak, static_cast<double>(std::abs(ref[i])));
+        err = std::max(err, static_cast<double>(std::abs(fast[i] - ref[i])));
+      }
+      if (pos >= audio.size()) {
+        EXPECT_EQ(err, 0.0) << profile.name << " pos=" << pos;
+      } else {
+        EXPECT_LE(err, 1e-6 * peak) << profile.name << " pos=" << pos << " samples in range=" << audio.size() - pos;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ QAM soft demap ---
+
+// The per-axis distance array gives the same bits as the per-bit level
+// loop, for every constellation.
+TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
+  Rng rng(53);
+  for (modem::Constellation c : {modem::Constellation::kBpsk, modem::Constellation::kQpsk,
+                                 modem::Constellation::kQam16, modem::Constellation::kQam64,
+                                 modem::Constellation::kQam256, modem::Constellation::kQam1024}) {
+    const modem::QamMapper mapper(c);
+    const std::size_t bits = static_cast<std::size_t>(mapper.bits_per_symbol());
+    std::vector<float> fast(bits), ref(bits);
+    for (int trial = 0; trial < 2000; ++trial) {
+      const dsp::cplx point(static_cast<float>(rng.uniform(-1.6, 1.6)), static_cast<float>(rng.uniform(-1.6, 1.6)));
+      const float noise = static_cast<float>(rng.uniform(0.0, 0.5));
+      mapper.demap_soft(point, noise, fast);
+      oracles::qam_demap_soft_reference(mapper, point, noise, ref);
+      for (std::size_t b = 0; b < bits; ++b) {
+        ASSERT_EQ(fast[b], ref[b]) << modem::constellation_name(c) << " trial=" << trial << " bit=" << b;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ resampler ---

@@ -4,55 +4,59 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace sonic::oracles {
+namespace {
 
-ConvPolys conv_polys(fec::ConvCode code) {
-  switch (code) {
-    case fec::ConvCode::kV27: return {7, 0x6d, 0x4f};
-    case fec::ConvCode::kV29: return {9, 0x1af, 0x11d};
-  }
-  throw std::invalid_argument("unknown convolutional code");
-}
-
-util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const float> soft,
-                                  std::size_t payload_bytes) {
-  const ConvPolys code = conv_polys(spec.code);
-  const int num_states = 1 << (code.k - 1);
-  const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(code.k - 1);
-
-  // Depuncture: pattern over consecutive (out0, out1) positions, 1 = sent;
-  // punctured and missing positions read as 0.5 (no information).
+// Depunctures `soft` into in_bits (out0, out1) pairs, each value through
+// `convert`. The pattern runs over consecutive (out0, out1) positions,
+// 1 = sent; punctured and missing positions read as `erasure`.
+template <typename T, typename Convert>
+std::vector<T> depuncture(const fec::ConvSpec& spec, std::span<const float> soft, std::size_t in_bits,
+                          T erasure, Convert convert) {
   std::vector<int> pattern;
   switch (spec.rate) {
     case fec::PunctureRate::kRate1_2: pattern = {1, 1}; break;
     case fec::PunctureRate::kRate2_3: pattern = {1, 1, 1, 0}; break;
     case fec::PunctureRate::kRate3_4: pattern = {1, 1, 0, 1, 1, 0}; break;
   }
-  std::vector<float> pairs(in_bits * 2, 0.5f);
+  std::vector<T> pairs(in_bits * 2, erasure);
   std::size_t soft_idx = 0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (pattern[i % pattern.size()]) {
-      if (soft_idx < soft.size()) pairs[i] = soft[soft_idx];
+      if (soft_idx < soft.size()) pairs[i] = convert(soft[soft_idx]);
       ++soft_idx;
     }
   }
+  return pairs;
+}
 
-  // Trellis: expected output bits of every (state << 1 | input bit)
+// Per-state Viterbi over depunctured pairs, where `one` is the received
+// value of a confident 1 (and 0 of a confident 0), decoding
+// `payload_bytes` bytes plus the K-1 flush bits.
+template <typename T>
+util::Bytes viterbi(fec::ConvCode conv_code, const std::vector<T>& pairs, T one, std::size_t payload_bytes) {
+  const ConvPolys code = conv_polys(conv_code);
+  const int num_states = 1 << (code.k - 1);
+  const std::size_t in_bits = pairs.size() / 2;
+
+  // Trellis: expected output values of every (state << 1 | input bit)
   // register value.
-  std::vector<float> expect_a(static_cast<std::size_t>(num_states) * 2);
-  std::vector<float> expect_b(expect_a.size());
+  std::vector<T> expect_a(static_cast<std::size_t>(num_states) * 2);
+  std::vector<T> expect_b(expect_a.size());
   for (std::uint32_t reg = 0; reg < expect_a.size(); ++reg) {
-    expect_a[reg] = static_cast<float>(std::popcount(reg & code.poly_a) & 1);
-    expect_b[reg] = static_cast<float>(std::popcount(reg & code.poly_b) & 1);
+    expect_a[reg] = (std::popcount(reg & code.poly_a) & 1) ? one : T(0);
+    expect_b[reg] = (std::popcount(reg & code.poly_b) & 1) ? one : T(0);
   }
 
-  constexpr float kInf = std::numeric_limits<float>::max() / 4;
-  std::vector<float> metric(static_cast<std::size_t>(num_states), kInf);
-  std::vector<float> next_metric(static_cast<std::size_t>(num_states), kInf);
-  metric[0] = 0.0f;  // encoder starts in state 0
+  constexpr T kInf = std::numeric_limits<T>::max() / 4;
+  std::vector<T> metric(static_cast<std::size_t>(num_states), kInf);
+  std::vector<T> next_metric(static_cast<std::size_t>(num_states), kInf);
+  metric[0] = T(0);  // encoder starts in state 0
 
   // Transitioning prev -> next with input bit b gives
   // next = ((prev << 1) | b) & mask, so b == (next & 1) and prev is fully
@@ -61,19 +65,19 @@ util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const flo
   std::vector<std::uint8_t> survivors(in_bits * static_cast<std::size_t>(num_states));
   const std::uint32_t state_mask = static_cast<std::uint32_t>(num_states - 1);
   for (std::size_t step = 0; step < in_bits; ++step) {
-    const float s0 = pairs[step * 2];
-    const float s1 = pairs[step * 2 + 1];
+    const T s0 = pairs[step * 2];
+    const T s1 = pairs[step * 2 + 1];
     std::fill(next_metric.begin(), next_metric.end(), kInf);
     std::uint8_t* surv = survivors.data() + step * static_cast<std::size_t>(num_states);
     for (int state = 0; state < num_states; ++state) {
-      const float base = metric[static_cast<std::size_t>(state)];
+      const T base = metric[static_cast<std::size_t>(state)];
       if (base >= kInf) continue;
       for (int bit = 0; bit < 2; ++bit) {
         const std::uint32_t reg = (static_cast<std::uint32_t>(state) << 1) | static_cast<std::uint32_t>(bit);
         // Branch metric: L1 distance between expected and observed soft
-        // bits, summed before it is added to the path metric.
-        const float bm = std::fabs(s0 - expect_a[reg]) + std::fabs(s1 - expect_b[reg]);
-        const float m = base + bm;
+        // values, summed before it is added to the path metric.
+        const T bm = std::abs(s0 - expect_a[reg]) + std::abs(s1 - expect_b[reg]);
+        const T m = base + bm;
         const std::uint32_t next = reg & state_mask;
         if (m < next_metric[next]) {
           next_metric[next] = m;
@@ -98,6 +102,40 @@ util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const flo
     if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
   }
   return out;
+}
+
+std::size_t input_bits(const fec::ConvSpec& spec, std::size_t payload_bytes) {
+  return payload_bytes * 8 + static_cast<std::size_t>(conv_polys(spec.code).k - 1);
+}
+
+}  // namespace
+
+ConvPolys conv_polys(fec::ConvCode code) {
+  switch (code) {
+    case fec::ConvCode::kV27: return {7, 0x6d, 0x4f};
+    case fec::ConvCode::kV29: return {9, 0x1af, 0x11d};
+  }
+  throw std::invalid_argument("unknown convolutional code");
+}
+
+std::int64_t quantize_soft_reference(float s) {
+  constexpr int q = fec::ConvolutionalCodec::kSoftScale;
+  if (std::isnan(s)) return q / 2;
+  const float clamped = std::min(1.0f, std::max(0.0f, s));
+  return static_cast<std::int64_t>(std::floor(clamped * q + 0.5f));
+}
+
+util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const float> soft,
+                                  std::size_t payload_bytes) {
+  const auto pairs = depuncture(spec, soft, input_bits(spec, payload_bytes), 0.5f, [](float s) { return s; });
+  return viterbi(spec.code, pairs, 1.0f, payload_bytes);
+}
+
+util::Bytes decode_soft_quantized_reference(const fec::ConvSpec& spec, std::span<const float> soft,
+                                            std::size_t payload_bytes) {
+  const auto pairs = depuncture(spec, soft, input_bits(spec, payload_bytes),
+                                quantize_soft_reference(0.5f), quantize_soft_reference);
+  return viterbi(spec.code, pairs, std::int64_t{fec::ConvolutionalCodec::kSoftScale}, payload_bytes);
 }
 
 }  // namespace sonic::oracles

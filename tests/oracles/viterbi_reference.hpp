@@ -1,6 +1,7 @@
-// Reference Viterbi decoder, kept as the test oracle and the before-case of
-// bench/micro_dsp_fec for fec::ConvolutionalCodec::decode_soft. It lives in
-// the sonic_oracles library, which only tests and benches link.
+// Reference Viterbi decoders for fec::ConvolutionalCodec::decode_soft: the
+// quantized one is its byte-exact test oracle, the float one the coding-gain
+// baseline and the before-case of bench/micro_dsp_fec. They live in the
+// sonic_oracles library, which only tests and benches link.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +21,22 @@ struct ConvPolys {
 };
 ConvPolys conv_polys(fec::ConvCode code);
 
-// The straightforward per-state scalar Viterbi decoder: it derives its own
-// trellis and depuncturing from `spec`, visits every reachable state and
-// both its input bits, and keeps the first of equal metrics, so ties go to
-// the lower predecessor state. `soft` and the result follow
-// ConvolutionalCodec::decode_soft.
+// The straightforward per-state scalar Viterbi decoder on float soft bits
+// and float metrics: it derives its own trellis and depuncturing from
+// `spec`, visits every reachable state and both its input bits, and keeps
+// the first of equal metrics, so ties go to the lower predecessor state.
+// `soft` and the result follow ConvolutionalCodec::decode_soft.
 util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const float> soft,
                                   std::size_t payload_bytes);
+
+// decode_soft's quantizer, written out: round(clamp(s, 0, 1) * kSoftScale),
+// halves rounding up, NaN to the erasure kSoftScale / 2.
+std::int64_t quantize_soft_reference(float s);
+
+// The same per-state decoder on soft bits quantized by
+// quantize_soft_reference, with exact 64-bit integer path metrics (no
+// renormalization, no saturation). decode_soft must match it byte for byte.
+util::Bytes decode_soft_quantized_reference(const fec::ConvSpec& spec, std::span<const float> soft,
+                                            std::size_t payload_bytes);
 
 }  // namespace sonic::oracles
