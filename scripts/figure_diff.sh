@@ -7,9 +7,9 @@
 #   scripts/figure_diff.sh <parent_build> <change_build>
 #
 # Each argument is a CMake build directory holding bench/<name> binaries.
-# The one wall-clock figure these benches print (throughput_profiles'
-# "simulated in X s") is masked before comparing; everything else must
-# match byte for byte. Outputs are kept in a temporary directory, named on
+# The wall-clock figures these benches print (throughput_profiles'
+# "simulated in X s", carousel_convergence's "N.NN ms" decode timings) are
+# masked before comparing; everything else must match byte for byte. Outputs are kept in a temporary directory, named on
 # a mismatch. Exits 0 when every bench matches, 1 otherwise.
 set -uo pipefail
 
@@ -32,6 +32,9 @@ BENCHES=(
   fig5_user_study
   ablation_uep
   fig4b_size_cdf
+  carousel_convergence
+  uplink_reliability
+  fig4c_backlog
 )
 
 OUT="$(mktemp -d)"
@@ -46,8 +49,9 @@ for bench in "${BENCHES[@]}"; do
     fi
     "$bin" > "$OUT/$bench.$side.raw" 2>/dev/null
     echo "$?" > "$OUT/$bench.$side.rc"
-    sed -E 's/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/' \
-      "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
+    mask='s/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/'
+    if [ "$bench" = carousel_convergence ]; then mask='s/[0-9]+\.[0-9]+ ms/<wall-clock> ms/g'; fi
+    sed -E "$mask" "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
   done
   if cmp -s "$OUT/$bench.parent" "$OUT/$bench.change" &&
      cmp -s "$OUT/$bench.parent.rc" "$OUT/$bench.change.rc"; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <stdexcept>
@@ -19,53 +18,7 @@ constexpr std::uint64_t kFountainSalt = 0x464f554e5441494eull;  // "FOUNTAIN"
 // bitmap allocate unbounded memory. The wire carries a u16 anyway.
 constexpr std::uint32_t kMaxRepairSeq = 1u << 20;
 
-// GF(2^8) has 255 usable evaluation points here (0..254); MDS mode needs
-// at least one of them left over for repair symbols.
-constexpr std::size_t kMdsPointLimit = 254;
-
-FountainParams clamp_params(FountainParams p) {
-  p.mds_max_k = std::min(p.mds_max_k, kMdsPointLimit);
-  return p;
-}
-
 std::size_t mds_repair_points(std::size_t k) { return 255 - k; }
-
-// Robust-soliton CDF over degrees 1..k (Luby '02): ideal soliton rho plus
-// the spike/tail tau that keeps the expected ripple above sqrt(k).
-std::vector<double> robust_soliton_cdf(std::size_t k, const FountainParams& p) {
-  const double kd = static_cast<double>(k);
-  const double R = std::max(1.0, p.c * std::log(kd / p.delta) * std::sqrt(kd));
-  const std::size_t spike = std::min<std::size_t>(
-      k, std::max<std::size_t>(1, static_cast<std::size_t>(std::llround(kd / R))));
-  std::vector<double> w(k + 1, 0.0);
-  for (std::size_t d = 1; d <= k; ++d) {
-    const double dd = static_cast<double>(d);
-    double rho = d == 1 ? 1.0 / kd : 1.0 / (dd * (dd - 1.0));
-    double tau = 0.0;
-    if (d < spike) {
-      tau = R / (dd * kd);
-    } else if (d == spike) {
-      tau = R * std::log(R / p.delta) / kd;
-      if (!(tau > 0.0)) tau = 0.0;  // R < delta on tiny k
-    }
-    w[d] = rho + tau;
-  }
-  double total = 0.0;
-  for (std::size_t d = 1; d <= k; ++d) total += w[d];
-  std::vector<double> cdf(k + 1, 0.0);
-  double acc = 0.0;
-  for (std::size_t d = 1; d <= k; ++d) {
-    acc += w[d] / total;
-    cdf[d] = acc;
-  }
-  cdf[k] = 1.0;
-  return cdf;
-}
-
-std::size_t sample_degree(const std::vector<double>& cdf, double u) {
-  const auto it = std::lower_bound(cdf.begin() + 1, cdf.end(), u);
-  return static_cast<std::size_t>(it - cdf.begin());
-}
 
 }  // namespace
 
@@ -87,24 +40,14 @@ void xor_into(util::Bytes& dst, std::span<const std::uint8_t> src) {
 }
 
 std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
-                                              std::size_t k, const FountainParams& params) {
+                                              std::size_t k) {
   if (k == 0) return {};
   util::Rng rng = util::Rng(kFountainSalt ^ page_id).fork(repair_seq);
 
-  // Most symbols are dense (degree ~ k/2): each dense equation among the
-  // excess symbols halves the residual system's null space, so rank
-  // failures decay geometrically with overhead at any loss rate. Every
-  // soliton_every-th symbol instead draws a robust-soliton degree, keeping
-  // a peelable low-degree ripple in the stream.
-  const bool dense = k > 2 && !(params.soliton_every > 0 &&
-                                repair_seq % params.soliton_every == 0);
-  std::size_t degree;
-  if (dense) {
-    degree = k / 2 + rng.uniform_int(2);
-  } else {
-    degree = sample_degree(robust_soliton_cdf(k, params), rng.uniform());
-  }
-  degree = std::clamp<std::size_t>(degree, 1, k);
+  // Dense (degree ~ k/2): each dense equation among the excess symbols
+  // halves the residual system's null space, so rank failures decay
+  // geometrically with overhead at any loss rate.
+  const std::size_t degree = std::clamp<std::size_t>(k / 2 + rng.uniform_int(2), 1, k);
 
   // The forced member repair_seq % k is the cyclic coverage walk: any k
   // consecutive repair symbols touch every source block, so no loss pattern
@@ -123,9 +66,8 @@ std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32
   return picked;
 }
 
-FountainEncoder::FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks,
-                                 FountainParams params)
-    : page_id_(page_id), blocks_(std::move(blocks)), params_(clamp_params(params)) {
+FountainEncoder::FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks)
+    : page_id_(page_id), blocks_(std::move(blocks)) {
   if (blocks_.empty()) throw std::invalid_argument("FountainEncoder needs at least one block");
   block_size_ = blocks_.front().size();
   for (const util::Bytes& b : blocks_) {
@@ -149,10 +91,6 @@ FountainEncoder::FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes>
   }
 }
 
-std::size_t FountainEncoder::distinct_repair_symbols() const {
-  return mds_mode() ? mds_repair_points(blocks_.size()) : kMaxRepairSeq;
-}
-
 util::Bytes FountainEncoder::repair_symbol(std::uint32_t repair_seq) const {
   const std::size_t k = blocks_.size();
   util::Bytes out(block_size_, 0);
@@ -173,20 +111,14 @@ util::Bytes FountainEncoder::repair_symbol(std::uint32_t repair_seq) const {
     }
     return out;
   }
-  for (std::uint32_t n : fountain_neighbors(page_id_, repair_seq, k, params_)) {
+  for (std::uint32_t n : fountain_neighbors(page_id_, repair_seq, k)) {
     xor_into(out, blocks_[n]);
   }
   return out;
 }
 
-FountainDecoder::FountainDecoder(std::uint32_t page_id, std::size_t k, std::size_t block_size,
-                                 FountainParams params)
-    : page_id_(page_id),
-      k_(k),
-      block_size_(block_size),
-      params_(clamp_params(params)),
-      blocks_(k),
-      known_(k, 0) {
+FountainDecoder::FountainDecoder(std::uint32_t page_id, std::size_t k, std::size_t block_size)
+    : page_id_(page_id), k_(k), block_size_(block_size), blocks_(k), known_(k, 0) {
   if (mds_mode()) {
     point_known_.assign(255, 0);
     point_value_.resize(255);
@@ -199,13 +131,12 @@ bool FountainDecoder::has_block(std::size_t index) const {
   return index < k_ && known_[index] != 0;
 }
 
-void FountainDecoder::learn(std::size_t index, util::Bytes value, bool via_ge) {
+void FountainDecoder::learn(std::size_t index, util::Bytes value) {
   // Worklist cascade: committing one block can release degree-1 equations,
   // whose blocks release more. Kept iterative so a long ripple on a
   // 400-frame page cannot overflow the stack.
   std::deque<std::pair<std::size_t, util::Bytes>> pending;
   pending.emplace_back(index, std::move(value));
-  bool first = true;
   while (!pending.empty()) {
     auto [i, v] = std::move(pending.front());
     pending.pop_front();
@@ -213,12 +144,6 @@ void FountainDecoder::learn(std::size_t index, util::Bytes value, bool via_ge) {
     known_[i] = 1;
     blocks_[i] = std::move(v);
     ++decoded_count_;
-    if (!first) {
-      ++peeled_;
-    } else if (via_ge) {
-      ++eliminated_;
-    }
-    first = false;
     for (std::uint32_t id : by_unknown_[i]) {
       Equation& eq = equations_[id];
       if (eq.spent) continue;
@@ -251,7 +176,7 @@ bool FountainDecoder::add_source(std::size_t index, std::span<const std::uint8_t
     if (!decoded() && point_order_.size() >= k_) mds_interpolate();
     return true;
   }
-  learn(index, util::Bytes(block.begin(), block.end()), false);
+  learn(index, util::Bytes(block.begin(), block.end()));
   return true;
 }
 
@@ -275,7 +200,7 @@ bool FountainDecoder::add_repair(std::uint32_t repair_seq, std::span<const std::
 
   util::Bytes value(symbol.begin(), symbol.end());
   std::vector<std::uint32_t> unknowns;
-  for (std::uint32_t n : fountain_neighbors(page_id_, repair_seq, k_, params_)) {
+  for (std::uint32_t n : fountain_neighbors(page_id_, repair_seq, k_)) {
     if (known_[n]) {
       xor_into(value, blocks_[n]);
     } else {
@@ -284,10 +209,7 @@ bool FountainDecoder::add_repair(std::uint32_t repair_seq, std::span<const std::
   }
   if (unknowns.empty()) return true;  // redundant, but a valid new symbol
   if (unknowns.size() == 1) {
-    // Pretend it peeled: a degree-1 arrival is the ripple in action.
-    const std::size_t before = decoded_count_;
-    learn(unknowns.front(), std::move(value), false);
-    if (decoded_count_ > before) ++peeled_;
+    learn(unknowns.front(), std::move(value));
     return true;
   }
   const auto id = static_cast<std::uint32_t>(equations_.size());
@@ -330,23 +252,7 @@ void FountainDecoder::mds_interpolate() {
     blocks_[m] = std::move(out);
     known_[m] = 1;
     ++decoded_count_;
-    ++interpolated_;
   }
-}
-
-std::size_t FountainDecoder::frames_needed() const {
-  if (decoded()) return 0;
-  if (mds_mode()) return k_ - point_order_.size();
-  std::vector<std::uint8_t> covered(k_, 0);
-  for (const Equation& eq : equations_) {
-    if (eq.spent) continue;
-    for (std::uint32_t n : eq.unknowns) covered[n] = 1;
-  }
-  std::size_t uncovered = 0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!known_[i] && !covered[i]) ++uncovered;
-  }
-  return std::max<std::size_t>(1, uncovered);
 }
 
 bool FountainDecoder::complete() {
@@ -359,7 +265,7 @@ bool FountainDecoder::complete() {
 bool FountainDecoder::gaussian_fallback() {
   const std::size_t u = k_ - decoded_count_;
   if (u == 0) return true;
-  if (u > params_.max_ge_unknowns) return false;
+  if (u > FountainParams::max_ge_unknowns) return false;
 
   // Map unknown source index -> dense column.
   std::vector<std::uint32_t> unknown_of_col;
@@ -428,7 +334,7 @@ bool FountainDecoder::gaussian_fallback() {
     if (popcount != 1) continue;
     const std::uint32_t source = unknown_of_col[col];
     if (known_[source]) continue;  // solved earlier in this loop via cascade
-    learn(source, std::move(row.value), true);
+    learn(source, std::move(row.value));
     progress = true;
   }
   return progress;

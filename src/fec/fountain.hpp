@@ -24,19 +24,17 @@
 //    wrapped duplicates are deduplicated at the receiver.
 //
 //  * k > mds_max_k — LT mode, a systematic Luby-Transform-style code.
-//    Repair symbol r XORs a pseudo-random neighbor set of source blocks
-//    seeded by (page_id, r); symbols are either *soliton* (degree drawn
-//    from the robust-soliton distribution — cheap to decode by peeling) or
-//    *dense* (degree ~ k/2 — each excess dense equation halves the
-//    residual system's null space, so decode failure decays as 2^-excess
-//    for ANY loss pattern), mixed per FountainParams::soliton_every.
-//    Decoding is belief-propagation peeling (release degree-1 equations,
-//    substitute, cascade) with a bounded Gaussian-elimination fallback
-//    over the residual system. Symbol r also force-includes source index
-//    r mod k — a cyclic coverage walk, so any k consecutive repair symbols
-//    touch every source block. The default stream is all dense: measured
-//    failure rates for soliton mixes at the carousel's 8 % overhead target
-//    are tabulated in DESIGN.md.
+//    Repair symbol r XORs a pseudo-random *dense* neighbor set (degree
+//    ~ k/2) of source blocks seeded by (page_id, r): each excess dense
+//    equation halves the residual system's null space, so decode failure
+//    decays as 2^-excess for ANY loss pattern. Decoding is
+//    belief-propagation peeling (release degree-1 equations, substitute,
+//    cascade) with a bounded Gaussian-elimination fallback over the
+//    residual system. Symbol r also force-includes source index r mod k —
+//    a cyclic coverage walk, so any k consecutive repair symbols touch
+//    every source block. There are no sparse low-degree symbols: at the
+//    carousel's 8 % overhead target, streams mixing them in fail far more
+//    often than the all-dense one (measured in DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -47,28 +45,15 @@
 
 namespace sonic::fec {
 
+// The code's fixed shape — part of the wire format, so not configurable.
 struct FountainParams {
-  // Robust-soliton knobs (Luby '02): R = c * ln(k/delta) * sqrt(k).
-  double c = 0.1;
-  double delta = 0.5;
-  // Largest k decoded in MDS (Reed-Solomon extension) mode. Must leave
-  // enough GF(2^8) evaluation points for repair: k + repairs <= 255.
-  std::size_t mds_max_k = 170;
-  // In LT mode every soliton_every-th repair symbol draws its degree from
-  // the robust-soliton distribution (cheap to decode by peeling); the rest
-  // are dense (degree ~ k/2), which pins the residual system's rank in the
-  // GE fallback. 0 = all dense, 1 = all soliton (classic LT). The default
-  // is all dense: at the carousel's 8 % reception-overhead target the
-  // excess-symbol budget is too small for soliton equations to close the
-  // residual rank at mid/high loss (measured in DESIGN.md), while dense
-  // symbols fail only with probability ~2^-excess for ANY loss pattern.
-  // Peeling still decodes the cheap systematic regime either way.
-  std::uint32_t soliton_every = 0;
+  // Largest k decoded in MDS (Reed-Solomon extension) mode. Leaves
+  // 255 - k >= 85 GF(2^8) evaluation points for repair.
+  static constexpr std::size_t mds_max_k = 170;
   // GE fallback refuses residual systems with more unknowns than this
-  // (caps the O(u^3) worst case; peeling still finishes given more input).
-  std::size_t max_ge_unknowns = 2048;
-
-  bool operator==(const FountainParams&) const = default;
+  // (caps the O(u^3) worst case on untrusted input; peeling still finishes
+  // given more input).
+  static constexpr std::size_t max_ge_unknowns = 2048;
 };
 
 // XOR-accumulate src into dst over dst.size() bytes (src must be at least
@@ -81,7 +66,7 @@ void xor_into(util::Bytes& dst, std::span<const std::uint8_t> src);
 // repair symbol `repair_seq` for a k-block page. Shared by encoder and
 // decoder; exposed for tests and diagnostics.
 std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
-                                              std::size_t k, const FountainParams& params = {});
+                                              std::size_t k);
 
 // Server side: owns a copy of the k source blocks (all the same size) and
 // mints repair symbols on demand. Stateless across calls — symbol r is the
@@ -89,16 +74,12 @@ std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32
 // a page's repair stream where the previous cycle stopped.
 class FountainEncoder {
  public:
-  FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks,
-                  FountainParams params = {});
+  FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks);
 
   std::size_t k() const { return blocks_.size(); }
   std::size_t block_size() const { return block_size_; }
   std::uint32_t page_id() const { return page_id_; }
-  bool mds_mode() const { return blocks_.size() <= params_.mds_max_k; }
-  // Distinct repair symbols before the stream repeats (unbounded in LT
-  // mode up to the wire's repair_seq range).
-  std::size_t distinct_repair_symbols() const;
+  bool mds_mode() const { return blocks_.size() <= FountainParams::mds_max_k; }
 
   // block_size() bytes of repair symbol `repair_seq`.
   util::Bytes repair_symbol(std::uint32_t repair_seq) const;
@@ -107,7 +88,6 @@ class FountainEncoder {
   std::uint32_t page_id_;
   std::vector<util::Bytes> blocks_;
   std::size_t block_size_ = 0;
-  FountainParams params_;
   std::vector<std::uint8_t> lagrange_denom_;  // MDS mode: D_i = prod_{j!=i} (i ^ j)
 };
 
@@ -117,8 +97,7 @@ class FountainEncoder {
 // or duplicate symbols are rejected (return false).
 class FountainDecoder {
  public:
-  FountainDecoder(std::uint32_t page_id, std::size_t k, std::size_t block_size,
-                  FountainParams params = {});
+  FountainDecoder(std::uint32_t page_id, std::size_t k, std::size_t block_size);
 
   // True when the symbol was new, well-formed, and accepted.
   bool add_source(std::size_t index, std::span<const std::uint8_t> block);
@@ -132,19 +111,10 @@ class FountainDecoder {
 
   std::size_t k() const { return k_; }
   std::size_t block_size() const { return block_size_; }
-  std::size_t decoded_count() const { return decoded_count_; }
-  // Lower-bound estimate of additional symbols (any kind) still required:
-  // 0 once decoded; in MDS mode exactly k minus the distinct symbols held.
-  std::size_t frames_needed() const;
   // Distinct accepted symbols so far (sources + repairs).
   std::size_t symbols_received() const { return sources_received_ + repairs_received_; }
   std::size_t sources_received() const { return sources_received_; }
   std::size_t repairs_received() const { return repairs_received_; }
-  // Blocks recovered by each decoding stage (diagnostics/metrics): peeling
-  // cascade, GE fallback, and MDS interpolation respectively.
-  std::size_t peeled() const { return peeled_; }
-  std::size_t eliminated() const { return eliminated_; }
-  std::size_t interpolated() const { return interpolated_; }
 
   bool has_block(std::size_t index) const;
   // Valid once has_block(index); block_size() bytes.
@@ -157,24 +127,20 @@ class FountainDecoder {
     bool spent = false;
   };
 
-  bool mds_mode() const { return k_ <= params_.mds_max_k; }
-  void learn(std::size_t index, util::Bytes value, bool via_ge);
+  bool mds_mode() const { return k_ <= FountainParams::mds_max_k; }
+  void learn(std::size_t index, util::Bytes value);
   bool gaussian_fallback();
   void mds_interpolate();
 
   std::uint32_t page_id_;
   std::size_t k_;
   std::size_t block_size_;
-  FountainParams params_;
 
   std::vector<util::Bytes> blocks_;  // decoded source blocks; empty = unknown
   std::vector<std::uint8_t> known_;
   std::size_t decoded_count_ = 0;
   std::size_t sources_received_ = 0;
   std::size_t repairs_received_ = 0;
-  std::size_t peeled_ = 0;
-  std::size_t eliminated_ = 0;
-  std::size_t interpolated_ = 0;
 
   // LT mode state.
   std::vector<Equation> equations_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fec/fountain.hpp"
+
 namespace sonic::core {
 namespace {
 
@@ -82,7 +84,7 @@ std::vector<Carousel::AirPage> Carousel::drive(double now_s) {
 
     auto air = std::make_shared<PageBundle>(src);
     if (repair_frames > 0) {
-      fec::FountainEncoder encoder(src.page_id, bundle_fountain_blocks(src), params_.fountain);
+      fec::FountainEncoder encoder(src.page_id, bundle_fountain_blocks(src));
       std::uint32_t& seq = repair_seq_[prepared.url];
       for (std::size_t i = 0; i < repair_frames; ++i) {
         const auto wire_seq = static_cast<std::uint16_t>(seq % kRepairSeqSpace);

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "fec/fountain.hpp"
 #include "sonic/framing.hpp"
 #include "sonic/pipeline.hpp"
 #include "util/metrics.hpp"
@@ -43,7 +42,6 @@ class Carousel {
     double repair_overhead = 0.3; // repair frames per page, as a fraction of its source frames
     double refresh_interval_s = 3600.0;  // catalog recomputation cadence
     int priority = 0;             // scheduler lane (user requests enqueue at 1)
-    fec::FountainParams fountain;
 
     // Descriptive configuration errors; empty when sane.
     std::vector<std::string> validate() const;

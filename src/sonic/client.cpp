@@ -61,18 +61,12 @@ fec::FountainDecoder* SonicClient::decoder_for(std::uint32_t page_id, std::uint1
     return it->second.k() == k ? &it->second : nullptr;
   }
   auto& decoder =
-      decoders_
-          .emplace(page_id, fec::FountainDecoder(page_id, k, kFountainBlockSize, params_.fountain))
+      decoders_.emplace(page_id, fec::FountainDecoder(page_id, k, kFountainBlockSize))
           .first->second;
-  // Backfill source frames that arrived before the first repair frame: the
-  // assembler keeps them as [type u8][payload] slots; re-pack each as its
-  // fountain block. Slots from a page whose total disagrees with k simply
-  // fail add_source's range check.
-  for (const auto& [seq, slot] : assembler_.received_slots(page_id)) {
-    if (slot.empty() || slot.size() - 1 > kFramePayloadSize) continue;
-    util::Bytes block(kFountainBlockSize, 0);
-    block[0] = static_cast<std::uint8_t>((slot[0] << 7) | (slot.size() - 1));
-    std::copy(slot.begin() + 1, slot.end(), block.begin() + 1);
+  // Backfill source frames that arrived before the first repair frame.
+  // Blocks from a page whose total disagrees with k simply fail
+  // add_source's range check.
+  for (const auto& [seq, block] : assembler_.received_blocks(page_id)) {
     decoder.add_source(seq, block);
   }
   return &decoder;

@@ -66,9 +66,6 @@ class SonicClient {
     int device_width = 360;            // Xiaomi Redmi Go class screen
     image::InterpolationMode interpolation = image::InterpolationMode::kLeft;
     std::size_t cache_pages = 64;
-    // Fountain decoder knobs; must match the station's encoder (both sides
-    // ship the same defaults).
-    fec::FountainParams fountain;
     // Uplink retry/backoff state machine (ignored for downlink-only users).
     UplinkPolicy uplink;
     // Streaming downlink (on_audio): the OFDM profile the tuner audio was

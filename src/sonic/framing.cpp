@@ -10,6 +10,14 @@ namespace {
 // repeated copy of chunk k is recognizable regardless of its seq number.
 constexpr std::size_t kMetaChunkSize = kFramePayloadSize - 2;
 
+// The fountain block layout: [(type << 7) | payload_len][payload, zero-padded].
+util::Bytes pack_fountain_block(std::uint8_t type, std::span<const std::uint8_t> payload) {
+  util::Bytes block(kFountainBlockSize, 0);
+  block[0] = static_cast<std::uint8_t>((type << 7) | payload.size());
+  std::copy(payload.begin(), payload.end(), block.begin() + 1);
+  return block;
+}
+
 }  // namespace
 
 util::Bytes serialize_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
@@ -54,10 +62,7 @@ util::Bytes fountain_block(std::span<const std::uint8_t> frame) {
   if (type > kFrameTypeSegment || len > kFramePayloadSize) {
     throw std::invalid_argument("fountain_block: not a source frame");
   }
-  util::Bytes block(kFountainBlockSize);
-  block[0] = static_cast<std::uint8_t>((type << 7) | len);
-  std::copy(frame.begin() + kFrameHeaderSize, frame.end(), block.begin() + 1);
-  return block;
+  return pack_fountain_block(type, frame.subspan(kFrameHeaderSize, len));
 }
 
 std::vector<util::Bytes> bundle_fountain_blocks(const PageBundle& bundle) {
@@ -266,15 +271,17 @@ std::vector<std::uint32_t> PageAssembler::known_pages() const {
 
 void PageAssembler::drop(std::uint32_t page_id) { pages_.erase(page_id); }
 
-std::vector<std::pair<std::uint16_t, util::Bytes>> PageAssembler::received_slots(
+std::vector<std::pair<std::uint16_t, util::Bytes>> PageAssembler::received_blocks(
     std::uint32_t page_id) const {
   std::vector<std::pair<std::uint16_t, util::Bytes>> out;
   const auto it = pages_.find(page_id);
   if (it == pages_.end()) return out;
   const Partial& partial = it->second;
   for (std::size_t seq = 0; seq < partial.payloads.size(); ++seq) {
-    if (partial.payloads[seq].has_value()) {
-      out.emplace_back(static_cast<std::uint16_t>(seq), *partial.payloads[seq]);
+    const auto& slot = partial.payloads[seq];  // [type u8][payload]
+    if (slot.has_value()) {
+      out.emplace_back(static_cast<std::uint16_t>(seq),
+                       pack_fountain_block((*slot)[0], std::span(*slot).subspan(1)));
     }
   }
   return out;

@@ -134,10 +134,10 @@ class PageAssembler {
   std::vector<std::uint32_t> known_pages() const;
   void drop(std::uint32_t page_id);
 
-  // The (seq, [type u8][payload]) slots received so far for `page_id` —
-  // the fountain layer backfills a decoder created by a late-arriving
-  // repair frame from these.
-  std::vector<std::pair<std::uint16_t, util::Bytes>> received_slots(std::uint32_t page_id) const;
+  // The (seq, fountain block) of every source frame received so far for
+  // `page_id` — the fountain layer backfills a decoder created by a
+  // late-arriving repair frame from these.
+  std::vector<std::pair<std::uint16_t, util::Bytes>> received_blocks(std::uint32_t page_id) const;
 
  private:
   struct Partial {

@@ -93,8 +93,6 @@ double BroadcastScheduler::backlog_bytes() const {
   return total;
 }
 
-double BroadcastScheduler::eta_s(std::size_t bytes) const { return eta_s(bytes, now_s_); }
-
 double BroadcastScheduler::eta_s(std::size_t bytes, double now_s) const {
   // advance() is work-conserving at the aggregate rate, so by now_s it will
   // have moved (now_s - now_s_) * rate bytes of the current backlog

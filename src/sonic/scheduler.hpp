@@ -45,16 +45,11 @@ class BroadcastScheduler {
   double backlog_bytes() const;
 
   // Estimated seconds until a new item of `bytes` would finish, as promised
-  // in the SMS ACK (§3.1), evaluated at the scheduler's own clock (the time
-  // of the last advance/enqueue).
-  double eta_s(std::size_t bytes) const;
-
-  // Same estimate evaluated at `now_s`: accounts for the drain advance()
-  // will have performed by then — including the in-flight head remainder at
-  // the full multi-frequency aggregate rate — so the promise matches the
-  // completion time advance() actually reports. With num_frequencies > 1 the
-  // clock-lag error of the old overload is multiplied by the frequency
-  // count, which is what this overload exists to remove.
+  // in the SMS ACK (§3.1), evaluated at `now_s`: accounts for the drain
+  // advance() will have performed by then — including the in-flight head
+  // remainder at the full multi-frequency aggregate rate — so the promise
+  // matches the completion time advance() actually reports, even when the
+  // scheduler's own clock lags the caller's.
   double eta_s(std::size_t bytes, double now_s) const;
 
   double aggregate_rate_bps() const { return params_.rate_bps * params_.num_frequencies; }

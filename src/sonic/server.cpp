@@ -231,7 +231,6 @@ void SonicServer::poll_sms(double now_s) {
     // completion time even when the shard clock lags the SMS poll.
     ack.eta_s = shard.eta_s(bundle->total_bytes(), now_s);
     shard.enqueue(bundle->metadata.url, bundle->total_bytes(), now_s, /*priority=*/1);
-    pending_route_[bundle->metadata.url] = *tx;
     if (carousel_) carousel_->record_hit(bundle->metadata.url);
     inflight_[inflight_key] = now_s + ack.eta_s;
     dedup_[dedup_key] = {request->url, now_s, now_s + ack.eta_s, tx->frequency_mhz, true, ""};
@@ -249,7 +248,6 @@ int SonicServer::push_to_shard(std::size_t shard, const std::vector<std::string>
     if (!prepared.bundle) continue;
     const std::string& url = prepared.bundle->metadata.url;
     shards_[shard].enqueue(url, prepared.bundle->total_bytes(), now_s, priority);
-    pending_route_[url] = params_.transmitters[shard];
     queued_bundles_[url] = std::move(prepared.bundle);
     ++enqueued;
   }
@@ -279,7 +277,6 @@ std::vector<CompletedBroadcast> SonicServer::advance(double now_s) {
     for (Carousel::AirPage& page : carousel_->drive(now_s)) {
       shards_[0].enqueue(page.key, page.bundle->total_bytes(), now_s, page.priority,
                          page.preemptible);
-      pending_route_[page.key] = params_.transmitters[0];
       queued_bundles_[page.key] = std::move(page.bundle);
     }
   }
@@ -303,8 +300,7 @@ std::vector<CompletedBroadcast> SonicServer::advance(double now_s) {
         }
       }
       CompletedBroadcast done;
-      const auto routed = pending_route_.find(item.url);
-      done.transmitter = routed != pending_route_.end() ? routed->second : params_.transmitters[i];
+      done.transmitter = params_.transmitters[i];
       done.bundle = *queued->second;
       done.completed_at_s = item.completed_at_s;
       queue_wait.observe(item.completed_at_s - item.enqueued_at_s);

@@ -274,6 +274,25 @@ TEST(ServerShards, SmsEtaReflectsCoveringShardOnly) {
   EXPECT_TRUE(delivered);
 }
 
+// One url aired by both cities: each completion names the shard that aired
+// it, not whichever push came last.
+TEST(ServerShards, SameUrlOnTwoShardsReportsEachTransmitter) {
+  TwoCityWorld w;
+  SonicServer server(&w.corpus, &w.gateway, w.server_params);
+  const std::string url = w.corpus.pages()[3].url;
+  ASSERT_EQ(server.push_pages_to("lahore", {url}, 0.0), 1);
+  ASSERT_EQ(server.push_pages_to("karachi", {url}, 0.0), 1);
+  const auto done = server.advance(1e9);
+  ASSERT_EQ(done.size(), 2u);
+  std::vector<std::string> names;
+  for (const auto& b : done) {
+    EXPECT_EQ(b.bundle.metadata.url, url);
+    names.push_back(b.transmitter.name);
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"karachi", "lahore"}));
+}
+
 // A bundle must survive for broadcast even after the LRU evicts its cache
 // entry while it waits for airtime.
 TEST(ServerShards, QueuedBundleSurvivesCacheEviction) {

@@ -232,9 +232,9 @@ TEST(Scheduler, PriorityOutranksFifoButNotInFlight) {
 
 TEST(Scheduler, EtaAccountsForBacklog) {
   BroadcastScheduler sched({10000.0, 1});
-  EXPECT_NEAR(sched.eta_s(1250), 1.0, 0.01);
+  EXPECT_NEAR(sched.eta_s(1250, sched.now()), 1.0, 0.01);
   sched.enqueue("a", 12500, 0.0);
-  EXPECT_NEAR(sched.eta_s(1250), 11.0, 0.01);
+  EXPECT_NEAR(sched.eta_s(1250, sched.now()), 11.0, 0.01);
 }
 
 TEST(Scheduler, BacklogAccumulatesWhenRateInsufficient) {
