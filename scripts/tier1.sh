@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, then the
-# broadcast-pipeline and metrics tests rebuilt and rerun under
-# ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
-# pipeline's worker pool.
+# Tier-1 verification: the standard build + full test suite, a smoke run of
+# the end-to-end benchmark (its Release build of src/ plus every workload's
+# correctness checks), then the broadcast-pipeline and metrics tests rebuilt
+# and rerun under ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data
+# races in the pipeline's worker pool.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -13,6 +14,9 @@ echo "== tier-1: build + full test suite =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== tier-1: end-to-end benchmark smoke run =="
+python3 e2ebench/run.py --smoke
 
 echo "== tier-1: pipeline + uplink + streaming + kernel tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DSONIC_TSAN=ON

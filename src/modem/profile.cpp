@@ -2,9 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <stdexcept>
 
 namespace sonic::modem {
 
@@ -107,63 +104,31 @@ std::string canon(const std::string& name) {
   return key;
 }
 
-struct Registry {
-  std::mutex mu;
-  std::vector<std::string> order;             // display names, registration order
-  std::map<std::string, OfdmProfile> by_key;  // canon(name) -> profile
-
-  void insert_locked(const OfdmProfile& p) {
-    const std::string key = canon(p.name);
-    if (by_key.find(key) == by_key.end()) order.push_back(p.name);
-    by_key[key] = p;
-  }
-};
-
-Registry& registry() {
-  // Built-ins registered on first touch, slowest rung first.
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->insert_locked(make_robust2k());
-    reg->insert_locked(make_audible7k());
-    reg->insert_locked(make_sonic10k());
-    reg->insert_locked(make_cable64k());
-    return reg;
-  }();
-  return *r;
+// The four rungs, slowest first. Built once and never modified, so lookups
+// need no lock.
+const std::vector<OfdmProfile>& table() {
+  static const std::vector<OfdmProfile> rungs = {make_robust2k(), make_audible7k(),
+                                                 make_sonic10k(), make_cable64k()};
+  return rungs;
 }
 
 }  // namespace
 
 std::optional<OfdmProfile> get(const std::string& name) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  const auto it = reg.by_key.find(canon(name));
-  if (it == reg.by_key.end()) return std::nullopt;
-  return it->second;
+  const std::string key = canon(name);
+  for (const OfdmProfile& p : table()) {
+    if (canon(p.name) == key) return p;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> names() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  return reg.order;
-}
-
-void register_profile(const OfdmProfile& profile) {
-  if (canon(profile.name).empty()) {
-    throw std::invalid_argument("profile name must contain at least one alphanumeric character");
-  }
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  reg.insert_locked(profile);
-}
-
-std::vector<OfdmProfile> all() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::vector<OfdmProfile> out;
-  for (const std::string& name : reg.order) out.push_back(reg.by_key.at(canon(name)));
+  std::vector<std::string> out;
+  for (const OfdmProfile& p : table()) out.push_back(p.name);
   return out;
 }
+
+std::vector<OfdmProfile> all() { return table(); }
 
 }  // namespace profiles
 

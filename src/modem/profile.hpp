@@ -45,27 +45,21 @@ struct OfdmProfile {
   double subcarrier_spacing_hz() const { return sample_rate / fft_size; }
 };
 
-// Name-addressed profile registry — the API for selecting a rate/robustness
+// Name-addressed profile table — the API for selecting a rate/robustness
 // operating point at runtime (acoustic-modem surveys show these rungs must
 // be swappable in the field). Names are matched loosely: lookup ignores
 // case and punctuation, so "sonic-10k", "sonic10k" and "SONIC 10K" all
-// resolve the same rung. The four built-in rungs (robust-2k, audible-7k,
-// sonic-10k, cable-64k) are pre-registered; custom rungs can be added with
-// register_profile(). All functions are thread-safe.
+// resolve the same rung. The table holds four fixed rungs: robust-2k,
+// audible-7k, sonic-10k and cable-64k. All functions are thread-safe.
 namespace profiles {
 
-// The profile registered under `name`, or nullopt.
+// The rung named `name`, or nullopt.
 std::optional<OfdmProfile> get(const std::string& name);
 
-// Registered display names, in registration order (built-ins first, slowest
-// to fastest).
+// Display names, slowest rung first.
 std::vector<std::string> names();
 
-// Registers (or replaces) a profile under its own `name`. Throws
-// std::invalid_argument when the name is empty or all punctuation.
-void register_profile(const OfdmProfile& profile);
-
-// Every registered profile, in registration order.
+// Every rung, in names() order.
 std::vector<OfdmProfile> all();
 
 }  // namespace profiles

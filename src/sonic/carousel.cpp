@@ -63,7 +63,7 @@ void Carousel::refresh_catalog(double now_s) {
   }
 }
 
-std::vector<Carousel::AirPage> Carousel::drive(double now_s) {
+std::vector<std::shared_ptr<const PageBundle>> Carousel::drive(double now_s) {
   if (!refreshed_once_ || now_s >= next_refresh_s_) refresh_catalog(now_s);
   if (in_flight_ > 0 || catalog_.empty()) return {};
 
@@ -74,7 +74,7 @@ std::vector<Carousel::AirPage> Carousel::drive(double now_s) {
   urls.reserve(catalog_.size());
   for (const auto& [url, hits] : catalog_) urls.push_back(url);
 
-  std::vector<AirPage> out;
+  std::vector<std::shared_ptr<const PageBundle>> out;
   for (auto& prepared : pipeline_->prepare(urls, now_s)) {
     if (!prepared.bundle) continue;  // url fell out of the corpus
     const PageBundle& src = *prepared.bundle;
@@ -96,8 +96,7 @@ std::vector<Carousel::AirPage> Carousel::drive(double now_s) {
     if (metrics_ != nullptr) {
       metrics_->counter("carousel_repair_frames").add(repair_frames);
     }
-    out.push_back(AirPage{kCarouselKeyPrefix + prepared.url, std::move(air), params_.priority,
-                          /*preemptible=*/true});
+    out.push_back(std::move(air));
   }
   if (out.empty()) return out;
 
@@ -107,8 +106,7 @@ std::vector<Carousel::AirPage> Carousel::drive(double now_s) {
   return out;
 }
 
-void Carousel::on_broadcast_complete(const std::string& key, double completed_at_s) {
-  (void)key;
+void Carousel::on_broadcast_complete(double completed_at_s) {
   if (in_flight_ == 0) return;
   if (--in_flight_ == 0) {
     ++cycles_completed_;

@@ -30,10 +30,6 @@
 
 namespace sonic::core {
 
-// Scheduler/bundle-map key prefix for carousel items, so a carousel cycle
-// of url X never collides with a user-requested broadcast of X.
-inline const std::string kCarouselKeyPrefix = "carousel:";
-
 class Carousel {
  public:
   struct Params {
@@ -41,7 +37,6 @@ class Carousel {
     std::size_t min_hits = 1;     // popularity threshold for membership
     double repair_overhead = 0.3; // repair frames per page, as a fraction of its source frames
     double refresh_interval_s = 3600.0;  // catalog recomputation cadence
-    int priority = 0;             // scheduler lane (user requests enqueue at 1)
 
     // Descriptive configuration errors; empty when sane.
     std::vector<std::string> validate() const;
@@ -58,23 +53,15 @@ class Carousel {
   // Recomputed from hit counts at each refresh boundary.
   std::vector<std::pair<std::string, std::size_t>> catalog() const { return catalog_; }
 
-  // One catalog page prepared for the air: its source frames plus the
-  // repair-frame tail for this cycle.
-  struct AirPage {
-    std::string key;  // kCarouselKeyPrefix + url
-    std::shared_ptr<const PageBundle> bundle;
-    int priority = 0;
-    bool preemptible = true;
-  };
-
-  // Advances refresh/cycle state. Returns the next cycle's pages when the
-  // previous cycle has fully aired (empty while a cycle is in flight or
-  // the catalog is empty). The owner enqueues them and reports completions
-  // back through on_broadcast_complete().
-  std::vector<AirPage> drive(double now_s);
+  // Advances refresh/cycle state. Returns the next cycle's pages, each its
+  // source frames plus this cycle's repair-frame tail, when the previous
+  // cycle has fully aired (empty while a cycle is in flight or the catalog
+  // is empty). The owner enqueues them on the preemptible lowest-priority
+  // lane and reports completions back through on_broadcast_complete().
+  std::vector<std::shared_ptr<const PageBundle>> drive(double now_s);
 
   // Owner callback: one of drive()'s pages finished transmitting.
-  void on_broadcast_complete(const std::string& key, double completed_at_s);
+  void on_broadcast_complete(double completed_at_s);
 
   std::size_t cycles_completed() const { return cycles_completed_; }
   std::size_t pages_in_flight() const { return in_flight_; }

@@ -52,56 +52,20 @@ SonicClient::SonicClient(sms::SmsGateway* gateway, Params params)
     : gateway_(gateway),
       params_(validated(std::move(params))),
       metrics_(std::make_unique<Metrics>()),
+      frames_received_(&metrics_->counter("frames_received")),
+      frames_dropped_malformed_(&metrics_->counter("frames_dropped_malformed")),
+      repair_frames_received_(&metrics_->counter("repair_frames_received")),
       cache_(params_.cache_pages),
       uplink_rng_(params_.uplink.seed) {}
 
-fec::FountainDecoder* SonicClient::decoder_for(std::uint32_t page_id, std::uint16_t k) {
-  const auto it = decoders_.find(page_id);
-  if (it != decoders_.end()) {
-    return it->second.k() == k ? &it->second : nullptr;
-  }
-  auto& decoder =
-      decoders_.emplace(page_id, fec::FountainDecoder(page_id, k, kFountainBlockSize))
-          .first->second;
-  // Backfill source frames that arrived before the first repair frame.
-  // Blocks from a page whose total disagrees with k simply fail
-  // add_source's range check.
-  for (const auto& [seq, block] : assembler_.received_blocks(page_id)) {
-    decoder.add_source(seq, block);
-  }
-  return &decoder;
-}
-
 void SonicClient::on_frame(std::span<const std::uint8_t> frame) {
-  const auto parsed = parse_frame(frame);
-  if (!parsed) {
-    ++frames_dropped_malformed_;
-    metrics_->counter("frames_dropped_malformed").add(1);
+  const auto header = assembler_.push(frame);
+  if (!header) {
+    frames_dropped_malformed_->add(1);
     return;
   }
-  const auto& [header, payload] = *parsed;
-  if (header.type == kFrameTypeRepair) {
-    fec::FountainDecoder* decoder = decoder_for(header.page_id, header.total);
-    if (decoder == nullptr) {
-      // The frame's claimed k contradicts what this page already taught us.
-      ++frames_dropped_malformed_;
-      metrics_->counter("frames_dropped_malformed").add(1);
-      return;
-    }
-    ++frames_received_;
-    ++repair_frames_received_;
-    metrics_->counter("repair_frames_received").add(1);
-    decoder->add_repair(header.seq, payload);
-    return;
-  }
-  ++frames_received_;
-  assembler_.push(frame);
-  // A source frame is also a degree-1 fountain symbol; feed any decoder a
-  // repair frame already opened for this page.
-  const auto it = decoders_.find(header.page_id);
-  if (it != decoders_.end() && it->second.k() == header.total) {
-    it->second.add_source(header.seq, fountain_block(frame));
-  }
+  frames_received_->add(1);
+  if (header->type == kFrameTypeRepair) repair_frames_received_->add(1);
 }
 
 void SonicClient::on_burst(const modem::RxBurst& burst) {
@@ -138,39 +102,19 @@ std::size_t SonicClient::end_audio() {
 
 std::vector<std::string> SonicClient::flush(double now_s) {
   std::vector<std::string> cached;
-  // A page fed only by repair frames has a decoder but no assembler entry
-  // yet; flush the union.
-  std::vector<std::uint32_t> pages = assembler_.known_pages();
-  for (const auto& [page_id, decoder] : decoders_) {
-    if (std::find(pages.begin(), pages.end(), page_id) == pages.end()) pages.push_back(page_id);
-  }
-  for (std::uint32_t page_id : pages) {
-    const auto found = decoders_.find(page_id);
-    if (found != decoders_.end()) {
-      fec::FountainDecoder& decoder = found->second;
-      if (decoder.complete()) {
-        // Converged: rebuild every source frame byte for byte, so the
-        // assembled page has full coverage and interpolation is a no-op.
-        // A non-converged decoder changes nothing — the interpolation
-        // fallback below handles whatever the assembler holds.
-        const auto k = static_cast<std::uint16_t>(decoder.k());
-        for (std::uint16_t seq = 0; seq < k; ++seq) {
-          const auto frame = frame_from_fountain_block(page_id, seq, k, decoder.block(seq));
-          if (frame) assembler_.push(*frame);
-        }
-        metrics_->counter("pages_fountain_decoded").add(1);
-        metrics_->histogram("fountain_repairs_used")
-            .observe(static_cast<double>(decoder.repairs_received()));
-        if (k > 0) {
-          metrics_->histogram("fountain_reception_overhead")
-              .observe(static_cast<double>(decoder.symbols_received()) / k - 1.0);
-        }
-      }
-      decoders_.erase(found);
-    }
+  for (std::uint32_t page_id : assembler_.known_pages()) {
     auto page = assembler_.assemble(page_id, params_.interpolation);
     assembler_.drop(page_id);
     if (!page) continue;
+    if (page->fountain_decoded) {
+      metrics_->counter("pages_fountain_decoded").add(1);
+      metrics_->histogram("fountain_repairs_used")
+          .observe(static_cast<double>(page->fountain_repairs));
+      metrics_->histogram("fountain_reception_overhead")
+          .observe(static_cast<double>(page->fountain_symbols) /
+                       static_cast<double>(page->frames_expected) -
+                   1.0);
+    }
     cached.push_back(page->metadata.url);
     cache_.put(std::move(*page), now_s);
   }

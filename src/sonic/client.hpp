@@ -4,12 +4,13 @@
 // device, and navigates hyperlinks through the click map — instantly when
 // the target is cached, via an SMS request when an uplink is available.
 //
-// The downlink path understands wire format v2: type 2 repair frames are
-// routed into a per-page FountainDecoder which, fed by both source and
-// repair symbols, reconstructs lost source frames byte for byte once it
-// converges (flush() prefers that over interpolation). Malformed frames —
-// wrong size, unknown type, seq past total, payload length past the frame
-// end — are dropped and counted, never interpreted.
+// The downlink path feeds every frame, repair frames (wire format v2)
+// included, into one PageAssembler, which rebuilds lost source frames byte
+// for byte once a page's fountain decoder converges (flush() prefers that
+// over interpolation); the client only counts and caches. Malformed frames
+// — wrong size, unknown type, seq past total, payload length past the
+// frame end, a total contradicting the page's — are dropped and counted,
+// never interpreted.
 //
 // The uplink path is a per-request retry state machine: every request gets
 // a wire-format id, an ACK-await deadline, and capped exponential backoff
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "fec/fountain.hpp"
 #include "image/interpolate.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/stream_receiver.hpp"
@@ -159,21 +159,21 @@ class SonicClient {
   std::uint32_t last_uplink_id() const { return next_request_id_ - 1; }
 
   const PageCache& cache() const { return cache_; }
-  std::size_t frames_received() const { return frames_received_; }
+  std::size_t frames_received() const { return frames_received_->value(); }
   // Frames rejected by validation (short/oversized frames, unknown types,
-  // seq >= total, payload length past the frame end, repair frames whose
-  // claimed k conflicts with an existing decoder).
-  std::size_t frames_dropped_malformed() const { return frames_dropped_malformed_; }
-  std::size_t repair_frames_received() const { return repair_frames_received_; }
+  // seq >= total, payload length past the frame end, frames of either type
+  // whose total or k contradicts their page's).
+  std::size_t frames_dropped_malformed() const { return frames_dropped_malformed_->value(); }
+  std::size_t repair_frames_received() const { return repair_frames_received_->value(); }
   // Pages flush() reconstructed losslessly via fountain convergence.
   std::size_t pages_fountain_decoded() const {
     return metrics_->counter_value("pages_fountain_decoded");
   }
 
-  // Client-side registry. Downlink: frames_dropped_malformed /
-  // repair_frames_received counters, fountain convergence histograms
-  // (fountain_repairs_used, fountain_reception_overhead),
-  // pages_fountain_decoded. Uplink: uplink_requests, uplink_retries,
+  // Client-side registry. Downlink: frames_received /
+  // frames_dropped_malformed / repair_frames_received counters, fountain
+  // convergence histograms (fountain_repairs_used,
+  // fountain_reception_overhead), pages_fountain_decoded. Uplink: uplink_requests, uplink_retries,
   // uplink_server_retries (RETRY sheds honored), uplink_acked,
   // uplink_rejected, uplink_gave_up, uplink_stale_acks, uplink_coalesced,
   // uplink_delivery_reports counters; uplink_ack_latency_s /
@@ -197,10 +197,6 @@ class SonicClient {
   TapResult start_uplink_request(const std::string& url, std::string body, double now_s);
   void send_attempt(PendingUplink& p, double now_s);
   double jittered(double wait_s);
-  // The decoder for page_id (k source frames), created on the first repair
-  // frame and backfilled with already-received source frames; null if a
-  // conflicting k was already established.
-  fec::FountainDecoder* decoder_for(std::uint32_t page_id, std::uint16_t k);
 
   // The streaming downlink receiver, created by the first on_audio() call.
   modem::StreamReceiver& stream_rx();
@@ -208,14 +204,13 @@ class SonicClient {
   sms::SmsGateway* gateway_;
   Params params_;
   std::unique_ptr<Metrics> metrics_;  // stable address; makes the client move-only
+  Counter* frames_received_;
+  Counter* frames_dropped_malformed_;
+  Counter* repair_frames_received_;
   std::unique_ptr<modem::OfdmModem> downlink_modem_;
   std::unique_ptr<modem::StreamReceiver> stream_rx_;
   PageAssembler assembler_;
   PageCache cache_;
-  std::map<std::uint32_t, fec::FountainDecoder> decoders_;
-  std::size_t frames_received_ = 0;
-  std::size_t frames_dropped_malformed_ = 0;
-  std::size_t repair_frames_received_ = 0;
   // Uplink state machine: live requests by id, terminal outcomes kept for
   // uplink_state() queries and stale-ACK classification.
   std::map<std::uint32_t, PendingUplink> uplink_pending_;

@@ -18,6 +18,18 @@ util::Bytes pack_fountain_block(std::uint8_t type, std::span<const std::uint8_t>
   return block;
 }
 
+// The fountain block of one serialized source frame (type 0/1, exactly
+// kFrameSize bytes).
+util::Bytes fountain_block(std::span<const std::uint8_t> frame) {
+  if (frame.size() != kFrameSize) throw std::invalid_argument("fountain_block: bad frame size");
+  const std::uint8_t type = frame[8];
+  const std::uint8_t len = frame[9];
+  if (type > kFrameTypeSegment || len > kFramePayloadSize) {
+    throw std::invalid_argument("fountain_block: not a source frame");
+  }
+  return pack_fountain_block(type, frame.subspan(kFrameHeaderSize, len));
+}
+
 }  // namespace
 
 util::Bytes serialize_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
@@ -55,37 +67,11 @@ std::optional<std::pair<FrameHeader, util::Bytes>> parse_frame(std::span<const s
   return std::make_pair(h, r.raw(len));
 }
 
-util::Bytes fountain_block(std::span<const std::uint8_t> frame) {
-  if (frame.size() != kFrameSize) throw std::invalid_argument("fountain_block: bad frame size");
-  const std::uint8_t type = frame[8];
-  const std::uint8_t len = frame[9];
-  if (type > kFrameTypeSegment || len > kFramePayloadSize) {
-    throw std::invalid_argument("fountain_block: not a source frame");
-  }
-  return pack_fountain_block(type, frame.subspan(kFrameHeaderSize, len));
-}
-
 std::vector<util::Bytes> bundle_fountain_blocks(const PageBundle& bundle) {
   std::vector<util::Bytes> blocks;
   blocks.reserve(bundle.frames.size());
   for (const util::Bytes& frame : bundle.frames) blocks.push_back(fountain_block(frame));
   return blocks;
-}
-
-std::optional<util::Bytes> frame_from_fountain_block(std::uint32_t page_id, std::uint16_t seq,
-                                                     std::uint16_t total,
-                                                     std::span<const std::uint8_t> block) {
-  if (block.size() != kFountainBlockSize) return std::nullopt;
-  const std::uint8_t type = block[0] >> 7;
-  const std::uint8_t len = block[0] & 0x7f;
-  if (len > kFramePayloadSize) return std::nullopt;
-  util::Bytes frame = serialize_frame({page_id, seq, total, type}, block.subspan(1, len));
-  // The padding region beyond payload_len must be zero in a well-formed
-  // block; a decoded block that disagrees was corrupted upstream.
-  for (std::size_t i = 1 + len; i < block.size(); ++i) {
-    if (block[i] != 0) return std::nullopt;
-  }
-  return frame;
 }
 
 util::Bytes serialize_repair_frame(std::uint32_t page_id, std::uint16_t repair_seq,
@@ -231,33 +217,44 @@ PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
 
 PageAssembler::PageAssembler(image::ColumnCodecParams codec) : codec_(codec) {}
 
-void PageAssembler::push(std::span<const std::uint8_t> frame) {
+std::optional<FrameHeader> PageAssembler::push(std::span<const std::uint8_t> frame) {
   const auto parsed = parse_frame(frame);
-  if (!parsed) return;
+  if (!parsed) return std::nullopt;
   const auto& [header, payload] = *parsed;
-  // Repair frames live at the fountain layer (SonicClient routes them to a
-  // FountainDecoder); the assembler only tracks source frames.
-  if (header.type == kFrameTypeRepair) return;
-  Partial& partial = pages_[header.page_id];
-  if (partial.payloads.empty()) {
+  // One rule for k, whichever frame type arrives first: the page's total.
+  const auto [it, fresh] = pages_.try_emplace(header.page_id);
+  Partial& partial = it->second;
+  if (fresh) {
     partial.total = header.total;
-    partial.payloads.resize(header.total);
+    partial.blocks.resize(header.total);
+  } else if (header.total != partial.total) {
+    return std::nullopt;
   }
-  if (header.total != partial.total || header.seq >= partial.payloads.size()) return;
-  auto& slot = partial.payloads[header.seq];
-  if (!slot.has_value()) {
-    util::ByteWriter w;
-    w.u8(header.type);
-    w.raw(payload);
-    slot = w.take();
+  if (header.type == kFrameTypeRepair) {
+    if (!partial.decoder) {
+      // Seed with the source frames that arrived before the first repair.
+      partial.decoder.emplace(header.page_id, partial.total, kFountainBlockSize);
+      for (std::size_t seq = 0; seq < partial.blocks.size(); ++seq) {
+        if (!partial.blocks[seq].empty()) partial.decoder->add_source(seq, partial.blocks[seq]);
+      }
+    }
+    partial.decoder->add_repair(header.seq, payload);
+    return header;
   }
+  util::Bytes& block = partial.blocks[header.seq];
+  if (block.empty()) {
+    // A source frame is also a degree-1 fountain symbol.
+    block = pack_fountain_block(header.type, payload);
+    if (partial.decoder) partial.decoder->add_source(header.seq, block);
+  }
+  return header;
 }
 
 bool PageAssembler::complete(std::uint32_t page_id) const {
   const auto it = pages_.find(page_id);
   if (it == pages_.end()) return false;
-  return std::all_of(it->second.payloads.begin(), it->second.payloads.end(),
-                     [](const auto& p) { return p.has_value(); });
+  return std::none_of(it->second.blocks.begin(), it->second.blocks.end(),
+                      [](const util::Bytes& b) { return b.empty(); });
 }
 
 std::vector<std::uint32_t> PageAssembler::known_pages() const {
@@ -271,46 +268,47 @@ std::vector<std::uint32_t> PageAssembler::known_pages() const {
 
 void PageAssembler::drop(std::uint32_t page_id) { pages_.erase(page_id); }
 
-std::vector<std::pair<std::uint16_t, util::Bytes>> PageAssembler::received_blocks(
-    std::uint32_t page_id) const {
-  std::vector<std::pair<std::uint16_t, util::Bytes>> out;
-  const auto it = pages_.find(page_id);
-  if (it == pages_.end()) return out;
-  const Partial& partial = it->second;
-  for (std::size_t seq = 0; seq < partial.payloads.size(); ++seq) {
-    const auto& slot = partial.payloads[seq];  // [type u8][payload]
-    if (slot.has_value()) {
-      out.emplace_back(static_cast<std::uint16_t>(seq),
-                       pack_fountain_block((*slot)[0], std::span(*slot).subspan(1)));
-    }
-  }
-  return out;
-}
-
 std::optional<ReceivedPage> PageAssembler::assemble(std::uint32_t page_id,
-                                                    image::InterpolationMode mode) const {
+                                                    image::InterpolationMode mode) {
   const auto it = pages_.find(page_id);
   if (it == pages_.end()) return std::nullopt;
-  const Partial& partial = it->second;
+  Partial& partial = it->second;
+
+  const bool converged = partial.decoder && partial.decoder->complete();
+  if (converged) {
+    // Converged: restore every lost source frame byte for byte, so the page
+    // has full coverage and interpolation is a no-op. The padding beyond
+    // payload_len must be zero in a well-formed block; a decoded block that
+    // disagrees was corrupted upstream and stays lost.
+    for (std::size_t seq = 0; seq < partial.blocks.size(); ++seq) {
+      if (!partial.blocks[seq].empty()) continue;
+      const util::Bytes& block = partial.decoder->block(seq);
+      const std::size_t len = block[0] & 0x7f;
+      if (len <= kFramePayloadSize &&
+          std::all_of(block.begin() + 1 + len, block.end(), [](std::uint8_t b) { return b == 0; })) {
+        partial.blocks[seq] = block;
+      }
+    }
+  }
 
   // Collect metadata chunks (either copy) and segments.
   std::map<int, util::Bytes> meta_chunks;
   int num_chunks = -1;
   std::vector<image::ColumnSegment> segments;
   std::size_t received = 0;
-  for (const auto& slot : partial.payloads) {
-    if (!slot.has_value()) continue;
+  for (const util::Bytes& block : partial.blocks) {
+    if (block.empty()) continue;
     ++received;
-    util::ByteReader r(*slot);
-    const std::uint8_t type = r.u8();
-    if (type == 0) {
+    const auto payload = std::span(block).subspan(1, block[0] & 0x7f);
+    if ((block[0] >> 7) == kFrameTypeMetadata) {
+      util::ByteReader r(payload);
       const int chunk = r.u8();
       const int chunks_total = r.u8();
       if (!r.ok()) continue;
       num_chunks = std::max(num_chunks, chunks_total);
       meta_chunks.emplace(chunk, r.raw(r.remaining()));
     } else {
-      const auto seg = image::segment_parse(std::span(*slot).subspan(1));
+      const auto seg = image::segment_parse(payload);
       if (seg) segments.push_back(std::move(*seg));
     }
   }
@@ -336,6 +334,11 @@ std::optional<ReceivedPage> PageAssembler::assemble(std::uint32_t page_id,
   page.coverage = decoded.coverage();
   page.frames_received = received;
   page.frames_expected = partial.total;
+  if (converged) {
+    page.fountain_decoded = true;
+    page.fountain_repairs = partial.decoder->repairs_received();
+    page.fountain_symbols = partial.decoder->symbols_received();
+  }
   page.mask = decoded.mask;  // pre-interpolation mask, for diagnostics
   auto mask = std::move(decoded.mask);
   image::interpolate_missing(decoded.image, mask, mode);

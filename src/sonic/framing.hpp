@@ -18,9 +18,9 @@
 //   frame's fountain block packs its type bit and payload length into one
 //   byte, [(type << 7) | payload_len], followed by the 90-byte payload
 //   region, so a converged decoder reproduces source frames byte for byte.
-//   v1 receivers reject type 2 in parse_frame and lose nothing but the
-//   repair capability; v2 receivers decode pure-source broadcasts as
-//   before.
+//   PageAssembler holds a page's source frames in that block layout and
+//   runs the page's fountain decoder itself once a repair frame arrives;
+//   a pure-source broadcast never creates a decoder.
 //
 // Integrity per frame is provided by the modem's PacketCodec
 // (crc32 + v29 + rs8); a frame either arrives intact or not at all.
@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "fec/fountain.hpp"
 #include "image/column_codec.hpp"
 #include "image/interpolate.hpp"
 #include "web/layout.hpp"
@@ -106,6 +107,11 @@ struct ReceivedPage {
   double coverage = 0.0;           // fraction of pixels received
   std::size_t frames_received = 0;
   std::size_t frames_expected = 0;
+  // Set when the page's fountain decoder converged, with the repair
+  // symbols and all symbols (source + repair) it accepted.
+  bool fountain_decoded = false;
+  std::size_t fountain_repairs = 0;
+  std::size_t fountain_symbols = 0;
 
   double frame_loss_rate() const {
     if (frames_expected == 0) return 0.0;
@@ -114,35 +120,38 @@ struct ReceivedPage {
 };
 
 // Reassembles pages from frames as they arrive (possibly out of order,
-// possibly with losses and duplicates).
+// possibly with losses and duplicates). The one per-page store of a
+// receiver: source frames are held as fountain blocks, and the page's
+// fountain decoder is created by its first repair frame and seeded from the
+// blocks already held, so repair frames stand in for any lost source frame.
 class PageAssembler {
  public:
   explicit PageAssembler(image::ColumnCodecParams codec = {});
 
-  // Feed one received frame (already FEC/CRC-validated by the modem).
-  void push(std::span<const std::uint8_t> frame);
+  // Feeds one received frame of any type (already FEC/CRC-validated by the
+  // modem). Returns its header, or nullopt when the frame is malformed or
+  // its total contradicts the k its page already established; such a frame
+  // changes nothing.
+  std::optional<FrameHeader> push(std::span<const std::uint8_t> frame);
 
-  // True once every frame of `page_id` was seen.
+  // True once every source frame of `page_id` was seen.
   bool complete(std::uint32_t page_id) const;
 
-  // Reconstructs a page from whatever has arrived so far. `interpolate`
-  // applies the §3.3 nearest-neighbor recovery to missing pixels. Returns
-  // nullopt if no metadata frame has arrived (geometry unknown).
-  std::optional<ReceivedPage> assemble(std::uint32_t page_id,
-                                       image::InterpolationMode mode) const;
+  // Reconstructs a page from whatever has arrived so far. A page whose
+  // fountain decoder converges first gets its lost source frames back byte
+  // for byte; `mode` applies the §3.3 nearest-neighbor recovery to any
+  // pixels still missing. Returns nullopt if no metadata frame is held
+  // (geometry unknown).
+  std::optional<ReceivedPage> assemble(std::uint32_t page_id, image::InterpolationMode mode);
 
   std::vector<std::uint32_t> known_pages() const;
   void drop(std::uint32_t page_id);
 
-  // The (seq, fountain block) of every source frame received so far for
-  // `page_id` — the fountain layer backfills a decoder created by a
-  // late-arriving repair frame from these.
-  std::vector<std::pair<std::uint16_t, util::Bytes>> received_blocks(std::uint32_t page_id) const;
-
  private:
   struct Partial {
     std::uint16_t total = 0;
-    std::vector<std::optional<util::Bytes>> payloads;  // by seq
+    std::vector<util::Bytes> blocks;              // by seq; empty = not received
+    std::optional<fec::FountainDecoder> decoder;  // from the first repair frame on
   };
   image::ColumnCodecParams codec_;
   std::map<std::uint32_t, Partial> pages_;
@@ -156,16 +165,9 @@ std::optional<std::pair<FrameHeader, util::Bytes>> parse_frame(std::span<const s
 
 // Fountain wire helpers (v2).
 //
-// The kFountainBlockSize-byte fountain block of one serialized source
-// frame (type 0/1, exactly kFrameSize bytes).
-util::Bytes fountain_block(std::span<const std::uint8_t> frame);
-// All of a bundle's fountain blocks, in seq order — the encoder's input.
+// All of a bundle's kFountainBlockSize-byte fountain blocks, in seq order —
+// the encoder's input.
 std::vector<util::Bytes> bundle_fountain_blocks(const PageBundle& bundle);
-// Rebuilds the full kFrameSize source frame `seq` of a k-frame page from
-// its (decoded) fountain block; nullopt if the block is malformed.
-std::optional<util::Bytes> frame_from_fountain_block(std::uint32_t page_id, std::uint16_t seq,
-                                                     std::uint16_t total,
-                                                     std::span<const std::uint8_t> block);
 // A type 2 repair frame carrying `symbol` (kFountainBlockSize bytes) for a
 // k-source-frame page.
 util::Bytes serialize_repair_frame(std::uint32_t page_id, std::uint16_t repair_seq,

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <iterator>
 
-#include "sonic/framing.hpp"
-
 namespace sonic::core {
 
 BroadcastScheduler::BroadcastScheduler(Params params) : params_(params) {}
 
 void BroadcastScheduler::enqueue(std::string url, std::size_t bytes, double now_s, int priority,
-                                 bool preemptible) {
+                                 bool preemptible, std::shared_ptr<const PageBundle> bundle) {
   // Drain up to the enqueue time first. Anything that completes here is
   // buffered and returned by the next advance() — enqueue must not swallow
   // completions (the carousel enqueues at the top of the server's advance,
@@ -20,6 +18,7 @@ void BroadcastScheduler::enqueue(std::string url, std::size_t bytes, double now_
   std::move(finished.begin(), finished.end(), std::back_inserter(pending_done_));
   ScheduledItem item;
   item.url = std::move(url);
+  item.bundle = std::move(bundle);
   item.bytes = bytes;
   item.enqueued_at_s = now_s;
   item.priority = priority;

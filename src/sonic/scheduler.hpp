@@ -7,19 +7,27 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "sonic/framing.hpp"
 
 namespace sonic::core {
 
 struct ScheduledItem {
   std::string url;
+  // The bundle this item airs, held until it completes so a render-cache
+  // eviction cannot drop a page still waiting for airtime; null for callers
+  // that only model bytes.
+  std::shared_ptr<const PageBundle> bundle;
   std::size_t bytes = 0;  // bytes still to send (reduced when a preempted item resumes)
   double enqueued_at_s = 0.0;
   int priority = 0;  // higher first; user requests outrank refreshes
-  // Carousel lane: a preemptible in-flight item yields to a newly enqueued
-  // higher-priority item at the next frame boundary and later resumes
-  // without re-sending the frames already transmitted.
+  // Carousel lane (only the carousel sets it): a preemptible in-flight item
+  // yields to a newly enqueued higher-priority item at the next frame
+  // boundary and later resumes without re-sending the frames already
+  // transmitted.
   bool preemptible = false;
   double completed_at_s = 0.0;
 };
@@ -34,7 +42,7 @@ class BroadcastScheduler {
   explicit BroadcastScheduler(Params params);
 
   void enqueue(std::string url, std::size_t bytes, double now_s, int priority = 0,
-               bool preemptible = false);
+               bool preemptible = false, std::shared_ptr<const PageBundle> bundle = nullptr);
 
   // Advances the wall clock, draining the queue at the aggregate rate.
   // Returns items whose transmission completed in (previous now, until_s].

@@ -230,11 +230,11 @@ void SonicServer::poll_sms(double now_s) {
     // eta evaluated at now_s so the promise matches the shard's actual
     // completion time even when the shard clock lags the SMS poll.
     ack.eta_s = shard.eta_s(bundle->total_bytes(), now_s);
-    shard.enqueue(bundle->metadata.url, bundle->total_bytes(), now_s, /*priority=*/1);
+    shard.enqueue(bundle->metadata.url, bundle->total_bytes(), now_s, /*priority=*/1,
+                  /*preemptible=*/false, bundle);
     if (carousel_) carousel_->record_hit(bundle->metadata.url);
     inflight_[inflight_key] = now_s + ack.eta_s;
     dedup_[dedup_key] = {request->url, now_s, now_s + ack.eta_s, tx->frequency_mhz, true, ""};
-    queued_bundles_[bundle->metadata.url] = std::move(bundle);
     metrics_->counter("requests_served").add(1);
     answer(msg.from, ack, now_s);
   }
@@ -246,9 +246,9 @@ int SonicServer::push_to_shard(std::size_t shard, const std::vector<std::string>
   // One batch: cache misses render/encode in parallel on the pipeline pool.
   for (auto& prepared : pipeline_.prepare(urls, now_s)) {
     if (!prepared.bundle) continue;
-    const std::string& url = prepared.bundle->metadata.url;
-    shards_[shard].enqueue(url, prepared.bundle->total_bytes(), now_s, priority);
-    queued_bundles_[url] = std::move(prepared.bundle);
+    const auto& bundle = prepared.bundle;
+    shards_[shard].enqueue(bundle->metadata.url, bundle->total_bytes(), now_s, priority,
+                           /*preemptible=*/false, bundle);
     ++enqueued;
   }
   return enqueued;
@@ -274,10 +274,9 @@ std::vector<CompletedBroadcast> SonicServer::advance(double now_s) {
   // (the first transmitter) at low priority, preemptible at frame
   // boundaries by user requests.
   if (carousel_) {
-    for (Carousel::AirPage& page : carousel_->drive(now_s)) {
-      shards_[0].enqueue(page.key, page.bundle->total_bytes(), now_s, page.priority,
-                         page.preemptible);
-      queued_bundles_[page.key] = std::move(page.bundle);
+    for (const auto& bundle : carousel_->drive(now_s)) {
+      shards_[0].enqueue(bundle->metadata.url, bundle->total_bytes(), now_s, /*priority=*/0,
+                         /*preemptible=*/true, bundle);
     }
   }
   std::vector<CompletedBroadcast> out;
@@ -285,23 +284,23 @@ std::vector<CompletedBroadcast> SonicServer::advance(double now_s) {
   Counter& pages_broadcast = metrics_->counter("pages_broadcast");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     for (ScheduledItem& item : shards_[i].advance(now_s)) {
-      const auto queued = queued_bundles_.find(item.url);
-      if (queued == queued_bundles_.end()) continue;
-      if (carousel_ && item.url.starts_with(kCarouselKeyPrefix)) {
-        carousel_->on_broadcast_complete(item.url, item.completed_at_s);
-      }
-      // The page left the air: close the coalescing window and pin every
-      // dedup entry's ETA to the actual completion, so late duplicates are
-      // re-ACKed with "already broadcast" (ETA 0) instead of a stale guess.
-      inflight_.erase(std::to_string(i) + '\x1f' + item.url);
-      for (auto& [key, entry] : dedup_) {
-        if (entry.url == item.url && entry.accepted) {
-          entry.expected_complete_at_s = std::min(entry.expected_complete_at_s, item.completed_at_s);
+      if (item.preemptible) {
+        carousel_->on_broadcast_complete(item.completed_at_s);
+      } else {
+        // A user page left the air: close the coalescing window and pin
+        // every dedup entry's ETA to the actual completion, so late
+        // duplicates are re-ACKed with "already broadcast" (ETA 0) instead
+        // of a stale guess.
+        inflight_.erase(std::to_string(i) + '\x1f' + item.url);
+        for (auto& [key, entry] : dedup_) {
+          if (entry.url == item.url && entry.accepted) {
+            entry.expected_complete_at_s = std::min(entry.expected_complete_at_s, item.completed_at_s);
+          }
         }
       }
       CompletedBroadcast done;
       done.transmitter = params_.transmitters[i];
-      done.bundle = *queued->second;
+      done.bundle = *item.bundle;
       done.completed_at_s = item.completed_at_s;
       queue_wait.observe(item.completed_at_s - item.enqueued_at_s);
       pages_broadcast.add(1);

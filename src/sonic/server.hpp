@@ -170,9 +170,6 @@ class SonicServer {
   BroadcastPipeline pipeline_;
   std::unique_ptr<Carousel> carousel_;      // null unless carousel_enabled
   std::vector<BroadcastScheduler> shards_;  // parallel to params_.transmitters
-  // Strong refs for everything enqueued, so an LRU eviction in the pipeline
-  // cache cannot drop a bundle that is still waiting for airtime.
-  std::map<std::string, std::shared_ptr<const PageBundle>> queued_bundles_;
   // Uplink idempotency: "<sender>\x1f<id>\x1f<url>" -> first outcome.
   std::map<std::string, DedupEntry> dedup_;
   // User-requested broadcasts on the air: "<shard>\x1f<url>" -> expected

@@ -248,26 +248,6 @@ TEST(ProfileRegistry, LookupIsLooseOnPunctuationAndCase) {
   EXPECT_FALSE(profiles::get("").has_value());
 }
 
-TEST(ProfileRegistry, RegisterCustomRung) {
-  OfdmProfile custom = *profiles::get("robust-2k");
-  custom.name = "test-custom-900";
-  custom.constellation = Constellation::kQpsk;
-  profiles::register_profile(custom);
-  const auto fetched = profiles::get("testcustom900");
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched->name, "test-custom-900");
-  // Re-registering under the same loose key replaces, not duplicates.
-  const auto count_before = profiles::names().size();
-  custom.rs_nroots = 8;
-  profiles::register_profile(custom);
-  EXPECT_EQ(profiles::names().size(), count_before);
-  EXPECT_EQ(profiles::get("test-custom-900")->rs_nroots, 8);
-
-  OfdmProfile unnamed = custom;
-  unnamed.name = "--- ---";
-  EXPECT_THROW(profiles::register_profile(unnamed), std::invalid_argument);
-}
-
 // ------------------------------------------------------------------ OFDM ---
 
 class OfdmLoopbackTest : public ::testing::TestWithParam<int> {};

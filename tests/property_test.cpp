@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 
+#include "fec/fountain.hpp"
 #include "image/column_codec.hpp"
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
@@ -100,6 +101,26 @@ TEST(FramingProperty, AssemblerSurvivesArbitraryFrames) {
     Bytes frame(core::kFrameSize);
     for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform_int(256));
     assembler.push(frame);  // random headers: must never crash or overflow
+  }
+  // Mutated repair frames of a real page, half of whose source frames
+  // arrived: bit flips in the symbol, a contradicting k, and repair seqs past
+  // the 255 - k MDS evaluation points.
+  const auto page = web::render_html("<h1>Fuzz</h1><p>repair frames under attack</p>",
+                                     web::LayoutParams{96, 200, 4, 1});
+  const auto bundle = core::make_bundle(7, "fuzz.pk/", page, {10, 94});
+  const auto k = static_cast<std::uint16_t>(bundle.frames.size());
+  ASSERT_LE(k, fec::FountainParams::mds_max_k);  // the MDS regime, where seqs wrap
+  for (std::size_t seq = 0; seq < bundle.frames.size(); seq += 2) assembler.push(bundle.frames[seq]);
+  fec::FountainEncoder encoder(7, core::bundle_fountain_blocks(bundle));
+  for (std::uint32_t r = 0; r < 3u * k; ++r) {
+    const auto seq = static_cast<std::uint16_t>(r % 3 == 0 ? 255 - k + r : r);
+    Bytes frame = core::serialize_repair_frame(7, seq, k, encoder.repair_symbol(seq));
+    if (rng.bernoulli(0.3)) {
+      frame[9 + rng.uniform_int(core::kFountainBlockSize)] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    }
+    if (rng.bernoulli(0.1)) frame[7] ^= 1;  // wrong k: dropped
+    assembler.push(frame);
   }
   // Whatever pages it believes it saw must assemble (or refuse) cleanly.
   for (std::uint32_t id : assembler.known_pages()) {

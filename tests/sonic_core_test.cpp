@@ -606,8 +606,9 @@ TEST(Carousel, UserRequestCutsInMidCycle) {
 // -------------------------------------------- Wire compatibility (v1/v2) ---
 
 TEST(Framing, SeedReceiverIgnoresRepairFramesGracefully) {
-  // A v1-era receiver is a bare PageAssembler: repair frames must be inert
-  // for it — no crash, no state corruption, page decodes from the sources.
+  // Repair frames ahead of a full source reception must be harmless: no
+  // crash, no state corruption, and the page decodes from its sources with
+  // only source frames counted.
   const auto page = small_page();
   const auto bundle = make_bundle(31, "compat.pk/", page, {10, 94});
   fec::FountainEncoder encoder(31, bundle_fountain_blocks(bundle));
@@ -624,14 +625,50 @@ TEST(Framing, SeedReceiverIgnoresRepairFramesGracefully) {
   EXPECT_EQ(received->frames_received, static_cast<std::size_t>(k));  // repairs not counted
 }
 
-TEST(Framing, FountainBlockRoundTripsSourceFrames) {
-  const auto page = small_page();
-  const auto bundle = make_bundle(8, "block.pk/", page, {10, 94});
-  const auto k = static_cast<std::uint16_t>(bundle.frames.size());
-  for (std::uint16_t seq = 0; seq < k; ++seq) {
-    const auto rebuilt = frame_from_fountain_block(8, seq, k, fountain_block(bundle.frames[seq]));
-    ASSERT_TRUE(rebuilt.has_value()) << "seq " << seq;
-    EXPECT_EQ(*rebuilt, bundle.frames[seq]) << "seq " << seq;
+// A page small enough that its bundle stays in the MDS regime with room for
+// k repair points (small_page() is past the MDS limit).
+web::RenderResult tiny_page() {
+  return web::render_html("<h1>Tiny</h1><p>a short page</p>", web::LayoutParams{96, 200, 4, 1});
+}
+
+TEST(Framing, RepairOnlyReceptionAssemblesTheSamePage) {
+  // A receiver that caught no source frame at all rebuilds the page from
+  // repair frames alone, identical to a full source reception.
+  for (const bool mds : {true, false}) {
+    const std::uint32_t page_id = mds ? 41 : 42;
+    const auto bundle =
+        make_bundle(page_id, "repair-only.pk/", mds ? tiny_page() : small_page(), {10, 94});
+    const auto k = static_cast<std::uint16_t>(bundle.frames.size());
+    if (mds) {
+      ASSERT_LE(k, 127) << "an MDS page needs k distinct repair points";
+    } else {
+      ASSERT_GT(k, fec::FountainParams::mds_max_k) << "the LT page must exceed the MDS limit";
+    }
+    SCOPED_TRACE("k=" + std::to_string(k));
+
+    PageAssembler sources;
+    for (const auto& frame : bundle.frames) sources.push(frame);
+    const auto truth = sources.assemble(page_id, image::InterpolationMode::kNone);
+    ASSERT_TRUE(truth.has_value());
+
+    // MDS needs exactly k symbols; the dense LT code a few more.
+    const std::size_t repairs = mds ? k : k + 16u;
+    fec::FountainEncoder encoder(page_id, bundle_fountain_blocks(bundle));
+    PageAssembler repaired;
+    for (std::uint16_t r = 0; r < repairs; ++r) {
+      ASSERT_TRUE(repaired.push(serialize_repair_frame(page_id, r, k, encoder.repair_symbol(r))));
+    }
+    const auto got = repaired.assemble(page_id, image::InterpolationMode::kNone);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->fountain_decoded);
+    EXPECT_EQ(got->fountain_repairs, repairs);
+    EXPECT_EQ(got->coverage, 1.0);
+    EXPECT_EQ(got->frames_received, static_cast<std::size_t>(k));
+    EXPECT_EQ(got->metadata.url, truth->metadata.url);
+    EXPECT_EQ(got->metadata.width, truth->metadata.width);
+    EXPECT_EQ(got->metadata.height, truth->metadata.height);
+    EXPECT_EQ(got->metadata.click_map.size(), truth->metadata.click_map.size());
+    EXPECT_TRUE(got->image.pixels() == truth->image.pixels());
   }
 }
 
@@ -657,18 +694,76 @@ TEST(ServerClient, MalformedFramesAreDroppedAndCounted) {
   EXPECT_EQ(client.frames_received(), 0u);
 
   // A valid repair frame establishes k = 4 for page 1; a later repair frame
-  // claiming k = 7 contradicts it and is dropped, not believed.
+  // claiming k = 7, or a source frame claiming total 3, contradicts it and
+  // is dropped, not believed.
   client.on_frame(serialize_repair_frame(1, 0, 4, util::Bytes(kFountainBlockSize, 0)));
   client.on_frame(serialize_repair_frame(1, 1, 7, util::Bytes(kFountainBlockSize, 0)));
-  EXPECT_EQ(client.frames_dropped_malformed(), 7u);
+  client.on_frame(serialize_frame({1, 0, 3, 1}, util::Bytes{1}));
+  EXPECT_EQ(client.frames_dropped_malformed(), 8u);
   EXPECT_EQ(client.frames_received(), 1u);
   EXPECT_EQ(client.repair_frames_received(), 1u);
-  EXPECT_EQ(client.metrics().counter_value("frames_dropped_malformed"), 7u);
+  EXPECT_EQ(client.metrics().counter_value("frames_dropped_malformed"), 8u);
 
-  // Valid source frames still flow after all that garbage.
+  // Valid source frames still flow after all that garbage, and pin their
+  // page's k just as a repair frame does.
   client.on_frame(serialize_frame({2, 0, 1, 1}, util::Bytes{42}));
   EXPECT_EQ(client.frames_received(), 2u);
+  client.on_frame(serialize_repair_frame(2, 0, 5, util::Bytes(kFountainBlockSize, 0)));
+  EXPECT_EQ(client.frames_dropped_malformed(), 9u);
+  EXPECT_EQ(client.frames_received(), 2u);
   client.flush(0.0);  // and nothing above corrupted flushable state
+}
+
+TEST(ServerClient, ForgedRepairBlockWithNonzeroPaddingIsNotCached) {
+  // At k = 1 the MDS repair symbol is the source block itself, so one
+  // repair frame converges the page's decoder to whatever block it carries.
+  // A block holding a well-formed metadata chunk becomes a page; the same
+  // block with nonzero bytes past its payload length is malformed and must
+  // not.
+  PageMetadata meta;
+  meta.url = "forged.pk/";
+  meta.width = 8;
+  meta.height = 8;
+  util::ByteWriter chunk;
+  chunk.u8(0);  // chunk 0 of 1
+  chunk.u8(1);
+  chunk.raw(serialize_metadata(meta));
+  util::Bytes symbol(kFountainBlockSize, 0);
+  ASSERT_LT(chunk.bytes().size() + 1, symbol.size());
+  symbol[0] = static_cast<std::uint8_t>(chunk.bytes().size());  // type 0, payload_len
+  std::copy(chunk.bytes().begin(), chunk.bytes().end(), symbol.begin() + 1);
+
+  SonicClient honest(nullptr, SonicClient::Params{});
+  honest.on_frame(serialize_repair_frame(5, 0, 1, symbol));
+  ASSERT_EQ(honest.flush(0.0), std::vector<std::string>{"forged.pk/"});
+
+  symbol.back() = 0x5a;  // nonzero padding
+  SonicClient client(nullptr, SonicClient::Params{});
+  client.on_frame(serialize_repair_frame(5, 0, 1, symbol));
+  EXPECT_EQ(client.frames_received(), 1u);
+  EXPECT_TRUE(client.flush(0.0).empty());
+  EXPECT_EQ(client.cache().size(), 0u);
+}
+
+TEST(ServerClient, StationReportsTheBundleItAired) {
+  // With a one-page render cache, X, Y, X renders X twice: each completion
+  // must report the bundle that was queued, not the url's latest render.
+  World w;
+  w.server_params.render_cache_pages = 1;
+  SonicServer server(&w.corpus, &w.gateway, w.server_params);
+  const std::string x = w.corpus.pages()[0].url;
+  const std::string y = w.corpus.pages()[1].url;
+  ASSERT_EQ(server.push_pages({x}, 0.0), 1);
+  ASSERT_EQ(server.push_pages({y}, 1.0), 1);
+  ASSERT_EQ(server.push_pages({x}, 2.0), 1);
+  const auto done = server.advance(1e9);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].bundle.metadata.url, x);
+  EXPECT_EQ(done[1].bundle.metadata.url, y);
+  EXPECT_EQ(done[2].bundle.metadata.url, x);
+  EXPECT_EQ(done[0].bundle.page_id, 1u);
+  EXPECT_EQ(done[1].bundle.page_id, 2u);
+  EXPECT_EQ(done[2].bundle.page_id, 3u);
 }
 
 TEST(ServerClient, DownlinkOnlyClientConvergesViaCarouselRepair) {
