@@ -397,8 +397,9 @@ std::vector<MicroCase> build_micro_cases() {
   // Resampling on 0.1 s of program audio: the FM modulator's 1:5 upsampler
   // (44.1 -> 220.5 kHz), the demodulator's 5:1 stage (before: 63-tap
   // low-pass then the per-tap-kernel decimator; after: the fused
-  // Resampler::decimator), and the acoustic clock-skew stage at +30 ppm. Before is the
-  // per-tap kernel oracle, after the table-driven path.
+  // Resampler::decimator), and the acoustic clock-skew stage at +30 and
+  // -17 ppm. Before is the per-tap kernel oracle, after the table-driven
+  // path.
   {
     auto audio = std::make_shared<std::vector<float>>(4410);
     for (auto& v : *audio) v = static_cast<float>(rng->uniform(-0.7, 0.7));
@@ -442,6 +443,20 @@ std::vector<MicroCase> build_micro_cases() {
         },
         [skew, audio] {
           auto out = skew->process(*audio);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    // Clock skew below 1 (-17 ppm): its cutoff just under 1 widens the
+    // interpolated grid to 11 taps.
+    auto skew_down = std::make_shared<dsp::Resampler>(1.0 - 17e-6);
+    cases.push_back(MicroCase{
+        "resample_skew_down", static_cast<double>(audio->size()), "samples",
+        [audio] {
+          auto out = oracles::resample_reference(*audio, 1.0 - 17e-6);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [skew_down, audio] {
+          auto out = skew_down->process(*audio);
           benchmark::DoNotOptimize(out.data());
         }});
   }

@@ -1,9 +1,11 @@
 #include "dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
 
+#include "dsp/fast_math.hpp"
 #include "util/units.hpp"
 
 namespace sonic::dsp {
@@ -64,12 +66,27 @@ std::vector<float> design_bandpass(double lo_hz, double hi_hz, double sample_rat
 
 namespace {
 
-// Dot product of two contiguous arrays; the one inner loop every FIR path
-// funnels through, so every path sums in the same order.
-float fir_dot(const float* window, const float* taps_rev, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += window[i] * taps_rev[i];
-  return acc;
+using fastmath::V4f;
+
+// Outputs per fir_block call: the lanes of kFirAccumulators V4f sums.
+constexpr std::size_t kFirAccumulators = 4;
+constexpr std::size_t kFirBlock = 4 * kFirAccumulators;
+
+// out[i] = sum of window[i + k] * taps_rev[k] over k = 0..n-1, for
+// i = 0..kFirBlock-1. Lane i accumulates exactly the sequence of a scalar
+// loop `acc += window[i + k] * taps_rev[k]` from acc = 0 (the same products,
+// added in the same order), so an output is bit-identical whichever block
+// and lane computes it; the independent lanes keep the adds from waiting
+// on each other.
+void fir_block(const float* window, const float* taps_rev, std::size_t n, float* out) {
+  V4f acc[kFirAccumulators] = {};
+  for (std::size_t k = 0; k < n; ++k) {
+    const V4f tap = fastmath::splat(taps_rev[k]);
+    for (std::size_t a = 0; a < kFirAccumulators; ++a) {
+      acc[a] += fastmath::load(window + k + 4 * a) * tap;
+    }
+  }
+  for (std::size_t a = 0; a < kFirAccumulators; ++a) fastmath::store(out + 4 * a, acc[a]);
 }
 
 }  // namespace
@@ -82,32 +99,24 @@ FirFilter::FirFilter(std::vector<float> taps)
 
 void FirFilter::reset() { std::fill(hist_.begin(), hist_.end(), 0.0f); }
 
-float FirFilter::process(float x) {
-  const std::size_t t = taps_.size();
-  work_.resize(t);
-  std::copy(hist_.begin(), hist_.end(), work_.begin());
-  work_[t - 1] = x;
-  const float y = fir_dot(work_.data(), taps_rev_.data(), t);
-  if (t > 1) {
-    std::copy(hist_.begin() + 1, hist_.end(), hist_.begin());
-    hist_.back() = x;
-  }
-  return y;
-}
-
 std::vector<float> FirFilter::process(std::span<const float> x) {
   const std::size_t t = taps_.size();
   const std::size_t h = t - 1;
-  std::vector<float> out(x.size());
-  if (x.empty()) return out;
-  work_.resize(h + x.size());
+  const std::size_t n = x.size();
+  if (n == 0) return {};
+  // [history | chunk | zeros up to a whole block]; the padding's outputs
+  // are computed and dropped.
+  const std::size_t blocks = (n + kFirBlock - 1) / kFirBlock;
+  work_.assign(h + blocks * kFirBlock, 0.0f);
   std::copy(hist_.begin(), hist_.end(), work_.begin());
   std::copy(x.begin(), x.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = fir_dot(work_.data() + i, taps_rev_.data(), t);
+  std::vector<float> out(blocks * kFirBlock);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    fir_block(work_.data() + b * kFirBlock, taps_rev_.data(), t, out.data() + b * kFirBlock);
   }
-  // Carry the last taps-1 inputs (work_ has h + n >= h entries).
-  std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(), hist_.begin());
+  out.resize(n);
+  // Carry the last taps-1 inputs.
+  std::copy_n(work_.begin() + static_cast<std::ptrdiff_t>(n), h, hist_.begin());
   return out;
 }
 

@@ -20,17 +20,15 @@ std::vector<float> design_bandpass(double lo_hz, double hi_hz, double sample_rat
 
 // Stateful FIR for streaming use.
 //
-// The block path lays the carried history and the new chunk out in one
-// contiguous window and runs a plain dot product per output — no per-tap
-// ring modulo — so the inner loop auto-vectorizes. The per-sample overload
-// shares the same dot-product (identical summation order), so any mix of
-// per-sample and block calls produces bit-identical output for the same
-// input stream.
+// process() lays the carried history and the new chunk out in one
+// contiguous window and computes 16 consecutive outputs per pass, in the
+// lanes of four 4-float vectors. Each lane sums its output's products in
+// tap order, exactly like a one-output scalar loop, so the output is
+// bit-identical to that loop and independent of how the stream is chunked.
 class FirFilter {
  public:
   explicit FirFilter(std::vector<float> taps);
 
-  float process(float x);
   std::vector<float> process(std::span<const float> x);
   void reset();
 

@@ -1,12 +1,15 @@
 #include "dsp/resampler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "util/units.hpp"
 
@@ -25,10 +28,11 @@ struct ResamplerTable {
   std::uint64_t up = 1, down = 1;  // L, M
   // Rational: `up` rows, row r at frac = r / up. Grid: kGridPhases + 1 rows,
   // row r at frac = r / kGridPhases; the extra row (frac = 1) gives every
-  // interpolation an upper neighbour.
-  std::vector<float> weights;
+  // interpolation an upper neighbour. Weights are rounded to float and held
+  // in double, the precision the dot products run in.
+  std::vector<double> weights;
 
-  const float* row(std::size_t r) const { return weights.data() + r * width; }
+  const double* row(std::size_t r) const { return weights.data() + r * width; }
 };
 
 namespace {
@@ -40,6 +44,8 @@ constexpr std::size_t kGridPhases = 4096;
 // At most this many tables stay memoized: each acoustic trial with ratio < 1
 // has its own cutoff and so its own grid.
 constexpr std::size_t kMaxCachedTables = 64;
+// Dot products per pass over outputs with whole windows.
+constexpr std::size_t kSlots = 4;
 
 double sinc(double x) {
   if (std::fabs(x) < 1e-12) return 1.0;
@@ -100,7 +106,7 @@ std::shared_ptr<const ResamplerTable> build_table(bool rational, std::uint64_t u
   t->weights.resize(rows * t->width);
   for (std::size_t r = 0; r < rows; ++r) {
     const double frac = static_cast<double>(r) / static_cast<double>(phases);
-    float* w = t->weights.data() + r * t->width;
+    double* w = t->weights.data() + r * t->width;
     for (std::size_t j = 0; j < t->width; ++j) {
       const double x = frac + static_cast<double>(reach) - static_cast<double>(j);
       w[j] = static_cast<float>(kernel(x, cutoff, half_width));
@@ -131,20 +137,46 @@ std::shared_ptr<const ResamplerTable> table_for(double ratio) {
   return table;
 }
 
-// Dot product in double of n inputs against n weights. Four independent
-// partial sums keep the adds from waiting on each other; the summation order
-// is fixed, so every caller gets bit-identical results for the same window.
-double dot(const float* x, const float* w, long n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+typedef double V2d __attribute__((vector_size(16)));
+
+V2d load2(const double* p) {
+  V2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// N dot products: out[k] = sum of x[k][j] * w[k][j], j < n, where every x
+// and w is a float held in double, so each product is exact. Each sum keeps
+// four partial sums: a_m takes the terms j = m mod 4 of the whole groups of
+// four, a0 also the tail, and the result is (a0 + a1) + (a2 + a3). The
+// order is fixed, so a window gives bit-identical results whichever call
+// and slot compute it; the N interleaved sums keep the adds from waiting on
+// each other.
+template <std::size_t N>
+void dots(const std::array<const double*, N>& x, const std::array<const double*, N>& w, long n,
+          double* out) {
+  V2d lo[N] = {}, hi[N] = {};  // {a0, a1}, {a2, a3}
   long j = 0;
   for (; j + 4 <= n; j += 4) {
-    a0 += static_cast<double>(x[j]) * static_cast<double>(w[j]);
-    a1 += static_cast<double>(x[j + 1]) * static_cast<double>(w[j + 1]);
-    a2 += static_cast<double>(x[j + 2]) * static_cast<double>(w[j + 2]);
-    a3 += static_cast<double>(x[j + 3]) * static_cast<double>(w[j + 3]);
+    for (std::size_t k = 0; k < N; ++k) {
+      lo[k] += load2(x[k] + j) * load2(w[k] + j);
+      hi[k] += load2(x[k] + j + 2) * load2(w[k] + j + 2);
+    }
   }
-  for (; j < n; ++j) a0 += static_cast<double>(x[j]) * static_cast<double>(w[j]);
-  return (a0 + a1) + (a2 + a3);
+  double a0[N] = {};
+  for (std::size_t k = 0; k < N; ++k) a0[k] = lo[k][0];
+  for (; j < n; ++j) {
+    for (std::size_t k = 0; k < N; ++k) a0[k] += x[k][j] * w[k][j];
+  }
+  for (std::size_t k = 0; k < N; ++k) out[k] = (a0[k] + lo[k][1]) + (hi[k][0] + hi[k][1]);
+}
+
+// Grid: the row below a fractional input position and the weight of the
+// row above it.
+std::pair<std::size_t, double> grid_row(double frac) {
+  const double pos = frac * static_cast<double>(kGridPhases);
+  const auto r = std::min(static_cast<std::size_t>(pos), kGridPhases - 1);
+  return {r, pos - static_cast<double>(r)};
 }
 
 }  // namespace
@@ -185,7 +217,9 @@ Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefil
   t->rational = true;
   t->up = 1;
   t->down = factor;
-  t->weights.assign(c.rbegin(), c.rend());
+  t->weights.resize(c.size());
+  std::transform(c.rbegin(), c.rend(), t->weights.begin(),
+                 [](double v) { return static_cast<float>(v); });
   return Resampler(ratio, std::move(t));
 }
 
@@ -200,73 +234,108 @@ Resampler::KernelPos Resampler::locate(std::size_t i) const {
   return {static_cast<long>(c), 0, src - c};
 }
 
-void Resampler::advance(KernelPos& p, std::size_t next) const {
-  const ResamplerTable& t = *table_;
-  if (!t.rational) {
-    p = locate(next);
-    return;
-  }
-  // (i+1)*M = i*M + M: step the quotient and remainder without dividing.
-  p.centre += static_cast<long>(t.down / t.up);
-  p.phase += static_cast<std::size_t>(t.down % t.up);
-  if (p.phase >= t.up) {
-    p.phase -= static_cast<std::size_t>(t.up);
-    ++p.centre;
-  }
-}
-
-float Resampler::evaluate(const float* x, long lo, long hi, const KernelPos& p) const {
+float Resampler::evaluate(const double* x, long lo, long hi, KernelPos p) const {
   const ResamplerTable& t = *table_;
   // Clamping the window to the input leaves the taps of the row that face
   // it: the row starts at input centre - before.
   const long skip = lo - (p.centre - t.before);
   const long n = hi - lo + 1;
   if (n <= 0) return 0.0f;
-  if (t.rational) return static_cast<float>(dot(x, t.row(p.phase) + skip, n));
+  double y[2] = {};
+  if (t.rational) {
+    dots<1>({x}, {t.row(p.phase) + skip}, n, y);
+    return static_cast<float>(y[0]);
+  }
   // Grid: interpolate between the rows either side of the fractional
   // position (the weights are linear in it, so interpolating the two dot
   // products is the same as interpolating the rows).
-  const double pos = p.frac * static_cast<double>(kGridPhases);
-  const auto r = std::min(static_cast<std::size_t>(pos), kGridPhases - 1);
-  const double w = pos - static_cast<double>(r);
-  const double a = dot(x, t.row(r) + skip, n);
-  const double b = dot(x, t.row(r + 1) + skip, n);
-  return static_cast<float>(a + w * (b - a));
+  const auto [r, w] = grid_row(p.frac);
+  dots<2>({x, x}, {t.row(r) + skip, t.row(r + 1) + skip}, n, y);
+  return static_cast<float>(y[0] + w * (y[1] - y[0]));
 }
 
 std::vector<float> Resampler::process(std::span<const float> input) const {
-  if (input.empty()) return {};
-  const std::size_t out_len = static_cast<std::size_t>(std::floor(static_cast<double>(input.size()) * ratio_));
-  const ResamplerTable& t = *table_;
-  const long last = static_cast<long>(input.size()) - 1;
-  std::vector<float> out(out_len);
-  KernelPos p = locate(0);
-  for (std::size_t i = 0; i < out_len; advance(p, ++i)) {
-    const long lo = std::max<long>(p.centre - t.before, 0);
-    out[i] = evaluate(input.data() + lo, lo, std::min<long>(p.centre + t.after, last), p);
-  }
+  Resampler stream(ratio_, table_);
+  auto out = stream.push(input);
+  const auto tail = stream.flush();
+  out.insert(out.end(), tail.begin(), tail.end());
   return out;
 }
 
 void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
   const ResamplerTable& t = *table_;
+  const long end = static_cast<long>(total_in_);
   const std::size_t out_total =
       static_cast<std::size_t>(std::floor(static_cast<double>(total_in_) * ratio_));
-  KernelPos p = locate(next_out_);
-  for (;; advance(p, ++next_out_)) {
-    if (final_flush) {
-      if (next_out_ >= out_total) break;
-    } else {
-      // Hold this output until its whole kernel window has been received.
-      if (p.centre + t.after >= static_cast<long>(total_in_)) break;
+  // Sized for every output still to come, trimmed to the ones emitted.
+  const std::size_t first = out.size();
+  out.resize(first + (out_total > next_out_ ? out_total - next_out_ : 0));
+  float* y = out.data() + first;
+
+  // From output i to i + 1: a rational ratio steps (i*M) div L and
+  // (i*M) mod L by M without dividing; the grid locates the next output.
+  const long centre_step = t.rational ? static_cast<long>(t.down / t.up) : 0;
+  const auto phase_step = t.rational ? static_cast<std::size_t>(t.down % t.up) : 0;
+  const long base = static_cast<long>(hist_base_);
+  std::size_t i = next_out_;
+  KernelPos p = locate(i);
+  const auto step = [&] {
+    ++i;
+    if (!t.rational) {
+      p = locate(i);
+      return;
     }
-    // Same clamped window as the batch path (hist_ is contiguous with
-    // absolute base hist_base_), keeping the two paths term-for-term
-    // identical.
+    p.centre += centre_step;
+    p.phase += phase_step;
+    if (p.phase >= t.up) {
+      p.phase -= static_cast<std::size_t>(t.up);
+      ++p.centre;
+    }
+  };
+  // Output i is due once its whole window has been received (push()
+  // holds it until then), or at the end of the stream (flush(), which
+  // reads past the last input as silence).
+  const auto window_received = [&] { return p.centre + t.after < end; };
+  while (i < out_total && (final_flush || window_received())) {
+    if (p.centre >= t.before && window_received()) {
+      // Whole windows: kSlots dot products per pass, one per output for a
+      // rational ratio, two (the rows either side) for the grid.
+      const std::size_t per_output = t.rational ? 1 : 2;
+      std::array<const double*, kSlots> x = {}, w = {};
+      double frac[kSlots] = {};
+      std::size_t slots = 0;
+      do {
+        const double* window = hist_.data() + (p.centre - t.before - base);
+        if (t.rational) {
+          x[slots] = window;
+          w[slots] = t.row(p.phase);
+        } else {
+          const auto [r, f] = grid_row(p.frac);
+          x[slots] = x[slots + 1] = window;
+          w[slots] = t.row(r);
+          w[slots + 1] = t.row(r + 1);
+          frac[slots] = f;
+        }
+        slots += per_output;
+        step();
+      } while (slots < kSlots && i < out_total && window_received());
+      // Unused slots repeat the first; their results are dropped.
+      for (std::size_t k = slots; k < kSlots; ++k) x[k] = x[0], w[k] = w[0];
+      double d[kSlots] = {};
+      dots<kSlots>(x, w, static_cast<long>(t.width), d);
+      for (std::size_t k = 0; k < slots; k += per_output) {
+        *y++ = static_cast<float>(t.rational ? d[k] : d[k] + frac[k] * (d[k + 1] - d[k]));
+      }
+      continue;
+    }
+    // A window clamped at a stream edge; hist_ is contiguous with absolute
+    // base hist_base_.
     const long lo = std::max<long>(p.centre - t.before, 0);
-    out.push_back(evaluate(hist_.data() + (lo - static_cast<long>(hist_base_)), lo,
-                           std::min<long>(p.centre + t.after, static_cast<long>(total_in_) - 1), p));
+    *y++ = evaluate(hist_.data() + (lo - base), lo, std::min(p.centre + t.after, end - 1), p);
+    step();
   }
+  next_out_ = i;
+  out.resize(static_cast<std::size_t>(y - out.data()));
   // Evict history the next output can no longer reach.
   const long keep_from = p.centre - t.before;
   if (keep_from > static_cast<long>(hist_base_)) {

@@ -33,16 +33,21 @@ struct ResamplerTable;
 // the same ratio (and every skew resampler with ratio >= 1, which all share
 // cutoff 1) reuses one table.
 //
-// Two modes:
-//  * batch: process(input) resamples one whole buffer (stateless, const).
-//  * streaming: push(chunk)* then flush() resamples an unbounded stream in
-//    chunks with bounded memory. Interpolation state — the kernel's history
-//    window and the output position — carries across push() calls, so
-//    concat(push(c1), push(c2), ..., flush()) is sample-identical to
-//    process(c1 + c2 + ...) for any chunking. push() withholds outputs whose
-//    kernel window still reaches past the samples received so far; flush()
-//    emits them treating the beyond-end region as silence, exactly like the
-//    batch path's edge handling.
+// Every output is a dot product in double with a fixed summation order.
+// Outputs whose whole window lies inside the input are computed four per
+// pass (two for the grid, which takes two rows per output), their dot
+// products interleaved; the few clamped at a stream edge are computed one
+// at a time over the part of the window inside the input. An output's bits
+// do not depend on which pass computes it.
+//
+// Streaming: push(chunk)* then flush() resamples an unbounded stream in
+// chunks with bounded memory. Interpolation state — the kernel's history
+// window and the output position — carries across push() calls, so
+// concat(push(c1), push(c2), ..., flush()) is sample-identical for any
+// chunking. push() withholds outputs whose kernel window still reaches past
+// the samples received so far; flush() emits them treating the beyond-end
+// region as silence. process(input) is push(input) + flush() on a fresh
+// stream.
 class Resampler {
  public:
   // ratio = output_rate / input_rate.
@@ -61,7 +66,8 @@ class Resampler {
   // low-pass output off instead; every earlier output is the same.
   static Resampler decimator(std::size_t factor, std::span<const float> prefilter);
 
-  // Batch: whole buffer in, floor(n * ratio) samples out.
+  // Batch: whole buffer in, floor(n * ratio) samples out; the resampler's
+  // own stream state is left alone.
   std::vector<float> process(std::span<const float> input) const;
 
   // Streaming: feed one chunk, get every output sample that is now fully
@@ -86,11 +92,9 @@ class Resampler {
     double frac;
   };
   KernelPos locate(std::size_t i) const;
-  // Moves `p` from output next-1 to output `next`.
-  void advance(KernelPos& p, std::size_t next) const;
-  // One output from the inputs lo..hi (absolute indices; `x` points at
-  // input lo).
-  float evaluate(const float* x, long lo, long hi, const KernelPos& p) const;
+  // One output whose window is clamped to the inputs lo..hi at a stream
+  // edge (absolute indices; `x` points at input lo).
+  float evaluate(const double* x, long lo, long hi, KernelPos p) const;
   // Emits out[next_out_...] while the kernel window is satisfied; with
   // `final_flush` the stream is complete and end-of-input is silence.
   void emit_ready(std::vector<float>& out, bool final_flush);
@@ -100,8 +104,9 @@ class Resampler {
   double ratio_;
   std::shared_ptr<const ResamplerTable> table_;
 
-  // Streaming state: hist_[0] is absolute input index hist_base_.
-  std::vector<float> hist_;
+  // Streaming state: hist_[0] is absolute input index hist_base_. Inputs
+  // are held in double, the precision the dot products run in.
+  std::vector<double> hist_;
   std::size_t hist_base_ = 0;
   std::size_t total_in_ = 0;
   std::size_t next_out_ = 0;

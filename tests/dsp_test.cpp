@@ -146,8 +146,7 @@ TEST(Fir, StreamingMatchesConvolution) {
 TEST(Fir, ResetClearsState) {
   const auto taps = design_lowpass(8000, 44100, 31);
   FirFilter f(taps);
-  f.process(1.0f);
-  f.process(-1.0f);
+  (void)f.process(std::vector<float>{1.0f, -1.0f});
   f.reset();
   // After reset an impulse must reproduce the taps exactly.
   std::vector<float> impulse(taps.size(), 0.0f);

@@ -15,7 +15,7 @@
 //  * the real-input OFDM symbol analysis vs. the complex-input FFT, and
 //    the QAM soft demapper vs. its per-bit level loop;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
-//  * contiguous-window FirFilter vs. the ring-buffer reference;
+//  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
 //    FmDemodulator's fused decimating low-pass vs. the old two-stage chain;
 //  * Rng::fill_normal vs. scalar normal() draws, bit for bit, and the RF
@@ -23,6 +23,8 @@
 //  * the fast_math sincos/atan2/exp2 kernels vs. libm, and the FM
 //    modulator, RF channel, demodulator and acoustic hop built on them vs.
 //    their per-sample libm oracles;
+//  * byte pins of every FM filter stage and of one FmLink burst, at input
+//    lengths around each stage's window and batch edges, under any chunking;
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path
 // and the bounded allocation for forged OFDM headers, verified with a real
@@ -33,10 +35,13 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,6 +55,7 @@
 #include "fec/fountain.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
+#include "fm/link.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "modem/qam.hpp"
@@ -514,27 +520,24 @@ TEST(FirEquivalence, BlockPathMatchesRingReference) {
   for (std::size_t i = 0; i < fast.size(); ++i) ASSERT_NEAR(fast[i], ref[i], 1e-4) << i;
 }
 
-TEST(FirEquivalence, PerSampleAndBlockCallsAreBitIdentical) {
+// Random-length block calls, from single samples to several 16-output
+// blocks, give the same bits as one call over the whole stream.
+TEST(FirEquivalence, RandomBlockCallsMatchOneCall) {
   Rng rng(42);
   const auto taps = dsp::design_lowpass(8000.0, 44100.0, 31);
   std::vector<float> x(1000);
   for (auto& v : x) v = static_cast<float>(rng.normal());
-  dsp::FirFilter block(taps);
-  dsp::FirFilter mixed(taps);
-  const auto expect = block.process(x);
-  // Interleave per-sample and block calls over the same stream.
+  dsp::FirFilter whole(taps);
+  dsp::FirFilter chunked(taps);
+  const auto expect = whole.process(x);
   std::vector<float> got;
   std::size_t pos = 0;
   while (pos < x.size()) {
-    if (rng.bernoulli(0.5)) {
-      got.push_back(mixed.process(x[pos]));
-      ++pos;
-    } else {
-      const std::size_t len = std::min<std::size_t>(1 + rng.uniform_int(97), x.size() - pos);
-      const auto out = mixed.process(std::span(x).subspan(pos, len));
-      got.insert(got.end(), out.begin(), out.end());
-      pos += len;
-    }
+    const std::size_t len = std::min<std::size_t>(1 + rng.uniform_int(rng.bernoulli(0.5) ? 3 : 97),
+                                                  x.size() - pos);
+    const auto out = chunked.process(std::span(x).subspan(pos, len));
+    got.insert(got.end(), out.begin(), out.end());
+    pos += len;
   }
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expect[i]) << i;
@@ -1013,6 +1016,153 @@ TEST(FmOracleEquivalence, AcousticHopAcrossDistances) {
     ASSERT_EQ(got.size(), expect.size());
     EXPECT_LE(max_abs_diff(got, expect, got.size()), kFmOracleBound);
   }
+}
+
+// ------------------------------------------------------------ FM kernels ---
+// Byte pins for every FM filter stage, taken from the one-output-at-a-time
+// kernels the multi-output ones replaced: FNV-1a over the output floats of
+// each stage for a set of input lengths around its window and batch edges,
+// each of which must also come out the same under any chunking.
+
+std::uint64_t fnv1a(std::span<const float> x, std::uint64_t hash) {
+  for (const float v : x) {
+    const auto bits = std::bit_cast<std::uint32_t>(v);
+    for (int b = 0; b < 4; ++b) hash = (hash ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// Input lengths around a stage's window of `w` inputs: empty, one sample,
+// the window's edges, the edges of runs of 4, 8, 16 and 20 further inputs,
+// and long buffers.
+std::vector<std::size_t> pin_lengths(std::size_t w) {
+  std::vector<std::size_t> n = {0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, w - 1, w, w + 1};
+  for (const std::size_t batch : {4, 8, 16, 20}) {
+    for (const std::size_t d : {batch - 1, batch, batch + 1}) n.push_back(w + d);
+  }
+  for (const std::size_t len : {2 * w, std::size_t{882}, std::size_t{883}, std::size_t{4410}}) {
+    n.push_back(len);
+  }
+  return n;
+}
+
+// A stage fed `x` in chunks of `chunk` samples (0: one call), then drained.
+template <typename Stage, typename T>
+std::vector<float> run_stage(Stage stage, std::span<const T> x, std::size_t chunk) {
+  std::vector<float> out;
+  const std::size_t step = chunk == 0 ? std::max<std::size_t>(x.size(), 1) : chunk;
+  for (std::size_t pos = 0; pos < x.size(); pos += step) {
+    const auto y = stage.feed(x.subspan(pos, std::min(step, x.size() - pos)));
+    out.insert(out.end(), y.begin(), y.end());
+  }
+  const auto tail = stage.finish();
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+// FNV-1a of the one-call outputs of fresh stages (from `make`) over every
+// pin length's prefix of `x`; each chunked run must match its one call.
+template <typename Make, typename T>
+std::uint64_t pin_stage(Make make, const std::vector<T>& x, std::size_t window) {
+  std::uint64_t hash = kFnvBasis;
+  for (const std::size_t len : pin_lengths(window)) {
+    const std::span<const T> in(x.data(), len);
+    const auto whole = run_stage(make(), in, 0);
+    for (const std::size_t chunk : {1, 3, 882}) {
+      EXPECT_EQ(run_stage(make(), in, chunk), whole) << "len=" << len << " chunk=" << chunk;
+    }
+    hash = fnv1a(whole, hash);
+  }
+  return hash;
+}
+
+struct FirStage {
+  dsp::FirFilter f;
+  std::vector<float> feed(std::span<const float> x) { return f.process(x); }
+  std::vector<float> finish() { return {}; }
+};
+
+struct ResamplerStage {
+  dsp::Resampler r;
+  std::vector<float> feed(std::span<const float> x) { return r.push(x); }
+  std::vector<float> finish() { return r.flush(); }
+};
+
+struct DemodulatorStage {
+  fm::FmDemodulator d;
+  std::vector<float> feed(std::span<const fm::cplx> x) { return d.demodulate(x); }
+  std::vector<float> finish() { return d.finish(); }
+};
+
+struct AcousticStage {
+  fm::AcousticChannel a;
+  std::vector<float> feed(std::span<const float> x) { return a.process(x); }
+  std::vector<float> finish() { return a.finish(); }
+};
+
+TEST(FmKernels, StageOutputsArePinned) {
+  Rng rng(90);
+  const auto audio = random_audio(rng, 4410, 0.9);
+  const fm::FmParams params;
+
+  const auto lowpass = dsp::design_lowpass(params.audio_lowpass_hz, params.audio_rate_hz, 63);
+  EXPECT_EQ(pin_stage([&] { return FirStage{dsp::FirFilter(lowpass)}; }, audio, 63),
+            0x535299101ca5b3b8ull) << "fir63";
+
+  const auto iq_lowpass = dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63);
+  struct ResamplerPin {
+    const char* name;
+    std::function<dsp::Resampler()> make;
+    std::size_t window;
+    std::uint64_t hash;
+  };
+  const ResamplerPin resamplers[] = {
+      {"up5", [] { return dsp::Resampler(5.0); }, 9, 0x5f7f55e561131c25ull},
+      {"decimator5", [&] { return dsp::Resampler::decimator(5, iq_lowpass); }, 103,
+       0x49e12bd0d4c5ea7aull},
+      {"skew_up", [] { return dsp::Resampler(1.0 + 30e-6); }, 9, 0x14112197b9041622ull},
+      {"skew_down", [] { return dsp::Resampler(1.0 - 17e-6); }, 11, 0x14ee3f4c61d0b592ull},
+      {"640/147", [] { return dsp::Resampler(640.0 / 147.0); }, 9, 0x8ad3f3f5becadb9bull},
+  };
+  for (const auto& pin : resamplers) {
+    const auto make = [&] { return ResamplerStage{pin.make()}; };
+    EXPECT_EQ(pin_stage(make, audio, pin.window), pin.hash) << pin.name;
+    // The one-call batch path is the same stream.
+    for (const std::size_t len : pin_lengths(pin.window)) {
+      const std::span<const float> in(audio.data(), len);
+      EXPECT_EQ(pin.make().process(in), run_stage(make(), in, 0)) << pin.name << " len=" << len;
+    }
+  }
+
+  std::uint64_t mod_hash = kFnvBasis;
+  for (const std::size_t len : pin_lengths(63)) {
+    const auto iq = fm::FmModulator(params).modulate(std::span(audio.data(), len));
+    mod_hash = fnv1a(std::span(reinterpret_cast<const float*>(iq.data()), 2 * iq.size()), mod_hash);
+  }
+  EXPECT_EQ(mod_hash, 0xb07cede6cfcb354dull) << "modulate";
+
+  const auto iq = fm::FmModulator(params).modulate(audio);
+  EXPECT_EQ(pin_stage([&] { return DemodulatorStage{fm::FmDemodulator(params)}; }, iq, 103),
+            0x9d44fd0f4ffed9abull) << "demodulate";
+
+  // The channel's noise level is anchored to its first audible chunk, so
+  // every run starts from the same anchoring chunk. The window is the skew
+  // grid's (9 or 11 taps, by the sign of the trial's skew).
+  fm::AcousticParams air;
+  air.distance_m = 0.2;
+  const auto make_air = [&] {
+    AcousticStage stage{fm::AcousticChannel(air, Rng(91))};
+    (void)stage.feed(std::span(audio.data(), 64));
+    return stage;
+  };
+  EXPECT_EQ(pin_stage(make_air, audio, 11), 0x2d4a40b1b01e503full) << "acoustic";
+
+  fm::FmLinkConfig link;
+  link.acoustic.distance_m = 0.2;
+  const auto burst = fm::FmLink(link).transmit(ofdm_audio(rng));
+  EXPECT_EQ(fnv1a(burst, kFnvBasis), 0xee84640f7deae6d6ull) << "link";
 }
 
 // ---------------------------------------------- forged OFDM header bound ---
