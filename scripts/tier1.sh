@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, a smoke run of
 # the end-to-end benchmark (its Release build of src/ plus every workload's
-# correctness checks), then the broadcast-pipeline and metrics tests rebuilt
-# and rerun under ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data
-# races in the pipeline's worker pool.
+# correctness checks), then the full test suite rebuilt and rerun under
+# ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
+# pipeline's worker pool and the shared caches and codecs.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -18,11 +18,10 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== tier-1: end-to-end benchmark smoke run =="
 python3 e2ebench/run.py --smoke
 
-echo "== tier-1: pipeline + uplink + streaming + kernel tests under ThreadSanitizer =="
+echo "== tier-1: full test suite under ThreadSanitizer =="
 cmake -B build-tsan -S . -DSONIC_TSAN=ON
 cmake --build build-tsan -j "$JOBS" \
   --target sonic_tests sonic_uplink_tests sonic_streaming_tests sonic_kernel_tests
-ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Pipeline|Metrics|ServerShards|Scheduler\.|Fountain|Carousel|Uplink|StreamReceiver|Streaming|FftPlan.CacheReturnsSharedInstance|ResamplerTables|ViterbiConcurrency|ColumnCodecConcurrency'
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
 echo "tier-1 OK"

@@ -18,14 +18,6 @@ Biquad Biquad::lowpass(double f_hz, double sample_rate_hz, double q) {
   return Biquad(((1 - cw) / 2) / a0, (1 - cw) / a0, ((1 - cw) / 2) / a0, (-2 * cw) / a0, (1 - alpha) / a0);
 }
 
-Biquad Biquad::highpass(double f_hz, double sample_rate_hz, double q) {
-  const double w0 = sonic::util::kTwoPi * f_hz / sample_rate_hz;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1 + alpha;
-  return Biquad(((1 + cw) / 2) / a0, -(1 + cw) / a0, ((1 + cw) / 2) / a0, (-2 * cw) / a0, (1 - alpha) / a0);
-}
-
 Biquad Biquad::fm_preemphasis(double tau_us, double sample_rate_hz) {
   // Analog H(s) = 1 + s*tau, discretized by bilinear transform. The analog
   // response grows without bound, so clamp with the sampling prewarp.

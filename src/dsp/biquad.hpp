@@ -14,7 +14,6 @@ class Biquad {
   Biquad(double b0, double b1, double b2, double a1, double a2);
 
   static Biquad lowpass(double f_hz, double sample_rate_hz, double q = 0.7071);
-  static Biquad highpass(double f_hz, double sample_rate_hz, double q = 0.7071);
   // First-order shelving filters built from the bilinear transform of an
   // analog RC; `tau_us` is the RC time constant in microseconds (50 us or
   // 75 us for FM broadcast emphasis).

@@ -1,18 +1,13 @@
 // Radix-2 iterative FFT. The OFDM modem uses power-of-two transforms
 // (1024-point at 44.1 kHz), so a dependency-free radix-2 kernel suffices.
 //
-// Two entry points:
-//
-//  * FftPlan — precomputed bit-reversal and twiddle tables for one size,
-//    with in-place forward/inverse on caller-provided scratch. Plans are
-//    immutable after construction and safe to share across threads;
-//    FftPlan::get(n) hands out cached plans from a thread-safe registry so
-//    the steady-state symbol path never recomputes tables. Twiddles are
-//    evaluated per-element in double precision (no recurrence), so accuracy
-//    does not drift with transform size.
-//
-//  * fft()/ifft() — convenience wrappers over the cached plan, keeping the
-//    original one-shot API.
+// FftPlan is the one entry point: precomputed bit-reversal and twiddle
+// tables for one size, with in-place forward/inverse on caller-provided
+// scratch. Plans are immutable after construction and safe to share across
+// threads; FftPlan::get(n) hands out cached plans from a thread-safe
+// registry so the steady-state symbol path never recomputes tables.
+// Twiddles are evaluated per-element in double precision (no recurrence),
+// so accuracy does not drift with transform size.
 #pragma once
 
 #include <complex>
@@ -47,17 +42,6 @@ class FftPlan {
   std::vector<std::uint32_t> bitrev_;  // bit-reversed index of each position
   std::vector<cplx> twiddle_;          // exp(-2*pi*i*k/n), k in [0, n/2)
 };
-
-// In-place forward FFT via the cached plan; data.size() must be a power of
-// two.
-void fft(std::span<cplx> data);
-
-// In-place inverse FFT, including the 1/N normalization.
-void ifft(std::span<cplx> data);
-
-// Naive O(N^2) DFT with double-precision accumulation, used by tests as the
-// ground truth.
-std::vector<cplx> dft_naive(std::span<const cplx> data);
 
 bool is_power_of_two(std::size_t n);
 

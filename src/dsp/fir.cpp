@@ -37,33 +37,6 @@ std::vector<float> design_lowpass(double cutoff_hz, double sample_rate_hz, std::
   return h;
 }
 
-std::vector<float> design_bandpass(double lo_hz, double hi_hz, double sample_rate_hz,
-                                   std::size_t taps, WindowType window) {
-  if (taps % 2 == 0) ++taps;
-  if (!(0 < lo_hz && lo_hz < hi_hz && hi_hz < sample_rate_hz / 2))
-    throw std::invalid_argument("band out of range");
-  const double f1 = lo_hz / sample_rate_hz;
-  const double f2 = hi_hz / sample_rate_hz;
-  const auto win = make_window(window, taps);
-  std::vector<float> h(taps);
-  const double mid = static_cast<double>(taps - 1) / 2.0;
-  for (std::size_t i = 0; i < taps; ++i) {
-    const double t = static_cast<double>(i) - mid;
-    const double v = (2.0 * f2 * sinc(2.0 * f2 * t) - 2.0 * f1 * sinc(2.0 * f1 * t)) * win[i];
-    h[i] = static_cast<float>(v);
-  }
-  // Normalize gain to 1 at band center.
-  const double fm = (f1 + f2) / 2.0;
-  std::complex<double> resp(0.0, 0.0);
-  for (std::size_t i = 0; i < taps; ++i) {
-    const double ang = -sonic::util::kTwoPi * fm * static_cast<double>(i);
-    resp += static_cast<double>(h[i]) * std::complex<double>(std::cos(ang), std::sin(ang));
-  }
-  const double gain = std::abs(resp);
-  for (auto& t : h) t = static_cast<float>(t / gain);
-  return h;
-}
-
 namespace {
 
 using fastmath::V4f;

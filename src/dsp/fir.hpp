@@ -14,10 +14,6 @@ namespace sonic::dsp {
 std::vector<float> design_lowpass(double cutoff_hz, double sample_rate_hz, std::size_t taps,
                                   WindowType window = WindowType::kHamming);
 
-// Band-pass between lo and hi.
-std::vector<float> design_bandpass(double lo_hz, double hi_hz, double sample_rate_hz,
-                                   std::size_t taps, WindowType window = WindowType::kHamming);
-
 // Stateful FIR for streaming use.
 //
 // process() lays the carried history and the new chunk out in one

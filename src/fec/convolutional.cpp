@@ -321,15 +321,4 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const float> soft,
   return out;
 }
 
-util::Bytes ConvolutionalCodec::decode_hard(std::span<const std::uint8_t> packed_bits,
-                                            std::size_t payload_bytes) const {
-  const std::size_t nbits = encoded_bits(payload_bytes);
-  std::vector<float> soft(nbits, 0.5f);
-  util::BitReader br(packed_bits);
-  for (std::size_t i = 0; i < nbits && br.bits_remaining() > 0; ++i) {
-    soft[i] = static_cast<float>(br.bit());
-  }
-  return decode_soft(soft, payload_bytes);
-}
-
 }  // namespace sonic::fec

@@ -94,9 +94,6 @@ class ConvolutionalCodec {
   // coding-gain baseline it is checked against.
   util::Bytes decode_soft(std::span<const float> soft, std::size_t payload_bytes) const;
 
-  // Convenience: hard-decision decode from packed bits.
-  util::Bytes decode_hard(std::span<const std::uint8_t> packed_bits, std::size_t payload_bytes) const;
-
   // Soft-bit quantization scale of decode_soft (even, so 0.5 is exact).
   static constexpr int kSoftScale = 254;
 

@@ -50,11 +50,6 @@ AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
   }
 }
 
-double AcousticChannel::trial_snr_db() const {
-  if (params_.distance_m <= 0.0) return params_.cable_snr_db;
-  return params_.ref_snr_db + trial_gain_db_;
-}
-
 std::vector<float> AcousticChannel::process(std::span<const float> audio) {
   std::vector<float> out(audio.begin(), audio.end());
   if (!noise_sigma_.has_value()) {

@@ -73,8 +73,6 @@ class AcousticChannel {
 
   // Mean channel gain for the current trial, dB (diagnostics/benches).
   double trial_gain_db() const { return trial_gain_db_; }
-  // Expected SNR at the microphone for this trial, dB.
-  double trial_snr_db() const;
 
  private:
   AcousticParams params_;

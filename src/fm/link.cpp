@@ -4,10 +4,6 @@ namespace sonic::fm {
 
 FmLink::FmLink(FmLinkConfig config) : config_(std::move(config)), rng_(config_.seed) {}
 
-double FmLink::rf_cnr_db() const {
-  return config_.rf.rssi_db - config_.rf.noise_floor_db;
-}
-
 std::vector<float> FmLink::transmit(std::span<const float> audio) {
   std::vector<float> radio_audio;
   if (config_.enable_rf) {
@@ -27,7 +23,6 @@ std::vector<float> FmLink::transmit(std::span<const float> audio) {
   auto out = air.process(radio_audio);
   const auto air_tail = air.finish();
   out.insert(out.end(), air_tail.begin(), air_tail.end());
-  last_acoustic_snr_db_ = air.trial_snr_db();
   // Advance the seed so repeated transmits see fresh channel draws.
   rng_ = rng_.fork(3);
   return out;

@@ -33,14 +33,9 @@ class FmLink {
   // hears.
   std::vector<float> transmit(std::span<const float> audio);
 
-  // Diagnostics from the last transmit().
-  double last_acoustic_snr_db() const { return last_acoustic_snr_db_; }
-  double rf_cnr_db() const;
-
  private:
   FmLinkConfig config_;
   sonic::util::Rng rng_;
-  double last_acoustic_snr_db_ = 0.0;
 };
 
 }  // namespace sonic::fm

@@ -83,10 +83,6 @@ class SmsGateway {
   // mid-scenario instead of hunting for seeds.
   void set_loss_rate(double p) { params_.loss_rate = p; }
   void set_duplication_rate(double p) { params_.duplication_rate = p; }
-  void set_reorder(double rate, double delay_s) {
-    params_.reorder_rate = rate;
-    params_.reorder_delay_s = delay_s;
-  }
   const SmsGatewayParams& params() const { return params_; }
 
  private:

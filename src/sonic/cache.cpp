@@ -50,12 +50,6 @@ std::vector<CatalogEntry> PageCache::catalog(double now_s) const {
   return out;
 }
 
-void PageCache::evict_expired(double now_s) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.expires_at_s <= now_s ? entries_.erase(it) : std::next(it);
-  }
-}
-
 BundleCache::BundleCache(std::size_t max_pages) : max_pages_(max_pages) {}
 
 std::shared_ptr<const PageBundle> BundleCache::get(const std::string& key, int version) {

@@ -38,7 +38,6 @@ class PageCache {
 
   std::vector<CatalogEntry> catalog(double now_s) const;
 
-  void evict_expired(double now_s);
   std::size_t size() const { return entries_.size(); }
 
  private:

@@ -9,6 +9,9 @@
 namespace sonic::core {
 namespace {
 
+// Catalog recomputation cadence: hourly, the pipeline's render epoch.
+constexpr double kRefreshIntervalS = 3600.0;
+
 Carousel::Params validated(Carousel::Params params) {
   const auto errors = params.validate();
   if (!errors.empty()) {
@@ -27,9 +30,6 @@ std::vector<std::string> Carousel::Params::validate() const {
   if (!(repair_overhead >= 0.0 && repair_overhead <= 4.0)) {
     errors.push_back("repair_overhead must be in [0, 4] (got " + std::to_string(repair_overhead) + ")");
   }
-  if (!(refresh_interval_s > 0.0)) {
-    errors.push_back("refresh_interval_s must be positive (got " + std::to_string(refresh_interval_s) + ")");
-  }
   return errors;
 }
 
@@ -47,16 +47,14 @@ std::uint32_t Carousel::next_repair_seq(const std::string& url) const {
 
 void Carousel::refresh_catalog(double now_s) {
   catalog_.clear();
-  for (const auto& [url, hits] : hits_) {
-    if (hits >= params_.min_hits) catalog_.emplace_back(url, hits);
-  }
+  for (const auto& [url, hits] : hits_) catalog_.emplace_back(url, hits);
   std::sort(catalog_.begin(), catalog_.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
   if (catalog_.size() > params_.max_pages) catalog_.resize(params_.max_pages);
   refreshed_once_ = true;
-  next_refresh_s_ = now_s + params_.refresh_interval_s;
+  next_refresh_s_ = now_s + kRefreshIntervalS;
   if (metrics_ != nullptr) {
     metrics_->counter("carousel_refreshes").add(1);
     metrics_->histogram("carousel_catalog_pages").observe(static_cast<double>(catalog_.size()));

@@ -34,9 +34,7 @@ class Carousel {
  public:
   struct Params {
     std::size_t max_pages = 16;   // catalog capacity per cycle
-    std::size_t min_hits = 1;     // popularity threshold for membership
     double repair_overhead = 0.3; // repair frames per page, as a fraction of its source frames
-    double refresh_interval_s = 3600.0;  // catalog recomputation cadence
 
     // Descriptive configuration errors; empty when sane.
     std::vector<std::string> validate() const;
@@ -50,7 +48,7 @@ class Carousel {
   void record_hit(const std::string& url);
 
   // The current catalog, most popular first (hits, then url for ties).
-  // Recomputed from hit counts at each refresh boundary.
+  // Recomputed from hit counts every hour of simulated time.
   std::vector<std::pair<std::string, std::size_t>> catalog() const { return catalog_; }
 
   // Advances refresh/cycle state. Returns the next cycle's pages, each its

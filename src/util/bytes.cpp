@@ -108,15 +108,4 @@ std::uint32_t BitReader::bits(int count) {
   return v;
 }
 
-std::string to_hex(std::span<const std::uint8_t> data) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t b : data) {
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xf]);
-  }
-  return out;
-}
-
 }  // namespace sonic::util

@@ -79,14 +79,11 @@ class BitReader {
   int bit();                        // returns 0/1, or 0 past the end
   std::uint32_t bits(int count);
   bool ok() const { return ok_; }
-  std::size_t bits_remaining() const { return data_.size() * 8 - pos_; }
 
  private:
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
-
-std::string to_hex(std::span<const std::uint8_t> data);
 
 }  // namespace sonic::util

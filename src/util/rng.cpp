@@ -122,18 +122,6 @@ double Rng::exponential(double rate) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-int Rng::poisson(double mean) {
-  // Knuth's algorithm; fine for the small means used in churn modelling.
-  const double limit = std::exp(-mean);
-  double p = 1.0;
-  int k = 0;
-  do {
-    ++k;
-    p *= uniform();
-  } while (p > limit);
-  return k - 1;
-}
-
 int Rng::zipf(int n, double s) {
   // Inverse-CDF over precomputed weights would be faster, but popularity
   // draws are not hot; linear scan keeps this dependency-free.

@@ -31,7 +31,6 @@ class Rng {
   static constexpr std::size_t kNormalBlock = 256;
   double exponential(double rate);
   bool bernoulli(double p);
-  int poisson(double mean);
 
   // Zipf distribution over ranks [0, n); used for webpage popularity.
   int zipf(int n, double s = 1.0);

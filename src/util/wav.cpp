@@ -62,6 +62,17 @@ WavData read_wav(const std::string& path) {
     std::fclose(f);
     throw std::runtime_error(std::string(why) + ": " + path);
   };
+  // Chunk lengths are untrusted: they are checked against the bytes left in
+  // the file, so a forged length can neither size an allocation nor walk
+  // past the end.
+  long file_bytes = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) file_bytes = std::ftell(f);
+  if (file_bytes < 0 || std::fseek(f, 0, SEEK_SET) != 0) fail("not a seekable file");
+  auto bytes_left = [&] { return static_cast<std::uint64_t>(file_bytes - std::ftell(f)); };
+  auto skip = [&](std::uint32_t n) {
+    if (n > bytes_left()) fail("chunk runs past end of file");
+    std::fseek(f, static_cast<long>(n), SEEK_CUR);
+  };
   if (std::fread(tag, 1, 4, f) != 4 || std::string(tag) != "RIFF") fail("not a RIFF file");
   get_u32(f);  // riff size
   if (std::fread(tag, 1, 4, f) != 4 || std::string(tag) != "WAVE") fail("not a WAVE file");
@@ -80,22 +91,27 @@ WavData read_wav(const std::string& path) {
       get_u16(f);  // block align
       bits = get_u16(f);
       if (format != 1 || bits != 16 || channels < 1 || channels > 2) fail("unsupported wav format");
-      for (std::uint32_t skip = 16; skip < size; ++skip) std::fgetc(f);
+      if (size > 16) skip(size - 16);
     } else if (std::string(tag) == "data") {
       if (channels == 0) fail("data before fmt");
-      const std::size_t frames = size / (2 * static_cast<std::size_t>(channels));
-      out.samples.reserve(frames);
+      // A truncated recording keeps the whole frames actually present.
+      const std::size_t frame_bytes = 2 * static_cast<std::size_t>(channels);
+      std::vector<std::uint8_t> raw(std::min<std::uint64_t>(size, bytes_left()) / frame_bytes * frame_bytes);
+      const std::size_t frames = std::fread(raw.data(), 1, raw.size(), f) / frame_bytes;
+      std::fclose(f);
+      out.samples.resize(frames);
       for (std::size_t i = 0; i < frames; ++i) {
         float acc = 0;
         for (int c = 0; c < channels; ++c) {
-          acc += static_cast<float>(static_cast<std::int16_t>(get_u16(f))) / 32768.0f;
+          const std::uint8_t* b = raw.data() + i * frame_bytes + 2 * static_cast<std::size_t>(c);
+          const auto v = static_cast<std::int16_t>(static_cast<std::uint16_t>(b[0] | (b[1] << 8)));
+          acc += static_cast<float>(v) / 32768.0f;
         }
-        out.samples.push_back(acc / static_cast<float>(channels));
+        out.samples[i] = acc / static_cast<float>(channels);
       }
-      std::fclose(f);
       return out;
     } else {
-      for (std::uint32_t skip = 0; skip < size; ++skip) std::fgetc(f);
+      skip(size);
     }
   }
   fail("no data chunk");

@@ -9,6 +9,9 @@ namespace {
 
 using sonic::util::Rng;
 
+// Internal pages per landing page (§4: three random internal pages each).
+constexpr int kInternalPerSite = 3;
+
 const char* kSyllables[] = {"kha", "bar", "nama", "dun", "ya",  "awaz", "roz",  "an",  "jang",
                             "dawn", "hum", "geo",  "ary", "sam", "aa",   "bol",  "urd", "u",
                             "pak",  "ist", "tan",  "la",  "hore", "kar", "achi", "mul", "tan"};
@@ -121,7 +124,7 @@ PkCorpus::PkCorpus(Params params) : params_(params) {
     for (int i = 0; i < n; ++i) domain += kSyllables[site_rng.uniform_int(std::size(kSyllables))];
     domain += site_rng.bernoulli(0.5) ? ".pk" : ".com.pk";
     domains_.push_back(domain);
-    for (int page = 0; page <= params_.internal_per_site; ++page) {
+    for (int page = 0; page <= kInternalPerSite; ++page) {
       PageRef ref;
       ref.site = site;
       ref.page = page;
@@ -188,7 +191,7 @@ std::string PkCorpus::html(const PageRef& ref, int epoch_hours) const {
      << "</h1><p color=\"white\">" << category_name(cat) << " - edition " << ver << "</p></div>";
   // Navigation bar with internal links (the click-map workload).
   os << "<p>";
-  for (int p = 0; p <= params_.internal_per_site; ++p) {
+  for (int p = 0; p <= kInternalPerSite; ++p) {
     if (p == ref.page) continue;
     os << "<a href=\"" << domain(ref.site) << (p == 0 ? "/" : "/story-" + std::to_string(p))
        << "\">" << (p == 0 ? "home" : "section " + std::to_string(p)) << "</a> ";
@@ -210,7 +213,7 @@ std::string PkCorpus::html(const PageRef& ref, int epoch_hours) const {
     os << "<p>" << make_paragraph(rng, sentences) << "</p>";
     if (rng.bernoulli(0.25)) {
       os << "<p><a href=\"" << domain(ref.site) << "/story-"
-         << 1 + rng.uniform_int(static_cast<std::uint64_t>(params_.internal_per_site)) << "\">"
+         << 1 + rng.uniform_int(static_cast<std::uint64_t>(kInternalPerSite)) << "\">"
          << make_headline(rng) << "</a></p>";
     }
   }

@@ -24,7 +24,7 @@ const char* category_name(SiteCategory cat);
 
 struct PageRef {
   int site = 0;      // 0..num_sites-1
-  int page = 0;      // 0 = landing, 1..internal_per_site = internal
+  int page = 0;      // 0 = landing, 1..3 = internal
   std::string url;   // e.g. "khabarnama.com.pk/" or ".../story-2"
   bool landing() const { return page == 0; }
 };
@@ -33,7 +33,6 @@ class PkCorpus {
  public:
   struct Params {
     int num_sites = 25;
-    int internal_per_site = 3;
     std::uint64_t seed = 2024;
   };
 

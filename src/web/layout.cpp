@@ -17,6 +17,13 @@ namespace {
 
 constexpr int kHardHeightCeiling = 40000;
 
+// An <img> width/height attribute in px, clamped to [16, kHardHeightCeiling]:
+// it is untrusted page input and feeds the int layout arithmetic.
+int image_dimension(const std::string& s) {
+  const long v = std::strtol(s.c_str(), nullptr, 10);
+  return static_cast<int>(std::clamp(v, 16L, static_cast<long>(kHardHeightCeiling)));
+}
+
 image::Rgb parse_color(const std::string& s, image::Rgb fallback) {
   if (s.size() == 7 && s[0] == '#') {
     auto hex = [&](int i) {
@@ -208,8 +215,8 @@ class Layouter {
 
   void draw_image_placeholder(const Node& node) {
     int w = 600, h = 320;
-    if (const std::string* ws = node.attr("width")) w = std::max(16, std::atoi(ws->c_str()));
-    if (const std::string* hs = node.attr("height")) h = std::max(16, std::atoi(hs->c_str()));
+    if (const std::string* ws = node.attr("width")) w = image_dimension(*ws);
+    if (const std::string* hs = node.attr("height")) h = image_dimension(*hs);
     const int max_w = params_.width - 2 * params_.margin;
     if (w > max_w) {
       h = static_cast<int>(static_cast<long>(h) * max_w / w);

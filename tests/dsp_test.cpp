@@ -9,6 +9,7 @@
 #include "dsp/goertzel.hpp"
 #include "dsp/resampler.hpp"
 #include "dsp/window.hpp"
+#include "oracles/kernel_reference.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -31,9 +32,9 @@ TEST(Fft, MatchesNaiveDft) {
   Rng rng(1);
   for (std::size_t n : {2u, 8u, 64u, 256u}) {
     auto sig = random_signal(rng, n);
-    const auto expected = dft_naive(sig);
+    const auto expected = oracles::dft_naive(sig);
     auto actual = sig;
-    fft(actual);
+    FftPlan::get(n)->forward(actual);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(actual[i].real(), expected[i].real(), 1e-2) << "n=" << n << " bin=" << i;
       EXPECT_NEAR(actual[i].imag(), expected[i].imag(), 1e-2);
@@ -45,8 +46,9 @@ TEST(Fft, InverseRecoversSignal) {
   Rng rng(2);
   auto sig = random_signal(rng, 1024);
   auto copy = sig;
-  fft(copy);
-  ifft(copy);
+  const auto plan = FftPlan::get(copy.size());
+  plan->forward(copy);
+  plan->inverse(copy);
   for (std::size_t i = 0; i < sig.size(); ++i) {
     EXPECT_NEAR(copy[i].real(), sig[i].real(), 1e-3);
     EXPECT_NEAR(copy[i].imag(), sig[i].imag(), 1e-3);
@@ -59,7 +61,7 @@ TEST(Fft, ParsevalHolds) {
   double time_energy = 0;
   for (const auto& x : sig) time_energy += std::norm(x);
   auto freq = sig;
-  fft(freq);
+  FftPlan::get(freq.size())->forward(freq);
   double freq_energy = 0;
   for (const auto& x : freq) freq_energy += std::norm(x);
   EXPECT_NEAR(freq_energy / static_cast<double>(sig.size()), time_energy, time_energy * 1e-4);
@@ -73,7 +75,7 @@ TEST(Fft, PureToneLandsInOneBin) {
     const double ang = kTwoPi * static_cast<double>(bin) * static_cast<double>(t) / static_cast<double>(n);
     sig[t] = cplx(static_cast<float>(std::cos(ang)), static_cast<float>(std::sin(ang)));
   }
-  fft(sig);
+  FftPlan::get(n)->forward(sig);
   for (std::size_t k = 0; k < n; ++k) {
     if (k == bin) {
       EXPECT_NEAR(std::abs(sig[k]), static_cast<double>(n), 1e-2);
@@ -84,8 +86,7 @@ TEST(Fft, PureToneLandsInOneBin) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<cplx> sig(100);
-  EXPECT_THROW(fft(sig), std::invalid_argument);
+  EXPECT_THROW(FftPlan::get(100), std::invalid_argument);
   EXPECT_FALSE(is_power_of_two(0));
   EXPECT_FALSE(is_power_of_two(3));
   EXPECT_TRUE(is_power_of_two(1024));
@@ -115,15 +116,6 @@ TEST(Fir, LowpassPassesLowRejectsHigh) {
   EXPECT_NEAR(f.magnitude_at(2000, fs), 1.0, 0.02);
   EXPECT_LT(f.magnitude_at(10000, fs), 0.01);
   EXPECT_LT(f.magnitude_at(20000, fs), 0.01);
-}
-
-TEST(Fir, BandpassSelectsBand) {
-  const double fs = 44100;
-  const auto taps = design_bandpass(7000, 11000, fs, 151);
-  FirFilter f(taps);
-  EXPECT_NEAR(f.magnitude_at(9000, fs), 1.0, 0.05);
-  EXPECT_LT(f.magnitude_at(1000, fs), 0.02);
-  EXPECT_LT(f.magnitude_at(16000, fs), 0.02);
 }
 
 TEST(Fir, StreamingMatchesConvolution) {
@@ -158,7 +150,6 @@ TEST(Fir, ResetClearsState) {
 TEST(Fir, RejectsBadDesigns) {
   EXPECT_THROW(design_lowpass(0, 44100, 11), std::invalid_argument);
   EXPECT_THROW(design_lowpass(30000, 44100, 11), std::invalid_argument);
-  EXPECT_THROW(design_bandpass(5000, 4000, 44100, 11), std::invalid_argument);
   EXPECT_THROW(FirFilter({}), std::invalid_argument);
 }
 
@@ -170,13 +161,6 @@ TEST(Biquad, LowpassResponse) {
   EXPECT_NEAR(lp.magnitude_at(50, fs), 1.0, 0.01);
   EXPECT_NEAR(lp.magnitude_at(1000, fs), 0.7071, 0.03);  // -3 dB at cutoff
   EXPECT_LT(lp.magnitude_at(10000, fs), 0.02);
-}
-
-TEST(Biquad, HighpassResponse) {
-  const double fs = 44100;
-  auto hp = Biquad::highpass(1000, fs);
-  EXPECT_LT(hp.magnitude_at(50, fs), 0.01);
-  EXPECT_NEAR(hp.magnitude_at(10000, fs), 1.0, 0.02);
 }
 
 TEST(Biquad, EmphasisPairIsTransparent) {

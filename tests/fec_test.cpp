@@ -7,7 +7,6 @@
 
 #include "fec/convolutional.hpp"
 #include "fec/crc32.hpp"
-#include "fec/interleaver.hpp"
 #include "fec/reed_solomon.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +20,15 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   Bytes out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(256));
   return out;
+}
+
+// Packed code bits as exact 0.0/1.0 soft decisions: hard-decision input
+// for decode_soft.
+std::vector<float> hard_soft_bits(std::span<const std::uint8_t> packed, std::size_t nbits) {
+  std::vector<float> soft(nbits);
+  util::BitReader br(packed);
+  for (auto& s : soft) s = static_cast<float>(br.bit());
+  return soft;
 }
 
 // ---------------------------------------------------------------- CRC32 ---
@@ -74,7 +82,7 @@ TEST_P(ConvCodecTest, CleanRoundTrip) {
   for (std::size_t len : {1u, 2u, 17u, 100u, 223u}) {
     const Bytes data = random_bytes(rng, len);
     const Bytes enc = codec.encode(data);
-    const Bytes dec = codec.decode_hard(enc, len);
+    const Bytes dec = codec.decode_soft(hard_soft_bits(enc, codec.encoded_bits(len)), len);
     EXPECT_EQ(dec, data) << "len=" << len;
   }
 }
@@ -105,9 +113,7 @@ TEST_P(ConvCodecTest, CorrectsScatteredBitErrors) {
   const int errors = rate == PunctureRate::kRate1_2 ? static_cast<int>(nbits / 25)
                      : rate == PunctureRate::kRate2_3 ? static_cast<int>(nbits / 60)
                                                       : static_cast<int>(nbits / 100);
-  std::vector<float> soft(nbits);
-  util::BitReader br(enc);
-  for (auto& s : soft) s = static_cast<float>(br.bit());
+  std::vector<float> soft = hard_soft_bits(enc, nbits);
   // Flip well-separated bits.
   for (int e = 0; e < errors; ++e) {
     const std::size_t pos = static_cast<std::size_t>(e) * (nbits / static_cast<std::size_t>(errors + 1)) + 3;
@@ -173,8 +179,9 @@ TEST(ConvCodec, AllZerosAndAllOnesPayloads) {
   ConvolutionalCodec codec({ConvCode::kV29, PunctureRate::kRate1_2});
   const Bytes zeros(50, 0x00);
   const Bytes ones(50, 0xff);
-  EXPECT_EQ(codec.decode_hard(codec.encode(zeros), 50), zeros);
-  EXPECT_EQ(codec.decode_hard(codec.encode(ones), 50), ones);
+  const std::size_t nbits = codec.encoded_bits(50);
+  EXPECT_EQ(codec.decode_soft(hard_soft_bits(codec.encode(zeros), nbits), 50), zeros);
+  EXPECT_EQ(codec.decode_soft(hard_soft_bits(codec.encode(ones), nbits), 50), ones);
 }
 
 // --------------------------------------------------------- Reed-Solomon ---
@@ -343,53 +350,6 @@ TEST(ReedSolomon, RejectsTooManyErasures) {
   std::vector<int> erasures;
   for (int i = 0; i < 9; ++i) erasures.push_back(i);
   EXPECT_FALSE(rs.decode(block, erasures).has_value());
-}
-
-// ----------------------------------------------------------- Interleave ---
-
-TEST(Interleaver, RoundTripExactBlock) {
-  BlockInterleaver il(4, 8);
-  Rng rng(43);
-  const Bytes data = random_bytes(rng, 32);
-  const Bytes inter = il.interleave(data);
-  EXPECT_EQ(inter.size(), 32u);
-  EXPECT_EQ(il.deinterleave(inter, data.size()), data);
-}
-
-TEST(Interleaver, RoundTripWithPadding) {
-  BlockInterleaver il(5, 7);
-  Rng rng(47);
-  for (std::size_t len : {1u, 34u, 35u, 36u, 100u}) {
-    const Bytes data = random_bytes(rng, len);
-    const Bytes inter = il.interleave(data);
-    EXPECT_EQ(inter.size() % il.block_size(), 0u);
-    EXPECT_EQ(il.deinterleave(inter, len), data);
-  }
-}
-
-TEST(Interleaver, SpreadsBursts) {
-  // A contiguous burst of B bytes in the interleaved stream must touch
-  // at least B/rows distinct rows once deinterleaved — i.e. errors become
-  // scattered rather than contiguous.
-  const int rows = 8, cols = 16;
-  BlockInterleaver il(rows, cols);
-  Bytes data(static_cast<std::size_t>(rows * cols), 0);
-  Bytes inter = il.interleave(data);
-  // Burst: corrupt 16 consecutive interleaved bytes.
-  for (int i = 0; i < 16; ++i) inter[static_cast<std::size_t>(i) + 10] = 0xff;
-  const Bytes deinter = il.deinterleave(inter, data.size());
-  // Find the maximum run of corrupted bytes after deinterleaving.
-  int max_run = 0, run = 0;
-  for (std::uint8_t b : deinter) {
-    run = b == 0xff ? run + 1 : 0;
-    max_run = std::max(max_run, run);
-  }
-  EXPECT_LE(max_run, 2);
-}
-
-TEST(Interleaver, RejectsBadDims) {
-  EXPECT_THROW((BlockInterleaver(0, 4)), std::invalid_argument);
-  EXPECT_THROW((BlockInterleaver(4, 0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ std::vector<dsp::cplx> random_signal(Rng& rng, std::size_t n) {
 // double-precision naive DFT.
 double rel_error_vs_naive(const std::vector<dsp::cplx>& sig,
                           void (*transform)(std::span<dsp::cplx>)) {
-  const auto truth = dsp::dft_naive(sig);
+  const auto truth = oracles::dft_naive(sig);
   auto actual = sig;
   transform(actual);
   double scale = 0, err = 0;
@@ -133,7 +133,8 @@ TEST(FftAccuracy, PlanPassesTightToleranceRecurrenceDrifts) {
   Rng rng(11);
   for (std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
     const auto sig = random_signal(rng, n);
-    const double plan_err = rel_error_vs_naive(sig, &dsp::fft);
+    const double plan_err =
+        rel_error_vs_naive(sig, [](std::span<dsp::cplx> d) { dsp::FftPlan::get(d.size())->forward(d); });
     const double rec_err = rel_error_vs_naive(sig, &oracles::fft_recurrence);
     EXPECT_LT(plan_err, kTol) << "plan drifted at n=" << n;
     EXPECT_GT(rec_err, plan_err) << "n=" << n;
@@ -209,6 +210,15 @@ util::Bytes random_bytes(Rng& rng, std::size_t n) {
   return data;
 }
 
+// Packed code bits as exact 0.0/1.0 soft decisions: hard-decision input
+// for decode_soft.
+std::vector<float> hard_soft_bits(std::span<const std::uint8_t> packed, std::size_t nbits) {
+  std::vector<float> soft(nbits);
+  util::BitReader br(packed);
+  for (auto& s : soft) s = static_cast<float>(br.bit());
+  return soft;
+}
+
 // The coded bits of a random payload as soft values, noisy with standard
 // deviation `sigma` and clamped to the decoder's [0, 1] domain.
 std::vector<float> soft_bits(const fec::ConvolutionalCodec& codec, Rng& rng, std::size_t payload,
@@ -236,8 +246,8 @@ TEST(ViterbiEquivalence, ByteIdenticalAcrossCodesAndRatesUnderNoise) {
   }
 }
 
-// Exact 0/1 input through decode_hard: every metric is an integer, so
-// equal-metric paths (ties) are everywhere, with and without bit errors.
+// Exact 0/1 input: every metric is an integer, so equal-metric paths (ties)
+// are everywhere, with and without bit errors.
 TEST(ViterbiEquivalence, HardDecisionInputWithTiesEverywhere) {
   Rng rng(23);
   for (const auto& spec : kAllSpecs) {
@@ -245,17 +255,11 @@ TEST(ViterbiEquivalence, HardDecisionInputWithTiesEverywhere) {
     for (double flip : {0.0, 0.03, 0.12}) {
       const std::size_t payload = 64;
       const auto coded = codec.encode(random_bytes(rng, payload));
-      const std::size_t nbits = codec.encoded_bits(payload);
-      util::BitReader br(coded);
-      util::BitWriter bw;
-      std::vector<float> soft(nbits);
+      std::vector<float> soft = hard_soft_bits(coded, codec.encoded_bits(payload));
       for (auto& s : soft) {
-        const int bit = br.bit() ^ (rng.bernoulli(flip) ? 1 : 0);
-        bw.bit(bit);
-        s = static_cast<float>(bit);
+        if (rng.bernoulli(flip)) s = 1.0f - s;
       }
-      const auto packed = bw.take();
-      ASSERT_EQ(codec.decode_hard(packed, payload), oracles::decode_soft_quantized_reference(spec, soft, payload))
+      ASSERT_EQ(codec.decode_soft(soft, payload), oracles::decode_soft_quantized_reference(spec, soft, payload))
           << spec_name(spec) << " flip=" << flip;
     }
   }
@@ -471,7 +475,7 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
   util::Bytes data(100);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
   const auto coded = codec.encode(data);
-  EXPECT_EQ(codec.decode_hard(coded, data.size()), data);
+  EXPECT_EQ(codec.decode_soft(hard_soft_bits(coded, codec.encoded_bits(data.size())), data.size()), data);
 }
 
 // ----------------------------------------------------------- fountain XOR ---

@@ -44,6 +44,20 @@ void fft_recurrence_impl(std::span<cplx> a, bool inverse) {
 
 }  // namespace
 
+std::vector<cplx> dft_naive(std::span<const cplx> data) {
+  const std::size_t n = data.size();
+  std::vector<cplx> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::complex<double> acc(0.0, 0.0);
+    for (std::size_t t = 0; t < n; ++t) {
+      const double ang = -2.0 * util::kPi * static_cast<double>(k) * static_cast<double>(t) / static_cast<double>(n);
+      acc += std::complex<double>(data[t].real(), data[t].imag()) * std::complex<double>(std::cos(ang), std::sin(ang));
+    }
+    out[k] = cplx(static_cast<float>(acc.real()), static_cast<float>(acc.imag()));
+  }
+  return out;
+}
+
 void fft_recurrence(std::span<cplx> data) { fft_recurrence_impl(data, false); }
 void ifft_recurrence(std::span<cplx> data) { fft_recurrence_impl(data, true); }
 

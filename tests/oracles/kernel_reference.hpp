@@ -1,5 +1,6 @@
-// Reference (pre-optimization) FFT, FIR and fountain XOR kernels, kept as
-// test oracles and as the before-cases of bench/micro_dsp_fec. They live in
+// Reference (pre-optimization) FFT, FIR and fountain XOR kernels and the
+// naive DFT, kept as test oracles and as the before-cases of
+// bench/micro_dsp_fec. They live in
 // the sonic_oracles library, which only tests and benches link.
 #pragma once
 
@@ -14,10 +15,14 @@ namespace sonic::oracles {
 
 using cplx = std::complex<float>;
 
+// Naive O(N^2) DFT with double-precision accumulation: the ground truth
+// the FFTs are checked against.
+std::vector<cplx> dft_naive(std::span<const cplx> data);
+
 // The pre-plan radix-2 FFT: per-call bit reversal and a per-stage twiddle
 // recurrence (w *= w_len), in place; data.size() must be a power of two.
 // The recurrence accumulates O(N) ulps of twiddle error, so it drifts past
-// a tight tolerance against dsp::dft_naive at N = 4096 where dsp::FftPlan
+// a tight tolerance against dft_naive at N = 4096 where dsp::FftPlan
 // does not. The inverse includes the 1/N normalization.
 void fft_recurrence(std::span<cplx> data);
 void ifft_recurrence(std::span<cplx> data);

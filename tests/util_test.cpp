@@ -81,11 +81,6 @@ TEST(BitReader, PastEndReturnsZeroAndNotOk) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(Hex, FormatsBytes) {
-  Bytes data{0x00, 0xab, 0xff};
-  EXPECT_EQ(to_hex(data), "00abff");
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
@@ -152,14 +147,6 @@ TEST(Rng, ZipfFavorsLowRanks) {
     EXPECT_LT(rank, 25);
     (void)c;
   }
-}
-
-TEST(Rng, PoissonMeanMatches) {
-  Rng rng(23);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(2.5);
-  EXPECT_NEAR(sum / n, 2.5, 0.08);
 }
 
 TEST(Rng, ForkProducesIndependentStreams) {
@@ -235,6 +222,55 @@ TEST(Wav, RejectsGarbageFiles) {
   std::fclose(f);
   EXPECT_THROW(read_wav(path), std::runtime_error);
   EXPECT_THROW(read_wav("/tmp/definitely-missing-file.wav"), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// Rewrites the file as its first `keep` bytes with the little-endian u32 at
+// `offset` replaced by `value`.
+void forge(const std::string& path, std::size_t keep, std::size_t offset, std::uint32_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::vector<std::uint8_t> bytes(keep);
+  ASSERT_EQ(std::fread(bytes.data(), 1, keep, f), keep);
+  std::fclose(f);
+  for (int i = 0; i < 4; ++i) bytes[offset + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (8 * i));
+  f = std::fopen(path.c_str(), "wb");
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+// The data chunk's length field is untrusted: it may not size the sample
+// buffer beyond the bytes the file holds, and a chunk skip may not run
+// past the end of the file.
+TEST(Wav, ForgedDataLengthIsBoundedByFile) {
+  const std::string path = "/tmp/sonic_wav_forged.wav";
+  constexpr std::size_t kHeader = 44;      // RIFF + fmt + data chunk header
+  constexpr std::size_t kDataLength = 40;  // offset of the data chunk's length
+  std::vector<float> samples(1000);
+  for (std::size_t i = 0; i < samples.size(); ++i) samples[i] = static_cast<float>(i % 200) / 400.0f;
+
+  for (std::uint32_t forged : {200'000'000u, 0xFFFFFFFFu}) {
+    write_wav(path, samples, 8000);
+    forge(path, kHeader, kDataLength, forged);
+    const WavData empty = read_wav(path);
+    EXPECT_TRUE(empty.samples.empty()) << forged;
+    EXPECT_LE(empty.samples.capacity(), 16u) << forged;
+
+    // A truncated recording (600 whole samples and one odd byte present)
+    // keeps exactly the samples present.
+    write_wav(path, samples, 8000);
+    forge(path, kHeader + 2 * 600 + 1, kDataLength, forged);
+    const WavData truncated = read_wav(path);
+    ASSERT_EQ(truncated.samples.size(), 600u) << forged;
+    EXPECT_LE(truncated.samples.capacity(), 600u) << forged;
+    for (std::size_t i = 0; i < 600; ++i) EXPECT_NEAR(truncated.samples[i], samples[i], 1.0 / 12000.0);
+
+    // An unknown chunk in the data chunk's place whose length passes the end
+    // of the file is rejected.
+    write_wav(path, samples, 8000);
+    forge(path, kHeader + 2 * samples.size(), kDataLength, forged);
+    forge(path, kHeader + 2 * samples.size(), kDataLength - 4, 0x4B4E554Au);  // "JUNK"
+    EXPECT_THROW(read_wav(path), std::runtime_error) << forged;
+  }
   std::remove(path.c_str());
 }
 

@@ -234,6 +234,23 @@ TEST(Layout, ImagePlaceholderRespectsDims) {
   EXPECT_GT(big.image.height(), small.image.height() + 150);
 }
 
+// <img> width/height are untrusted page input: out-of-range values lay out
+// like the bound they exceed, [16, 40000] px, instead of overflowing the int
+// layout arithmetic.
+TEST(Layout, HugeImageAttributesAreClamped) {
+  const LayoutParams params{200, 10000, 12, 2};
+  const auto page = [&](const std::string& w, const std::string& h) {
+    return render_html("<img width=\"" + w + "\" height=\"" + h + "\"/><p>after</p>", params);
+  };
+  const auto tall = page("100", "2147483647");
+  const auto ceiling = page("100", "40000");
+  EXPECT_EQ(tall.full_height, ceiling.full_height);
+  EXPECT_LE(tall.full_height, 40000);
+  EXPECT_EQ(tall.image.pixels(), ceiling.image.pixels());
+  EXPECT_EQ(page("99999999999", "100").image.pixels(), page("40000", "100").image.pixels());
+  EXPECT_EQ(page("100", "-5").image.pixels(), page("100", "16").image.pixels());
+}
+
 TEST(Layout, DeviceScalingRescalesClickMap) {
   const auto page = render_html(
       "<p><a href=\"x.pk/\">a link with several words in it</a></p>", LayoutParams{});
