@@ -33,6 +33,7 @@
 #include "modem/profile.hpp"
 #include "oracles/column_reference.hpp"
 #include "oracles/fm_reference.hpp"
+#include "oracles/fountain_reference.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
@@ -346,6 +347,48 @@ std::vector<MicroCase> build_micro_cases() {
         [dst_a, src] {
           fec::xor_into(*dst_a, *src);
           benchmark::DoNotOptimize(dst_a->data());
+        }});
+  }
+
+  // LT repair generation for a 9000-block page (a long page at the default
+  // layout). fountain_neighbors_9000 is one symbol's neighbour set: before
+  // the uniform_int/sort draw, after the reciprocal/mask draw; each op
+  // takes the next repair seq. fountain_repair_cycle_9000 is one carousel
+  // cycle's 30 % tail, 2700 symbols: before the per-symbol oracle encoder,
+  // after the batched Four-Russians pass.
+  {
+    constexpr std::size_t k = 9000;
+    constexpr std::uint32_t page_id = 0x9000;
+    auto seq_b = std::make_shared<std::uint32_t>(0);
+    auto seq_a = std::make_shared<std::uint32_t>(0);
+    cases.push_back(MicroCase{
+        "fountain_neighbors_9000", static_cast<double>(k), "blocks",
+        [seq_b] {
+          auto out = oracles::fountain_neighbors_reference(page_id, (*seq_b)++ % 65536, k);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [seq_a] {
+          auto out = fec::fountain_neighbors(page_id, (*seq_a)++ % 65536, k);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    std::vector<util::Bytes> blocks(k);
+    for (auto& b : blocks) b = random_bytes(*rng, 91);
+    auto oracle = std::make_shared<oracles::LtEncoderReference>(page_id, blocks);
+    auto encoder = std::make_shared<fec::FountainEncoder>(page_id, blocks);
+    auto seqs = std::make_shared<std::vector<std::uint32_t>>(2700);
+    for (std::size_t i = 0; i < seqs->size(); ++i) (*seqs)[i] = static_cast<std::uint32_t>(i);
+    cases.push_back(MicroCase{
+        "fountain_repair_cycle_9000", static_cast<double>(seqs->size()), "symbols",
+        [oracle, seqs] {
+          for (std::uint32_t seq : *seqs) {
+            auto out = oracle->repair_symbol(seq);
+            benchmark::DoNotOptimize(out.data());
+          }
+        },
+        [encoder, seqs] {
+          auto out = encoder->repair_symbols(*seqs);
+          benchmark::DoNotOptimize(out.data());
         }});
   }
 

@@ -57,37 +57,98 @@ struct FountainParams {
 };
 
 // XOR-accumulate src into dst over dst.size() bytes (src must be at least
-// as long) — the inner loop of LT repair-row generation and of BP/GE
-// elimination. Word-wide: 8 bytes per uint64 step with a scalar tail,
-// correct for any alignment and length.
+// as long) — the inner loop of BP/GE elimination. Word-wide: 8 bytes per
+// uint64 step with a scalar tail, correct for any alignment and length.
 void xor_into(util::Bytes& dst, std::span<const std::uint8_t> src);
 
+// Exact v % d for a fixed divisor d >= 1 through a precomputed reciprocal
+// (Barrett reduction). With m = floor((2^64 - 1) / d), the high word of
+// v * m is the quotient or one less for every 64-bit v, so one conditional
+// subtraction finishes the remainder.
+class ExactRemainder {
+ public:
+  explicit ExactRemainder(std::uint64_t d) : d_(d), m_(~0ull / d) {}
+  std::uint64_t operator()(std::uint64_t v) const {
+    __extension__ using u128 = unsigned __int128;
+    const auto q = static_cast<std::uint64_t>((static_cast<u128>(v) * m_) >> 64);
+    const std::uint64_t r = v - q * d_;
+    return r >= d_ ? r - d_ : r;
+  }
+
+ private:
+  std::uint64_t d_;
+  std::uint64_t m_;
+};
+
+// The LT neighbour draw for k-block pages. Symbol r's set is the forced
+// member r mod k plus distinct Rng::uniform_int(k) draws on
+// Rng(salt ^ page_id).fork(r) until the degree (k/2 + uniform_int(2),
+// clamped to [1, k]) is reached. The draw here is that exact stream with
+// uniform_int's rejection limit hoisted and its v % k taken through
+// ExactRemainder; members are marked in a byte mask, which reads back in
+// index order without a sort.
+class NeighborDraw {
+ public:
+  explicit NeighborDraw(std::size_t k);
+
+  // Sets mask[i] = 1 for each neighbour i of repair symbol `repair_seq`;
+  // mask holds k bytes, all zero on entry. Returns the degree.
+  std::size_t draw(std::uint32_t page_id, std::uint32_t repair_seq, std::uint8_t* mask) const;
+
+ private:
+  std::size_t k_;
+  std::uint64_t limit_;  // uniform_int(k) rejects draws at or above this
+  ExactRemainder mod_k_;
+};
+
 // LT-mode neighbor set (sorted, distinct source indices in [0, k)) of
-// repair symbol `repair_seq` for a k-block page. Shared by encoder and
-// decoder; exposed for tests and diagnostics.
+// repair symbol `repair_seq` for a k-block page: NeighborDraw's mask read
+// back as a list, for tests and diagnostics (the encoder and decoder read
+// the mask directly).
 std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
                                               std::size_t k);
 
-// Server side: owns a copy of the k source blocks (all the same size) and
+// Server side: packs the k source blocks (all the same size) once and
 // mints repair symbols on demand. Stateless across calls — symbol r is the
-// same bytes no matter when it is generated, so carousel cycles can resume
-// a page's repair stream where the previous cycle stopped.
+// same bytes no matter when or in which batch it is generated, so carousel
+// cycles can resume a page's repair stream where the previous cycle
+// stopped.
 class FountainEncoder {
  public:
   FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks);
 
-  std::size_t k() const { return blocks_.size(); }
+  std::size_t k() const { return k_; }
   std::size_t block_size() const { return block_size_; }
   std::uint32_t page_id() const { return page_id_; }
-  bool mds_mode() const { return blocks_.size() <= FountainParams::mds_max_k; }
+  bool mds_mode() const { return k_ <= FountainParams::mds_max_k; }
 
   // block_size() bytes of repair symbol `repair_seq`.
   util::Bytes repair_symbol(std::uint32_t repair_seq) const;
+  // The symbols of every seq in `repair_seqs`, in order; each equals
+  // repair_symbol(seq). LT batches of kFourRussiansMinBatch or more share
+  // Gray-code XOR tables (Method of Four Russians) across the batch.
+  std::vector<util::Bytes> repair_symbols(std::span<const std::uint32_t> repair_seqs) const;
+
+  // Measured crossover: below this many LT symbols, XORing each symbol's
+  // blocks directly beats building a 255-XOR table per 8-block chunk.
+  static constexpr std::size_t kFourRussiansMinBatch = 85;
+  // Symbols per Four-Russians batch: as many as keep the batch's membership
+  // bytes and accumulators within an L2-sized budget.
+  std::size_t four_russians_batch() const { return batch_; }
 
  private:
+  const std::uint8_t* block_ptr(std::size_t i) const { return packed_.data() + i * stride_; }
+  void mds_symbol(std::uint32_t repair_seq, std::uint8_t* out) const;
+  void direct_symbols(std::span<const std::uint32_t> seqs, util::Bytes* out) const;
+  void four_russians_symbols(std::span<const std::uint32_t> seqs, util::Bytes* out) const;
+
   std::uint32_t page_id_;
-  std::vector<util::Bytes> blocks_;
+  std::size_t k_;
   std::size_t block_size_ = 0;
+  std::size_t stride_ = 0;              // block_size_ rounded up to 16 bytes
+  std::size_t batch_ = 0;
+  std::vector<std::uint8_t> packed_;    // blocks stride_ apart, zero-padded to a multiple of 8
+  NeighborDraw draw_;
   std::vector<std::uint8_t> lagrange_denom_;  // MDS mode: D_i = prod_{j!=i} (i ^ j)
 };
 
@@ -146,6 +207,8 @@ class FountainDecoder {
   std::vector<Equation> equations_;
   std::vector<std::vector<std::uint32_t>> by_unknown_;  // source -> equation ids
   std::vector<std::uint8_t> seen_repair_;               // dedup by repair_seq
+  NeighborDraw draw_;
+  std::vector<std::uint8_t> member_mask_;  // draw_'s k-byte scratch, zero between calls
 
   // MDS mode state: received values by evaluation point (0..k-1 sources,
   // k..254 repair), in arrival order.

@@ -77,18 +77,28 @@ std::vector<std::shared_ptr<const PageBundle>> Carousel::drive(double now_s) {
     if (!prepared.bundle) continue;  // url fell out of the corpus
     const PageBundle& src = *prepared.bundle;
     const auto k = static_cast<std::uint16_t>(src.frames.size());
-    const auto repair_frames =
-        static_cast<std::size_t>(std::ceil(static_cast<double>(k) * params_.repair_overhead));
+    // A page has only so many distinct repair symbols (255 - k evaluation
+    // points in MDS mode, the wire's seq space in LT mode); a longer tail
+    // would air duplicates every receiver discards.
+    const std::size_t distinct =
+        k <= fec::FountainParams::mds_max_k ? 255 - std::size_t{k} : kRepairSeqSpace;
+    const auto repair_frames = std::min(
+        distinct,
+        static_cast<std::size_t>(std::ceil(static_cast<double>(k) * params_.repair_overhead)));
 
     auto air = std::make_shared<PageBundle>(src);
     if (repair_frames > 0) {
-      fec::FountainEncoder encoder(src.page_id, bundle_fountain_blocks(src));
       std::uint32_t& seq = repair_seq_[prepared.url];
-      for (std::size_t i = 0; i < repair_frames; ++i) {
-        const auto wire_seq = static_cast<std::uint16_t>(seq % kRepairSeqSpace);
-        air->frames.push_back(
-            serialize_repair_frame(src.page_id, wire_seq, k, encoder.repair_symbol(wire_seq)));
+      std::vector<std::uint32_t> seqs(repair_frames);
+      for (std::uint32_t& wire_seq : seqs) {
+        wire_seq = seq;
         seq = (seq + 1) % kRepairSeqSpace;
+      }
+      const fec::FountainEncoder encoder(src.page_id, bundle_fountain_blocks(src));
+      const auto symbols = encoder.repair_symbols(seqs);
+      for (std::size_t i = 0; i < repair_frames; ++i) {
+        air->frames.push_back(serialize_repair_frame(
+            src.page_id, static_cast<std::uint16_t>(seqs[i]), k, symbols[i]));
       }
     }
     if (metrics_ != nullptr) {

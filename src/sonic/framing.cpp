@@ -184,7 +184,7 @@ PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
   const std::size_t total = 2 * num_chunks + segment_frames;
   if (total > 0xffff) {
     // Pages this large (> ~5.9 MB of frames) exceed the 16-bit sequence
-    // space; callers should split them. Clamp rather than overflow.
+    // space; callers should split them. Refuse rather than wrap seq.
     throw std::invalid_argument("page too large for one bundle");
   }
 

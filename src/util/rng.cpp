@@ -14,21 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// One xoshiro256** step.
-inline std::uint64_t xoshiro_next(std::uint64_t (&s)[4]) {
-  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-  const std::uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = rotl(s[3], 45);
-  return result;
-}
-
 // Rng::uniform(-1.0, 1.0) of one 64-bit draw, the same arithmetic.
 inline double symmetric_unit(std::uint64_t x) {
   return -1.0 + 2.0 * (static_cast<double>(x >> 11) * 0x1.0p-53);
@@ -40,8 +25,6 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
 }
-
-std::uint64_t Rng::next() { return xoshiro_next(s_); }
 
 double Rng::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -92,8 +75,8 @@ void Rng::fill_normal(std::span<float> out, double mean, double stddev) {
     // is written, and the slot only advances past an accepted one. The
     // generator steps exactly as normal()'s do-while would.
     for (std::size_t k = 0; k < pairs;) {
-      const double cu = symmetric_unit(xoshiro_next(s));
-      const double cv = symmetric_unit(xoshiro_next(s));
+      const double cu = symmetric_unit(xoshiro_step(s));
+      const double cv = symmetric_unit(xoshiro_step(s));
       const double cs = cu * cu + cv * cv;
       u[k] = cu;
       v[k] = cv;

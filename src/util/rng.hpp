@@ -5,6 +5,7 @@
 // are reproducible. The core generator is xoshiro256** seeded via splitmix64.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -16,7 +17,7 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x534f4e4943ull);  // "SONIC"
 
-  std::uint64_t next();                    // uniform 64-bit
+  std::uint64_t next() { return xoshiro_step(s_); }  // uniform 64-bit
   double uniform();                        // [0, 1)
   double uniform(double lo, double hi);    // [lo, hi)
   std::uint64_t uniform_int(std::uint64_t n);  // [0, n), n > 0
@@ -48,6 +49,20 @@ class Rng {
   }
 
  private:
+  // One xoshiro256** step; inline so tight draw loops keep the state in
+  // registers.
+  static std::uint64_t xoshiro_step(std::uint64_t (&s)[4]) {
+    const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+    return result;
+  }
+
   std::uint64_t s_[4];
   std::uint64_t seed_;
   bool have_gauss_ = false;

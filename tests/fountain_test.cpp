@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fec/fountain.hpp"
+#include "oracles/fountain_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::fec {
@@ -85,6 +86,77 @@ TEST(Fountain, RepairStreamBytesArePinned) {
     }
     EXPECT_EQ(hash, expected) << "k=" << k << std::hex << " hash=0x" << hash;
   }
+}
+
+// The batched encoder against the per-symbol oracle, on seq lists that
+// wrap from 65535 to 0 as the carousel's do, at batch sizes around both
+// switch points: the direct/Four-Russians crossover and the internal batch
+// size (one more than a batch spills into a second batch of one).
+TEST(Fountain, BatchedRepairSymbolsEqualOracle) {
+  for (std::size_t k : {171u, 172u, 1000u, 3001u, 9000u, 11000u}) {
+    Rng rng(k);
+    const auto blocks = random_blocks(rng, k, 91);
+    const auto page_id = 0x70000 + static_cast<std::uint32_t>(k);
+    const FountainEncoder encoder(page_id, blocks);
+    const oracles::LtEncoderReference oracle(page_id, blocks);
+    const std::size_t cross = FountainEncoder::kFourRussiansMinBatch;
+    const std::size_t batch = encoder.four_russians_batch();
+    ASSERT_GE(batch, cross);
+    std::vector<std::uint32_t> seqs(batch + 1);
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      seqs[i] = static_cast<std::uint32_t>((65536 - 40 + i) % 65536);
+    }
+    std::vector<Bytes> expected;
+    for (std::uint32_t seq : seqs) expected.push_back(oracle.repair_symbol(seq));
+    const std::size_t sizes[] = {1, cross - 1, cross, cross + 1, batch - 1, batch, batch + 1};
+    for (std::size_t n : sizes) {
+      // Every window of two or more seqs straddles the wrap (list index 40).
+      const std::size_t first = std::min(seqs.size() - n, 40 - std::min<std::size_t>(n, 40) / 2);
+      const auto got = encoder.repair_symbols(std::span(seqs).subspan(first, n));
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], expected[first + i]) << "k=" << k << " batch of " << n << " seq "
+                                               << seqs[first + i];
+      }
+    }
+    EXPECT_EQ(encoder.repair_symbol(65535), expected[39]) << "k=" << k;
+  }
+}
+
+TEST(Fountain, NeighborDrawEqualsOracle) {
+  for (std::size_t k : {1u, 2u, 3u, 171u, 9000u, 65535u}) {
+    for (std::uint32_t page_id : {0u, 1u, 0x5a5a5u, 0xffffffffu}) {
+      for (std::uint32_t seq : {0u, 1u, 2u, 170u, 171u, 4097u, 65535u}) {
+        ASSERT_EQ(fountain_neighbors(page_id, seq, k),
+                  oracles::fountain_neighbors_reference(page_id, seq, k))
+            << "k=" << k << " page " << page_id << " seq " << seq;
+      }
+    }
+  }
+}
+
+// ExactRemainder is uniform_int's v % k on every draw, so it must be exact
+// for every divisor a page can have (k is a u16 on the wire), at the edges
+// of the 64-bit range and of the rejection limit.
+TEST(Fountain, ExactRemainderMatchesModulo) {
+  Rng rng(5);
+  std::size_t mismatches = 0;
+  std::uint64_t first_bad_d = 0, first_bad_v = 0;
+  for (std::uint64_t d = 2; d <= 65535; ++d) {
+    const ExactRemainder mod(d);
+    const std::uint64_t limit = ~0ull - (~0ull % d);
+    const std::uint64_t edges[] = {0, d - 1, d, limit - 1, ~0ull};
+    auto check = [&](std::uint64_t v) {
+      if (mod(v) != v % d && mismatches++ == 0) {
+        first_bad_d = d;
+        first_bad_v = v;
+      }
+    };
+    for (std::uint64_t v : edges) check(v);
+    for (int i = 0; i < 4; ++i) check(rng.next());
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_bad_v << " % " << first_bad_d;
+  EXPECT_EQ(ExactRemainder(1)(~0ull), 0u);
 }
 
 // The acceptance property: for pages of 1..400 frames and ANY loss pattern

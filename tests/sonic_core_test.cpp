@@ -6,6 +6,7 @@
 
 #include "fec/fountain.hpp"
 #include "sonic/cache.hpp"
+#include "sonic/carousel.hpp"
 #include "sonic/client.hpp"
 #include "sonic/framing.hpp"
 #include "sonic/scheduler.hpp"
@@ -570,6 +571,37 @@ TEST(Carousel, PopularityCatalogAndPersistentRepairStream) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->first.type, kFrameTypeRepair);
   EXPECT_EQ(parsed->first.seq, repairs1);
+}
+
+// An MDS page has only 255 - k distinct repair symbols (evaluation point
+// k + seq mod (255 - k)). At overhead 1.0 a page with k > 127 would need
+// more, so its cycle's tail stops at 255 - k instead of airing duplicates.
+TEST(Carousel, RepairTailCapsAtDistinctSymbols) {
+  const web::PkCorpus corpus;
+  BroadcastPipeline::Params pp;
+  pp.layout = web::LayoutParams{150, 200, 10, 2};  // narrow and short: ~150 frames
+  BroadcastPipeline pipeline(&corpus, pp);
+  const std::string url = corpus.pages()[0].url;
+  const std::size_t k = pipeline.prepare({url}, 0.0).front().bundle->frames.size();
+  ASSERT_GT(k, 127u);
+  ASSERT_LE(k, fec::FountainParams::mds_max_k);
+
+  Carousel carousel(&pipeline, nullptr, Carousel::Params{1, 1.0});
+  carousel.record_hit(url);
+  const auto cycle = carousel.drive(0.0);
+  ASSERT_EQ(cycle.size(), 1u);
+  std::vector<std::size_t> points;
+  for (const auto& frame : cycle[0]->frames) {
+    const auto parsed = parse_frame(frame);
+    ASSERT_TRUE(parsed.has_value());
+    if (parsed->first.type != kFrameTypeRepair) continue;
+    points.push_back(k + parsed->first.seq % (255 - k));
+  }
+  EXPECT_EQ(cycle[0]->frames.size(), k + points.size());
+  EXPECT_EQ(points.size(), 255 - k) << "k=" << k;
+  std::sort(points.begin(), points.end());
+  EXPECT_TRUE(std::adjacent_find(points.begin(), points.end()) == points.end());
+  EXPECT_EQ(carousel.next_repair_seq(url), 255 - k);
 }
 
 TEST(Carousel, UserRequestCutsInMidCycle) {
