@@ -144,7 +144,9 @@ int main(int argc, char** argv) {
 
   core::Metrics metrics;
   modem::StreamReceiverParams rx_params;
-  rx_params.max_buffer_samples = 4 * ofdm.min_decode_samples() + audio.size();
+  // The smallest cap a receiver accepts, well under one burst: memory does
+  // not scale with the burst.
+  rx_params.max_buffer_samples = 2 * ofdm.min_decode_samples();
   rx_params.metrics = &metrics;
   modem::StreamReceiver rx(ofdm, rx_params);
 

@@ -29,7 +29,7 @@ std::vector<cplx> prbs_qpsk(std::size_t n, std::uint64_t stream) {
 
 // receive_all's chunk size: one second at 44.1 kHz. StreamReceiver erases
 // consumed audio from the front of its buffer, so feeding a long recording
-// in one push would move the rest of it after every burst.
+// in one push would move the rest of it after every decode step.
 constexpr std::size_t kRecordingChunkSamples = 44100;
 
 // Feeds `samples` through a StreamReceiver until at least `want` bursts are
@@ -224,7 +224,7 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   }
   if (frame_len == 0 || frame_len > 0xffff || frames.size() > 0xffff)
     throw std::invalid_argument("frame size/count out of range");
-  // Receivers reject headers claiming more (decode_burst), so never send it.
+  // Receivers reject headers claiming more (decode_header), so never send it.
   if (burst_samples(frame_len, frames.size()) > kMaxBurstSamples)
     throw std::invalid_argument("burst longer than OfdmModem::kMaxBurstSamples");
 
@@ -287,7 +287,8 @@ std::size_t OfdmModem::window_pos(std::size_t start, std::size_t symbol_index) c
 }
 
 std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float> samples,
-                                                          std::size_t start) const {
+                                                          std::size_t start,
+                                                          std::vector<cplx>& h_smooth) const {
   const int n = profile_.num_subcarriers;
   if (window_pos(start, 2) + static_cast<std::size_t>(profile_.fft_size) > samples.size()) return std::nullopt;
 
@@ -299,7 +300,6 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
     h[static_cast<std::size_t>(i)] = yb[static_cast<std::size_t>(i)] / preamble_b_[static_cast<std::size_t>(i)];
   }
   // Smooth H across 3 neighbours and estimate noise from the residual.
-  auto& h_smooth = h_smooth_;
   h_smooth.resize(h.size());
   for (int i = 0; i < n; ++i) {
     cplx acc(0, 0);
@@ -329,7 +329,7 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   const std::size_t hdr_syms = header_symbols();
   if (window_pos(start, 2 + hdr_syms) > samples.size()) return std::nullopt;
   for (std::size_t s = 0; s < hdr_syms; ++s) {
-    demod_symbol(samples, window_pos(start, 2 + s), true, header.noise, header_soft);
+    demod_symbol(samples, window_pos(start, 2 + s), true, h_smooth, header.noise, header_soft);
   }
   const std::size_t header_bits = header_codec_.encoded_bits(8);
   if (header_soft.size() < header_bits) return std::nullopt;
@@ -356,13 +356,14 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
 }
 
 void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
-                             float& noise, std::vector<float>& soft_out) const {
+                             std::span<const cplx> h, float& noise,
+                             std::vector<float>& soft_out) const {
   const int n = profile_.num_subcarriers;
   const auto y = analyze_symbol(samples, pos);
   auto& eq = eq_;
   eq.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    eq[static_cast<std::size_t>(i)] = y[static_cast<std::size_t>(i)] / h_smooth_[static_cast<std::size_t>(i)];
+    eq[static_cast<std::size_t>(i)] = y[static_cast<std::size_t>(i)] / h[static_cast<std::size_t>(i)];
   }
   // Pilot linear-phase fit: theta(i) ~ a + b*i.
   double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
@@ -421,55 +422,6 @@ void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bo
     const float obs = pilot_noise / static_cast<float>(pilot_cnt);
     noise = 0.7f * noise + 0.3f * std::max(obs, 1e-7f);
   }
-}
-
-std::optional<std::size_t> OfdmModem::peek_burst_samples(std::span<const float> samples,
-                                                         std::size_t start) const {
-  const auto header = decode_header(samples, start);
-  if (!header) return std::nullopt;
-  return burst_samples(header->frame_len, header->frame_count);
-}
-
-std::optional<RxBurst> OfdmModem::decode_burst(std::span<const float> samples, std::size_t start,
-                                               float sync_ncc) const {
-  auto header = decode_header(samples, start);
-  if (!header) return std::nullopt;
-  const std::size_t frame_len = header->frame_len;
-  const std::size_t frame_count = header->frame_count;
-
-  // Payload.
-  const std::size_t hdr_syms = header_symbols();
-  const std::size_t nsym = payload_symbols(frame_len, frame_count);
-  auto& soft = soft_;
-  soft.clear();
-  soft.reserve(nsym * static_cast<std::size_t>(profile_.data_carriers() * qam_.bits_per_symbol()));
-  for (std::size_t s = 0; s < nsym; ++s) {
-    const std::size_t pos = window_pos(start, 2 + hdr_syms + s);
-    if (pos + static_cast<std::size_t>(profile_.fft_size) > samples.size()) {
-      // Truncated stream: erase the rest.
-      soft.resize(nsym * static_cast<std::size_t>(profile_.data_carriers() * qam_.bits_per_symbol()), 0.5f);
-      break;
-    }
-    demod_symbol(samples, pos, false, header->noise, soft);
-  }
-
-  RxBurst burst;
-  burst.start_sample = start;
-  burst.needed_end = start + burst_samples(frame_len, frame_count);
-  burst.end_sample = std::min(samples.size(), burst.needed_end);
-  burst.truncated = burst.needed_end > samples.size();
-  burst.sync_ncc = sync_ncc;
-  burst.snr_db = static_cast<float>(-10.0 * std::log10(std::max(static_cast<double>(header->noise), 1e-9)));
-  const std::size_t bits_per_frame = payload_codec_.encoded_bits(frame_len);
-  for (std::size_t f = 0; f < frame_count; ++f) {
-    const std::size_t off = f * bits_per_frame;
-    if (off + bits_per_frame > soft.size()) {
-      burst.frames.push_back(std::nullopt);
-      continue;
-    }
-    burst.frames.push_back(payload_codec_.decode(std::span(soft).subspan(off, bits_per_frame), frame_len));
-  }
-  return burst;
 }
 
 std::vector<RxBurst> OfdmModem::receive_all(std::span<const float> samples) const {

@@ -33,19 +33,16 @@
 
 namespace sonic::modem {
 
-// One decoded burst. frames[i] is nullopt when that frame failed FEC+CRC.
+// One decoded burst, emitted by StreamReceiver when the burst ends. frames[i]
+// is nullopt when that frame failed FEC+CRC.
 struct RxBurst {
   std::vector<std::optional<util::Bytes>> frames;
   std::size_t start_sample = 0;  // first sample of the burst in the input
   std::size_t end_sample = 0;    // one past the last sample consumed
   float snr_db = 0.0f;           // pilot-based post-equalization SNR
   float sync_ncc = 0.0f;         // fine-timing normalized cross-correlation
-  // One past the last sample of the complete burst (preambles + header +
-  // payload + gap), NOT capped by the input length — when this exceeds the
-  // provided samples the demod windows ran off the end and `truncated` is
-  // set (missing symbols decode as erasures). StreamReceiver uses it to know
-  // how much audio a full decode needs.
-  std::size_t needed_end = 0;
+  // The stream ended before the burst did: end_sample is the end of the
+  // stream, and the symbols that never arrived decoded as erasures.
   bool truncated = false;
 
   std::size_t frames_ok() const;
@@ -56,13 +53,19 @@ struct RxBurst {
 // demodulation paths run on reusable member scratch (allocation-free in
 // steady state — the feature-phone CPU budget, paper §5). Give each thread
 // its own OfdmModem; construction from the same profile is cheap because
-// the FFT plan itself is shared through dsp::FftPlan's cache.
+// the FFT plan itself is shared through dsp::FftPlan's cache. The scratch
+// holds nothing between calls: the state of a burst being received lives
+// in its StreamReceiver, so several receivers on one thread may share a
+// modem.
 class OfdmModem {
  public:
   // Longest burst, in samples, a modem sends or accepts (~47.5 s at
-  // 44.1 kHz; SONIC's 16-frame bursts take about 2 s). decode_burst rejects
-  // headers that claim more, which bounds what a corrupted header can make
-  // the receiver allocate; modulate throws for longer bursts.
+  // 44.1 kHz; SONIC's 16-frame bursts take about 2 s). The receiver rejects
+  // headers that claim more: a corrupted header that passes the magic and
+  // CRC16 could otherwise claim 65535 frames of 65535 bytes, holding the
+  // receiver's sync for hours of audio, sizing one frame's soft bits at
+  // several MB and decoding tens of thousands of erasure frames at the end
+  // of the stream. modulate throws for longer bursts.
   static constexpr std::size_t kMaxBurstSamples = std::size_t{1} << 21;
 
   explicit OfdmModem(OfdmProfile profile);
@@ -82,20 +85,6 @@ class OfdmModem {
   // audio after it.
   std::optional<RxBurst> receive_one(std::span<const float> samples) const;
 
-  // Decodes the burst whose preamble-A cyclic prefix starts at `start`
-  // (timing already established by StreamReceiver's sync). Returns nullopt
-  // when the header is undecodable or claims a burst longer than
-  // kMaxBurstSamples. `sync_ncc` is recorded into the burst for
-  // observability.
-  std::optional<RxBurst> decode_burst(std::span<const float> samples, std::size_t start,
-                                      float sync_ncc = 1.0f) const;
-
-  // Samples the burst at `start` occupies (as burst_samples), read from its
-  // header without decoding the payload. Returns nullopt exactly when
-  // decode_burst would.
-  std::optional<std::size_t> peek_burst_samples(std::span<const float> samples,
-                                                std::size_t start) const;
-
   // Samples needed past a burst's start to decode its header and learn the
   // burst's full length (preambles + header symbols + one FFT window).
   std::size_t min_decode_samples() const;
@@ -107,6 +96,7 @@ class OfdmModem {
   std::span<const float> preamble_b_template() const { return template_b_; }
 
  private:
+  friend class StreamReceiver;    // drives decode_header and demod_symbol
   friend struct OfdmKernelProbe;  // tests/bench: per-symbol kernel access
 
   struct Header {
@@ -135,15 +125,16 @@ class OfdmModem {
   // First sample of the FFT window of symbol `symbol_index` of the burst at
   // `start`.
   std::size_t window_pos(std::size_t start, std::size_t symbol_index) const;
-  // Estimates the channel from preamble B (into h_smooth_) and decodes the
+  // Estimates the channel from preamble B (into `h_smooth`) and decodes the
   // header of the burst at `start`; nullopt when it is missing, corrupt or
   // claims more than kMaxBurstSamples.
-  std::optional<Header> decode_header(std::span<const float> samples, std::size_t start) const;
-  // Equalizes the symbol whose FFT window starts at `pos`, fits the pilot
-  // phase, appends its soft bits to `soft_out` and updates `noise` from the
-  // pilot residual.
-  void demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk, float& noise,
-                    std::vector<float>& soft_out) const;
+  std::optional<Header> decode_header(std::span<const float> samples, std::size_t start,
+                                      std::vector<cplx>& h_smooth) const;
+  // Equalizes the symbol whose FFT window starts at `pos` by the channel
+  // estimate `h`, fits the pilot phase, appends its soft bits to `soft_out`
+  // and updates `noise` from the pilot residual.
+  void demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
+                    std::span<const cplx> h, float& noise, std::vector<float>& soft_out) const;
 
   OfdmProfile profile_;
   QamMapper qam_;
@@ -162,17 +153,16 @@ class OfdmModem {
   std::vector<float> template_b_;  // time-domain preamble B (with CP)
   float tx_gain_;
 
-  // Per-symbol and per-burst scratch, reused across calls (see the class
-  // comment on thread safety). spec_ holds synth_symbol's FFT-size working
-  // buffer, packed_ analyze_symbol's half-size one, carriers_ the used-bin
-  // view analyze_symbol returns.
+  // Per-call scratch, reused across calls (see the class comment on thread
+  // safety). spec_ holds synth_symbol's FFT-size working buffer, packed_
+  // analyze_symbol's half-size one, carriers_ the used-bin view
+  // analyze_symbol returns, h_ decode_header's raw channel estimate and
+  // header_soft_ its soft bits, eq_ demod_symbol's equalized bins.
   mutable std::vector<dsp::cplx> spec_;
   mutable std::vector<dsp::cplx> packed_;
   mutable std::vector<cplx> carriers_;
-  // decode_burst working vectors (channel estimate, equalized bins, soft
-  // bits), cleared and refilled per burst instead of reallocated.
-  mutable std::vector<cplx> h_, h_smooth_, eq_;
-  mutable std::vector<float> header_soft_, soft_;
+  mutable std::vector<cplx> h_, eq_;
+  mutable std::vector<float> header_soft_;
 };
 
 // Test/bench peephole into the private per-symbol kernels. The kernel tests

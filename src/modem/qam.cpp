@@ -39,7 +39,6 @@ QamMapper::QamMapper(Constellation c) : constellation_(c), bits_(sonic::modem::b
     axis_bits_ = 1;
     levels_ = {-1.0f, 1.0f};  // gray label == index for 2 levels
     points_ = {cplx(-1.0f, 0.0f), cplx(1.0f, 0.0f)};
-    min_dist_ = 2.0f;
     return;
   }
   // Square QAM: L levels per axis.
@@ -59,33 +58,10 @@ QamMapper::QamMapper(Constellation c) : constellation_(c), bits_(sonic::modem::b
     const std::uint32_t gq = label & ((1u << axis_bits_) - 1);
     points_[label] = cplx(levels_[gi], levels_[gq]);
   }
-  min_dist_ = 2.0f * scale;
 }
-
-float QamMapper::axis_map(std::uint32_t gray_bits) const { return levels_[gray_bits]; }
 
 cplx QamMapper::map(std::uint32_t bits) const {
   return points_[bits & ((1u << bits_) - 1)];
-}
-
-std::uint32_t QamMapper::demap_hard(cplx received) const {
-  // Independent per-axis nearest level (valid for square QAM and BPSK).
-  if (constellation_ == Constellation::kBpsk) {
-    return received.real() >= 0.0f ? 1u : 0u;
-  }
-  auto nearest = [&](float r) {
-    std::uint32_t best = 0;
-    float best_d = std::numeric_limits<float>::max();
-    for (std::uint32_t g = 0; g < levels_.size(); ++g) {
-      const float d = std::fabs(r - levels_[g]);
-      if (d < best_d) {
-        best_d = d;
-        best = g;
-      }
-    }
-    return best;
-  };
-  return (nearest(received.real()) << axis_bits_) | nearest(received.imag());
 }
 
 void QamMapper::axis_demap_soft(float r, float noise_var, std::span<float> soft_out) const {

@@ -43,25 +43,17 @@ class QamMapper {
   // Max-log approximation.
   void demap_soft(cplx received, float noise_var, std::span<float> soft_out) const;
 
-  // Hard demap: nearest constellation point, returns its bit label.
-  std::uint32_t demap_hard(cplx received) const;
-
-  // Minimum distance between constellation points (for SNR analysis).
-  float min_distance() const { return min_dist_; }
-
  private:
   Constellation constellation_;
   int bits_;
   int axis_bits_;                  // bits per I/Q axis (square QAM)
   std::vector<float> levels_;      // per-axis amplitude levels, Gray order index
   std::vector<cplx> points_;       // indexed by bit label
-  float min_dist_;
 
   // Levels per axis of the largest constellation (kQam1024).
   static constexpr int kMaxAxisLevels = 32;
 
-  // Per-axis helpers: Gray-coded level index <-> amplitude.
-  float axis_map(std::uint32_t gray_bits) const;
+  // Per-axis soft demap over the Gray-coded levels.
   void axis_demap_soft(float r, float noise_var, std::span<float> soft_out) const;
 };
 

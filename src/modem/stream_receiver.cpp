@@ -58,7 +58,7 @@ void StreamReceiver::restart_scan(std::size_t from) {
   plateau_end_guard_ = 0;
   coarse_ready_ = false;
   have_sync_ = false;
-  pending_needed_ = 0;
+  header_.reset();
 }
 
 // Schmidl & Cox coarse detection on the half-symbol periodicity of preamble
@@ -167,54 +167,89 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   sync_ncc_ = static_cast<float>(best_ncc);
   have_sync_ = true;
   coarse_ready_ = false;
-  pending_needed_ = 0;
   return Step::kProgress;
 }
 
+// One forward pass over the burst at sync_start_: the header once, then
+// every payload symbol whose FFT window is buffered. The stream's end pads
+// the symbols that never arrived as erasures.
 StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool final_flush) {
-  const std::span<const float> window(buf_.data() + (sync_start_ - base_),
-                                      buf_.size() - (sync_start_ - base_));
-  auto resync = [&] {
-    count("rx_resyncs");
-    restart_scan(sync_start_ + sym_);
-    return Step::kProgress;
-  };
-  if (!final_flush) {
-    // Header first, to learn the burst length; then the whole burst once it
-    // is buffered. Decoding the payload before then would be thrown away.
-    if (pending_needed_ == 0) {
-      if (total_ < sync_start_ + modem_.min_decode_samples()) return Step::kStall;
-      const auto length = modem_.peek_burst_samples(window, 0);
-      if (!length.has_value()) return resync();
-      pending_needed_ = sync_start_ + *length;
+  const std::span<const float> buffered(buf_);
+  if (!header_.has_value()) {
+    if (!final_flush && total_ < sync_start_ + modem_.min_decode_samples()) return Step::kStall;
+    header_ = modem_.decode_header(buffered, sync_start_ - base_, h_);
+    if (!header_.has_value()) {
+      count("rx_resyncs");
+      restart_scan(sync_start_ + sym_);
+      return Step::kProgress;
     }
-    if (total_ < pending_needed_) return Step::kStall;
+    frame_bits_ = modem_.payload_codec_.encoded_bits(header_->frame_len);
+    burst_end_ = sync_start_ + modem_.burst_samples(header_->frame_len, header_->frame_count);
+    payload_symbols_ = modem_.payload_symbols(header_->frame_len, header_->frame_count);
+    next_symbol_ = 0;
+    soft_.clear();
+    frames_.clear();
   }
 
-  auto burst = modem_.decode_burst(window, 0, sync_ncc_);
-  if (!burst.has_value()) return resync();
+  const std::size_t first_payload = 2 + modem_.header_symbols();
+  for (; next_symbol_ < payload_symbols_; ++next_symbol_) {
+    const std::size_t pos = modem_.window_pos(sync_start_, first_payload + next_symbol_);
+    if (pos + fft_ > total_) break;
+    modem_.demod_symbol(buffered, pos - base_, false, h_, header_->noise, soft_);
+    decode_frames();
+  }
+  if (!final_flush) {
+    // The burst ends after its gap symbol; the scan resumes there.
+    if (next_symbol_ < payload_symbols_ || total_ < burst_end_) return Step::kStall;
+  } else {
+    while (frames_.size() < header_->frame_count) {
+      soft_.resize(std::max(soft_.size(), frame_bits_), 0.5f);
+      decode_frames();
+    }
+  }
+  emit(out);
+  return Step::kProgress;
+}
 
-  burst->start_sample += sync_start_;
-  burst->end_sample += sync_start_;
-  burst->needed_end += sync_start_;
+// Decodes every frame whose soft bits are all in, keeping the bits of the
+// frame in progress.
+void StreamReceiver::decode_frames() {
+  std::size_t off = 0;
+  for (; frames_.size() < header_->frame_count && soft_.size() - off >= frame_bits_; off += frame_bits_) {
+    frames_.push_back(
+        modem_.payload_codec_.decode(std::span(soft_).subspan(off, frame_bits_), header_->frame_len));
+  }
+  soft_.erase(soft_.begin(), soft_.begin() + static_cast<long>(off));
+}
+
+void StreamReceiver::emit(std::vector<RxBurst>& out) {
+  RxBurst burst;
+  burst.frames = std::move(frames_);
+  burst.start_sample = sync_start_;
+  burst.end_sample = std::min(total_, burst_end_);
+  burst.truncated = burst_end_ > total_;
+  burst.sync_ncc = sync_ncc_;
+  burst.snr_db =
+      static_cast<float>(-10.0 * std::log10(std::max(static_cast<double>(header_->noise), 1e-9)));
   count("rx_bursts");
-  if (burst->truncated) count("rx_bursts_truncated");
-  count("rx_frames_ok", burst->frames_ok());
-  count("rx_frames_lost", burst->frames.size() - burst->frames_ok());
+  if (burst.truncated) count("rx_bursts_truncated");
+  count("rx_frames_ok", burst.frames_ok());
+  count("rx_frames_lost", burst.frames.size() - burst.frames_ok());
   if (params_.metrics != nullptr) {
-    params_.metrics->histogram("rx_burst_ncc").observe(burst->sync_ncc);
-    params_.metrics->histogram("rx_burst_snr_db").observe(burst->snr_db);
+    params_.metrics->histogram("rx_burst_ncc").observe(burst.sync_ncc);
+    params_.metrics->histogram("rx_burst_snr_db").observe(burst.snr_db);
     params_.metrics->histogram("rx_buffered_at_burst").observe(static_cast<double>(buf_.size()));
   }
-  const std::size_t resume = std::max(burst->end_sample, scan_from_ + 1);
-  out.push_back(std::move(*burst));
+  const std::size_t resume = std::max(burst.end_sample, scan_from_ + 1);
+  out.push_back(std::move(burst));
   restart_scan(resume);
-  return Step::kProgress;
 }
 
 void StreamReceiver::evict() {
   std::size_t keep;
-  if (have_sync_) {
+  if (header_.has_value()) {
+    keep = modem_.window_pos(sync_start_, 2 + modem_.header_symbols() + next_symbol_);
+  } else if (have_sync_) {
     keep = sync_start_;
   } else if (in_plateau_ || coarse_ready_) {
     // Fine sync may still probe 2*cp_len before the coarse peak.
@@ -231,25 +266,16 @@ void StreamReceiver::evict() {
   }
 }
 
-void StreamReceiver::enforce_cap(std::vector<RxBurst>& out) {
+void StreamReceiver::enforce_cap() {
+  // Decoding keeps at most the header buffered, so only an endless
+  // plateau (a periodic tone keeps the scan from moving past it) gets here:
+  // drop the oldest audio and restart the scan at what remains.
   if (buf_.size() <= params_.max_buffer_samples) return;
-  if (have_sync_) {
-    // A burst larger than the cap: decode what fits now — the missing tail
-    // becomes frame erasures — instead of buffering without bound.
-    count("rx_forced_decodes");
-    const Step step = decode(out, /*final_flush=*/true);
-    (void)step;
-    evict();
-  }
-  if (buf_.size() > params_.max_buffer_samples) {
-    // Still over (e.g. one push far larger than the cap while scanning):
-    // drop the oldest audio and restart the scan at what remains.
-    const std::size_t drop = buf_.size() - params_.max_buffer_samples;
-    count("rx_samples_dropped", drop);
-    base_ += drop;
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(drop));
-    restart_scan(base_);
-  }
+  const std::size_t drop = buf_.size() - params_.max_buffer_samples;
+  count("rx_samples_dropped", drop);
+  base_ += drop;
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(drop));
+  restart_scan(base_);
 }
 
 void StreamReceiver::advance(std::vector<RxBurst>& out, bool final_flush) {
@@ -276,7 +302,7 @@ std::vector<RxBurst> StreamReceiver::push(std::span<const float> chunk) {
 
   std::vector<RxBurst> out;
   advance(out, /*final_flush=*/false);
-  enforce_cap(out);
+  enforce_cap();
   high_water_ = std::max(high_water_, buf_.size());
   return out;
 }

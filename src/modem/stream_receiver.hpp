@@ -3,30 +3,37 @@
 // carousel loops. Audio arrives in arbitrary-sized chunks (a mic callback
 // hands out ~20 ms at a time); the receiver
 //
-//   * keeps a ring buffer over the incoming audio with an absolute sample
-//     index, evicting everything the sync and decode stages can no longer
-//     reach, so memory stays bounded by `max_buffer_samples` no matter how
-//     long the stream runs;
+//   * keeps a buffer over the incoming audio with an absolute sample index,
+//     evicting everything the sync and decode stages can no longer reach:
+//     the preamble search window, or the header, or a few payload symbols —
+//     never a whole burst, however long it is;
 //   * runs the Schmidl & Cox preamble search incrementally — the running
 //     correlation sums, plateau tracker, and scan position carry across
 //     chunk boundaries, so a preamble split across two chunks is found
 //     exactly where one chunk holding the whole recording would put it;
-//   * decodes each burst once enough audio is buffered, via
-//     OfdmModem::decode_burst — feeding the same audio in any chunking
-//     yields byte-identical bursts;
+//   * decodes each burst in one forward pass through a per-burst cursor:
+//     the header once (channel estimate, starting noise, frame geometry),
+//     then each payload symbol as soon as its FFT window is buffered, and
+//     each frame (Viterbi, RS, CRC32) as soon as its last soft bit exists.
+//     Completed frames leave as one RxBurst when the burst ends. Feeding
+//     the same audio in any chunking yields byte-identical bursts;
 //   * resyncs after a failed burst: a corrupted preamble or undecodable
 //     header skips one symbol and resumes scanning, so one bad burst does
 //     not desync the rest of a carousel pass.
+//
+// The cursor lives here, not in the modem: receivers sharing one OfdmModem
+// on one thread keep their bursts apart.
 //
 // This is the modem's only receive path: OfdmModem::receive_all and
 // receive_one feed a finished recording through it.
 //
 // Observability goes through the sonic::core::Metrics registry when one is
 // provided: sync attempts/hits/resyncs, per-burst NCC and estimated SNR,
-// frames ok/lost, and the buffered-samples high-water mark.
+// frames ok/lost, dropped samples, and the buffered-samples high-water mark.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,11 +43,13 @@
 namespace sonic::modem {
 
 struct StreamReceiverParams {
-  // Hard cap on buffered audio. A burst longer than the cap is decoded with
-  // what fits (the overflow decodes as erasures) rather than growing the
-  // buffer. Must be at least 2x OfdmModem::min_decode_samples().
-  // The default holds the longest burst a modem sends (kMaxBurstSamples,
-  // ~47 s at 44.1 kHz, a few MB of floats).
+  // Hard cap on buffered audio; must be at least 2x
+  // OfdmModem::min_decode_samples(), the header's need. Between pushes the
+  // receiver holds at most about that much (the preamble search window, the
+  // header, or the payload symbol in progress), so a burst of any length
+  // decodes in full under the minimum cap. Only an endless preamble plateau
+  // (a periodic tone) reaches the cap; the oldest audio is then dropped and
+  // the scan restarts.
   std::size_t max_buffer_samples = OfdmModem::kMaxBurstSamples;
   // Optional observability sink; must outlive the receiver.
   core::Metrics* metrics = nullptr;
@@ -52,7 +61,7 @@ class StreamReceiver {
   explicit StreamReceiver(const OfdmModem& modem, StreamReceiverParams params = {});
 
   // Feed one chunk of audio; returns every burst completed by it, with
-  // start/end/needed expressed as absolute sample indices into the stream.
+  // start/end expressed as absolute sample indices into the stream.
   std::vector<RxBurst> push(std::span<const float> chunk);
 
   // End of stream: resolve whatever is pending (truncated bursts decode
@@ -75,9 +84,11 @@ class StreamReceiver {
   Step scan(bool final_flush);
   Step fine_sync(bool final_flush);
   Step decode(std::vector<RxBurst>& out, bool final_flush);
+  void decode_frames();
+  void emit(std::vector<RxBurst>& out);
   void restart_scan(std::size_t from);
   void evict();
-  void enforce_cap(std::vector<RxBurst>& out);
+  void enforce_cap();
   void count(const char* name, std::uint64_t n = 1);
 
   const OfdmModem& modem_;
@@ -103,11 +114,20 @@ class StreamReceiver {
   std::size_t plateau_end_guard_ = 0;
   bool coarse_ready_ = false;
 
-  // Established burst sync awaiting decode.
+  // Established burst sync and its decode cursor.
   bool have_sync_ = false;
   std::size_t sync_start_ = 0;
   float sync_ncc_ = 0.0f;
-  std::size_t pending_needed_ = 0;  // absolute; 0 until the header is decoded
+  // Frame geometry, and the noise each payload symbol updates; empty until
+  // the header is decoded.
+  std::optional<OfdmModem::Header> header_;
+  std::size_t frame_bits_ = 0;       // coded bits per frame
+  std::size_t burst_end_ = 0;        // absolute, gap symbol included
+  std::size_t payload_symbols_ = 0;
+  std::size_t next_symbol_ = 0;      // next payload symbol to demodulate
+  std::vector<cplx> h_;              // channel estimate from preamble B
+  std::vector<float> soft_;          // soft bits of the frame in progress
+  std::vector<std::optional<util::Bytes>> frames_;  // decoded so far
 };
 
 }  // namespace sonic::modem

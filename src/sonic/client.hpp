@@ -70,7 +70,10 @@ class SonicClient {
     UplinkPolicy uplink;
     // Streaming downlink (on_audio): the OFDM profile the tuner audio was
     // modulated with, and the receive-buffer cap handed to StreamReceiver —
-    // must be at least 2x the profile's min_decode_samples().
+    // must be at least 2x the profile's min_decode_samples(). The receiver
+    // demodulates each symbol as it arrives, so bursts of any length decode
+    // in full even at that minimum; the cap only bounds an endless preamble
+    // plateau.
     std::string downlink_profile = "sonic-10k";
     std::size_t downlink_buffer_samples = std::size_t{1} << 21;
 

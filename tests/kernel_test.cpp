@@ -26,8 +26,9 @@
 //  * byte pins of every FM filter stage and of one FmLink burst, at input
 //    lengths around each stage's window and batch edges, under any chunking;
 //
-// plus the allocation-free guarantee for the OFDM steady-state symbol path
-// and the bounded allocation for forged OFDM headers, verified with a real
+// plus the allocation-free guarantee for the OFDM steady-state symbol path,
+// the bounded allocation for forged OFDM headers and the streaming
+// receiver's memory independent of the burst length, verified with a real
 // global operator new counter.
 #include <gtest/gtest.h>
 
@@ -65,6 +66,7 @@
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -1171,41 +1173,46 @@ TEST(FmKernels, StageOutputsArePinned) {
 
 // ---------------------------------------------- forged OFDM header bound ---
 
+// Feeds 1000 samples of silence and then `audio` through `rx` in 20 ms
+// chunks and flushes; returns every burst.
+std::vector<modem::RxBurst> receive_after_silence(modem::StreamReceiver& rx,
+                                                  std::span<const float> audio) {
+  std::vector<float> stream(1000, 0.0f);
+  stream.insert(stream.end(), audio.begin(), audio.end());
+  std::vector<modem::RxBurst> bursts;
+  for (std::size_t pos = 0; pos < stream.size(); pos += 882) {
+    const std::size_t len = std::min<std::size_t>(882, stream.size() - pos);
+    for (auto& b : rx.push(std::span<const float>(stream).subspan(pos, len))) bursts.push_back(std::move(b));
+  }
+  for (auto& b : rx.flush()) bursts.push_back(std::move(b));
+  return bursts;
+}
+
 // A header that passes the magic and CRC16 checks but claims 65535 frames of
-// 65535 bytes used to make decode_burst size its soft-bit buffer for the
-// claim: tens of GB decided by bytes off the air. It is now rejected before
-// anything is allocated for it.
+// 65535 bytes once made the receiver size its soft-bit buffer for the
+// claim: tens of GB decided by bytes off the air. The receiver syncs on it,
+// rejects the header and resyncs, without allocating for the claim.
 TEST(OfdmHeaderBound, ForgedHugeClaimIsRejectedWithoutAllocatingForIt) {
   modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
   auto audio = modem::OfdmKernelProbe::burst_head(modem, 0xffff, 0xffff);
   audio.resize(audio.size() + 20000, 0.0f);
 
-  (void)modem.decode_burst(audio, 0);  // warm the decoder scratch
+  core::Metrics metrics;
+  modem::StreamReceiverParams params;
+  params.metrics = &metrics;
+  modem::StreamReceiver rx(modem, params);
   g_alloc_max.store(0);
-  const auto burst = modem.decode_burst(audio, 0);
-  EXPECT_FALSE(burst.has_value());
-  EXPECT_FALSE(modem.peek_burst_samples(audio, 0).has_value());
+  EXPECT_TRUE(receive_after_silence(rx, audio).empty());
   EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
-
-  // The streaming receiver reaches the same decode through its sync; it
-  // resyncs past the forged burst without allocating for the claim either.
-  std::vector<float> stream(1000, 0.0f);
-  stream.insert(stream.end(), audio.begin(), audio.end());
-  modem::StreamReceiver rx(modem);
-  g_alloc_max.store(0);
-  std::size_t bursts = 0;
-  for (std::size_t pos = 0; pos < stream.size(); pos += 882) {
-    const std::size_t len = std::min<std::size_t>(882, stream.size() - pos);
-    bursts += rx.push(std::span<const float>(stream).subspan(pos, len)).size();
-  }
-  bursts += rx.flush().size();
-  EXPECT_EQ(bursts, 0u);
-  EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
+  EXPECT_GE(metrics.counter_value("rx_sync_hits"), 1u);
+  EXPECT_GE(metrics.counter_value("rx_resyncs"), 1u);
 }
 
 // The bound sits at kMaxBurstSamples: a claim one frame past it is
-// rejected, the largest claim within it still decodes (truncated, every
-// frame an erasure) with allocations bounded by the limit, not the header.
+// rejected, and the largest claim within it is accepted. With no payload
+// behind it, the stream ends inside that burst, so flush returns it
+// truncated with every frame an erasure. Nothing is sized by the burst: the
+// largest allocation is frame-sized scratch, well under 1 MB.
 TEST(OfdmHeaderBound, ClaimsAreBoundedByMaxBurstSamples) {
   modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
   const std::uint16_t frame_len = 4000;
@@ -1215,23 +1222,83 @@ TEST(OfdmHeaderBound, ClaimsAreBoundedByMaxBurstSamples) {
 
   auto over = modem::OfdmKernelProbe::burst_head(modem, frame_len, static_cast<std::uint16_t>(fits + 1));
   over.resize(over.size() + 20000, 0.0f);
-  EXPECT_FALSE(modem.decode_burst(over, 0).has_value());
-  EXPECT_FALSE(modem.peek_burst_samples(over, 0).has_value());
+  core::Metrics metrics;
+  modem::StreamReceiverParams params;
+  params.metrics = &metrics;
+  modem::StreamReceiver rx(modem, params);
+  EXPECT_TRUE(receive_after_silence(rx, over).empty());
+  EXPECT_GE(metrics.counter_value("rx_sync_hits"), 1u);
+  EXPECT_GE(metrics.counter_value("rx_resyncs"), 1u);
 
   auto within = modem::OfdmKernelProbe::burst_head(modem, frame_len, fits);
   within.resize(within.size() + 20000, 0.0f);
-  EXPECT_EQ(modem.peek_burst_samples(within, 0), modem.burst_samples(frame_len, fits));
+  // Warm the thread's Viterbi workspace, which holds one 4000-byte frame's
+  // traceback decisions (~1.1 MB) and is reused across decodes. The modem
+  // and receiver measured below have never decoded a payload.
+  {
+    modem::OfdmModem warm_modem(modem.profile());
+    modem::StreamReceiver warm(warm_modem);
+    (void)receive_after_silence(warm, within);
+  }
+  rx.reset();
   g_alloc_max.store(0);
-  const auto burst = modem.decode_burst(within, 0);
-  ASSERT_TRUE(burst.has_value());
-  EXPECT_TRUE(burst->truncated);
-  EXPECT_EQ(burst->frames.size(), fits);
-  EXPECT_EQ(burst->frames_ok(), 0u);
-  EXPECT_LE(g_alloc_max.load(), modem::OfdmModem::kMaxBurstSamples * sizeof(float));
+  const auto bursts = receive_after_silence(rx, within);
+  EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20);
+  ASSERT_EQ(bursts.size(), 1u);
+  EXPECT_EQ(bursts[0].start_sample, 1000u);
+  EXPECT_TRUE(bursts[0].truncated);
+  EXPECT_EQ(bursts[0].frames.size(), fits);
+  EXPECT_EQ(bursts[0].frames_ok(), 0u);
 
   // The transmitter refuses to send what receivers reject.
   std::vector<util::Bytes> frames(fits + 1u, util::Bytes(frame_len, 0x5a));
   EXPECT_THROW((void)modem.modulate(frames), std::invalid_argument);
+}
+
+// ------------------------------------------- streaming receiver memory ---
+
+// The receiver demodulates each symbol as it arrives, so neither its buffer
+// nor its largest allocation grows with the burst: a 64-frame burst streams
+// through the same memory as a 4-frame one.
+TEST(StreamReceiverMemory, DoesNotScaleWithFramesPerBurst) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  constexpr std::size_t kChunk = 882;
+  struct Footprint {
+    std::size_t high_water = 0;
+    std::size_t peak_alloc = 0;
+  };
+  const auto stream_burst = [&](std::size_t frame_count) {
+    Rng rng(140 + frame_count);
+    std::vector<util::Bytes> frames(frame_count, util::Bytes(100));
+    for (auto& f : frames) {
+      for (auto& b : f) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    }
+    std::vector<float> stream(1000, 0.0f);
+    const auto audio = modem.modulate(frames);
+    stream.insert(stream.end(), audio.begin(), audio.end());
+    stream.insert(stream.end(), 2000, 0.0f);
+
+    modem::StreamReceiver rx(modem);
+    std::vector<modem::RxBurst> bursts;
+    g_alloc_max.store(0);
+    for (std::size_t pos = 0; pos < stream.size(); pos += kChunk) {
+      const std::size_t len = std::min(kChunk, stream.size() - pos);
+      for (auto& b : rx.push(std::span<const float>(stream).subspan(pos, len))) bursts.push_back(std::move(b));
+    }
+    const Footprint footprint{rx.buffered_high_water(), g_alloc_max.load()};
+    for (auto& b : rx.flush()) bursts.push_back(std::move(b));
+    EXPECT_EQ(bursts.size(), 1u) << frame_count;
+    if (!bursts.empty()) {
+      EXPECT_EQ(bursts[0].frames_ok(), frame_count);
+    }
+    return footprint;
+  };
+  (void)stream_burst(4);  // warm the thread's Viterbi workspace
+  const Footprint small = stream_burst(4);
+  const Footprint large = stream_burst(64);
+  EXPECT_LE(large.high_water, small.high_water + kChunk);
+  EXPECT_LE(small.high_water, large.high_water + kChunk);
+  EXPECT_EQ(large.peak_alloc, small.peak_alloc);
 }
 
 }  // namespace

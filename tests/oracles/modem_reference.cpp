@@ -64,4 +64,22 @@ void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, flo
   axis_demap_soft(levels, axis_bits, received.imag(), noise_var, soft_out.subspan(bits));
 }
 
+std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received) {
+  if (mapper.constellation() == modem::Constellation::kBpsk) return received.real() >= 0.0f ? 1u : 0u;
+  const int axis_bits = mapper.bits_per_symbol() / 2;
+  auto nearest = [&](float r) {
+    std::uint32_t best = 0;
+    float best_d = std::numeric_limits<float>::max();
+    for (std::uint32_t g = 0; g < (1u << axis_bits); ++g) {
+      const float d = std::fabs(r - mapper.map(g << axis_bits).real());
+      if (d < best_d) {
+        best_d = d;
+        best = g;
+      }
+    }
+    return best;
+  };
+  return (nearest(received.real()) << axis_bits) | nearest(received.imag());
+}
+
 }  // namespace sonic::oracles

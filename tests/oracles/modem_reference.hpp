@@ -1,10 +1,12 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
-// modem::OfdmModem::analyze_symbol and modem::QamMapper::demap_soft. They
-// live in the sonic_oracles library, which only tests and benches link.
+// modem::OfdmModem::analyze_symbol and modem::QamMapper::demap_soft, plus
+// the hard QAM demapper the constellation tests decode with. They live in
+// the sonic_oracles library, which only tests and benches link.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,5 +30,10 @@ std::vector<cplx> ofdm_analyze_reference(const modem::OfdmProfile& profile, std:
 // through QamMapper::map.
 void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
                               std::span<float> soft_out);
+
+// Hard demap: the bit label of the constellation point nearest `received`,
+// taking the nearest level on each axis independently (exact for BPSK and
+// square QAM). The levels are read back through QamMapper::map.
+std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received);
 
 }  // namespace sonic::oracles

@@ -5,8 +5,10 @@
 // filter rebuilds). Run with `ctest -L streaming`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dsp/biquad.hpp"
@@ -386,6 +388,36 @@ TEST(StreamReceiverTest, AnyChunkingGivesIdenticalBursts) {
     const auto got = receive_chunked(rx, stream, rng, max_chunk);
     expect_same_bursts(reference, got);
   }
+
+  // The same stream cut three quarters into the second burst, inside its
+  // payload: flush decodes the symbols that never arrived as erasures. The
+  // truncated burst's extent and frames are pinned to what the whole-burst
+  // decoder returned, so the per-symbol receiver reproduces it.
+  const std::size_t cut =
+      reference[1].start_sample + (reference[1].end_sample - reference[1].start_sample) * 3 / 4;
+  ASSERT_GT(cut, reference[1].start_sample + modem.min_decode_samples());
+  const std::span<const float> cut_stream = std::span<const float>(stream).first(cut);
+  rx.reset();
+  const auto cut_reference = receive_chunked(rx, cut_stream, rng, 882);
+  ASSERT_EQ(cut_reference.size(), 2u);
+  expect_same_bursts({reference[0]}, {cut_reference[0]});
+  const RxBurst& tail = cut_reference[1];
+  EXPECT_EQ(tail.start_sample, reference[1].start_sample);
+  EXPECT_EQ(tail.end_sample, 23219u);
+  EXPECT_TRUE(tail.truncated);
+  std::string presence;
+  for (const auto& f : tail.frames) presence += f.has_value() ? '1' : '0';
+  EXPECT_EQ(presence, "110");
+  for (std::size_t f = 0; f < tail.frames.size(); ++f) {
+    if (tail.frames[f].has_value()) {
+      EXPECT_EQ(*tail.frames[f], *reference[1].frames[f]) << f;
+    }
+  }
+  for (const std::size_t max_chunk :
+       {std::size_t{1}, std::size_t{63}, std::size_t{4096}, cut_stream.size()}) {
+    rx.reset();
+    expect_same_bursts(cut_reference, receive_chunked(rx, cut_stream, rng, max_chunk));
+  }
 }
 
 TEST(StreamReceiverTest, ResyncsAfterCorruptedBurst) {
@@ -451,7 +483,7 @@ TEST(StreamReceiverTest, BoundedMemoryUnderEndlessPlateau) {
   EXPECT_GT(metrics.counter_value("rx_samples_dropped"), 0u);
 }
 
-TEST(StreamReceiverTest, BurstLargerThanCapForcesTruncatedDecode) {
+TEST(StreamReceiverTest, BurstLargerThanCapDecodesInFull) {
   OfdmModem modem(*modem::profiles::get("sonic-10k"));
   Rng rng(124);
   // 30 frames of 200 bytes: far more samples than twice the header need.
@@ -469,12 +501,57 @@ TEST(StreamReceiverTest, BurstLargerThanCapForcesTruncatedDecode) {
   StreamReceiver rx(modem, params);
   const auto got = receive_chunked(rx, stream, rng, 882);
 
+  // Each symbol is demodulated as it arrives, so the burst never has to fit
+  // in the buffer: every frame decodes.
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(got[0].truncated);
-  EXPECT_EQ(got[0].frames.size(), frames.size());
-  EXPECT_LT(got[0].frames_ok(), frames.size());  // the tail decoded as erasures
+  EXPECT_FALSE(got[0].truncated);
+  ASSERT_EQ(got[0].frames.size(), frames.size());
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    ASSERT_TRUE(got[0].frames[f].has_value()) << f;
+    EXPECT_EQ(*got[0].frames[f], frames[f]) << f;
+  }
   EXPECT_LE(rx.buffered_high_water(), cap);
-  EXPECT_EQ(metrics.counter_value("rx_forced_decodes"), 1u);
+  EXPECT_EQ(metrics.counter_value("rx_samples_dropped"), 0u);
+}
+
+// The state of a burst in progress lives in its receiver, not in the modem:
+// two receivers on one modem, fed two different streams alternately chunk
+// by chunk, each return exactly what they return alone. The second stream
+// comes through a two-path channel, so a channel estimate taken from the
+// other stream would misequalize every payload symbol.
+TEST(StreamReceiverTest, ReceiversSharingOneModemKeepTheirBursts) {
+  OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  Rng rng(126);
+  const auto first = multi_burst_stream(modem, rng, 3, nullptr);
+  auto second = multi_burst_stream(modem, rng, 3, nullptr);
+  second.insert(second.begin(), 5000, 0.0f);
+  for (std::size_t i = second.size(); i-- > 9;) second[i] += 0.6f * second[i - 9];
+  add_awgn(second, 30.0, rng);
+
+  const auto first_alone = modem.receive_all(first);
+  const auto second_alone = modem.receive_all(second);
+  ASSERT_EQ(first_alone.size(), 3u);
+  ASSERT_EQ(second_alone.size(), 3u);
+
+  StreamReceiver rx_first(modem);
+  StreamReceiver rx_second(modem);
+  std::vector<RxBurst> got_first, got_second;
+  const auto take = [](std::vector<RxBurst>& to, std::vector<RxBurst>&& from) {
+    for (auto& b : from) to.push_back(std::move(b));
+  };
+  constexpr std::size_t kChunk = 882;
+  for (std::size_t pos = 0; pos < std::max(first.size(), second.size()); pos += kChunk) {
+    if (pos < first.size()) {
+      take(got_first, rx_first.push(std::span<const float>(first).subspan(pos, std::min(kChunk, first.size() - pos))));
+    }
+    if (pos < second.size()) {
+      take(got_second, rx_second.push(std::span<const float>(second).subspan(pos, std::min(kChunk, second.size() - pos))));
+    }
+  }
+  take(got_first, rx_first.flush());
+  take(got_second, rx_second.flush());
+  expect_same_bursts(first_alone, got_first);
+  expect_same_bursts(second_alone, got_second);
 }
 
 TEST(StreamReceiverTest, MetricsObserveTheStream) {
