@@ -14,8 +14,8 @@ std::string ColumnCodecParams::fingerprint() const {
 
 namespace {
 
-// Columns per strip: the encoder quantizes, and the decoder writes out, this
-// many columns per pass over the rows.
+// Columns per strip: the decoder writes out this many columns per pass over
+// the rows.
 constexpr int kStripWidth = 64;
 // Rows in one segment, limited by its u16 `rows` field.
 constexpr int kMaxSegmentRows = 0xffff;
@@ -72,8 +72,6 @@ std::uint32_t se_code(int v) {
   return v <= 0 ? static_cast<std::uint32_t>(-2 * v) : static_cast<std::uint32_t>(2 * v - 1);
 }
 
-int se_bits(int v) { return ue_bits(se_code(v)); }
-
 // Largest run r with ue_bits(r) <= `bits_left`: ue_bits(r) <= b holds for
 // r + 1 < 2^((b - 1) / 2 + 1).
 std::uint64_t max_run_within(std::size_t bits_left) {
@@ -82,38 +80,47 @@ std::uint64_t max_run_within(std::size_t bits_left) {
   return e >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << e) - 2;
 }
 
-// MSB-first writer with a 64-bit accumulator into a caller-sized buffer.
-class WordBitWriter {
+// MSB-first writer with a 64-bit accumulator. Each put stores the bytes it
+// completes with one unconditional 8-byte big-endian store, so the number
+// of bytes a code finishes costs no branch; the buffer, kept from segment
+// to segment, has 8 bytes of slack for that store.
+class SegmentBitWriter {
  public:
-  explicit WordBitWriter(std::uint8_t* out) : out_(out) {}
+  // Makes room for `bytes` bytes of segment plus the store's slack; put
+  // grows the buffer past that when it must.
+  void reserve(std::size_t bytes) { buf_.resize(bytes + 16); }
 
   // Appends the low `count` bits of `value`; count <= 56.
   void put(std::uint64_t value, int count) {
+    if (bytes_ + 16 > buf_.size()) buf_.resize(2 * buf_.size() + 16);
     acc_ = acc_ << count | value;
     fill_ += count;
-    while (fill_ >= 8) {
-      fill_ -= 8;
-      out_[bytes_++] = static_cast<std::uint8_t>(acc_ >> fill_);
-    }
+    std::uint64_t top = acc_ << (63 - fill_) << 1;
+    if constexpr (std::endian::native == std::endian::little) top = __builtin_bswap64(top);
+    std::memcpy(buf_.data() + bytes_, &top, 8);
+    bytes_ += static_cast<std::size_t>(fill_ >> 3);
+    fill_ &= 7;
   }
   void put_ue(std::uint32_t v) {
     const std::uint64_t vp1 = std::uint64_t{v} + 1;
     put(vp1, 2 * (63 - std::countl_zero(vp1)) + 1);
   }
-  void put_se(int v) { put_ue(se_code(v)); }
 
   std::size_t bit_count() const { return bytes_ * 8 + static_cast<std::size_t>(fill_); }
-  // Pads the last byte with zeros; returns the bytes written.
-  std::size_t finish() {
-    if (fill_ > 0) out_[bytes_++] = static_cast<std::uint8_t>(acc_ << (8 - fill_));
+  // Pads the last byte with zeros and returns a copy of the bytes written,
+  // leaving the writer empty.
+  util::Bytes take() {
+    if (fill_ > 0) buf_[bytes_++] = static_cast<std::uint8_t>(acc_ << (8 - fill_));
     fill_ = 0;
-    return bytes_;
+    util::Bytes out(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(bytes_));
+    bytes_ = 0;
+    return out;
   }
 
  private:
-  std::uint8_t* out_;
-  std::uint64_t acc_ = 0;
+  util::Bytes buf_;
   std::size_t bytes_ = 0;
+  std::uint64_t acc_ = 0;
   int fill_ = 0;
 };
 
@@ -144,129 +151,226 @@ class QuantMemo {
   std::vector<std::uint32_t> words_;
 };
 
-// Rows ahead of the current one whose strip bytes are prefetched.
-constexpr std::size_t kPrefetchRows = 8;
-
-// Prefetches every cache line of [p, p + bytes); rw = 1 prefetches for a
-// write.
-template <int rw>
-void prefetch_span(const void* p, std::size_t bytes) {
-  const char* b = static_cast<const char*>(p);
-  for (std::size_t off = 0; off < bytes; off += 64) __builtin_prefetch(b + off, rw);
-  __builtin_prefetch(b + bytes - 1, rw);
+std::uint32_t rgb_key(Rgb c) {
+  return static_cast<std::uint32_t>(c.r) | static_cast<std::uint32_t>(c.g) << 8 |
+         static_cast<std::uint32_t>(c.b) << 16;
 }
 
-// Quantizes columns [x0, x0 + strip) in row order into `cols`, one buffer
-// of `height` words per column.
-void quantize_strip(const Raster& img, int x0, int strip, QuantMemo& memo, std::uint32_t* cols) {
-  const std::size_t height = static_cast<std::size_t>(img.height());
-  const std::size_t width = static_cast<std::size_t>(img.width());
-  const Rgb* row = img.pixels().data() + x0;
-  const std::size_t strip_bytes = static_cast<std::size_t>(strip) * sizeof(Rgb);
-  for (std::size_t y = 0; y < height; ++y, row += width) {
-    // Rows are a page-sized stride apart, beyond the hardware prefetchers'
-    // reach: fetch the strip's bytes a few rows ahead.
-    if (y + kPrefetchRows < height) prefetch_span<0>(row + kPrefetchRows * width, strip_bytes);
-    std::uint32_t left_rgb = 0xffffffffu;
-    std::uint32_t word = 0;
-    for (int i = 0; i < strip; ++i) {
-      const std::uint32_t rgb = static_cast<std::uint32_t>(row[i].r) |
-                                static_cast<std::uint32_t>(row[i].g) << 8 |
-                                static_cast<std::uint32_t>(row[i].b) << 16;
-      if (rgb != left_rgb) {
-        left_rgb = rgb;
-        word = memo.get(rgb);
-      }
-      cols[static_cast<std::size_t>(i) * height + y] = word;
-    }
-  }
-}
-
-// Explicit-row cost/coding: se(dY), then a chroma-changed flag, then the
-// chroma deltas when set. Webpage columns are overwhelmingly runs of
-// identical quantized rows, so the stream alternates ue(run-of-identical-
-// rows) with one explicit row:
+// Explicit-row coding: se(dY), then a chroma-changed flag, then the chroma
+// deltas when set. Webpage columns are overwhelmingly runs of identical
+// quantized rows, so the stream alternates ue(run-of-identical-rows) with
+// one explicit row:
 //
 //   [ue(y0)][ue(cb0)][ue(cr0)] { [ue(run)] [explicit row] }*
-int explicit_row_bits(std::uint32_t q, std::uint32_t prev) {
-  int bits = se_bits(word_y(q) - word_y(prev)) + 1;
-  if ((q ^ prev) >> 11) bits += se_bits(word_cb(q) - word_cb(prev)) + se_bits(word_cr(q) - word_cr(prev));
-  return bits;
+//
+// An explicit row's codes, computed without branching on the data: `head`
+// is se(dY) and the flag, `chroma` se(dCb) se(dCr) or zero bits. ue(v)'s
+// code is v + 1 in ue_bits(v) bits.
+struct ExplicitRow {
+  std::uint64_t head;
+  int head_bits;
+  std::uint64_t chroma;
+  int chroma_bits;
+  int bits() const { return head_bits + chroma_bits; }
+};
+
+ExplicitRow explicit_row(std::uint32_t q, std::uint32_t prev) {
+  const std::uint32_t dy = se_code(word_y(q) - word_y(prev));
+  const std::uint32_t dcb = se_code(word_cb(q) - word_cb(prev));
+  const std::uint32_t dcr = se_code(word_cr(q) - word_cr(prev));
+  const bool changed = (q ^ prev) >> 11;
+  const std::uint64_t keep = changed ? ~std::uint64_t{0} : 0;
+  const int cr_bits = ue_bits(dcr);
+  return {(std::uint64_t{dy} + 1) << 1 | (changed ? 1u : 0u), ue_bits(dy) + 1,
+          ((std::uint64_t{dcb} + 1) << cr_bits | (std::uint64_t{dcr} + 1)) & keep,
+          (ue_bits(dcb) + cr_bits) & static_cast<int>(keep)};
 }
 
-void put_explicit_row(WordBitWriter& bw, std::uint32_t q, std::uint32_t prev) {
-  bw.put_se(word_y(q) - word_y(prev));
-  const bool chroma_changed = (q ^ prev) >> 11;
-  bw.put(chroma_changed ? 1 : 0, 1);
-  if (chroma_changed) {
-    bw.put_se(word_cb(q) - word_cb(prev));
-    bw.put_se(word_cr(q) - word_cr(prev));
+void put_explicit_row(SegmentBitWriter& bw, const ExplicitRow& row) {
+  bw.put(row.head, row.head_bits);
+  bw.put(row.chroma, row.chroma_bits);
+}
+
+// Pixels per chunk of a row that the encoder compares with the row above.
+constexpr int kChunkWidth = 64;
+
+// The encoder state of one column, resumable between the rows where its
+// quantized word changes.
+struct ColumnState {
+  SegmentBitWriter bits;       // the open segment's coded bytes
+  int fed = 0;                 // rows coded so far
+  int row0 = 0;                // first row of the open segment, or of the next
+  int rows = 0;                // rows in the open segment; 0 = none open
+  int limit = 0;               // rows the open segment may take
+  std::uint32_t prev = 0;      // word of the open segment's last row
+  std::uint32_t pending = 0;   // rows of `prev` not yet coded as a run
+  bool done = false;           // an empty segment ended the column
+};
+
+// Takes the raster top to bottom, one row at a time. A row chunk equal to
+// the chunk above is skipped; elsewhere each pixel that differs from the
+// one above is quantized, and a column whose word changes is handed the
+// run of its previous word. The run goes through the row-by-row rule
+// "extend while flushing the run would fit" in closed form, so every cut
+// and byte equals a column-at-a-time encoder's.
+class RowFedEncoder {
+ public:
+  RowFedEncoder(int width, int height, const ColumnCodecParams& params)
+      : width_(width),
+        height_(height),
+        budget_bits_(static_cast<std::size_t>(params.payload_budget) * 8),
+        memo_(steps_for_quality(params.quality)),
+        last_(static_cast<std::size_t>(width)),
+        cols_(static_cast<std::size_t>(width)) {
+    // Components are at most 256 and runs at most 0xffff rows, so a segment
+    // spends at most 51 bits on its first row and 33 + 58 on each later one
+    // (ue(run), explicit row). Each writer holds one segment's bytes, capped
+    // at 1 KiB up front for huge budgets.
+    const std::size_t max_bits = std::min(budget_bits_, std::size_t{96} * static_cast<std::size_t>(height) + 64);
+    for (auto& c : cols_) c.bits.reserve(std::min<std::size_t>(max_bits / 8 + 1, 1024));
   }
-}
 
-// Cuts one column of quantized words into budget-sized segments. A run of
-// identical rows is found with one scan and accepted up to the longest run
-// whose ue() still fits — the row-by-row rule "extend while flushing the
-// run would fit", in closed form.
-void encode_column(const std::uint32_t* col, int height, int x, std::size_t budget_bits,
-                   std::uint8_t* scratch, std::vector<ColumnSegment>& segments) {
-  int row = 0;
-  while (row < height) {
-    const int limit = std::min(height - row, kMaxSegmentRows);
-    const std::uint32_t* c = col + row;
-    WordBitWriter bw(scratch);
-    int rows = 0;
-    std::uint32_t prev = c[0];
-    const std::size_t first_bits = static_cast<std::size_t>(ue_bits(word_y(prev)) + ue_bits(word_cb(prev)) +
-                                                            ue_bits(word_cr(prev)));
-    if (first_bits <= budget_bits) {
-      bw.put_ue(static_cast<std::uint32_t>(word_y(prev)));
-      bw.put_ue(static_cast<std::uint32_t>(word_cb(prev)));
-      bw.put_ue(static_cast<std::uint32_t>(word_cr(prev)));
-      rows = 1;
-      std::uint32_t pending_run = 0;
-      while (rows < limit) {
-        int end = rows;
-        // Four words per step while the run lasts, then one at a time.
-        const std::uint64_t prev2 = std::uint64_t{prev} * 0x100000001u;
-        for (; end + 4 <= limit; end += 4) {
-          std::uint64_t a, b;
-          std::memcpy(&a, c + end, 8);
-          std::memcpy(&b, c + end + 2, 8);
-          if ((a ^ prev2) | (b ^ prev2)) break;
-        }
-        while (end < limit && c[end] == prev) ++end;
-        if (end > rows) {
-          const std::uint64_t fits = max_run_within(budget_bits - bw.bit_count());
-          if (static_cast<std::uint64_t>(end - rows) > fits) {
-            pending_run = static_cast<std::uint32_t>(fits);
-            rows += static_cast<int>(fits);
-            break;
-          }
-          pending_run = static_cast<std::uint32_t>(end - rows);
-          rows = end;
-          if (rows == limit) break;
-        }
-        const std::uint32_t q = c[rows];
-        const std::size_t cost = static_cast<std::size_t>(ue_bits(pending_run) + explicit_row_bits(q, prev));
-        if (bw.bit_count() + cost > budget_bits) break;
-        bw.put_ue(pending_run);
-        pending_run = 0;
-        put_explicit_row(bw, q, prev);
-        prev = q;
-        ++rows;
-      }
-      if (pending_run > 0) bw.put_ue(pending_run);
+  void push_row(const Rgb* row, const Rgb* above) {
+    const int y = next_row_++;
+    if (above == nullptr) {
+      for (int x = 0; x < width_; ++x) last_[static_cast<std::size_t>(x)] = memo_.get(rgb_key(row[x]));
+      return;
     }
-    ColumnSegment seg;
-    seg.col = static_cast<std::uint16_t>(x);
-    seg.row0 = static_cast<std::uint16_t>(row);
-    seg.rows = static_cast<std::uint16_t>(rows);
-    seg.data.assign(scratch, scratch + bw.finish());
-    segments.push_back(std::move(seg));
-    row += rows;
-    if (rows == 0) break;  // pathological budget; avoid infinite loop
+    for (int x0 = 0; x0 < width_; x0 += kChunkWidth) {
+      const int end = std::min(x0 + kChunkWidth, width_);
+      if (std::memcmp(row + x0, above + x0, static_cast<std::size_t>(end - x0) * sizeof(Rgb)) == 0) continue;
+      std::uint32_t left_rgb = 0xffffffffu;
+      std::uint32_t word = 0;
+      for (int x = x0; x < end; ++x) {
+        const std::uint32_t rgb = rgb_key(row[x]);
+        if (rgb == rgb_key(above[x])) continue;  // same pixel, same word
+        if (rgb != left_rgb) {
+          left_rgb = rgb;
+          word = memo_.get(rgb);
+        }
+        std::uint32_t& last = last_[static_cast<std::size_t>(x)];
+        if (word != last) {
+          feed(x, last, y);
+          last = word;
+        }
+      }
+    }
   }
+
+  // Codes every column's last run and returns the segments column by
+  // column, each column's top to bottom.
+  std::vector<ColumnSegment> finish() {
+    for (int x = 0; x < width_; ++x) feed(x, last_[static_cast<std::size_t>(x)], height_);
+    // Segments were closed row by row, columns interleaved; each column's
+    // closed top to bottom, which a stable sort keeps.
+    std::stable_sort(segments_.begin(), segments_.end(),
+                     [](const ColumnSegment& a, const ColumnSegment& b) { return a.col < b.col; });
+    return std::move(segments_);
+  }
+
+ private:
+  // Codes rows [fed, end) of column x, all of word w.
+  void feed(int x, std::uint32_t w, int end) {
+    ColumnState& s = cols_[static_cast<std::size_t>(x)];
+    int n = end - s.fed;
+    s.fed = end;
+    // Fast path for the commonest event, worth about 8 % of the encoder's
+    // time on corpus pages (EXPERIMENTS.md, "Row-fed column encoder"): the
+    // open segment takes w's first row as an explicit row and the rest as a
+    // run, both fitting. It must end below the row limit, as a segment that
+    // reaches the limit closes, which only the loop does.
+    if (s.rows > 0 && w != s.prev && n > 0 && s.rows + n < s.limit) {
+      const ExplicitRow row = explicit_row(w, s.prev);
+      const std::size_t bits = s.bits.bit_count() + static_cast<std::size_t>(ue_bits(s.pending) + row.bits());
+      if (bits <= budget_bits_ && static_cast<std::uint64_t>(n - 1) <= max_run_within(budget_bits_ - bits)) {
+        s.bits.put_ue(s.pending);
+        put_explicit_row(s.bits, row);
+        s.prev = w;
+        s.pending = static_cast<std::uint32_t>(n - 1);
+        s.rows += n;
+        return;
+      }
+    }
+    while (n > 0 && !s.done) {
+      if (s.rows == 0) {
+        // The row opens a segment.
+        s.limit = std::min(height_ - s.row0, kMaxSegmentRows);
+        const std::size_t first_bits =
+            static_cast<std::size_t>(ue_bits(word_y(w)) + ue_bits(word_cb(w)) + ue_bits(word_cr(w)));
+        if (first_bits > budget_bits_) {
+          // Pathological budget: an empty segment ends the column.
+          s.done = true;
+          close(x);
+          return;
+        }
+        s.bits.put_ue(static_cast<std::uint32_t>(word_y(w)));
+        s.bits.put_ue(static_cast<std::uint32_t>(word_cb(w)));
+        s.bits.put_ue(static_cast<std::uint32_t>(word_cr(w)));
+        s.prev = w;
+        s.rows = 1;
+        --n;
+      } else if (w == s.prev) {
+        // The run grows up to the longest one whose ue() still fits.
+        const int grow = std::min(n, s.limit - s.rows);
+        const std::uint64_t fits = max_run_within(budget_bits_ - s.bits.bit_count());
+        if (s.pending + static_cast<std::uint64_t>(grow) > fits) {
+          const int add = static_cast<int>(fits - s.pending);
+          s.pending = static_cast<std::uint32_t>(fits);
+          s.rows += add;
+          n -= add;
+          close(x);
+          continue;
+        }
+        s.pending += static_cast<std::uint32_t>(grow);
+        s.rows += grow;
+        n -= grow;
+      } else {
+        const ExplicitRow row = explicit_row(w, s.prev);
+        const std::size_t cost = static_cast<std::size_t>(ue_bits(s.pending) + row.bits());
+        if (s.bits.bit_count() + cost > budget_bits_) {
+          close(x);
+          continue;
+        }
+        s.bits.put_ue(s.pending);
+        s.pending = 0;
+        put_explicit_row(s.bits, row);
+        s.prev = w;
+        ++s.rows;
+        --n;
+      }
+      if (s.rows == s.limit) close(x);
+    }
+  }
+
+  // Ends column x's open segment (an empty one when none is open).
+  void close(int x) {
+    ColumnState& s = cols_[static_cast<std::size_t>(x)];
+    if (s.pending > 0) s.bits.put_ue(s.pending);
+    s.pending = 0;
+    segments_.push_back(ColumnSegment{static_cast<std::uint16_t>(x), static_cast<std::uint16_t>(s.row0),
+                                      static_cast<std::uint16_t>(s.rows), s.bits.take()});
+    s.row0 += s.rows;
+    s.rows = 0;
+  }
+
+  int width_;
+  int height_;
+  std::size_t budget_bits_;
+  QuantMemo memo_;
+  int next_row_ = 0;
+  std::vector<std::uint32_t> last_;  // each column's word in the last row pushed
+  std::vector<ColumnState> cols_;
+  std::vector<ColumnSegment> segments_;  // in the order they closed
+};
+
+// Rows ahead of the current one whose strip bytes the decoder prefetches.
+constexpr std::size_t kPrefetchRows = 8;
+
+// Prefetches every cache line of [p, p + bytes) for a write.
+void prefetch_for_write(const void* p, std::size_t bytes) {
+  const char* b = static_cast<const char*>(p);
+  for (std::size_t off = 0; off < bytes; off += 64) __builtin_prefetch(b + off, 1);
+  __builtin_prefetch(b + bytes - 1, 1);
 }
 
 // MSB-first reader with a 64-bit window for Exp-Golomb codes. Codes of up
@@ -404,27 +508,11 @@ std::vector<ColumnSegment> column_encode(const Raster& img, const ColumnCodecPar
   if (img.width() > 0xffff || img.height() > 0xffff) {
     throw std::invalid_argument("column_encode: raster exceeds the 16-bit column/row fields");
   }
-  const QuantSteps steps = steps_for_quality(params.quality);
-  const std::size_t budget_bits = static_cast<std::size_t>(params.payload_budget) * 8;
-  const int height = img.height();
-  std::vector<ColumnSegment> segments;
-
-  // Components are at most 256, so a segment spends at most 51 bits on its
-  // first row and 31 + 56 on each later one (ue(run), explicit row): the
-  // writer's buffer never needs more than 96 bits per row.
-  const std::size_t max_bits = std::min(budget_bits, std::size_t{96} * static_cast<std::size_t>(height) + 64);
-  std::vector<std::uint8_t> scratch(max_bits / 8 + 16);
-  std::vector<std::uint32_t> cols(static_cast<std::size_t>(kStripWidth) * static_cast<std::size_t>(height));
-  QuantMemo memo(steps);
-  for (int x0 = 0; x0 < img.width(); x0 += kStripWidth) {
-    const int strip = std::min(kStripWidth, img.width() - x0);
-    quantize_strip(img, x0, strip, memo, cols.data());
-    for (int i = 0; i < strip; ++i) {
-      encode_column(cols.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(height), height, x0 + i,
-                    budget_bits, scratch.data(), segments);
-    }
-  }
-  return segments;
+  RowFedEncoder encoder(img.width(), img.height(), params);
+  const Rgb* row = img.pixels().data();
+  const std::size_t width = static_cast<std::size_t>(img.width());
+  for (int y = 0; y < img.height(); ++y, row += width) encoder.push_row(row, y > 0 ? row - width : nullptr);
+  return encoder.finish();
 }
 
 ColumnDecodeResult column_decode(int width, int height,
@@ -460,8 +548,8 @@ ColumnDecodeResult column_decode(int width, int height,
       const std::size_t base = y * static_cast<std::size_t>(width) + static_cast<std::size_t>(x0);
       if (y + kPrefetchRows < h) {
         const std::size_t ahead = base + kPrefetchRows * static_cast<std::size_t>(width);
-        prefetch_span<1>(pixels + ahead, static_cast<std::size_t>(strip) * sizeof(Rgb));
-        prefetch_span<1>(out.mask.data() + ahead, static_cast<std::size_t>(strip));
+        prefetch_for_write(pixels + ahead, static_cast<std::size_t>(strip) * sizeof(Rgb));
+        prefetch_for_write(out.mask.data() + ahead, static_cast<std::size_t>(strip));
       }
       // An uncovered word is 0: black and unmasked, as initialised.
       for (int i = 0; i < strip; ++i) {
@@ -473,12 +561,6 @@ ColumnDecodeResult column_decode(int width, int height,
     }
   }
   return out;
-}
-
-std::size_t column_encoded_size(std::span<const ColumnSegment> segments) {
-  std::size_t total = 0;
-  for (const auto& s : segments) total += s.data.size() + 6;
-  return total;
 }
 
 util::Bytes segment_serialize(const ColumnSegment& seg) {

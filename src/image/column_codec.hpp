@@ -11,14 +11,17 @@
 // frame payload budget. Chroma is vertically subsampled 2:1. The quality
 // knob follows the same libjpeg-style scale as swebp.
 //
-// Memory layout: the raster is row-major, but segments run down columns,
-// so both directions work on strips of 64 columns. The encoder quantizes a
-// strip in row order (contiguous pixel reads, each RGB value converted once
-// through a per-call cache) into 64 column buffers of packed
-// y | cb << 11 | cr << 22 words, then codes each column from its buffer.
-// The decoder orders the segments by column, keeping arrival order within
-// a column, decodes each strip's segments into column buffers of received
-// RGB words, and writes the strip back row by row.
+// Memory layout: the raster is row-major, but segments run down columns.
+// The encoder reads the raster once, top to bottom. It skips each 64-px
+// chunk of a row that equals the chunk above, quantizes only pixels that
+// differ from the one above (each RGB value converted once through a
+// per-call cache), and keeps per column only its current word and the
+// resumable state of its open segment (bit writer, pending run), handing a
+// column the run that just ended when its word changes. Its memory is
+// O(width x payload budget) plus the segments it returns and a buffer for
+// sorting them by column, whatever the height. The decoder orders the segments by column, keeping arrival order
+// within a column, decodes strips of 64 columns into column buffers of
+// received RGB words, and writes each strip back row by row.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +74,6 @@ struct ColumnDecodeResult {
 ColumnDecodeResult column_decode(int width, int height,
                                  std::span<const ColumnSegment> segments,
                                  const ColumnCodecParams& params);
-
-// Total coded transport size (segment data + per-segment headers).
-std::size_t column_encoded_size(std::span<const ColumnSegment> segments);
 
 // Serialization of one segment (used by the SONIC framing layer).
 util::Bytes segment_serialize(const ColumnSegment& seg);

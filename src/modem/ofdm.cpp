@@ -222,9 +222,9 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   for (const auto& f : frames) {
     if (f.size() != frame_len) throw std::invalid_argument("frames must be equal-sized");
   }
-  if (frame_len == 0 || frame_len > 0xffff || frames.size() > 0xffff)
-    throw std::invalid_argument("frame size/count out of range");
   // Receivers reject headers claiming more (decode_header), so never send it.
+  if (frame_len == 0 || frame_len > kMaxFrameBytes || frames.size() > 0xffff)
+    throw std::invalid_argument("frame size/count out of range");
   if (burst_samples(frame_len, frames.size()) > kMaxBurstSamples)
     throw std::invalid_argument("burst longer than OfdmModem::kMaxBurstSamples");
 
@@ -343,14 +343,15 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   header.frame_len = hr.u16();
   header.frame_count = hr.u16();
   const std::uint16_t hcrc = hr.u16();
-  if (magic != kMagic || crc16_ccitt(std::span(hdr).subspan(0, 6)) != hcrc ||
-      header.frame_len == 0 || header.frame_count == 0) {
-    return std::nullopt;
-  }
   // The header is off the air: a corrupted one that passes the magic and
   // CRC16 can claim up to 65535 frames of 65535 bytes. Everything after it
-  // allocates and decodes in proportion to the claim, so bound it before
+  // allocates and decodes in proportion to the claim (one frame's soft bits
+  // and Viterbi decisions, the whole burst's length), so bound both before
   // trusting it.
+  if (magic != kMagic || crc16_ccitt(std::span(hdr).subspan(0, 6)) != hcrc ||
+      header.frame_len == 0 || header.frame_len > kMaxFrameBytes || header.frame_count == 0) {
+    return std::nullopt;
+  }
   if (burst_samples(header.frame_len, header.frame_count) > kMaxBurstSamples) return std::nullopt;
   return header;
 }

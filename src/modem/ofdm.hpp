@@ -42,7 +42,8 @@ struct RxBurst {
   float snr_db = 0.0f;           // pilot-based post-equalization SNR
   float sync_ncc = 0.0f;         // fine-timing normalized cross-correlation
   // The stream ended before the burst did: end_sample is the end of the
-  // stream, and the symbols that never arrived decoded as erasures.
+  // stream, the frame in progress decoded with the symbols that never
+  // arrived as erasures, and the frames after it lost.
   bool truncated = false;
 
   std::size_t frames_ok() const;
@@ -63,10 +64,15 @@ class OfdmModem {
   // 44.1 kHz; SONIC's 16-frame bursts take about 2 s). The receiver rejects
   // headers that claim more: a corrupted header that passes the magic and
   // CRC16 could otherwise claim 65535 frames of 65535 bytes, holding the
-  // receiver's sync for hours of audio, sizing one frame's soft bits at
-  // several MB and decoding tens of thousands of erasure frames at the end
-  // of the stream. modulate throws for longer bursts.
+  // receiver's sync for hours of audio. modulate throws for longer bursts.
   static constexpr std::size_t kMaxBurstSamples = std::size_t{1} << 21;
+  // Longest frame, in bytes, a modem sends or accepts: the smallest power of
+  // two that holds every frame the system and its tests send (SONIC's are
+  // 100 bytes, the largest test frames 4000). A forged header claiming one
+  // 65535-byte frame would otherwise fit kMaxBurstSamples yet size the
+  // Viterbi decoder's decision block, kept per thread, at 18 MB. The
+  // receiver rejects longer claims and modulate throws for longer frames.
+  static constexpr std::size_t kMaxFrameBytes = 4096;
 
   explicit OfdmModem(OfdmProfile profile);
 
@@ -127,7 +133,7 @@ class OfdmModem {
   std::size_t window_pos(std::size_t start, std::size_t symbol_index) const;
   // Estimates the channel from preamble B (into `h_smooth`) and decodes the
   // header of the burst at `start`; nullopt when it is missing, corrupt or
-  // claims more than kMaxBurstSamples.
+  // claims more than kMaxFrameBytes per frame or kMaxBurstSamples in all.
   std::optional<Header> decode_header(std::span<const float> samples, std::size_t start,
                                       std::vector<cplx>& h_smooth) const;
   // Equalizes the symbol whose FFT window starts at `pos` by the channel

@@ -171,8 +171,9 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
 }
 
 // One forward pass over the burst at sync_start_: the header once, then
-// every payload symbol whose FFT window is buffered. The stream's end pads
-// the symbols that never arrived as erasures.
+// every payload symbol whose FFT window is buffered. At the stream's end the
+// frame in progress is padded with erasures, and the frames never begun are
+// lost.
 StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool final_flush) {
   const std::span<const float> buffered(buf_);
   if (!header_.has_value()) {
@@ -201,11 +202,15 @@ StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool fina
   if (!final_flush) {
     // The burst ends after its gap symbol; the scan resumes there.
     if (next_symbol_ < payload_symbols_ || total_ < burst_end_) return Step::kStall;
-  } else {
-    while (frames_.size() < header_->frame_count) {
-      soft_.resize(std::max(soft_.size(), frame_bits_), 0.5f);
+  } else if (frames_.size() < header_->frame_count) {
+    // The stream ended inside the burst. The frame in progress is padded
+    // with erasures and decoded; the frames after it carry no received bit
+    // and are lost without a decode.
+    if (!soft_.empty()) {
+      soft_.resize(frame_bits_, 0.5f);
       decode_frames();
     }
+    frames_.resize(header_->frame_count);
   }
   emit(out);
   return Step::kProgress;

@@ -64,9 +64,9 @@ class StreamReceiver {
   // start/end expressed as absolute sample indices into the stream.
   std::vector<RxBurst> push(std::span<const float> chunk);
 
-  // End of stream: resolve whatever is pending (truncated bursts decode
-  // their missing symbols as erasures). After flush(), call reset() before
-  // pushing again.
+  // End of stream: resolve whatever is pending (a truncated burst decodes
+  // its frame in progress with the missing symbols as erasures; the frames
+  // after it are lost). After flush(), call reset() before pushing again.
   std::vector<RxBurst> flush();
 
   // Forget the stream; the next push starts at absolute sample 0.

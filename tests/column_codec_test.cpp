@@ -1,10 +1,13 @@
-// Column-codec equivalence suite (run with `ctest -L kernel`): the strip
-// encoder and decoder in image/column_codec.cpp against the per-pixel
+// Column-codec equivalence suite (run with `ctest -L kernel`): the row-fed
+// encoder and strip decoder in image/column_codec.cpp against the per-pixel
 // oracle in tests/oracles/column_reference.* —
 //
 //  * column_encode byte-identical on corpus pages across quality and
-//    budget, on run-free noise, at strip-edge widths and on the tallest
-//    addressable column;
+//    budget, on run-free noise, at strip-edge widths, on the tallest
+//    addressable column, and on the cases the row-fed encoder shortcuts:
+//    RGB changes that keep the quantized word, one row chunk repeating
+//    next to one that changes, a change only in the last row, heights 1
+//    and 2, width 1, and runs cut where their ue() stops fitting;
 //  * column_decode giving the identical image and mask on dropped,
 //    shuffled, duplicated, overlapping and out-of-image segments, on
 //    truncated data, on bit flips and on hand-built edge-case codes;
@@ -136,6 +139,111 @@ TEST(ColumnCodecOracle, EncodeMatchesOnEmptyAndNegativeBudget) {
   // A negative budget converts to an effectively unlimited one.
   expect_encode_matches(banded_raster(70, 90, 3), {10, -1}, "unlimited budget");
   expect_encode_matches(banded_raster(70, 90, 3), {10, 0}, "zero budget");
+}
+
+// The row-fed encoder skips row chunks equal to the chunk above, quantizes
+// only pixels that differ from the one above, and codes a column's run when
+// its word changes. These cases aim at each of those shortcuts.
+
+TEST(ColumnCodecOracle, EncodeMatchesWhenRgbChangesButTheWordDoesNot) {
+  // Two colours that quantize alike at quality 10, alternating row by row
+  // and column by column: every chunk differs from the one above, no word
+  // changes, so the page codes exactly as a uniform one.
+  const Rgb a{200, 200, 200};
+  const Rgb b{205, 200, 195};
+  Raster alternating(130, 90);
+  for (int y = 0; y < alternating.height(); ++y) {
+    for (int x = 0; x < alternating.width(); ++x) alternating.at(x, y) = (x + y) % 2 ? a : b;
+  }
+  const ColumnCodecParams params{10, 94};
+  expect_encode_matches(alternating, params, "alternating");
+  expect_same_segments(image::column_encode(alternating, params),
+                       image::column_encode(Raster(130, 90, a), params), "alternating vs uniform");
+  // A real change in one row still shows through the alternation.
+  alternating.fill_rect(10, 40, 100, 1, Rgb{20, 20, 20});
+  expect_encode_matches(alternating, params, "alternating with a dark row");
+}
+
+TEST(ColumnCodecOracle, EncodeMatchesWhenOneChunkRepeatsAndItsNeighbourDoesNot) {
+  // Width 150 has row chunks [0, 64), [64, 128) and [128, 150). Each row
+  // repeats some chunks of the row above and changes others, including
+  // changes only at the pixels on either side of a chunk edge.
+  util::Rng rng(21);
+  Raster img(150, 240, Rgb{255, 255, 255});
+  const Rgb inks[] = {{0, 0, 0}, {30, 60, 160}, {200, 40, 40}, {250, 250, 250}};
+  for (int y = 1; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) img.at(x, y) = img.at(x, y - 1);
+    switch (y % 4) {
+      case 0:  // the middle chunk changes, its neighbours repeat
+        for (int x = 64; x < 128; x += 3) img.at(x, y) = inks[rng.uniform_int(4)];
+        break;
+      case 1:  // only the last pixel of the first chunk
+        img.at(63, y) = inks[rng.uniform_int(4)];
+        break;
+      case 2:  // only the first pixel of the second chunk and the last pixel
+        img.at(64, y) = inks[rng.uniform_int(4)];
+        img.at(149, y) = inks[rng.uniform_int(4)];
+        break;
+      default:  // the row repeats whole
+        break;
+    }
+  }
+  for (int budget : {6, 20, 94}) expect_encode_matches(img, {10, budget}, "chunk edges");
+  for (int budget : {6, 94}) expect_encode_matches(img, {100, budget}, "chunk edges");
+}
+
+TEST(ColumnCodecOracle, EncodeMatchesWhenOnlyTheLastRowChanges) {
+  for (int height : {2, 3, 64, 500}) {
+    Raster img(70, height, Rgb{240, 240, 240});
+    for (int x = 0; x < img.width(); x += 2) img.at(x, height - 1) = Rgb{10, 90, 200};
+    for (int budget : {1, 6, 94}) {
+      expect_encode_matches(img, {10, budget}, "last row, height " + std::to_string(height));
+    }
+  }
+}
+
+TEST(ColumnCodecOracle, EncodeMatchesAtHeightsOneAndTwoAndWidthOne) {
+  for (int height : {1, 2}) {
+    for (int width : {1, 2, 64, 65, 130}) {
+      const Raster img = noise_raster(width, height, static_cast<std::uint64_t>(width * 10 + height));
+      for (int budget : {1, 6, 94}) {
+        expect_encode_matches(img, {10, budget}, std::to_string(width) + "x" + std::to_string(height));
+      }
+    }
+  }
+  for (int height : {3, 100, 1000}) {
+    const Raster column = banded_raster(1, height, static_cast<std::uint64_t>(height));
+    for (int budget : {1, 6, 94}) expect_encode_matches(column, {50, budget}, "width 1 height " + std::to_string(height));
+  }
+}
+
+TEST(ColumnCodecOracle, EncodeMatchesWhenRunsCrossTheFitCut) {
+  // Column x codes x rows that alternate between two greys, then a run of
+  // 300 identical rows, then alternates again. Across the columns the run
+  // starts at every fill level of its segment, so at each budget some runs
+  // are cut where their ue() stops fitting and the next segment starts
+  // inside the run.
+  const int width = 400;
+  const int run = 300;
+  Raster img(width, 2 * width + run + 40);
+  const Rgb grey_a{100, 100, 100};
+  const Rgb grey_b{170, 170, 170};
+  for (int x = 0; x < width; ++x) {
+    for (int y = 0; y < img.height(); ++y) {
+      const bool in_run = y >= x && y < x + run;
+      img.at(x, y) = in_run || y % 2 ? grey_a : grey_b;
+    }
+  }
+  for (int budget : {1, 6, 94, 200}) {
+    const ColumnCodecParams params{10, budget};
+    expect_encode_matches(img, params, "fit cut");
+    if (budget == 1) continue;  // nothing fits but the first rows
+    int cut_inside_run = 0;
+    for (const auto& seg : image::column_encode(img, params)) {
+      if (seg.row0 > seg.col && seg.row0 < seg.col + run) ++cut_inside_run;
+    }
+    EXPECT_GT(cut_inside_run, 0) << "budget " << budget;
+  }
 }
 
 // ------------------------------------------------------------- decoder ---

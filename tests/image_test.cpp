@@ -283,6 +283,13 @@ TEST(ColumnCodec, LostSegmentsBlankOnlyTheirRows) {
   EXPECT_LT(err / static_cast<double>(n), 30.0);
 }
 
+// Total coded transport size (segment data + per-segment headers).
+std::size_t column_encoded_size(std::span<const ColumnSegment> segments) {
+  std::size_t total = 0;
+  for (const auto& s : segments) total += s.data.size() + 6;
+  return total;
+}
+
 TEST(ColumnCodec, SizeComparableToSwebp) {
   // Column transport sacrifices some compression for loss resilience, but
   // must stay within a small factor of the 2D codec at the same quality.

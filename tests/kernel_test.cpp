@@ -27,10 +27,12 @@
 //    lengths around each stage's window and batch edges, under any chunking;
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path,
-// the bounded allocation for forged OFDM headers and the streaming
-// receiver's memory independent of the burst length, verified with a real
-// global operator new counter.
+// the bounded allocation for forged OFDM headers, the streaming receiver's
+// memory independent of the burst length and the column encoder's peak
+// memory independent of the page height, verified with a real global
+// operator new counter.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -57,6 +59,7 @@
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
 #include "fm/link.hpp"
+#include "image/column_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "modem/qam.hpp"
@@ -73,11 +76,19 @@
 // ------------------------------------------------------ allocation probe ---
 // Counts every global operator new in this test binary. The steady-state
 // OFDM symbol path must not allocate (paper §5's feature-phone CPU/memory
-// budget), and "must not" is enforced here, not claimed.
+// budget), and "must not" is enforced here, not claimed. Live bytes are
+// counted as malloc_usable_size on both sides, so they balance.
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
-std::atomic<std::size_t> g_alloc_max{0};  // largest single request since reset
+std::atomic<std::size_t> g_alloc_max{0};   // largest single request since reset
+std::atomic<std::size_t> g_live_bytes{0};  // allocated and not yet freed
+std::atomic<std::size_t> g_live_peak{0};   // highest g_live_bytes since reset
+
+void release(void* p) noexcept {
+  if (p != nullptr) g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -86,18 +97,36 @@ void* operator new(std::size_t size) {
   if (size > g_alloc_max.load(std::memory_order_relaxed)) {
     g_alloc_max.store(size, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  const std::size_t usable = malloc_usable_size(p);
+  const std::size_t live = g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
+  if (live > g_live_peak.load(std::memory_order_relaxed)) g_live_peak.store(live, std::memory_order_relaxed);
+  return p;
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's buffer takes one) are counted too:
+// a sanitizer runtime supplies its own, which would allocate uncounted and
+// free through the counted delete below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept { return ::operator new(size, std::nothrow); }
+
 // Kept out of line: inlined next to a call of the replaced operator new,
 // free() makes GCC report a new/free mismatch (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { release(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { release(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace sonic {
 namespace {
@@ -1255,6 +1284,45 @@ TEST(OfdmHeaderBound, ClaimsAreBoundedByMaxBurstSamples) {
   EXPECT_THROW((void)modem.modulate(frames), std::invalid_argument);
 }
 
+// A header claiming one frame of 65535 bytes fits kMaxBurstSamples. It once
+// made the flush decode of that partly received frame allocate an 18 MB
+// Viterbi decision block, kept by the thread for its life. Frames are
+// bounded at kMaxFrameBytes: the receiver resyncs on longer claims without
+// allocating for them, the largest legal frame makes the round trip, and
+// the transmitter refuses a longer one.
+TEST(OfdmHeaderBound, FramesAreBoundedByMaxFrameBytes) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  constexpr std::size_t kMaxFrame = modem::OfdmModem::kMaxFrameBytes;
+  ASSERT_LE(modem.burst_samples(0xffff, 1), modem::OfdmModem::kMaxBurstSamples);
+  for (const std::size_t frame_len : {std::size_t{0xffff}, kMaxFrame + 1}) {
+    auto audio = modem::OfdmKernelProbe::burst_head(modem, static_cast<std::uint16_t>(frame_len), 1);
+    audio.resize(audio.size() + 20000, 0.0f);
+    core::Metrics metrics;
+    modem::StreamReceiverParams params;
+    params.metrics = &metrics;
+    modem::StreamReceiver rx(modem, params);
+    g_alloc_max.store(0);
+    EXPECT_TRUE(receive_after_silence(rx, audio).empty()) << frame_len;
+    EXPECT_LT(g_alloc_max.load(), std::size_t{1} << 20) << frame_len;
+    EXPECT_GE(metrics.counter_value("rx_sync_hits"), 1u) << frame_len;
+    EXPECT_GE(metrics.counter_value("rx_resyncs"), 1u) << frame_len;
+  }
+
+  Rng rng(23);
+  util::Bytes frame(kMaxFrame);
+  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  auto audio = modem.modulate({frame});
+  audio.resize(audio.size() + 2000, 0.0f);
+  modem::StreamReceiver rx(modem);
+  const auto bursts = receive_after_silence(rx, audio);
+  ASSERT_EQ(bursts.size(), 1u);
+  ASSERT_EQ(bursts[0].frames.size(), 1u);
+  ASSERT_TRUE(bursts[0].frames[0].has_value());
+  EXPECT_EQ(*bursts[0].frames[0], frame);
+
+  EXPECT_THROW((void)modem.modulate({util::Bytes(kMaxFrame + 1, 0x5a)}), std::invalid_argument);
+}
+
 // ------------------------------------------- streaming receiver memory ---
 
 // The receiver demodulates each symbol as it arrives, so neither its buffer
@@ -1299,6 +1367,38 @@ TEST(StreamReceiverMemory, DoesNotScaleWithFramesPerBurst) {
   EXPECT_LE(large.high_water, small.high_water + kChunk);
   EXPECT_LE(small.high_water, large.high_water + kChunk);
   EXPECT_EQ(large.peak_alloc, small.peak_alloc);
+}
+
+// --------------------------------------------- column encoder memory ---
+
+// The encoder reads the page once, top to bottom, and keeps per column only
+// its current word and open segment, so beyond the segments it returns and
+// the sort that orders them it holds O(width) state, whatever the height. Noise has no runs: an encoder
+// that kept each column's runs until the end would hold ~8 bytes per pixel
+// here, 17 MB.
+TEST(ColumnEncodeMemory, PeakIsTheOutputPlusPerColumnState) {
+  constexpr int kWidth = 1080;
+  image::Raster noise(kWidth, 2000);
+  Rng rng(31);
+  for (auto& px : noise.pixels()) {
+    const std::uint64_t v = rng.next();
+    px = image::Rgb{static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                    static_cast<std::uint8_t>(v >> 16)};
+  }
+  const std::size_t before = g_live_bytes.load();
+  g_live_peak.store(before);
+  const auto segments = image::column_encode(noise, {10, 94});
+  const std::size_t peak = g_live_peak.load() - before;
+
+  std::size_t output = malloc_usable_size(const_cast<image::ColumnSegment*>(segments.data()));
+  for (const auto& seg : segments) output += malloc_usable_size(const_cast<std::uint8_t*>(seg.data.data()));
+  EXPECT_EQ(g_live_bytes.load() - before, output);
+  // The segment array's last doubling briefly holds its old half next to
+  // the new one, and the sort by column borrows half an array; everything
+  // else is per-column state.
+  const std::size_t segment_array = segments.size() * sizeof(image::ColumnSegment);
+  EXPECT_LE(peak, output + segment_array + std::size_t{512} * kWidth)
+      << "peak " << peak << " output " << output << " segments " << segments.size();
 }
 
 }  // namespace
