@@ -37,8 +37,10 @@
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
+#include "sonic/framing.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
+#include "web/html.hpp"
 #include "web/layout.hpp"
 
 using namespace sonic;
@@ -608,6 +610,33 @@ std::vector<MicroCase> build_micro_cases() {
         [page, kept, params] {
           auto out = image::column_decode(page->width(), page->height(), *kept, params);
           benchmark::DoNotOptimize(out.mask.data());
+        }});
+  }
+
+  // One capped corpus page built into its bundle at the default 1080-px
+  // layout: before is the raster path (render_html, then make_bundle of
+  // the raster), after the band path the broadcast pipeline takes
+  // (layout_html, then make_bundle painting 64-row bands into the
+  // encoder). Both parse the page's HTML.
+  {
+    const web::PkCorpus corpus;
+    const web::LayoutParams layout;
+    auto html = std::make_shared<std::string>();
+    for (const web::PageRef& ref : corpus.pages()) {
+      *html = corpus.html(ref, 0);
+      if (web::layout_html(web::parse_html(*html), layout).height() == layout.max_height) break;
+    }
+    const image::ColumnCodecParams params{10, 94};
+    const double pixels = static_cast<double>(layout.width) * layout.max_height;
+    cases.push_back(MicroCase{
+        "page_build_1080", pixels, "pixels",
+        [html, layout, params] {
+          auto bundle = core::make_bundle(1, "p.pk/", web::render_html(*html, layout), params);
+          benchmark::DoNotOptimize(bundle.frames.data());
+        },
+        [html, layout, params] {
+          auto bundle = core::make_bundle(1, "p.pk/", web::layout_html(web::parse_html(*html), layout), params);
+          benchmark::DoNotOptimize(bundle.frames.data());
         }});
   }
 

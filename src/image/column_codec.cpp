@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 namespace sonic::image {
@@ -207,15 +208,16 @@ struct ColumnState {
   bool done = false;           // an empty segment ended the column
 };
 
-// Takes the raster top to bottom, one row at a time. A row chunk equal to
-// the chunk above is skipped; elsewhere each pixel that differs from the
-// one above is quantized, and a column whose word changes is handed the
-// run of its previous word. The run goes through the row-by-row rule
-// "extend while flushing the run would fit" in closed form, so every cut
-// and byte equals a column-at-a-time encoder's.
-class RowFedEncoder {
+}  // namespace
+
+// A row chunk equal to the chunk above is skipped; elsewhere each pixel
+// that differs from the one above is quantized, and a column whose word
+// changes is handed the run of its previous word. The run goes through the
+// row-by-row rule "extend while flushing the run would fit" in closed form,
+// so every cut and byte equals a column-at-a-time encoder's.
+class RowFedEncoder::Impl {
  public:
-  RowFedEncoder(int width, int height, const ColumnCodecParams& params)
+  Impl(int width, int height, const ColumnCodecParams& params)
       : width_(width),
         height_(height),
         budget_bits_(static_cast<std::size_t>(params.payload_budget) * 8),
@@ -231,6 +233,7 @@ class RowFedEncoder {
   }
 
   void push_row(const Rgb* row, const Rgb* above) {
+    if (next_row_ == height_) throw std::logic_error("RowFedEncoder::push_row: past the last row");
     const int y = next_row_++;
     if (above == nullptr) {
       for (int x = 0; x < width_; ++x) last_[static_cast<std::size_t>(x)] = memo_.get(rgb_key(row[x]));
@@ -260,6 +263,7 @@ class RowFedEncoder {
   // Codes every column's last run and returns the segments column by
   // column, each column's top to bottom.
   std::vector<ColumnSegment> finish() {
+    if (next_row_ != height_) throw std::logic_error("RowFedEncoder::finish: rows missing");
     for (int x = 0; x < width_; ++x) feed(x, last_[static_cast<std::size_t>(x)], height_);
     // Segments were closed row by row, columns interleaved; each column's
     // closed top to bottom, which a stable sort keeps.
@@ -362,6 +366,21 @@ class RowFedEncoder {
   std::vector<ColumnState> cols_;
   std::vector<ColumnSegment> segments_;  // in the order they closed
 };
+
+RowFedEncoder::RowFedEncoder(int width, int height, const ColumnCodecParams& params) {
+  if (width < 0 || height < 0 || width > 0xffff || height > 0xffff) {
+    throw std::invalid_argument("RowFedEncoder: page outside the 16-bit column/row fields");
+  }
+  impl_ = std::make_unique<Impl>(width, height, params);
+}
+
+RowFedEncoder::~RowFedEncoder() = default;
+
+void RowFedEncoder::push_row(const Rgb* row, const Rgb* above) { impl_->push_row(row, above); }
+
+std::vector<ColumnSegment> RowFedEncoder::finish() { return impl_->finish(); }
+
+namespace {
 
 // Rows ahead of the current one whose strip bytes the decoder prefetches.
 constexpr std::size_t kPrefetchRows = 8;
@@ -505,9 +524,6 @@ double ColumnDecodeResult::coverage() const {
 }
 
 std::vector<ColumnSegment> column_encode(const Raster& img, const ColumnCodecParams& params) {
-  if (img.width() > 0xffff || img.height() > 0xffff) {
-    throw std::invalid_argument("column_encode: raster exceeds the 16-bit column/row fields");
-  }
   RowFedEncoder encoder(img.width(), img.height(), params);
   const Rgb* row = img.pixels().data();
   const std::size_t width = static_cast<std::size_t>(img.width());
@@ -563,13 +579,14 @@ ColumnDecodeResult column_decode(int width, int height,
   return out;
 }
 
-util::Bytes segment_serialize(const ColumnSegment& seg) {
-  util::ByteWriter w;
-  w.u16(seg.col);
-  w.u16(seg.row0);
-  w.u16(seg.rows);
-  w.raw(seg.data);
-  return w.take();
+std::size_t segment_write(const ColumnSegment& seg, std::uint8_t* out) {
+  const std::uint16_t fields[3] = {seg.col, seg.row0, seg.rows};
+  for (std::uint16_t v : fields) {
+    *out++ = static_cast<std::uint8_t>(v);
+    *out++ = static_cast<std::uint8_t>(v >> 8);
+  }
+  std::copy(seg.data.begin(), seg.data.end(), out);
+  return kSegmentHeaderSize + seg.data.size();
 }
 
 std::optional<ColumnSegment> segment_parse(std::span<const std::uint8_t> bytes) {

@@ -11,20 +11,23 @@
 // frame payload budget. Chroma is vertically subsampled 2:1. The quality
 // knob follows the same libjpeg-style scale as swebp.
 //
-// Memory layout: the raster is row-major, but segments run down columns.
-// The encoder reads the raster once, top to bottom. It skips each 64-px
-// chunk of a row that equals the chunk above, quantizes only pixels that
-// differ from the one above (each RGB value converted once through a
-// per-call cache), and keeps per column only its current word and the
+// Memory layout: rows are row-major, but segments run down columns. The
+// encoder takes the page one row at a time, top to bottom. It skips each
+// 64-px chunk of a row that equals the chunk above, quantizes only pixels
+// that differ from the one above (each RGB value converted once through a
+// per-page cache), and keeps per column only its current word and the
 // resumable state of its open segment (bit writer, pending run), handing a
 // column the run that just ended when its word changes. Its memory is
 // O(width x payload budget) plus the segments it returns and a buffer for
-// sorting them by column, whatever the height. The decoder orders the segments by column, keeping arrival order
-// within a column, decodes strips of 64 columns into column buffers of
-// received RGB words, and writes each strip back row by row.
+// sorting them by column, whatever the height. The decoder orders the
+// segments by column, keeping arrival order within a column, decodes strips
+// of 64 columns into column buffers of received RGB words, and writes each
+// strip back row by row.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -54,9 +57,32 @@ struct ColumnCodecParams {
   bool operator==(const ColumnCodecParams&) const = default;
 };
 
-// Splits the image into per-column segments, each fitting the budget.
-// Throws std::invalid_argument for rasters wider or taller than 65535 px,
-// which the u16 `col`/`row0` fields cannot address.
+// Encodes a page fed one row at a time, top to bottom, into per-column
+// segments, each fitting the budget. Its memory does not grow with the
+// height beyond the segments, so a caller that paints the page in bands
+// never holds the whole raster.
+class RowFedEncoder {
+ public:
+  // A page of width x height pixels. Throws std::invalid_argument for pages
+  // wider or taller than 65535 px, which the u16 `col`/`row0` fields cannot
+  // address.
+  RowFedEncoder(int width, int height, const ColumnCodecParams& params);
+  ~RowFedEncoder();
+
+  // The next row's `width` pixels, and the row above it (null for the
+  // first row). Throws std::logic_error past the last row.
+  void push_row(const Rgb* row, const Rgb* above);
+
+  // After all `height` rows: the segments column by column, each column's
+  // top to bottom. Throws std::logic_error if rows are missing.
+  std::vector<ColumnSegment> finish();
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+// A RowFedEncoder fed the raster's rows.
 std::vector<ColumnSegment> column_encode(const Raster& img, const ColumnCodecParams& params);
 
 // Received-pixel mask: one byte per pixel, 1 = covered by a received segment.
@@ -75,8 +101,12 @@ ColumnDecodeResult column_decode(int width, int height,
                                  std::span<const ColumnSegment> segments,
                                  const ColumnCodecParams& params);
 
-// Serialization of one segment (used by the SONIC framing layer).
-util::Bytes segment_serialize(const ColumnSegment& seg);
+// A segment's wire form, as the SONIC framing layer carries it: col, row0
+// and rows as little-endian u16s, then the data.
+constexpr std::size_t kSegmentHeaderSize = 6;
+// Writes the wire form to `out`, which must hold kSegmentHeaderSize +
+// seg.data.size() bytes; returns that size.
+std::size_t segment_write(const ColumnSegment& seg, std::uint8_t* out);
 std::optional<ColumnSegment> segment_parse(std::span<const std::uint8_t> bytes);
 
 }  // namespace sonic::image

@@ -3,23 +3,39 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 namespace sonic::image {
+namespace {
+
+// Sets `rows` rows of `width` pixels to `color`, the first row starting at
+// `first` and each next one `stride` pixels on.
+void fill_rows(Rgb* first, std::size_t stride, int width, int rows, Rgb color) {
+  if (width <= 0 || rows <= 0) return;
+  const std::size_t bytes = static_cast<std::size_t>(width) * sizeof(Rgb);
+  if (color.r == color.g && color.g == color.b) {
+    for (int y = 0; y < rows; ++y) std::memset(static_cast<void*>(first + static_cast<std::size_t>(y) * stride), color.r, bytes);
+    return;
+  }
+  std::fill_n(first, width, color);
+  for (int y = 1; y < rows; ++y) std::memcpy(static_cast<void*>(first + static_cast<std::size_t>(y) * stride), first, bytes);
+}
+
+}  // namespace
 
 Raster::Raster(int width, int height, Rgb fill) { reset(width, height, fill); }
 
 void Raster::reset(int width, int height, Rgb fill) {
+  reshape(width, height);
+  fill_rows(pixels_.data(), static_cast<std::size_t>(width), width, height, fill);
+}
+
+void Raster::reshape(int width, int height) {
   if (width < 0 || height < 0) throw std::invalid_argument("negative raster dims");
   width_ = width;
   height_ = height;
-  pixels_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), fill);
-}
-
-const Rgb& Raster::at_clamped(int x, int y) const {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return at(x, y);
+  pixels_.resize(static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
 }
 
 void Raster::fill_rect(int x, int y, int w, int h, Rgb color) {
@@ -27,9 +43,7 @@ void Raster::fill_rect(int x, int y, int w, int h, Rgb color) {
   const int y0 = std::max(0, y);
   const int x1 = std::min(width_, x + w);
   const int y1 = std::min(height_, y + h);
-  for (int yy = y0; yy < y1; ++yy) {
-    for (int xx = x0; xx < x1; ++xx) at(xx, yy) = color;
-  }
+  if (x0 < x1 && y0 < y1) fill_rows(&at(x0, y0), static_cast<std::size_t>(width_), x1 - x0, y1 - y0, color);
 }
 
 Raster Raster::cropped_to_height(int max_height) const {

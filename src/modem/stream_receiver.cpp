@@ -35,6 +35,7 @@ StreamReceiver::StreamReceiver(const OfdmModem& modem, StreamReceiverParams para
       fft_(static_cast<std::size_t>(modem.profile().fft_size)),
       half_(static_cast<std::size_t>(modem.profile().fft_size / 2)),
       cp_(static_cast<std::size_t>(modem.profile().cp_len)) {
+  if (params_.max_buffer_samples == 0) params_.max_buffer_samples = 2 * modem_.min_decode_samples();
   if (params_.max_buffer_samples < 2 * modem_.min_decode_samples()) {
     throw std::invalid_argument(
         "StreamReceiverParams::max_buffer_samples must be at least 2x "

@@ -43,14 +43,14 @@
 namespace sonic::modem {
 
 struct StreamReceiverParams {
-  // Hard cap on buffered audio; must be at least 2x
-  // OfdmModem::min_decode_samples(), the header's need. Between pushes the
-  // receiver holds at most about that much (the preamble search window, the
-  // header, or the payload symbol in progress), so a burst of any length
-  // decodes in full under the minimum cap. Only an endless preamble plateau
-  // (a periodic tone) reaches the cap; the oldest audio is then dropped and
-  // the scan restarts.
-  std::size_t max_buffer_samples = OfdmModem::kMaxBurstSamples;
+  // Hard cap on buffered audio; 0 (the default) means 2x
+  // OfdmModem::min_decode_samples(), the header's need, and an explicit cap
+  // must be at least that. Between pushes the receiver holds at most about
+  // that much (the preamble search window, the header, or the payload
+  // symbol in progress), so a burst of any length decodes in full under the
+  // minimum cap. Only an endless preamble plateau (a periodic tone) reaches
+  // the cap; the oldest audio is then dropped and the scan restarts.
+  std::size_t max_buffer_samples = 0;
   // Optional observability sink; must outlive the receiver.
   core::Metrics* metrics = nullptr;
 };

@@ -70,12 +70,12 @@ class SonicClient {
     UplinkPolicy uplink;
     // Streaming downlink (on_audio): the OFDM profile the tuner audio was
     // modulated with, and the receive-buffer cap handed to StreamReceiver —
-    // must be at least 2x the profile's min_decode_samples(). The receiver
-    // demodulates each symbol as it arrives, so bursts of any length decode
-    // in full even at that minimum; the cap only bounds an endless preamble
-    // plateau.
+    // 0 means 2x the profile's min_decode_samples(), and an explicit cap
+    // must be at least that. The receiver demodulates each symbol as it
+    // arrives, so bursts of any length decode in full even at that minimum;
+    // the cap only bounds an endless preamble plateau.
     std::string downlink_profile = "sonic-10k";
-    std::size_t downlink_buffer_samples = std::size_t{1} << 21;
+    std::size_t downlink_buffer_samples = 0;
 
     // Descriptive configuration errors; empty when sane. The constructor
     // calls this and throws std::invalid_argument on nonsense (zero-width

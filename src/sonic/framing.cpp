@@ -30,19 +30,158 @@ util::Bytes fountain_block(std::span<const std::uint8_t> frame) {
   return pack_fountain_block(type, frame.subspan(kFrameHeaderSize, len));
 }
 
+// A zeroed kFrameSize frame with its 10-byte header written: the fields
+// little-endian, then the payload length.
+util::Bytes frame_with_header(const FrameHeader& header, std::size_t payload_len) {
+  util::Bytes frame(kFrameSize, 0);
+  std::uint8_t* p = frame.data();
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<std::uint8_t>(header.page_id >> (8 * i));
+  for (std::uint16_t v : {header.seq, header.total}) {
+    *p++ = static_cast<std::uint8_t>(v);
+    *p++ = static_cast<std::uint8_t>(v >> 8);
+  }
+  *p++ = header.type;
+  *p = static_cast<std::uint8_t>(payload_len);
+  return frame;
+}
+
+// The rows the first encoder takes: those above the UEP boundary when UEP
+// splits the page there, else all of them. The top region is encoded
+// separately so no segment straddles the protection boundary. Segment
+// col/row0 are u16; checked first because the split adds the boundary row
+// to row0, which can wrap even when both halves fit.
+int first_encoder_rows(int width, int height, const UepPolicy& uep) {
+  if (width > 0xffff || height > 0xffff) {
+    throw std::invalid_argument("page raster exceeds the 16-bit column/row fields");
+  }
+  if (!uep.enabled) return height;
+  const int boundary = std::max(1, static_cast<int>(height * uep.top_fraction));
+  return std::min(boundary, height);
+}
+
+// The codec with the payload budget cut so a segment's wire form (segment
+// header + data) fits the frame payload.
+image::ColumnCodecParams segment_codec(image::ColumnCodecParams codec) {
+  codec.payload_budget =
+      std::min(codec.payload_budget, static_cast<int>(kFramePayloadSize - image::kSegmentHeaderSize));
+  return codec;
+}
+
+// Encodes and frames one page fed row by row, top to bottom: the one path
+// from pixels to frames, whether the rows come from a raster or from
+// painted bands. With UEP the rows above the protection boundary and those
+// below it go to two encoders, so no segment straddles the boundary.
+class BundleBuilder {
+ public:
+  BundleBuilder(std::uint32_t page_id, const std::string& url, int width, int height,
+                std::vector<web::ClickRegion> click_map, const image::ColumnCodecParams& codec,
+                std::uint32_t expiry_s, const UepPolicy& uep);
+
+  // The next row's pixels, and the row above it (null for the first row).
+  void push_row(const image::Rgb* row, const image::Rgb* above);
+
+  // After all `height` rows: the page's frames.
+  PageBundle finish();
+
+ private:
+  PageBundle bundle_;
+  UepPolicy uep_;
+  int top_rows_;  // rows the first encoder takes: all, or those above the UEP boundary
+  int next_row_ = 0;
+  image::RowFedEncoder top_;
+  std::optional<image::RowFedEncoder> bottom_;
+};
+
+BundleBuilder::BundleBuilder(std::uint32_t page_id, const std::string& url, int width, int height,
+                             std::vector<web::ClickRegion> click_map, const image::ColumnCodecParams& codec,
+                             std::uint32_t expiry_s, const UepPolicy& uep)
+    : uep_(uep),
+      top_rows_(first_encoder_rows(width, height, uep)),
+      top_(width, top_rows_, segment_codec(codec)) {
+  if (top_rows_ < height) bottom_.emplace(width, height - top_rows_, segment_codec(codec));
+  bundle_.page_id = page_id;
+  bundle_.metadata.url = url;
+  bundle_.metadata.width = width;
+  bundle_.metadata.height = height;
+  bundle_.metadata.quality = codec.quality;
+  bundle_.metadata.expiry_s = expiry_s;
+  bundle_.metadata.click_map = std::move(click_map);
+}
+
+void BundleBuilder::push_row(const image::Rgb* row, const image::Rgb* above) {
+  if (!bottom_ || next_row_ < top_rows_) {
+    top_.push_row(row, above);
+  } else {
+    // The bottom region is a page of its own: its first row has none above.
+    bottom_->push_row(row, next_row_ == top_rows_ ? nullptr : above);
+  }
+  ++next_row_;
+}
+
+PageBundle BundleBuilder::finish() {
+  std::vector<image::ColumnSegment> segments = top_.finish();
+  if (bottom_) {
+    // Bottom region: shift row origins past the boundary.
+    for (auto& seg : bottom_->finish()) {
+      seg.row0 = static_cast<std::uint16_t>(seg.row0 + top_rows_);
+      segments.push_back(std::move(seg));
+    }
+  }
+  // With UEP the first encoder's rows are repeated: the top region, or the
+  // whole page when the boundary falls at or below its end.
+  const int protected_rows = uep_.enabled ? top_rows_ : 0;
+  const int top_copies = std::max(1, uep_.copies);
+  auto copies = [&](const image::ColumnSegment& seg) { return seg.row0 < protected_rows ? top_copies : 1; };
+  std::size_t segment_frames = 0;
+  for (const auto& seg : segments) segment_frames += static_cast<std::size_t>(copies(seg));
+
+  const util::Bytes meta_blob = serialize_metadata(bundle_.metadata);
+  const std::size_t num_chunks = std::max<std::size_t>(1, (meta_blob.size() + kMetaChunkSize - 1) / kMetaChunkSize);
+  const std::size_t total = 2 * num_chunks + segment_frames;
+  if (total > 0xffff) {
+    // Pages this large (> ~5.9 MB of frames) exceed the 16-bit sequence
+    // space; callers should split them. Refuse rather than wrap seq.
+    throw std::invalid_argument("page too large for one bundle");
+  }
+
+  std::vector<util::Bytes>& frames = bundle_.frames;
+  frames.reserve(total);
+  FrameHeader header{bundle_.page_id, 0, static_cast<std::uint16_t>(total), kFrameTypeMetadata};
+  auto push_meta_copy = [&]() {
+    header.type = kFrameTypeMetadata;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::size_t off = c * kMetaChunkSize;
+      const std::size_t len = std::min(kMetaChunkSize, meta_blob.size() - off);
+      util::Bytes& frame = frames.emplace_back(frame_with_header(header, 2 + len));
+      frame[kFrameHeaderSize] = static_cast<std::uint8_t>(c);
+      frame[kFrameHeaderSize + 1] = static_cast<std::uint8_t>(num_chunks);
+      std::copy_n(meta_blob.begin() + static_cast<std::ptrdiff_t>(off), len, frame.begin() + kFrameHeaderSize + 2);
+      ++header.seq;
+    }
+  };
+
+  push_meta_copy();  // first copy up front (fast page display)
+  header.type = kFrameTypeSegment;
+  for (const auto& seg : segments) {
+    const std::size_t len = image::kSegmentHeaderSize + seg.data.size();
+    if (len > kFramePayloadSize) throw std::logic_error("segment exceeds the frame payload");
+    for (int copy = 0; copy < copies(seg); ++copy) {
+      util::Bytes& frame = frames.emplace_back(frame_with_header(header, len));
+      image::segment_write(seg, frame.data() + kFrameHeaderSize);
+      ++header.seq;
+    }
+  }
+  push_meta_copy();  // repetition redundancy at the tail
+
+  return std::move(bundle_);
+}
+
 }  // namespace
 
 util::Bytes serialize_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
-  util::ByteWriter w;
-  w.u32(header.page_id);
-  w.u16(header.seq);
-  w.u16(header.total);
-  w.u8(header.type);
-  w.u8(static_cast<std::uint8_t>(payload.size()));
-  w.raw(payload);
-  util::Bytes out = w.take();
-  out.resize(kFrameSize, 0);
-  return out;
+  util::Bytes frame = frame_with_header(header, payload.size());
+  std::copy_n(payload.begin(), std::min(payload.size(), kFramePayloadSize), frame.begin() + kFrameHeaderSize);
+  return frame;
 }
 
 std::optional<std::pair<FrameHeader, util::Bytes>> parse_frame(std::span<const std::uint8_t> frame) {
@@ -132,87 +271,35 @@ std::optional<PageMetadata> parse_metadata(std::span<const std::uint8_t> blob) {
 }
 
 PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
-                       const web::RenderResult& page, const image::ColumnCodecParams& codec_in,
+                       const web::RenderResult& page, const image::ColumnCodecParams& codec,
                        std::uint32_t expiry_s, const UepPolicy& uep) {
-  // Segment col/row0 are u16; checked up front because the UEP path below
-  // adds the boundary row to row0, which can wrap even when both halves fit.
-  if (page.image.width() > 0xffff || page.image.height() > 0xffff) {
-    throw std::invalid_argument("page raster exceeds the 16-bit column/row fields");
-  }
-  PageBundle bundle;
-  bundle.page_id = page_id;
-  bundle.metadata.url = url;
-  bundle.metadata.width = page.image.width();
-  bundle.metadata.height = page.image.height();
-  bundle.metadata.quality = codec_in.quality;
-  bundle.metadata.expiry_s = expiry_s;
-  bundle.metadata.click_map = page.click_map;
+  const image::Raster& img = page.image;
+  BundleBuilder builder(page_id, url, img.width(), img.height(), page.click_map, codec, expiry_s, uep);
+  const std::size_t width = static_cast<std::size_t>(img.width());
+  const image::Rgb* row = img.pixels().data();
+  for (int y = 0; y < img.height(); ++y, row += width) builder.push_row(row, y > 0 ? row - width : nullptr);
+  return builder.finish();
+}
 
-  image::ColumnCodecParams codec = codec_in;
-  // Segment wire form = 6-byte segment header + data; it must fit the frame
-  // payload.
-  codec.payload_budget = std::min(codec.payload_budget, static_cast<int>(kFramePayloadSize) - 6);
-
-  const util::Bytes meta_blob = serialize_metadata(bundle.metadata);
-  const std::size_t num_chunks = std::max<std::size_t>(1, (meta_blob.size() + kMetaChunkSize - 1) / kMetaChunkSize);
-
-  // UEP: the top region is encoded separately so no segment straddles the
-  // protection boundary, then its frames are repeated.
-  const int uep_row_limit =
-      uep.enabled ? std::max(1, static_cast<int>(page.image.height() * uep.top_fraction)) : 0;
-  std::vector<image::ColumnSegment> segments;
-  if (uep.enabled && uep_row_limit < page.image.height()) {
-    segments = image::column_encode(page.image.cropped_to_height(uep_row_limit), codec);
-    // Bottom region: shift row origins past the boundary.
-    image::Raster bottom(page.image.width(), page.image.height() - uep_row_limit);
-    for (int y = 0; y < bottom.height(); ++y) {
-      for (int x = 0; x < bottom.width(); ++x) bottom.at(x, y) = page.image.at(x, y + uep_row_limit);
+PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
+                       const web::PageLayout& page, const image::ColumnCodecParams& codec,
+                       std::uint32_t expiry_s, const UepPolicy& uep) {
+  const int width = page.width();
+  const int height = page.height();
+  BundleBuilder builder(page_id, url, width, height, page.click_map, codec, expiry_s, uep);
+  // A band's last row is the next band's first row's `above`.
+  image::Raster band;
+  std::vector<image::Rgb> above(static_cast<std::size_t>(width));
+  for (int y0 = 0; y0 < height; y0 += web::PageLayout::kBandRows) {
+    const int rows = std::min(web::PageLayout::kBandRows, height - y0);
+    page.paint(y0, rows, band);
+    const image::Rgb* row = band.pixels().data();
+    for (int r = 0; r < rows; ++r, row += width) {
+      builder.push_row(row, r > 0 ? row - width : y0 > 0 ? above.data() : nullptr);
     }
-    for (auto seg : image::column_encode(bottom, codec)) {
-      seg.row0 = static_cast<std::uint16_t>(seg.row0 + uep_row_limit);
-      segments.push_back(std::move(seg));
-    }
-  } else {
-    segments = image::column_encode(page.image, codec);
+    std::copy_n(row - width, width, above.begin());
   }
-  auto uep_copies = [&](const image::ColumnSegment& seg) {
-    return uep.enabled && seg.row0 < uep_row_limit ? std::max(1, uep.copies) : 1;
-  };
-  std::size_t segment_frames = 0;
-  for (const auto& seg : segments) segment_frames += static_cast<std::size_t>(uep_copies(seg));
-
-  const std::size_t total = 2 * num_chunks + segment_frames;
-  if (total > 0xffff) {
-    // Pages this large (> ~5.9 MB of frames) exceed the 16-bit sequence
-    // space; callers should split them. Refuse rather than wrap seq.
-    throw std::invalid_argument("page too large for one bundle");
-  }
-
-  std::uint16_t seq = 0;
-  auto push_meta_copy = [&]() {
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      util::ByteWriter payload;
-      payload.u8(static_cast<std::uint8_t>(c));
-      payload.u8(static_cast<std::uint8_t>(num_chunks));
-      const std::size_t off = c * kMetaChunkSize;
-      const std::size_t len = std::min(kMetaChunkSize, meta_blob.size() - off);
-      payload.raw(std::span(meta_blob).subspan(off, len));
-      bundle.frames.push_back(serialize_frame(
-          {page_id, seq++, static_cast<std::uint16_t>(total), 0}, payload.bytes()));
-    }
-  };
-
-  push_meta_copy();  // first copy up front (fast page display)
-  for (const auto& seg : segments) {
-    const util::Bytes payload = image::segment_serialize(seg);
-    for (int copy = 0; copy < uep_copies(seg); ++copy) {
-      bundle.frames.push_back(
-          serialize_frame({page_id, seq++, static_cast<std::uint16_t>(total), 1}, payload));
-    }
-  }
-  push_meta_copy();  // repetition redundancy at the tail
-
-  return bundle;
+  return builder.finish();
 }
 
 PageAssembler::PageAssembler(image::ColumnCodecParams codec) : codec_(codec) {}

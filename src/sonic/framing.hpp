@@ -99,6 +99,14 @@ PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
                        const web::RenderResult& page, const image::ColumnCodecParams& codec,
                        std::uint32_t expiry_s = 24 * 3600, const UepPolicy& uep = {});
 
+// The same bundle, byte for byte, built from a laid-out page without its
+// raster: the page is painted in PageLayout::kBandRows-row bands, each
+// band's rows pushed straight into the column encoder, so only one band
+// (207 KB at 1080 px) is held at a time.
+PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
+                       const web::PageLayout& page, const image::ColumnCodecParams& codec,
+                       std::uint32_t expiry_s = 24 * 3600, const UepPolicy& uep = {});
+
 // A page reconstructed from whichever frames arrived.
 struct ReceivedPage {
   PageMetadata metadata;

@@ -151,16 +151,14 @@ std::shared_ptr<const PageBundle> BroadcastPipeline::prepare_one(const std::stri
   return prepared.empty() ? nullptr : std::move(prepared.front().bundle);
 }
 
-void BroadcastPipeline::render_job(Job& job, image::Raster& canvas) {
+void BroadcastPipeline::render_job(Job& job) {
   const auto t0 = std::chrono::steady_clock::now();
-  web::RenderResult page =
-      job.ref ? web::render_html(corpus_->html(*job.ref, job.epoch), params_.layout, std::move(canvas))
-              : web::render_html(corpus_->search_html(job.query, job.epoch), params_.layout,
-                                 std::move(canvas));
+  const web::PageLayout layout = web::layout_html(
+      web::parse_html(job.ref ? corpus_->html(*job.ref, job.epoch) : corpus_->search_html(job.query, job.epoch)),
+      params_.layout);
   const auto t1 = std::chrono::steady_clock::now();
   job.out = std::make_shared<PageBundle>(
-      make_bundle(job.page_id, job.url, page, params_.codec, params_.page_expiry_s));
-  canvas = std::move(page.image);
+      make_bundle(job.page_id, job.url, layout, params_.codec, params_.page_expiry_s));
   const auto t2 = std::chrono::steady_clock::now();
   render_hist_->observe(seconds_between(t0, t1));
   encode_hist_->observe(seconds_between(t1, t2));
@@ -170,7 +168,7 @@ void BroadcastPipeline::render_job(Job& job, image::Raster& canvas) {
 void BroadcastPipeline::run_jobs(std::vector<Job>& jobs) {
   if (jobs.empty()) return;
   if (workers_.empty() || jobs.size() == 1) {
-    for (Job& job : jobs) render_job(job, caller_canvas_);
+    for (Job& job : jobs) render_job(job);
     return;
   }
   {
@@ -184,7 +182,6 @@ void BroadcastPipeline::run_jobs(std::vector<Job>& jobs) {
 }
 
 void BroadcastPipeline::worker_loop() {
-  image::Raster canvas;
   for (;;) {
     Job* job = nullptr;
     {
@@ -194,7 +191,7 @@ void BroadcastPipeline::worker_loop() {
       job = queue_.front();
       queue_.pop_front();
     }
-    render_job(*job, canvas);
+    render_job(*job);
     {
       std::lock_guard<std::mutex> lock(pool_mu_);
       if (--pending_ == 0) done_cv_.notify_all();

@@ -16,8 +16,14 @@
 //
 // A batch of one job (the SMS request path's usual cache miss) renders on
 // the submitting thread, which would otherwise only wait for it: no thread
-// handoff. Each worker, and the submitting thread, recycles one page-sized
-// canvas from render to render instead of allocating a raster per page.
+// handoff.
+//
+// A page is built without a page-sized raster. web::layout_html lays it out
+// once into a draw list (the `render_s` histogram); make_bundle then paints
+// it in 64-row bands (1080 x 64 x 3 B = 207 KB, cache-resident), pushes
+// each band's rows straight into the row-fed column encoder and frames the
+// segments (`encode_s`). The bundle is byte-identical to
+// make_bundle(render_html(...)).
 #pragma once
 
 #include <condition_variable>
@@ -93,9 +99,8 @@ class BroadcastPipeline {
     std::shared_ptr<PageBundle> out;
   };
 
-  // Renders and frames one page, drawing on `canvas` and handing the page's
-  // raster back in it for the next render.
-  void render_job(Job& job, image::Raster& canvas);
+  // Lays one page out, then paints it band by band into its bundle.
+  void render_job(Job& job);
   void run_jobs(std::vector<Job>& jobs);
   void worker_loop();
   std::string cache_key(const std::string& url) const;
@@ -116,7 +121,6 @@ class BroadcastPipeline {
   Histogram* encode_hist_;
 
   std::mutex prepare_mu_;  // serializes whole batches
-  image::Raster caller_canvas_;  // jobs rendered on the submitting thread; under prepare_mu_
   BundleCache cache_;
   std::uint32_t next_page_id_ = 1;
 

@@ -1,12 +1,11 @@
-// 5x7 bitmap font used by the layout engine to raster text. Glyph shapes
+// 5x7 bitmap font the layout engine paints text with. Glyph shapes
 // are defined as ASCII art in font.cpp; lowercase letters reuse the
 // uppercase shapes (small-caps rendering), which is sufficient for
 // readability experiments at webpage scale.
 #pragma once
 
 #include <cstdint>
-
-#include "image/raster.hpp"
+#include <string>
 
 namespace sonic::web {
 
@@ -17,15 +16,8 @@ constexpr int kGlyphHeight = 7;
 // Unsupported characters render as a hollow box.
 const std::uint8_t* glyph_rows(char c);
 
-// Draws a character at (x, y) scaled by `scale`.
-void draw_glyph(image::Raster& img, char c, int x, int y, int scale, image::Rgb color);
-
-// Draws a string; returns the advance width in pixels. Spacing is one
-// glyph-column per character.
-int draw_text(image::Raster& img, const std::string& text, int x, int y, int scale,
-              image::Rgb color);
-
-// Advance width of a string at `scale` without drawing.
+// Advance width of a string at `scale`: one blank glyph-column per
+// character.
 int text_width(const std::string& text, int scale);
 inline int text_height(int scale) { return kGlyphHeight * scale; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 
 #include "web/font.hpp"
@@ -47,35 +48,37 @@ struct Style {
   std::string href;
 };
 
-class Layouter {
+
+int height_cap(const LayoutParams& params) {
+  return params.max_height > 0 ? std::min(params.max_height, kHardHeightCeiling) : kHardHeightCeiling;
+}
+
+}  // namespace
+
+// Walks the page once. The cursor advances the same way whatever the cap
+// (the cap only decides which draws are recorded), so the one pass gives
+// both the full height and the capped page's draw list.
+class LayoutRecorder {
  public:
-  // A dry run only measures; a real one draws onto `canvas`, reset to
-  // `canvas_height` white rows (drawing clips to it).
-  Layouter(const LayoutParams& params, bool dry_run, int canvas_height = 0, image::Raster canvas = {})
-      : params_(params), cap_(height_cap(params)), dry_run_(dry_run), image_(std::move(canvas)) {
-    if (!dry_run_) image_.reset(params.width, canvas_height);
+  explicit LayoutRecorder(const LayoutParams& params) : params_(params), cap_(height_cap(params)) {
+    out_.width_ = params.width;
   }
 
-  static int height_cap(const LayoutParams& params) {
-    return params.max_height > 0 ? std::min(params.max_height, kHardHeightCeiling) : kHardHeightCeiling;
-  }
-
-  void run(const Node& root) {
+  PageLayout run(const Node& root) {
     Style body;
     body.scale = params_.text_scale;
     block(root, body);
     flush_line();
+    out_.full_height_ = std::min(cursor_y_ + params_.margin / 2, kHardHeightCeiling);
+    out_.height_ = std::max(1, std::min(out_.full_height_, cap_));
+    // Drop click regions that fell below the crop.
+    std::erase_if(out_.click_map, [&](const ClickRegion& r) { return r.y >= out_.height_; });
+    bucket_by_band();
+    return std::move(out_);
   }
 
-  int used_height() const { return std::min(cursor_y_ + params_.margin / 2, cap_); }
-  image::Raster take_image() { return std::move(image_); }
-  std::vector<ClickRegion> take_click_map() { return std::move(click_map_); }
-
  private:
-  struct Word {
-    std::string text;
-    Style style;
-  };
+  using Op = PageLayout::Op;
 
   void block(const Node& node, Style style) {
     for (const Node& child : node.children) {
@@ -92,16 +95,13 @@ class Layouter {
       if (tag == "hr") {
         flush_line();
         vspace(8);
-        if (!dry_run_) {
-          image_.fill_rect(params_.margin, cursor_y_, params_.width - 2 * params_.margin, 3,
-                           image::Rgb{180, 180, 180});
-        }
+        rect(params_.margin, cursor_y_, params_.width - 2 * params_.margin, 3, image::Rgb{180, 180, 180});
         vspace(11);
         continue;
       }
       if (tag == "img") {
         flush_line();
-        draw_image_placeholder(child);
+        image_placeholder(child);
         continue;
       }
       if (tag == "span" || tag == "b" || tag == "i" || tag == "em" || tag == "strong") {
@@ -145,35 +145,27 @@ class Layouter {
       }
       if (const std::string* c = child.attr("color")) s.color = parse_color(*c, s.color);
 
+      // A background goes under the block's content, so it is recorded
+      // first and gets its height once the block is laid out: down to the
+      // block's last line plus the space after it (paint clips it to the
+      // page).
       const std::string* bg = child.attr("bgcolor");
-      int bg_y0 = 0;
-      if (bg && !dry_run_) {
-        // Measure the block with a dry-run pass, paint the background, then
-        // render for real on top of it.
-        Layouter probe(params_, true);
-        probe.cursor_y_ = cursor_y_;
-        Style ps = s;
-        probe.vspace(space_before);
-        probe.block_body(child, ps, tag);
-        probe.flush_line();
-        const int bg_h = std::min(probe.cursor_y_, cap_) - cursor_y_ + space_after;
-        bg_y0 = cursor_y_;
-        image_.fill_rect(0, bg_y0, params_.width, bg_h, parse_color(*bg, {240, 240, 240}));
-      }
-      (void)bg_y0;
+      const int bg_y0 = cursor_y_;
+      const std::size_t bg_op = out_.ops_.size();
+      if (bg) rect(0, bg_y0, params_.width, 0, parse_color(*bg, {240, 240, 240}));
       vspace(space_before);
       block_body(child, s, tag);
       flush_line();
+      if (bg) out_.ops_[bg_op].h = cursor_y_ - bg_y0 + space_after;
       vspace(space_after);
     }
   }
 
   void block_body(const Node& node, Style s, const std::string& tag) {
-    if (tag == "li" && !dry_run_) {
-      image_.fill_rect(params_.margin, cursor_y_ + 4 * s.scale / 2, 3 * s.scale / 2,
-                       3 * s.scale / 2, s.color);
+    if (tag == "li") {
+      rect(params_.margin, cursor_y_ + 4 * s.scale / 2, 3 * s.scale / 2, 3 * s.scale / 2, s.color);
+      indent_ = params_.margin;
     }
-    if (tag == "li") indent_ = params_.margin;
     block(node, s);
     if (tag == "li") indent_ = 0;
   }
@@ -200,20 +192,16 @@ class Layouter {
     if (cursor_x_ == 0) cursor_x_ = left;
     line_height_ = std::max(line_height_, text_height(style.scale) + 2 * style.scale);
     if (cursor_y_ + line_height_ <= cap_) {
-      if (!dry_run_) {
-        draw_text(image_, word, cursor_x_, cursor_y_, style.scale, style.color);
-        if (style.link) {
-          image_.fill_rect(cursor_x_, cursor_y_ + text_height(style.scale) + 1, w - space, 1,
-                           style.color);
-        }
+      text(word, cursor_x_, cursor_y_, style.scale, style.color);
+      if (style.link) {
+        rect(cursor_x_, cursor_y_ + text_height(style.scale) + 1, w - space, 1, style.color);
+        if (in_link_) extend_link(cursor_x_, cursor_y_, w, text_height(style.scale) + 2);
       }
-      if (style.link && in_link_) extend_link(cursor_x_, cursor_y_, w - space + space,
-                                              text_height(style.scale) + 2);
     }
     cursor_x_ += w + space / 2;
   }
 
-  void draw_image_placeholder(const Node& node) {
+  void image_placeholder(const Node& node) {
     int w = 600, h = 320;
     if (const std::string* ws = node.attr("width")) w = image_dimension(*ws);
     if (const std::string* hs = node.attr("height")) h = image_dimension(*hs);
@@ -223,9 +211,7 @@ class Layouter {
       w = max_w;
     }
     vspace(6);
-    if (!dry_run_ && cursor_y_ < cap_) {
-      const int x0 = params_.margin;
-      image_.fill_rect(x0, cursor_y_, w, h, image::Rgb{210, 214, 220});
+    if (cursor_y_ < cap_) {
       // Photo stand-in seeded by the src string: a smooth two-color
       // gradient with a few soft bands — photograph-like compressibility
       // rather than noise.
@@ -233,34 +219,80 @@ class Layouter {
       if (const std::string* src = node.attr("src")) {
         for (char c : *src) hash = (hash ^ static_cast<std::uint32_t>(c)) * 16777619u;
       }
-      const image::Rgb top{static_cast<std::uint8_t>(60 + (hash >> 8 & 0x7f)),
-                           static_cast<std::uint8_t>(60 + (hash >> 16 & 0x7f)),
-                           static_cast<std::uint8_t>(60 + (hash >> 24 & 0x7f))};
-      const image::Rgb bottom{static_cast<std::uint8_t>(160 + (hash & 0x3f)),
-                              static_cast<std::uint8_t>(140 + (hash >> 4 & 0x3f)),
-                              static_cast<std::uint8_t>(120 + (hash >> 10 & 0x3f))};
-      const int y_limit = std::min(h, image_.height() - cursor_y_);
-      const int band0 = h / 4 + static_cast<int>(hash % 16);
-      for (int yy = 0; yy < y_limit; ++yy) {
-        const int t = h > 1 ? yy * 255 / (h - 1) : 0;
-        image::Rgb c{static_cast<std::uint8_t>((top.r * (255 - t) + bottom.r * t) / 255),
-                     static_cast<std::uint8_t>((top.g * (255 - t) + bottom.g * t) / 255),
-                     static_cast<std::uint8_t>((top.b * (255 - t) + bottom.b * t) / 255)};
-        // Two horizontal "subject" bands with a different tint.
-        if ((yy > band0 && yy < band0 + h / 6) || (yy > h / 2 && yy < h / 2 + h / 8)) {
-          c.r = static_cast<std::uint8_t>(255 - c.r / 2);
-          c.g = static_cast<std::uint8_t>(c.g / 2 + 40);
-        }
-        for (int xx = 0; xx < w && x0 + xx < image_.width(); ++xx) {
-          image_.at(x0 + xx, cursor_y_ + yy) = c;
-        }
-      }
+      Op op;
+      op.kind = Op::Kind::kPhoto;
+      op.color = {static_cast<std::uint8_t>(60 + (hash >> 8 & 0x7f)), static_cast<std::uint8_t>(60 + (hash >> 16 & 0x7f)),
+                  static_cast<std::uint8_t>(60 + (hash >> 24 & 0x7f))};
+      op.bottom = {static_cast<std::uint8_t>(160 + (hash & 0x3f)), static_cast<std::uint8_t>(140 + (hash >> 4 & 0x3f)),
+                   static_cast<std::uint8_t>(120 + (hash >> 10 & 0x3f))};
+      op.x = params_.margin;
+      op.y = cursor_y_;
+      op.w = w;
+      op.h = h;
+      op.aux = h / 4 + static_cast<int>(hash % 16);
+      out_.ops_.push_back(op);
       if (const std::string* alt = node.attr("alt")) {
-        draw_text(image_, *alt, x0 + 8, cursor_y_ + 8, 2, image::Rgb{80, 80, 80});
+        text(*alt, params_.margin + 8, cursor_y_ + 8, 2, image::Rgb{80, 80, 80});
       }
     }
     cursor_y_ = std::min(cursor_y_ + h, kHardHeightCeiling);
     vspace(6);
+  }
+
+  void rect(int x, int y, int w, int h, image::Rgb color) {
+    Op op;
+    op.color = color;
+    op.x = x;
+    op.y = y;
+    op.w = w;
+    op.h = h;
+    out_.ops_.push_back(op);
+  }
+
+  void text(const std::string& s, int x, int y, int scale, image::Rgb color) {
+    if (scale <= 0 || s.empty()) return;  // no glyph pixel to paint
+    Op op;
+    op.kind = Op::Kind::kText;
+    op.scale = scale;
+    op.color = color;
+    op.x = x;
+    op.y = y;
+    op.w = text_width(s, scale);
+    op.h = text_height(scale);
+    op.aux = static_cast<int>(out_.text_.size());
+    op.len = static_cast<int>(s.size());
+    out_.text_ += s;
+    out_.ops_.push_back(op);
+  }
+
+  // Lists each op under every kBandRows-row band of the page it touches,
+  // keeping paint order within a band.
+  void bucket_by_band() {
+    const int bands = (out_.height_ + PageLayout::kBandRows - 1) / PageLayout::kBandRows;
+    std::vector<int>& start = out_.band_start_;
+    start.assign(static_cast<std::size_t>(bands) + 1, 0);
+    const auto band_range = [&](const Op& op, int& first, int& last) {
+      const int y0 = std::max(op.y, 0);
+      const int y1 = std::min(op.y + op.h, out_.height_);
+      if (y0 >= y1 || op.w <= 0 || op.x >= out_.width_ || op.x + op.w <= 0) return false;
+      first = y0 / PageLayout::kBandRows;
+      last = (y1 - 1) / PageLayout::kBandRows;
+      return true;
+    };
+    int first = 0, last = 0;
+    for (const Op& op : out_.ops_) {
+      if (!band_range(op, first, last)) continue;
+      for (int b = first; b <= last; ++b) ++start[static_cast<std::size_t>(b) + 1];
+    }
+    for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+    out_.band_ops_.resize(static_cast<std::size_t>(start.back()));
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < out_.ops_.size(); ++i) {
+      if (!band_range(out_.ops_[i], first, last)) continue;
+      for (int b = first; b <= last; ++b) {
+        out_.band_ops_[static_cast<std::size_t>(fill[static_cast<std::size_t>(b)]++)] = static_cast<int>(i);
+      }
+    }
   }
 
   void vspace(int px) { cursor_y_ = std::min(cursor_y_ + px, kHardHeightCeiling); }
@@ -295,17 +327,13 @@ class Layouter {
   }
 
   void link_end() {
-    if (!dry_run_ && in_link_ && link_rect_.w > 0 && !link_href_.empty()) {
-      click_map_.push_back(link_rect_);
-    }
+    if (in_link_ && link_rect_.w > 0 && !link_href_.empty()) out_.click_map.push_back(link_rect_);
     in_link_ = false;
   }
 
   const LayoutParams& params_;
   int cap_;
-  bool dry_run_;
-  image::Raster image_;
-  std::vector<ClickRegion> click_map_;
+  PageLayout out_;
   int cursor_x_ = 0;
   int cursor_y_ = 0;
   int line_height_ = 0;
@@ -315,34 +343,99 @@ class Layouter {
   ClickRegion link_rect_{};
 };
 
-}  // namespace
+struct PageLayout::Target {
+  image::Raster* out;  // holds page rows from y0 on
+  int y0;
+  int clip0, clip1;  // page rows [clip0, clip1) may be painted
 
-RenderResult render_html(const Node& root, const LayoutParams& params, image::Raster canvas) {
-  // Measure the uncropped layout height first (reported as full_height so
-  // callers can see what the PH cap discarded).
-  LayoutParams uncapped = params;
-  uncapped.max_height = 0;
-  Layouter dry(uncapped, true);
-  dry.run(root);
-  const int full_height = dry.used_height();
+  void fill(int x, int y, int w, int h, image::Rgb color) const {
+    const int ya = std::max(y, clip0);
+    const int yb = std::min(y + h, clip1);
+    if (ya < yb) out->fill_rect(x, ya - y0, w, yb - ya, color);
+  }
+};
 
-  // The cursor advances the same way whatever the cap (the cap only clips
-  // drawing), so the page is min(full height, cap) rows: the canvas is
-  // exactly that size and needs no crop.
-  const int height = std::max(1, std::min(full_height, Layouter::height_cap(params)));
-  Layouter real(params, false, height, std::move(canvas));
-  real.run(root);
+void PageLayout::paint_op(const Op& op, const Target& t) const {
+  switch (op.kind) {
+    case Op::Kind::kRect:
+      t.fill(op.x, op.y, op.w, op.h, op.color);
+      return;
+    case Op::Kind::kText: {
+      // Glyph rows that meet the clip; each row's runs of set pixels are
+      // filled as one rect.
+      const int s = op.scale;
+      const int r0 = std::max(0, (t.clip0 - op.y) / s);
+      const int r1 = std::min(kGlyphHeight, (t.clip1 - op.y + s - 1) / s);
+      const int advance = (kGlyphWidth + 1) * s;
+      int x = op.x;
+      for (int i = 0; i < op.len && x < width_; ++i, x += advance) {
+        const std::uint8_t* glyph = glyph_rows(text_[static_cast<std::size_t>(op.aux + i)]);
+        for (int r = r0; r < r1; ++r) {
+          const auto on = [&](int col) { return (glyph[r] >> (kGlyphWidth - 1 - col) & 1) != 0; };
+          for (int col = 0; col < kGlyphWidth;) {
+            if (!on(col)) {
+              ++col;
+              continue;
+            }
+            int end = col + 1;
+            while (end < kGlyphWidth && on(end)) ++end;
+            t.fill(x + col * s, op.y + r * s, (end - col) * s, s, op.color);
+            col = end;
+          }
+        }
+      }
+      return;
+    }
+    case Op::Kind::kPhoto: {
+      // One colour per row: the top-to-bottom blend, tinted inside two
+      // horizontal "subject" bands.
+      const int h = op.h;
+      const int band0 = op.aux;
+      const int yy_end = std::min(h, t.clip1 - op.y);
+      for (int yy = std::max(0, t.clip0 - op.y); yy < yy_end; ++yy) {
+        const int k = h > 1 ? yy * 255 / (h - 1) : 0;
+        image::Rgb c{static_cast<std::uint8_t>((op.color.r * (255 - k) + op.bottom.r * k) / 255),
+                     static_cast<std::uint8_t>((op.color.g * (255 - k) + op.bottom.g * k) / 255),
+                     static_cast<std::uint8_t>((op.color.b * (255 - k) + op.bottom.b * k) / 255)};
+        if ((yy > band0 && yy < band0 + h / 6) || (yy > h / 2 && yy < h / 2 + h / 8)) {
+          c.r = static_cast<std::uint8_t>(255 - c.r / 2);
+          c.g = static_cast<std::uint8_t>(c.g / 2 + 40);
+        }
+        t.fill(op.x, op.y + yy, op.w, 1, c);
+      }
+      return;
+    }
+  }
+}
+
+void PageLayout::paint(int y0, int rows, image::Raster& out) const {
+  if (y0 < 0 || rows < 0 || y0 > height_ - rows) throw std::invalid_argument("PageLayout::paint: rows outside the page");
+  // Each band is cleared right before its ops paint it, while its rows are
+  // in cache.
+  out.reshape(width_, rows);
+  const int y1 = y0 + rows;
+  for (int b = y0 / kBandRows; b * kBandRows < y1; ++b) {
+    const Target target{&out, y0, std::max(y0, b * kBandRows), std::min(y1, (b + 1) * kBandRows)};
+    target.fill(0, target.clip0, width_, target.clip1 - target.clip0, image::Rgb{255, 255, 255});
+    for (int k = band_start_[static_cast<std::size_t>(b)]; k < band_start_[static_cast<std::size_t>(b) + 1]; ++k) {
+      paint_op(ops_[static_cast<std::size_t>(band_ops_[static_cast<std::size_t>(k)])], target);
+    }
+  }
+}
+
+PageLayout layout_html(const Node& root, const LayoutParams& params) { return LayoutRecorder(params).run(root); }
+
+RenderResult render_html(const Node& root, const LayoutParams& params) {
+  PageLayout layout = layout_html(root, params);
   RenderResult out;
-  out.image = real.take_image();
-  out.click_map = real.take_click_map();
-  out.full_height = full_height;
-  // Drop click regions that fell below the crop.
-  std::erase_if(out.click_map, [&](const ClickRegion& r) { return r.y >= height; });
+  layout.paint(0, layout.height(), out.image);
+  out.click_map = std::move(layout.click_map);
+  out.full_height = layout.full_height();
   return out;
 }
 
-RenderResult render_html(const std::string& html, const LayoutParams& params, image::Raster canvas) {
-  return render_html(parse_html(html), params, std::move(canvas));
+RenderResult render_html(const std::string& html, const LayoutParams& params) {
+  return render_html(parse_html(html), params);
 }
 
 RenderResult scale_for_device(const RenderResult& page, int device_width) {

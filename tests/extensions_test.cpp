@@ -4,8 +4,11 @@
 // low-entropy payloads before OFDM mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "image/column_codec.hpp"
 #include "modem/packet.hpp"
 #include "sonic/client.hpp"
 #include "sonic/framing.hpp"
@@ -50,6 +53,49 @@ TEST(Uep, AddsFramesOnlyForTopRegion) {
   // region split plus the top copies roughly triples the count; on real
   // 10k-px pages (many segments per column) the overhead is ~top_fraction.
   EXPECT_LT(protected_bundle.frames.size(), base.frames.size() * 35 / 10);
+}
+
+// UEP encodes the rows above the boundary and those below it as two pages:
+// the segment frames carry column_encode of the top rows, each twice, then
+// column_encode of the bottom rows as a raster of their own, shifted down
+// past the boundary.
+TEST(Uep, SegmentsAreTheTwoRegionsEncodedAlone) {
+  const web::PkCorpus corpus;
+  for (const auto& page : {small_page(), web::render_html(corpus.html(corpus.pages()[3], 0), web::LayoutParams{360, 3000, 12, 2})}) {
+    core::UepPolicy uep;
+    uep.enabled = true;
+    uep.top_fraction = 0.3;
+    uep.copies = 2;
+    const int boundary = static_cast<int>(page.image.height() * uep.top_fraction);
+    image::Raster bottom(page.image.width(), page.image.height() - boundary);
+    std::copy(page.image.pixels().begin() + static_cast<std::ptrdiff_t>(page.image.width()) * boundary,
+              page.image.pixels().end(), bottom.pixels().begin());
+    const image::ColumnCodecParams codec{10, 84};  // make_bundle's cut for the 6-byte segment header
+    std::vector<image::ColumnSegment> want;
+    for (const auto& seg : image::column_encode(page.image.cropped_to_height(boundary), codec)) {
+      want.push_back(seg);
+      want.push_back(seg);
+    }
+    for (auto seg : image::column_encode(bottom, codec)) {
+      seg.row0 = static_cast<std::uint16_t>(seg.row0 + boundary);
+      want.push_back(seg);
+    }
+    std::vector<image::ColumnSegment> got;
+    for (const auto& frame : core::make_bundle(1, "x.pk/", page, {10, 94}, 3600, uep).frames) {
+      const auto parsed = core::parse_frame(frame);
+      ASSERT_TRUE(parsed.has_value());
+      if (parsed->first.type != core::kFrameTypeSegment) continue;
+      const auto seg = image::segment_parse(parsed->second);
+      ASSERT_TRUE(seg.has_value());
+      got.push_back(*seg);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].col == want[i].col && got[i].row0 == want[i].row0 && got[i].rows == want[i].rows &&
+                  got[i].data == want[i].data)
+          << "segment " << i;
+    }
+  }
 }
 
 TEST(Uep, RejectsPagesTallerThanSixteenBitRows) {

@@ -28,9 +28,10 @@
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path,
 // the bounded allocation for forged OFDM headers, the streaming receiver's
-// memory independent of the burst length and the column encoder's peak
-// memory independent of the page height, verified with a real global
-// operator new counter.
+// memory independent of the burst length, the column encoder's peak
+// memory independent of the page height and the station building a capped
+// page without a page-sized raster, verified with a real global operator
+// new counter.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -69,9 +70,12 @@
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
+#include "sonic/pipeline.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "web/corpus.hpp"
+#include "web/layout.hpp"
 
 // ------------------------------------------------------ allocation probe ---
 // Counts every global operator new in this test binary. The steady-state
@@ -1399,6 +1403,34 @@ TEST(ColumnEncodeMemory, PeakIsTheOutputPlusPerColumnState) {
   const std::size_t segment_array = segments.size() * sizeof(image::ColumnSegment);
   EXPECT_LE(peak, output + segment_array + std::size_t{512} * kWidth)
       << "peak " << peak << " output " << output << " segments " << segments.size();
+}
+
+// ------------------------------------------------ station page memory ---
+
+// The pipeline lays a page out once and paints it in 64-row bands straight
+// into the column encoder, so building the longest capped 1080-px page
+// holds its draw list, one band, the encoder's per-column state, the
+// segments and the frames, but never the page's raster (1080 x 10 000 x
+// 3 B = 31 MB).
+TEST(PageBuildMemory, PipelineHoldsNoPageSizedRaster) {
+  web::PkCorpus corpus;
+  const web::LayoutParams layout;  // 1080 x PH10k, the pipeline's default
+  std::string url;
+  for (const web::PageRef& ref : corpus.pages()) {
+    if (web::layout_html(web::parse_html(corpus.html(ref, 0)), layout).height() == layout.max_height) {
+      url = ref.url;
+      break;
+    }
+  }
+  ASSERT_FALSE(url.empty()) << "no corpus page reaches the cap";
+  core::BroadcastPipeline pipeline(&corpus, {});
+  const std::size_t before = g_live_bytes.load();
+  g_live_peak.store(before);
+  const auto bundle = pipeline.prepare_one(url, 0.0);
+  const std::size_t peak = g_live_peak.load() - before;
+  ASSERT_NE(bundle, nullptr);
+  EXPECT_EQ(bundle->metadata.height, layout.max_height);
+  EXPECT_LT(peak, std::size_t{8} << 20) << "peak " << peak << " bytes for " << bundle->frames.size() << " frames";
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(Pipeline, ParallelOutputIsByteIdenticalToSerial) {
 
 TEST(Pipeline, SingleJobBatchesMatchSerial) {
   // One-miss batches render on the submitting thread, larger ones on the
-  // workers; both recycle their canvases across pages of different heights.
+  // workers, page after page of different heights.
   web::PkCorpus corpus;
   auto pp = small_pipeline_params();
   BroadcastPipeline serial(&corpus, pp);
@@ -118,6 +118,37 @@ TEST(Pipeline, SingleJobBatchesMatchSerial) {
   }
   EXPECT_EQ(serial.metrics().counter_value("pages_rendered"),
             parallel.metrics().counter_value("pages_rendered"));
+}
+
+// The pipeline builds each page from its layout in 64-row bands, never
+// holding the raster; its bundles equal the raster path's byte for byte on
+// every corpus page at the broadcast layout. make_bundle from a layout,
+// which the pipeline calls, also matches with UEP, whose boundary row
+// falls inside a band.
+TEST(Pipeline, BandBuiltBundlesEqualTheRasterPath) {
+  web::PkCorpus corpus;
+  BroadcastPipeline::Params pp;  // 1080 x PH10k
+  pp.num_threads = 2;
+  BroadcastPipeline pipeline(&corpus, pp);
+  std::vector<std::string> urls;
+  for (const web::PageRef& ref : corpus.pages()) urls.push_back(ref.url);
+  urls.push_back("search:cricket score");
+  const auto prepared = pipeline.prepare(urls, 0.0);
+  ASSERT_EQ(prepared.size(), urls.size());
+  const UepPolicy uep{true, 0.2, 2};
+  for (std::size_t i = 0; i < urls.size(); ++i) {
+    ASSERT_NE(prepared[i].bundle, nullptr) << urls[i];
+    const PageBundle& bundle = *prepared[i].bundle;
+    const web::PageRef* ref = corpus.find(urls[i]);
+    const std::string html = ref ? corpus.html(*ref, 0) : corpus.search_html("cricket score", 0);
+    const web::RenderResult page = web::render_html(html, pp.layout);
+    const PageBundle want = make_bundle(bundle.page_id, urls[i], page, pp.codec, pp.page_expiry_s);
+    EXPECT_TRUE(bundle.frames == want.frames) << urls[i];
+    const web::PageLayout layout = web::layout_html(web::parse_html(html), pp.layout);
+    EXPECT_TRUE(make_bundle(bundle.page_id, urls[i], layout, pp.codec, pp.page_expiry_s, uep).frames ==
+                make_bundle(bundle.page_id, urls[i], page, pp.codec, pp.page_expiry_s, uep).frames)
+        << urls[i] << " with UEP";
+  }
 }
 
 TEST(Pipeline, CacheHitsWithinHourAndRerenderOnRotation) {

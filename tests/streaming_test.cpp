@@ -626,6 +626,31 @@ TEST(ClientStreaming, OnAudioRoutesBurstsIntoTheFrameChain) {
   EXPECT_NO_THROW((void)client.on_audio(std::span<const float>(stream).first(882)));
 }
 
+// A default client caps its receive buffer at twice the profile's header
+// need, so an endless preamble plateau (a tone periodic in fft_size/2) is
+// dropped from the front once it fills that, not once it reaches 8 MB.
+TEST(ClientStreaming, DefaultBufferCapIsTwiceTheHeaderNeed) {
+  core::SonicClient client(nullptr, core::SonicClient::Params{});
+  const OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  const std::size_t cap = 2 * modem.min_decode_samples();
+  const int period = modem.profile().fft_size / 2;
+  constexpr std::size_t kChunk = 882;
+  std::vector<float> chunk(kChunk);
+  std::size_t n = 0;
+  for (int i = 0; i < 3000; ++i) {
+    for (auto& s : chunk) {
+      s = 0.4f * static_cast<float>(std::sin(util::kTwoPi * static_cast<double>(n % static_cast<std::size_t>(period)) / period));
+      ++n;
+    }
+    (void)client.on_audio(chunk);
+  }
+  (void)client.end_audio();
+  const auto high_water = client.metrics().histogram("rx_buffered_high_water").snapshot();
+  ASSERT_EQ(high_water.count, 1u);
+  EXPECT_LE(high_water.max, static_cast<double>(cap + kChunk));
+  EXPECT_GT(client.metrics().counter_value("rx_samples_dropped"), 0u);
+}
+
 TEST(ClientStreaming, UnknownDownlinkProfileIsRejected) {
   core::SonicClient::Params params;
   params.downlink_profile = "no-such-profile";

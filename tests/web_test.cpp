@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "image/dct_codec.hpp"
+#include "oracles/layout_reference.hpp"
 #include "web/corpus.hpp"
 #include "web/font.hpp"
 #include "web/html.hpp"
@@ -97,7 +102,7 @@ TEST(Font, LowercaseReusesUppercase) {
 
 TEST(Font, DrawTextAdvances) {
   image::Raster img(200, 30, image::Rgb{255, 255, 255});
-  const int advance = draw_text(img, "HELLO", 5, 5, 2, image::Rgb{0, 0, 0});
+  const int advance = oracles::draw_text(img, "HELLO", 5, 5, 2, image::Rgb{0, 0, 0});
   EXPECT_EQ(advance, text_width("HELLO", 2));
   EXPECT_EQ(advance, 5 * (kGlyphWidth + 1) * 2);
   // Some pixels must be dark now.
@@ -209,25 +214,6 @@ TEST(Layout, CappedPageKeepsTheUncappedLayout) {
   }
 }
 
-TEST(Layout, RecycledCanvasRendersTheSamePage) {
-  PkCorpus corpus;
-  const LayoutParams params{360, 3000, 12, 2};
-  // A dirty canvas larger than any page, then each page's raster handed
-  // back in for the next one, as the broadcast pipeline's workers do.
-  image::Raster canvas(500, 5000, image::Rgb{1, 2, 3});
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::string html = corpus.html(corpus.pages()[i], 0);
-    const auto fresh = render_html(html, params);
-    auto recycled = render_html(html, params, std::move(canvas));
-    EXPECT_EQ(recycled.image.width(), fresh.image.width());
-    EXPECT_EQ(recycled.image.height(), fresh.image.height());
-    EXPECT_EQ(recycled.image.pixels(), fresh.image.pixels());
-    EXPECT_EQ(recycled.full_height, fresh.full_height);
-    EXPECT_EQ(recycled.click_map.size(), fresh.click_map.size());
-    canvas = std::move(recycled.image);
-  }
-}
-
 TEST(Layout, ImagePlaceholderRespectsDims) {
   const auto small = render_html("<img width=\"100\" height=\"80\"/>", LayoutParams{});
   const auto big = render_html("<img width=\"100\" height=\"300\"/>", LayoutParams{});
@@ -269,6 +255,171 @@ TEST(Layout, DeterministicRendering) {
   const auto b = render_html(html, LayoutParams{});
   EXPECT_EQ(a.image.pixels(), b.image.pixels());
   EXPECT_EQ(a.click_map.size(), b.click_map.size());
+}
+
+// ---------------------------------------------------------- Layout oracle ---
+// layout_html records the page once and PageLayout::paint replays it; the
+// reference is the two-pass layouter that drew straight onto a page canvas
+// (tests/oracles/layout_reference). Pixels, click map and full height must
+// match it exactly.
+
+void expect_same_render(const RenderResult& got, const RenderResult& want, const std::string& what) {
+  ASSERT_EQ(got.image.width(), want.image.width()) << what;
+  ASSERT_EQ(got.image.height(), want.image.height()) << what;
+  // Not EXPECT_EQ: a mismatch would print millions of pixels.
+  EXPECT_TRUE(got.image.pixels() == want.image.pixels()) << what;
+  EXPECT_EQ(got.full_height, want.full_height) << what;
+  ASSERT_EQ(got.click_map.size(), want.click_map.size()) << what;
+  for (std::size_t i = 0; i < got.click_map.size(); ++i) {
+    const ClickRegion& a = got.click_map[i];
+    const ClickRegion& b = want.click_map[i];
+    EXPECT_TRUE(a.x == b.x && a.y == b.y && a.w == b.w && a.h == b.h && a.href == b.href) << what << " link " << i;
+  }
+}
+
+TEST(LayoutOracle, CorpusPagesMatchTheReference) {
+  PkCorpus corpus;
+  std::vector<std::pair<std::string, std::string>> pages;
+  for (const PageRef& ref : corpus.pages()) pages.emplace_back(ref.url, corpus.html(ref, 0));
+  for (const char* query : {"cricket score", "rain", "election results"}) {
+    pages.emplace_back(std::string("search:") + query, corpus.search_html(query, 0));
+  }
+  // The broadcast layout and a 96 x 400 smoke layout, where most pages
+  // cross the cap and the margins squeeze images and words.
+  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24, 2}}) {
+    for (const auto& [name, html] : pages) {
+      const Node root = parse_html(html);
+      expect_same_render(render_html(root, params), oracles::render_html_reference(root, params),
+                         name + " at " + params.fingerprint());
+    }
+  }
+}
+
+// Glyph lines and images laid out so that some cross 64-row band edges.
+std::string band_edge_page() {
+  std::string html = "<h1>Band edges</h1>";
+  for (int i = 0; i < 12; ++i) {
+    html += "<h" + std::to_string(1 + i % 3) + ">Line " + std::to_string(i) + " of tall glyphs</h" +
+            std::to_string(1 + i % 3) + ">";
+    html += "<img src=\"edge-" + std::to_string(i) + "\" width=\"" + std::to_string(120 + 37 * i) +
+            "\" height=\"" + std::to_string(29 + 13 * i) + "\" alt=\"edge\"/>";
+    html += "<p>short <a href=\"e.pk/" + std::to_string(i) + "\">link " + std::to_string(i) + "</a></p>";
+  }
+  return html;
+}
+
+TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
+  std::string long_links = "<p>";
+  for (int i = 0; i < 60; ++i) long_links += "words <a href=\"l.pk/" + std::to_string(i) + "\">a link that wraps</a> ";
+  long_links += "</p>";
+  const std::vector<std::string> pages = {
+      // Nested bgcolor blocks, the inner one with headings and a link.
+      "<div bgcolor=\"#ffeecc\"><h2>Outer block</h2><p>outer text before the inner block</p>"
+      "<div bgcolor=\"#203040\"><h3 color=\"white\">Inner</h3><p color=\"white\">inner text that "
+      "runs long enough to wrap onto a second line at narrow widths</p><a href=\"in.pk/\">inner "
+      "link</a></div><p>outer text after</p></div><p>page text after both blocks</p>",
+      // List bullets at body and heading scales, one linked.
+      "<ul><li>first item</li><li><a href=\"x.pk/\">linked item text</a></li><li><h1>big item</h1></li>"
+      "<li color=\"red\">red item</li></ul><p>after the list</p>",
+      // An image taller than every cap, then text and a link below it.
+      "<p>before</p><img src=\"tall\" width=\"500\" height=\"5000\" alt=\"tall photo\"/>"
+      "<p>after the image <a href=\"after.pk/\">link</a></p>",
+      // Text and links that cross whichever cap is set.
+      "<h1>Head</h1>" + long_links + "<hr/>" + long_links,
+      band_edge_page(),
+  };
+  for (const int width : {1080, 200}) {
+    for (const int cap : {0, 37, 64, 65, 128, 400, 1000}) {
+      const LayoutParams params{width, cap, 24, 2};
+      for (std::size_t i = 0; i < pages.size(); ++i) {
+        const Node root = parse_html(pages[i]);
+        expect_same_render(render_html(root, params), oracles::render_html_reference(root, params),
+                           "page " + std::to_string(i) + " at " + params.fingerprint());
+      }
+    }
+  }
+  // The band-edge page does paint across band edges: some column is
+  // non-white on both sides of one.
+  const RenderResult page = render_html(band_edge_page(), LayoutParams{});
+  const image::Rgb white{255, 255, 255};
+  bool crosses = false;
+  for (int edge = PageLayout::kBandRows; edge < page.image.height() && !crosses; edge += PageLayout::kBandRows) {
+    for (int x = 0; x < page.image.width() && !crosses; ++x) {
+      crosses = !(page.image.at(x, edge - 1) == white) && !(page.image.at(x, edge) == white);
+    }
+  }
+  EXPECT_TRUE(crosses);
+}
+
+// A bgcolor block inside a list item wraps at the item's indent, and its
+// background now reaches its last line. The reference measured the block
+// with a probe that ignored the indent, so the background stopped short.
+TEST(Layout, BackgroundCoversAnIndentedBlock) {
+  const std::string html =
+      "<ul><li><div bgcolor=\"#102030\"><p color=\"white\">indented text long enough to wrap onto "
+      "several lines in a narrow page</p></div></li></ul>";
+  const LayoutParams params{200, 0, 24, 2};
+  const RenderResult page = render_html(html, params);
+  const image::Rgb bg{0x10, 0x20, 0x30};
+  const image::Rgb white{255, 255, 255};
+  // The last row with white text on it, and the background at the right
+  // edge, where no text reaches.
+  int last_text_row = -1;
+  for (int y = 0; y < page.image.height(); ++y) {
+    for (int x = 0; x < page.image.width(); ++x) {
+      if (page.image.at(x, y) == white && page.image.at(page.image.width() - 1, y) == bg) last_text_row = y;
+    }
+  }
+  ASSERT_GT(last_text_row, 0);
+  int bg_bottom = -1;
+  for (int y = 0; y < page.image.height(); ++y) {
+    if (page.image.at(page.image.width() - 1, y) == bg) bg_bottom = y;
+  }
+  EXPECT_GT(bg_bottom, last_text_row + 1);
+  // The reference's background ends above the block's last text row.
+  const RenderResult reference = oracles::render_html_reference(html, params);
+  int reference_bottom = -1;
+  for (int y = 0; y < reference.image.height(); ++y) {
+    if (reference.image.at(reference.image.width() - 1, y) == bg) reference_bottom = y;
+  }
+  EXPECT_LT(reference_bottom, bg_bottom);
+}
+
+TEST(PageLayout, PaintOfAnyRowRangeEqualsTheFullRaster) {
+  PkCorpus corpus;
+  std::vector<std::string> pages = {band_edge_page()};
+  for (const std::size_t i : {0, 37, 99}) pages.push_back(corpus.html(corpus.pages()[i], 0));
+  for (const std::string& html : pages) {
+    const PageLayout layout = layout_html(parse_html(html), LayoutParams{});
+    image::Raster full;
+    layout.paint(0, layout.height(), full);
+    EXPECT_TRUE(full.pixels() == render_html(html, LayoutParams{}).image.pixels());
+    const std::size_t row_px = static_cast<std::size_t>(layout.width());
+    image::Raster band;
+    for (const int band_rows : {1, 7, 64, layout.height()}) {
+      bool same = true;
+      for (int y0 = 0; y0 < layout.height(); y0 += band_rows) {
+        const int rows = std::min(band_rows, layout.height() - y0);
+        layout.paint(y0, rows, band);
+        ASSERT_EQ(band.width(), layout.width());
+        ASSERT_EQ(band.height(), rows);
+        same = same && std::equal(band.pixels().begin(), band.pixels().end(),
+                                  full.pixels().begin() + static_cast<std::ptrdiff_t>(row_px * static_cast<std::size_t>(y0)));
+      }
+      EXPECT_TRUE(same) << "bands of " << band_rows;
+    }
+  }
+}
+
+TEST(PageLayout, PaintRejectsRowsOutsideThePage) {
+  const PageLayout layout = layout_html(parse_html("<p>short page</p>"), LayoutParams{});
+  image::Raster out;
+  EXPECT_THROW(layout.paint(-1, 1, out), std::invalid_argument);
+  EXPECT_THROW(layout.paint(0, layout.height() + 1, out), std::invalid_argument);
+  EXPECT_THROW(layout.paint(layout.height(), 1, out), std::invalid_argument);
+  EXPECT_THROW(layout.paint(0, -1, out), std::invalid_argument);
+  layout.paint(layout.height(), 0, out);
+  EXPECT_EQ(out.height(), 0);
 }
 
 // ---------------------------------------------------------------- Corpus ---
