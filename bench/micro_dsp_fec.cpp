@@ -506,10 +506,44 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
+  // Gaussian draws, 44100 floats per op (0.1 s of RF noise). normal_polar:
+  // one Rng::normal call per float against the batched Rng::fill_normal,
+  // bit-identical. normal_ziggurat: that fill_normal, which the RF channel
+  // used, against the float ziggurat it uses now. Generators keep
+  // advancing, the same work per op.
+  {
+    constexpr std::size_t kDeviates = 44100;
+    auto out = std::make_shared<std::vector<float>>(kDeviates);
+    auto scalar = std::make_shared<util::Rng>(46);
+    auto batch = std::make_shared<util::Rng>(47);
+    auto zig = std::make_shared<util::ZigguratNormal>(util::Rng(48));
+    cases.push_back(MicroCase{
+        "normal_polar", static_cast<double>(kDeviates), "deviates",
+        [out, scalar] {
+          for (auto& v : *out) v = static_cast<float>(scalar->normal());
+          benchmark::DoNotOptimize(out->data());
+        },
+        [out, batch] {
+          batch->fill_normal(*out);
+          benchmark::DoNotOptimize(out->data());
+        }});
+    cases.push_back(MicroCase{
+        "normal_ziggurat", static_cast<double>(kDeviates), "deviates",
+        [out, batch] {
+          batch->fill_normal(*out);
+          benchmark::DoNotOptimize(out->data());
+        },
+        [out, zig] {
+          zig->fill(*out);
+          benchmark::DoNotOptimize(out->data());
+        }});
+  }
+
   // The FM stages on 0.1 s of sonic-10k OFDM audio (4410 samples, 22050 IQ
-  // samples): before is the per-sample libm oracle, after the vector
-  // kernels and the bulk Gaussian draw. rf_awgn is at RSSI -86 dB; both
-  // sides draw from generators that keep advancing, the same work per op.
+  // samples): before is the per-sample oracle, after the vector kernels and
+  // the bulk ziggurat draw. rf_awgn is at RSSI -86 dB; its before is the
+  // scalar reference ziggurat, one trial per op, and its after one channel
+  // whose generator keeps advancing, the same work per op.
   {
     const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
     auto audio = std::make_shared<std::vector<float>>(
@@ -530,12 +564,11 @@ std::vector<MicroCase> build_micro_cases() {
 
     fm::RfChannelParams rf_params;
     rf_params.rssi_db = -86.0;
-    auto rf_rng = std::make_shared<util::Rng>(43);
     auto rf = std::make_shared<fm::RfChannel>(rf_params, util::Rng(43));
     cases.push_back(MicroCase{
         "rf_awgn", static_cast<double>(iq->size()), "iq_samples",
-        [iq, rf_params, rf_rng] {
-          auto out = oracles::rf_channel_reference(*iq, rf_params, *rf_rng);
+        [iq, rf_params] {
+          auto out = oracles::rf_channel_reference(*iq, rf_params, util::Rng(43));
           benchmark::DoNotOptimize(out.data());
         },
         [iq, rf] {

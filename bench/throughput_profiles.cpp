@@ -3,7 +3,9 @@
 // an actual loopback transmission, plus Quiet's cable figure and the
 // GGwave-class FSK baseline from §2.
 //
-//   ./throughput_profiles [--frames 16]
+//   ./throughput_profiles [--frames 16] [--seed 1]
+//
+// The seed draws the payloads and the full-chain FM link's noise.
 #include <chrono>
 #include <cstdio>
 
@@ -18,6 +20,7 @@ using namespace sonic;
 
 int main(int argc, char** argv) {
   const int frames = bench::arg_int(argc, argv, "--frames", 16);
+  const auto seed = static_cast<std::uint64_t>(bench::arg_int(argc, argv, "--seed", 1));
 
   std::printf("SONIC transmission profiles (92-subcarrier OFDM unless noted)\n");
   std::printf("registry rungs:");
@@ -26,7 +29,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-9s %-5s %-4s %9s %9s %10s %8s\n", "profile", "constel", "conv", "rs",
               "raw kbps", "net kbps", "band (Hz)", "loopback");
 
-  util::Rng rng(1);
+  util::Rng rng(seed);
   for (const auto& profile : modem::profiles::all()) {
     modem::OfdmModem modem(profile);
     std::vector<util::Bytes> payload;
@@ -91,6 +94,7 @@ int main(int argc, char** argv) {
     fm::FmLinkConfig cfg;
     cfg.rf.rssi_db = -70;
     cfg.acoustic.distance_m = 0;
+    cfg.seed = seed;
     fm::FmLink link(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     const auto rx = link.transmit(audio);

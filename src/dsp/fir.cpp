@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <stdexcept>
 
 #include "dsp/fast_math.hpp"
@@ -91,15 +90,6 @@ std::vector<float> FirFilter::process(std::span<const float> x) {
   // Carry the last taps-1 inputs.
   std::copy_n(work_.begin() + static_cast<std::ptrdiff_t>(n), h, hist_.begin());
   return out;
-}
-
-double FirFilter::magnitude_at(double f_hz, double sample_rate_hz) const {
-  std::complex<double> resp(0.0, 0.0);
-  const double w = sonic::util::kTwoPi * f_hz / sample_rate_hz;
-  for (std::size_t i = 0; i < taps_.size(); ++i) {
-    resp += static_cast<double>(taps_[i]) * std::complex<double>(std::cos(w * static_cast<double>(i)), -std::sin(w * static_cast<double>(i)));
-  }
-  return std::abs(resp);
 }
 
 }  // namespace sonic::dsp

@@ -32,11 +32,8 @@ class FirFilter {
   std::size_t delay() const { return (taps_.size() - 1) / 2; }
   const std::vector<float>& taps() const { return taps_; }
 
-  // Filter magnitude response at frequency f (for tests).
-  double magnitude_at(double f_hz, double sample_rate_hz) const;
-
  private:
-  std::vector<float> taps_;      // design order, for taps()/magnitude_at
+  std::vector<float> taps_;      // design order, for taps()
   std::vector<float> taps_rev_;  // reversed: dot with an oldest-first window
   std::vector<float> hist_;      // last taps-1 inputs, oldest first
   std::vector<float> work_;      // contiguous [history | chunk] scratch

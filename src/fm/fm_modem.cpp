@@ -45,8 +45,8 @@ void discriminate4(const cplx* cur, const cplx* prev, double scale, float* out) 
 
 FmModulator::FmModulator(FmParams params) : params_(params) {}
 
-std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
-  // Pre-emphasis, band-limit to the mono channel, upsample to the IQ rate.
+std::vector<float> FmModulator::program(std::span<const float> audio) const {
+  // Pre-emphasis, band-limit to the mono channel.
   std::vector<float> program(audio.begin(), audio.end());
   if (params_.emphasis_tau_us > 0) {
     auto pre = dsp::Biquad::fm_preemphasis(params_.emphasis_tau_us, params_.audio_rate_hz);
@@ -62,17 +62,20 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
   for (auto& s : program) {
     s = std::clamp(static_cast<float>(s * params_.input_gain), -1.0f, 1.0f);
   }
-  std::vector<float> up = dsp::resample(program, params_.audio_rate_hz, params_.iq_rate_hz);
+  return program;
+}
 
+void FmModulator::integrate(std::span<const float> up, double& phase,
+                            std::vector<cplx>& iq) const {
   // Phase integration, d(phi)/dt = 2*pi*deviation*m(t), is a sequential
   // pass in double over a cache-sized block; cos and sin of the block's
-  // phases are then taken four at a time and interleaved into the IQ, which
-  // is padded to whole groups of four until the end.
-  std::vector<cplx> iq((up.size() + 3) / 4 * 4);
+  // phases are then taken four at a time and interleaved into the IQ. Each
+  // lane's sincos depends only on its own phase, so the block boundaries
+  // change nothing.
+  iq.resize((up.size() + 3) / 4 * 4);
   float* out = reinterpret_cast<float*>(iq.data());
   constexpr std::size_t kBlock = 256;
   double phases[kBlock] = {};
-  double phase = 0.0;
   const double k = sonic::util::kTwoPi * params_.deviation_hz / params_.iq_rate_hz;
   for (std::size_t b = 0; b < up.size(); b += kBlock) {
     const std::size_t n = std::min(kBlock, up.size() - b);
@@ -89,7 +92,13 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
       fastmath::store(out + 2 * (b + i) + 4, __builtin_shufflevector(c, s, 2, 6, 3, 7));
     }
   }
-  iq.resize(up.size());
+}
+
+std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
+  std::vector<cplx> iq;
+  iq.reserve(static_cast<std::size_t>(static_cast<double>(audio.size()) * params_.iq_rate_hz /
+                                      params_.audio_rate_hz));
+  modulate(audio, [&](std::span<const cplx> block) { iq.insert(iq.end(), block.begin(), block.end()); });
   return iq;
 }
 
@@ -162,33 +171,39 @@ void FmDemodulator::reset() {
   de_emphasis_.reset();
 }
 
-RfChannel::RfChannel(RfChannelParams params, sonic::util::Rng rng) : params_(params), rng_(rng) {}
+namespace {
+
+// sqrt(1 / (2 CNR)) for unit carrier power, with the trial's fading drawn
+// from `rng`.
+float noise_sigma_per_axis(const RfChannelParams& params, double cnr_db, sonic::util::Rng& rng) {
+  const double fading = params.fading_sigma_db > 0 ? rng.normal(0.0, params.fading_sigma_db) : 0.0;
+  return static_cast<float>(std::sqrt(0.5 / sonic::util::db_to_linear(cnr_db + fading)));
+}
+
+}  // namespace
+
+RfChannel::RfChannel(RfChannelParams params, sonic::util::Rng rng)
+    : params_(params),
+      sigma_axis_(noise_sigma_per_axis(params_, cnr_db(), rng)),
+      noise_(rng) {}
 
 std::vector<cplx> RfChannel::process(std::span<const cplx> iq) {
-  // Empty spans would otherwise divide by zero below and seed the AWGN with
-  // a NaN noise power.
-  if (iq.empty()) return {};
-
-  double p_sig = 0.0;
-  for (const auto& s : iq) p_sig += std::norm(s);
-  p_sig /= static_cast<double>(iq.size());
-
-  const double fading = params_.fading_sigma_db > 0 ? rng_.normal(0.0, params_.fading_sigma_db) : 0.0;
-  const double cnr = sonic::util::db_to_linear(cnr_db() + fading);
-  const double p_noise = p_sig / cnr;
-  const double sigma_axis = std::sqrt(p_noise / 2.0);
-
-  // One draw per axis, the imaginary part first. This used to be
-  // cplx(float(normal()), float(normal())), which leaves the order to the
-  // compiler; GCC evaluates those arguments right to left, and every
-  // committed figure was made with that noise.
-  std::vector<cplx> out(iq.size());
-  float* noise = reinterpret_cast<float*>(out.data());  // draw 2i, draw 2i + 1
-  rng_.fill_normal(std::span<float>(noise, 2 * out.size()), 0.0, sigma_axis);
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    out[i] = iq[i] + cplx(out[i].imag(), out[i].real());
-  }
+  std::vector<cplx> out(iq.begin(), iq.end());
+  add_noise(out);
   return out;
+}
+
+void RfChannel::add_noise(std::span<cplx> iq) {
+  constexpr std::size_t kBlock = 256;  // IQ samples per noise fill
+  float z[2 * kBlock];
+  for (std::size_t pos = 0; pos < iq.size(); pos += kBlock) {
+    const std::size_t n = std::min(kBlock, iq.size() - pos);
+    noise_.fill(std::span<float>(z, 2 * n));
+    cplx* x = iq.data() + pos;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += cplx(sigma_axis_ * z[2 * i + 1], sigma_axis_ * z[2 * i]);
+    }
+  }
 }
 
 }  // namespace sonic::fm

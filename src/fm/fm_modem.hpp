@@ -7,7 +7,9 @@
 // material is the FM *mono* channel (30 Hz - 15 kHz) exactly as in §4.
 #pragma once
 
+#include <algorithm>
 #include <complex>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -38,13 +40,46 @@ struct FmParams {
 class FmModulator {
  public:
   explicit FmModulator(FmParams params = {});
-  // Audio in [-1, 1] -> constant-envelope IQ at iq_rate.
+  // Audio in [-1, 1] -> constant-envelope (unit power) IQ at iq_rate: the
+  // streamed modulate() run to completion and its blocks concatenated.
   std::vector<cplx> modulate(std::span<const float> audio) const;
+  // The same IQ in consecutive blocks, each handed to
+  // sink(std::span<cplx>) as soon as it exists; the sink may change the
+  // block in place (the RF channel adds its noise there). The audio-rate
+  // program filter runs over the whole buffer first; the upsampler, phase
+  // integration and sincos then run 512 audio samples (~2560 IQ samples,
+  // 20 KB) at a time, so no IQ-rate buffer exists.
+  template <typename Sink>
+  void modulate(std::span<const float> audio, Sink&& sink) const;
   const FmParams& params() const { return params_; }
 
  private:
+  // Pre-emphasis, the mono-channel low-pass and the headroom limiter.
+  std::vector<float> program(std::span<const float> audio) const;
+  // Integrates `up` (program at iq_rate) onto `phase` and writes the IQ to
+  // iq[0, up.size()); iq is padded to whole groups of four.
+  void integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const;
+
   FmParams params_;
 };
+
+template <typename Sink>
+void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
+  const std::vector<float> prog = program(audio);
+  dsp::Resampler up(params_.iq_rate_hz / params_.audio_rate_hz);
+  constexpr std::size_t kProgramBlock = 512;
+  std::vector<cplx> iq;
+  double phase = 0.0;
+  const auto emit = [&](std::span<const float> upsampled) {
+    if (upsampled.empty()) return;
+    integrate(upsampled, phase, iq);
+    sink(std::span<cplx>(iq.data(), upsampled.size()));
+  };
+  for (std::size_t pos = 0; pos < prog.size(); pos += kProgramBlock) {
+    emit(up.push(std::span(prog).subspan(pos, std::min(kProgramBlock, prog.size() - pos))));
+  }
+  emit(up.flush());
+}
 
 // Streaming demodulator: discriminator phase history, the decimating
 // low-pass, and the de-emphasis network are all members, so
@@ -98,15 +133,28 @@ struct RfChannelParams {
   double fading_sigma_db = 1.5;
 };
 
+// One trial of the RF hop. The carrier has unit power (FmModulator's
+// unit-envelope IQ; RSSI is carrier power), so the noise power per IQ
+// sample is 1 / CNR, with CNR = rssi - noise_floor + the trial's fading
+// draw in dB. The fading is drawn at construction (Rng::normal), and the
+// noise comes from a util::ZigguratNormal on the same generator after it:
+// IQ sample i gets deviate 2i on its imaginary axis and 2i + 1 on its real
+// one, each times sqrt(1 / (2 CNR)). The channel holds no other state, so
+// any chunking of the stream adds the same noise, and an empty chunk draws
+// nothing.
 class RfChannel {
  public:
   RfChannel(RfChannelParams params, sonic::util::Rng rng);
+  // iq plus the channel's next noise.
   std::vector<cplx> process(std::span<const cplx> iq);
+  // The same, in place.
+  void add_noise(std::span<cplx> iq);
   double cnr_db() const { return params_.rssi_db - params_.noise_floor_db; }
 
  private:
   RfChannelParams params_;
-  sonic::util::Rng rng_;
+  float sigma_axis_;  // noise standard deviation per axis
+  sonic::util::ZigguratNormal noise_;
 };
 
 }  // namespace sonic::fm

@@ -7,18 +7,26 @@ FmLink::FmLink(FmLinkConfig config) : config_(std::move(config)), rng_(config_.s
 std::vector<float> FmLink::transmit(std::span<const float> audio) {
   std::vector<float> radio_audio;
   if (config_.enable_rf) {
-    FmModulator mod(config_.fm);
-    FmDemodulator demod(config_.fm);
+    // Modulator -> RF -> discriminator one IQ block at a time; each stage
+    // is chunking-invariant, so this is the three stages run over the whole
+    // burst one after another, without the IQ-rate buffers.
+    const FmModulator mod(config_.fm);
     RfChannel rf(config_.rf, rng_.fork(1));
-    const auto iq_tx = mod.modulate(audio);
-    const auto iq_rx = rf.process(iq_tx);
-    radio_audio = demod.demodulate(iq_rx);
+    FmDemodulator demod(config_.fm);
+    radio_audio.reserve(audio.size());
+    mod.modulate(audio, [&](std::span<cplx> iq) {
+      rf.add_noise(iq);
+      const auto out = demod.demodulate(iq);
+      radio_audio.insert(radio_audio.end(), out.begin(), out.end());
+    });
     const auto tail = demod.finish();
     radio_audio.insert(radio_audio.end(), tail.begin(), tail.end());
   } else {
     radio_audio.assign(audio.begin(), audio.end());
   }
 
+  // The acoustic hop takes the burst in one call: its noise level is
+  // anchored to its first chunk.
   AcousticChannel air(config_.acoustic, rng_.fork(2));
   auto out = air.process(radio_audio);
   const auto air_tail = air.finish();

@@ -18,10 +18,10 @@ struct FmLinkConfig {
   AcousticParams acoustic;     // distance etc. (distance 0 = cable)
   bool enable_rf = true;       // false: bypass the RF hop entirely (ideal
                                // radio, e.g. when only the acoustic hop is
-                               // under study). transmit() then runs 6-8x
-                               // faster at 20 cm, 7-10x over cable (one
-                               // 16-frame sonic-10k burst, Release build,
-                               // 4-core x86-64 container)
+                               // under study). transmit() then runs ~4x
+                               // faster at 20 cm, ~5x over cable (one
+                               // 16-frame sonic-10k burst, -O3 build, best
+                               // of 15, 4-core x86-64 container)
   std::uint64_t seed = 1;
 };
 
@@ -30,7 +30,8 @@ class FmLink {
   explicit FmLink(FmLinkConfig config);
 
   // Runs `audio` through the whole chain and returns what the SONIC client
-  // hears.
+  // hears. The modulator, RF hop and discriminator run together over
+  // blocks of a few thousand IQ samples, so no IQ-rate buffer is held.
   std::vector<float> transmit(std::span<const float> audio);
 
  private:

@@ -27,9 +27,9 @@ std::vector<cplx> prbs_qpsk(std::size_t n, std::uint64_t stream) {
   return out;
 }
 
-// receive_all's chunk size: one second at 44.1 kHz. StreamReceiver erases
-// consumed audio from the front of its buffer, so feeding a long recording
-// in one push would move the rest of it after every decode step.
+// receive_all's chunk size: one second at 44.1 kHz. The receiver then
+// buffers about one chunk, not the recording, and receive_one stops after
+// the chunk that completes its burst.
 constexpr std::size_t kRecordingChunkSamples = 44100;
 
 // Feeds `samples` through a StreamReceiver until at least `want` bursts are

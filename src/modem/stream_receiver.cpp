@@ -142,7 +142,7 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   long best_b_start = -1;
   double energy = 0.0;  // of the window at b_start, slid from the previous one
   for (long b_start = b_lo; b_start <= b_hi; ++b_start) {
-    const float* window = buf_.data() + (static_cast<std::size_t>(b_start) - base_);
+    const float* window = live().data() + (static_cast<std::size_t>(b_start) - base_);
     if (b_start == b_lo) {
       for (std::size_t i = 0; i < tmpl_len; ++i) energy += static_cast<double>(window[i]) * window[i];
     } else {
@@ -176,7 +176,7 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
 // frame in progress is padded with erasures, and the frames never begun are
 // lost.
 StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool final_flush) {
-  const std::span<const float> buffered(buf_);
+  const std::span<const float> buffered = live();
   if (!header_.has_value()) {
     if (!final_flush && total_ < sync_start_ + modem_.min_decode_samples()) return Step::kStall;
     header_ = modem_.decode_header(buffered, sync_start_ - base_, h_);
@@ -244,7 +244,7 @@ void StreamReceiver::emit(std::vector<RxBurst>& out) {
   if (params_.metrics != nullptr) {
     params_.metrics->histogram("rx_burst_ncc").observe(burst.sync_ncc);
     params_.metrics->histogram("rx_burst_snr_db").observe(burst.snr_db);
-    params_.metrics->histogram("rx_buffered_at_burst").observe(static_cast<double>(buf_.size()));
+    params_.metrics->histogram("rx_buffered_at_burst").observe(static_cast<double>(samples_buffered()));
   }
   const std::size_t resume = std::max(burst.end_sample, scan_from_ + 1);
   out.push_back(std::move(burst));
@@ -266,22 +266,32 @@ void StreamReceiver::evict() {
     keep = scan_from_;
   }
   keep = std::min(keep, total_);
-  if (keep > base_) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(keep - base_));
-    base_ = keep;
+  if (keep > base_) drop_front(keep - base_);
+}
+
+void StreamReceiver::drop_front(std::size_t n) {
+  head_ += n;
+  base_ += n;
+  // Compact only once the dead prefix outgrows the live samples, so each
+  // sample is moved O(1) times on average however large the cap.
+  if (head_ > buf_.size() - head_) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(head_));
+    head_ = 0;
   }
 }
 
 void StreamReceiver::enforce_cap() {
   // Decoding keeps at most the header buffered, so only an endless
   // plateau (a periodic tone keeps the scan from moving past it) gets here:
-  // drop the oldest audio and restart the scan at what remains.
-  if (buf_.size() <= params_.max_buffer_samples) return;
-  const std::size_t drop = buf_.size() - params_.max_buffer_samples;
+  // drop the oldest audio and restart the plateau search where the scan
+  // stood (or at what remains, if that was dropped). The audio behind the
+  // scan position was all plateau; scanning it again would cost O(cap) per
+  // chunk and find the same plateau.
+  if (samples_buffered() <= params_.max_buffer_samples) return;
+  const std::size_t drop = samples_buffered() - params_.max_buffer_samples;
   count("rx_samples_dropped", drop);
-  base_ += drop;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(drop));
-  restart_scan(base_);
+  drop_front(drop);
+  restart_scan(std::max(base_, d_));
 }
 
 void StreamReceiver::advance(std::vector<RxBurst>& out, bool final_flush) {
@@ -309,7 +319,7 @@ std::vector<RxBurst> StreamReceiver::push(std::span<const float> chunk) {
   std::vector<RxBurst> out;
   advance(out, /*final_flush=*/false);
   enforce_cap();
-  high_water_ = std::max(high_water_, buf_.size());
+  high_water_ = std::max(high_water_, samples_buffered());
   return out;
 }
 
@@ -326,6 +336,7 @@ std::vector<RxBurst> StreamReceiver::flush() {
 
 void StreamReceiver::reset() {
   buf_.clear();
+  head_ = 0;
   base_ = 0;
   total_ = 0;
   high_water_ = 0;

@@ -73,13 +73,17 @@ class StreamReceiver {
   void reset();
 
   std::size_t samples_pushed() const { return total_; }
-  std::size_t samples_buffered() const { return buf_.size(); }
+  std::size_t samples_buffered() const { return buf_.size() - head_; }
   std::size_t buffered_high_water() const { return high_water_; }
 
  private:
   enum class Step { kProgress, kStall, kDone };
 
-  float at(std::size_t abs_index) const { return buf_[abs_index - base_]; }
+  float at(std::size_t abs_index) const { return buf_[head_ + (abs_index - base_)]; }
+  // The buffered samples; live()[0] is absolute sample base_.
+  std::span<const float> live() const { return std::span<const float>(buf_).subspan(head_); }
+  // Forgets the oldest n buffered samples.
+  void drop_front(std::size_t n);
   void advance(std::vector<RxBurst>& out, bool final_flush);
   Step scan(bool final_flush);
   Step fine_sync(bool final_flush);
@@ -96,8 +100,10 @@ class StreamReceiver {
   std::size_t sym_, fft_, half_, cp_;
   double tmpl_energy_ = 0.0;
 
-  // Ring buffer: buf_[0] holds absolute sample index base_.
+  // Buffered audio: buf_[head_] holds absolute sample index base_, and the
+  // dead prefix before it is compacted away once it outgrows the rest.
   std::vector<float> buf_;
+  std::size_t head_ = 0;
   std::size_t base_ = 0;
   std::size_t total_ = 0;
   std::size_t high_water_ = 0;

@@ -69,4 +69,40 @@ class Rng {
   double gauss_ = 0.0;
 };
 
+// Standard normal deviates by a 256-layer float ziggurat (Marsaglia & Tsang,
+// "The Ziggurat Method for Generating Random Variables", J. Stat. Softw.
+// 5(8), 2000), for bulk channel noise where Rng::fill_normal's polar method
+// costs a log and a square root per pair.
+//
+// Each 64-bit draw of the generator it is built from gives two candidates,
+// the low 32 bits for the even deviate and the high 32 bits for the odd one.
+// In a candidate, bits 24-31 pick the layer, bit 23 the sign and bits 0-22
+// the uniform position in the layer (separate bits, as Doornik, "An
+// Improved Ziggurat Method to Generate Normal Random Samples", 2005,
+// advises). A candidate inside its layer's inner rectangle (~98.5 %) is the
+// deviate. The others (a wedge or the tail) are resolved in deviate order
+// from a side stream, rng.fork(kSideStream): the wedge test's uniform, the
+// tail's, and whole new candidates after a rejection. The main stream thus
+// steps once per two deviates whatever is accepted, and a deviate depends
+// only on its index: fill(a) then fill(b) equals fill(a + b) for any
+// split, odd lengths included.
+class ZigguratNormal {
+ public:
+  static constexpr std::uint64_t kSideStream = 0x5a49474755524154ull;  // "ZIGGURAT"
+
+  explicit ZigguratNormal(Rng rng);
+  // The next out.size() deviates, N(0, 1).
+  void fill(std::span<float> out);
+
+ private:
+  // The deviate of candidate c: its rectangle's, or a wedge or tail draw
+  // from the side stream.
+  float resolve(std::uint32_t c);
+
+  Rng main_;
+  Rng side_;
+  std::uint32_t held_ = 0;  // the odd candidate of a draw a fill split
+  bool have_held_ = false;
+};
+
 }  // namespace sonic::util

@@ -11,7 +11,6 @@ inline double linear_to_db(double lin) { return 10.0 * std::log10(lin); }
 
 // Amplitude ratios.
 inline double db_to_amplitude(double db) { return std::pow(10.0, db / 20.0); }
-inline double amplitude_to_db(double amp) { return 20.0 * std::log10(amp); }
 
 constexpr double kPi = 3.14159265358979323846;
 constexpr double kTwoPi = 2.0 * kPi;

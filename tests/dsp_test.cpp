@@ -111,11 +111,10 @@ TEST(Window, EndpointsAndSymmetry) {
 TEST(Fir, LowpassPassesLowRejectsHigh) {
   const double fs = 44100;
   const auto taps = design_lowpass(5000, fs, 101);
-  FirFilter f(taps);
-  EXPECT_NEAR(f.magnitude_at(100, fs), 1.0, 0.01);
-  EXPECT_NEAR(f.magnitude_at(2000, fs), 1.0, 0.02);
-  EXPECT_LT(f.magnitude_at(10000, fs), 0.01);
-  EXPECT_LT(f.magnitude_at(20000, fs), 0.01);
+  EXPECT_NEAR(oracles::fir_magnitude_at(taps, 100, fs), 1.0, 0.01);
+  EXPECT_NEAR(oracles::fir_magnitude_at(taps, 2000, fs), 1.0, 0.02);
+  EXPECT_LT(oracles::fir_magnitude_at(taps, 10000, fs), 0.01);
+  EXPECT_LT(oracles::fir_magnitude_at(taps, 20000, fs), 0.01);
 }
 
 TEST(Fir, StreamingMatchesConvolution) {

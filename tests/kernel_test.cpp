@@ -18,8 +18,9 @@
 //  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
 //    FmDemodulator's fused decimating low-pass vs. the old two-stage chain;
-//  * Rng::fill_normal vs. scalar normal() draws, bit for bit, and the RF
-//    channel's draw order;
+//  * Rng::fill_normal vs. scalar normal() draws, bit for bit; the float
+//    ziggurat vs. its scalar reference under any split of the fills, its
+//    Kolmogorov-Smirnov and moment checks, and the RF channel's draw order;
 //  * the fast_math sincos/atan2/exp2 kernels vs. libm, and the FM
 //    modulator, RF channel, demodulator and acoustic hop built on them vs.
 //    their per-sample libm oracles;
@@ -27,11 +28,11 @@
 //    lengths around each stage's window and batch edges, under any chunking;
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path,
-// the bounded allocation for forged OFDM headers, the streaming receiver's
-// memory independent of the burst length, the column encoder's peak
-// memory independent of the page height and the station building a capped
-// page without a page-sized raster, verified with a real global operator
-// new counter.
+// no IQ-rate buffer in an FM link burst, the bounded allocation for forged
+// OFDM headers, the streaming receiver's memory independent of the burst
+// length, the column encoder's peak memory independent of the page height
+// and the station building a capped page without a page-sized raster,
+// verified with a real global operator new counter.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -70,6 +71,7 @@
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
+#include "oracles/ziggurat_reference.hpp"
 #include "sonic/pipeline.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -795,11 +797,85 @@ TEST(Rng, FillNormalChunkedMatchesOneFill) {
   EXPECT_EQ(got, expect);
 }
 
-// Regression: cplx(float(normal()), float(normal())) left the draw order to
-// the compiler. GCC draws the imaginary part first, and every committed
-// figure was made that way; RfChannel now states it: after the fading draw,
-// IQ sample i gets draw 2i on its imaginary axis and draw 2i + 1 on its
-// real one.
+// A ZigguratNormal is the scalar reference's deviate sequence, whatever the
+// fill sizes: odd and even, across the 256-deviate block and through both
+// sides of a draw split between two fills.
+TEST(Ziggurat, FillsMatchTheScalarReferenceUnderAnySplit) {
+  const std::size_t sizes[] = {0, 1, 2, 3, 5, 255, 256, 257, 511, 1, 4096, 7, 100001};
+  for (const std::uint64_t seed : {75ull, 76ull}) {
+    util::ZigguratNormal zig{Rng(seed)};
+    oracles::ZigguratReference ref{Rng(seed)};
+    for (const std::size_t n : sizes) {
+      std::vector<float> got(n), expect(n);
+      zig.fill(got);
+      for (auto& v : expect) v = ref.next();
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(expect[i]))
+            << "seed=" << seed << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// Kolmogorov-Smirnov and moment checks against N(0, 1). The empirical CDF
+// is read at the edges of 2^20 equal bins over [-8, 8] (each holds under
+// 7e-6 of the mass, far below the bound); deviates outside land in the end
+// bins. SONIC_GATE_DEVIATES overrides the count (the 10^8 gate).
+TEST(Ziggurat, DeviatesPassKolmogorovSmirnovAndMomentChecks) {
+  std::size_t n = 10'000'000;
+  if (const char* env = std::getenv("SONIC_GATE_DEVIATES")) n = std::strtoull(env, nullptr, 10);
+  constexpr std::size_t kBins = std::size_t{1} << 20;
+  constexpr double kLo = -8.0, kHi = 8.0;
+  std::vector<std::uint32_t> bins(kBins, 0);
+  double m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  std::size_t beyond_r = 0;
+  util::ZigguratNormal zig{Rng(79)};
+  std::vector<float> chunk(1 << 16);
+  for (std::size_t done = 0; done < n; done += chunk.size()) {
+    const std::span<float> part(chunk.data(), std::min(chunk.size(), n - done));
+    zig.fill(part);
+    for (const float v : part) {
+      const double x = v;
+      const double x2 = x * x;
+      m1 += x;
+      m2 += x2;
+      m3 += x2 * x;
+      m4 += x2 * x2;
+      beyond_r += std::fabs(x) > 3.6541528853610088;
+      const double pos = (x - kLo) / (kHi - kLo) * kBins;
+      ++bins[static_cast<std::size_t>(std::clamp(pos, 0.0, kBins - 1.0))];
+    }
+  }
+  const double count = static_cast<double>(n);
+  double cdf = 0.0, ks = 0.0;
+  for (std::size_t b = 0; b + 1 < kBins; ++b) {
+    cdf += bins[b] / count;
+    const double edge = kLo + (kHi - kLo) * static_cast<double>(b + 1) / kBins;
+    ks = std::max(ks, std::fabs(cdf - 0.5 * std::erfc(-edge / std::sqrt(2.0))));
+  }
+  const double mean = m1 / count, var = m2 / count - mean * mean;
+  const double sd = std::sqrt(var);
+  const double skew = (m3 / count - 3.0 * mean * var - mean * mean * mean) / (var * sd);
+  const double kurt =
+      (m4 / count - 4.0 * mean * m3 / count + 6.0 * mean * mean * m2 / count - 3.0 * std::pow(mean, 4)) /
+      (var * var);
+  const double tail_p = std::erfc(3.6541528853610088 / std::sqrt(2.0));
+  std::printf("ziggurat n=%zu: KS D=%.3g (bound %.3g) mean=%.3g var=%.6f skew=%.3g kurtosis=%.5f "
+              "beyond R %zu (expect %.0f)\n",
+              n, ks, 1.949 / std::sqrt(count), mean, var, skew, kurt, beyond_r, tail_p * count);
+  // KS at the 0.1 % level; each moment within 4 standard errors of N(0, 1)'s.
+  EXPECT_LT(ks, 1.949 / std::sqrt(count));
+  EXPECT_LT(std::fabs(mean), 4.0 * std::sqrt(1.0 / count));
+  EXPECT_LT(std::fabs(var - 1.0), 4.0 * std::sqrt(2.0 / count));
+  EXPECT_LT(std::fabs(skew), 4.0 * std::sqrt(6.0 / count));
+  EXPECT_LT(std::fabs(kurt - 3.0), 4.0 * std::sqrt(24.0 / count));
+  EXPECT_LT(std::fabs(static_cast<double>(beyond_r) - tail_p * count), 4.0 * std::sqrt(tail_p * count));
+}
+
+// The noise order is part of the channel's contract: after the fading draw
+// (Rng::normal), IQ sample i gets ziggurat deviate 2i on its imaginary axis
+// and 2i + 1 on its real one. (The order dates from cplx(float(normal()),
+// float(normal())), which GCC evaluated right to left.)
 TEST(RfChannelDrawOrder, ImaginaryTakesTheFirstDrawAfterFading) {
   Rng rng(73);
   std::vector<fm::cplx> iq(1001);
@@ -810,16 +886,14 @@ TEST(RfChannelDrawOrder, ImaginaryTakesTheFirstDrawAfterFading) {
   const auto got = rf.process(iq);
 
   Rng draws(74);
-  double p_sig = 0.0;
-  for (const auto& s : iq) p_sig += std::norm(s);
-  p_sig /= static_cast<double>(iq.size());
   const double fading = draws.normal(0.0, params.fading_sigma_db);
   const double cnr = util::db_to_linear(params.rssi_db - params.noise_floor_db + fading);
-  const double sigma = std::sqrt(p_sig / cnr / 2.0);
+  const auto sigma = static_cast<float>(std::sqrt(1.0 / cnr / 2.0));
+  oracles::ZigguratReference noise(draws);
   ASSERT_EQ(got.size(), iq.size());
   for (std::size_t i = 0; i < iq.size(); ++i) {
-    const float first = static_cast<float>(draws.normal(0.0, sigma));
-    const float second = static_cast<float>(draws.normal(0.0, sigma));
+    const float first = sigma * noise.next();
+    const float second = sigma * noise.next();
     ASSERT_EQ(got[i], iq[i] + fm::cplx(second, first)) << i;
   }
 }
@@ -1014,7 +1088,7 @@ TEST(FmOracleEquivalence, ModulatorWithinBoundOfPerSampleLibm) {
   EXPECT_LE(max_abs_diff(got_odd, expect_odd), kFmOracleBound);
 }
 
-// The RF noise is bit-identical to the scalar draws; the demodulator stays
+// The RF noise is bit-identical to the scalar reference; the demodulator stays
 // within the bound of the std::arg discriminator, at a clean, a marginal
 // and a click-ridden RSSI.
 TEST(FmOracleEquivalence, RfChannelAndDemodulatorAcrossRssi) {
@@ -1027,8 +1101,7 @@ TEST(FmOracleEquivalence, RfChannelAndDemodulatorAcrossRssi) {
     rf_params.rssi_db = rssi;
     fm::RfChannel rf(rf_params, Rng(80));
     const auto iq = rf.process(iq_tx);
-    Rng oracle_rng(80);
-    ASSERT_EQ(iq, oracles::rf_channel_reference(iq_tx, rf_params, oracle_rng));
+    ASSERT_EQ(iq, oracles::rf_channel_reference(iq_tx, rf_params, Rng(80)));
 
     fm::FmDemodulator demod(params);
     auto got = demod.demodulate(iq);
@@ -1201,7 +1274,23 @@ TEST(FmKernels, StageOutputsArePinned) {
   fm::FmLinkConfig link;
   link.acoustic.distance_m = 0.2;
   const auto burst = fm::FmLink(link).transmit(ofdm_audio(rng));
-  EXPECT_EQ(fnv1a(burst, kFnvBasis), 0xee84640f7deae6d6ull) << "link";
+  EXPECT_EQ(fnv1a(burst, kFnvBasis), 0x58954ad3dbe50dfbull) << "link";
+}
+
+// The link runs modulator -> RF -> discriminator over blocks: a 2-s burst
+// makes no allocation the size of even one float array at the IQ rate
+// (the old batch chain held three IQ-rate buffers per burst).
+TEST(FmLinkMemory, TwoSecondBurstAllocatesNoIqRateBuffer) {
+  Rng rng(92);
+  const auto audio = random_audio(rng, 88200, 0.8);
+  fm::FmLinkConfig config;
+  config.acoustic.distance_m = 0.2;
+  fm::FmLink link(config);
+  g_alloc_max.store(0);
+  const auto heard = link.transmit(audio);
+  const std::size_t iq_rate_bytes = 5 * audio.size() * sizeof(float);
+  EXPECT_LT(g_alloc_max.load(), iq_rate_bytes);
+  EXPECT_GT(heard.size(), audio.size() - 100);
 }
 
 // ---------------------------------------------- forged OFDM header bound ---

@@ -8,6 +8,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
 #include "oracles/resampler_reference.hpp"
+#include "oracles/ziggurat_reference.hpp"
 #include "util/units.hpp"
 
 namespace sonic::oracles {
@@ -54,19 +55,15 @@ std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
 }
 
 std::vector<fm::cplx> rf_channel_reference(std::span<const fm::cplx> iq,
-                                           const fm::RfChannelParams& params, util::Rng& rng) {
-  if (iq.empty()) return {};
-  double p_sig = 0.0;
-  for (const auto& s : iq) p_sig += std::norm(s);
-  p_sig /= static_cast<double>(iq.size());
+                                           const fm::RfChannelParams& params, util::Rng rng) {
   const double fading = params.fading_sigma_db > 0 ? rng.normal(0.0, params.fading_sigma_db) : 0.0;
   const double cnr = util::db_to_linear(params.rssi_db - params.noise_floor_db + fading);
-  const double sigma_axis = std::sqrt(p_sig / cnr / 2.0);
-
+  const auto sigma_axis = static_cast<float>(std::sqrt(1.0 / cnr / 2.0));
+  ZigguratReference noise(rng);
   std::vector<fm::cplx> out(iq.size());
   for (std::size_t i = 0; i < iq.size(); ++i) {
-    const float im = static_cast<float>(rng.normal(0.0, sigma_axis));
-    const float re = static_cast<float>(rng.normal(0.0, sigma_axis));
+    const float im = sigma_axis * noise.next();
+    const float re = sigma_axis * noise.next();
     out[i] = iq[i] + fm::cplx(re, im);
   }
   return out;

@@ -16,10 +16,12 @@ namespace sonic::oracles {
 std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
                                             const fm::FmParams& params);
 
-// RfChannel::process with two scalar Rng::normal calls per IQ sample, the
-// imaginary part's first; `rng` stands in for the channel's generator.
+// One RfChannel trial over a whole IQ buffer, from the same generator:
+// the fading drawn with Rng::normal, the noise power 1 / CNR (unit carrier
+// power), and two ZigguratReference deviates per IQ sample, the imaginary
+// part's first, each times sqrt(1 / (2 CNR)) in float.
 std::vector<fm::cplx> rf_channel_reference(std::span<const fm::cplx> iq,
-                                           const fm::RfChannelParams& params, util::Rng& rng);
+                                           const fm::RfChannelParams& params, util::Rng rng);
 
 // The quadrature discriminator with one std::arg per IQ sample:
 // float(arg(iq[i] · conj(iq[i − 1])) · scale), and 0 for the first sample.

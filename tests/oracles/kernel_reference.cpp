@@ -79,6 +79,16 @@ std::vector<float> fir_reference(std::span<const float> taps, std::span<const fl
   return out;
 }
 
+double fir_magnitude_at(std::span<const float> taps, double f_hz, double sample_rate_hz) {
+  std::complex<double> resp(0.0, 0.0);
+  const double w = util::kTwoPi * f_hz / sample_rate_hz;
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    const double phase = w * static_cast<double>(i);
+    resp += static_cast<double>(taps[i]) * std::complex<double>(std::cos(phase), -std::sin(phase));
+  }
+  return std::abs(resp);
+}
+
 void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src) {
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
 }

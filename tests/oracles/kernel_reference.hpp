@@ -31,6 +31,9 @@ void ifft_recurrence(std::span<cplx> data);
 // ring-buffer FIR kernel.
 std::vector<float> fir_reference(std::span<const float> taps, std::span<const float> x);
 
+// |H(f)| of an FIR with these taps at f_hz, for filter design checks.
+double fir_magnitude_at(std::span<const float> taps, double f_hz, double sample_rate_hz);
+
 // Byte-at-a-time XOR of src into dst over dst.size() bytes.
 void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src);
 

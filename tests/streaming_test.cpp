@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "dsp/resampler.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
+#include "fm/link.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "modem/stream_receiver.hpp"
@@ -240,6 +242,67 @@ TEST(StreamingFm, RfChannelEmptyChunkIsANoOp) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(std::isfinite(got[i].real()) && std::isfinite(got[i].imag())) << i;
     ASSERT_EQ(got[i], expect[i]) << i;
+  }
+}
+
+// The RF channel's noise is a function of the IQ sample index alone: any
+// split of the stream, odd and empty chunks included, adds the same noise,
+// and the in-place path adds what process() does.
+TEST(StreamingFm, RfChannelChunkingIsInvariant) {
+  Rng rng(113);
+  std::vector<fm::cplx> iq(5003);
+  for (auto& s : iq) s = fm::cplx(std::cos(static_cast<float>(rng.uniform(0, 6))), 0.5f);
+  fm::RfChannelParams params;
+  params.rssi_db = -88.0;
+
+  fm::RfChannel whole(params, Rng(8));
+  const auto expect = whole.process(iq);
+
+  fm::RfChannel chunked(params, Rng(8));
+  std::vector<fm::cplx> got;
+  std::size_t pos = 0;
+  while (pos < iq.size()) {
+    const std::size_t len = std::min<std::size_t>(rng.uniform_int(700), iq.size() - pos);
+    const auto out = chunked.process(std::span(iq).subspan(pos, len));
+    got.insert(got.end(), out.begin(), out.end());
+    pos += len;
+  }
+  EXPECT_EQ(got, expect);
+
+  fm::RfChannel in_place(params, Rng(8));
+  auto noisy = iq;
+  in_place.add_noise(std::span(noisy).first(1));
+  in_place.add_noise(std::span(noisy).subspan(1));
+  EXPECT_EQ(noisy, expect);
+}
+
+// FmLink::transmit streams modulator -> RF -> discriminator over IQ blocks;
+// it must equal the stages run one after another over the whole burst,
+// seeded as the link seeds them (the replay an instrumented benchmark
+// makes to time each stage), burst after burst.
+TEST(StreamingFm, LinkEqualsTheStageByStageReplay) {
+  Rng rng(114);
+  fm::FmLinkConfig config;
+  config.acoustic.distance_m = 0.2;
+  config.seed = 1234;
+  fm::FmLink link(config);
+  Rng link_rng(config.seed);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{511}, std::size_t{20000}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const auto audio = random_audio(rng, n, 0.6);
+    const auto iq = fm::RfChannel(config.rf, link_rng.fork(1))
+                        .process(fm::FmModulator(config.fm).modulate(audio));
+    fm::FmDemodulator demod(config.fm);
+    auto radio = demod.demodulate(iq);
+    const auto radio_tail = demod.finish();
+    radio.insert(radio.end(), radio_tail.begin(), radio_tail.end());
+    fm::AcousticChannel air(config.acoustic, link_rng.fork(2));
+    auto expect = air.process(radio);
+    const auto air_tail = air.finish();
+    expect.insert(expect.end(), air_tail.begin(), air_tail.end());
+    link_rng = link_rng.fork(3);
+
+    EXPECT_EQ(link.transmit(audio), expect);
   }
 }
 
@@ -649,6 +712,40 @@ TEST(ClientStreaming, DefaultBufferCapIsTwiceTheHeaderNeed) {
   ASSERT_EQ(high_water.count, 1u);
   EXPECT_LE(high_water.max, static_cast<double>(cap + kChunk));
   EXPECT_GT(client.metrics().counter_value("rx_samples_dropped"), 0u);
+}
+
+// Regression: reaching the cap dropped the oldest audio with a vector
+// erase, moving the whole buffer, and restarted the scan at the oldest
+// sample left, rescanning it all, on every push; an endless plateau cost
+// O(cap) per chunk: 3000 chunks took 16 s at a 2 097 152-sample cap against
+// 0.18 s at the default. The buffer now advances a head offset and
+// compacts only when the dead prefix outgrows the live samples, and the
+// scan restarts where it stood; the large cap may cost at most ~3x the
+// default (best of two runs each).
+TEST(ClientStreaming, LargeBufferCapCostsAboutTheDefaultPerChunk) {
+  const OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  const int period = modem.profile().fft_size / 2;
+  constexpr std::size_t kChunk = 882;
+  const auto plateau_seconds = [&](std::size_t cap) {
+    StreamReceiverParams params;
+    params.max_buffer_samples = cap;
+    StreamReceiver rx(modem, params);
+    std::vector<float> chunk(kChunk);
+    std::size_t n = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 3000; ++i) {
+      for (auto& s : chunk) {
+        s = 0.4f * static_cast<float>(std::sin(util::kTwoPi * static_cast<double>(n % static_cast<std::size_t>(period)) / period));
+        ++n;
+      }
+      EXPECT_TRUE(rx.push(chunk).empty());
+      EXPECT_LE(rx.samples_buffered(), std::max(cap, 2 * modem.min_decode_samples()));
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  const double at_default = std::min(plateau_seconds(0), plateau_seconds(0));
+  const double at_large = std::min(plateau_seconds(std::size_t{1} << 21), plateau_seconds(std::size_t{1} << 21));
+  EXPECT_LE(at_large, 3.0 * at_default) << at_large << " s vs " << at_default << " s";
 }
 
 TEST(ClientStreaming, UnknownDownlinkProfileIsRejected) {
