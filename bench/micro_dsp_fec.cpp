@@ -12,10 +12,12 @@
 //    the speedups are recorded, not claimed).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -461,6 +463,25 @@ std::vector<MicroCase> build_micro_cases() {
           benchmark::DoNotOptimize(out.data());
         }});
 
+    // The FM modulator's pattern: 512-sample pushes, then the flush.
+    auto up_stream = std::make_shared<dsp::Resampler>(5.0);
+    cases.push_back(MicroCase{
+        "resample_up5_stream", static_cast<double>(audio->size()), "samples",
+        [audio] {
+          auto out = oracles::resample_reference(*audio, 5.0);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [up_stream, audio] {
+          up_stream->reset();
+          for (std::size_t pos = 0; pos < audio->size(); pos += 512) {
+            auto out = up_stream->push(
+                std::span(*audio).subspan(pos, std::min<std::size_t>(512, audio->size() - pos)));
+            benchmark::DoNotOptimize(out.data());
+          }
+          auto tail = up_stream->flush();
+          benchmark::DoNotOptimize(tail.data());
+        }});
+
     const auto taps = dsp::design_lowpass(15000.0, 220500.0, 63);
     auto lp = std::make_shared<dsp::FirFilter>(taps);
     auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps));
@@ -502,6 +523,23 @@ std::vector<MicroCase> build_micro_cases() {
         },
         [skew_down, audio] {
           auto out = skew_down->process(*audio);
+          benchmark::DoNotOptimize(out.data());
+        }});
+
+    // An acoustic trial below ratio 1: a fresh resampler per op, its grid
+    // built for it, as each trial draws its own skew. The skew steps by
+    // 10^-12 per op, so no op finds a grid built before.
+    auto ppm = std::make_shared<double>(17.0);
+    cases.push_back(MicroCase{
+        "resample_skew_down_fresh", static_cast<double>(audio->size()), "samples",
+        [audio, ppm] {
+          *ppm += 1e-6;
+          auto out = oracles::resample_reference(*audio, 1.0 - *ppm * 1e-6);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [audio, ppm] {
+          *ppm += 1e-6;
+          auto out = dsp::Resampler(1.0 - *ppm * 1e-6).process(*audio);
           benchmark::DoNotOptimize(out.data());
         }});
   }

@@ -1,14 +1,12 @@
 #include "dsp/resampler.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "util/units.hpp"
@@ -41,11 +39,11 @@ namespace {
 // resolution of the interpolated grid for every other ratio.
 constexpr std::uint64_t kMaxRationalPhases = 4096;
 constexpr std::size_t kGridPhases = 4096;
-// At most this many tables stay memoized: each acoustic trial with ratio < 1
-// has its own cutoff and so its own grid.
+// At most this many tables stay memoized (table_for).
 constexpr std::size_t kMaxCachedTables = 64;
-// Dot products per pass over outputs with whole windows.
-constexpr std::size_t kSlots = 4;
+// Windows per block of whole-window outputs: against one row in the
+// rational ratios' phase-major pass, against one row pair on the grid.
+constexpr std::size_t kBlock = 4;
 
 double sinc(double x) {
   if (std::fabs(x) < 1e-12) return 1.0;
@@ -104,7 +102,13 @@ std::shared_ptr<const ResamplerTable> build_table(bool rational, std::uint64_t u
   const std::size_t phases = rational ? static_cast<std::size_t>(up) : kGridPhases;
   const std::size_t rows = rational ? phases : phases + 1;
   t->weights.resize(rows * t->width);
-  for (std::size_t r = 0; r < rows; ++r) {
+  // The kernel is even, and grid row r sits at the exact binary fraction
+  // r / kGridPhases, so tap j of row kGridPhases - r is tap
+  // 2*reach + 1 - j of row r, bit for bit; its tap 0 lies at reach + frac
+  // >= half_width, where the kernel is zero. The grid evaluates only the
+  // rows up to kGridPhases / 2 and mirrors the rest.
+  const std::size_t evaluated = rational ? rows : kGridPhases / 2 + 1;
+  for (std::size_t r = 0; r < evaluated; ++r) {
     const double frac = static_cast<double>(r) / static_cast<double>(phases);
     double* w = t->weights.data() + r * t->width;
     for (std::size_t j = 0; j < t->width; ++j) {
@@ -112,23 +116,33 @@ std::shared_ptr<const ResamplerTable> build_table(bool rational, std::uint64_t u
       w[j] = static_cast<float>(kernel(x, cutoff, half_width));
     }
   }
+  for (std::size_t r = evaluated; r < rows; ++r) {
+    const double* mirror = t->row(kGridPhases - r);
+    double* w = t->weights.data() + r * t->width;
+    w[0] = 0.0;
+    std::reverse_copy(mirror + 1, mirror + t->width, w + 1);
+  }
   return t;
 }
 
-// Process-wide memo, keyed by (rational, L, M, cutoff). Tables are immutable
-// once built, so handing out shared pointers is thread-safe; clearing the
-// map on overflow leaves tables held by live resamplers intact.
+// Process-wide memo of the tables that recur: rational ratios, keyed by
+// (L, M), and the cutoff-1 grid every ratio > 1 shares, keyed by (0, 0). A
+// grid below ratio 1 has the ratio as its cutoff; each acoustic trial draws
+// its own, so those are built for their resampler alone and never memoized.
+// Tables are immutable once built, so handing out shared pointers is
+// thread-safe; clearing the map on overflow leaves tables held by live
+// resamplers intact.
 std::shared_ptr<const ResamplerTable> table_for(double ratio) {
   std::uint64_t up = 0, down = 0;
   const bool rational = as_rational(ratio, up, down);
   const double cutoff =
       rational ? cutoff_for(static_cast<double>(up) / static_cast<double>(down)) : cutoff_for(ratio);
-  const auto key = rational ? std::tuple(true, up, down, cutoff)
-                            : std::tuple(false, std::uint64_t{0}, std::uint64_t{0}, cutoff);
+  if (!rational && cutoff < 1.0) return build_table(false, 0, 0, cutoff);
   static std::mutex mu;
-  static std::map<std::tuple<bool, std::uint64_t, std::uint64_t, double>,
+  static std::map<std::pair<std::uint64_t, std::uint64_t>,
                   std::shared_ptr<const ResamplerTable>>
       cache;
+  const std::pair key(up, down);
   std::lock_guard<std::mutex> lock(mu);
   if (auto it = cache.find(key); it != cache.end()) return it->second;
   if (cache.size() >= kMaxCachedTables) cache.clear();
@@ -145,31 +159,53 @@ V2d load2(const double* p) {
   return v;
 }
 
-// N dot products: out[k] = sum of x[k][j] * w[k][j], j < n, where every x
-// and w is a float held in double, so each product is exact. Each sum keeps
-// four partial sums: a_m takes the terms j = m mod 4 of the whole groups of
+// NX windows against NW rows: out[k * NW + m] is the dot product of window
+// k (x + k * x_step) with row m (w + m * w_step) over n taps. Every x and w
+// is a float held in double, so each product is exact. Each sum keeps four
+// partial sums: a_m takes the terms j = m mod 4 of the whole groups of
 // four, a0 also the tail, and the result is (a0 + a1) + (a2 + a3). The
-// order is fixed, so a window gives bit-identical results whichever call
-// and slot compute it; the N interleaved sums keep the adds from waiting on
-// each other.
-template <std::size_t N>
-void dots(const std::array<const double*, N>& x, const std::array<const double*, N>& w, long n,
-          double* out) {
-  V2d lo[N] = {}, hi[N] = {};  // {a0, a1}, {a2, a3}
+// order is fixed, so a window and row give bit-identical results whichever
+// form computes them; a row is loaded once for all NX windows, a window
+// once for all NW rows, and the NX * NW interleaved sums keep the adds from
+// waiting on each other.
+template <std::size_t NX, std::size_t NW>
+void dots(const double* x, long x_step, const double* w, long w_step, long n, double* out) {
+  V2d lo[NX][NW] = {}, hi[NX][NW] = {};  // {a0, a1}, {a2, a3}
   long j = 0;
   for (; j + 4 <= n; j += 4) {
-    for (std::size_t k = 0; k < N; ++k) {
-      lo[k] += load2(x[k] + j) * load2(w[k] + j);
-      hi[k] += load2(x[k] + j + 2) * load2(w[k] + j + 2);
+    V2d wlo[NW], whi[NW];
+    for (std::size_t m = 0; m < NW; ++m) {
+      wlo[m] = load2(w + m * w_step + j);
+      whi[m] = load2(w + m * w_step + j + 2);
+    }
+    for (std::size_t k = 0; k < NX; ++k) {
+      const V2d xlo = load2(x + k * x_step + j);
+      const V2d xhi = load2(x + k * x_step + j + 2);
+      for (std::size_t m = 0; m < NW; ++m) {
+        lo[k][m] += xlo * wlo[m];
+        hi[k][m] += xhi * whi[m];
+      }
     }
   }
-  double a0[N] = {};
-  for (std::size_t k = 0; k < N; ++k) a0[k] = lo[k][0];
-  for (; j < n; ++j) {
-    for (std::size_t k = 0; k < N; ++k) a0[k] += x[k][j] * w[k][j];
+  double a0[NX][NW];
+  for (std::size_t k = 0; k < NX; ++k) {
+    for (std::size_t m = 0; m < NW; ++m) a0[k][m] = lo[k][m][0];
   }
-  for (std::size_t k = 0; k < N; ++k) out[k] = (a0[k] + lo[k][1]) + (hi[k][0] + hi[k][1]);
+  for (; j < n; ++j) {
+    for (std::size_t k = 0; k < NX; ++k) {
+      for (std::size_t m = 0; m < NW; ++m) a0[k][m] += x[k * x_step + j] * w[m * w_step + j];
+    }
+  }
+  for (std::size_t k = 0; k < NX; ++k) {
+    for (std::size_t m = 0; m < NW; ++m) {
+      out[k * NW + m] = (a0[k][m] + lo[k][m][1]) + (hi[k][m][0] + hi[k][m][1]);
+    }
+  }
 }
+
+// Grid: an output from the dot products d[0], d[1] of its window with the
+// rows either side of its position, `w` of the way to the upper one.
+float lerp(const double* d, double w) { return static_cast<float>(d[0] + w * (d[1] - d[0])); }
 
 // Grid: the row below a fractional input position and the weight of the
 // row above it.
@@ -241,17 +277,18 @@ float Resampler::evaluate(const double* x, long lo, long hi, KernelPos p) const 
   const long skip = lo - (p.centre - t.before);
   const long n = hi - lo + 1;
   if (n <= 0) return 0.0f;
-  double y[2] = {};
   if (t.rational) {
-    dots<1>({x}, {t.row(p.phase) + skip}, n, y);
-    return static_cast<float>(y[0]);
+    double y;
+    dots<1, 1>(x, 0, t.row(p.phase) + skip, 0, n, &y);
+    return static_cast<float>(y);
   }
   // Grid: interpolate between the rows either side of the fractional
   // position (the weights are linear in it, so interpolating the two dot
   // products is the same as interpolating the rows).
   const auto [r, w] = grid_row(p.frac);
-  dots<2>({x, x}, {t.row(r) + skip, t.row(r + 1) + skip}, n, y);
-  return static_cast<float>(y[0] + w * (y[1] - y[0]));
+  double y[2];
+  dots<1, 2>(x, 0, t.row(r) + skip, static_cast<long>(t.width), n, y);
+  return lerp(y, w);
 }
 
 std::vector<float> Resampler::process(std::span<const float> input) const {
@@ -296,39 +333,65 @@ void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
   // holds it until then), or at the end of the stream (flush(), which
   // reads past the last input as silence).
   const auto window_received = [&] { return p.centre + t.after < end; };
+  const std::size_t block = kBlock * static_cast<std::size_t>(t.up);
+  const long window_step = static_cast<long>(t.down);
   while (i < out_total && (final_flush || window_received())) {
-    if (p.centre >= t.before && window_received()) {
-      // Whole windows: kSlots dot products per pass, one per output for a
-      // rational ratio, two (the rows either side) for the grid.
-      const std::size_t per_output = t.rational ? 1 : 2;
-      std::array<const double*, kSlots> x = {}, w = {};
-      double frac[kSlots] = {};
-      std::size_t slots = 0;
-      do {
-        const double* window = hist_.data() + (p.centre - t.before - base);
-        if (t.rational) {
-          x[slots] = window;
-          w[slots] = t.row(p.phase);
-        } else {
-          const auto [r, f] = grid_row(p.frac);
-          x[slots] = x[slots + 1] = window;
-          w[slots] = t.row(r);
-          w[slots + 1] = t.row(r + 1);
-          frac[slots] = f;
-        }
-        slots += per_output;
+    if (t.rational && p.centre >= t.before && i + block <= out_total &&
+        locate(i + block - 1).centre + t.after < end) {
+      // Rational ratios run phase-major over blocks of kBlock * L outputs
+      // whose windows all lie inside the input: outputs i + q + k*L
+      // (k < kBlock) share row (i + q)*M mod L, and their windows step by M
+      // inputs, so each phase is one row against kBlock windows.
+      for (std::size_t q = 0; q < t.up; ++q) {
+        double d[kBlock];
+        dots<kBlock, 1>(hist_.data() + (p.centre - t.before - base), window_step,
+                        t.row(p.phase), 0, static_cast<long>(t.width), d);
+        for (std::size_t k = 0; k < kBlock; ++k) y[q + k * t.up] = static_cast<float>(d[k]);
         step();
-      } while (slots < kSlots && i < out_total && window_received());
-      // Unused slots repeat the first; their results are dropped.
-      for (std::size_t k = slots; k < kSlots; ++k) x[k] = x[0], w[k] = w[0];
-      double d[kSlots] = {};
-      dots<kSlots>(x, w, static_cast<long>(t.width), d);
-      for (std::size_t k = 0; k < slots; k += per_output) {
-        *y++ = static_cast<float>(t.rational ? d[k] : d[k] + frac[k] * (d[k + 1] - d[k]));
+      }
+      // p is now L outputs past the block's first; the next block starts
+      // (kBlock - 1) * L outputs and (kBlock - 1) * M inputs further on, in
+      // the same phase.
+      y += block;
+      i += block - t.up;
+      p.centre += static_cast<long>(kBlock - 1) * window_step;
+      continue;
+    }
+    if (!t.rational && p.centre >= t.before && window_received()) {
+      // Grid: up to kBlock outputs with whole windows. If all kBlock lie
+      // between the same two rows, windows one input apart (a skew 1 + eps
+      // moves to the next row every 1 / (4096 |eps|) outputs), they are one
+      // row pair against kBlock windows; otherwise each takes its own rows.
+      KernelPos pos[kBlock];
+      std::size_t n = 0;
+      do {
+        pos[n++] = p;
+        step();
+      } while (n < kBlock && i < out_total && window_received());
+      const std::size_t r = grid_row(pos[0].frac).first;
+      bool shared = n == kBlock;
+      for (std::size_t k = 1; shared && k < n; ++k) {
+        shared = pos[k].centre == pos[0].centre + static_cast<long>(k) &&
+                 grid_row(pos[k].frac).first == r;
+      }
+      if (shared) {
+        double d[2 * kBlock];
+        const auto width = static_cast<long>(t.width);
+        dots<kBlock, 2>(hist_.data() + (pos[0].centre - t.before - base), 1, t.row(r), width,
+                        width, d);
+        for (std::size_t k = 0; k < kBlock; ++k) {
+          *y++ = lerp(d + 2 * k, grid_row(pos[k].frac).second);
+        }
+        continue;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const long lo = pos[k].centre - t.before;
+        *y++ = evaluate(hist_.data() + (lo - base), lo, pos[k].centre + t.after, pos[k]);
       }
       continue;
     }
-    // A window clamped at a stream edge; hist_ is contiguous with absolute
+    // One output at a time: a rational remainder short of a block, and
+    // windows clamped at a stream edge. hist_ is contiguous with absolute
     // base hist_base_.
     const long lo = std::max<long>(p.centre - t.before, 0);
     *y++ = evaluate(hist_.data() + (lo - base), lo, std::min(p.centre + t.after, end - 1), p);

@@ -29,16 +29,25 @@ struct ResamplerTable;
 //  * any other ratio (the acoustic clock skew 1 +- epsilon) gets a fine grid
 //    of 4096 phases per input sample, linearly interpolated between the two
 //    rows around each output's fractional position.
-// Tables are memoized process-wide and immutable, so every resampler with
-// the same ratio (and every skew resampler with ratio >= 1, which all share
-// cutoff 1) reuses one table.
+// Rational tables and the cutoff-1 grid (shared by every ratio >= 1) are
+// memoized process-wide and immutable. A grid below ratio 1 has its ratio as
+// its cutoff; each acoustic trial draws its own, so it is built for its
+// resampler alone, and only half its rows are evaluated: the kernel is
+// even, so the other half are the same rows reversed.
 //
-// Every output is a dot product in double with a fixed summation order.
-// Outputs whose whole window lies inside the input are computed four per
-// pass (two for the grid, which takes two rows per output), their dot
-// products interleaved; the few clamped at a stream edge are computed one
-// at a time over the part of the window inside the input. An output's bits
-// do not depend on which pass computes it.
+// Every output is a dot product in double with a fixed summation order, so
+// its bits do not depend on which pass computes it. Outputs whose whole
+// window lies inside the input go in blocks that load a row once for
+// several windows:
+//  * rational ratios run phase-major over blocks of 4L outputs: outputs
+//    i + q + k*L (k < 4) share row q and their windows step by M, so the
+//    1:5 upsampler and the 5:1 decimator each compute one row against four
+//    windows per pass;
+//  * the grid takes four consecutive outputs between the same two rows as
+//    one row pair against four windows, and any other output alone.
+// The rest, a rational remainder short of a block and the few outputs
+// clamped at a stream edge, are computed one at a time, over the part of
+// the window inside the input.
 //
 // Streaming: push(chunk)* then flush() resamples an unbounded stream in
 // chunks with bounded memory. Interpolation state — the kernel's history

@@ -693,12 +693,15 @@ TEST_P(ResamplerOracleTest, TableMatchesPerTapKernel) {
   EXPECT_LE(max_abs_diff(got, expect, got.size()), 1e-6);
 }
 
-constexpr const char* kOracleRatioNames[] = {"FmUp5",   "FmDown5", "PhaseWrap", "Up217",
-                                             "Down037", "SkewUp",  "SkewDown",  "Skew100ppm"};
+// NearHalf: a grid whose consecutive outputs keep one row pair but step
+// their windows by two inputs.
+constexpr const char* kOracleRatioNames[] = {"FmUp5",    "FmDown5",    "PhaseWrap",
+                                             "Up217",    "Down037",    "SkewUp",
+                                             "SkewDown", "Skew100ppm", "NearHalf"};
 
 INSTANTIATE_TEST_SUITE_P(Ratios, ResamplerOracleTest,
                          ::testing::Values(5.0, 0.2, 640.0 / 147.0, 2.17, 0.37, 1.0 + 30e-6,
-                                           1.0 - 17e-6, 1.0001),
+                                           1.0 - 17e-6, 1.0001, 0.5 + 1e-7),
                          [](const auto& info) { return std::string(kOracleRatioNames[info.index]); });
 
 // Tables are memoized process-wide behind a mutex; resamplers built on
@@ -1291,6 +1294,31 @@ TEST(FmLinkMemory, TwoSecondBurstAllocatesNoIqRateBuffer) {
   const std::size_t iq_rate_bytes = 5 * audio.size() * sizeof(float);
   EXPECT_LT(g_alloc_max.load(), iq_rate_bytes);
   EXPECT_GT(heard.size(), audio.size() - 100);
+}
+
+// A grid below ratio 1 evaluates half its rows and mirrors the rest. One
+// second at -30 ppm visits every row; the hashes were recorded with every
+// row evaluated.
+TEST(ResamplerTables, NegativeSkewOutputsArePinned) {
+  Rng rng(93);
+  const auto audio = random_audio(rng, 44100, 0.9);
+  const std::pair<double, std::uint64_t> pins[] = {{1.0 - 5e-6, 0x06ce34bfa90d33b1ull},
+                                                   {1.0 - 17e-6, 0x1d632e47991480bfull},
+                                                   {1.0 - 30e-6, 0x88bdd3887a1f2217ull}};
+  for (const auto& [ratio, hash] : pins) {
+    EXPECT_EQ(fnv1a(dsp::Resampler(ratio).process(audio), kFnvBasis), hash) << ratio;
+  }
+}
+
+// Each acoustic trial below ratio 1 has its own cutoff and so its own grid,
+// which is never reused: it lives and dies with its resampler.
+TEST(ResamplerTables, PerTrialGridsAreNotMemoized) {
+  const std::size_t baseline = g_live_bytes.load();
+  for (int k = 1; k <= 100; ++k) {
+    const dsp::Resampler skew(1.0 - 0.3e-6 * k);
+    EXPECT_GT(g_live_bytes.load(), baseline + 4097 * 11 * sizeof(double)) << k;
+  }
+  EXPECT_EQ(g_live_bytes.load(), baseline);
 }
 
 // ---------------------------------------------- forged OFDM header bound ---

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -105,24 +108,74 @@ TEST(StreamingDsp, FirChunkedMatchesBatch) {
   for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_EQ(got[i], expect[i]) << i;
 }
 
+// Outputs per block of the resampler's whole-window pass: 4L for a
+// rational ratio L/M (phase-major, four windows per row), 4 for the grid.
+std::size_t block_outputs(double ratio) {
+  for (int m = 1; m <= 1000; ++m) {
+    const double l = ratio * m;
+    if (std::fabs(l - std::round(l)) < 1e-9 * l) {
+      return 4 * static_cast<std::size_t>(std::round(l));
+    }
+  }
+  return 4;
+}
+
+// Streams `input` through make() under several chunkings and expects the
+// batch output from each: random chunks, the FM modulator's 512-sample
+// pushes, and pushes that end one output before, at and one output after
+// one or two blocks of `block` outputs (as near as one input's outputs
+// allow).
+void expect_chunked_matches_batch(const std::function<dsp::Resampler()>& make,
+                                  std::span<const float> input, std::size_t block, Rng& rng) {
+  const auto expect = make().process(input);  // batch mode is const
+  const auto check = [&](const std::string& how, const auto& feed) {
+    dsp::Resampler resampler = make();
+    std::vector<float> got;
+    feed([&](std::span<const float> c) {
+      const auto out = resampler.push(c);
+      got.insert(got.end(), out.begin(), out.end());
+    });
+    const auto tail = resampler.flush();
+    got.insert(got.end(), tail.begin(), tail.end());
+    ASSERT_EQ(got.size(), expect.size()) << how;
+    for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_EQ(got[i], expect[i]) << how << " " << i;
+  };
+
+  check("random", [&](const auto& push) { feed_chunked(input, rng, 997, push); });
+  check("512", [&](const auto& push) {
+    for (std::size_t pos = 0; pos < input.size(); pos += 512) {
+      push(input.subspan(pos, std::min<std::size_t>(512, input.size() - pos)));
+    }
+  });
+
+  // ready[n]: outputs a stream has emitted once it holds n inputs.
+  std::vector<std::size_t> ready(input.size() + 1, 0);
+  dsp::Resampler probe = make();
+  for (std::size_t n = 0; n < input.size(); ++n) {
+    ready[n + 1] = ready[n] + probe.push(input.subspan(n, 1)).size();
+  }
+  const long offsets[] = {-1, 0, 1, static_cast<long>(block) - 1, static_cast<long>(block) + 1};
+  check("blocks", [&](const auto& push) {
+    std::size_t pos = 0;
+    for (std::size_t k = 0; pos < input.size(); ++k) {
+      const auto target = static_cast<std::size_t>(static_cast<long>(ready[pos] + block) +
+                                                   offsets[k % std::size(offsets)]);
+      const auto end =
+          std::lower_bound(ready.begin() + static_cast<long>(pos) + 1, ready.end(), target);
+      const auto next = std::min(static_cast<std::size_t>(end - ready.begin()), input.size());
+      push(input.subspan(pos, next - pos));
+      pos = next;
+    }
+  });
+}
+
 class ResamplerRatioTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ResamplerRatioTest, ChunkedMatchesBatch) {
   Rng rng(103);
   const auto input = random_audio(rng, 20000);
-  dsp::Resampler resampler(GetParam());
-
-  const auto expect = resampler.process(input);  // batch mode is const
-  std::vector<float> got;
-  feed_chunked(input, rng, 997, [&](std::span<const float> c) {
-    const auto out = resampler.push(c);
-    got.insert(got.end(), out.begin(), out.end());
-  });
-  const auto tail = resampler.flush();
-  got.insert(got.end(), tail.begin(), tail.end());
-
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_EQ(got[i], expect[i]) << i;
+  expect_chunked_matches_batch([this] { return dsp::Resampler(GetParam()); }, input,
+                               block_outputs(GetParam()), rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ratios, ResamplerRatioTest,
@@ -130,14 +183,26 @@ INSTANTIATE_TEST_SUITE_P(Ratios, ResamplerRatioTest,
                                            1.0 + 30e-6,    // clock-skew epsilon
                                            2.17,           // generic upsample
                                            5.0,            // FM audio -> IQ, exact
-                                           640.0 / 147.0), // 44.1k -> 192k, phase wrap
+                                           640.0 / 147.0,  // 44.1k -> 192k, phase wrap
+                                           1.0 - 17e-6),   // negative skew, 11-tap grid
                          [](const auto& info) {
                            if (info.param == 5.0) return std::string("FmUpsample");
                            if (info.param == 640.0 / 147.0) return std::string("PhaseWrap");
+                           if (info.param == 1.0 - 17e-6) return std::string("SkewDown");
                            return info.param < 1.0   ? std::string("Decimate")
                                   : info.param < 1.1 ? std::string("Skew")
                                                      : std::string("Upsample");
                          });
+
+// The FM demodulator's fused low-pass + 5:1 stage: 103 taps, one row.
+TEST(StreamingDsp, DecimatorChunkedMatchesBatch) {
+  Rng rng(105);
+  const auto input = random_audio(rng, 50000);
+  const fm::FmParams params;
+  const auto iq_lowpass = dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63);
+  expect_chunked_matches_batch([&] { return dsp::Resampler::decimator(5, iq_lowpass); }, input,
+                               block_outputs(0.2), rng);
+}
 
 TEST(StreamingDsp, ResamplerPushAfterFlushThrows) {
   dsp::Resampler r(0.5);
