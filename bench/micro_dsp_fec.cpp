@@ -19,6 +19,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -315,6 +316,48 @@ std::vector<MicroCase> build_micro_cases() {
           plan->inverse(*buf_after);
           benchmark::DoNotOptimize(buf_after->data());
         }});
+  }
+
+  // The two transforms the modem runs, one per op: the receiver's
+  // fft_size/2-point forward analysis of packed audio, and synth_symbol's
+  // fft_size-point inverse of a Hermitian spectrum (sonic-10k's used bins).
+  // Before is the strided radix-2 loop the four-lane plan replaced, bit for
+  // bit. Each op first restores its input, so both sides include one copy.
+  {
+    const auto profile = *modem::profiles::get("sonic-10k");
+    const std::size_t nfft = static_cast<std::size_t>(profile.fft_size);
+    auto packed = std::make_shared<std::vector<dsp::cplx>>(nfft / 2);
+    for (auto& v : *packed) {
+      v = dsp::cplx(static_cast<float>(rng->uniform(-0.5, 0.5)), static_cast<float>(rng->uniform(-0.5, 0.5)));
+    }
+    auto spectrum = std::make_shared<std::vector<dsp::cplx>>(nfft, dsp::cplx(0, 0));
+    for (int i = 0; i < profile.num_subcarriers; ++i) {
+      const std::size_t b = static_cast<std::size_t>(profile.first_bin() + i);
+      const dsp::cplx v(rng->bernoulli(0.5) ? 0.7f : -0.7f, rng->bernoulli(0.5) ? 0.7f : -0.7f);
+      (*spectrum)[b] = v;
+      (*spectrum)[nfft - b] = std::conj(v);
+    }
+    for (auto [name, input, inverse] :
+         {std::tuple{"fft_512_fwd", packed, false}, std::tuple{"ifft_1024", spectrum, true}}) {
+      auto buf = std::make_shared<std::vector<dsp::cplx>>(input->size());
+      auto plan = dsp::FftPlan::get(input->size());
+      cases.push_back(MicroCase{
+          name, static_cast<double>(input->size()), "samples",
+          [input, buf, inverse] {
+            std::copy(input->begin(), input->end(), buf->begin());
+            oracles::fft_radix2_reference(*buf, inverse);
+            benchmark::DoNotOptimize(buf->data());
+          },
+          [input, buf, plan, inverse] {
+            std::copy(input->begin(), input->end(), buf->begin());
+            if (inverse) {
+              plan->inverse(*buf);
+            } else {
+              plan->forward(*buf);
+            }
+            benchmark::DoNotOptimize(buf->data());
+          }});
+    }
   }
 
   // Viterbi: the paper's inner code (V2,9) and the header code (V2,7),

@@ -97,7 +97,6 @@ class ConvolutionalCodec {
   // Soft-bit quantization scale of decode_soft (even, so 0.5 is exact).
   static constexpr int kSoftScale = 254;
 
-  int constraint_length() const { return k_; }
   // Effective code rate as a fraction (e.g. 0.5, 2/3, 0.75).
   double rate() const;
 

@@ -84,28 +84,6 @@ void write_ppm(const Raster& img, const std::string& path) {
   std::fclose(f);
 }
 
-Raster read_ppm(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  int w = 0, h = 0, maxval = 0;
-  if (std::fscanf(f, "P6 %d %d %d", &w, &h, &maxval) != 3 || maxval != 255 || w <= 0 || h <= 0) {
-    std::fclose(f);
-    throw std::runtime_error("bad ppm header in " + path);
-  }
-  std::fgetc(f);  // single whitespace after header
-  Raster img(w, h);
-  for (Rgb& p : img.pixels()) {
-    const int r = std::fgetc(f), g = std::fgetc(f), b = std::fgetc(f);
-    if (b == EOF) {
-      std::fclose(f);
-      throw std::runtime_error("truncated ppm " + path);
-    }
-    p = Rgb{static_cast<std::uint8_t>(r), static_cast<std::uint8_t>(g), static_cast<std::uint8_t>(b)};
-  }
-  std::fclose(f);
-  return img;
-}
-
 double psnr(const Raster& a, const Raster& b) {
   if (a.width() != b.width() || a.height() != b.height()) throw std::invalid_argument("size mismatch");
   double mse = 0.0;

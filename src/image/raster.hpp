@@ -79,9 +79,8 @@ class Raster {
   Pixels pixels_;
 };
 
-// Binary PPM (P6) I/O — used by the examples to dump Figure-1-style images.
+// Binary PPM (P6) output — used by the examples to dump Figure-1-style images.
 void write_ppm(const Raster& img, const std::string& path);
-Raster read_ppm(const std::string& path);
 
 // Peak signal-to-noise ratio between two equal-sized rasters, dB.
 double psnr(const Raster& a, const Raster& b);

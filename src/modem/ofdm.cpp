@@ -199,16 +199,17 @@ void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
   emit(preamble_a_);
   emit(preamble_b_);
 
-  // Header symbols: BPSK on data carriers.
+  // Header symbols: BPSK on data carriers, pilots in place.
   util::BitReader hbr(header_coded);
+  const auto prbs = scrambler_sequence();
   std::size_t sent = 0;
+  std::vector<cplx> carriers = pilots_;
   for (std::size_t s = 0; s < header_symbols(); ++s) {
-    std::vector<cplx> carriers = pilots_;
     for (int i = 0; i < profile_.num_subcarriers; ++i) {
       if (is_pilot(i)) continue;
       // Whitened like the payload: the fixed header pattern must not form
       // a high-crest OFDM symbol.
-      const int bit = (sent < header_bits ? hbr.bit() : 0) ^ scrambler_bit(sent);
+      const int bit = (sent < header_bits ? hbr.bit() : 0) ^ prbs[sent % prbs.size()];
       ++sent;
       carriers[static_cast<std::size_t>(i)] = cplx(bit ? 1.0f : -1.0f, 0.0f);
     }
@@ -228,16 +229,25 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   if (burst_samples(frame_len, frames.size()) > kMaxBurstSamples)
     throw std::invalid_argument("burst longer than OfdmModem::kMaxBurstSamples");
 
-  // Payload bit stream: per-frame PacketCodec output, concatenated.
-  std::vector<std::uint8_t> payload_bits;
-  for (const auto& f : frames) {
-    const util::Bytes coded = payload_codec_.encode(f);
-    util::BitReader br(coded);
-    const std::size_t nbits = payload_codec_.encoded_bits(frame_len);
-    for (std::size_t i = 0; i < nbits; ++i) payload_bits.push_back(static_cast<std::uint8_t>(br.bit()));
-  }
+  // Payload bit stream: per-frame PacketCodec output (MSB first),
+  // concatenated, then zeros to fill the last symbol.
+  std::vector<util::Bytes> coded;
+  coded.reserve(frames.size());
+  for (const auto& f : frames) coded.push_back(payload_codec_.encode(f));
+  const std::size_t frame_bits = payload_codec_.encoded_bits(frame_len);
+  std::size_t frame = 0, bit_in_frame = 0;
+  auto next_bit = [&]() -> std::uint32_t {
+    if (frame == coded.size()) return 0;
+    const std::uint32_t bit = (coded[frame][bit_in_frame / 8] >> (7 - bit_in_frame % 8)) & 1u;
+    if (++bit_in_frame == frame_bits) {
+      bit_in_frame = 0;
+      ++frame;
+    }
+    return bit;
+  };
 
   std::vector<float> out;
+  out.reserve(burst_samples(frame_len, frames.size()));
   std::vector<float> sym;
   auto emit = [&](std::span<const cplx> carriers) {
     synth_symbol(carriers, sym);
@@ -246,21 +256,17 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
 
   synth_head(frame_len, frames.size(), out);
 
-  // Payload symbols.
+  // Payload symbols: one carriers buffer, pilots in place, data carriers
+  // rewritten per symbol.
   {
     const int qbits = qam_.bits_per_symbol();
-    std::size_t idx = 0;
     const std::size_t nsym = payload_symbols(frame_len, frames.size());
+    std::vector<cplx> carriers = pilots_;
     for (std::size_t s = 0; s < nsym; ++s) {
-      std::vector<cplx> carriers = pilots_;
       for (int i = 0; i < profile_.num_subcarriers; ++i) {
         if (is_pilot(i)) continue;
         std::uint32_t v = 0;
-        for (int b = 0; b < qbits; ++b) {
-          const int bit = idx < payload_bits.size() ? payload_bits[idx] : 0;
-          ++idx;
-          v = (v << 1) | static_cast<std::uint32_t>(bit);
-        }
+        for (int b = 0; b < qbits; ++b) v = (v << 1) | next_bit();
         carriers[static_cast<std::size_t>(i)] = qam_.map(v);
       }
       emit(carriers);
@@ -333,8 +339,9 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   }
   const std::size_t header_bits = header_codec_.encoded_bits(8);
   if (header_soft.size() < header_bits) return std::nullopt;
+  const auto prbs = scrambler_sequence();
   for (std::size_t i = 0; i < header_soft.size(); ++i) {
-    if (scrambler_bit(i)) header_soft[i] = 1.0f - header_soft[i];
+    if (prbs[i % prbs.size()]) header_soft[i] = 1.0f - header_soft[i];
   }
   const util::Bytes hdr = header_codec_.decode_soft(
       std::span(header_soft).subspan(0, header_bits), 8);
@@ -397,10 +404,12 @@ void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bo
     }
     amp = std::max(amp_acc / np, 1e-6);
   }
-  // Apply correction and collect soft bits + pilot residual noise.
+  // Apply the correction. Pilots give the residual noise; the corrected
+  // data carriers are packed in order at the front of eq (slot nd <= i, so
+  // eq[i] is read before anything is written over it).
   float pilot_noise = 0;
   int pilot_cnt = 0;
-  const int qbits = bpsk ? 1 : qam_.bits_per_symbol();
+  std::size_t nd = 0;
   for (int i = 0; i < n; ++i) {
     const double phi = a + b * i;
     const cplx corr = eq[static_cast<std::size_t>(i)] *
@@ -410,14 +419,22 @@ void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bo
       ++pilot_cnt;
       continue;
     }
-    if (bpsk) {
-      const float llr1 = 2.0f * corr.real() / std::max(noise * 0.5f, 1e-7f);
-      soft_out.push_back(1.0f / (1.0f + std::exp(-llr1)));
-    } else {
-      float tmp[10];
-      qam_.demap_soft(corr, noise, std::span<float>(tmp, static_cast<std::size_t>(qbits)));
-      for (int bix = 0; bix < qbits; ++bix) soft_out.push_back(tmp[bix]);
+    eq[nd++] = corr;
+  }
+  // Soft bits of the whole symbol, demapped with the noise from before this
+  // symbol's pilots, straight into the caller's buffer.
+  const std::size_t qbits = bpsk ? 1 : static_cast<std::size_t>(qam_.bits_per_symbol());
+  const std::size_t base = soft_out.size();
+  soft_out.resize(base + nd * qbits);
+  const std::span<float> soft(soft_out.data() + base, nd * qbits);
+  if (bpsk) {
+    const float sigma2 = std::max(noise * 0.5f, 1e-7f);
+    for (std::size_t k = 0; k < nd; ++k) {
+      const float llr1 = 2.0f * eq[k].real() / sigma2;
+      soft[k] = 1.0f / (1.0f + std::exp(-llr1));
     }
+  } else {
+    qam_.demap_soft(std::span<const cplx>(eq.data(), nd), noise, soft);
   }
   if (pilot_cnt > 0) {
     const float obs = pilot_noise / static_cast<float>(pilot_cnt);

@@ -173,8 +173,8 @@ class OfdmModem {
 
 // Test/bench peephole into the private per-symbol kernels. The kernel tests
 // use it to verify the steady-state analyze/synthesize path performs no heap
-// allocation and to forge burst headers; bench/micro_dsp_fec uses it for the
-// per-symbol before/after cases.
+// allocation, to forge burst headers and to pin received soft bits;
+// bench/micro_dsp_fec uses it for the per-symbol before/after cases.
 struct OfdmKernelProbe {
   // Preambles plus a valid header (magic, CRC16) claiming any frame length
   // and count, with no payload behind it.
@@ -191,6 +191,21 @@ struct OfdmKernelProbe {
   static void synthesize(const OfdmModem& m, std::span<const cplx> carriers,
                          std::vector<float>& out) {
     m.synth_symbol(carriers, out);
+  }
+  // The soft bits the receiver hands its decoders for the burst at `start`:
+  // the descrambled header bits, then every payload symbol's; empty when
+  // the header does not decode.
+  static std::vector<float> soft_bits(const OfdmModem& m, std::span<const float> samples,
+                                      std::size_t start) {
+    std::vector<cplx> h;
+    auto header = m.decode_header(samples, start, h);
+    if (!header) return {};
+    std::vector<float> soft = m.header_soft_;
+    const std::size_t first = 2 + m.header_symbols();
+    for (std::size_t s = 0; s < m.payload_symbols(header->frame_len, header->frame_count); ++s) {
+      m.demod_symbol(samples, m.window_pos(start, first + s), false, h, header->noise, soft);
+    }
+    return soft;
   }
 };
 

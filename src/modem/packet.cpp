@@ -19,7 +19,7 @@ std::size_t pick_stride(std::size_t n) {
 
 }  // namespace
 
-int scrambler_bit(std::size_t i) {
+std::span<const std::uint8_t> scrambler_sequence() {
   // Cached PRBS from a Fibonacci LFSR (x^16 + x^14 + x^13 + x^11 + 1).
   static const std::vector<std::uint8_t> kSeq = [] {
     std::vector<std::uint8_t> seq(1 << 18);
@@ -32,7 +32,7 @@ int scrambler_bit(std::size_t i) {
     }
     return seq;
   }();
-  return kSeq[i % kSeq.size()];
+  return kSeq;
 }
 
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
@@ -95,11 +95,19 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
   std::vector<std::uint8_t> bits(nbits);
   for (auto& b : bits) b = static_cast<std::uint8_t>(br.bit());
   util::BitWriter bw;
-  // Output position i carries input bit (i * stride) mod nbits.
+  // Output position i carries input bit src = (i * stride) mod nbits,
+  // whitened by mask bit i mod the sequence length; both step by add and
+  // wrap.
+  const auto prbs = scrambler_sequence();
+  const std::size_t step = nbits > 0 ? stride % nbits : 0;
+  std::size_t src = 0, mask = 0;
   for (std::size_t i = 0; i < nbits; ++i) {
-    int bit = bits[(i * stride) % nbits];
-    if (spec_.scramble) bit ^= scrambler_bit(i);
+    int bit = bits[src];
+    if (spec_.scramble) bit ^= prbs[mask];
     bw.bit(bit);
+    src += step;
+    if (src >= nbits) src -= nbits;
+    if (++mask == prbs.size()) mask = 0;
   }
   return bw.take();
 }
@@ -114,9 +122,14 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
   // s -> 1 - s).
   std::vector<float> deint(nbits, 0.5f);
   const std::size_t stride = spec_.interleave ? pick_stride(nbits) : 1;
+  const auto prbs = scrambler_sequence();
+  const std::size_t step = nbits > 0 ? stride % nbits : 0;
+  std::size_t dst = 0, mask = 0;
   for (std::size_t i = 0; i < nbits; ++i) {
-    const float s = spec_.scramble && scrambler_bit(i) ? 1.0f - soft[i] : soft[i];
-    deint[(i * stride) % nbits] = s;
+    deint[dst] = spec_.scramble && prbs[mask] ? 1.0f - soft[i] : soft[i];
+    dst += step;
+    if (dst >= nbits) dst -= nbits;
+    if (++mask == prbs.size()) mask = 0;
   }
 
   // 2. Viterbi.

@@ -28,8 +28,10 @@ struct PacketSpec {
   bool scramble = true;
 };
 
-// Shared PRBS scrambler sequence (x^16 LFSR), bit `i` of the whitening mask.
-int scrambler_bit(std::size_t i);
+// Shared PRBS scrambler sequence (x^16 LFSR), one 0/1 mask bit per byte,
+// built once: bit i of a whitened stream is XORed with
+// scrambler_sequence()[i % scrambler_sequence().size()].
+std::span<const std::uint8_t> scrambler_sequence();
 
 class PacketCodec {
  public:

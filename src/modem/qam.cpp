@@ -1,7 +1,6 @@
 #include "modem/qam.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -16,6 +15,40 @@ int ilog2(int v) {
 }
 
 std::uint32_t gray_encode(std::uint32_t i) { return i ^ (i >> 1); }
+
+// Soft bits of one axis value r over the 2^B Gray-labelled levels: the
+// squared distance to each level once, then per bit (MSB first) the
+// smallest distance among the levels with that bit 0 and with it 1. Min is
+// exact, so the order of the level scan does not change a bit.
+template <int B>
+inline void demap_axis(float r, const float* levels, float two_sigma2, float* out) {
+  constexpr int kLevels = 1 << B;
+  float dist[kLevels];
+  for (int g = 0; g < kLevels; ++g) dist[g] = (r - levels[g]) * (r - levels[g]);
+  for (int k = 0; k < B; ++k) {
+    float d0 = std::numeric_limits<float>::max();
+    float d1 = std::numeric_limits<float>::max();
+    for (int g = 0; g < kLevels; ++g) {
+      if ((g >> (B - 1 - k)) & 1) {
+        d1 = std::min(d1, dist[g]);
+      } else {
+        d0 = std::min(d0, dist[g]);
+      }
+    }
+    const float llr1 = (d0 - d1) / two_sigma2;  // log P(1)/P(0)
+    out[k] = 1.0f / (1.0f + std::exp(-llr1));
+  }
+}
+
+// I bits then Q bits of every point, B per axis.
+template <int B>
+void demap_block(std::span<const cplx> points, const float* levels, float two_sigma2, float* out) {
+  for (const cplx p : points) {
+    demap_axis<B>(p.real(), levels, two_sigma2, out);
+    demap_axis<B>(p.imag(), levels, two_sigma2, out + B);
+    out += 2 * B;
+  }
+}
 
 }  // namespace
 
@@ -64,40 +97,29 @@ cplx QamMapper::map(std::uint32_t bits) const {
   return points_[bits & ((1u << bits_) - 1)];
 }
 
-void QamMapper::axis_demap_soft(float r, float noise_var, std::span<float> soft_out) const {
-  // Max-log LLR per axis bit; per-axis noise variance is half the complex
-  // noise variance.
+void QamMapper::demap_soft(std::span<const cplx> points, float noise_var,
+                           std::span<float> soft_out) const {
+  if (soft_out.size() != points.size() * static_cast<std::size_t>(bits_))
+    throw std::invalid_argument("soft_out must hold bits_per_symbol() bits per point");
+  // Per-axis noise variance is half the complex noise variance.
   const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
-  // Squared distance to each level, once per axis; every bit then takes its
-  // minima from this array.
-  std::array<float, kMaxAxisLevels> dist;
-  const std::size_t num_levels = levels_.size();
-  for (std::size_t g = 0; g < num_levels; ++g) dist[g] = (r - levels_[g]) * (r - levels_[g]);
-  for (int k = 0; k < axis_bits_; ++k) {
-    float d0 = std::numeric_limits<float>::max();
-    float d1 = std::numeric_limits<float>::max();
-    for (std::uint32_t g = 0; g < num_levels; ++g) {
-      const float d = dist[g];
-      if ((g >> (axis_bits_ - 1 - k)) & 1u) {
-        d1 = std::min(d1, d);
-      } else {
-        d0 = std::min(d0, d);
-      }
-    }
-    const float llr1 = (d0 - d1) / (2.0f * sigma2);  // log P(1)/P(0)
-    soft_out[static_cast<std::size_t>(k)] = 1.0f / (1.0f + std::exp(-llr1));
-  }
-}
-
-void QamMapper::demap_soft(cplx received, float noise_var, std::span<float> soft_out) const {
+  float* out = soft_out.data();
   if (constellation_ == Constellation::kBpsk) {
-    const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
-    const float llr1 = 2.0f * received.real() / sigma2;
-    soft_out[0] = 1.0f / (1.0f + std::exp(-llr1));
+    for (const cplx p : points) {
+      const float llr1 = 2.0f * p.real() / sigma2;
+      *out++ = 1.0f / (1.0f + std::exp(-llr1));
+    }
     return;
   }
-  axis_demap_soft(received.real(), noise_var, soft_out.subspan(0, static_cast<std::size_t>(axis_bits_)));
-  axis_demap_soft(received.imag(), noise_var, soft_out.subspan(static_cast<std::size_t>(axis_bits_)));
+  const float two_sigma2 = 2.0f * sigma2;
+  static_assert(kMaxAxisLevels == 1 << 5, "one demap_block case per axis size");
+  switch (axis_bits_) {
+    case 1: return demap_block<1>(points, levels_.data(), two_sigma2, out);
+    case 2: return demap_block<2>(points, levels_.data(), two_sigma2, out);
+    case 3: return demap_block<3>(points, levels_.data(), two_sigma2, out);
+    case 4: return demap_block<4>(points, levels_.data(), two_sigma2, out);
+    case 5: return demap_block<5>(points, levels_.data(), two_sigma2, out);
+  }
 }
 
 }  // namespace sonic::modem

@@ -38,10 +38,13 @@ class QamMapper {
   // constellation point.
   cplx map(std::uint32_t bits) const;
 
-  // Soft demap: fills `soft_out` (size bits_per_symbol()) with P(bit == 1)
-  // estimates given AWGN of variance `noise_var` per complex dimension.
-  // Max-log approximation.
-  void demap_soft(cplx received, float noise_var, std::span<float> soft_out) const;
+  // Soft demap of a block of received points (one OFDM symbol's data
+  // carriers): fills `soft_out` (size points.size() * bits_per_symbol())
+  // with P(bit == 1) estimates, point after point, given AWGN of variance
+  // `noise_var` per complex dimension. Max-log approximation: per axis the
+  // squared distance to each level once, then per bit the nearest level
+  // with that bit 0 and the nearest with it 1.
+  void demap_soft(std::span<const cplx> points, float noise_var, std::span<float> soft_out) const;
 
  private:
   Constellation constellation_;
@@ -52,9 +55,6 @@ class QamMapper {
 
   // Levels per axis of the largest constellation (kQam1024).
   static constexpr int kMaxAxisLevels = 32;
-
-  // Per-axis soft demap over the Gray-coded levels.
-  void axis_demap_soft(float r, float noise_var, std::span<float> soft_out) const;
 };
 
 }  // namespace sonic::modem

@@ -21,7 +21,6 @@ class ByteWriter {
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
   void raw(std::span<const std::uint8_t> data);
   void str(const std::string& s);  // u32 length prefix + bytes
 
@@ -42,7 +41,6 @@ class ByteReader {
   std::uint8_t u8();
   std::uint16_t u16();
   std::uint32_t u32();
-  std::uint64_t u64();
   Bytes raw(std::size_t n);
   std::string str();
 

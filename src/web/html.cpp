@@ -167,15 +167,6 @@ struct Parser {
   }
 };
 
-void collect_text(const Node& node, std::string& out) {
-  if (node.type == Node::Type::kText) {
-    if (!out.empty() && !node.text.empty()) out.push_back(' ');
-    out += node.text;
-    return;
-  }
-  for (const Node& child : node.children) collect_text(child, out);
-}
-
 }  // namespace
 
 const std::string* Node::attr(const std::string& key) const {
@@ -190,12 +181,6 @@ Node parse_html(const std::string& html) {
   Parser parser{html};
   parser.parse_children(root, "#root");
   return root;
-}
-
-std::string text_content(const Node& node) {
-  std::string out;
-  collect_text(node, out);
-  return out;
 }
 
 }  // namespace sonic::web

@@ -30,7 +30,4 @@ struct Node {
 // nodes.
 Node parse_html(const std::string& html);
 
-// Collects the concatenated text content beneath a node.
-std::string text_content(const Node& node);
-
 }  // namespace sonic::web

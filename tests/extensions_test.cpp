@@ -254,13 +254,14 @@ TEST(Search, ServerCachesResultsPages) {
 // -------------------------------------------------------------- scrambler ---
 
 TEST(Scrambler, SequenceIsBalancedAndDeterministic) {
+  const auto seq = modem::scrambler_sequence();
   int ones = 0;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) ones += modem::scrambler_bit(static_cast<std::size_t>(i));
+  ASSERT_GE(seq.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) ones += seq[static_cast<std::size_t>(i)];
   EXPECT_NEAR(static_cast<double>(ones) / n, 0.5, 0.02);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(modem::scrambler_bit(i), modem::scrambler_bit(i));
-  }
+  // Built once: every call sees the same sequence.
+  EXPECT_EQ(modem::scrambler_sequence().data(), seq.data());
 }
 
 TEST(Scrambler, WhitensZeroPayloads) {

@@ -10,6 +10,7 @@
 #include "image/interpolate.hpp"
 #include "image/lossless.hpp"
 #include "image/raster.hpp"
+#include "oracles/readback.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::image {
@@ -98,7 +99,7 @@ TEST(Raster, PpmRoundTrip) {
   const Raster img = test_page(64, 48);
   const std::string path = "/tmp/sonic_test_roundtrip.ppm";
   write_ppm(img, path);
-  const Raster back = read_ppm(path);
+  const Raster back = oracles::read_ppm(path);
   ASSERT_EQ(back.width(), img.width());
   ASSERT_EQ(back.height(), img.height());
   EXPECT_EQ(back.pixels(), img.pixels());

@@ -3,7 +3,9 @@
 // its kept reference implementation —
 //
 //  * FftPlan vs. the legacy twiddle-recurrence kernel vs. dft_naive ground
-//    truth, including the accuracy-drift regression the tables fix;
+//    truth, including the accuracy-drift regression the tables fix; the
+//    four-lane FftPlan vs. the strided radix-2 loop, bit for bit, and
+//    concurrent transforms on one shared plan;
 //  * the int16 SIMD-butterfly Viterbi vs. the scalar per-state decoder on
 //    the same quantized input, byte-identical across both codes and all
 //    puncture rates on noisy, hard-decision, all-erasure and long-tie
@@ -13,7 +15,7 @@
 //    noise grid; the trellis structure the butterfly relies on and
 //    concurrent decodes on one shared codec;
 //  * the real-input OFDM symbol analysis vs. the complex-input FFT, and
-//    the QAM soft demapper vs. its per-bit level loop;
+//    the block QAM soft demapper vs. the per-carrier, per-bit level loop;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -26,6 +28,8 @@
 //    their per-sample libm oracles;
 //  * byte pins of every FM filter stage and of one FmLink burst, at input
 //    lengths around each stage's window and batch edges, under any chunking;
+//    of FftPlan transforms at sizes 2 to 4096, of OfdmModem::modulate bursts
+//    and of received soft bits, for every profile;
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path,
 // no IQ-rate buffer in an FM link burst, the bounded allocation for forged
@@ -222,6 +226,64 @@ TEST(FftPlan, CacheReturnsSharedInstanceAcrossThreads) {
   for (const auto& p : seen) EXPECT_EQ(p.get(), base.get());
 }
 
+// The four-lane kernel against the strided radix-2 loop it replaced, bit for
+// bit: every size from 1 to 4096, both directions, on dense inputs, on
+// inputs of +-0 and +-1 only, and on single impulses.
+TEST(FftPlan, BitIdenticalToStridedRadix2Reference) {
+  Rng rng(14);
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    std::vector<std::vector<dsp::cplx>> inputs = {random_signal(rng, n), std::vector<dsp::cplx>(n)};
+    for (auto& x : inputs[1]) {
+      const float vals[] = {0.0f, -0.0f, 1.0f, -1.0f};
+      x = dsp::cplx(vals[rng.uniform_int(4)], vals[rng.uniform_int(4)]);
+    }
+    std::vector<dsp::cplx> impulse(n, dsp::cplx(0.0f, -0.0f));
+    impulse[rng.uniform_int(n)] = dsp::cplx(0.5f, -2.0f);
+    inputs.push_back(impulse);
+    for (const auto& x : inputs) {
+      for (const bool inverse : {false, true}) {
+        auto fast = x, ref = x;
+        if (inverse) {
+          dsp::FftPlan::get(n)->inverse(fast);
+        } else {
+          dsp::FftPlan::get(n)->forward(fast);
+        }
+        oracles::fft_radix2_reference(ref, inverse);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i]), std::bit_cast<std::uint64_t>(ref[i]))
+              << "n=" << n << " inverse=" << inverse << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// Concurrent transforms on one shared plan (the kernel's working arrays are
+// per thread) give each thread the serial result; run under TSan in tier 1.
+TEST(FftPlan, ConcurrentForwardOnSharedPlanMatchesSerial) {
+  const auto plan = dsp::FftPlan::get(512);
+  Rng rng(15);
+  std::vector<std::vector<dsp::cplx>> inputs, expected;
+  for (int t = 0; t < 4; ++t) {
+    inputs.push_back(random_signal(rng, 512));
+    expected.push_back(inputs.back());
+    plan->forward(expected.back());
+  }
+  std::vector<int> mismatches(inputs.size(), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 200; ++rep) {
+        auto x = inputs[t];
+        plan->forward(x);
+        mismatches[t] += x != expected[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < inputs.size(); ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(dsp::FftPlan(100), std::invalid_argument);
   std::vector<dsp::cplx> wrong(256);
@@ -347,7 +409,8 @@ TEST(ViterbiEquivalence, PayloadSizesFromEmptyToOneKilobyte) {
 TEST(ViterbiStructure, BothPolynomialsTapRegisterMsbAndLsb) {
   for (fec::ConvCode code : {fec::ConvCode::kV27, fec::ConvCode::kV29}) {
     fec::ConvolutionalCodec codec({code, fec::PunctureRate::kRate1_2});
-    const int k = codec.constraint_length();
+    const auto polys = oracles::conv_polys(code);
+    const int k = polys.k;
     const auto coded = codec.encode(util::Bytes{0x80});
     util::BitReader br(coded);
     std::vector<std::pair<int, int>> pairs;
@@ -356,8 +419,6 @@ TEST(ViterbiStructure, BothPolynomialsTapRegisterMsbAndLsb) {
       const int b = br.bit();
       pairs.emplace_back(a, b);
     }
-    const auto polys = oracles::conv_polys(code);
-    ASSERT_EQ(k, polys.k);
     for (int i = 0; i < k; ++i) {
       EXPECT_EQ(pairs[static_cast<std::size_t>(i)],
                 std::make_pair(static_cast<int>((polys.poly_a >> i) & 1), static_cast<int>((polys.poly_b >> i) & 1)))
@@ -641,8 +702,11 @@ TEST(OfdmSymbolPath, RealInputSplitMatchesComplexInputFft) {
 
 // ------------------------------------------------------ QAM soft demap ---
 
-// The per-axis distance array gives the same bits as the per-bit level
-// loop, for every constellation.
+// The block demapper (each axis's level distances once, one symbol's
+// points per call) gives the bytes of the per-carrier, per-bit level loop,
+// for every constellation: blocks of 0 to 300 points, noise down to zero
+// (the 1e-9 variance floor), points off the grid and exactly on levels
+// and midpoints, where ties decide the minima.
 TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
   Rng rng(53);
   for (modem::Constellation c : {modem::Constellation::kBpsk, modem::Constellation::kQpsk,
@@ -650,14 +714,29 @@ TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
                                  modem::Constellation::kQam256, modem::Constellation::kQam1024}) {
     const modem::QamMapper mapper(c);
     const std::size_t bits = static_cast<std::size_t>(mapper.bits_per_symbol());
-    std::vector<float> fast(bits), ref(bits);
-    for (int trial = 0; trial < 2000; ++trial) {
-      const dsp::cplx point(static_cast<float>(rng.uniform(-1.6, 1.6)), static_cast<float>(rng.uniform(-1.6, 1.6)));
-      const float noise = static_cast<float>(rng.uniform(0.0, 0.5));
-      mapper.demap_soft(point, noise, fast);
-      oracles::qam_demap_soft_reference(mapper, point, noise, ref);
-      for (std::size_t b = 0; b < bits; ++b) {
-        ASSERT_EQ(fast[b], ref[b]) << modem::constellation_name(c) << " trial=" << trial << " bit=" << b;
+    const std::uint64_t order = static_cast<std::uint64_t>(c);
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<dsp::cplx> points(rng.uniform_int(301));
+      for (auto& p : points) {
+        if (rng.bernoulli(0.25)) {
+          // On a level, or halfway between two.
+          const auto a = mapper.map(static_cast<std::uint32_t>(rng.uniform_int(order)));
+          const auto b = mapper.map(static_cast<std::uint32_t>(rng.uniform_int(order)));
+          p = rng.bernoulli(0.5) ? a : dsp::cplx((a.real() + b.real()) / 2, (a.imag() + b.imag()) / 2);
+        } else {
+          p = dsp::cplx(static_cast<float>(rng.uniform(-1.6, 1.6)), static_cast<float>(rng.uniform(-1.6, 1.6)));
+        }
+      }
+      const float noise = trial % 8 == 0 ? 0.0f : static_cast<float>(rng.uniform(0.0, 0.5));
+      std::vector<float> fast(points.size() * bits, -1.0f);
+      mapper.demap_soft(points, noise, fast);
+      std::vector<float> ref(bits);
+      for (std::size_t k = 0; k < points.size(); ++k) {
+        oracles::qam_demap_soft_reference(mapper, points[k], noise, ref);
+        for (std::size_t b = 0; b < bits; ++b) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(fast[k * bits + b]), std::bit_cast<std::uint32_t>(ref[b]))
+              << modem::constellation_name(c) << " trial=" << trial << " point=" << k << " bit=" << b;
+        }
       }
     }
   }
@@ -1319,6 +1398,122 @@ TEST(ResamplerTables, PerTrialGridsAreNotMemoized) {
     EXPECT_GT(g_live_bytes.load(), baseline + 4097 * 11 * sizeof(double)) << k;
   }
   EXPECT_EQ(g_live_bytes.load(), baseline);
+}
+
+// ------------------------------------------- FFT and OFDM modem bit pins ---
+// Recorded with the strided radix-2 FftPlan, the per-carrier QAM demapper
+// and the per-bit modulate loop. Their replacements keep every float
+// operation, so every transform, every burst's audio and every soft bit
+// stays the same.
+
+enum class FftInput { kDense, kHermitian, kSignedZeros };
+
+// Dense normal deviates; a sparse Hermitian spectrum of 64-QAM points like
+// synth_symbol's (used bins in [n/8, 3n/8) and their mirrors, every bin
+// below n/2 for n < 16); or real and imaginary parts drawn from +0, -0 and
+// a normal deviate.
+std::vector<dsp::cplx> fft_input(FftInput kind, std::size_t n, Rng& rng) {
+  if (kind == FftInput::kDense) return random_signal(rng, n);
+  std::vector<dsp::cplx> v(n, dsp::cplx(0.0f, 0.0f));
+  if (kind == FftInput::kHermitian) {
+    const modem::QamMapper qam(modem::Constellation::kQam64);
+    for (std::size_t b = 1; b < n / 2; ++b) {
+      if (n >= 16 && (b < n / 8 || b >= 3 * n / 8)) continue;
+      const dsp::cplx p = qam.map(static_cast<std::uint32_t>(rng.uniform_int(64)));
+      v[b] = p;
+      v[n - b] = std::conj(p);
+    }
+    return v;
+  }
+  auto part = [&] {
+    switch (rng.uniform_int(3)) {
+      case 0: return 0.0f;
+      case 1: return -0.0f;
+      default: return static_cast<float>(rng.normal());
+    }
+  };
+  for (auto& x : v) {
+    const float re = part();
+    x = dsp::cplx(re, part());
+  }
+  return v;
+}
+
+constexpr std::size_t kFftPinSizes[] = {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
+
+std::uint64_t fnv1a(std::span<const dsp::cplx> x, std::uint64_t hash) {
+  return fnv1a(std::span(reinterpret_cast<const float*>(x.data()), 2 * x.size()), hash);
+}
+
+TEST(FftPins, ForwardAndInverseArePinned) {
+  struct Pin {
+    FftInput kind;
+    const char* name;
+    std::uint64_t forward, inverse;
+  };
+  const Pin pins[] = {
+      {FftInput::kDense, "dense", 0x93240b4026924a2dull, 0x6bb7fb11549f7126ull},
+      {FftInput::kHermitian, "hermitian", 0x9a6b63da4f2e57b1ull, 0xb64fe8abfd94aa45ull},
+      {FftInput::kSignedZeros, "signed zeros", 0xcc49faafc8376945ull, 0x9342000c7ef82b47ull}};
+  for (const Pin& pin : pins) {
+    Rng rng(94);
+    std::uint64_t fwd = kFnvBasis, inv = kFnvBasis;
+    for (const std::size_t n : kFftPinSizes) {
+      const auto x = fft_input(pin.kind, n, rng);
+      auto f = x, i = x;
+      dsp::FftPlan::get(n)->forward(f);
+      dsp::FftPlan::get(n)->inverse(i);
+      fwd = fnv1a(f, fwd);
+      inv = fnv1a(i, inv);
+    }
+    EXPECT_EQ(fwd, pin.forward) << pin.name << " forward: 0x" << std::hex << fwd;
+    EXPECT_EQ(inv, pin.inverse) << pin.name << " inverse: 0x" << std::hex << inv;
+  }
+}
+
+// Three frames of 120 random bytes per profile.
+std::vector<util::Bytes> pin_frames(Rng& rng) {
+  std::vector<util::Bytes> frames(3, util::Bytes(120));
+  for (auto& f : frames) {
+    for (auto& b : f) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  }
+  return frames;
+}
+
+TEST(OfdmPins, ModulatedBurstsArePinned) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"robust-2k", 0xb77706210c36fba4ull},
+      {"audible-7k", 0xff1d4e296780ce64ull},
+      {"sonic-10k", 0x75d1cab3be146c79ull},
+      {"cable-64k", 0x8e82cc33412e3d6bull}};
+  for (const auto& [name, hash] : pins) {
+    Rng rng(95);
+    const modem::OfdmModem modem(*modem::profiles::get(name));
+    const auto audio = modem.modulate(pin_frames(rng));
+    EXPECT_EQ(fnv1a(audio, kFnvBasis), hash) << name << ": 0x" << std::hex << fnv1a(audio, kFnvBasis);
+  }
+}
+
+// The burst behind 300 samples of silence, with white noise at a tenth of
+// the profile's amplitude: soft bits well inside (0, 1).
+TEST(OfdmPins, ReceivedSoftBitsArePinned) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"robust-2k", 0x3ebc6547cf737638ull},
+      {"audible-7k", 0x9b482af9a52bdcd5ull},
+      {"sonic-10k", 0x7ac964e98fc3f2a7ull},
+      {"cable-64k", 0x16d3322b96d3599full}};
+  for (const auto& [name, hash] : pins) {
+    Rng rng(96);
+    const modem::OfdmModem modem(*modem::profiles::get(name));
+    const auto burst = modem.modulate(pin_frames(rng));
+    std::vector<float> audio(300, 0.0f);
+    audio.insert(audio.end(), burst.begin(), burst.end());
+    const double sigma = 0.1 * modem.profile().amplitude;
+    for (auto& s : audio) s += static_cast<float>(rng.normal(0.0, sigma));
+    const auto soft = modem::OfdmKernelProbe::soft_bits(modem, audio, 300);
+    ASSERT_FALSE(soft.empty()) << name;
+    EXPECT_EQ(fnv1a(soft, kFnvBasis), hash) << name << ": 0x" << std::hex << fnv1a(soft, kFnvBasis);
+  }
 }
 
 // ---------------------------------------------- forged OFDM header bound ---

@@ -69,7 +69,8 @@ TEST_P(QamTest, SoftDemapAgreesWithHardAtHighSnr) {
   const int bits = qam.bits_per_symbol();
   std::vector<float> soft(static_cast<std::size_t>(bits));
   for (std::uint32_t v = 0; v < static_cast<std::uint32_t>(GetParam()); ++v) {
-    qam.demap_soft(qam.map(v), 1e-4f, soft);
+    const cplx point = qam.map(v);
+    qam.demap_soft(std::span(&point, 1), 1e-4f, soft);
     std::uint32_t recovered = 0;
     for (int b = 0; b < bits; ++b) recovered = (recovered << 1) | (soft[static_cast<std::size_t>(b)] > 0.5f ? 1u : 0u);
     EXPECT_EQ(recovered, v);
@@ -83,7 +84,8 @@ TEST_P(QamTest, SoftDemapUncertainNearBoundary) {
   std::vector<float> soft(static_cast<std::size_t>(bits));
   // A symbol exactly between the two BPSK/axis points must give ~0.5 on the
   // deciding bit.
-  qam.demap_soft(cplx(0.0f, 0.0f), 0.5f, soft);
+  const cplx origin(0.0f, 0.0f);
+  qam.demap_soft(std::span(&origin, 1), 0.5f, soft);
   bool any_uncertain = false;
   for (float s : soft) any_uncertain |= (s > 0.3f && s < 0.7f);
   EXPECT_TRUE(any_uncertain);

@@ -1,6 +1,9 @@
 #include "oracles/kernel_reference.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -42,7 +45,75 @@ void fft_recurrence_impl(std::span<cplx> a, bool inverse) {
   }
 }
 
+struct Radix2Tables {
+  std::vector<std::uint32_t> bitrev;  // bit-reversed index of each position
+  std::vector<cplx> twiddle;          // exp(-2*pi*i*k/n), k in [0, n/2)
+};
+
+Radix2Tables make_radix2_tables(std::size_t n) {
+  Radix2Tables t;
+  t.bitrev.resize(n);
+  int log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (int b = 0; b < log2n; ++b) r |= ((i >> b) & 1u) << (log2n - 1 - b);
+    t.bitrev[i] = static_cast<std::uint32_t>(r);
+  }
+  t.twiddle.resize(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double ang = -2.0 * util::kPi * static_cast<double>(k) / static_cast<double>(n);
+    t.twiddle[k] = cplx(static_cast<float>(std::cos(ang)), static_cast<float>(std::sin(ang)));
+  }
+  return t;
+}
+
+const Radix2Tables& radix2_tables(std::size_t n) {
+  static std::mutex mu;
+  static std::map<std::size_t, Radix2Tables> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find(n);
+  if (it == cache.end()) it = cache.emplace(n, make_radix2_tables(n)).first;
+  return it->second;  // map nodes are stable; entries are never modified
+}
+
 }  // namespace
+
+void fft_radix2_reference(std::span<cplx> data, bool inverse) {
+  const std::size_t n = data.size();
+  if (n == 0 || (n & (n - 1)) != 0) throw std::invalid_argument("fft size must be a power of two");
+  const Radix2Tables& t = radix2_tables(n);
+  cplx* a = data.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = t.bitrev[i];
+    if (i < j) std::swap(a[i], a[j]);
+  }
+
+  const float sign = inverse ? -1.0f : 1.0f;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t stride = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      cplx* lo = a + i;
+      cplx* hi = a + i + half;
+      for (std::size_t j = 0; j < half; ++j) {
+        const cplx w = t.twiddle[j * stride];
+        const float wr = w.real();
+        const float wi = sign * w.imag();
+        const float vr = hi[j].real() * wr - hi[j].imag() * wi;
+        const float vi = hi[j].real() * wi + hi[j].imag() * wr;
+        const cplx u = lo[j];
+        lo[j] = cplx(u.real() + vr, u.imag() + vi);
+        hi[j] = cplx(u.real() - vr, u.imag() - vi);
+      }
+    }
+  }
+
+  if (inverse) {
+    const float inv_n = 1.0f / static_cast<float>(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] *= inv_n;
+  }
+}
 
 std::vector<cplx> dft_naive(std::span<const cplx> data) {
   const std::size_t n = data.size();

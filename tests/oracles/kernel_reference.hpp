@@ -27,6 +27,14 @@ std::vector<cplx> dft_naive(std::span<const cplx> data);
 void fft_recurrence(std::span<cplx> data);
 void ifft_recurrence(std::span<cplx> data);
 
+// The strided radix-2 kernel dsp::FftPlan ran before its four-lane
+// rewrite, in place on interleaved complex data: the in-place bit-reversal
+// swaps, then every stage reading one n/2-entry twiddle table with stride
+// n/len and its imaginary part times the sign, and 1/N scaling for the
+// inverse. The plan must match it bit for bit. Tables are built once per
+// size (thread-safe); data.size() must be a power of two.
+void fft_radix2_reference(std::span<cplx> data, bool inverse);
+
 // Filters `x` from zero initial state with the original per-sample
 // ring-buffer FIR kernel.
 std::vector<float> fir_reference(std::span<const float> taps, std::span<const float> x);

@@ -1,6 +1,6 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
-// modem::OfdmModem::analyze_symbol and modem::QamMapper::demap_soft, plus
-// the hard QAM demapper the constellation tests decode with. They live in
+// modem::OfdmModem::analyze_symbol and the block modem::QamMapper::demap_soft,
+// plus the hard QAM demapper the constellation tests decode with. They live in
 // the sonic_oracles library, which only tests and benches link.
 #pragma once
 
@@ -25,9 +25,10 @@ using cplx = std::complex<float>;
 std::vector<cplx> ofdm_analyze_reference(const modem::OfdmProfile& profile, std::span<const float> samples,
                                          std::size_t pos);
 
-// QamMapper::demap_soft with the per-bit level loop: every axis bit scans
-// the squared distances to all levels of its axis. The levels are read back
-// through QamMapper::map.
+// The per-carrier soft demapper: one point's bits_per_symbol() soft bits,
+// every axis bit scanning the squared distances to all levels of its axis.
+// QamMapper::demap_soft on a block of points must give each point's bytes.
+// The levels are read back through QamMapper::map.
 void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
                               std::span<float> soft_out);
 

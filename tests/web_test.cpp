@@ -9,6 +9,7 @@
 
 #include "image/dct_codec.hpp"
 #include "oracles/layout_reference.hpp"
+#include "oracles/readback.hpp"
 #include "web/corpus.hpp"
 #include "web/font.hpp"
 #include "web/html.hpp"
@@ -61,23 +62,23 @@ TEST(Html, SkipsScriptStyleAndComments) {
       "<p>before</p><script>var x = '<p>not content</p>';</script>"
       "<style>p { color: red }</style><!-- comment --><p>after</p>");
   ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(text_content(root), "before after");
+  EXPECT_EQ(oracles::text_content(root), "before after");
 }
 
 TEST(Html, ToleratesMalformedInput) {
   // Unclosed tags, stray brackets, mismatched closes: parse, don't crash.
   const Node a = parse_html("<div><p>unclosed");
-  EXPECT_EQ(text_content(a), "unclosed");
+  EXPECT_EQ(oracles::text_content(a), "unclosed");
   const Node b = parse_html("text with < stray bracket");
   EXPECT_FALSE(b.children.empty());
   const Node c = parse_html("<b>bold</i></b>");
-  EXPECT_EQ(text_content(c), "bold");
-  EXPECT_EQ(text_content(parse_html("")), "");
+  EXPECT_EQ(oracles::text_content(c), "bold");
+  EXPECT_EQ(oracles::text_content(parse_html("")), "");
 }
 
 TEST(Html, CollapsesWhitespace) {
   const Node root = parse_html("<p>multiple     spaces\n\nand   newlines</p>");
-  EXPECT_EQ(text_content(root), "multiple spaces and newlines");
+  EXPECT_EQ(oracles::text_content(root), "multiple spaces and newlines");
 }
 
 // ------------------------------------------------------------------ Font ---
