@@ -4,7 +4,6 @@
 // Sweeps the audio SNR across the decode cliff and reports frame loss for:
 //   full        - v29 r3/4 + RS(16) + interleave (the sonic-10k stack)
 //   no-rs       - inner code only
-//   no-inter    - v29 + RS but no interleaving (bursts hit the Viterbi raw)
 //   r12-heavy   - v29 r1/2 + RS(32): the robustness end of the trade
 //
 //   ./ablation_fec [--trials 5] [--frames 12]

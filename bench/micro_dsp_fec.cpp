@@ -415,7 +415,7 @@ std::vector<MicroCase> build_micro_cases() {
           benchmark::DoNotOptimize(out.data());
         },
         [seq_a] {
-          auto out = fec::fountain_neighbors(page_id, (*seq_a)++ % 65536, k);
+          auto out = oracles::fountain_neighbors(page_id, (*seq_a)++ % 65536, k);
           benchmark::DoNotOptimize(out.data());
         }});
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, a smoke run of
 # the end-to-end benchmark (its Release build of src/ plus every workload's
-# correctness checks), then the full test suite rebuilt and rerun under
+# correctness checks), the full test suite rebuilt and rerun under
 # ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
-# pipeline's worker pool and the shared caches and codecs.
+# pipeline's worker pool and the shared caches and codecs, then the kernel
+# suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
+# kernels (the Viterbi butterflies, the ziggurat's miss bits) stay tested.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -23,5 +25,10 @@ cmake -B build-tsan -S . -DSONIC_TSAN=ON
 cmake --build build-tsan -j "$JOBS" \
   --target sonic_tests sonic_uplink_tests sonic_streaming_tests sonic_kernel_tests
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+
+echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
+cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__
+cmake --build build-portable -j "$JOBS" --target sonic_kernel_tests
+ctest --test-dir build-portable -L kernel --output-on-failure -j "$JOBS"
 
 echo "tier-1 OK"

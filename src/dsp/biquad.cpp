@@ -1,7 +1,6 @@
 #include "dsp/biquad.hpp"
 
 #include <cmath>
-#include <complex>
 
 #include "util/units.hpp"
 
@@ -16,26 +15,6 @@ Biquad Biquad::lowpass(double f_hz, double sample_rate_hz, double q) {
   const double cw = std::cos(w0);
   const double a0 = 1 + alpha;
   return Biquad(((1 - cw) / 2) / a0, (1 - cw) / a0, ((1 - cw) / 2) / a0, (-2 * cw) / a0, (1 - alpha) / a0);
-}
-
-Biquad Biquad::fm_preemphasis(double tau_us, double sample_rate_hz) {
-  // Analog H(s) = 1 + s*tau, discretized by bilinear transform. The analog
-  // response grows without bound, so clamp with the sampling prewarp.
-  const double tau = tau_us * 1e-6;
-  const double k = 2.0 * sample_rate_hz;
-  // H(z) = (1 + tau*k*(1 - z^-1)/(1 + z^-1)) = [(1+tau*k) + (1-tau*k) z^-1] / (1 + z^-1)
-  const double b0 = 1 + tau * k;
-  const double b1 = 1 - tau * k;
-  // First-order: a1 = 1, a2 = 0, b2 = 0. Normalize so high-frequency gain is finite as-is.
-  return Biquad(b0, b1, 0.0, 1.0, 0.0);
-}
-
-Biquad Biquad::fm_deemphasis(double tau_us, double sample_rate_hz) {
-  const double tau = tau_us * 1e-6;
-  const double k = 2.0 * sample_rate_hz;
-  // Inverse of the above: H(z) = (1 + z^-1) / [(1+tau*k) + (1-tau*k) z^-1]
-  const double a0 = 1 + tau * k;
-  return Biquad(1.0 / a0, 1.0 / a0, 0.0, (1 - tau * k) / a0, 0.0);
 }
 
 float Biquad::process(float x) {
@@ -54,12 +33,5 @@ std::vector<float> Biquad::process(std::span<const float> x) {
 }
 
 void Biquad::reset() { x1_ = x2_ = y1_ = y2_ = 0; }
-
-double Biquad::magnitude_at(double f_hz, double sample_rate_hz) const {
-  const double w = sonic::util::kTwoPi * f_hz / sample_rate_hz;
-  const std::complex<double> z1(std::cos(-w), std::sin(-w));
-  const std::complex<double> z2 = z1 * z1;
-  return std::abs((b0_ + b1_ * z1 + b2_ * z2) / (1.0 + a1_ * z1 + a2_ * z2));
-}
 
 }  // namespace sonic::dsp

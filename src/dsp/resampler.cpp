@@ -434,8 +434,4 @@ void Resampler::reset() {
   flushed_ = false;
 }
 
-std::vector<float> resample(std::span<const float> input, double in_rate, double out_rate) {
-  return Resampler(out_rate / in_rate).process(input);
-}
-
 }  // namespace sonic::dsp

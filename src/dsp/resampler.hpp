@@ -122,7 +122,4 @@ class Resampler {
   bool flushed_ = false;
 };
 
-// Convenience wrappers.
-std::vector<float> resample(std::span<const float> input, double in_rate, double out_rate);
-
 }  // namespace sonic::dsp

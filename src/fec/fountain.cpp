@@ -106,20 +106,6 @@ std::size_t NeighborDraw::draw(std::uint32_t page_id, std::uint32_t repair_seq,
   return degree;
 }
 
-std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
-                                              std::size_t k) {
-  std::vector<std::uint8_t> mask(k, 0);
-  const std::size_t degree = NeighborDraw(k).draw(page_id, repair_seq, mask.data());
-  std::vector<std::uint32_t> picked(degree + 1);
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    picked[n] = static_cast<std::uint32_t>(i);
-    n += mask[i];
-  }
-  picked.resize(n);
-  return picked;
-}
-
 FountainEncoder::FountainEncoder(std::uint32_t page_id, std::vector<util::Bytes> blocks)
     : page_id_(page_id), k_(blocks.size()), draw_(blocks.size()) {
   if (blocks.empty()) throw std::invalid_argument("FountainEncoder needs at least one block");
@@ -184,10 +170,13 @@ void FountainEncoder::mds_symbol(std::uint32_t repair_seq, std::uint8_t* out) co
 
 void FountainEncoder::direct_symbols(std::span<const std::uint32_t> seqs, util::Bytes* out) const {
   std::vector<std::uint8_t> acc(stride_);
+  std::vector<std::uint8_t> mask(k_);
   for (std::size_t s = 0; s < seqs.size(); ++s) {
     std::fill(acc.begin(), acc.end(), 0);
-    for (std::uint32_t n : fountain_neighbors(page_id_, seqs[s], k_)) {
-      xor_block(acc.data(), block_ptr(n), stride_);
+    std::fill(mask.begin(), mask.end(), 0);
+    draw_.draw(page_id_, seqs[s], mask.data());
+    for (std::size_t i = 0; i < k_; ++i) {
+      if (mask[i]) xor_block(acc.data(), block_ptr(i), stride_);
     }
     std::copy_n(acc.begin(), block_size_, out[s].begin());
   }

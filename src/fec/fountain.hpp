@@ -101,13 +101,6 @@ class NeighborDraw {
   ExactRemainder mod_k_;
 };
 
-// LT-mode neighbor set (sorted, distinct source indices in [0, k)) of
-// repair symbol `repair_seq` for a k-block page: NeighborDraw's mask read
-// back as a list, for tests and diagnostics (the encoder and decoder read
-// the mask directly).
-std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
-                                              std::size_t k);
-
 // Server side: packs the k source blocks (all the same size) once and
 // mints repair symbols on demand. Stateless across calls — symbol r is the
 // same bytes no matter when or in which batch it is generated, so carousel

@@ -10,14 +10,14 @@
 namespace sonic::fm {
 
 AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
-    : params_(params), rng_(rng), tilt_(1.0, 0.0, 0.0, 0.0, 0.0) {
+    : params_(params),
+      rng_(rng),
+      // Gentle roll-off from ~12 kHz: cheap phone mics lose the top octave.
+      tilt_(dsp::Biquad::lowpass(12000.0, AcousticParams::sample_rate_hz, 0.6)) {
   if (params_.clock_skew_ppm < 0.0) {
     throw std::invalid_argument(
         "AcousticParams::clock_skew_ppm must be >= 0 (it bounds the symmetric "
         "per-trial skew draw)");
-  }
-  if (!(params_.sample_rate_hz > 0.0)) {
-    throw std::invalid_argument("AcousticParams::sample_rate_hz must be positive");
   }
 
   if (params_.distance_m > 0.0) {
@@ -34,11 +34,6 @@ AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
     // Slow fading: sinusoidal wobble with a random phase drawn once per
     // trial, so chunked processing continues the same fade trajectory.
     wobble_phase_ = rng_.uniform(0.0, sonic::util::kTwoPi);
-    if (params_.mic_band_tilt) {
-      // Gentle roll-off from ~12 kHz: cheap phone mics lose the top octave.
-      tilt_ = dsp::Biquad::lowpass(12000.0, params_.sample_rate_hz, 0.6);
-      tilt_on_ = true;
-    }
   }
 
   // Sample-clock skew between transmitter DAC and receiver ADC: one epsilon
@@ -89,7 +84,7 @@ std::vector<float> AcousticChannel::process(std::span<const float> audio) {
     }
     out.resize(n);
     wobble_index_ += n;
-    if (tilt_on_) out = tilt_.process(out);
+    out = tilt_.process(out);
   }
   // Ambient noise, anchored so SNR at the reference distance equals
   // ref_snr_db for a unit-gain trial; in cable mode, the tiny residual noise.

@@ -31,20 +31,21 @@ namespace sonic::fm {
 
 struct AcousticParams {
   double distance_m = 0.0;          // 0 = cable / internal tuner
-  double ref_distance_m = 0.1;      // reference for the SNR anchor
-  // Defaults calibrated so the sonic-10k profile reproduces Fig. 4(a):
-  // zero loss through 0.5 m, ~10-20% median loss at 1 m, mostly lost at
-  // 1.1 m, and total loss beyond ~1.2 m (see bench/fig4a_distance_loss).
-  double ref_snr_db = 47.3;         // SNR at the reference distance
-  double cable_snr_db = 55.0;       // residual noise in cable mode
-  double directivity_knee_m = 0.8;  // where the direct path starts losing
-  double directivity_db_per_m = 35.0;
-  double align_sigma_db_at_1m = 2.0;   // per-trial alignment gain spread
-  double wobble_depth_db_at_1m = 9.0;  // slow fading depth
-  double wobble_rate_hz = 2.5;
   double clock_skew_ppm = 30.0;     // uniform in [-ppm, +ppm] per trial
-  double sample_rate_hz = 44100.0;
-  bool mic_band_tilt = true;        // gentle high-frequency roll-off
+
+  // Calibration constants. They make the sonic-10k profile reproduce
+  // Fig. 4(a): zero loss through 0.5 m, ~10-20% median loss at 1 m, mostly
+  // lost at 1.1 m, and total loss beyond ~1.2 m (see
+  // bench/fig4a_distance_loss).
+  static constexpr double ref_distance_m = 0.1;      // reference for the SNR anchor
+  static constexpr double ref_snr_db = 47.3;         // SNR at the reference distance
+  static constexpr double cable_snr_db = 55.0;       // residual noise in cable mode
+  static constexpr double directivity_knee_m = 0.8;  // where the direct path starts losing
+  static constexpr double directivity_db_per_m = 35.0;
+  static constexpr double align_sigma_db_at_1m = 2.0;   // per-trial alignment gain spread
+  static constexpr double wobble_depth_db_at_1m = 9.0;  // slow fading depth
+  static constexpr double wobble_rate_hz = 2.5;
+  static constexpr double sample_rate_hz = 44100.0;
 };
 
 // One trial of the channel, streamable: all per-trial draws (alignment gain,
@@ -58,8 +59,7 @@ struct AcousticParams {
 // don't modulate the noise floor.
 //
 // Throws std::invalid_argument when clock_skew_ppm is negative (it bounds a
-// symmetric per-trial draw; a negative bound silently disabled skew) or
-// sample_rate_hz is not positive.
+// symmetric per-trial draw; a negative bound silently disabled skew).
 class AcousticChannel {
  public:
   AcousticChannel(AcousticParams params, sonic::util::Rng rng);
@@ -81,8 +81,7 @@ class AcousticChannel {
   double wobble_phase_ = 0.0;
   std::size_t wobble_index_ = 0;     // absolute sample position in the trial
   std::optional<double> noise_sigma_;  // latched from the first audible chunk
-  dsp::Biquad tilt_;                 // identity when mic_band_tilt is off
-  bool tilt_on_ = false;
+  dsp::Biquad tilt_;                 // mic band tilt, run when distance_m > 0
   std::optional<dsp::Resampler> skew_;
 };
 

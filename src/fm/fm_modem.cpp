@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "dsp/biquad.hpp"
 #include "dsp/fast_math.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
@@ -16,14 +14,9 @@ namespace {
 namespace fastmath = dsp::fastmath;
 using fastmath::V4f;
 
-std::size_t decimation_factor(const FmParams& p) {
-  const double ratio = p.iq_rate_hz / p.audio_rate_hz;
-  const double factor = std::round(ratio);
-  if (!(factor >= 1.0) || std::fabs(ratio - factor) > 1e-9 * ratio) {
-    throw std::invalid_argument("FmParams::iq_rate_hz must be an integer multiple of audio_rate_hz");
-  }
-  return static_cast<std::size_t>(factor);
-}
+constexpr auto kDecimation = static_cast<std::size_t>(FmParams::iq_rate_hz / FmParams::audio_rate_hz);
+static_assert(kDecimation * FmParams::audio_rate_hz == FmParams::iq_rate_hz,
+              "FmParams::iq_rate_hz must be an integer multiple of audio_rate_hz");
 
 // float(atan2(im, re) * scale) of z = cur·conj(prev) for four samples; the
 // product takes the same float operations as std::complex's.
@@ -43,30 +36,18 @@ void discriminate4(const cplx* cur, const cplx* prev, double scale, float* out) 
 
 }  // namespace
 
-FmModulator::FmModulator(FmParams params) : params_(params) {}
-
-std::vector<float> FmModulator::program(std::span<const float> audio) const {
-  // Pre-emphasis, band-limit to the mono channel.
-  std::vector<float> program(audio.begin(), audio.end());
-  if (params_.emphasis_tau_us > 0) {
-    auto pre = dsp::Biquad::fm_preemphasis(params_.emphasis_tau_us, params_.audio_rate_hz);
-    // Normalize so a mid-band tone keeps unit gain (pre-emphasis boosts
-    // highs; without normalization the deviation budget is blown).
-    const double mid_gain = pre.magnitude_at(3000.0, params_.audio_rate_hz);
-    program = pre.process(program);
-    for (auto& s : program) s = static_cast<float>(s / mid_gain);
-  }
-  dsp::FirFilter lp(dsp::design_lowpass(params_.audio_lowpass_hz, params_.audio_rate_hz, 63));
-  program = lp.process(program);
+std::vector<float> FmModulator::program(std::span<const float> audio) {
+  // Band-limit to the mono channel.
+  dsp::FirFilter lp(dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::audio_rate_hz, 63));
+  std::vector<float> program = lp.process(audio);
   // Headroom + limiter: keep instantaneous deviation within budget.
   for (auto& s : program) {
-    s = std::clamp(static_cast<float>(s * params_.input_gain), -1.0f, 1.0f);
+    s = std::clamp(static_cast<float>(s * FmParams::input_gain), -1.0f, 1.0f);
   }
   return program;
 }
 
-void FmModulator::integrate(std::span<const float> up, double& phase,
-                            std::vector<cplx>& iq) const {
+void FmModulator::integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) {
   // Phase integration, d(phi)/dt = 2*pi*deviation*m(t), is a sequential
   // pass in double over a cache-sized block; cos and sin of the block's
   // phases are then taken four at a time and interleaved into the IQ. Each
@@ -76,7 +57,7 @@ void FmModulator::integrate(std::span<const float> up, double& phase,
   float* out = reinterpret_cast<float*>(iq.data());
   constexpr std::size_t kBlock = 256;
   double phases[kBlock] = {};
-  const double k = sonic::util::kTwoPi * params_.deviation_hz / params_.iq_rate_hz;
+  const double k = sonic::util::kTwoPi * FmParams::deviation_hz / FmParams::iq_rate_hz;
   for (std::size_t b = 0; b < up.size(); b += kBlock) {
     const std::size_t n = std::min(kBlock, up.size() - b);
     for (std::size_t i = 0; i < n; ++i) {
@@ -96,33 +77,14 @@ void FmModulator::integrate(std::span<const float> up, double& phase,
 
 std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
   std::vector<cplx> iq;
-  iq.reserve(static_cast<std::size_t>(static_cast<double>(audio.size()) * params_.iq_rate_hz /
-                                      params_.audio_rate_hz));
+  iq.reserve(audio.size() * kDecimation);
   modulate(audio, [&](std::span<const cplx> block) { iq.insert(iq.end(), block.begin(), block.end()); });
   return iq;
 }
 
-FmDemodulator::FmDemodulator(FmParams params)
-    : params_(params),
-      decim_(dsp::Resampler::decimator(
-          decimation_factor(params_),
-          dsp::design_lowpass(params_.audio_lowpass_hz, params_.iq_rate_hz, 63))),
-      de_emphasis_(params_.emphasis_tau_us > 0
-                       ? dsp::Biquad::fm_deemphasis(params_.emphasis_tau_us, params_.audio_rate_hz)
-                       : dsp::Biquad(1.0, 0.0, 0.0, 0.0, 0.0)),
-      de_emphasis_on_(params_.emphasis_tau_us > 0) {
-  if (de_emphasis_on_) {
-    de_mid_gain_ = de_emphasis_.magnitude_at(3000.0, params_.audio_rate_hz);
-  }
-}
-
-std::vector<float> FmDemodulator::postprocess(std::vector<float> audio) {
-  if (de_emphasis_on_) {
-    audio = de_emphasis_.process(audio);
-    for (auto& s : audio) s = static_cast<float>(s / de_mid_gain_);
-  }
-  return audio;
-}
+FmDemodulator::FmDemodulator(FmParams)
+    : decim_(dsp::Resampler::decimator(
+          kDecimation, dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::iq_rate_hz, 63))) {}
 
 std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   // Quadrature discriminator: instantaneous frequency from the phase delta,
@@ -134,7 +96,7 @@ std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   const std::size_t n = iq.size();
   std::vector<float> freq(n);
   const double scale =
-      params_.iq_rate_hz / (sonic::util::kTwoPi * params_.deviation_hz * params_.input_gain);
+      FmParams::iq_rate_hz / (sonic::util::kTwoPi * FmParams::deviation_hz * FmParams::input_gain);
   // Samples [i, min(i + 4, n)) through copies: the head (whose first
   // predecessor is prev_) and the tail.
   const auto partial = [&](std::size_t i) {
@@ -159,24 +121,23 @@ std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   }
   // Band-limit and decimate to the audio rate in one stage; it keeps its
   // state so chunk boundaries are seamless.
-  return postprocess(decim_.push(freq));
+  return decim_.push(freq);
 }
 
-std::vector<float> FmDemodulator::finish() { return postprocess(decim_.flush()); }
+std::vector<float> FmDemodulator::finish() { return decim_.flush(); }
 
 void FmDemodulator::reset() {
   prev_ = cplx(1.0f, 0.0f);
   have_prev_ = false;
   decim_.reset();
-  de_emphasis_.reset();
 }
 
 namespace {
 
 // sqrt(1 / (2 CNR)) for unit carrier power, with the trial's fading drawn
 // from `rng`.
-float noise_sigma_per_axis(const RfChannelParams& params, double cnr_db, sonic::util::Rng& rng) {
-  const double fading = params.fading_sigma_db > 0 ? rng.normal(0.0, params.fading_sigma_db) : 0.0;
+float noise_sigma_per_axis(double cnr_db, sonic::util::Rng& rng) {
+  const double fading = rng.normal(0.0, RfChannelParams::fading_sigma_db);
   return static_cast<float>(std::sqrt(0.5 / sonic::util::db_to_linear(cnr_db + fading)));
 }
 
@@ -184,7 +145,7 @@ float noise_sigma_per_axis(const RfChannelParams& params, double cnr_db, sonic::
 
 RfChannel::RfChannel(RfChannelParams params, sonic::util::Rng rng)
     : params_(params),
-      sigma_axis_(noise_sigma_per_axis(params_, cnr_db(), rng)),
+      sigma_axis_(noise_sigma_per_axis(cnr_db(), rng)),
       noise_(rng) {}
 
 std::vector<cplx> RfChannel::process(std::span<const cplx> iq) {

@@ -4,7 +4,9 @@
 // we simulate the equivalent at complex baseband, which preserves everything
 // the data path can observe: the FM capture/threshold effect, the SNR
 // improvement above threshold, and the click noise near it. The program
-// material is the FM *mono* channel (30 Hz - 15 kHz) exactly as in §4.
+// material is the FM *mono* channel (30 Hz - 15 kHz) exactly as in §4, at
+// 75 kHz deviation and with no pre/de-emphasis, as the Pi transmitter
+// applies none (FmParams).
 #pragma once
 
 #include <algorithm>
@@ -13,8 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/biquad.hpp"
-#include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
 #include "util/rng.hpp"
 
@@ -22,24 +22,22 @@ namespace sonic::fm {
 
 using cplx = std::complex<float>;
 
+// The FM layer's fixed values; an instance is only the tag the modulator
+// and demodulator constructors take.
 struct FmParams {
-  double audio_rate_hz = 44100.0;
-  double iq_rate_hz = 220500.0;   // 5x audio rate (integer ratio)
-  double deviation_hz = 75000.0;  // FM broadcast peak deviation
-  // 0 disables pre/de-emphasis. The paper's Raspberry Pi GPIO transmitter
-  // applies none, so 0 is the faithful default; 50/75 us model commercial
-  // stations.
-  double emphasis_tau_us = 0.0;
-  double audio_lowpass_hz = 15000.0;  // mono channel edge
+  static constexpr double audio_rate_hz = 44100.0;
+  static constexpr double iq_rate_hz = 220500.0;   // 5x audio rate (integer ratio)
+  static constexpr double deviation_hz = 75000.0;  // FM broadcast peak deviation
+  static constexpr double audio_lowpass_hz = 15000.0;  // mono channel edge
   // Program-level headroom: audio is scaled by this before modulation and
   // hard-limited at +-1 so OFDM crest peaks cannot overrun the deviation
   // budget (Carson bandwidth must stay inside iq_rate).
-  double input_gain = 0.7;
+  static constexpr double input_gain = 0.7;
 };
 
 class FmModulator {
  public:
-  explicit FmModulator(FmParams params = {});
+  explicit FmModulator(FmParams = {}) {}
   // Audio in [-1, 1] -> constant-envelope (unit power) IQ at iq_rate: the
   // streamed modulate() run to completion and its blocks concatenated.
   std::vector<cplx> modulate(std::span<const float> audio) const;
@@ -51,22 +49,19 @@ class FmModulator {
   // 20 KB) at a time, so no IQ-rate buffer exists.
   template <typename Sink>
   void modulate(std::span<const float> audio, Sink&& sink) const;
-  const FmParams& params() const { return params_; }
 
  private:
-  // Pre-emphasis, the mono-channel low-pass and the headroom limiter.
-  std::vector<float> program(std::span<const float> audio) const;
+  // The mono-channel low-pass and the headroom limiter.
+  static std::vector<float> program(std::span<const float> audio);
   // Integrates `up` (program at iq_rate) onto `phase` and writes the IQ to
   // iq[0, up.size()); iq is padded to whole groups of four.
-  void integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const;
-
-  FmParams params_;
+  static void integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq);
 };
 
 template <typename Sink>
 void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
   const std::vector<float> prog = program(audio);
-  dsp::Resampler up(params_.iq_rate_hz / params_.audio_rate_hz);
+  dsp::Resampler up(FmParams::iq_rate_hz / FmParams::audio_rate_hz);
   constexpr std::size_t kProgramBlock = 512;
   std::vector<cplx> iq;
   double phase = 0.0;
@@ -81,9 +76,8 @@ void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
   emit(up.flush());
 }
 
-// Streaming demodulator: discriminator phase history, the decimating
-// low-pass, and the de-emphasis network are all members, so
-// feeding the IQ stream in chunks produces exactly the same audio as one
+// Streaming demodulator: the discriminator phase history and the decimating
+// low-pass are members, so feeding the IQ stream in chunks produces exactly the same audio as one
 // batch call — concat(demodulate(c1), demodulate(c2), ..., finish()) ==
 // demodulate(c1 + c2 + ...) + finish() for any chunking. The first sample
 // after construction/reset() produces zero instantaneous frequency instead
@@ -92,11 +86,10 @@ void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
 // The post-detection low-pass (63 taps at iq_rate) and the iq_rate ->
 // audio_rate decimator are one filter stage (dsp::Resampler::decimator), the
 // low-pass folded into the decimation kernel and evaluated only at the
-// audio-rate outputs. iq_rate_hz must therefore be an integer multiple of
-// audio_rate_hz (the constructor throws std::invalid_argument otherwise).
+// audio-rate outputs.
 class FmDemodulator {
  public:
-  explicit FmDemodulator(FmParams params = {});
+  explicit FmDemodulator(FmParams = {});
   // IQ at iq_rate -> audio at audio_rate; every output sample that the
   // decimator can already fully determine. Carries state across calls.
   std::vector<float> demodulate(std::span<const cplx> iq);
@@ -104,18 +97,11 @@ class FmDemodulator {
   std::vector<float> finish();
   // Forget all stream state; the next sample starts a fresh stream.
   void reset();
-  const FmParams& params() const { return params_; }
 
  private:
-  std::vector<float> postprocess(std::vector<float> freq);
-
-  FmParams params_;
   cplx prev_{1.0f, 0.0f};
   bool have_prev_ = false;
   dsp::Resampler decim_;  // low-pass + decimator, one stage
-  dsp::Biquad de_emphasis_;  // identity when emphasis_tau_us == 0
-  bool de_emphasis_on_ = false;
-  double de_mid_gain_ = 1.0;
 };
 
 // RF propagation: maps an RSSI reading to carrier-to-noise ratio and applies
@@ -127,10 +113,10 @@ struct RfChannelParams {
   // demodulator produces naturally at CNR ~= 5 dB) lands where the paper
   // measured it: clean down to -85 dB, fluctuating 2-15% loss in -85..-90,
   // and nothing below -90 dB (§4, "Variable RSSI").
-  double noise_floor_db = -95.0;
+  static constexpr double noise_floor_db = -95.0;
   // Slow fading: per-trial RSSI jitter (standard deviation, dB). Produces
   // the fluctuating-loss band instead of a knife-edge cliff.
-  double fading_sigma_db = 1.5;
+  static constexpr double fading_sigma_db = 1.5;
 };
 
 // One trial of the RF hop. The carrier has unit power (FmModulator's

@@ -65,7 +65,7 @@ double RxBurst::frame_loss_rate() const {
 OfdmModem::OfdmModem(OfdmProfile profile)
     : profile_(std::move(profile)),
       qam_(profile_.constellation),
-      payload_codec_(PacketSpec{profile_.conv, profile_.rs_nroots, 223, true}),
+      payload_codec_(PacketSpec{profile_.conv, profile_.rs_nroots}),
       header_codec_({fec::ConvCode::kV27, fec::PunctureRate::kRate1_2}) {
   const int n = profile_.num_subcarriers;
   if (profile_.first_bin() < 1 || profile_.first_bin() + n >= profile_.fft_size / 2)

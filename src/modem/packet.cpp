@@ -53,7 +53,7 @@ PacketCodec::PacketCodec(PacketSpec spec) : spec_(spec), conv_(spec.conv) {
 std::size_t PacketCodec::rs_encoded_size(std::size_t payload_size) const {
   const std::size_t with_crc = payload_size + 4;
   if (!rs_) return with_crc;
-  const std::size_t block = static_cast<std::size_t>(spec_.rs_data_len);
+  const std::size_t block = PacketSpec::rs_data_len;
   const std::size_t blocks = (with_crc + block - 1) / block;
   return with_crc + blocks * static_cast<std::size_t>(spec_.rs_nroots);
 }
@@ -75,7 +75,7 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
   // 2. Outer RS per block.
   util::Bytes rs_out;
   if (rs_) {
-    const std::size_t block = static_cast<std::size_t>(spec_.rs_data_len);
+    const std::size_t block = PacketSpec::rs_data_len;
     for (std::size_t off = 0; off < body.size(); off += block) {
       const std::size_t n = std::min(block, body.size() - off);
       const util::Bytes coded = rs_->encode(std::span(body).subspan(off, n));
@@ -90,7 +90,7 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
 
   // 4. Bit-level stride interleave + PRBS whitening.
   const std::size_t nbits = conv_.encoded_bits(rs_out.size());
-  const std::size_t stride = spec_.interleave ? pick_stride(nbits) : 1;
+  const std::size_t stride = pick_stride(nbits);
   util::BitReader br(conv_out);
   std::vector<std::uint8_t> bits(nbits);
   for (auto& b : bits) b = static_cast<std::uint8_t>(br.bit());
@@ -102,9 +102,7 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
   const std::size_t step = nbits > 0 ? stride % nbits : 0;
   std::size_t src = 0, mask = 0;
   for (std::size_t i = 0; i < nbits; ++i) {
-    int bit = bits[src];
-    if (spec_.scramble) bit ^= prbs[mask];
-    bw.bit(bit);
+    bw.bit(bits[src] ^ prbs[mask]);
     src += step;
     if (src >= nbits) src -= nbits;
     if (++mask == prbs.size()) mask = 0;
@@ -121,12 +119,12 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
   // 1. De-scramble + de-interleave soft bits (flipping a soft value is
   // s -> 1 - s).
   std::vector<float> deint(nbits, 0.5f);
-  const std::size_t stride = spec_.interleave ? pick_stride(nbits) : 1;
+  const std::size_t stride = pick_stride(nbits);
   const auto prbs = scrambler_sequence();
   const std::size_t step = nbits > 0 ? stride % nbits : 0;
   std::size_t dst = 0, mask = 0;
   for (std::size_t i = 0; i < nbits; ++i) {
-    deint[dst] = spec_.scramble && prbs[mask] ? 1.0f - soft[i] : soft[i];
+    deint[dst] = prbs[mask] ? 1.0f - soft[i] : soft[i];
     dst += step;
     if (dst >= nbits) dst -= nbits;
     if (++mask == prbs.size()) mask = 0;
@@ -138,7 +136,7 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
   // 3. Outer RS per block.
   util::Bytes body;
   if (rs_) {
-    const std::size_t data_block = static_cast<std::size_t>(spec_.rs_data_len);
+    const std::size_t data_block = PacketSpec::rs_data_len;
     const std::size_t full_block = data_block + static_cast<std::size_t>(spec_.rs_nroots);
     for (std::size_t off = 0; off < rs_stream.size();) {
       const std::size_t n = std::min(full_block, rs_stream.size() - off);

@@ -1,10 +1,10 @@
 // Packet-level FEC pipeline: CRC32 integrity check, outer Reed-Solomon,
-// inner convolutional code, and a bit-level stride interleaver — the
-// "crc32 / v29 / rs8" stack from §3.3 of the paper.
+// inner convolutional code, a bit-level stride interleaver and PRBS
+// whitening — the "crc32 / v29 / rs8" stack from §3.3 of the paper.
 //
 // Wire format (before OFDM mapping):
 //   payload || crc32(payload)  --RS-->  blocks+parity  --conv-->  coded bits
-//   --stride interleave-->  transmitted bits
+//   --stride interleave + whitening-->  transmitted bits
 #pragma once
 
 #include <cstdint>
@@ -17,15 +17,14 @@
 
 namespace sonic::modem {
 
+// The coded bits are always stride-interleaved and PRBS-whitened: without
+// whitening, low-entropy payloads (zero padding, repeated pixels) would map
+// to repetitive QAM symbols whose OFDM crest factor overruns the FM
+// deviation budget.
 struct PacketSpec {
   fec::ConvSpec conv{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
   int rs_nroots = 32;      // 0 disables the outer code
-  int rs_data_len = 223;   // payload bytes per RS block
-  bool interleave = true;
-  // PRBS whitening of the coded bitstream. Low-entropy payloads (zero
-  // padding, repeated pixels) would otherwise map to repetitive QAM
-  // symbols whose OFDM crest factor overruns the FM deviation budget.
-  bool scramble = true;
+  static constexpr std::size_t rs_data_len = 223;  // payload bytes per RS block
 };
 
 // Shared PRBS scrambler sequence (x^16 LFSR), one 0/1 mask bit per byte,

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cmath>
 
+#include "modem/ofdm.hpp"
+
 namespace sonic::modem {
 
 int OfdmProfile::num_pilots() const {
@@ -24,25 +26,10 @@ double OfdmProfile::bandwidth_hz() const {
 }
 
 double OfdmProfile::net_bit_rate(std::size_t payload_bytes, int frames_per_burst) const {
-  fec::ConvolutionalCodec conv(this->conv);
-  const std::size_t with_crc = payload_bytes + 4;
-  std::size_t rs_bytes = with_crc;
-  if (rs_nroots > 0) {
-    const std::size_t blocks = (with_crc + 222) / 223;
-    rs_bytes += blocks * static_cast<std::size_t>(rs_nroots);
-  }
-  const std::size_t coded_bits_per_frame = conv.encoded_bits(rs_bytes);
-  const std::size_t burst_bits = coded_bits_per_frame * static_cast<std::size_t>(frames_per_burst);
-  const int bits_per_ofdm_symbol = data_carriers() * bits_per_symbol(constellation);
-  const std::size_t payload_symbols =
-      (burst_bits + static_cast<std::size_t>(bits_per_ofdm_symbol) - 1) / static_cast<std::size_t>(bits_per_ofdm_symbol);
-  // Header: 6 bytes conv-v27-coded BPSK (see OfdmModem), plus 2 preamble
-  // symbols and one symbol of inter-burst gap.
-  const std::size_t header_bits = (6 * 8 + 6) * 2;
-  const std::size_t header_symbols = (header_bits + static_cast<std::size_t>(data_carriers()) - 1) / static_cast<std::size_t>(data_carriers());
-  const std::size_t total_symbols = 2 + header_symbols + payload_symbols + 1;
-  return static_cast<double>(payload_bytes * 8) * frames_per_burst /
-         (static_cast<double>(total_symbols) * symbol_duration_s());
+  const std::size_t samples =
+      OfdmModem(*this).burst_samples(payload_bytes, static_cast<std::size_t>(frames_per_burst));
+  return static_cast<double>(payload_bytes * 8) * frames_per_burst * sample_rate /
+         static_cast<double>(samples);
 }
 
 namespace {

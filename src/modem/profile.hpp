@@ -37,7 +37,9 @@ struct OfdmProfile {
   double raw_bit_rate() const;
   // Net payload rate when bursts carry `frames_per_burst` frames of
   // `payload_bytes` each (every frame individually CRC32+RS+conv coded per
-  // §3.3), including header and preamble overhead.
+  // §3.3): the payload bits over the air time of
+  // OfdmModem::burst_samples, so preambles, header and the inter-burst gap
+  // count.
   double net_bit_rate(std::size_t payload_bytes = 100, int frames_per_burst = 16) const;
 
   // Audio bandwidth occupied by the subcarriers.

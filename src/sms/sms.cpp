@@ -82,7 +82,7 @@ double SmsGateway::draw_latency_s() {
   return std::max(0.5, params_.latency_mean_s + jitter - params_.latency_jitter_s / 2);
 }
 
-bool SmsGateway::send(SmsMessage msg, double now_s) {
+void SmsGateway::send(SmsMessage msg, double now_s) {
   ++messages_accepted_;
   const int segments = sms_segment_count(msg.body);
   segments_carried_ += segments;
@@ -102,7 +102,7 @@ bool SmsGateway::send(SmsMessage msg, double now_s) {
   }
   if (lost) {
     ++messages_lost_;  // silently: the sender still saw send() succeed
-    return true;
+    return;
   }
   if (params_.reorder_rate > 0.0 && rng_.bernoulli(params_.reorder_rate)) {
     deliver_at_s += rng_.uniform(0.0, params_.reorder_delay_s);
@@ -116,7 +116,6 @@ bool SmsGateway::send(SmsMessage msg, double now_s) {
     queue_.push_back(std::move(copy));
   }
   queue_.push_back(std::move(msg));
-  return true;
 }
 
 std::vector<SmsMessage> SmsGateway::deliver_due(const std::string& to, double now_s) {

@@ -59,11 +59,10 @@ class SmsGateway {
  public:
   explicit SmsGateway(SmsGatewayParams params);
 
-  // Always returns true: the SMSC accepts every message. Delivery is what
-  // can fail, and it fails silently — a multi-segment body is lost whenever
-  // any one of its segments is lost. (The return value is kept only so
-  // seed-era call sites still compile.)
-  bool send(SmsMessage msg, double now_s);
+  // The SMSC accepts every message. Delivery is what can fail, and it fails
+  // silently — a multi-segment body is lost whenever any one of its
+  // segments is lost.
+  void send(SmsMessage msg, double now_s);
 
   std::vector<SmsMessage> deliver_due(const std::string& to, double now_s);
 

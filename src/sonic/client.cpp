@@ -103,7 +103,7 @@ std::size_t SonicClient::end_audio() {
 std::vector<std::string> SonicClient::flush(double now_s) {
   std::vector<std::string> cached;
   for (std::uint32_t page_id : assembler_.known_pages()) {
-    auto page = assembler_.assemble(page_id, params_.interpolation);
+    auto page = assembler_.assemble(page_id, image::InterpolationMode::kLeft);
     assembler_.drop(page_id);
     if (!page) continue;
     if (page->fountain_decoded) {

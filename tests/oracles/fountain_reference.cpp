@@ -31,6 +31,20 @@ std::vector<std::uint32_t> fountain_neighbors_reference(std::uint32_t page_id,
   return picked;
 }
 
+std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
+                                              std::size_t k) {
+  std::vector<std::uint8_t> mask(k, 0);
+  const std::size_t degree = fec::NeighborDraw(k).draw(page_id, repair_seq, mask.data());
+  std::vector<std::uint32_t> picked(degree + 1);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    picked[n] = static_cast<std::uint32_t>(i);
+    n += mask[i];
+  }
+  picked.resize(n);
+  return picked;
+}
+
 LtEncoderReference::LtEncoderReference(std::uint32_t page_id, std::vector<util::Bytes> blocks)
     : page_id_(page_id), blocks_(std::move(blocks)) {}
 

@@ -17,6 +17,11 @@ namespace sonic::oracles {
 std::vector<std::uint32_t> fountain_neighbors_reference(std::uint32_t page_id,
                                                         std::uint32_t repair_seq, std::size_t k);
 
+// The same set from the shipped fec::NeighborDraw: its mask read back as a
+// list (the encoder and decoder read the mask directly).
+std::vector<std::uint32_t> fountain_neighbors(std::uint32_t page_id, std::uint32_t repair_seq,
+                                              std::size_t k);
+
 // Per-symbol LT encoder over `blocks` (k > FountainParams::mds_max_k, all
 // the same size).
 class LtEncoderReference {

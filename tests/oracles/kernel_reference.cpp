@@ -160,6 +160,13 @@ double fir_magnitude_at(std::span<const float> taps, double f_hz, double sample_
   return std::abs(resp);
 }
 
+double biquad_magnitude_at(dsp::Biquad filter, double f_hz, double sample_rate_hz) {
+  filter.reset();
+  std::vector<float> impulse(8192, 0.0f);
+  impulse[0] = 1.0f;
+  return fir_magnitude_at(filter.process(impulse), f_hz, sample_rate_hz);
+}
+
 void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src) {
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
 }

@@ -1,5 +1,5 @@
-// Reference (pre-optimization) FFT, FIR and fountain XOR kernels and the
-// naive DFT, kept as test oracles and as the before-cases of
+// Reference (pre-optimization) FFT, FIR and fountain XOR kernels, the
+// naive DFT and filter-response probes, kept as test oracles and as the before-cases of
 // bench/micro_dsp_fec. They live in
 // the sonic_oracles library, which only tests and benches link.
 #pragma once
@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "dsp/biquad.hpp"
 #include "util/bytes.hpp"
 
 namespace sonic::oracles {
@@ -41,6 +42,10 @@ std::vector<float> fir_reference(std::span<const float> taps, std::span<const fl
 
 // |H(f)| of an FIR with these taps at f_hz, for filter design checks.
 double fir_magnitude_at(std::span<const float> taps, double f_hz, double sample_rate_hz);
+
+// |H(f)| of a biquad at f_hz: fir_magnitude_at over the first 8192 samples
+// of its impulse response (a copy of `filter`, run from zero state).
+double biquad_magnitude_at(dsp::Biquad filter, double f_hz, double sample_rate_hz);
 
 // Byte-at-a-time XOR of src into dst over dst.size() bytes.
 void xor_into_reference(util::Bytes& dst, std::span<const std::uint8_t> src);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/resampler.hpp"
 #include "util/units.hpp"
 
 namespace sonic::oracles {
@@ -42,6 +43,10 @@ std::vector<float> resample_reference(std::span<const float> input, double ratio
     out[i] = static_cast<float>(acc);
   }
   return out;
+}
+
+std::vector<float> resample(std::span<const float> input, double in_rate, double out_rate) {
+  return dsp::Resampler(out_rate / in_rate).process(input);
 }
 
 }  // namespace sonic::oracles
