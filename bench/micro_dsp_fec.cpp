@@ -39,6 +39,7 @@
 #include "oracles/fountain_reference.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/resampler_reference.hpp"
+#include "oracles/rs_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
 #include "sonic/framing.hpp"
 #include "util/rng.hpp"
@@ -376,6 +377,28 @@ std::vector<MicroCase> build_micro_cases() {
         [codec, soft] {
           auto out = codec->decode_soft(*soft, 100);
           benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
+  // Reed-Solomon decode of a clean sonic-10k block (a frame, its CRC32 and
+  // the profile's parity), where only the syndromes run. Before is the
+  // per-root Horner loop of GF256::mul calls that decode ran on every
+  // block. The block has its own Rng, so the cases after it see the same
+  // inputs as before it was added.
+  {
+    const int nroots = modem::profiles::get("sonic-10k")->rs_nroots;
+    auto rs = std::make_shared<fec::ReedSolomon>(nroots);
+    util::Rng block_rng(43);
+    auto block = std::make_shared<util::Bytes>(rs->encode(random_bytes(block_rng, core::kFrameSize + 4)));
+    cases.push_back(MicroCase{
+        "rs_decode_clean", static_cast<double>(block->size()), "bytes",
+        [nroots, block] {
+          auto synd = oracles::rs_syndromes_reference(nroots, *block);
+          benchmark::DoNotOptimize(synd.data());
+        },
+        [rs, block] {
+          auto corrected = rs->decode(*block);
+          benchmark::DoNotOptimize(corrected);
         }});
   }
 

@@ -5,7 +5,9 @@
 # ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
 # pipeline's worker pool and the shared caches and codecs, then the kernel
 # suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
-# kernels (the Viterbi butterflies, the ziggurat's miss bits) stay tested.
+# kernels (the Viterbi butterflies, the soft-bit quantizer, the ziggurat's
+# miss bits) stay tested, and last the end-to-end benchmark built the same
+# way, its client receive chain smoke-run on those fallbacks.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -30,5 +32,10 @@ echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
 cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__
 cmake --build build-portable -j "$JOBS" --target sonic_kernel_tests
 ctest --test-dir build-portable -L kernel --output-on-failure -j "$JOBS"
+
+echo "== tier-1: client receive chain end to end on the portable paths =="
+cmake -S e2ebench -B build-portable-e2e -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-U__SSE2__
+cmake --build build-portable-e2e -j "$JOBS"
+build-portable-e2e/e2ebench --workload client_rx --seed 1 --seconds 1 --trace 0 --smoke
 
 echo "tier-1 OK"

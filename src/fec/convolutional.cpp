@@ -1,9 +1,10 @@
 #include "fec/convolutional.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +15,7 @@
 namespace sonic::fec {
 namespace {
 
-int parity(std::uint32_t v) { return std::popcount(v) & 1; }
+constexpr int parity(std::uint32_t v) { return std::popcount(v) & 1; }
 
 // Puncturing patterns over consecutive (out0, out1) pairs; 1 = transmit.
 constexpr std::uint8_t kPattern1_2[] = {1, 1};
@@ -30,6 +31,41 @@ std::span<const std::uint8_t> puncture_pattern(PunctureRate rate) {
   return kPattern1_2;
 }
 
+// The trellis of one code, fixed at compile time: constraint length K and
+// the polynomials of out0 and out1.
+template <int K, std::uint32_t PolyA, std::uint32_t PolyB>
+struct Trellis {
+  static constexpr int k = K;
+  static constexpr std::uint32_t poly_a = PolyA;
+  static constexpr std::uint32_t poly_b = PolyB;
+  static constexpr std::size_t states = std::size_t{1} << (K - 1);
+  static constexpr std::size_t half = states / 2;
+  static constexpr std::size_t groups = half / 8;  // of eight butterflies
+
+  // s_j = out0 * 2 + out1 of butterfly j's branch j -> 2j.
+  static constexpr unsigned sym(std::size_t j) {
+    const auto reg = static_cast<std::uint32_t>(j << 1);
+    return static_cast<unsigned>(parity(reg & PolyA) * 2 + parity(reg & PolyB));
+  }
+
+  // s_j is linear in j over GF(2), and 8g and i < 8 share no bits, so
+  // s_(8g + i) = s_(8g) ^ s_i: one set of lane vectors serves every group.
+  static constexpr bool lanes_split() {
+    for (std::size_t j = 0; j < half; ++j) {
+      if (sym(j) != (sym(j & ~std::size_t{7}) ^ sym(j & 7))) return false;
+    }
+    return true;
+  }
+
+  static constexpr std::uint32_t ends = 1u | (1u << (K - 1));
+  static_assert((PolyA & ends) == ends && (PolyB & ends) == ends,
+                "the butterfly needs both polynomials to tap the register's MSB and LSB");
+  static_assert(groups >= 1 && lanes_split());
+};
+
+using V27 = Trellis<7, 0x6d, 0x4f>;
+using V29 = Trellis<9, 0x1af, 0x11d>;
+
 // Eight int16 ACS lanes and the ops decode_soft runs on them: SSE2
 // intrinsics, or the same lane-wise arithmetic without SSE2.
 #if defined(__SSE2__)
@@ -38,16 +74,13 @@ using V8 = __m128i;
 inline V8 load(const std::int16_t* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
 inline void store(std::int16_t* p, V8 v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
 inline V8 splat(std::int16_t v) { return _mm_set1_epi16(v); }
-inline V8 adds(V8 a, V8 b) { return _mm_adds_epi16(a, b); }
-inline V8 subs(V8 a, V8 b) { return _mm_subs_epi16(a, b); }
+inline V8 add(V8 a, V8 b) { return _mm_add_epi16(a, b); }
+inline V8 sub(V8 a, V8 b) { return _mm_sub_epi16(a, b); }
+inline V8 bit_xor(V8 a, V8 b) { return _mm_xor_si128(a, b); }
 inline V8 min(V8 a, V8 b) { return _mm_min_epi16(a, b); }
 inline V8 greater(V8 a, V8 b) { return _mm_cmpgt_epi16(a, b); }
 inline V8 interleave_lo(V8 a, V8 b) { return _mm_unpacklo_epi16(a, b); }
 inline V8 interleave_hi(V8 a, V8 b) { return _mm_unpackhi_epi16(a, b); }
-// Lanes of `set` where `mask` is all ones, else lanes of `clear`.
-inline V8 select(V8 mask, V8 set, V8 clear) {
-  return _mm_or_si128(_mm_and_si128(mask, set), _mm_andnot_si128(mask, clear));
-}
 // Bit i: lane i of mask `lo` is set; bit 8 + i: lane i of mask `hi`.
 inline unsigned movemask(V8 lo, V8 hi) {
   return static_cast<unsigned>(_mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
@@ -62,21 +95,13 @@ inline V8 load(const std::int16_t* p) {
 }
 inline void store(std::int16_t* p, V8 v) { std::memcpy(p, &v, sizeof v); }
 inline V8 splat(std::int16_t v) { return V8{v, v, v, v, v, v, v, v}; }
-inline V8 adds(V8 a, V8 b) {
-  V8 v;
-  for (int i = 0; i < 8; ++i) v[i] = static_cast<std::int16_t>(std::clamp(a[i] + b[i], -32768, 32767));
-  return v;
-}
-inline V8 subs(V8 a, V8 b) {
-  V8 v;
-  for (int i = 0; i < 8; ++i) v[i] = static_cast<std::int16_t>(std::clamp(a[i] - b[i], -32768, 32767));
-  return v;
-}
+inline V8 add(V8 a, V8 b) { return a + b; }
+inline V8 sub(V8 a, V8 b) { return a - b; }
+inline V8 bit_xor(V8 a, V8 b) { return a ^ b; }
 inline V8 min(V8 a, V8 b) { return a < b ? a : b; }
 inline V8 greater(V8 a, V8 b) { return a > b; }
 inline V8 interleave_lo(V8 a, V8 b) { return __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11); }
 inline V8 interleave_hi(V8 a, V8 b) { return __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15); }
-inline V8 select(V8 mask, V8 set, V8 clear) { return (mask & set) | (~mask & clear); }
 inline unsigned movemask(V8 lo, V8 hi) {
   unsigned bits = 0;
   for (int i = 0; i < 8; ++i) bits |= ((lo[i] & 1u) << i) | ((hi[i] & 1u) << (8 + i));
@@ -94,10 +119,165 @@ inline std::int16_t lane_min(V8 v) {
 constexpr std::int16_t kErasure = ConvolutionalCodec::kSoftScale / 2;
 static_assert(ConvolutionalCodec::kSoftScale % 2 == 0, "0.5 must quantize exactly");
 
-// round(clamp(s, 0, 1) * kSoftScale), with NaN read as an erasure.
-std::int16_t quantize(float s) {
-  if (std::isnan(s)) return kErasure;
-  return static_cast<std::int16_t>(std::clamp(s, 0.0f, 1.0f) * ConvolutionalCodec::kSoftScale + 0.5f);
+// round(clamp(s, 0, 1) * kSoftScale) of soft[0, n) into q, with NaN read
+// as an erasure by a select rather than a branch; eight values at a time
+// under SSE2.
+void quantize(const float* soft, std::size_t n, std::int16_t* q) {
+  constexpr float kScale = ConvolutionalCodec::kSoftScale;
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128 zero = _mm_setzero_ps(), one = _mm_set1_ps(1.0f), half = _mm_set1_ps(0.5f);
+  const __m128 scale = _mm_set1_ps(kScale);
+  auto four = [&](const float* p) {
+    const __m128 s = _mm_loadu_ps(p);
+    const __m128 ordered = _mm_cmpord_ps(s, s);
+    const __m128 v = _mm_or_ps(_mm_and_ps(ordered, s), _mm_andnot_ps(ordered, half));
+    return _mm_cvttps_epi32(_mm_add_ps(_mm_mul_ps(_mm_min_ps(_mm_max_ps(v, zero), one), scale), half));
+  };
+  for (; i + 8 <= n; i += 8) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i), _mm_packs_epi32(four(soft + i), four(soft + i + 4)));
+  }
+#endif
+  for (; i < n; ++i) {
+    const float v = soft[i] == soft[i] ? soft[i] : 0.5f;
+    q[i] = static_cast<std::int16_t>(std::min(std::max(v, 0.0f), 1.0f) * kScale + 0.5f);
+  }
+}
+
+// Depunctures `soft` through the pattern Pat into in_bits (q0, q1) pairs;
+// punctured and missing positions are erasures. The soft values are
+// quantized in one pass, then spread over the pattern's kept positions,
+// whole periods unrolled.
+template <const auto& Pat>
+void depuncture_with(std::span<const float> soft, std::size_t in_bits, std::vector<std::int16_t>& quantized,
+                     std::vector<std::int16_t>& pairs) {
+  constexpr std::size_t period = std::size(Pat);
+  constexpr std::size_t kept = static_cast<std::size_t>(std::count(std::begin(Pat), std::end(Pat), 1));
+  const std::size_t total = in_bits * 2;
+  const std::size_t used =
+      std::min(soft.size(), total / period * kept + static_cast<std::size_t>(std::count(Pat, Pat + total % period, 1)));
+  quantized.resize(used);
+  quantize(soft.data(), used, quantized.data());
+  pairs.resize(total);
+  const std::int16_t* q = quantized.data();
+  std::int16_t* out = pairs.data();
+  const std::size_t periods = std::min(total / period, used / kept);
+  for (std::size_t n = 0; n < periods; ++n) {
+    std::size_t k = n * kept;
+    for (std::size_t p = 0; p < period; ++p) out[n * period + p] = Pat[p] ? q[k++] : kErasure;
+  }
+  std::size_t idx = periods * kept;
+  for (std::size_t i = periods * period, p = 0; i < total; ++i, p = p + 1 == period ? 0 : p + 1) {
+    out[i] = Pat[p] && idx < used ? q[idx] : kErasure;
+    idx += Pat[p];
+  }
+}
+
+// Lane i: `set` where bit `bit` of s_i is set (bit 1 is out0, bit 0
+// out1), else `clear`.
+template <class T, unsigned bit, std::int16_t set, std::int16_t clear>
+inline V8 lane_constant() {
+  static constexpr auto lanes = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<std::int16_t, 8>{(T::sym(I) & bit ? set : clear)...};
+  }(std::make_index_sequence<8>{});
+  return load(lanes.data());
+}
+
+// Butterflies 8G .. 8G+7: each metric vector is loaded once, and the
+// group's decisions are one 16-bit word, even successors in the low byte.
+template <class T, std::size_t G>
+[[gnu::always_inline]] inline void butterflies(const V8 (&lanes)[4], const std::int16_t* __restrict metric,
+                                               std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
+  constexpr unsigned c = T::sym(8 * G);
+  const V8 a = lanes[c];
+  const V8 b = lanes[c ^ 3];
+  const V8 lo = load(metric + 8 * G), hi = load(metric + T::half + 8 * G);
+  const V8 m0e = add(lo, a), m1e = add(hi, b);
+  const V8 m0o = add(lo, b), m1o = add(hi, a);
+  const V8 ne = min(m0e, m1e);
+  const V8 no = min(m0o, m1o);
+  store(next + 16 * G, interleave_lo(ne, no));
+  store(next + 16 * G + 8, interleave_hi(ne, no));
+  dec[G] = static_cast<std::uint16_t>(movemask(greater(m0e, m1e), greater(m0o, m1o)));
+}
+
+// One trellis step on the quantized pair (q0, q1): metric -> next, and the
+// step's T::groups decision words into dec.
+template <class T>
+[[gnu::always_inline]] inline void acs_step(std::int16_t q0, std::int16_t q1, const std::int16_t* __restrict metric,
+                                            std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
+  constexpr std::int16_t Q = ConvolutionalCodec::kSoftScale;
+  // The step's four lane patterns: lanes[c] holds bm[s_i ^ c] in lane i,
+  // which is `a` of every group with base symbol c and `b` of every group
+  // with base symbol c ^ 3. Each half of bm is the distance of one received
+  // value to the expected bit: q for a 0, Q - q for a 1. So x0, the
+  // distance of q0 to lane i's out0, is (q0 ^ m) + (m ? Q + 1 : 0) with m
+  // all ones where out0 is 1; x0_flip, the distance to the other bit, is
+  // Q - x0. x1 likewise.
+  const V8 x0 = add(bit_xor(splat(q0), lane_constant<T, 2, -1, 0>()), lane_constant<T, 2, Q + 1, 0>());
+  const V8 x1 = add(bit_xor(splat(q1), lane_constant<T, 1, -1, 0>()), lane_constant<T, 1, Q + 1, 0>());
+  const V8 x0_flip = sub(splat(Q), x0), x1_flip = sub(splat(Q), x1);
+  const V8 lanes[4] = {add(x0, x1), add(x0, x1_flip), add(x0_flip, x1), add(x0_flip, x1_flip)};
+  [&]<std::size_t... G>(std::index_sequence<G...>) {
+    (butterflies<T, G>(lanes, metric, next, dec), ...);
+  }(std::make_index_sequence<T::groups>{});
+}
+
+// Subtracts the smallest metric from all of them.
+template <class T>
+inline void renormalize(std::int16_t* metric) {
+  V8 lowest = load(metric);
+  for (std::size_t i = 8; i < T::states; i += 8) lowest = min(lowest, load(metric + i));
+  const V8 shift = splat(lane_min(lowest));
+  for (std::size_t i = 0; i < T::states; i += 8) store(metric + i, sub(load(metric + i), shift));
+}
+
+// Runs the trellis over in_bits quantized (q0, q1) pairs and writes each
+// step's T::groups decision words.
+template <class T>
+void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec) {
+  // State 0 starts at 0, every other state at kUnreached, and the
+  // smallest metric is subtracted every kRenormalize steps. A metric grows
+  // by at most 2Q a step, and after the first K-1 steps none exceeds the
+  // smallest by more than (K-1) * 2Q (see the header), so no sum leaves
+  // int16 and plain wrapping adds are exact.
+  constexpr int kUnreached = 16384, kRenormalize = 16, kMaxBranch = 2 * ConvolutionalCodec::kSoftScale;
+  static_assert(kRenormalize >= T::k - 1 && kUnreached + kRenormalize * kMaxBranch <= 32767);
+  static_assert((T::k - 1 + kRenormalize) * kMaxBranch <= 32767);
+  alignas(16) std::int16_t buffers[2][T::states];
+  std::int16_t* metric = buffers[0];
+  std::int16_t* next = buffers[1];
+  std::fill_n(metric, T::states, static_cast<std::int16_t>(kUnreached));
+  metric[0] = 0;
+  for (std::size_t step = 0; step < in_bits; ++step) {
+    acs_step<T>(pairs[2 * step], pairs[2 * step + 1], metric, next, dec + step * T::groups);
+    std::swap(metric, next);
+    if (step % kRenormalize == kRenormalize - 1) renormalize<T>(metric);
+  }
+}
+
+// Traceback from state 0 (the K-1 flush bits end there), writing each
+// payload byte as its eight steps are passed. The input bit that produced
+// a state is its LSB; a set decision means the winning predecessor was the
+// high one, whose evicted MSB was 1.
+template <class T>
+void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t* out) {
+  std::uint32_t state = 0;
+  auto back = [&](std::size_t step) {
+    const std::uint32_t word = dec[step * T::groups + (state >> 4)];
+    const std::uint32_t evicted = (word >> ((state & 1) * 8 + ((state >> 1) & 7))) & 1u;
+    state = (state >> 1) | (evicted << (T::k - 2));
+  };
+  std::size_t step = payload_bytes * 8 + static_cast<std::size_t>(T::k - 1);
+  while (step > payload_bytes * 8) back(--step);
+  for (std::size_t byte = payload_bytes; byte-- > 0;) {
+    std::uint32_t bits = 0;  // step 8 * byte + 7 - b is bit b, counted from the LSB
+    for (std::uint32_t b = 0; b < 8; ++b) {
+      bits |= (state & 1u) << b;
+      back(--step);
+    }
+    out[byte] = static_cast<std::uint8_t>(bits);
+  }
 }
 
 }  // namespace
@@ -105,14 +285,14 @@ std::int16_t quantize(float s) {
 ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
   switch (spec.code) {
     case ConvCode::kV27:
-      k_ = 7;
-      poly_a_ = 0x6d;
-      poly_b_ = 0x4f;
+      k_ = V27::k;
+      poly_a_ = V27::poly_a;
+      poly_b_ = V27::poly_b;
       break;
     case ConvCode::kV29:
-      k_ = 9;
-      poly_a_ = 0x1af;
-      poly_b_ = 0x11d;
+      k_ = V29::k;
+      poly_a_ = V29::poly_a;
+      poly_b_ = V29::poly_b;
       break;
     default:
       throw std::invalid_argument("unknown convolutional code");
@@ -127,22 +307,6 @@ ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
       br.out1 = static_cast<std::uint8_t>(parity(reg & poly_b_));
     }
   }
-  // decode_soft's butterfly needs both polynomials to tap the register's
-  // MSB and LSB, and whole decision bytes (half a multiple of 8).
-  const std::uint32_t ends = 1u | (1u << (k_ - 1));
-  if ((poly_a_ & ends) != ends || (poly_b_ & ends) != ends || num_states_ < 16) {
-    throw std::logic_error("convolutional code does not fit the butterfly decoder");
-  }
-  // s_j, the symbol of butterfly j's branch j -> 2j (branches_[j << 1]),
-  // is linear in j over GF(2), and 8g and i < 8 share no bits, so
-  // s_(8g + i) = s_(8g) ^ s_i.
-  auto sym = [&](std::size_t j) {
-    const Branch& br = branches_[j << 1];
-    return static_cast<std::uint8_t>(br.out0 * 2 + br.out1);
-  };
-  for (std::size_t i = 0; i < 8; ++i) lane_sym_[i] = sym(i);
-  group_sym_.resize(static_cast<std::size_t>(num_states_) / 16);
-  for (std::size_t g = 0; g < group_sym_.size(); ++g) group_sym_[g] = sym(8 * g);
 }
 
 double ConvolutionalCodec::rate() const {
@@ -197,19 +361,11 @@ util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const
 }
 
 void ConvolutionalCodec::depuncture(std::span<const float> soft, std::size_t in_bits,
-                                    std::vector<std::int16_t>& pairs) const {
-  // De-puncture into per-step quantized (out0, out1) pairs; punctured and
-  // missing positions are erasures.
-  const auto pat = puncture_pattern(spec_.rate);
-  pairs.assign(in_bits * 2, kErasure);
-  std::size_t soft_idx = 0;
-  std::size_t p = 0;
-  for (std::size_t i = 0; i < in_bits * 2; ++i) {
-    if (pat[p]) {
-      if (soft_idx < soft.size()) pairs[i] = quantize(soft[soft_idx]);
-      ++soft_idx;
-    }
-    if (++p == pat.size()) p = 0;
+                                    std::vector<std::int16_t>& quantized, std::vector<std::int16_t>& pairs) const {
+  switch (spec_.rate) {
+    case PunctureRate::kRate1_2: return depuncture_with<kPattern1_2>(soft, in_bits, quantized, pairs);
+    case PunctureRate::kRate2_3: return depuncture_with<kPattern2_3>(soft, in_bits, quantized, pairs);
+    case PunctureRate::kRate3_4: return depuncture_with<kPattern3_4>(soft, in_bits, quantized, pairs);
   }
 }
 
@@ -218,105 +374,32 @@ namespace {
 // Buffers for decode_soft, reused across calls. Thread-local rather than a
 // codec member so concurrent decodes on a shared codec stay safe.
 struct ViterbiWorkspace {
+  std::vector<std::int16_t> quantized;  // the soft values, before depuncturing
   std::vector<std::int16_t> pairs;
-  std::vector<std::int16_t> metric;  // path metric of each state
-  std::vector<std::int16_t> next_metric;
-  std::vector<std::uint8_t> decisions;  // in_bits * ns / 8 bitmap bytes
-  std::vector<std::uint8_t> bits;
+  std::vector<std::uint16_t> decisions;  // in_bits * groups decision words
 };
+
+template <class T>
+void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, std::vector<std::uint16_t>& dec,
+             std::uint8_t* out) {
+  const std::size_t in_bits = pairs.size() / 2;
+  dec.resize(in_bits * T::groups);  // every word is written below
+  add_compare_select<T>(pairs.data(), in_bits, dec.data());
+  traceback<T>(dec.data(), payload_bytes, out);
+}
 
 }  // namespace
 
 util::Bytes ConvolutionalCodec::decode_soft(std::span<const float> soft,
                                             std::size_t payload_bytes) const {
   const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
-  const std::size_t ns = static_cast<std::size_t>(num_states_);
-  const std::size_t half = ns / 2;
-  const std::size_t step_bytes = ns / 8;
-  constexpr std::int16_t Q = kSoftScale;
-
   thread_local ViterbiWorkspace ws;
-  depuncture(soft, in_bits, ws.pairs);
-
-  // State 0 starts at 0, every other state at 16384 (see the header on
-  // why int16 holds).
-  constexpr std::int16_t kUnreached = 16384;
-  ws.metric.assign(ns, kUnreached);
-  ws.metric[0] = 0;
-  ws.next_metric.resize(ns);
-  ws.decisions.resize(in_bits * step_bytes);  // every byte is written below
-
-  // Lanes whose symbol s_i has out0 (bit 1) or out1 (bit 0) set.
-  std::int16_t out0[8], out1[8];
-  for (std::size_t i = 0; i < 8; ++i) {
-    out0[i] = static_cast<std::int16_t>(lane_sym_[i] & 2 ? -1 : 0);
-    out1[i] = static_cast<std::int16_t>(lane_sym_[i] & 1 ? -1 : 0);
-  }
-  const V8 out0_mask = load(out0);
-  const V8 out1_mask = load(out1);
-
-  const std::uint8_t* group_sym = group_sym_.data();
-  std::int16_t* metric = ws.metric.data();
-  std::int16_t* next_metric = ws.next_metric.data();
-  for (std::size_t step = 0; step < in_bits; ++step) {
-    const std::int16_t q0 = ws.pairs[step * 2];
-    const std::int16_t q1 = ws.pairs[step * 2 + 1];
-    // The step's four lane patterns: lanes[c] holds bm[s_i ^ c] in lane i,
-    // which is `a` of every group with base symbol c and `b` of every group
-    // with base symbol c ^ 3. Each half of bm is the distance of one
-    // received value to the expected bit: q for a 0, Q - q for a 1.
-    const V8 d0 = splat(q0), d0c = splat(static_cast<std::int16_t>(Q - q0));
-    const V8 d1 = splat(q1), d1c = splat(static_cast<std::int16_t>(Q - q1));
-    const V8 x0 = select(out0_mask, d0c, d0), x0_flip = select(out0_mask, d0, d0c);
-    const V8 x1 = select(out1_mask, d1c, d1), x1_flip = select(out1_mask, d1, d1c);
-    const V8 lanes[4] = {adds(x0, x1), adds(x0, x1_flip), adds(x0_flip, x1), adds(x0_flip, x1_flip)};
-
-    const std::int16_t* m_lo = metric;
-    const std::int16_t* m_hi = metric + half;
-    std::int16_t* __restrict nm = next_metric;
-    std::uint8_t* dec_even = ws.decisions.data() + step * step_bytes;
-    std::uint8_t* dec_odd = dec_even + half / 8;
-
-    // Butterflies 8g .. 8g+7.
-    for (std::size_t g = 0; g < half / 8; ++g) {
-      const V8 a = lanes[group_sym[g]];
-      const V8 b = lanes[group_sym[g] ^ 3];
-      const V8 lo = load(m_lo + 8 * g), hi = load(m_hi + 8 * g);
-      const V8 m0e = adds(lo, a), m1e = adds(hi, b);
-      const V8 m0o = adds(lo, b), m1o = adds(hi, a);
-      const V8 ne = min(m0e, m1e);
-      const V8 no = min(m0o, m1o);
-      store(nm + 16 * g, interleave_lo(ne, no));
-      store(nm + 16 * g + 8, interleave_hi(ne, no));
-      const unsigned taken = movemask(greater(m0e, m1e), greater(m0o, m1o));
-      dec_even[g] = static_cast<std::uint8_t>(taken);
-      dec_odd[g] = static_cast<std::uint8_t>(taken >> 8);
-    }
-    std::swap(metric, next_metric);
-
-    if (step % 8 == 7) {
-      V8 lowest = load(metric);
-      for (std::size_t i = 8; i < ns; i += 8) lowest = min(lowest, load(metric + i));
-      const V8 shift = splat(lane_min(lowest));
-      for (std::size_t i = 0; i < ns; i += 8) store(metric + i, subs(load(metric + i), shift));
-    }
-  }
-
-  // Traceback from state 0 (guaranteed by the K-1 flush bits). A set
-  // decision means the winning predecessor was the high one, whose evicted
-  // MSB was 1.
-  std::uint32_t state = 0;
-  util::Bytes out(payload_bytes, 0);
-  ws.bits.resize(in_bits);
-  for (std::size_t step = in_bits; step-- > 0;) {
-    ws.bits[step] = static_cast<std::uint8_t>(state & 1);  // input bit that produced `state`
-    const std::size_t idx = (state & 1) * half + (state >> 1);
-    const std::uint32_t evicted = (ws.decisions[step * step_bytes + idx / 8] >> (idx % 8)) & 1u;
-    state = (state >> 1) | (evicted << (k_ - 2));
-  }
-
-  for (std::size_t i = 0; i < payload_bytes * 8; ++i) {
-    if (ws.bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
+  depuncture(soft, in_bits, ws.quantized, ws.pairs);
+  util::Bytes out(payload_bytes);
+  if (spec_.code == ConvCode::kV27) {
+    viterbi<V27>(ws.pairs, payload_bytes, ws.decisions, out.data());
+  } else {
+    viterbi<V29>(ws.pairs, payload_bytes, ws.decisions, out.data());
   }
   return out;
 }

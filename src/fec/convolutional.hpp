@@ -10,7 +10,6 @@
 // erasure.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,41 +51,48 @@ class ConvolutionalCodec {
   // erasures. Returns the decoded bytes; the code is always decodable (it
   // picks the best path), so integrity must be checked by an outer CRC.
   //
-  // Soft bits are quantized once per call, in the depuncturing pass, to
+  // Soft bits are quantized once per call, eight at a time, to
   // q = round(clamp(s, 0, 1) * kSoftScale); kSoftScale is even, so 0.5 and
   // punctured positions are the exact erasure kSoftScale / 2, and NaN reads
-  // as an erasure too. Branch metrics are the L1 distances
-  // |q0 - Q*out0| + |q1 - Q*out1| (Q = kSoftScale, at most 2Q), and path
-  // metrics are int16.
+  // as an erasure too (a select, not a branch). Branch metrics are the L1
+  // distances |q0 - Q*out0| + |q1 - Q*out1| (Q = kSoftScale, at most 2Q),
+  // and path metrics are int16.
   //
-  // The trellis runs as add-compare-select butterflies, eight per SSE2
-  // register (paddsw, pcmpgtw, pminsw; a generic fallback runs the same
-  // algorithm without SSE2). Butterfly j joins predecessors j and j + half
-  // to successors 2j (input bit 0) and 2j + 1 (input bit 1). Both codes tap
+  // The trellis is fixed at compile time: decode_soft runs a template
+  // instance per code (v27: 4 groups of eight butterflies, v29: 16), with
+  // every branch symbol a constant and the group loop fully unrolled. It
+  // runs as add-compare-select butterflies, eight per SSE2 register
+  // (paddw, pcmpgtw, pminsw; a generic fallback runs the same algorithm
+  // without SSE2). Butterfly j joins predecessors j and j + half to
+  // successors 2j (input bit 0) and 2j + 1 (input bit 1). Both codes tap
   // the register's MSB and LSB in both polynomials, so a butterfly's four
   // branches carry only two metrics: a = bm[s_j] on j -> 2j and
   // j + half -> 2j + 1, b = bm[s_j ^ 3] on the crossing branches, where
   // s_j = out0 * 2 + out1 of branch j -> 2j and bm is the step's four
-  // branch metrics. s_j is linear in j, so the constructor stores s_i of
-  // the eight lanes and s_8g of each group g of eight butterflies; per step,
-  // four lane vectors bm[s_i ^ c] serve every group as a (c = s_8g) and
-  // b (c = s_8g ^ 3). A successor takes the high predecessor only if its
-  // metric is strictly lower, so ties keep the low predecessor.
+  // branch metrics. s_j is linear in j, so s_(8g + i) = s_(8g) ^ s_i: per
+  // step, four lane vectors bm[s_i ^ c] stay in registers and serve every
+  // group g as a (c = s_8g) and b (c = s_8g ^ 3), both picked at compile
+  // time. A successor takes the high predecessor only if its metric is
+  // strictly lower, so ties keep the low predecessor.
   //
   // int16 cannot overflow. State 0 starts at 0 and every other state at
   // 16384. Any state is reachable from any other in K-1 steps, so once the
   // start's K-1 steps have passed, no metric exceeds the minimum by more
   // than (K-1) * 2Q (4064 for v29), and every path from a state other than
-  // 0 has lost to one from state 0. Every 8 steps the minimum is subtracted
-  // from all metrics, so between renormalizations they grow by at most
-  // 8 * 2Q more: the largest metric is 16384 + 8 * 2Q = 20448 in the first
-  // eight steps and at most 8128 after them, below 32767.
+  // 0 has lost to one from state 0. Every 16 steps the minimum is
+  // subtracted from all metrics, so between renormalizations they grow by
+  // at most 16 * 2Q more: the largest metric is 16384 + 16 * 2Q = 24512 in
+  // the first 16 steps and at most (K-1) * 2Q + 16 * 2Q (12192 for v29)
+  // after them, below 32767 (static_asserts in the decoder check both bounds), so the
+  // adds need no saturation.
   //
-  // Each step's decisions (1 = high predecessor won) form an ns-bit
-  // bitmap, packed with packsswb + pmovmskb and laid out by successor as
-  // (next & 1) * half + (next >> 1): even successors first, then odd ones,
-  // one whole byte per eight butterflies. Traceback reads that layout. All
-  // buffers are reused across calls through a thread-local workspace, so
+  // Each step's decisions (1 = high predecessor won) are one 16-bit word
+  // per group of eight butterflies, packed with packsswb + pmovmskb: bit i
+  // of group g's word is even successor 2(8g + i), bit 8 + i odd successor
+  // 2(8g + i) + 1. Traceback reads successor `next` as bit
+  // (next & 1) * 8 + (next >> 1) % 8 of word next >> 4, and writes each
+  // output byte from eight steps' state bits without a branch. All buffers
+  // are reused across calls through a thread-local workspace, so
   // concurrent decodes on a shared codec are safe. The output is
   // byte-identical to the per-state decoder on the same quantized input
   // (oracles::decode_soft_quantized_reference in the test-only library);
@@ -107,8 +113,10 @@ class ConvolutionalCodec {
   };
 
   void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) const;
-  // Depunctures and quantizes `soft` into in_bits (q0, q1) pairs.
-  void depuncture(std::span<const float> soft, std::size_t in_bits, std::vector<std::int16_t>& pairs) const;
+  // Quantizes `soft` into `quantized` and depunctures it into in_bits
+  // (q0, q1) pairs.
+  void depuncture(std::span<const float> soft, std::size_t in_bits, std::vector<std::int16_t>& quantized,
+                  std::vector<std::int16_t>& pairs) const;
 
   ConvSpec spec_;
   int k_;                 // constraint length
@@ -116,10 +124,6 @@ class ConvolutionalCodec {
   std::uint32_t poly_b_;
   int num_states_;
   std::vector<Branch> branches_;  // [state << 1 | input_bit]
-  // decode_soft's branch symbols: s_i of lanes i = 0..7, and s_(8g) of
-  // each group g of eight butterflies.
-  std::array<std::uint8_t, 8> lane_sym_{};
-  std::vector<std::uint8_t> group_sym_;
 };
 
 }  // namespace sonic::fec

@@ -1,6 +1,7 @@
 #include "fec/reed_solomon.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace sonic::fec {
@@ -16,6 +17,9 @@ GF256::GF256() {
   }
   for (int i = 255; i < 512; ++i) exp_[i] = exp_[i - 255];
   log_[0] = -1;
+  for (int i = 0; i < kTimesAlphaRows; ++i) {
+    for (int x = 0; x < 256; ++x) times_alpha_[i][x] = mul(static_cast<std::uint8_t>(x), exp(i));
+  }
 }
 
 const GF256& GF256::instance() {
@@ -35,13 +39,8 @@ std::uint8_t GF256::div(std::uint8_t a, std::uint8_t b) const {
 
 std::uint8_t GF256::inv(std::uint8_t a) const { return exp_[255 - log_[a]]; }
 
-std::uint8_t GF256::pow(std::uint8_t a, int e) const {
-  if (a == 0) return 0;
-  return exp(log_[a] * e);
-}
-
 ReedSolomon::ReedSolomon(int nroots) : nroots_(nroots) {
-  if (nroots < 2 || nroots > 64) throw std::invalid_argument("rs nroots out of range");
+  if (nroots < 2 || nroots > kMaxRoots) throw std::invalid_argument("rs nroots out of range");
   const GF256& gf = GF256::instance();
   // g(x) = prod_{i=0}^{nroots-1} (x - alpha^i), fcr = 0.
   genpoly_.assign(static_cast<std::size_t>(nroots) + 1, 0);
@@ -81,6 +80,31 @@ util::Bytes ReedSolomon::encode(std::span<const std::uint8_t> data) const {
   return out;
 }
 
+bool ReedSolomon::syndromes(std::span<const std::uint8_t> block,
+                            std::span<std::uint8_t, kMaxRoots> synd) const {
+  const GF256& gf = GF256::instance();
+  const std::size_t nroots = static_cast<std::size_t>(nroots_);
+  std::fill_n(synd.begin(), nroots, std::uint8_t{0});
+  // Four bytes per visit to each root: its chain takes four table steps in
+  // a register between a load and a store of synd[i].
+  std::size_t j = 0;
+  for (; j + 4 <= block.size(); j += 4) {
+    const std::uint8_t b0 = block[j], b1 = block[j + 1], b2 = block[j + 2], b3 = block[j + 3];
+    for (std::size_t i = 0; i < nroots; ++i) {
+      const std::uint8_t* t = gf.times_alpha(static_cast<int>(i));
+      synd[i] = static_cast<std::uint8_t>(t[t[t[t[synd[i]] ^ b0] ^ b1] ^ b2] ^ b3);
+    }
+  }
+  for (; j < block.size(); ++j) {
+    for (std::size_t i = 0; i < nroots; ++i) {
+      synd[i] = static_cast<std::uint8_t>(gf.times_alpha(static_cast<int>(i))[synd[i]] ^ block[j]);
+    }
+  }
+  std::uint8_t any = 0;
+  for (std::size_t i = 0; i < nroots; ++i) any = static_cast<std::uint8_t>(any | synd[i]);
+  return any != 0;
+}
+
 std::optional<int> ReedSolomon::decode(std::span<std::uint8_t> block,
                                        std::span<const int> erasures) const {
   const GF256& gf = GF256::instance();
@@ -88,18 +112,10 @@ std::optional<int> ReedSolomon::decode(std::span<std::uint8_t> block,
   if (n <= nroots_ || n > 255) return std::nullopt;
   if (static_cast<int>(erasures.size()) > nroots_) return std::nullopt;
 
-  // Syndromes: S_i = r(alpha^i). Byte j of the block is the coefficient of
-  // x^(n-1-j) in the (shortened) codeword polynomial.
-  std::vector<std::uint8_t> synd(static_cast<std::size_t>(nroots_), 0);
-  bool all_zero = true;
-  for (int i = 0; i < nroots_; ++i) {
-    std::uint8_t s = 0;
-    const std::uint8_t a = gf.exp(i);
-    for (int j = 0; j < n; ++j) s = static_cast<std::uint8_t>(gf.mul(s, a) ^ block[static_cast<std::size_t>(j)]);
-    synd[static_cast<std::size_t>(i)] = s;
-    if (s != 0) all_zero = false;
-  }
-  if (all_zero) return 0;
+  // Byte j of the block is the coefficient of x^(n-1-j) in the
+  // (shortened) codeword polynomial.
+  std::array<std::uint8_t, kMaxRoots> synd;
+  if (!syndromes(block, synd)) return 0;
 
   // Erasure locator Gamma(x) = prod (1 - X_e x), X_e = alpha^(n-1-j).
   std::vector<std::uint8_t> gamma{1};
@@ -201,12 +217,7 @@ std::optional<int> ReedSolomon::decode(std::span<std::uint8_t> block,
   }
 
   // Verify: all syndromes must now vanish.
-  for (int i = 0; i < nroots_; ++i) {
-    std::uint8_t s = 0;
-    const std::uint8_t a = gf.exp(i);
-    for (int j = 0; j < n; ++j) s = static_cast<std::uint8_t>(gf.mul(s, a) ^ block[static_cast<std::size_t>(j)]);
-    if (s != 0) return std::nullopt;
-  }
+  if (syndromes(block, synd)) return std::nullopt;
   return deg_lambda;
 }
 

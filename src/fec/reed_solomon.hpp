@@ -22,19 +22,26 @@ class GF256 {
   std::uint8_t mul(std::uint8_t a, std::uint8_t b) const;
   std::uint8_t div(std::uint8_t a, std::uint8_t b) const;  // b != 0
   std::uint8_t inv(std::uint8_t a) const;                  // a != 0
-  std::uint8_t pow(std::uint8_t a, int e) const;
   std::uint8_t exp(int e) const { return exp_[((e % 255) + 255) % 255]; }
   int log(std::uint8_t a) const { return log_[a]; }  // undefined for 0
+
+  // Multiplication by alpha^i as a table: times_alpha(i)[x] == mul(x, exp(i)),
+  // for i < kTimesAlphaRows (the largest nroots).
+  static constexpr int kTimesAlphaRows = 64;
+  const std::uint8_t* times_alpha(int i) const { return times_alpha_[i]; }
 
  private:
   GF256();
   std::uint8_t exp_[512];
   int log_[256];
+  std::uint8_t times_alpha_[kTimesAlphaRows][256];
 };
 
 class ReedSolomon {
  public:
-  // nroots parity symbols; payload per full block is 255 - nroots.
+  // nroots parity symbols (2 to kMaxRoots); payload per full block is
+  // 255 - nroots.
+  static constexpr int kMaxRoots = GF256::kTimesAlphaRows;
   explicit ReedSolomon(int nroots = 32);
 
   int nroots() const { return nroots_; }
@@ -47,8 +54,16 @@ class ReedSolomon {
   // `erasures` holds byte indexes into `block` known to be unreliable.
   // Returns the number of corrected symbols, or std::nullopt if the
   // codeword is uncorrectable.
+  // A block whose syndromes are all zero is returned as is, with nothing
+  // allocated.
   std::optional<int> decode(std::span<std::uint8_t> block,
                             std::span<const int> erasures = {}) const;
+
+  // The syndromes S_i = r(alpha^i), i < nroots, of `block` (data || parity,
+  // byte j the coefficient of x^(n-1-j)) into synd[0, nroots); returns
+  // whether any is nonzero. One Horner chain per root through its
+  // times_alpha table, the chains advanced together four bytes at a time.
+  bool syndromes(std::span<const std::uint8_t> block, std::span<std::uint8_t, kMaxRoots> synd) const;
 
  private:
   int nroots_;

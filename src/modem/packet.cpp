@@ -1,6 +1,9 @@
 #include "modem/packet.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "fec/crc32.hpp"
 
@@ -117,8 +120,10 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
   if (soft.size() < nbits) return std::nullopt;
 
   // 1. De-scramble + de-interleave soft bits (flipping a soft value is
-  // s -> 1 - s).
-  std::vector<float> deint(nbits, 0.5f);
+  // s -> 1 - s) into a buffer reused across calls; the stride is coprime
+  // with nbits, so every position is written.
+  thread_local std::vector<float> deint;
+  deint.resize(nbits);
   const std::size_t stride = pick_stride(nbits);
   const auto prbs = scrambler_sequence();
   const std::size_t step = nbits > 0 ? stride % nbits : 0;
@@ -131,34 +136,35 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
   }
 
   // 2. Viterbi.
-  util::Bytes rs_stream = conv_.decode_soft(deint, rs_size);
+  util::Bytes body = conv_.decode_soft(deint, rs_size);
 
-  // 3. Outer RS per block.
-  util::Bytes body;
+  // 3. Outer RS per block, each block's data moved down in place over the
+  // parity of the blocks before it.
   if (rs_) {
-    const std::size_t data_block = PacketSpec::rs_data_len;
-    const std::size_t full_block = data_block + static_cast<std::size_t>(spec_.rs_nroots);
-    for (std::size_t off = 0; off < rs_stream.size();) {
-      const std::size_t n = std::min(full_block, rs_stream.size() - off);
-      if (n <= static_cast<std::size_t>(spec_.rs_nroots)) return std::nullopt;
-      auto block_span = std::span(rs_stream).subspan(off, n);
-      if (!rs_->decode(block_span).has_value()) return std::nullopt;
-      body.insert(body.end(), block_span.begin(),
-                  block_span.end() - static_cast<std::ptrdiff_t>(spec_.rs_nroots));
+    const std::size_t nroots = static_cast<std::size_t>(spec_.rs_nroots);
+    const std::size_t full_block = PacketSpec::rs_data_len + nroots;
+    std::size_t kept = 0;
+    for (std::size_t off = 0; off < body.size();) {
+      const std::size_t n = std::min(full_block, body.size() - off);
+      if (n <= nroots) return std::nullopt;
+      const auto block = std::span(body).subspan(off, n);
+      if (!rs_->decode(block).has_value()) return std::nullopt;
+      std::memmove(body.data() + kept, block.data(), n - nroots);
+      kept += n - nroots;
       off += n;
     }
-  } else {
-    body = std::move(rs_stream);
+    body.resize(kept);
   }
 
-  // 4. CRC check.
+  // 4. CRC check; the payload is the body without it.
   if (body.size() < 4) return std::nullopt;
-  util::Bytes payload(body.begin(), body.end() - 4);
+  const std::size_t len = body.size() - 4;
   std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(body[body.size() - 4 + static_cast<std::size_t>(i)]) << (8 * i);
-  if (crc != fec::crc32(payload)) return std::nullopt;
-  if (payload.size() != payload_size) return std::nullopt;
-  return payload;
+  for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(body[len + static_cast<std::size_t>(i)]) << (8 * i);
+  if (crc != fec::crc32(std::span(body).first(len))) return std::nullopt;
+  if (len != payload_size) return std::nullopt;
+  body.resize(len);
+  return body;
 }
 
 }  // namespace sonic::modem

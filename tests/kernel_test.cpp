@@ -12,8 +12,12 @@
 //    inputs, soft values within half a quantization step of a tie,
 //    saturating metrics, NaN and out-of-range inputs and payloads of 0 to
 //    1024 bytes; its bit errors against the float per-state decoder on a
-//    noise grid; the trellis structure the butterfly relies on and
-//    concurrent decodes on one shared codec;
+//    noise grid; the trellis structure the butterfly relies on,
+//    concurrent decodes on one shared codec, and soft input cut short or
+//    running long;
+//  * the table-driven Reed-Solomon syndromes vs. the per-root Horner
+//    loop, and decode's result and corrected bytes vs. the decoder built
+//    on it, at every block length for nroots 2 to 64;
 //  * the real-input OFDM symbol analysis vs. the complex-input FFT, and
 //    the block QAM soft demapper vs. the per-carrier, per-bit level loop;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
@@ -31,8 +35,9 @@
 //    of FftPlan transforms at sizes 2 to 4096, of OfdmModem::modulate bursts
 //    and of received soft bits, for every profile;
 //
-// plus the allocation-free guarantee for the OFDM steady-state symbol path,
-// no IQ-rate buffer in an FM link burst, the bounded allocation for forged
+// plus the allocation-free guarantee for the OFDM steady-state symbol path
+// and a clean Reed-Solomon block, one allocation for a clean frame's
+// decode, no IQ-rate buffer in an FM link burst, the bounded allocation for forged
 // OFDM headers, the streaming receiver's memory independent of the burst
 // length, the column encoder's peak memory independent of the page height
 // and the station building a capped page without a page-sized raster,
@@ -41,6 +46,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -62,11 +68,13 @@
 #include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
+#include "fec/reed_solomon.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
 #include "fm/link.hpp"
 #include "image/column_codec.hpp"
 #include "modem/ofdm.hpp"
+#include "modem/packet.hpp"
 #include "modem/profile.hpp"
 #include "modem/qam.hpp"
 #include "modem/stream_receiver.hpp"
@@ -74,6 +82,7 @@
 #include "oracles/kernel_reference.hpp"
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
+#include "oracles/rs_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
 #include "oracles/ziggurat_reference.hpp"
 #include "sonic/pipeline.hpp"
@@ -492,7 +501,7 @@ TEST(ViterbiEquivalence, SoftValuesWithinHalfAStepOfATie) {
 // 1-KB payloads at the two extremes of the int16 range: clean confident
 // input keeps the metric spread at its (K-1) * 2Q maximum, and heavy noise
 // raises the minimum metric by about Q/4 per step, so over the 8200 steps
-// int16 metrics would saturate within a few hundred without the periodic
+// int16 metrics would overflow within a few hundred without the periodic
 // renormalization.
 TEST(ViterbiEquivalence, OneKilobyteWithSaturatingMetrics) {
   Rng rng(28);
@@ -530,6 +539,30 @@ TEST(ViterbiEquivalence, NanAndOutOfRangeInputsDecodeAsErasuresAndClamped) {
     const auto fast = codec.decode_soft(wild, payload);
     ASSERT_EQ(fast, codec.decode_soft(tamed, payload)) << spec_name(spec);
     ASSERT_EQ(fast, oracles::decode_soft_quantized_reference(spec, wild, payload)) << spec_name(spec);
+  }
+}
+
+// Soft input shorter than encoded_bits() (the missing values are
+// erasures) at every cut within a puncturing period, and longer (the
+// extra values are ignored): the vector quantizer's eight-value blocks and
+// the depuncturer's whole periods end at every offset.
+TEST(ViterbiEquivalence, ShortAndLongSoftInputs) {
+  Rng rng(31);
+  for (const auto& spec : kAllSpecs) {
+    fec::ConvolutionalCodec codec(spec);
+    const std::size_t payload = 24;
+    const auto soft = soft_bits(codec, rng, payload, 0.3);
+    std::vector<std::size_t> cuts = {0, 1, 2, 3, 7, 8, 9};
+    for (std::size_t back = 1; back <= 17; ++back) cuts.push_back(soft.size() - back);
+    for (std::size_t cut : cuts) {
+      const auto short_soft = std::span(soft).first(cut);
+      ASSERT_EQ(codec.decode_soft(short_soft, payload),
+                oracles::decode_soft_quantized_reference(spec, short_soft, payload))
+          << spec_name(spec) << " cut=" << cut;
+    }
+    auto long_soft = soft;
+    for (int i = 0; i < 13; ++i) long_soft.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
+    ASSERT_EQ(codec.decode_soft(long_soft, payload), codec.decode_soft(soft, payload)) << spec_name(spec);
   }
 }
 
@@ -574,6 +607,78 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
   const auto coded = codec.encode(data);
   EXPECT_EQ(codec.decode_soft(hard_soft_bits(coded, codec.encoded_bits(data.size())), data.size()), data);
+}
+
+// ---------------------------------------------------------- Reed-Solomon ---
+
+// `codeword` with `errors` distinct bytes changed.
+util::Bytes with_errors(Rng& rng, util::Bytes codeword, int errors) {
+  std::vector<std::size_t> pos(codeword.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) pos[i] = i;
+  for (int e = 0; e < errors; ++e) {
+    const std::size_t k = static_cast<std::size_t>(e) + rng.uniform_int(pos.size() - static_cast<std::size_t>(e));
+    std::swap(pos[static_cast<std::size_t>(e)], pos[k]);
+    codeword[pos[static_cast<std::size_t>(e)]] ^= static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+  }
+  return codeword;
+}
+
+// The table-driven syndromes against one Horner chain of GF256::mul per
+// root, at every block length, on zero blocks, random blocks, codewords
+// and codewords with 1 to nroots errors (each error count at some length,
+// correctable and not); decode's result and corrected bytes against the
+// decoder built on the reference syndromes.
+TEST(ReedSolomonSyndromes, MatchHornerReference) {
+  Rng rng(61);
+  for (int nroots : {2, 16, 32, 64}) {
+    const fec::ReedSolomon rs(nroots);
+    std::array<std::uint8_t, fec::ReedSolomon::kMaxRoots> synd;
+    for (int n = nroots + 1; n <= 255; ++n) {
+      const auto codeword = rs.encode(random_bytes(rng, static_cast<std::size_t>(n - nroots)));
+      const std::vector<util::Bytes> blocks = {
+          util::Bytes(static_cast<std::size_t>(n), 0), random_bytes(rng, static_cast<std::size_t>(n)), codeword,
+          with_errors(rng, codeword, 1 + n % nroots), with_errors(rng, codeword, 1 + n % (nroots / 2))};
+      for (const auto& block : blocks) {
+        const auto expect = oracles::rs_syndromes_reference(nroots, block);
+        const bool nonzero = rs.syndromes(block, synd);
+        ASSERT_EQ(std::vector<std::uint8_t>(synd.begin(), synd.begin() + nroots), expect)
+            << "nroots=" << nroots << " n=" << n;
+        ASSERT_EQ(nonzero, std::any_of(expect.begin(), expect.end(), [](std::uint8_t v) { return v != 0; }));
+        auto fast = block, ref = block;
+        ASSERT_EQ(rs.decode(fast), oracles::rs_decode_reference(nroots, ref)) << "nroots=" << nroots << " n=" << n;
+        ASSERT_EQ(fast, ref) << "nroots=" << nroots << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(ReedSolomonAlloc, CleanBlockDecodeAllocatesNothing) {
+  Rng rng(62);
+  for (int nroots : {16, 32}) {
+    const fec::ReedSolomon rs(nroots);
+    auto block = rs.encode(random_bytes(rng, 104));
+    ASSERT_EQ(rs.decode(block), 0);
+    const std::size_t before = g_alloc_count.load();
+    for (int i = 0; i < 100; ++i) (void)rs.decode(block);
+    EXPECT_EQ(g_alloc_count.load(), before) << "nroots=" << nroots;
+  }
+}
+
+// A clean sonic-10k frame decodes with one allocation, the payload it
+// returns: the de-interleave buffer is reused, and the RS data blocks are
+// compacted in place in the Viterbi output.
+TEST(PacketCodecAlloc, CleanSonic10kFrameDecodesWithOneAllocation) {
+  const auto profile = *modem::profiles::get("sonic-10k");
+  const modem::PacketCodec codec(modem::PacketSpec{profile.conv, profile.rs_nroots});
+  Rng rng(63);
+  const auto payload = random_bytes(rng, 100);
+  const auto soft = hard_soft_bits(codec.encode(payload), codec.encoded_bits(payload.size()));
+  ASSERT_EQ(codec.decode(soft, payload.size()), payload);  // sizes the thread-local buffers
+  const std::size_t before = g_alloc_count.load();
+  const auto decoded = codec.decode(soft, payload.size());
+  const std::size_t allocations = g_alloc_count.load() - before;
+  ASSERT_EQ(decoded, payload);
+  EXPECT_EQ(allocations, 1u);
 }
 
 // ----------------------------------------------------------- fountain XOR ---
