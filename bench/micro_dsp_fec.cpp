@@ -34,10 +34,13 @@
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
+#include "modem/qam.hpp"
+#include "modem/stream_receiver.hpp"
 #include "oracles/column_reference.hpp"
 #include "oracles/fm_reference.hpp"
 #include "oracles/fountain_reference.hpp"
 #include "oracles/kernel_reference.hpp"
+#include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/rs_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
@@ -380,6 +383,32 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
+  // v29 on a 100-byte frame whose hard decisions are already a codeword
+  // (confident soft bits, no error, no erasure): after takes the trellis
+  // bypass; before is the ACS and traceback, reached by erasing both soft
+  // bits of the first step. Own Rng, like the cases below.
+  {
+    const fec::ConvSpec spec{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
+    auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
+    util::Rng clean_rng(44);
+    const auto coded = codec->encode(random_bytes(clean_rng, 100));
+    auto clean = std::make_shared<std::vector<float>>(codec->encoded_bits(100));
+    util::BitReader br(coded);
+    for (auto& s : *clean) s = br.bit() ? static_cast<float>(clean_rng.uniform(0.6, 1.0)) : static_cast<float>(clean_rng.uniform(0.0, 0.4));
+    auto erased = std::make_shared<std::vector<float>>(*clean);
+    (*erased)[0] = (*erased)[1] = 0.5f;
+    cases.push_back(MicroCase{
+        "viterbi_v29_clean_100B", 100.0, "bytes",
+        [codec, erased] {
+          auto out = codec->decode_soft(*erased, 100);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [codec, clean] {
+          auto out = codec->decode_soft(*clean, 100);
+          benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
   // Reed-Solomon decode of a clean sonic-10k block (a frame, its CRC32 and
   // the profile's parity), where only the syndromes run. Before is the
   // per-root Horner loop of GF256::mul calls that decode ran on every
@@ -398,6 +427,32 @@ std::vector<MicroCase> build_micro_cases() {
         },
         [rs, block] {
           auto corrected = rs->decode(*block);
+          benchmark::DoNotOptimize(corrected);
+        }});
+  }
+
+  // Reed-Solomon decode of a full 255-byte block at sonic-10k's nroots with
+  // two byte errors: the error path (Berlekamp-Massey, Chien, Forney).
+  // Before is the decoder it replaced (oracles::rs_decode_reference); each
+  // op corrects a fresh copy of the block on both sides.
+  {
+    const int nroots = modem::profiles::get("sonic-10k")->rs_nroots;
+    auto rs = std::make_shared<fec::ReedSolomon>(nroots);
+    util::Rng block_rng(45);
+    auto block = std::make_shared<util::Bytes>(rs->encode(random_bytes(block_rng, static_cast<std::size_t>(255 - nroots))));
+    (*block)[10] ^= 0x55;
+    (*block)[200] ^= 0xaa;
+    auto work = std::make_shared<util::Bytes>(*block);
+    cases.push_back(MicroCase{
+        "rs_decode_2err", static_cast<double>(block->size()), "bytes",
+        [nroots, block, work] {
+          std::copy(block->begin(), block->end(), work->begin());
+          auto corrected = oracles::rs_decode_reference(nroots, *work);
+          benchmark::DoNotOptimize(corrected);
+        },
+        [rs, block, work] {
+          std::copy(block->begin(), block->end(), work->begin());
+          auto corrected = rs->decode(*work);
           benchmark::DoNotOptimize(corrected);
         }});
   }
@@ -504,6 +559,66 @@ std::vector<MicroCase> build_micro_cases() {
         [modem, audio] {
           auto bins = modem::OfdmKernelProbe::analyze(*modem, *audio, 128);
           benchmark::DoNotOptimize(bins.data());
+        }});
+  }
+
+  // sonic-10k fine sync over its 257 candidates (+-2 cyclic prefixes) on a
+  // noisy burst: before is the all-exact scan (oracles::fine_sync_reference),
+  // after the float-screened pick. Own Rng.
+  {
+    const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+    util::Rng sync_rng(46);
+    std::vector<util::Bytes> frames(3);
+    for (auto& f : frames) f = random_bytes(sync_rng, 120);
+    const auto burst = modem.modulate(frames);
+    const std::size_t cp = static_cast<std::size_t>(modem.profile().cp_len);
+    const std::size_t sym = static_cast<std::size_t>(modem.profile().fft_size) + cp;
+    const std::size_t candidates = 4 * cp + 1;
+    auto tmpl = std::make_shared<std::vector<float>>(modem.preamble_b_template().begin(),
+                                                     modem.preamble_b_template().end());
+    double tmpl_energy = 0.0;
+    for (float v : *tmpl) tmpl_energy += static_cast<double>(v) * v;
+    auto x = std::make_shared<std::vector<float>>(burst.begin() + static_cast<long>(sym - 2 * cp),
+                                                  burst.begin() + static_cast<long>(sym - 2 * cp + candidates - 1 + tmpl->size()));
+    for (auto& v : *x) v += static_cast<float>(sync_rng.normal(0.0, 0.1 * modem.profile().amplitude));
+    cases.push_back(MicroCase{
+        "fine_sync_257", static_cast<double>(candidates), "candidates",
+        [x, tmpl, tmpl_energy, candidates] {
+          auto pick = oracles::fine_sync_reference(*x, *tmpl, tmpl_energy, candidates);
+          benchmark::DoNotOptimize(pick);
+        },
+        [x, tmpl, tmpl_energy, candidates] {
+          auto pick = modem::pick_fine_sync(*x, *tmpl, tmpl_energy, candidates);
+          benchmark::DoNotOptimize(pick);
+        }});
+  }
+
+  // 64-QAM soft demap of one sonic-10k symbol's data carriers, noisy
+  // points: before is the per-carrier oracle
+  // (oracles::qam_demap_soft_reference), after the block demapper. Own Rng.
+  {
+    const auto profile = *modem::profiles::get("sonic-10k");
+    auto mapper = std::make_shared<modem::QamMapper>(profile.constellation);
+    util::Rng demap_rng(47);
+    auto points = std::make_shared<std::vector<dsp::cplx>>(static_cast<std::size_t>(profile.data_carriers()));
+    for (auto& p : *points) {
+      p = mapper->map(static_cast<std::uint32_t>(demap_rng.uniform_int(64))) +
+          dsp::cplx(static_cast<float>(demap_rng.normal(0.0, 0.05)), static_cast<float>(demap_rng.normal(0.0, 0.05)));
+    }
+    const std::size_t bits = static_cast<std::size_t>(mapper->bits_per_symbol());
+    auto soft = std::make_shared<std::vector<float>>(points->size() * bits);
+    constexpr float kNoise = 0.005f;
+    cases.push_back(MicroCase{
+        "demap_soft_qam64", static_cast<double>(points->size()), "points",
+        [mapper, points, soft, bits] {
+          for (std::size_t k = 0; k < points->size(); ++k) {
+            oracles::qam_demap_soft_reference(*mapper, (*points)[k], kNoise, std::span(*soft).subspan(k * bits, bits));
+          }
+          benchmark::DoNotOptimize(soft->data());
+        },
+        [mapper, points, soft] {
+          mapper->demap_soft(*points, kNoise, *soft);
+          benchmark::DoNotOptimize(soft->data());
         }});
   }
 

@@ -102,10 +102,20 @@ inline V8 min(V8 a, V8 b) { return a < b ? a : b; }
 inline V8 greater(V8 a, V8 b) { return a > b; }
 inline V8 interleave_lo(V8 a, V8 b) { return __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11); }
 inline V8 interleave_hi(V8 a, V8 b) { return __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15); }
+// Each all-ones lane keeps its own bit of a lane constant; the lanes are
+// then OR-ed together as 16-bit fields of two words, which holds on either
+// byte order.
 inline unsigned movemask(V8 lo, V8 hi) {
-  unsigned bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= ((lo[i] & 1u) << i) | ((hi[i] & 1u) << (8 + i));
-  return bits;
+  typedef std::uint16_t V8u __attribute__((vector_size(16)));
+  constexpr V8u kLoBits = {1, 2, 4, 8, 16, 32, 64, 128};
+  constexpr V8u kHiBits = {256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
+  const V8u v = (reinterpret_cast<V8u>(lo) & kLoBits) | (reinterpret_cast<V8u>(hi) & kHiBits);
+  std::uint64_t words[2];
+  std::memcpy(words, &v, sizeof words);
+  std::uint64_t x = words[0] | words[1];
+  x |= x >> 32;
+  x |= x >> 16;
+  return static_cast<unsigned>(x & 0xffffu);
 }
 #endif
 
@@ -256,6 +266,46 @@ void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uin
   }
 }
 
+// The trellis bypass (see the header): walks from state 0 along the hard
+// decisions q > kErasure, writing the payload bits to out as it goes.
+// Returns false, with out partly written, at the first step whose two
+// positions are both erasures or whose kept positions disagree, or at a
+// flush step that implies a 1; else the walked path is the one the ACS and
+// traceback would return.
+template <class T>
+bool walk_hard_decisions(const std::int16_t* pairs, std::size_t in_bits, std::size_t payload_bytes,
+                         std::uint8_t* out) {
+  static constexpr auto syms = []<std::size_t... S>(std::index_sequence<S...>) {
+    return std::array<std::uint8_t, T::states>{static_cast<std::uint8_t>(T::sym(S))...};
+  }(std::make_index_sequence<T::states>{});
+  const std::size_t payload_bits = payload_bytes * 8;
+  std::uint32_t state = 0, byte = 0;
+  for (std::size_t step = 0; step < in_bits; ++step) {
+    const std::int16_t q0 = pairs[2 * step], q1 = pairs[2 * step + 1];
+    // The input bit u gives out0 = u ^ (state's out0 parity), out1 likewise.
+    const std::uint32_t sym = syms[state];
+    const std::uint32_t u0 = static_cast<std::uint32_t>(q0 > kErasure) ^ (sym >> 1);
+    const std::uint32_t u1 = static_cast<std::uint32_t>(q1 > kErasure) ^ (sym & 1u);
+    std::uint32_t bit;
+    if (q0 != kErasure) {
+      if (q1 != kErasure && u1 != u0) return false;
+      bit = u0;
+    } else if (q1 != kErasure) {
+      bit = u1;
+    } else {
+      return false;
+    }
+    state = ((state << 1) | bit) & static_cast<std::uint32_t>(T::states - 1);
+    if (step < payload_bits) {
+      byte = (byte << 1) | bit;
+      if (step % 8 == 7) out[step / 8] = static_cast<std::uint8_t>(byte);
+    } else if (bit != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Traceback from state 0 (the K-1 flush bits end there), writing each
 // payload byte as its eight steps are passed. The input bit that produced
 // a state is its LSB; a set decision means the winning predecessor was the
@@ -383,6 +433,7 @@ template <class T>
 void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, std::vector<std::uint16_t>& dec,
              std::uint8_t* out) {
   const std::size_t in_bits = pairs.size() / 2;
+  if (walk_hard_decisions<T>(pairs.data(), in_bits, payload_bytes, out)) return;
   dec.resize(in_bits * T::groups);  // every word is written below
   add_compare_select<T>(pairs.data(), in_bits, dec.data());
   traceback<T>(dec.data(), payload_bytes, out);

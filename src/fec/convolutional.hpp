@@ -86,8 +86,33 @@ class ConvolutionalCodec {
   // after them, below 32767 (static_asserts in the decoder check both bounds), so the
   // adds need no saturation.
   //
+  // Frames whose hard decisions are already a codeword skip the trellis.
+  // Before the ACS, decode_soft walks it once from state 0 along the hard
+  // decisions (q > Q/2 is a 1). Both polynomials tap the input bit u, so
+  // at every step u is the hard bit of a position whose q is not the
+  // erasure Q/2, XOR that polynomial's parity of the state. The walk hands
+  // the frame to the ACS at the first step whose two positions are both
+  // Q/2 (punctured, erased, NaN or missing), whose second position off Q/2
+  // disagrees with the first, or that is a flush step implying a 1. A walk
+  // that reaches the end returns its input bits, and they are the ACS's
+  // answer:
+  //   * at every position the walked path pays the least branch cost any
+  //     branch can pay there, |q - Q*h| with h its own hard decision;
+  //   * any other path from state 0 into a state on the walked path first
+  //     leaves it in a state the two share, with the other input bit, so
+  //     both its outputs differ there; at least one of those positions is
+  //     not Q/2, and there it pays |2q - Q| > 0 more, so more in all;
+  //   * paths from other start states begin 16384 higher and pay no less
+  //     per branch, and the int16 sums are exact (above);
+  // so the walked prefix is the unique least-metric path into every state
+  // it visits, the ACS keeps it there whatever its tie rule, and the
+  // traceback from state 0 (where the zero flush bits end it) returns it.
+  // The rule admits a lone Q/2 beside a decisive bit.
+  //
   // Each step's decisions (1 = high predecessor won) are one 16-bit word
-  // per group of eight butterflies, packed with packsswb + pmovmskb: bit i
+  // per group of eight butterflies, packed with packsswb + pmovmskb (the
+  // generic fallback keeps each all-ones lane's own bit of a lane constant
+  // and ORs the lanes together as 16-bit fields of two 64-bit words): bit i
   // of group g's word is even successor 2(8g + i), bit 8 + i odd successor
   // 2(8g + i) + 1. Traceback reads successor `next` as bit
   // (next & 1) * 8 + (next >> 1) % 8 of word next >> 4, and writes each

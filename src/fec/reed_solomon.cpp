@@ -105,6 +105,46 @@ bool ReedSolomon::syndromes(std::span<const std::uint8_t> block,
   return any != 0;
 }
 
+namespace {
+
+// Chien search: the positions p < n (byte n-1-p of the block) where
+// Lambda(alpha^-p) = 0, into root_p in descending p, stopping at the
+// deg-th (a polynomial of degree deg has no more roots). Lambda's constant
+// term is 1; term t of the others, lambda_j alpha^(-p j), is alpha to the
+// log l[t] + j q at position p - q, l[t] kept below 255 and moved by 4j
+// (mod 255) per four positions, so every index stays below 510, within
+// exp_table. A compile-time Terms keeps the logs in registers; 0 takes
+// `terms` at run time.
+template <std::size_t Terms>
+int chien(const GF256& gf, const int* log_start, const int* pow, std::size_t terms, int n, int deg, int* root_p) {
+  constexpr std::size_t kCap = Terms > 0 ? Terms : ReedSolomon::kMaxRoots;
+  const std::size_t count = Terms > 0 ? Terms : terms;
+  const std::uint8_t* exp = gf.exp_table();
+  std::array<int, kCap> l, step, jump;
+  for (std::size_t t = 0; t < count; ++t) {
+    l[t] = log_start[t];
+    step[t] = pow[t];
+    jump[t] = 4 * pow[t] % 255;
+  }
+  int roots = 0;
+  int p = n - 1;
+  for (; p >= 0 && roots < deg; p -= 4) {
+    const int positions = std::min(p + 1, 4);
+    for (int q = 0; q < positions; ++q) {
+      std::uint8_t sum = 1;
+      for (std::size_t t = 0; t < count; ++t) sum = static_cast<std::uint8_t>(sum ^ exp[l[t] + q * step[t]]);
+      if (sum == 0) root_p[roots++] = p - q;
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+      l[t] += jump[t];
+      if (l[t] >= 255) l[t] -= 255;
+    }
+  }
+  return roots;
+}
+
+}  // namespace
+
 std::optional<int> ReedSolomon::decode(std::span<std::uint8_t> block,
                                        std::span<const int> erasures) const {
   const GF256& gf = GF256::instance();
@@ -117,107 +157,132 @@ std::optional<int> ReedSolomon::decode(std::span<std::uint8_t> block,
   std::array<std::uint8_t, kMaxRoots> synd;
   if (!syndromes(block, synd)) return 0;
 
-  // Erasure locator Gamma(x) = prod (1 - X_e x), X_e = alpha^(n-1-j).
-  std::vector<std::uint8_t> gamma{1};
+  // Polynomials in stack arrays of kMaxRoots + 1 coefficients, ascending
+  // powers, zero past their used size: Lambda has at most i + 2 after BM
+  // step i (the previous locator has at most i' + 1 when stored at step i',
+  // and is shifted by m = i - i'), so nroots + 1 at the end.
+  using Poly = std::array<std::uint8_t, kMaxRoots + 1>;
+
+  // Erasure locator Gamma(x) = prod (1 - X_e x), X_e = alpha^(n-1-j),
+  // multiplied in place, high coefficients first.
+  Poly gamma{};
+  gamma[0] = 1;
+  std::size_t gamma_size = 1;
   for (int j : erasures) {
     if (j < 0 || j >= n) return std::nullopt;
     const std::uint8_t xe = gf.exp(n - 1 - j);
-    std::vector<std::uint8_t> next(gamma.size() + 1, 0);
-    for (std::size_t t = 0; t < gamma.size(); ++t) {
-      next[t] = static_cast<std::uint8_t>(next[t] ^ gamma[t]);
-      next[t + 1] = static_cast<std::uint8_t>(next[t + 1] ^ gf.mul(gamma[t], xe));
-    }
-    gamma = std::move(next);
+    for (std::size_t t = gamma_size; t-- > 0;) gamma[t + 1] = static_cast<std::uint8_t>(gamma[t + 1] ^ gf.mul(gamma[t], xe));
+    ++gamma_size;
   }
 
   // Berlekamp-Massey seeded with the erasure locator (Blahut's variant):
   // find the errata locator Lambda with deg <= nroots.
-  std::vector<std::uint8_t> lambda = gamma;
-  std::vector<std::uint8_t> prev = gamma;
-  int num_erasures = static_cast<int>(erasures.size());
+  Poly lambda = gamma, prev = gamma;
+  std::size_t lambda_size = gamma_size, prev_size = gamma_size;
+  const int num_erasures = static_cast<int>(erasures.size());
   int big_l = num_erasures;
-  int m = 1;
+  std::size_t m = 1;
   std::uint8_t b = 1;
   for (int i = num_erasures; i < nroots_; ++i) {
     // Discrepancy.
     std::uint8_t delta = 0;
-    for (std::size_t j = 0; j < lambda.size() && j <= static_cast<std::size_t>(i); ++j) {
+    for (std::size_t j = 0; j < lambda_size && j <= static_cast<std::size_t>(i); ++j) {
       delta = static_cast<std::uint8_t>(delta ^ gf.mul(lambda[j], synd[static_cast<std::size_t>(i) - j]));
     }
     if (delta == 0) {
       ++m;
       continue;
     }
+    const Poly before = lambda;
+    const std::size_t before_size = lambda_size;
+    // lambda -= (delta / b) * x^m * prev
+    const std::uint8_t coef = gf.div(delta, b);
+    lambda_size = std::max(lambda_size, prev_size + m);
+    for (std::size_t j = 0; j < prev_size; ++j) {
+      lambda[j + m] = static_cast<std::uint8_t>(lambda[j + m] ^ gf.mul(coef, prev[j]));
+    }
     if (2 * big_l <= i + num_erasures) {
-      std::vector<std::uint8_t> t = lambda;
-      const std::uint8_t coef = gf.div(delta, b);
-      // lambda -= coef * x^m * prev
-      if (lambda.size() < prev.size() + static_cast<std::size_t>(m)) lambda.resize(prev.size() + static_cast<std::size_t>(m), 0);
-      for (std::size_t j = 0; j < prev.size(); ++j) {
-        lambda[j + static_cast<std::size_t>(m)] =
-            static_cast<std::uint8_t>(lambda[j + static_cast<std::size_t>(m)] ^ gf.mul(coef, prev[j]));
-      }
       big_l = i + num_erasures + 1 - big_l;
-      prev = std::move(t);
+      prev = before;
+      prev_size = before_size;
       b = delta;
       m = 1;
     } else {
-      const std::uint8_t coef = gf.div(delta, b);
-      if (lambda.size() < prev.size() + static_cast<std::size_t>(m)) lambda.resize(prev.size() + static_cast<std::size_t>(m), 0);
-      for (std::size_t j = 0; j < prev.size(); ++j) {
-        lambda[j + static_cast<std::size_t>(m)] =
-            static_cast<std::uint8_t>(lambda[j + static_cast<std::size_t>(m)] ^ gf.mul(coef, prev[j]));
-      }
       ++m;
     }
   }
-  while (!lambda.empty() && lambda.back() == 0) lambda.pop_back();
-  const int deg_lambda = static_cast<int>(lambda.size()) - 1;
+  while (lambda_size > 0 && lambda[lambda_size - 1] == 0) --lambda_size;
+  const int deg_lambda = static_cast<int>(lambda_size) - 1;
   if (deg_lambda < 0 || deg_lambda > nroots_) return std::nullopt;
 
-  // Chien search: roots of Lambda give error positions.
-  std::vector<int> error_pos;  // byte indexes into block
-  for (int p = 0; p < n; ++p) {
-    // Candidate locator X = alpha^p corresponds to byte index n-1-p;
-    // test Lambda(X^{-1}) == 0.
-    std::uint8_t sum = 0;
-    for (std::size_t j = 0; j < lambda.size(); ++j) {
-      sum = static_cast<std::uint8_t>(sum ^ gf.mul(lambda[j], gf.exp(static_cast<int>((255 - p) % 255) * static_cast<int>(j))));
-    }
-    if (sum == 0) error_pos.push_back(n - 1 - p);
+  // Chien search over the nonzero terms j >= 1 (lambda_0 is 1).
+  std::array<int, kMaxRoots> term_log, term_pow;
+  std::size_t terms = 0;
+  for (std::size_t j = 1; j < lambda_size; ++j) {
+    if (lambda[j] == 0) continue;
+    const int pow = static_cast<int>(j);
+    term_log[terms] = ((gf.log(lambda[j]) - (n - 1) * pow) % 255 + 255) % 255;
+    term_pow[terms] = pow;
+    ++terms;
   }
-  if (static_cast<int>(error_pos.size()) != deg_lambda) return std::nullopt;
+  std::array<int, kMaxRoots> root_p;
+  int roots = 0;
+  switch (terms) {
+    case 1: roots = chien<1>(gf, term_log.data(), term_pow.data(), terms, n, deg_lambda, root_p.data()); break;
+    case 2: roots = chien<2>(gf, term_log.data(), term_pow.data(), terms, n, deg_lambda, root_p.data()); break;
+    case 3: roots = chien<3>(gf, term_log.data(), term_pow.data(), terms, n, deg_lambda, root_p.data()); break;
+    case 4: roots = chien<4>(gf, term_log.data(), term_pow.data(), terms, n, deg_lambda, root_p.data()); break;
+    default: roots = chien<0>(gf, term_log.data(), term_pow.data(), terms, n, deg_lambda, root_p.data()); break;
+  }
+  if (roots != deg_lambda) return std::nullopt;
+
+  const std::uint8_t* exp = gf.exp_table();
 
   // Errata evaluator Omega(x) = S(x) * Lambda(x) mod x^nroots.
-  std::vector<std::uint8_t> omega(static_cast<std::size_t>(nroots_), 0);
+  Poly omega{};
   for (int i = 0; i < nroots_; ++i) {
     std::uint8_t acc = 0;
-    for (std::size_t j = 0; j <= static_cast<std::size_t>(i) && j < lambda.size(); ++j) {
+    for (std::size_t j = 0; j <= static_cast<std::size_t>(i) && j < lambda_size; ++j) {
       acc = static_cast<std::uint8_t>(acc ^ gf.mul(lambda[j], synd[static_cast<std::size_t>(i) - j]));
     }
     omega[static_cast<std::size_t>(i)] = acc;
   }
 
-  // Forney: e_k = X_k * Omega(X_k^{-1}) / Lambda'(X_k^{-1})   (fcr = 0).
-  for (int idx : error_pos) {
-    const int p = n - 1 - idx;                 // power of the position
-    const int inv_log = (255 - p) % 255;       // log of X^{-1}
+  // Forney (fcr = 0): e = X * Omega(X^-1) / Lambda'(X^-1) with X = alpha^p,
+  // and Lambda'(X^-1) = X * odd, odd the sum of Lambda's odd terms at X^-1,
+  // so e = Omega(X^-1) / odd. Positions are corrected in ascending p,
+  // stopping at the first with odd = 0, and each correction moves the
+  // syndromes by S_i += e * alpha^(i p), so the final check needs no second
+  // pass over the block.
+  for (int r = roots; r-- > 0;) {
+    const int p = root_p[static_cast<std::size_t>(r)];
+    std::uint8_t odd = 0;
+    for (std::size_t j = 1; j < lambda_size; j += 2) {
+      odd = static_cast<std::uint8_t>(odd ^ gf.mul(lambda[j], gf.exp(-p * static_cast<int>(j))));
+    }
+    if (odd == 0) return std::nullopt;
+    // Omega(X^-1) term by term in the log domain: omega_j * alpha^(j k),
+    // k = log X^-1, each exponent below 510 (exp_table's reach).
+    const int k = (255 - p) % 255;
     std::uint8_t om = 0;
-    for (std::size_t j = 0; j < omega.size(); ++j) {
-      om = static_cast<std::uint8_t>(om ^ gf.mul(omega[j], gf.exp(inv_log * static_cast<int>(j))));
+    for (int j = 0, e = 0; j < nroots_; ++j, e = e + k >= 255 ? e + k - 255 : e + k) {
+      const std::uint8_t w = omega[static_cast<std::size_t>(j)];
+      if (w != 0) om = static_cast<std::uint8_t>(om ^ exp[gf.log(w) + e]);
     }
-    // Lambda'(x): formal derivative keeps odd-power terms shifted down.
-    std::uint8_t lp = 0;
-    for (std::size_t j = 1; j < lambda.size(); j += 2) {
-      lp = static_cast<std::uint8_t>(lp ^ gf.mul(lambda[j], gf.exp(inv_log * static_cast<int>(j - 1))));
+    const std::uint8_t magnitude = gf.div(om, odd);
+    const std::size_t idx = static_cast<std::size_t>(n - 1 - p);
+    block[idx] = static_cast<std::uint8_t>(block[idx] ^ magnitude);
+    if (magnitude == 0) continue;
+    const int log_magnitude = gf.log(magnitude);
+    for (int i = 0, e = 0; i < nroots_; ++i, e = e + p >= 255 ? e + p - 255 : e + p) {
+      synd[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(synd[static_cast<std::size_t>(i)] ^ exp[log_magnitude + e]);
     }
-    if (lp == 0) return std::nullopt;
-    const std::uint8_t magnitude = gf.mul(gf.exp(p), gf.div(om, lp));
-    block[static_cast<std::size_t>(idx)] = static_cast<std::uint8_t>(block[static_cast<std::size_t>(idx)] ^ magnitude);
   }
 
   // Verify: all syndromes must now vanish.
-  if (syndromes(block, synd)) return std::nullopt;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(nroots_); ++i) {
+    if (synd[i] != 0) return std::nullopt;
+  }
   return deg_lambda;
 }
 

@@ -23,6 +23,8 @@ class GF256 {
   std::uint8_t div(std::uint8_t a, std::uint8_t b) const;  // b != 0
   std::uint8_t inv(std::uint8_t a) const;                  // a != 0
   std::uint8_t exp(int e) const { return exp_[((e % 255) + 255) % 255]; }
+  // exp_table()[e] == exp(e) for 0 <= e < 512, with no reduction.
+  const std::uint8_t* exp_table() const { return exp_; }
   int log(std::uint8_t a) const { return log_[a]; }  // undefined for 0
 
   // Multiplication by alpha^i as a table: times_alpha(i)[x] == mul(x, exp(i)),
@@ -54,8 +56,12 @@ class ReedSolomon {
   // `erasures` holds byte indexes into `block` known to be unreliable.
   // Returns the number of corrected symbols, or std::nullopt if the
   // codeword is uncorrectable.
-  // A block whose syndromes are all zero is returned as is, with nothing
-  // allocated.
+  // A block whose syndromes are all zero is returned as is. No path
+  // allocates: the locator polynomials live in stack arrays of
+  // kMaxRoots + 1 bytes, the Chien search steps the logs of the locator's
+  // terms (in registers for up to four) and stops at its last root, and
+  // the final check moves the syndromes by each correction instead of
+  // recomputing them from the block.
   std::optional<int> decode(std::span<std::uint8_t> block,
                             std::span<const int> erasures = {}) const;
 

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
+#include "dsp/fast_math.hpp"
+
 namespace sonic::modem {
 namespace {
+
+namespace fastmath = dsp::fastmath;
+using fastmath::V4f;
 
 int ilog2(int v) {
   int b = 0;
@@ -16,37 +22,63 @@ int ilog2(int v) {
 
 std::uint32_t gray_encode(std::uint32_t i) { return i ^ (i >> 1); }
 
-// Soft bits of one axis value r over the 2^B Gray-labelled levels: the
-// squared distance to each level once, then per bit (MSB first) the
-// smallest distance among the levels with that bit 0 and with it 1. Min is
-// exact, so the order of the level scan does not change a bit.
+// Soft bits of four axis values, one per lane, over the 2^B Gray-labelled
+// levels: the squared distance to each level once, then per bit (MSB
+// first) the smallest distance among the levels with that bit 0 and with
+// it 1, as the select d < m ? d : m (std::min's order, so NaN distances are
+// skipped alike; min is exact, so the level order does not change a bit),
+// then (d0 - d1) / two_sigma2, std::exp per lane and 1 / (1 + e). Every
+// lane takes the per-carrier scalar loop's float operations in its order.
+// soft[k] holds bit k of the four values.
 template <int B>
-inline void demap_axis(float r, const float* levels, float two_sigma2, float* out) {
+inline void demap_axis4(V4f r, const float* levels, float two_sigma2, V4f (&soft)[B]) {
   constexpr int kLevels = 1 << B;
-  float dist[kLevels];
-  for (int g = 0; g < kLevels; ++g) dist[g] = (r - levels[g]) * (r - levels[g]);
+  V4f dist[kLevels];
+  for (int g = 0; g < kLevels; ++g) {
+    const V4f d = r - levels[g];
+    dist[g] = d * d;
+  }
   for (int k = 0; k < B; ++k) {
-    float d0 = std::numeric_limits<float>::max();
-    float d1 = std::numeric_limits<float>::max();
+    V4f d0 = fastmath::splat(std::numeric_limits<float>::max());
+    V4f d1 = d0;
     for (int g = 0; g < kLevels; ++g) {
       if ((g >> (B - 1 - k)) & 1) {
-        d1 = std::min(d1, dist[g]);
+        d1 = dist[g] < d1 ? dist[g] : d1;
       } else {
-        d0 = std::min(d0, dist[g]);
+        d0 = dist[g] < d0 ? dist[g] : d0;
       }
     }
-    const float llr1 = (d0 - d1) / two_sigma2;  // log P(1)/P(0)
-    out[k] = 1.0f / (1.0f + std::exp(-llr1));
+    const V4f llr1 = (d0 - d1) / two_sigma2;
+    V4f e;
+    for (int l = 0; l < 4; ++l) e[l] = std::exp(-llr1[l]);
+    soft[k] = 1.0f / (1.0f + e);
   }
 }
 
-// I bits then Q bits of every point, B per axis.
+// I bits then Q bits of every point, B per axis. Four points per pass:
+// their I values are one lane vector and their Q values another; the last
+// points.size() % 4 points run zero-padded, and only their bits are kept.
 template <int B>
 void demap_block(std::span<const cplx> points, const float* levels, float two_sigma2, float* out) {
-  for (const cplx p : points) {
-    demap_axis<B>(p.real(), levels, two_sigma2, out);
-    demap_axis<B>(p.imag(), levels, two_sigma2, out + B);
-    out += 2 * B;
+  for (std::size_t k = 0; k < points.size(); k += 4) {
+    const std::size_t count = std::min<std::size_t>(4, points.size() - k);
+    const float* xy = reinterpret_cast<const float*>(points.data() + k);
+    float padded[8] = {};
+    if (count < 4) {
+      std::memcpy(padded, xy, count * sizeof(cplx));
+      xy = padded;
+    }
+    const V4f lo = fastmath::load(xy), hi = fastmath::load(xy + 4);
+    V4f soft_i[B], soft_q[B];
+    demap_axis4<B>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6), levels, two_sigma2, soft_i);
+    demap_axis4<B>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7), levels, two_sigma2, soft_q);
+    for (std::size_t l = 0; l < count; ++l) {
+      for (int b = 0; b < B; ++b) {
+        out[b] = soft_i[b][l];
+        out[B + b] = soft_q[b][l];
+      }
+      out += 2 * B;
+    }
   }
 }
 

@@ -44,6 +44,15 @@ class QamMapper {
   // `noise_var` per complex dimension. Max-log approximation: per axis the
   // squared distance to each level once, then per bit the nearest level
   // with that bit 0 and the nearest with it 1.
+  //
+  // Square QAM runs four points per pass in float lanes: lane l of one
+  // vector holds point l's I value and lane l of another its Q value, and
+  // each lane takes the scalar path's float operations in its order (the
+  // squared distance to every level, the minima as d < m ? d : m, the LLR
+  // divide, std::exp per lane and 1 / (1 + e)), so every soft bit is the
+  // scalar one, NaN and infinite points included. The bits are scattered
+  // back point by point; the last size() % 4 points run zero-padded, and
+  // BPSK stays scalar.
   void demap_soft(std::span<const cplx> points, float noise_var, std::span<float> soft_out) const;
 
  private:

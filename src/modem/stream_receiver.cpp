@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "dsp/fast_math.hpp"
 
 namespace sonic::modem {
 namespace {
 
 typedef double V2d __attribute__((vector_size(16)));
+using dsp::fastmath::V4f;
 
 // Dot product in double over eight lanes (index mod 8) summed in a fixed
 // order, plus a serial tail: the same window gives the same bits wherever
@@ -24,6 +28,22 @@ double lane_dot(const float* x, const float* w, std::size_t n) {
   double dot = sum[0] + sum[1];
   for (; i < n; ++i) dot += static_cast<double>(x[i]) * w[i];
   return dot;
+}
+
+// Float dots of the n-sample template w with the windows at x, x + 1,
+// x + 2 and x + 3, four lanes each; every template load serves all four.
+void float_dots4(const float* x, const float* w, std::size_t n, float (&dot)[4]) {
+  V4f acc[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const V4f wv = dsp::fastmath::load(w + i);
+    for (std::size_t j = 0; j < 4; ++j) acc[j] += dsp::fastmath::load(x + j + i) * wv;
+  }
+  for (std::size_t j = 0; j < 4; ++j) {
+    float d = (acc[j][0] + acc[j][1]) + (acc[j][2] + acc[j][3]);
+    for (std::size_t t = i; t < n; ++t) d += x[j + t] * w[t];
+    dot[j] = d;
+  }
 }
 
 }  // namespace
@@ -119,6 +139,91 @@ StreamReceiver::Step StreamReceiver::scan(bool final_flush) {
   return Step::kDone;
 }
 
+FineSyncPick pick_fine_sync(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
+                            std::size_t candidates) {
+  const std::size_t n = tmpl.size();
+  FineSyncPick pick;
+  if (candidates == 0) return pick;
+  // Per candidate: the window energy, slid in double exactly as the
+  // all-exact scan slides it, and the upper end of its NCC interval.
+  thread_local std::vector<double> energies, highs;
+  energies.resize(candidates);
+  highs.resize(candidates);
+  constexpr double kU = 0x1p-24;  // float unit roundoff
+  // gamma_n of the float dot, with a few operations of slack for the lane
+  // sums and the tail, plus 1e-9 for every double rounding on both sides
+  // (each about n * 2^-53 or less); the underflow term is n * 2^-149
+  // absolute.
+  const double nf = static_cast<double>(n + 8);
+  const double tol = nf * kU / (1.0 - nf * kU) + 1e-9;
+  const double underflow = static_cast<double>(n) * 0x1p-149;
+  const float* w = tmpl.data();
+  double energy = 0.0;  // of the window at c, slid from the previous one
+  double slide_err = 0.0;  // bound on |energy - the window's true energy|
+  double best_lo = 0.0;
+  float dots[4] = {};
+  for (std::size_t c = 0; c < candidates; ++c) {
+    const float* window = x.data() + c;
+    if (c == 0) {
+      for (std::size_t i = 0; i < n; ++i) energy += static_cast<double>(window[i]) * window[i];
+      // A sum of n nonnegative exact squares: within gamma_(n-1) of it.
+      slide_err = 2.0 * static_cast<double>(n) * 0x1p-53 * energy;
+    } else {
+      const double in = static_cast<double>(window[n - 1]) * window[n - 1];
+      const double out = static_cast<double>(window[-1]) * window[-1];
+      energy += in - out;
+      // One rounding of in - out and one of the sum, doubled for the
+      // rounding of this bound itself.
+      slide_err += (in + out + std::fabs(energy)) * 0x1p-52;
+    }
+    if (c % 4 == 0) {
+      if (c + 4 <= candidates) {
+        float_dots4(window, w, n, dots);
+      } else {
+        for (std::size_t j = 0; c + j < candidates; ++j) {
+          float d = 0.0f;
+          for (std::size_t i = 0; i < n; ++i) d += window[j + i] * w[i];
+          dots[j] = d;
+        }
+      }
+    }
+    energies[c] = energy;
+    // The exact scan gives NCC 0 at or below 1e-12 (NaN included): such a
+    // candidate never wins and needs no dot.
+    double lo = 0.0, hi = 0.0;
+    if (energy > 1e-12) {
+      const double scale = std::sqrt(energy * tmpl_energy);
+      const double widen = std::sqrt(1.0 + slide_err / energy);
+      const double f_ncc = std::fabs(static_cast<double>(dots[c % 4])) / scale;
+      const double margin = widen * tol + underflow / scale;
+      lo = f_ncc - margin;
+      hi = f_ncc + margin;
+      if (!std::isfinite(lo) || !std::isfinite(hi)) {
+        lo = 0.0;
+        hi = std::numeric_limits<double>::infinity();
+      }
+    } else {
+      hi = -1.0;
+    }
+    highs[c] = hi;
+    best_lo = std::max(best_lo, lo);
+  }
+  // The exact NCC, in index order under strict >, on every candidate whose
+  // interval reaches the largest lower end; the rest lie strictly below the
+  // winner.
+  for (std::size_t c = 0; c < candidates; ++c) {
+    if (!(highs[c] >= best_lo)) continue;
+    ++pick.exact_dots;
+    const double dot = lane_dot(x.data() + c, w, n);
+    const double ncc = std::fabs(dot) / std::sqrt(energies[c] * tmpl_energy);
+    if (ncc > pick.ncc) {
+      pick.ncc = ncc;
+      pick.index = static_cast<long>(c);
+    }
+  }
+  return pick;
+}
+
 // Fine timing: normalized cross-correlation with the preamble-B template
 // around the coarse peak. Preamble B starts one symbol after A.
 StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
@@ -138,24 +243,15 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
   // stream cut mid-preamble) and whose template window is buffered.
   const long b_lo = std::max(lo + static_cast<long>(sym_), static_cast<long>(sym_));
   const long b_hi = std::min(hi + static_cast<long>(sym_), static_cast<long>(total_) - static_cast<long>(tmpl_len));
-  double best_ncc = 0.0;
-  long best_b_start = -1;
-  double energy = 0.0;  // of the window at b_start, slid from the previous one
-  for (long b_start = b_lo; b_start <= b_hi; ++b_start) {
-    const float* window = live().data() + (static_cast<std::size_t>(b_start) - base_);
-    if (b_start == b_lo) {
-      for (std::size_t i = 0; i < tmpl_len; ++i) energy += static_cast<double>(window[i]) * window[i];
-    } else {
-      energy += static_cast<double>(window[tmpl_len - 1]) * window[tmpl_len - 1] -
-                static_cast<double>(window[-1]) * window[-1];
-    }
-    const double dot = lane_dot(window, tmpl.data(), tmpl_len);
-    const double ncc = energy > 1e-12 ? std::fabs(dot) / std::sqrt(energy * tmpl_energy_) : 0.0;
-    if (ncc > best_ncc) {
-      best_ncc = ncc;
-      best_b_start = b_start;
-    }
+  FineSyncPick pick;
+  if (b_hi >= b_lo) {
+    const std::size_t candidates = static_cast<std::size_t>(b_hi - b_lo) + 1;
+    pick = pick_fine_sync(live().subspan(static_cast<std::size_t>(b_lo) - base_, candidates - 1 + tmpl_len), tmpl,
+                          tmpl_energy_, candidates);
+    count("rx_sync_exact_dots", pick.exact_dots);
   }
+  const double best_ncc = pick.ncc;
+  const long best_b_start = pick.index < 0 ? -1 : b_lo + pick.index;
   if (best_b_start < 0 || best_ncc < 0.2) {
     // Resync: skip one symbol past the coarse peak so the same plateau is
     // not rediscovered, and keep listening for the next preamble.

@@ -28,7 +28,8 @@
 // receive_one feed a finished recording through it.
 //
 // Observability goes through the sonic::core::Metrics registry when one is
-// provided: sync attempts/hits/resyncs, per-burst NCC and estimated SNR,
+// provided: sync attempts/hits/resyncs, the exact dots fine sync ran,
+// per-burst NCC and estimated SNR,
 // frames ok/lost, dropped samples, and the buffered-samples high-water mark.
 #pragma once
 
@@ -54,6 +55,36 @@ struct StreamReceiverParams {
   // Optional observability sink; must outlive the receiver.
   core::Metrics* metrics = nullptr;
 };
+
+// Fine timing's candidate pick: the normalized cross-correlation
+// |x_c . w| / sqrt(E_c * tmpl_energy) of the template w = `tmpl` with each
+// window x_c = x[c, c + tmpl.size()), c < `candidates` (x holds
+// candidates - 1 + tmpl.size() samples). E_c is the window energy, summed
+// in double at c = 0 and slid from there (the new square added, the old one
+// taken away); E_c <= 1e-12 gives NCC 0. The pick is the first candidate
+// with the largest NCC above 0, the exact NCC computed by a double dot.
+//
+// Only a few candidates take that dot. Every candidate is first scored by
+// a float dot, four adjacent candidates per pass sharing each template
+// load. A float dot of n products lies within gamma_n * sum |x_i w_i| of
+// the true dot, gamma_n = n u / (1 - n u), u = 2^-24 (Higham, 2nd ed.,
+// 3.1), and by Cauchy-Schwarz sum |x_i w_i| <= sqrt(E_true * E_w). So each
+// float NCC gives an interval [lo, hi] that holds the exact scan's NCC,
+// widened by 1e-9 for the double path's own roundings and by n * 2^-149
+// for underflow. The slid E_c can cancel (a loud sample leaving a quiet
+// window), so it may sit far below the window's true energy; a running
+// bound err_c on |E_c - E_true| (each slide adds its two roundings) widens
+// the interval by sqrt(1 + err_c / E_c). The double dot then runs, in index
+// order under strict >, only where hi reaches the largest lo: every other
+// candidate is strictly below the winner, so the pick and its NCC are those
+// of the all-exact scan (oracles::fine_sync_reference), bit for bit.
+struct FineSyncPick {
+  long index = -1;             // the winning candidate; -1 if no NCC is above 0
+  double ncc = 0.0;            // its NCC
+  std::size_t exact_dots = 0;  // candidates that took the double dot
+};
+FineSyncPick pick_fine_sync(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
+                            std::size_t candidates);
 
 class StreamReceiver {
  public:

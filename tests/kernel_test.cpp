@@ -13,13 +13,16 @@
 //    saturating metrics, NaN and out-of-range inputs and payloads of 0 to
 //    1024 bytes; its bit errors against the float per-state decoder on a
 //    noise grid; the trellis structure the butterfly relies on,
-//    concurrent decodes on one shared codec, and soft input cut short or
-//    running long;
+//    concurrent decodes on one shared codec, soft input cut short or
+//    running long, and the trellis bypass on codewords and near misses;
 //  * the table-driven Reed-Solomon syndromes vs. the per-root Horner
 //    loop, and decode's result and corrected bytes vs. the decoder built
-//    on it, at every block length for nroots 2 to 64;
-//  * the real-input OFDM symbol analysis vs. the complex-input FFT, and
-//    the block QAM soft demapper vs. the per-carrier, per-bit level loop;
+//    on it, at every block length for nroots 2 to 64 and with errors and
+//    erasures together;
+//  * the real-input OFDM symbol analysis vs. the complex-input FFT, the
+//    four-point QAM soft demapper vs. the per-carrier, per-bit level loop
+//    (NaN and infinite points, every tail length), and the float-screened
+//    fine-sync pick vs. the all-exact scan;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -609,6 +612,115 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
   EXPECT_EQ(codec.decode_soft(hard_soft_bits(coded, codec.encoded_bits(data.size())), data.size()), data);
 }
 
+// The trellis bypass against the quantized oracle, on every code and rate
+// and on payloads of 0 to 5 bytes, so the last step falls on every phase of
+// the puncturing pattern (a last step with one kept position among them):
+// clean hard and soft frames (the walk's answer), and frames the walk must
+// hand to the ACS or walk through: one flipped bit at every position, a
+// burst of flips, a lone erasure or NaN beside a decisive bit, a step of
+// two erasures (or a punctured position beside an erased one), a flush
+// step whose kept bits all say 1, soft input short by 1 to 17 values, and
+// a run of fully erased steps that a guessing walk would get through.
+TEST(ViterbiBypass, MatchesQuantizedOracleOnCodewordsAndNearMisses) {
+  Rng rng(32);
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    // Soft index of raw position 2 * step + which, or -1 where punctured.
+    const std::vector<std::uint8_t> pattern = spec.rate == fec::PunctureRate::kRate1_2   ? std::vector<std::uint8_t>{1, 1}
+                                              : spec.rate == fec::PunctureRate::kRate2_3 ? std::vector<std::uint8_t>{1, 1, 1, 0}
+                                                                                         : std::vector<std::uint8_t>{1, 1, 0, 1, 1, 0};
+    auto kept_index = [&](std::size_t step, std::size_t which) -> long {
+      const std::size_t raw = 2 * step + which;
+      if (pattern[raw % pattern.size()] == 0) return -1;
+      long kept = 0;
+      for (std::size_t i = 0; i < raw; ++i) kept += pattern[i % pattern.size()];
+      return kept;
+    };
+    const std::size_t k = spec.code == fec::ConvCode::kV27 ? 7 : 9;
+    for (std::size_t payload = 0; payload <= 5; ++payload) {
+      const std::size_t steps = payload * 8 + k - 1;
+      const auto coded = codec.encode(random_bytes(rng, payload));
+      const std::size_t nbits = codec.encoded_bits(payload);
+      const auto hard = hard_soft_bits(coded, nbits);
+      auto soft = hard;
+      for (auto& v : soft) v = v > 0.5f ? static_cast<float>(rng.uniform(0.55, 1.0)) : static_cast<float>(rng.uniform(0.0, 0.45));
+      auto check = [&](const std::vector<float>& input, const char* what) {
+        ASSERT_EQ(codec.decode_soft(input, payload), oracles::decode_soft_quantized_reference(spec, input, payload))
+            << spec_name(spec) << " payload=" << payload << " " << what;
+      };
+      check(hard, "clean hard");
+      check(soft, "clean soft");
+      ASSERT_EQ(codec.decode_soft(soft, payload), codec.decode_soft(hard, payload)) << spec_name(spec);
+      for (std::size_t at = 0; at < nbits; ++at) {
+        auto one = soft;
+        one[at] = 1.0f - one[at];
+        check(one, "one error");
+      }
+      const std::size_t step = rng.uniform_int(steps);
+      auto burst = soft;
+      const std::size_t from = rng.uniform_int(nbits);
+      for (std::size_t i = from; i < std::min(nbits, from + 12); ++i) burst[i] = 1.0f - burst[i];
+      check(burst, "burst");
+      for (const float erased : {0.5f, kNan}) {
+        auto lone = soft;
+        for (std::size_t s = 0; s < steps; ++s) {
+          const long a = kept_index(s, 0), b = kept_index(s, 1);
+          if (a >= 0 && b >= 0 && rng.bernoulli(0.3)) lone[static_cast<std::size_t>(rng.bernoulli(0.5) ? a : b)] = erased;
+        }
+        check(lone, erased == 0.5f ? "lone erasures" : "lone NaNs");
+        auto both = soft;
+        for (std::size_t which = 0; which < 2; ++which) {
+          const long i = kept_index(step, which);
+          if (i >= 0) both[static_cast<std::size_t>(i)] = erased;
+        }
+        check(both, erased == 0.5f ? "a step of two erasures" : "a step of two NaNs");
+      }
+      for (std::size_t flush = payload * 8; flush < steps; ++flush) {
+        auto one_in_flush = hard;
+        for (std::size_t which = 0; which < 2; ++which) {
+          const long i = kept_index(flush, which);
+          if (i >= 0) one_in_flush[static_cast<std::size_t>(i)] = 1.0f - one_in_flush[static_cast<std::size_t>(i)];
+        }
+        check(one_in_flush, "flush step implies a 1");
+      }
+      for (std::size_t cut = 1; cut <= std::min<std::size_t>(17, nbits); ++cut) {
+        check(std::vector<float>(soft.begin(), soft.end() - static_cast<long>(cut)), "short input");
+      }
+    }
+    // A run of 24 steps with both positions erased, over a stretch where
+    // every out0 bit of the codeword is 0: a walk that guessed a bit at
+    // such a step (q0 = Q/2 reads as 0) would follow the codeword through
+    // it and succeed, but the run holds equal-metric paths, and the ACS
+    // breaks their ties by its own rule.
+    const auto polys = oracles::conv_polys(spec.code);
+    const std::size_t payload = 8, run_from = 16, run_to = 40;
+    util::Bytes data(payload, 0);
+    std::uint32_t state = 0;
+    for (std::size_t t = 0; t < payload * 8; ++t) {
+      const std::uint32_t reg = state << 1;
+      const std::uint32_t bit = t >= run_from && t < run_to
+                                    ? static_cast<std::uint32_t>(std::popcount(reg & polys.poly_a) & 1)
+                                    : static_cast<std::uint32_t>(rng.uniform_int(2));
+      data[t / 8] = static_cast<std::uint8_t>(data[t / 8] | (bit << (7 - t % 8)));
+      state = (reg | bit) & ((1u << (polys.k - 1)) - 1);
+    }
+    const auto coded = codec.encode(data);
+    auto erased = hard_soft_bits(coded, codec.encoded_bits(payload));
+    for (std::size_t t = run_from; t < run_to; ++t) {
+      for (std::size_t which = 0; which < 2; ++which) {
+        const long i = kept_index(t, which);
+        if (i >= 0) {
+          EXPECT_TRUE(which == 1 || erased[static_cast<std::size_t>(i)] == 0.0f) << spec_name(spec);
+          erased[static_cast<std::size_t>(i)] = 0.5f;
+        }
+      }
+    }
+    ASSERT_EQ(codec.decode_soft(erased, payload), oracles::decode_soft_quantized_reference(spec, erased, payload))
+        << spec_name(spec) << " erased run along the guesses";
+  }
+}
+
 // ---------------------------------------------------------- Reed-Solomon ---
 
 // `codeword` with `errors` distinct bytes changed.
@@ -648,6 +760,33 @@ TEST(ReedSolomonSyndromes, MatchHornerReference) {
         ASSERT_EQ(rs.decode(fast), oracles::rs_decode_reference(nroots, ref)) << "nroots=" << nroots << " n=" << n;
         ASSERT_EQ(fast, ref) << "nroots=" << nroots << " n=" << n;
       }
+    }
+  }
+}
+
+// decode against the decoder it replaced, result and corrected bytes alike,
+// with errors and erasures together: within capacity (2e + f <= nroots),
+// past it (nullopt, or a miscorrection the final check rejects, with the
+// block as the reference leaves it), erasures on clean bytes, repeated and
+// out-of-range erasure indexes, and more erasures than nroots.
+TEST(ReedSolomonDecode, ErrorsAndErasuresMatchReference) {
+  Rng rng(64);
+  for (int nroots : {2, 16, 32, 64}) {
+    const fec::ReedSolomon rs(nroots);
+    for (int trial = 0; trial < 400; ++trial) {
+      const int n = nroots + 1 + static_cast<int>(rng.uniform_int(static_cast<std::size_t>(255 - nroots)));
+      const int f = static_cast<int>(rng.uniform_int(static_cast<std::size_t>(nroots) + 2));
+      const int e = static_cast<int>(rng.uniform_int(static_cast<std::size_t>(nroots) / 2 + 3));
+      auto block = with_errors(rng, rs.encode(random_bytes(rng, static_cast<std::size_t>(n - nroots))), e);
+      std::vector<int> erasures;
+      for (int i = 0; i < f; ++i) erasures.push_back(static_cast<int>(rng.uniform_int(static_cast<std::size_t>(n))));
+      if (trial % 50 == 7) erasures.push_back(n);
+      if (trial % 50 == 9) erasures.push_back(-1);
+      if (trial % 10 == 3 && !erasures.empty()) erasures.push_back(erasures.front());
+      auto fast = block, ref = block;
+      ASSERT_EQ(rs.decode(fast, erasures), oracles::rs_decode_reference(nroots, ref, erasures))
+          << "nroots=" << nroots << " n=" << n << " e=" << e << " f=" << f;
+      ASSERT_EQ(fast, ref) << "nroots=" << nroots << " n=" << n << " e=" << e << " f=" << f;
     }
   }
 }
@@ -841,6 +980,43 @@ TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
         for (std::size_t b = 0; b < bits; ++b) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(fast[k * bits + b]), std::bit_cast<std::uint32_t>(ref[b]))
               << modem::constellation_name(c) << " trial=" << trial << " point=" << k << " bit=" << b;
+        }
+      }
+    }
+  }
+}
+
+// NaN and infinite coordinates, mixed with ordinary points, in blocks of
+// 1 to 7 points: every count of points past the last group of four takes
+// the scalar path, and every lane of a group sees a non-finite value.
+TEST(QamDemapEquivalence, NonFinitePointsAtEveryTailLength) {
+  Rng rng(54);
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (modem::Constellation c : {modem::Constellation::kBpsk, modem::Constellation::kQpsk,
+                                 modem::Constellation::kQam16, modem::Constellation::kQam64,
+                                 modem::Constellation::kQam256, modem::Constellation::kQam1024}) {
+    const modem::QamMapper mapper(c);
+    const std::size_t bits = static_cast<std::size_t>(mapper.bits_per_symbol());
+    for (std::size_t count = 1; count <= 7; ++count) {
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<dsp::cplx> points(count);
+        for (auto& p : points) {
+          float re = static_cast<float>(rng.uniform(-1.6, 1.6)), im = static_cast<float>(rng.uniform(-1.6, 1.6));
+          if (rng.bernoulli(0.4)) re = kSpecial[rng.uniform_int(3)];
+          if (rng.bernoulli(0.4)) im = kSpecial[rng.uniform_int(3)];
+          p = dsp::cplx(re, im);
+        }
+        const float noise = trial % 4 == 0 ? 0.0f : static_cast<float>(rng.uniform(0.0, 0.5));
+        std::vector<float> fast(points.size() * bits, -1.0f);
+        mapper.demap_soft(points, noise, fast);
+        std::vector<float> ref(bits);
+        for (std::size_t k = 0; k < points.size(); ++k) {
+          oracles::qam_demap_soft_reference(mapper, points[k], noise, ref);
+          for (std::size_t b = 0; b < bits; ++b) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(fast[k * bits + b]), std::bit_cast<std::uint32_t>(ref[b]))
+                << modem::constellation_name(c) << " count=" << count << " point=" << k << " bit=" << b;
+          }
         }
       }
     }
@@ -1618,6 +1794,117 @@ TEST(OfdmPins, ReceivedSoftBitsArePinned) {
   }
 }
 
+// ------------------------------------------------------------- fine sync ---
+
+// pick_fine_sync against the all-exact scan: the same winner and the same
+// NCC bits. Returns the pick.
+modem::FineSyncPick expect_all_exact_pick(std::span<const float> x, std::span<const float> tmpl, std::size_t candidates,
+                                          const std::string& what) {
+  double tmpl_energy = 0.0;
+  for (float v : tmpl) tmpl_energy += static_cast<double>(v) * v;
+  const auto got = modem::pick_fine_sync(x, tmpl, tmpl_energy, candidates);
+  const auto ref = oracles::fine_sync_reference(x, tmpl, tmpl_energy, candidates);
+  EXPECT_EQ(got.index, ref.index) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ncc), std::bit_cast<std::uint64_t>(ref.ncc)) << what;
+  EXPECT_LE(got.exact_dots, candidates) << what;
+  return got;
+}
+
+// Every profile's preamble-B template over the receiver's candidate range
+// (+-2 cyclic prefixes) on noisy bursts, the coarse peak on and off the
+// true start: the pick is the exact scan's, and the screen sends a handful
+// of candidates to the double dot.
+TEST(FineSyncScreen, EveryProfileMatchesTheAllExactScan) {
+  for (const auto& profile : modem::profiles::all()) {
+    Rng rng(97);
+    const modem::OfdmModem modem(profile);
+    const auto tmpl = modem.preamble_b_template();
+    const std::size_t cp = static_cast<std::size_t>(profile.cp_len);
+    const std::size_t sym = static_cast<std::size_t>(profile.fft_size) + cp;
+    const std::size_t candidates = 4 * cp + 1;
+    for (double noise : {0.05, 0.3, 1.0}) {
+      const auto burst = modem.modulate(pin_frames(rng));
+      std::vector<float> audio(600, 0.0f);
+      audio.insert(audio.end(), burst.begin(), burst.end());
+      for (auto& v : audio) v += static_cast<float>(rng.normal(0.0, noise * profile.amplitude));
+      const std::size_t b_start = 600 + sym;
+      for (long shift : {-static_cast<long>(cp), 0L, static_cast<long>(cp / 2)}) {
+        const std::size_t lo = static_cast<std::size_t>(static_cast<long>(b_start) + shift) - 2 * cp;
+        const auto pick = expect_all_exact_pick(std::span<const float>(audio).subspan(lo, candidates - 1 + tmpl.size()),
+                                                tmpl, candidates,
+                                                profile.name + " noise=" + std::to_string(noise) +
+                                                    " shift=" + std::to_string(shift));
+        if (noise < 1.0) {
+          EXPECT_LE(pick.exact_dots, 4u) << profile.name << " noise=" << noise;
+        }
+      }
+    }
+  }
+}
+
+// A random template over synthetic windows: all zeros, zeros then a
+// planted template, an exact plateau (small-integer samples, so every sum
+// is exact and windows one period apart tie), near-ties (two disjoint
+// windows holding the same noisy copy of the template, whose slid energies
+// round apart, or the copy and the copy scaled by 1 + 2^-23 or 1 - 2^-24,
+// whose float dots round apart by more than their exact NCCs differ), a
+// loud sample leaving a quiet window, where the slid energy cancels far
+// below the true one, and NaN, infinite and huge samples.
+TEST(FineSyncScreen, PlateausNearTiesZerosAndCancellation) {
+  Rng rng(98);
+  const std::size_t n = 200, candidates = 200;
+  std::vector<float> tmpl(n);
+  for (auto& v : tmpl) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> x(candidates - 1 + n);
+  auto plant = [&](std::size_t at, float scale, std::span<const float> extra) {
+    for (std::size_t i = 0; i < n; ++i) x[at + i] = scale * tmpl[i] + extra[i];
+  };
+  const std::vector<float> none(n, 0.0f);
+
+  std::fill(x.begin(), x.end(), 0.0f);
+  EXPECT_EQ(expect_all_exact_pick(x, tmpl, candidates, "all zeros").index, -1);
+  plant(150, 0.5f, none);
+  EXPECT_EQ(expect_all_exact_pick(x, tmpl, candidates, "zeros then the template").index, 150);
+
+  std::vector<float> int_tmpl(n);
+  for (auto& v : int_tmpl) v = static_cast<float>(static_cast<int>(rng.uniform_int(5)) - 2);
+  std::vector<float> period(16);
+  for (auto& v : period) v = static_cast<float>(static_cast<int>(rng.uniform_int(5)) - 2);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = period[i % period.size()];
+  const auto plateau = expect_all_exact_pick(x, int_tmpl, candidates, "exact plateau");
+  EXPECT_LT(plateau.index, 16);
+
+  // Two disjoint windows: 2n + 20 candidates.
+  std::vector<float> y(2 * n + 19 + n);
+  for (int trial = 0; trial < 24; ++trial) {
+    const float scale = trial % 3 == 0 ? 1.0f : trial % 3 == 1 ? 1.0f + 0x1p-23f : 1.0f - 0x1p-24f;
+    for (auto& v : y) v = static_cast<float>(rng.normal(0.0, 0.3));
+    for (std::size_t i = 0; i < n; ++i) {
+      y[10 + i] = 0.8f * tmpl[i] + static_cast<float>(rng.normal(0.0, 0.05));
+      y[15 + n + i] = y[10 + i] * scale;
+    }
+    expect_all_exact_pick(y, tmpl, 2 * n + 20, "near ties, trial " + std::to_string(trial));
+  }
+
+  for (float loud : {1e3f, 1e4f, 3e5f}) {
+    for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 1e-6));
+    x[0] = loud;
+    x[rng.uniform_int(40)] = -loud;
+    plant(90, 2e-6f, none);
+    plant(91, 2e-6f, none);
+    // An NCC above 1 is only possible where the slid energy fell below
+    // the window's true energy: the case is hit.
+    EXPECT_GT(expect_all_exact_pick(x, tmpl, candidates, "loud then silent " + std::to_string(loud)).ncc, 1.0);
+  }
+
+  for (float wild : {std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::infinity(), 1e30f}) {
+    for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 0.3));
+    plant(120, 1.0f, none);
+    x[rng.uniform_int(x.size())] = wild;
+    expect_all_exact_pick(x, tmpl, candidates, "wild sample " + std::to_string(wild));
+  }
+}
+
 // ---------------------------------------------- forged OFDM header bound ---
 
 // Feeds 1000 samples of silence and then `audio` through `rx` in 20 ms
@@ -1633,6 +1920,24 @@ std::vector<modem::RxBurst> receive_after_silence(modem::StreamReceiver& rx,
   }
   for (auto& b : rx.flush()) bursts.push_back(std::move(b));
   return bursts;
+}
+
+// The receiver counts the exact dots its fine sync ran beside its sync
+// attempts: a few per burst, not one per candidate.
+TEST(FineSyncScreen, ReceiverCountsItsExactDots) {
+  const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  Rng rng(99);
+  auto audio = modem.modulate(pin_frames(rng));
+  for (auto& v : audio) v += static_cast<float>(rng.normal(0.0, 0.05 * modem.profile().amplitude));
+  core::Metrics metrics;
+  modem::StreamReceiverParams params;
+  params.metrics = &metrics;
+  modem::StreamReceiver rx(modem, params);
+  ASSERT_EQ(receive_after_silence(rx, audio).size(), 1u);
+  const std::uint64_t attempts = metrics.counter_value("rx_sync_attempts");
+  ASSERT_GE(attempts, 1u);
+  EXPECT_GE(metrics.counter_value("rx_sync_exact_dots"), 1u);
+  EXPECT_LE(metrics.counter_value("rx_sync_exact_dots"), 4 * attempts);
 }
 
 // A header that passes the magic and CRC16 checks but claims 65535 frames of

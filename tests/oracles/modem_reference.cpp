@@ -82,4 +82,48 @@ std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx rece
   return (nearest(received.real()) << axis_bits) | nearest(received.imag());
 }
 
+namespace {
+
+typedef double V2d __attribute__((vector_size(16)));
+
+// Dot product in double over eight lanes (index mod 8) summed in a fixed
+// order, plus a serial tail.
+double lane_dot(const float* x, const float* w, std::size_t n) {
+  V2d acc[4] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      acc[l] += V2d{x[i + 2 * l], x[i + 2 * l + 1]} * V2d{w[i + 2 * l], w[i + 2 * l + 1]};
+    }
+  }
+  const V2d sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  double dot = sum[0] + sum[1];
+  for (; i < n; ++i) dot += static_cast<double>(x[i]) * w[i];
+  return dot;
+}
+
+}  // namespace
+
+FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
+                                      std::size_t candidates) {
+  const std::size_t n = tmpl.size();
+  FineSyncReference best;
+  double energy = 0.0;  // of the window at c, slid from the previous one
+  for (std::size_t c = 0; c < candidates; ++c) {
+    const float* window = x.data() + c;
+    if (c == 0) {
+      for (std::size_t i = 0; i < n; ++i) energy += static_cast<double>(window[i]) * window[i];
+    } else {
+      energy += static_cast<double>(window[n - 1]) * window[n - 1] - static_cast<double>(window[-1]) * window[-1];
+    }
+    const double dot = lane_dot(window, tmpl.data(), n);
+    const double ncc = energy > 1e-12 ? std::fabs(dot) / std::sqrt(energy * tmpl_energy) : 0.0;
+    if (ncc > best.ncc) {
+      best.ncc = ncc;
+      best.index = static_cast<long>(c);
+    }
+  }
+  return best;
+}
+
 }  // namespace sonic::oracles

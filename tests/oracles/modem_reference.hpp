@@ -1,6 +1,6 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
-// modem::OfdmModem::analyze_symbol and the block modem::QamMapper::demap_soft,
-// plus the hard QAM demapper the constellation tests decode with. They live in
+// modem::OfdmModem::analyze_symbol, the block modem::QamMapper::demap_soft
+// and the screened modem::pick_fine_sync, plus the hard QAM demapper the constellation tests decode with. They live in
 // the sonic_oracles library, which only tests and benches link.
 #pragma once
 
@@ -36,5 +36,16 @@ void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, flo
 // taking the nearest level on each axis independently (exact for BPSK and
 // square QAM). The levels are read back through QamMapper::map.
 std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received);
+
+// The all-exact fine-sync scan modem::pick_fine_sync screens: every
+// candidate's NCC from an eight-lane double dot and the window energy slid
+// in double, the first largest above 0 kept under strict >. Same arguments;
+// returns the winning candidate (-1 if none) and its NCC.
+struct FineSyncReference {
+  long index = -1;
+  double ncc = 0.0;
+};
+FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
+                                      std::size_t candidates);
 
 }  // namespace sonic::oracles

@@ -433,8 +433,12 @@ TEST(WireProtocol, ParsersRejectGarbageWithoutCrashing) {
     const std::size_t len = rng.uniform_int(80);
     for (std::size_t i = 0; i < len; ++i) body += chars[rng.uniform_int(chars.size())];
     // Must never crash; whatever parses must satisfy basic invariants.
-    if (const auto req = sms::parse_request(body)) EXPECT_FALSE(req->url.empty());
-    if (const auto ack = sms::parse_ack(body)) EXPECT_FALSE(ack->url.empty());
+    if (const auto req = sms::parse_request(body)) {
+      EXPECT_FALSE(req->url.empty());
+    }
+    if (const auto ack = sms::parse_ack(body)) {
+      EXPECT_FALSE(ack->url.empty());
+    }
     (void)sms::parse_query(body);
   }
 }
