@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -33,6 +34,7 @@
 #include "image/column_codec.hpp"
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
+#include "modem/packet.hpp"
 #include "modem/profile.hpp"
 #include "modem/qam.hpp"
 #include "modem/stream_receiver.hpp"
@@ -80,6 +82,13 @@ std::vector<float> noisy_soft_bits(const fec::ConvolutionalCodec& codec, std::si
   return soft;
 }
 
+// Float soft bits as the soft bytes decode_soft takes.
+std::vector<std::uint8_t> quantized(std::span<const float> soft) {
+  std::vector<std::uint8_t> q(soft.size());
+  std::transform(soft.begin(), soft.end(), q.begin(), fec::ConvolutionalCodec::quantize_soft);
+  return q;
+}
+
 // ------------------------------------------------- google-benchmark suite ---
 
 void BM_Fft1024(benchmark::State& state) {
@@ -121,7 +130,7 @@ BENCHMARK(BM_Fft1024Legacy)->UseManualTime();
 void BM_ViterbiV29Decode100B(benchmark::State& state) {
   fec::ConvolutionalCodec codec({fec::ConvCode::kV29, fec::PunctureRate::kRate1_2});
   util::Rng rng(2);
-  const auto soft = noisy_soft_bits(codec, 100, rng);
+  const auto soft = quantized(noisy_soft_bits(codec, 100, rng));
   for (auto _ : state) {
     auto out = codec.decode_soft(soft, 100);
     benchmark::DoNotOptimize(out);
@@ -253,32 +262,41 @@ BENCHMARK(BM_RenderCorpusPage);
 
 // ------------------------------------------------ --micro before/after ---
 
-// ns/op of `fn` (one op per call): warm up briefly, then time batches until
-// at least `min_seconds` of measured work has accumulated.
-double measure_ns_per_op(const std::function<void()>& fn, double min_seconds = 0.2) {
+// Batch size for `fn` (one op per call) after a brief warmup: grown until
+// one batch costs >= ~2 ms.
+std::size_t batch_size(const std::function<void()>& fn) {
   using clock = std::chrono::steady_clock;
-  // Warmup + batch sizing: grow the batch until one batch costs >= ~2 ms.
   std::size_t batch = 1;
   for (;;) {
     const auto t0 = clock::now();
     for (std::size_t i = 0; i < batch; ++i) fn();
     const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    if (s >= 2e-3 || batch >= (std::size_t{1} << 24)) break;
+    if (s >= 2e-3 || batch >= (std::size_t{1} << 24)) return batch;
     batch *= 4;
   }
-  double total_s = 0;
-  std::size_t total_ops = 0;
-  double best_ns = 0;
-  while (total_s < min_seconds) {
-    const auto t0 = clock::now();
-    for (std::size_t i = 0; i < batch; ++i) fn();
-    const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    const double ns = s * 1e9 / static_cast<double>(batch);
-    if (best_ns == 0 || ns < best_ns) best_ns = ns;  // min over batches rejects scheduler noise
-    total_s += s;
-    total_ops += batch;
+}
+
+// ns/op of `before` and of `after`, timed in alternating batches until each
+// side has at least `min_seconds` of measured work, so a change in the
+// host's speed during the run reaches both sides alike. Each side keeps its
+// fastest batch, which rejects scheduler noise.
+std::pair<double, double> measure_ns_per_op(const std::function<void()>& before, const std::function<void()>& after,
+                                            double min_seconds = 0.2) {
+  using clock = std::chrono::steady_clock;
+  const std::function<void()>* fns[2] = {&before, &after};
+  const std::size_t batches[2] = {batch_size(before), batch_size(after)};
+  double total_s[2] = {0, 0}, best_ns[2] = {0, 0};
+  while (total_s[0] < min_seconds || total_s[1] < min_seconds) {
+    for (int side = 0; side < 2; ++side) {
+      const auto t0 = clock::now();
+      for (std::size_t i = 0; i < batches[side]; ++i) (*fns[side])();
+      const double s = std::chrono::duration<double>(clock::now() - t0).count();
+      const double ns = s * 1e9 / static_cast<double>(batches[side]);
+      if (best_ns[side] == 0 || ns < best_ns[side]) best_ns[side] = ns;
+      total_s[side] += s;
+    }
   }
-  return best_ns;
+  return {best_ns[0], best_ns[1]};
 }
 
 struct MicroCase {
@@ -365,20 +383,22 @@ std::vector<MicroCase> build_micro_cases() {
   }
 
   // Viterbi: the paper's inner code (V2,9) and the header code (V2,7),
-  // noisy soft bits, 100-byte payloads.
+  // noisy soft bits, 100-byte payloads. Before is the float per-state
+  // decoder on the float soft bits, after decode_soft on their bytes.
   for (auto [name, code] : {std::pair{"viterbi_v29_100B", fec::ConvCode::kV29},
                             std::pair{"viterbi_v27_100B", fec::ConvCode::kV27}}) {
     const fec::ConvSpec spec{code, fec::PunctureRate::kRate1_2};
     auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
     auto soft = std::make_shared<std::vector<float>>(noisy_soft_bits(*codec, 100, *rng));
+    auto bytes = std::make_shared<std::vector<std::uint8_t>>(quantized(*soft));
     cases.push_back(MicroCase{
         name, 100.0, "bytes",
         [spec, soft] {
           auto out = oracles::decode_soft_reference(spec, *soft, 100);
           benchmark::DoNotOptimize(out.data());
         },
-        [codec, soft] {
-          auto out = codec->decode_soft(*soft, 100);
+        [codec, bytes] {
+          auto out = codec->decode_soft(*bytes, 100);
           benchmark::DoNotOptimize(out.data());
         }});
   }
@@ -392,11 +412,12 @@ std::vector<MicroCase> build_micro_cases() {
     auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
     util::Rng clean_rng(44);
     const auto coded = codec->encode(random_bytes(clean_rng, 100));
-    auto clean = std::make_shared<std::vector<float>>(codec->encoded_bits(100));
+    std::vector<float> soft(codec->encoded_bits(100));
     util::BitReader br(coded);
-    for (auto& s : *clean) s = br.bit() ? static_cast<float>(clean_rng.uniform(0.6, 1.0)) : static_cast<float>(clean_rng.uniform(0.0, 0.4));
-    auto erased = std::make_shared<std::vector<float>>(*clean);
-    (*erased)[0] = (*erased)[1] = 0.5f;
+    for (auto& s : soft) s = br.bit() ? static_cast<float>(clean_rng.uniform(0.6, 1.0)) : static_cast<float>(clean_rng.uniform(0.0, 0.4));
+    auto clean = std::make_shared<std::vector<std::uint8_t>>(quantized(soft));
+    auto erased = std::make_shared<std::vector<std::uint8_t>>(*clean);
+    (*erased)[0] = (*erased)[1] = fec::ConvolutionalCodec::kSoftErasure;
     cases.push_back(MicroCase{
         "viterbi_v29_clean_100B", 100.0, "bytes",
         [codec, erased] {
@@ -406,6 +427,36 @@ std::vector<MicroCase> build_micro_cases() {
         [codec, clean] {
           auto out = codec->decode_soft(*clean, 100);
           benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
+  // A sonic-10k frame's received soft bits into its soft bytes, as the
+  // receiver places them: after is PacketCodec::place_soft, one run per
+  // payload symbol's bits; before is the float de-interleave, then the
+  // quantizer pass (oracles::place_soft_reference, whose two buffers are
+  // allocated per op). Own Rng.
+  {
+    const auto profile = *modem::profiles::get("sonic-10k");
+    const modem::PacketCodec codec(modem::PacketSpec{profile.conv, profile.rs_nroots});
+    const std::size_t nbits = codec.encoded_bits(core::kFrameSize);
+    const std::size_t run = static_cast<std::size_t>(profile.data_carriers()) *
+                            static_cast<std::size_t>(modem::bits_per_symbol(profile.constellation));
+    util::Rng soft_rng(46);
+    auto soft = std::make_shared<std::vector<float>>(nbits);
+    for (auto& v : *soft) v = static_cast<float>(soft_rng.uniform());
+    auto frame = std::make_shared<std::vector<std::uint8_t>>(nbits);
+    cases.push_back(MicroCase{
+        "soft_place_sonic10k_frame", static_cast<double>(nbits), "bits",
+        [soft] {
+          auto out = oracles::place_soft_reference(*soft);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [soft, frame, run, nbits] {
+          for (std::size_t first = 0; first < nbits; first += run) {
+            modem::PacketCodec::place_soft(std::span<const float>(*soft).subspan(first, std::min(run, nbits - first)),
+                                           first, *frame);
+          }
+          benchmark::DoNotOptimize(frame->data());
         }});
   }
 
@@ -902,8 +953,7 @@ int run_micro(const char* json_path) {
     MicroResult r;
     r.kernel = c.kernel;
     r.items_unit = c.items_unit;
-    r.before_ns_op = measure_ns_per_op(c.before);
-    r.after_ns_op = measure_ns_per_op(c.after);
+    std::tie(r.before_ns_op, r.after_ns_op) = measure_ns_per_op(c.before, c.after);
     r.speedup = r.before_ns_op / r.after_ns_op;
     r.after_items_per_s = c.items_per_op / (r.after_ns_op * 1e-9);
     std::printf("BENCH_MICRO kernel=%s before_ns_op=%.1f after_ns_op=%.1f speedup=%.2f "

@@ -5,8 +5,8 @@
 # ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
 # pipeline's worker pool and the shared caches and codecs, then the kernel
 # suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
-# kernels (the Viterbi butterflies, the soft-bit quantizer, the ziggurat's
-# miss bits) stay tested, and last the end-to-end benchmark built the same
+# kernels (the Viterbi butterflies and decision gather, the ziggurat's miss
+# bits) stay tested, and last the end-to-end benchmark built the same
 # way, its client receive chain smoke-run on those fallbacks.
 #
 #   scripts/tier1.sh [jobs]

@@ -126,59 +126,31 @@ inline std::int16_t lane_min(V8 v) {
   return *std::min_element(lanes, lanes + 8);
 }
 
-constexpr std::int16_t kErasure = ConvolutionalCodec::kSoftScale / 2;
+constexpr std::int16_t kErasure = ConvolutionalCodec::kSoftErasure;
 static_assert(ConvolutionalCodec::kSoftScale % 2 == 0, "0.5 must quantize exactly");
 
-// round(clamp(s, 0, 1) * kSoftScale) of soft[0, n) into q, with NaN read
-// as an erasure by a select rather than a branch; eight values at a time
-// under SSE2.
-void quantize(const float* soft, std::size_t n, std::int16_t* q) {
-  constexpr float kScale = ConvolutionalCodec::kSoftScale;
-  std::size_t i = 0;
-#if defined(__SSE2__)
-  const __m128 zero = _mm_setzero_ps(), one = _mm_set1_ps(1.0f), half = _mm_set1_ps(0.5f);
-  const __m128 scale = _mm_set1_ps(kScale);
-  auto four = [&](const float* p) {
-    const __m128 s = _mm_loadu_ps(p);
-    const __m128 ordered = _mm_cmpord_ps(s, s);
-    const __m128 v = _mm_or_ps(_mm_and_ps(ordered, s), _mm_andnot_ps(ordered, half));
-    return _mm_cvttps_epi32(_mm_add_ps(_mm_mul_ps(_mm_min_ps(_mm_max_ps(v, zero), one), scale), half));
-  };
-  for (; i + 8 <= n; i += 8) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i), _mm_packs_epi32(four(soft + i), four(soft + i + 4)));
-  }
-#endif
-  for (; i < n; ++i) {
-    const float v = soft[i] == soft[i] ? soft[i] : 0.5f;
-    q[i] = static_cast<std::int16_t>(std::min(std::max(v, 0.0f), 1.0f) * kScale + 0.5f);
-  }
-}
-
-// Depunctures `soft` through the pattern Pat into in_bits (q0, q1) pairs;
-// punctured and missing positions are erasures. The soft values are
-// quantized in one pass, then spread over the pattern's kept positions,
-// whole periods unrolled.
+// Depunctures the soft bytes through the pattern Pat into in_bits (q0, q1)
+// pairs, whole periods unrolled; punctured and missing positions are
+// erasures, and bytes above kSoftScale read as kSoftScale.
 template <const auto& Pat>
-void depuncture_with(std::span<const float> soft, std::size_t in_bits, std::vector<std::int16_t>& quantized,
-                     std::vector<std::int16_t>& pairs) {
+void depuncture(std::span<const std::uint8_t> soft, std::size_t in_bits, std::vector<std::int16_t>& pairs) {
   constexpr std::size_t period = std::size(Pat);
   constexpr std::size_t kept = static_cast<std::size_t>(std::count(std::begin(Pat), std::end(Pat), 1));
+  constexpr std::uint8_t Q = ConvolutionalCodec::kSoftScale;
   const std::size_t total = in_bits * 2;
   const std::size_t used =
       std::min(soft.size(), total / period * kept + static_cast<std::size_t>(std::count(Pat, Pat + total % period, 1)));
-  quantized.resize(used);
-  quantize(soft.data(), used, quantized.data());
   pairs.resize(total);
-  const std::int16_t* q = quantized.data();
+  const std::uint8_t* q = soft.data();
   std::int16_t* out = pairs.data();
   const std::size_t periods = std::min(total / period, used / kept);
   for (std::size_t n = 0; n < periods; ++n) {
     std::size_t k = n * kept;
-    for (std::size_t p = 0; p < period; ++p) out[n * period + p] = Pat[p] ? q[k++] : kErasure;
+    for (std::size_t p = 0; p < period; ++p) out[n * period + p] = Pat[p] ? std::min(q[k++], Q) : kErasure;
   }
   std::size_t idx = periods * kept;
   for (std::size_t i = periods * period, p = 0; i < total; ++i, p = p + 1 == period ? 0 : p + 1) {
-    out[i] = Pat[p] && idx < used ? q[idx] : kErasure;
+    out[i] = Pat[p] && idx < used ? std::min(q[idx], Q) : kErasure;
     idx += Pat[p];
   }
 }
@@ -410,21 +382,11 @@ util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const
   return bw.take();
 }
 
-void ConvolutionalCodec::depuncture(std::span<const float> soft, std::size_t in_bits,
-                                    std::vector<std::int16_t>& quantized, std::vector<std::int16_t>& pairs) const {
-  switch (spec_.rate) {
-    case PunctureRate::kRate1_2: return depuncture_with<kPattern1_2>(soft, in_bits, quantized, pairs);
-    case PunctureRate::kRate2_3: return depuncture_with<kPattern2_3>(soft, in_bits, quantized, pairs);
-    case PunctureRate::kRate3_4: return depuncture_with<kPattern3_4>(soft, in_bits, quantized, pairs);
-  }
-}
-
 namespace {
 
 // Buffers for decode_soft, reused across calls. Thread-local rather than a
 // codec member so concurrent decodes on a shared codec stay safe.
 struct ViterbiWorkspace {
-  std::vector<std::int16_t> quantized;  // the soft values, before depuncturing
   std::vector<std::int16_t> pairs;
   std::vector<std::uint16_t> decisions;  // in_bits * groups decision words
 };
@@ -441,11 +403,15 @@ void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, 
 
 }  // namespace
 
-util::Bytes ConvolutionalCodec::decode_soft(std::span<const float> soft,
+util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft,
                                             std::size_t payload_bytes) const {
   const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
   thread_local ViterbiWorkspace ws;
-  depuncture(soft, in_bits, ws.quantized, ws.pairs);
+  switch (spec_.rate) {
+    case PunctureRate::kRate1_2: depuncture<kPattern1_2>(soft, in_bits, ws.pairs); break;
+    case PunctureRate::kRate2_3: depuncture<kPattern2_3>(soft, in_bits, ws.pairs); break;
+    case PunctureRate::kRate3_4: depuncture<kPattern3_4>(soft, in_bits, ws.pairs); break;
+  }
   util::Bytes out(payload_bytes);
   if (spec_.code == ConvCode::kV27) {
     viterbi<V27>(ws.pairs, payload_bytes, ws.decisions, out.data());

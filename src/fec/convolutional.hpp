@@ -4,12 +4,14 @@
 // puncturing to rates 2/3 and 3/4 so transmission profiles can trade
 // robustness for throughput.
 //
-// Soft inputs are per-bit values in [0, 1]: 0.0 = confident logical 0,
-// 1.0 = confident logical 1, 0.5 = erasure/unknown. Hard decisions map to
-// exactly 0.0 / 1.0. Values outside [0, 1] are clamped, and NaN is an
-// erasure.
+// Soft inputs are bytes from 0 to kSoftScale (254): 0 = confident logical
+// 0, kSoftScale = confident logical 1, kSoftErasure (127) = erasure/unknown.
+// A probability P(bit == 1) becomes one through quantize_soft, the one
+// quantizer of the receive chain; hard decisions map to exactly 0 and
+// kSoftScale.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,17 +48,16 @@ class ConvolutionalCodec {
   // (after puncturing, before byte packing).
   std::size_t encoded_bits(std::size_t payload_bytes) const;
 
-  // Viterbi decode of soft bits back into `payload_bytes` bytes. `soft`
+  // Viterbi decode of soft bytes back into `payload_bytes` bytes. `soft`
   // must contain encoded_bits(payload_bytes) entries; missing ones read as
-  // erasures. Returns the decoded bytes; the code is always decodable (it
-  // picks the best path), so integrity must be checked by an outer CRC.
+  // erasures, and bytes above kSoftScale as kSoftScale. Returns the decoded
+  // bytes; the code is always decodable (it picks the best path), so
+  // integrity must be checked by an outer CRC.
   //
-  // Soft bits are quantized once per call, eight at a time, to
-  // q = round(clamp(s, 0, 1) * kSoftScale); kSoftScale is even, so 0.5 and
-  // punctured positions are the exact erasure kSoftScale / 2, and NaN reads
-  // as an erasure too (a select, not a branch). Branch metrics are the L1
-  // distances |q0 - Q*out0| + |q1 - Q*out1| (Q = kSoftScale, at most 2Q),
-  // and path metrics are int16.
+  // The bytes are spread over the puncturing pattern into int16 (q0, q1)
+  // pairs, punctured positions as the erasure Q/2 (Q = kSoftScale). Branch
+  // metrics are the L1 distances |q0 - Q*out0| + |q1 - Q*out1| (at most
+  // 2Q), and path metrics are int16.
   //
   // The trellis is fixed at compile time: decode_soft runs a template
   // instance per code (v27: 4 groups of eight butterflies, v29: 16), with
@@ -92,7 +93,7 @@ class ConvolutionalCodec {
   // at every step u is the hard bit of a position whose q is not the
   // erasure Q/2, XOR that polynomial's parity of the state. The walk hands
   // the frame to the ACS at the first step whose two positions are both
-  // Q/2 (punctured, erased, NaN or missing), whose second position off Q/2
+  // Q/2 (punctured, erased or missing), whose second position off Q/2
   // disagrees with the first, or that is a flush step implying a 1. A walk
   // that reaches the end returns its input bits, and they are the ACS's
   // answer:
@@ -123,10 +124,19 @@ class ConvolutionalCodec {
   // (oracles::decode_soft_quantized_reference in the test-only library);
   // the float per-state decoder (oracles::decode_soft_reference) is the
   // coding-gain baseline it is checked against.
-  util::Bytes decode_soft(std::span<const float> soft, std::size_t payload_bytes) const;
+  util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const;
 
-  // Soft-bit quantization scale of decode_soft (even, so 0.5 is exact).
+  // Soft-bit quantization scale (even, so 0.5 is exact) and the erasure.
   static constexpr int kSoftScale = 254;
+  static constexpr std::uint8_t kSoftErasure = kSoftScale / 2;
+
+  // The soft byte of P(bit == 1) = p: round(clamp(p, 0, 1) * kSoftScale),
+  // halves rounding up, with NaN read as the erasure (a select, not a
+  // branch). Computed in float as clamp * kSoftScale + 0.5, truncated.
+  static std::uint8_t quantize_soft(float p) {
+    const float v = p == p ? std::min(std::max(p, 0.0f), 1.0f) : 0.5f;
+    return static_cast<std::uint8_t>(v * static_cast<float>(kSoftScale) + 0.5f);
+  }
 
   // Effective code rate as a fraction (e.g. 0.5, 2/3, 0.75).
   double rate() const;
@@ -138,10 +148,6 @@ class ConvolutionalCodec {
   };
 
   void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) const;
-  // Quantizes `soft` into `quantized` and depunctures it into in_bits
-  // (q0, q1) pairs.
-  void depuncture(std::span<const float> soft, std::size_t in_bits, std::vector<std::int16_t>& quantized,
-                  std::vector<std::int16_t>& pairs) const;
 
   ConvSpec spec_;
   int k_;                 // constraint length

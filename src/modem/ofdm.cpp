@@ -1,6 +1,7 @@
 #include "modem/ofdm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +15,7 @@ namespace sonic::modem {
 namespace {
 
 constexpr std::uint16_t kMagic = 0x534e;  // "SN"
+constexpr std::size_t kHeaderBits = (8 * 8 + 6) * 2;  // 8 bytes + v27 flush, rate 1/2
 constexpr std::uint64_t kPrbsSeed = 0x50494c4f54ull;  // "PILOT"
 
 // PRBS QPSK points shared by transmitter and receiver.
@@ -118,8 +120,7 @@ bool OfdmModem::is_pilot(int rel_idx) const {
 }
 
 std::size_t OfdmModem::header_symbols() const {
-  const std::size_t header_bits = header_codec_.encoded_bits(8);
-  return (header_bits + static_cast<std::size_t>(profile_.data_carriers()) - 1) /
+  return (kHeaderBits + static_cast<std::size_t>(profile_.data_carriers()) - 1) /
          static_cast<std::size_t>(profile_.data_carriers());
 }
 
@@ -189,7 +190,6 @@ void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
   hw.u16(static_cast<std::uint16_t>(frame_count));
   hw.u16(crc16_ccitt(hw.bytes()));
   const util::Bytes header_coded = header_codec_.encode(hw.bytes());
-  const std::size_t header_bits = header_codec_.encoded_bits(8);
 
   std::vector<float> sym;
   auto emit = [&](std::span<const cplx> carriers) {
@@ -209,7 +209,7 @@ void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
       if (is_pilot(i)) continue;
       // Whitened like the payload: the fixed header pattern must not form
       // a high-crest OFDM symbol.
-      const int bit = (sent < header_bits ? hbr.bit() : 0) ^ prbs[sent % prbs.size()];
+      const int bit = (sent < kHeaderBits ? hbr.bit() : 0) ^ prbs[sent % prbs.size()];
       ++sent;
       carriers[static_cast<std::size_t>(i)] = cplx(bit ? 1.0f : -1.0f, 0.0f);
     }
@@ -330,21 +330,21 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
 
   Header header;
   header.noise = noise_var / std::max(sig_pow, 1e-9f);  // normalized post-eq noise
-  auto& header_soft = header_soft_;
-  header_soft.clear();
+  header_soft_.clear();
   const std::size_t hdr_syms = header_symbols();
   if (window_pos(start, 2 + hdr_syms) > samples.size()) return std::nullopt;
   for (std::size_t s = 0; s < hdr_syms; ++s) {
-    demod_symbol(samples, window_pos(start, 2 + s), true, h_smooth, header.noise, header_soft);
+    const auto soft = demod_symbol(samples, window_pos(start, 2 + s), true, h_smooth, header.noise);
+    header_soft_.insert(header_soft_.end(), soft.begin(), soft.end());
   }
-  const std::size_t header_bits = header_codec_.encoded_bits(8);
-  if (header_soft.size() < header_bits) return std::nullopt;
+  if (header_soft_.size() < kHeaderBits) return std::nullopt;
+  // De-scrambled, then quantized, as place_soft does (with no interleaver).
   const auto prbs = scrambler_sequence();
-  for (std::size_t i = 0; i < header_soft.size(); ++i) {
-    if (prbs[i % prbs.size()]) header_soft[i] = 1.0f - header_soft[i];
+  std::array<std::uint8_t, kHeaderBits> coded;
+  for (std::size_t i = 0; i < kHeaderBits; ++i) {
+    coded[i] = fec::ConvolutionalCodec::quantize_soft(prbs[i] ? 1.0f - header_soft_[i] : header_soft_[i]);
   }
-  const util::Bytes hdr = header_codec_.decode_soft(
-      std::span(header_soft).subspan(0, header_bits), 8);
+  const util::Bytes hdr = header_codec_.decode_soft(coded, 8);
   util::ByteReader hr(hdr);
   const std::uint16_t magic = hr.u16();
   header.frame_len = hr.u16();
@@ -363,9 +363,8 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   return header;
 }
 
-void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
-                             std::span<const cplx> h, float& noise,
-                             std::vector<float>& soft_out) const {
+std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
+                                               std::span<const cplx> h, float& noise) const {
   const int n = profile_.num_subcarriers;
   const auto y = analyze_symbol(samples, pos);
   auto& eq = eq_;
@@ -422,24 +421,23 @@ void OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bo
     eq[nd++] = corr;
   }
   // Soft bits of the whole symbol, demapped with the noise from before this
-  // symbol's pilots, straight into the caller's buffer.
+  // symbol's pilots.
   const std::size_t qbits = bpsk ? 1 : static_cast<std::size_t>(qam_.bits_per_symbol());
-  const std::size_t base = soft_out.size();
-  soft_out.resize(base + nd * qbits);
-  const std::span<float> soft(soft_out.data() + base, nd * qbits);
+  soft_.resize(nd * qbits);
   if (bpsk) {
     const float sigma2 = std::max(noise * 0.5f, 1e-7f);
     for (std::size_t k = 0; k < nd; ++k) {
       const float llr1 = 2.0f * eq[k].real() / sigma2;
-      soft[k] = 1.0f / (1.0f + std::exp(-llr1));
+      soft_[k] = 1.0f / (1.0f + std::exp(-llr1));
     }
   } else {
-    qam_.demap_soft(std::span<const cplx>(eq.data(), nd), noise, soft);
+    qam_.demap_soft(std::span<const cplx>(eq.data(), nd), noise, soft_);
   }
   if (pilot_cnt > 0) {
     const float obs = pilot_noise / static_cast<float>(pilot_cnt);
     noise = 0.7f * noise + 0.3f * std::max(obs, 1e-7f);
   }
+  return soft_;
 }
 
 std::vector<RxBurst> OfdmModem::receive_all(std::span<const float> samples) const {

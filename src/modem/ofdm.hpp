@@ -137,10 +137,11 @@ class OfdmModem {
   std::optional<Header> decode_header(std::span<const float> samples, std::size_t start,
                                       std::vector<cplx>& h_smooth) const;
   // Equalizes the symbol whose FFT window starts at `pos` by the channel
-  // estimate `h`, fits the pilot phase, appends its soft bits to `soft_out`
-  // and updates `noise` from the pilot residual.
-  void demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
-                    std::span<const cplx> h, float& noise, std::vector<float>& soft_out) const;
+  // estimate `h`, fits the pilot phase, updates `noise` from the pilot
+  // residual and returns the symbol's soft bits, P(bit == 1), in member
+  // scratch valid until the next call.
+  std::span<const float> demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
+                                      std::span<const cplx> h, float& noise) const;
 
   OfdmProfile profile_;
   QamMapper qam_;
@@ -163,12 +164,13 @@ class OfdmModem {
   // safety). spec_ holds synth_symbol's FFT-size working buffer, packed_
   // analyze_symbol's half-size one, carriers_ the used-bin view
   // analyze_symbol returns, h_ decode_header's raw channel estimate and
-  // header_soft_ its soft bits, eq_ demod_symbol's equalized bins.
+  // header_soft_ its soft bits (as received, before de-scrambling), eq_
+  // demod_symbol's equalized bins and soft_ the soft bits it returns.
   mutable std::vector<dsp::cplx> spec_;
   mutable std::vector<dsp::cplx> packed_;
   mutable std::vector<cplx> carriers_;
   mutable std::vector<cplx> h_, eq_;
-  mutable std::vector<float> header_soft_;
+  mutable std::vector<float> header_soft_, soft_;
 };
 
 // Test/bench peephole into the private per-symbol kernels. The kernel tests
@@ -201,9 +203,11 @@ struct OfdmKernelProbe {
     auto header = m.decode_header(samples, start, h);
     if (!header) return {};
     std::vector<float> soft = m.header_soft_;
+    for (std::size_t i = 0; i < soft.size(); ++i) soft[i] = scrambler_sequence()[i] ? 1.0f - soft[i] : soft[i];
     const std::size_t first = 2 + m.header_symbols();
     for (std::size_t s = 0; s < m.payload_symbols(header->frame_len, header->frame_count); ++s) {
-      m.demod_symbol(samples, m.window_pos(start, first + s), false, h, header->noise, soft);
+      const auto bits = m.demod_symbol(samples, m.window_pos(start, first + s), false, h, header->noise);
+      soft.insert(soft.end(), bits.begin(), bits.end());
     }
     return soft;
   }

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "dsp/fast_math.hpp"
 #include "fec/crc32.hpp"
 
 namespace sonic::modem {
@@ -113,32 +114,52 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
   return bw.take();
 }
 
-std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
-                                               std::size_t payload_size) const {
-  const std::size_t rs_size = rs_encoded_size(payload_size);
-  const std::size_t nbits = conv_.encoded_bits(rs_size);
-  if (soft.size() < nbits) return std::nullopt;
-
-  // 1. De-scramble + de-interleave soft bits (flipping a soft value is
-  // s -> 1 - s) into a buffer reused across calls; the stride is coprime
-  // with nbits, so every position is written.
-  thread_local std::vector<float> deint;
-  deint.resize(nbits);
-  const std::size_t stride = pick_stride(nbits);
+void PacketCodec::place_soft(std::span<const float> soft, std::size_t first, std::span<std::uint8_t> frame) {
+  // Received bit i came from coded bit (i * stride) mod nbits, whitened by
+  // mask bit i mod the sequence length; both step by add and wrap.
+  const std::size_t nbits = frame.size();
+  if (first >= nbits) return;
+  const std::size_t n = std::min(soft.size(), nbits - first);
+  const std::size_t step = pick_stride(nbits) % nbits;
   const auto prbs = scrambler_sequence();
-  const std::size_t step = nbits > 0 ? stride % nbits : 0;
-  std::size_t dst = 0, mask = 0;
-  for (std::size_t i = 0; i < nbits; ++i) {
-    deint[dst] = prbs[mask] ? 1.0f - soft[i] : soft[i];
-    dst += step;
-    if (dst >= nbits) dst -= nbits;
+  std::size_t dst = first * step % nbits, mask = first % prbs.size();
+  auto ahead = [nbits](std::size_t d, std::size_t off) { return d + off >= nbits ? d + off - nbits : d + off; };
+  // Four bits a pass in float lanes, each lane taking quantize_soft's
+  // operations (std::max's and std::min's selects), while the mask needs no
+  // wrap. The four positions are offsets of the first, so passes chain on
+  // one wrap, not four.
+  const std::size_t step2 = ahead(step, step), step3 = ahead(step2, step), step4 = ahead(step3, step);
+  std::size_t i = 0;
+  for (; i + 4 <= n && mask + 4 <= prbs.size(); i += 4, mask += 4) {
+    const auto p = dsp::fastmath::load(soft.data() + i);
+    auto v = dsp::fastmath::V4i{prbs[mask], prbs[mask + 1], prbs[mask + 2], prbs[mask + 3]} ? 1.0f - p : p;
+    v = v == v ? v : 0.5f;
+    v = v < 0.0f ? 0.0f : v;
+    v = (1.0f < v ? 1.0f : v) * static_cast<float>(fec::ConvolutionalCodec::kSoftScale) + 0.5f;
+    const auto q = __builtin_convertvector(v, dsp::fastmath::V4i);
+    frame[dst] = static_cast<std::uint8_t>(q[0]);
+    frame[ahead(dst, step)] = static_cast<std::uint8_t>(q[1]);
+    frame[ahead(dst, step2)] = static_cast<std::uint8_t>(q[2]);
+    frame[ahead(dst, step3)] = static_cast<std::uint8_t>(q[3]);
+    dst = ahead(dst, step4);
+  }
+  if (mask == prbs.size()) mask = 0;
+  for (; i < n; ++i) {
+    frame[dst] = fec::ConvolutionalCodec::quantize_soft(prbs[mask] ? 1.0f - soft[i] : soft[i]);
+    dst = ahead(dst, step);
     if (++mask == prbs.size()) mask = 0;
   }
+}
 
-  // 2. Viterbi.
-  util::Bytes body = conv_.decode_soft(deint, rs_size);
+std::optional<util::Bytes> PacketCodec::decode(std::span<const std::uint8_t> soft,
+                                               std::size_t payload_size) const {
+  const std::size_t rs_size = rs_encoded_size(payload_size);
+  if (soft.size() < conv_.encoded_bits(rs_size)) return std::nullopt;
 
-  // 3. Outer RS per block, each block's data moved down in place over the
+  // 1. Viterbi.
+  util::Bytes body = conv_.decode_soft(soft, rs_size);
+
+  // 2. Outer RS per block, each block's data moved down in place over the
   // parity of the blocks before it.
   if (rs_) {
     const std::size_t nroots = static_cast<std::size_t>(spec_.rs_nroots);
@@ -156,7 +177,7 @@ std::optional<util::Bytes> PacketCodec::decode(std::span<const float> soft,
     body.resize(kept);
   }
 
-  // 4. CRC check; the payload is the body without it.
+  // 3. CRC check; the payload is the body without it.
   if (body.size() < 4) return std::nullopt;
   const std::size_t len = body.size() - 4;
   std::uint32_t crc = 0;

@@ -42,9 +42,18 @@ class PacketCodec {
   // Exact number of coded bits produced for a payload of `payload_size`.
   std::size_t encoded_bits(std::size_t payload_size) const;
 
-  // Decodes soft bits (P(bit==1) in [0,1], encoded_bits() entries) back to
-  // the payload. Returns nullopt if RS fails or the CRC does not match.
-  std::optional<util::Bytes> decode(std::span<const float> soft, std::size_t payload_size) const;
+  // Places a run of a frame's received soft bits, P(bit == 1) of bits
+  // first, first + 1, ... of a frame of frame.size() coded bits, into the
+  // frame's soft bytes: each bit is de-scrambled in float (1 - p where its
+  // PRBS bit is set; flipping the byte instead, 254 - q, is not the same),
+  // quantized by fec::ConvolutionalCodec::quantize_soft and written at its
+  // de-interleaved position. Bits past the frame's end are ignored, and
+  // positions no run reaches keep what the caller put there.
+  static void place_soft(std::span<const float> soft, std::size_t first, std::span<std::uint8_t> frame);
+
+  // Decodes a frame's soft bytes, as place_soft leaves them, back to the
+  // payload. Returns nullopt if RS fails or the CRC does not match.
+  std::optional<util::Bytes> decode(std::span<const std::uint8_t> soft, std::size_t payload_size) const;
 
   // Coded-size expansion factor (coded bits / payload bits).
   double expansion(std::size_t payload_size) const;

@@ -88,7 +88,6 @@ int bits_per_symbol(Constellation c) { return ilog2(static_cast<int>(c)); }
 
 const char* constellation_name(Constellation c) {
   switch (c) {
-    case Constellation::kBpsk: return "bpsk";
     case Constellation::kQpsk: return "qpsk";
     case Constellation::kQam16: return "qam16";
     case Constellation::kQam64: return "qam64";
@@ -98,14 +97,8 @@ const char* constellation_name(Constellation c) {
   return "?";
 }
 
-QamMapper::QamMapper(Constellation c) : constellation_(c), bits_(sonic::modem::bits_per_symbol(c)) {
+QamMapper::QamMapper(Constellation c) : bits_(sonic::modem::bits_per_symbol(c)) {
   const int order = static_cast<int>(c);
-  if (c == Constellation::kBpsk) {
-    axis_bits_ = 1;
-    levels_ = {-1.0f, 1.0f};  // gray label == index for 2 levels
-    points_ = {cplx(-1.0f, 0.0f), cplx(1.0f, 0.0f)};
-    return;
-  }
   // Square QAM: L levels per axis.
   const int L = static_cast<int>(std::lround(std::sqrt(static_cast<double>(order))));
   if (L * L != order) throw std::invalid_argument("constellation must be square");
@@ -134,23 +127,14 @@ void QamMapper::demap_soft(std::span<const cplx> points, float noise_var,
   if (soft_out.size() != points.size() * static_cast<std::size_t>(bits_))
     throw std::invalid_argument("soft_out must hold bits_per_symbol() bits per point");
   // Per-axis noise variance is half the complex noise variance.
-  const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
-  float* out = soft_out.data();
-  if (constellation_ == Constellation::kBpsk) {
-    for (const cplx p : points) {
-      const float llr1 = 2.0f * p.real() / sigma2;
-      *out++ = 1.0f / (1.0f + std::exp(-llr1));
-    }
-    return;
-  }
-  const float two_sigma2 = 2.0f * sigma2;
+  const float two_sigma2 = 2.0f * std::max(noise_var * 0.5f, 1e-9f);
   static_assert(kMaxAxisLevels == 1 << 5, "one demap_block case per axis size");
   switch (axis_bits_) {
-    case 1: return demap_block<1>(points, levels_.data(), two_sigma2, out);
-    case 2: return demap_block<2>(points, levels_.data(), two_sigma2, out);
-    case 3: return demap_block<3>(points, levels_.data(), two_sigma2, out);
-    case 4: return demap_block<4>(points, levels_.data(), two_sigma2, out);
-    case 5: return demap_block<5>(points, levels_.data(), two_sigma2, out);
+    case 1: return demap_block<1>(points, levels_.data(), two_sigma2, soft_out.data());
+    case 2: return demap_block<2>(points, levels_.data(), two_sigma2, soft_out.data());
+    case 3: return demap_block<3>(points, levels_.data(), two_sigma2, soft_out.data());
+    case 4: return demap_block<4>(points, levels_.data(), two_sigma2, soft_out.data());
+    case 5: return demap_block<5>(points, levels_.data(), two_sigma2, soft_out.data());
   }
 }
 

@@ -1,4 +1,4 @@
-// Gray-coded square QAM constellations (BPSK through 1024-QAM) with
+// Gray-coded square QAM constellations (QPSK through 1024-QAM) with
 // soft-decision demapping. Quiet exposes the same family for its audible
 // profiles; the paper's transmission profile is an OFDM variant of
 // "audible-7k-channel" (§3.3), and 1024-QAM mirrors Quiet's cable profiles.
@@ -14,7 +14,6 @@ namespace sonic::modem {
 using cplx = std::complex<float>;
 
 enum class Constellation : int {
-  kBpsk = 2,
   kQpsk = 4,
   kQam16 = 16,
   kQam64 = 64,
@@ -31,7 +30,6 @@ class QamMapper {
  public:
   explicit QamMapper(Constellation c);
 
-  Constellation constellation() const { return constellation_; }
   int bits_per_symbol() const { return bits_; }
 
   // Maps `bits_` bits (MSB-first within the value) to a unit-average-energy
@@ -51,12 +49,10 @@ class QamMapper {
   // squared distance to every level, the minima as d < m ? d : m, the LLR
   // divide, std::exp per lane and 1 / (1 + e)), so every soft bit is the
   // scalar one, NaN and infinite points included. The bits are scattered
-  // back point by point; the last size() % 4 points run zero-padded, and
-  // BPSK stays scalar.
+  // back point by point; the last size() % 4 points run zero-padded.
   void demap_soft(std::span<const cplx> points, float noise_var, std::span<float> soft_out) const;
 
  private:
-  Constellation constellation_;
   int bits_;
   int axis_bits_;                  // bits per I/Q axis (square QAM)
   std::vector<float> levels_;      // per-axis amplitude levels, Gray order index

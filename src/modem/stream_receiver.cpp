@@ -269,8 +269,8 @@ StreamReceiver::Step StreamReceiver::fine_sync(bool final_flush) {
 
 // One forward pass over the burst at sync_start_: the header once, then
 // every payload symbol whose FFT window is buffered. At the stream's end the
-// frame in progress is padded with erasures, and the frames never begun are
-// lost.
+// frame in progress decodes with its missing bits as erasures, and the
+// frames never begun are lost.
 StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool final_flush) {
   const std::span<const float> buffered = live();
   if (!header_.has_value()) {
@@ -285,7 +285,8 @@ StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool fina
     burst_end_ = sync_start_ + modem_.burst_samples(header_->frame_len, header_->frame_count);
     payload_symbols_ = modem_.payload_symbols(header_->frame_len, header_->frame_count);
     next_symbol_ = 0;
-    soft_.clear();
+    frame_soft_.assign(frame_bits_, fec::ConvolutionalCodec::kSoftErasure);
+    frame_fill_ = 0;
     frames_.clear();
   }
 
@@ -293,35 +294,39 @@ StreamReceiver::Step StreamReceiver::decode(std::vector<RxBurst>& out, bool fina
   for (; next_symbol_ < payload_symbols_; ++next_symbol_) {
     const std::size_t pos = modem_.window_pos(sync_start_, first_payload + next_symbol_);
     if (pos + fft_ > total_) break;
-    modem_.demod_symbol(buffered, pos - base_, false, h_, header_->noise, soft_);
-    decode_frames();
+    place_symbol(modem_.demod_symbol(buffered, pos - base_, false, h_, header_->noise));
   }
   if (!final_flush) {
     // The burst ends after its gap symbol; the scan resumes there.
     if (next_symbol_ < payload_symbols_ || total_ < burst_end_) return Step::kStall;
   } else if (frames_.size() < header_->frame_count) {
-    // The stream ended inside the burst. The frame in progress is padded
-    // with erasures and decoded; the frames after it carry no received bit
-    // and are lost without a decode.
-    if (!soft_.empty()) {
-      soft_.resize(frame_bits_, 0.5f);
-      decode_frames();
-    }
+    // The stream ended inside the burst. The frame in progress decodes with
+    // the positions it never received still erasures; the frames after it
+    // carry no received bit and are lost without a decode.
+    if (frame_fill_ > 0) decode_frame();
     frames_.resize(header_->frame_count);
   }
   emit(out);
   return Step::kProgress;
 }
 
-// Decodes every frame whose soft bits are all in, keeping the bits of the
-// frame in progress.
-void StreamReceiver::decode_frames() {
-  std::size_t off = 0;
-  for (; frames_.size() < header_->frame_count && soft_.size() - off >= frame_bits_; off += frame_bits_) {
-    frames_.push_back(
-        modem_.payload_codec_.decode(std::span(soft_).subspan(off, frame_bits_), header_->frame_len));
+// Places a payload symbol's soft bits into their frames, decoding each as
+// its last bit arrives; bits past the last frame are padding.
+void StreamReceiver::place_symbol(std::span<const float> soft) {
+  while (!soft.empty() && frames_.size() < header_->frame_count) {
+    const std::size_t n = std::min(soft.size(), frame_bits_ - frame_fill_);
+    PacketCodec::place_soft(soft.first(n), frame_fill_, frame_soft_);
+    frame_fill_ += n;
+    soft = soft.subspan(n);
+    if (frame_fill_ == frame_bits_) decode_frame();
   }
-  soft_.erase(soft_.begin(), soft_.begin() + static_cast<long>(off));
+}
+
+// Decodes the frame in progress and starts the next one as all erasures.
+void StreamReceiver::decode_frame() {
+  frames_.push_back(modem_.payload_codec_.decode(frame_soft_, header_->frame_len));
+  std::fill(frame_soft_.begin(), frame_soft_.end(), fec::ConvolutionalCodec::kSoftErasure);
+  frame_fill_ = 0;
 }
 
 void StreamReceiver::emit(std::vector<RxBurst>& out) {

@@ -14,7 +14,8 @@
 //   * decodes each burst in one forward pass through a per-burst cursor:
 //     the header once (channel estimate, starting noise, frame geometry),
 //     then each payload symbol as soon as its FFT window is buffered, and
-//     each frame (Viterbi, RS, CRC32) as soon as its last soft bit exists.
+//     each frame (Viterbi, RS, CRC32) as soon as its last soft bit is in
+//     its buffer of one byte per coded bit (PacketCodec::place_soft).
 //     Completed frames leave as one RxBurst when the burst ends. Feeding
 //     the same audio in any chunking yields byte-identical bursts;
 //   * resyncs after a failed burst: a corrupted preamble or undecodable
@@ -119,7 +120,8 @@ class StreamReceiver {
   Step scan(bool final_flush);
   Step fine_sync(bool final_flush);
   Step decode(std::vector<RxBurst>& out, bool final_flush);
-  void decode_frames();
+  void place_symbol(std::span<const float> soft);
+  void decode_frame();
   void emit(std::vector<RxBurst>& out);
   void restart_scan(std::size_t from);
   void evict();
@@ -163,7 +165,9 @@ class StreamReceiver {
   std::size_t payload_symbols_ = 0;
   std::size_t next_symbol_ = 0;      // next payload symbol to demodulate
   std::vector<cplx> h_;              // channel estimate from preamble B
-  std::vector<float> soft_;          // soft bits of the frame in progress
+  // The frame in progress as place_soft leaves it; frame_fill_ bits are in.
+  std::vector<std::uint8_t> frame_soft_;
+  std::size_t frame_fill_ = 0;
   std::vector<std::optional<util::Bytes>> frames_;  // decoded so far
 };
 

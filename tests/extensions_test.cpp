@@ -285,7 +285,9 @@ TEST(Scrambler, ScrambledRoundTripStillDecodes) {
     std::vector<float> soft(codec.encoded_bits(payload.size()));
     util::BitReader br(coded);
     for (auto& s : soft) s = static_cast<float>(br.bit());
-    const auto decoded = codec.decode(soft, payload.size());
+    std::vector<std::uint8_t> frame(soft.size(), fec::ConvolutionalCodec::kSoftErasure);
+    modem::PacketCodec::place_soft(soft, 0, frame);
+    const auto decoded = codec.decode(frame, payload.size());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, payload);
   }

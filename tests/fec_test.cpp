@@ -23,12 +23,19 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
 }
 
 // Packed code bits as exact 0.0/1.0 soft decisions: hard-decision input
-// for decode_soft.
+// for decode_soft, through quantized.
 std::vector<float> hard_soft_bits(std::span<const std::uint8_t> packed, std::size_t nbits) {
   std::vector<float> soft(nbits);
   util::BitReader br(packed);
   for (auto& s : soft) s = static_cast<float>(br.bit());
   return soft;
+}
+
+// Float soft bits as the soft bytes decode_soft takes.
+std::vector<std::uint8_t> quantized(std::span<const float> soft) {
+  std::vector<std::uint8_t> q(soft.size());
+  std::transform(soft.begin(), soft.end(), q.begin(), ConvolutionalCodec::quantize_soft);
+  return q;
 }
 
 // ---------------------------------------------------------------- CRC32 ---
@@ -82,7 +89,7 @@ TEST_P(ConvCodecTest, CleanRoundTrip) {
   for (std::size_t len : {1u, 2u, 17u, 100u, 223u}) {
     const Bytes data = random_bytes(rng, len);
     const Bytes enc = codec.encode(data);
-    const Bytes dec = codec.decode_soft(hard_soft_bits(enc, codec.encoded_bits(len)), len);
+    const Bytes dec = codec.decode_soft(quantized(hard_soft_bits(enc, codec.encoded_bits(len))), len);
     EXPECT_EQ(dec, data) << "len=" << len;
   }
 }
@@ -119,7 +126,7 @@ TEST_P(ConvCodecTest, CorrectsScatteredBitErrors) {
     const std::size_t pos = static_cast<std::size_t>(e) * (nbits / static_cast<std::size_t>(errors + 1)) + 3;
     soft[pos] = 1.0f - soft[pos];
   }
-  const Bytes dec = codec.decode_soft(soft, len);
+  const Bytes dec = codec.decode_soft(quantized(soft), len);
   EXPECT_EQ(dec, data);
 }
 
@@ -155,7 +162,7 @@ TEST(ConvCodec, SoftDecisionsBeatHardDecisions) {
     // Gaussian noise around the ideal value, sigma = 0.3.
     s = std::clamp(bit + static_cast<float>(rng.normal(0.0, 0.3)), 0.0f, 1.0f);
   }
-  EXPECT_EQ(codec.decode_soft(soft, len), data);
+  EXPECT_EQ(codec.decode_soft(quantized(soft), len), data);
 }
 
 TEST(ConvCodec, RateReportsEffectiveRate) {
@@ -180,8 +187,8 @@ TEST(ConvCodec, AllZerosAndAllOnesPayloads) {
   const Bytes zeros(50, 0x00);
   const Bytes ones(50, 0xff);
   const std::size_t nbits = codec.encoded_bits(50);
-  EXPECT_EQ(codec.decode_soft(hard_soft_bits(codec.encode(zeros), nbits), 50), zeros);
-  EXPECT_EQ(codec.decode_soft(hard_soft_bits(codec.encode(ones), nbits), 50), ones);
+  EXPECT_EQ(codec.decode_soft(quantized(hard_soft_bits(codec.encode(zeros), nbits)), 50), zeros);
+  EXPECT_EQ(codec.decode_soft(quantized(hard_soft_bits(codec.encode(ones), nbits)), 50), ones);
 }
 
 // --------------------------------------------------------- Reed-Solomon ---

@@ -27,6 +27,14 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return out;
 }
 
+// A whole frame's received soft bits as the soft bytes PacketCodec::decode
+// takes.
+std::vector<std::uint8_t> placed(std::span<const float> soft) {
+  std::vector<std::uint8_t> frame(soft.size(), fec::ConvolutionalCodec::kSoftErasure);
+  PacketCodec::place_soft(soft, 0, frame);
+  return frame;
+}
+
 void add_awgn(std::vector<float>& samples, double snr_db, Rng& rng) {
   double power = 0;
   for (float s : samples) power += static_cast<double>(s) * s;
@@ -38,7 +46,7 @@ void add_awgn(std::vector<float>& samples, double snr_db, Rng& rng) {
 
 // Minimum distance between the points `qam` maps to.
 float min_distance(const QamMapper& qam) {
-  const auto order = static_cast<std::uint32_t>(qam.constellation());
+  const std::uint32_t order = 1u << qam.bits_per_symbol();
   float d = std::numeric_limits<float>::max();
   for (std::uint32_t a = 0; a < order; ++a) {
     for (std::uint32_t b = a + 1; b < order; ++b) d = std::min(d, std::abs(qam.map(a) - qam.map(b)));
@@ -83,7 +91,7 @@ TEST_P(QamTest, SoftDemapUncertainNearBoundary) {
   QamMapper qam(GetParam());
   const int bits = qam.bits_per_symbol();
   std::vector<float> soft(static_cast<std::size_t>(bits));
-  // A symbol exactly between the two BPSK/axis points must give ~0.5 on the
+  // A symbol exactly between two axis levels must give ~0.5 on the
   // deciding bit.
   const cplx origin(0.0f, 0.0f);
   qam.demap_soft(std::span(&origin, 1), 0.5f, soft);
@@ -93,9 +101,9 @@ TEST_P(QamTest, SoftDemapUncertainNearBoundary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConstellations, QamTest,
-                         ::testing::Values(Constellation::kBpsk, Constellation::kQpsk,
-                                           Constellation::kQam16, Constellation::kQam64,
-                                           Constellation::kQam256, Constellation::kQam1024),
+                         ::testing::Values(Constellation::kQpsk, Constellation::kQam16,
+                                           Constellation::kQam64, Constellation::kQam256,
+                                           Constellation::kQam1024),
                          [](const auto& info) { return std::string(constellation_name(info.param)); });
 
 TEST(Qam, GrayNeighborsDifferInOneBit) {
@@ -138,7 +146,7 @@ TEST(PacketCodec, CleanRoundTrip) {
     std::vector<float> soft(nbits);
     util::BitReader br(coded);
     for (auto& s : soft) s = static_cast<float>(br.bit());
-    const auto decoded = codec.decode(soft, len);
+    const auto decoded = codec.decode(placed(soft), len);
     ASSERT_TRUE(decoded.has_value()) << len;
     EXPECT_EQ(*decoded, payload);
   }
@@ -157,7 +165,7 @@ TEST(PacketCodec, SurvivesBurstErrors) {
   // A burst of 40 erased bits.
   const std::size_t burst_at = nbits / 3;
   for (std::size_t i = 0; i < 40; ++i) soft[burst_at + i] = 0.5f;
-  const auto decoded = codec.decode(soft, 100);
+  const auto decoded = codec.decode(placed(soft), 100);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, payload);
 }
@@ -171,7 +179,7 @@ TEST(PacketCodec, DetectsCorruptionBeyondFec) {
   std::vector<float> soft(nbits);
   // Total garbage.
   for (auto& s : soft) s = static_cast<float>(rng.uniform());
-  const auto decoded = codec.decode(soft, 100);
+  const auto decoded = codec.decode(placed(soft), 100);
   if (decoded.has_value()) {
     // Astronomically unlikely; if FEC "decodes", CRC must have caught it.
     EXPECT_NE(*decoded, payload);

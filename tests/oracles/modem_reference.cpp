@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "dsp/fft.hpp"
+#include "modem/packet.hpp"
+#include "oracles/viterbi_reference.hpp"
 
 namespace sonic::oracles {
 
@@ -49,12 +51,6 @@ void axis_demap_soft(std::span<const float> levels, int axis_bits, float r, floa
 
 void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
                               std::span<float> soft_out) {
-  if (mapper.constellation() == modem::Constellation::kBpsk) {
-    const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
-    const float llr1 = 2.0f * received.real() / sigma2;
-    soft_out[0] = 1.0f / (1.0f + std::exp(-llr1));
-    return;
-  }
   const int axis_bits = mapper.bits_per_symbol() / 2;
   // Label (g << axis_bits) maps to (level g, level 0).
   std::vector<float> levels(std::size_t{1} << axis_bits);
@@ -65,7 +61,6 @@ void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, flo
 }
 
 std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received) {
-  if (mapper.constellation() == modem::Constellation::kBpsk) return received.real() >= 0.0f ? 1u : 0u;
   const int axis_bits = mapper.bits_per_symbol() / 2;
   auto nearest = [&](float r) {
     std::uint32_t best = 0;
@@ -124,6 +119,19 @@ FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const 
     }
   }
   return best;
+}
+
+std::vector<std::uint8_t> place_soft_reference(std::span<const float> soft) {
+  const std::size_t n = soft.size();
+  const std::size_t stride = n < 2 ? 1 : n % 101 != 0 ? 101 : n % 103 != 0 ? 103 : 1;
+  const auto prbs = modem::scrambler_sequence();
+  std::vector<float> deint(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    deint[i * stride % n] = prbs[i % prbs.size()] ? 1.0f - soft[i] : soft[i];
+  }
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t j = 0; j < n; ++j) out[j] = static_cast<std::uint8_t>(quantize_soft_reference(deint[j]));
+  return out;
 }
 
 }  // namespace sonic::oracles

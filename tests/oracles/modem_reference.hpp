@@ -1,7 +1,8 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
-// modem::OfdmModem::analyze_symbol, the block modem::QamMapper::demap_soft
-// and the screened modem::pick_fine_sync, plus the hard QAM demapper the constellation tests decode with. They live in
-// the sonic_oracles library, which only tests and benches link.
+// modem::OfdmModem::analyze_symbol, the block modem::QamMapper::demap_soft,
+// the screened modem::pick_fine_sync and modem::PacketCodec::place_soft,
+// plus the hard QAM demapper the constellation tests decode with. They
+// live in the sonic_oracles library, which only tests and benches link.
 #pragma once
 
 #include <complex>
@@ -33,8 +34,8 @@ void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, flo
                               std::span<float> soft_out);
 
 // Hard demap: the bit label of the constellation point nearest `received`,
-// taking the nearest level on each axis independently (exact for BPSK and
-// square QAM). The levels are read back through QamMapper::map.
+// taking the nearest level on each axis independently (exact for square
+// QAM). The levels are read back through QamMapper::map.
 std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received);
 
 // The all-exact fine-sync scan modem::pick_fine_sync screens: every
@@ -47,5 +48,13 @@ struct FineSyncReference {
 };
 FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
                                       std::size_t candidates);
+
+// modem::PacketCodec::place_soft over a whole frame, as the de-interleave
+// loop and the quantizer pass it replaced: received soft bit i is
+// de-scrambled (1 - p where scrambler bit i is set) into a float buffer at
+// its de-interleaved position (i * stride) mod n, stride 101 unless 101
+// divides n, then 103 unless 103 does, else 1; that buffer is then
+// quantized by quantize_soft_reference.
+std::vector<std::uint8_t> place_soft_reference(std::span<const float> soft);
 
 }  // namespace sonic::oracles
