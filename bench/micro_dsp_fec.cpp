@@ -384,23 +384,24 @@ std::vector<MicroCase> build_micro_cases() {
 
   // Viterbi: the paper's inner code (V2,9) and the header code (V2,7),
   // noisy soft bits, 100-byte payloads. Before is the float per-state
-  // decoder on the float soft bits, after decode_soft on their bytes.
+  // decoder on the float soft bits, after decode_soft on their bytes: at
+  // acs_lanes() (16 lanes on an AVX2 CPU), and in the _sse2 row at 8 lanes.
   for (auto [name, code] : {std::pair{"viterbi_v29_100B", fec::ConvCode::kV29},
                             std::pair{"viterbi_v27_100B", fec::ConvCode::kV27}}) {
     const fec::ConvSpec spec{code, fec::PunctureRate::kRate1_2};
     auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
     auto soft = std::make_shared<std::vector<float>>(noisy_soft_bits(*codec, 100, *rng));
     auto bytes = std::make_shared<std::vector<std::uint8_t>>(quantized(*soft));
-    cases.push_back(MicroCase{
-        name, 100.0, "bytes",
-        [spec, soft] {
-          auto out = oracles::decode_soft_reference(spec, *soft, 100);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [codec, bytes] {
-          auto out = codec->decode_soft(*bytes, 100);
-          benchmark::DoNotOptimize(out.data());
-        }});
+    auto reference = [spec, soft] {
+      auto out = oracles::decode_soft_reference(spec, *soft, 100);
+      benchmark::DoNotOptimize(out.data());
+    };
+    for (auto [suffix, lanes] : {std::pair{"", fec::acs_lanes()}, std::pair{"_sse2", fec::AcsLanes::k8}}) {
+      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, [codec, bytes, lanes] {
+                                  auto out = codec->decode_soft(*bytes, 100, lanes);
+                                  benchmark::DoNotOptimize(out.data());
+                                }});
+    }
   }
 
   // v29 on a 100-byte frame whose hard decisions are already a codeword

@@ -6,8 +6,9 @@
 # pipeline's worker pool and the shared caches and codecs, then the kernel
 # suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
 # kernels (the Viterbi butterflies and decision gather, the ziggurat's miss
-# bits) stay tested, and last the end-to-end benchmark built the same
-# way, its client receive chain smoke-run on those fallbacks.
+# bits) stay tested and the Viterbi object holds no AVX2 code, and last the
+# end-to-end benchmark built the same way, its client receive chain
+# smoke-run on those fallbacks.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -32,6 +33,14 @@ echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
 cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__
 cmake --build build-portable -j "$JOBS" --target sonic_kernel_tests
 ctest --test-dir build-portable -L kernel --output-on-failure -j "$JOBS"
+# The Viterbi's AVX2 instance is compiled only with __SSE2__ defined, so
+# the portable row never measures it: its object must hold no ymm register.
+CONV_OBJ=build-portable/src/fec/CMakeFiles/sonic_fec.dir/convolutional.cpp.o
+CONV_ASM="$(objdump -d "$CONV_OBJ")"
+if grep -q '%ymm' <<< "$CONV_ASM"; then
+  echo "tier-1: $CONV_OBJ holds AVX code in the portable build" >&2
+  exit 1
+fi
 
 echo "== tier-1: client receive chain end to end on the portable paths =="
 cmake -S e2ebench -B build-portable-e2e -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-U__SSE2__

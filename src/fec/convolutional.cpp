@@ -9,7 +9,7 @@
 #include <utility>
 
 #if defined(__SSE2__)
-#include <emmintrin.h>
+#include <immintrin.h>
 #endif
 
 namespace sonic::fec {
@@ -48,11 +48,12 @@ struct Trellis {
     return static_cast<unsigned>(parity(reg & PolyA) * 2 + parity(reg & PolyB));
   }
 
-  // s_j is linear in j over GF(2), and 8g and i < 8 share no bits, so
-  // s_(8g + i) = s_(8g) ^ s_i: one set of lane vectors serves every group.
-  static constexpr bool lanes_split() {
+  // s_j is linear in j over GF(2), and n * m and i < n share no bits for
+  // n a power of two, so s_(n * m + i) = s_(n * m) ^ s_i: one set of n lane
+  // vectors serves every n butterflies (n = 8: a group; 16: a pair of them).
+  static constexpr bool lanes_split(std::size_t n) {
     for (std::size_t j = 0; j < half; ++j) {
-      if (sym(j) != (sym(j & ~std::size_t{7}) ^ sym(j & 7))) return false;
+      if (sym(j) != (sym(j & ~(n - 1)) ^ sym(j & (n - 1)))) return false;
     }
     return true;
   }
@@ -60,67 +61,123 @@ struct Trellis {
   static constexpr std::uint32_t ends = 1u | (1u << (K - 1));
   static_assert((PolyA & ends) == ends && (PolyB & ends) == ends,
                 "the butterfly needs both polynomials to tap the register's MSB and LSB");
-  static_assert(groups >= 1 && lanes_split());
+  static_assert(groups % 2 == 0 && lanes_split(8) && lanes_split(16),
+                "the AVX2 pack runs groups 2P and 2P+1 on one set of lane vectors");
 };
 
 using V27 = Trellis<7, 0x6d, 0x4f>;
 using V29 = Trellis<9, 0x1af, 0x11d>;
 
-// Eight int16 ACS lanes and the ops decode_soft runs on them: SSE2
-// intrinsics, or the same lane-wise arithmetic without SSE2.
+// Calls f with the trellis of `code`, a V27 or V29 value.
+template <class F>
+decltype(auto) with_trellis(ConvCode code, F&& f) {
+  return code == ConvCode::kV27 ? f(V27{}) : f(V29{});
+}
+
+// A lane pack: `groups` groups of eight int16 ACS lanes in one register and
+// the ops decode_soft runs on them. Pack8 holds one group: SSE2 intrinsics,
+// or the same lane-wise arithmetic without SSE2.
 #if defined(__SSE2__)
-using V8 = __m128i;
+struct Pack8 {
+  using V = __m128i;
+  using Word = std::uint16_t;  // the pack's decision words
+  static constexpr std::size_t groups = 1;
 
-inline V8 load(const std::int16_t* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
-inline void store(std::int16_t* p, V8 v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
-inline V8 splat(std::int16_t v) { return _mm_set1_epi16(v); }
-inline V8 add(V8 a, V8 b) { return _mm_add_epi16(a, b); }
-inline V8 sub(V8 a, V8 b) { return _mm_sub_epi16(a, b); }
-inline V8 bit_xor(V8 a, V8 b) { return _mm_xor_si128(a, b); }
-inline V8 min(V8 a, V8 b) { return _mm_min_epi16(a, b); }
-inline V8 greater(V8 a, V8 b) { return _mm_cmpgt_epi16(a, b); }
-inline V8 interleave_lo(V8 a, V8 b) { return _mm_unpacklo_epi16(a, b); }
-inline V8 interleave_hi(V8 a, V8 b) { return _mm_unpackhi_epi16(a, b); }
-// Bit i: lane i of mask `lo` is set; bit 8 + i: lane i of mask `hi`.
-inline unsigned movemask(V8 lo, V8 hi) {
-  return static_cast<unsigned>(_mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
-}
+  static V load(const std::int16_t* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
+  static void store(std::int16_t* p, V v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
+  static V splat(std::int16_t v) { return _mm_set1_epi16(v); }
+  static V add(V a, V b) { return _mm_add_epi16(a, b); }
+  static V sub(V a, V b) { return _mm_sub_epi16(a, b); }
+  static V bit_xor(V a, V b) { return _mm_xor_si128(a, b); }
+  static V min(V a, V b) { return _mm_min_epi16(a, b); }
+  static V greater(V a, V b) { return _mm_cmpgt_epi16(a, b); }
+  // Lane i of `even` to p[2i], lane i of `odd` to p[2i + 1].
+  static void store_interleaved(std::int16_t* p, V even, V odd) {
+    store(p, _mm_unpacklo_epi16(even, odd));
+    store(p + 8, _mm_unpackhi_epi16(even, odd));
+  }
+  // Bit i: lane i of mask `even` is set; bit 8 + i: lane i of mask `odd`.
+  static Word decisions(V even, V odd) {
+    return static_cast<Word>(_mm_movemask_epi8(_mm_packs_epi16(even, odd)));
+  }
+};
+
+// Two groups per AVX2 register, group 2P in the low 128 bits. Each op
+// carries the avx2 target, so it inlines only into the avx2 instance of
+// add_compare_select; decode_soft runs that instance only where the CPU
+// has AVX2 (acs_lanes()).
+struct Pack16 {
+  using V = __m256i;
+  using Word = std::uint32_t;  // group 2P's word in the low half
+  static constexpr std::size_t groups = 2;
+
+  [[gnu::target("avx2")]] static V load(const std::int16_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  [[gnu::target("avx2")]] static void store(std::int16_t* p, V v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  [[gnu::target("avx2")]] static V splat(std::int16_t v) { return _mm256_set1_epi16(v); }
+  [[gnu::target("avx2")]] static V add(V a, V b) { return _mm256_add_epi16(a, b); }
+  [[gnu::target("avx2")]] static V sub(V a, V b) { return _mm256_sub_epi16(a, b); }
+  [[gnu::target("avx2")]] static V bit_xor(V a, V b) { return _mm256_xor_si256(a, b); }
+  [[gnu::target("avx2")]] static V min(V a, V b) { return _mm256_min_epi16(a, b); }
+  [[gnu::target("avx2")]] static V greater(V a, V b) { return _mm256_cmpgt_epi16(a, b); }
+  // vpunpck{l,h}wd interleave within each 128-bit half; vperm2i128 puts
+  // the halves back in state order.
+  [[gnu::target("avx2")]] static void store_interleaved(std::int16_t* p, V even, V odd) {
+    const V lo = _mm256_unpacklo_epi16(even, odd), hi = _mm256_unpackhi_epi16(even, odd);
+    store(p, _mm256_permute2x128_si256(lo, hi, 0x20));
+    store(p + 16, _mm256_permute2x128_si256(lo, hi, 0x31));
+  }
+  // vpacksswb packs within each 128-bit half, so bits 0-15 are group 2P's
+  // word and bits 16-31 group 2P+1's.
+  [[gnu::target("avx2")]] static Word decisions(V even, V odd) {
+    return static_cast<Word>(_mm256_movemask_epi8(_mm256_packs_epi16(even, odd)));
+  }
+};
 #else
-typedef std::int16_t V8 __attribute__((vector_size(16)));
+struct Pack8 {
+  typedef std::int16_t V __attribute__((vector_size(16)));
+  using Word = std::uint16_t;
+  static constexpr std::size_t groups = 1;
 
-inline V8 load(const std::int16_t* p) {
-  V8 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store(std::int16_t* p, V8 v) { std::memcpy(p, &v, sizeof v); }
-inline V8 splat(std::int16_t v) { return V8{v, v, v, v, v, v, v, v}; }
-inline V8 add(V8 a, V8 b) { return a + b; }
-inline V8 sub(V8 a, V8 b) { return a - b; }
-inline V8 bit_xor(V8 a, V8 b) { return a ^ b; }
-inline V8 min(V8 a, V8 b) { return a < b ? a : b; }
-inline V8 greater(V8 a, V8 b) { return a > b; }
-inline V8 interleave_lo(V8 a, V8 b) { return __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11); }
-inline V8 interleave_hi(V8 a, V8 b) { return __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15); }
-// Each all-ones lane keeps its own bit of a lane constant; the lanes are
-// then OR-ed together as 16-bit fields of two words, which holds on either
-// byte order.
-inline unsigned movemask(V8 lo, V8 hi) {
-  typedef std::uint16_t V8u __attribute__((vector_size(16)));
-  constexpr V8u kLoBits = {1, 2, 4, 8, 16, 32, 64, 128};
-  constexpr V8u kHiBits = {256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
-  const V8u v = (reinterpret_cast<V8u>(lo) & kLoBits) | (reinterpret_cast<V8u>(hi) & kHiBits);
-  std::uint64_t words[2];
-  std::memcpy(words, &v, sizeof words);
-  std::uint64_t x = words[0] | words[1];
-  x |= x >> 32;
-  x |= x >> 16;
-  return static_cast<unsigned>(x & 0xffffu);
-}
+  static V load(const std::int16_t* p) {
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static void store(std::int16_t* p, V v) { std::memcpy(p, &v, sizeof v); }
+  static V splat(std::int16_t v) { return V{v, v, v, v, v, v, v, v}; }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
+  static V bit_xor(V a, V b) { return a ^ b; }
+  static V min(V a, V b) { return a < b ? a : b; }
+  static V greater(V a, V b) { return a > b; }
+  static void store_interleaved(std::int16_t* p, V even, V odd) {
+    store(p, __builtin_shufflevector(even, odd, 0, 8, 1, 9, 2, 10, 3, 11));
+    store(p + 8, __builtin_shufflevector(even, odd, 4, 12, 5, 13, 6, 14, 7, 15));
+  }
+  // Each all-ones lane keeps its own bit of a lane constant; the lanes are
+  // then OR-ed together as 16-bit fields of two words, which holds on
+  // either byte order.
+  static Word decisions(V even, V odd) {
+    typedef std::uint16_t Vu __attribute__((vector_size(16)));
+    constexpr Vu kEvenBits = {1, 2, 4, 8, 16, 32, 64, 128};
+    constexpr Vu kOddBits = {256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
+    const Vu v = (reinterpret_cast<Vu>(even) & kEvenBits) | (reinterpret_cast<Vu>(odd) & kOddBits);
+    std::uint64_t words[2];
+    std::memcpy(words, &v, sizeof words);
+    std::uint64_t x = words[0] | words[1];
+    x |= x >> 32;
+    x |= x >> 16;
+    return static_cast<Word>(x & 0xffffu);
+  }
+};
 #endif
 
-// The smallest of the eight lanes.
-inline std::int16_t lane_min(V8 v) {
+// The smallest of a Pack8's eight lanes.
+inline std::int16_t lane_min(Pack8::V v) {
   std::int16_t lanes[8];
   std::memcpy(lanes, &v, sizeof lanes);
   return *std::min_element(lanes, lanes + 8);
@@ -155,69 +212,86 @@ void depuncture(std::span<const std::uint8_t> soft, std::size_t in_bits, std::ve
   }
 }
 
-// Lane i: `set` where bit `bit` of s_i is set (bit 1 is out0, bit 0
-// out1), else `clear`.
-template <class T, unsigned bit, std::int16_t set, std::int16_t clear>
-inline V8 lane_constant() {
+// The templates from here to acs_loop run on either pack. Their Pack16
+// instances hold 256-bit values in functions without the avx2 target, for
+// which GCC warns that passing them would change the ABI; they exist only
+// inlined into acs_loop_avx2, which has the target, so none is passed.
+// GCC reports the warning at the end of the file, so it stays off to there.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Lane i of a pack: `set` where bit `bit` of s_i is set (bit 1 is out0,
+// bit 0 out1), else `clear`.
+template <class T, class P, unsigned bit, std::int16_t set, std::int16_t clear>
+[[gnu::always_inline]] inline typename P::V lane_constant() {
   static constexpr auto lanes = []<std::size_t... I>(std::index_sequence<I...>) {
-    return std::array<std::int16_t, 8>{(T::sym(I) & bit ? set : clear)...};
-  }(std::make_index_sequence<8>{});
-  return load(lanes.data());
+    return std::array<std::int16_t, 8 * P::groups>{(T::sym(I) & bit ? set : clear)...};
+  }(std::make_index_sequence<8 * P::groups>{});
+  return P::load(lanes.data());
 }
 
-// Butterflies 8G .. 8G+7: each metric vector is loaded once, and the
+// Pack K's butterflies, 8 * P::groups of them from butterfly
+// 8 * P::groups * K on: each metric vector is loaded once, and each
 // group's decisions are one 16-bit word, even successors in the low byte.
-template <class T, std::size_t G>
-[[gnu::always_inline]] inline void butterflies(const V8 (&lanes)[4], const std::int16_t* __restrict metric,
+template <class T, class P, std::size_t K>
+[[gnu::always_inline]] inline void butterflies(const typename P::V (&lanes)[4], const std::int16_t* __restrict metric,
                                                std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
-  constexpr unsigned c = T::sym(8 * G);
-  const V8 a = lanes[c];
-  const V8 b = lanes[c ^ 3];
-  const V8 lo = load(metric + 8 * G), hi = load(metric + T::half + 8 * G);
-  const V8 m0e = add(lo, a), m1e = add(hi, b);
-  const V8 m0o = add(lo, b), m1o = add(hi, a);
-  const V8 ne = min(m0e, m1e);
-  const V8 no = min(m0o, m1o);
-  store(next + 16 * G, interleave_lo(ne, no));
-  store(next + 16 * G + 8, interleave_hi(ne, no));
-  dec[G] = static_cast<std::uint16_t>(movemask(greater(m0e, m1e), greater(m0o, m1o)));
+  using V = typename P::V;
+  constexpr std::size_t first = 8 * P::groups * K;
+  constexpr unsigned c = T::sym(first);
+  const V a = lanes[c];
+  const V b = lanes[c ^ 3];
+  const V lo = P::load(metric + first), hi = P::load(metric + T::half + first);
+  const V m0e = P::add(lo, a), m1e = P::add(hi, b);
+  const V m0o = P::add(lo, b), m1o = P::add(hi, a);
+  P::store_interleaved(next + 2 * first, P::min(m0e, m1e), P::min(m0o, m1o));
+  const typename P::Word word = P::decisions(P::greater(m0e, m1e), P::greater(m0o, m1o));
+  std::memcpy(dec + P::groups * K, &word, sizeof word);
+}
+
+// Every pack's butterflies, unrolled. A helper rather than a lambda: a
+// lambda in the avx2 instance would not inherit its target.
+template <class T, class P, std::size_t... K>
+[[gnu::always_inline]] inline void all_butterflies(const typename P::V (&lanes)[4], const std::int16_t* __restrict metric,
+                                                   std::int16_t* __restrict next, std::uint16_t* __restrict dec,
+                                                   std::index_sequence<K...>) {
+  (butterflies<T, P, K>(lanes, metric, next, dec), ...);
 }
 
 // One trellis step on the quantized pair (q0, q1): metric -> next, and the
 // step's T::groups decision words into dec.
-template <class T>
+template <class T, class P>
 [[gnu::always_inline]] inline void acs_step(std::int16_t q0, std::int16_t q1, const std::int16_t* __restrict metric,
                                             std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
+  using V = typename P::V;
   constexpr std::int16_t Q = ConvolutionalCodec::kSoftScale;
   // The step's four lane patterns: lanes[c] holds bm[s_i ^ c] in lane i,
-  // which is `a` of every group with base symbol c and `b` of every group
+  // which is `a` of every pack with base symbol c and `b` of every pack
   // with base symbol c ^ 3. Each half of bm is the distance of one received
   // value to the expected bit: q for a 0, Q - q for a 1. So x0, the
   // distance of q0 to lane i's out0, is (q0 ^ m) + (m ? Q + 1 : 0) with m
   // all ones where out0 is 1; x0_flip, the distance to the other bit, is
   // Q - x0. x1 likewise.
-  const V8 x0 = add(bit_xor(splat(q0), lane_constant<T, 2, -1, 0>()), lane_constant<T, 2, Q + 1, 0>());
-  const V8 x1 = add(bit_xor(splat(q1), lane_constant<T, 1, -1, 0>()), lane_constant<T, 1, Q + 1, 0>());
-  const V8 x0_flip = sub(splat(Q), x0), x1_flip = sub(splat(Q), x1);
-  const V8 lanes[4] = {add(x0, x1), add(x0, x1_flip), add(x0_flip, x1), add(x0_flip, x1_flip)};
-  [&]<std::size_t... G>(std::index_sequence<G...>) {
-    (butterflies<T, G>(lanes, metric, next, dec), ...);
-  }(std::make_index_sequence<T::groups>{});
+  const V x0 = P::add(P::bit_xor(P::splat(q0), lane_constant<T, P, 2, -1, 0>()), lane_constant<T, P, 2, Q + 1, 0>());
+  const V x1 = P::add(P::bit_xor(P::splat(q1), lane_constant<T, P, 1, -1, 0>()), lane_constant<T, P, 1, Q + 1, 0>());
+  const V x0_flip = P::sub(P::splat(Q), x0), x1_flip = P::sub(P::splat(Q), x1);
+  const V lanes[4] = {P::add(x0, x1), P::add(x0, x1_flip), P::add(x0_flip, x1), P::add(x0_flip, x1_flip)};
+  all_butterflies<T, P>(lanes, metric, next, dec, std::make_index_sequence<T::groups / P::groups>{});
 }
 
-// Subtracts the smallest metric from all of them.
+// Subtracts the smallest metric from all of them, eight lanes at a time in
+// either instance: it runs once every kRenormalize steps.
 template <class T>
-inline void renormalize(std::int16_t* metric) {
-  V8 lowest = load(metric);
-  for (std::size_t i = 8; i < T::states; i += 8) lowest = min(lowest, load(metric + i));
-  const V8 shift = splat(lane_min(lowest));
-  for (std::size_t i = 0; i < T::states; i += 8) store(metric + i, sub(load(metric + i), shift));
+[[gnu::always_inline]] inline void renormalize(std::int16_t* metric) {
+  Pack8::V lowest = Pack8::load(metric);
+  for (std::size_t i = 8; i < T::states; i += 8) lowest = Pack8::min(lowest, Pack8::load(metric + i));
+  const Pack8::V shift = Pack8::splat(lane_min(lowest));
+  for (std::size_t i = 0; i < T::states; i += 8) Pack8::store(metric + i, Pack8::sub(Pack8::load(metric + i), shift));
 }
 
-// Runs the trellis over in_bits quantized (q0, q1) pairs and writes each
-// step's T::groups decision words.
-template <class T>
-void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec) {
+// Runs the trellis over in_bits quantized (q0, q1) pairs on lane pack P
+// and writes each step's T::groups decision words.
+template <class T, class P>
+[[gnu::always_inline]] inline void acs_loop(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec) {
   // State 0 starts at 0, every other state at kUnreached, and the
   // smallest metric is subtracted every kRenormalize steps. A metric grows
   // by at most 2Q a step, and after the first K-1 steps none exceeds the
@@ -226,16 +300,36 @@ void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uin
   constexpr int kUnreached = 16384, kRenormalize = 16, kMaxBranch = 2 * ConvolutionalCodec::kSoftScale;
   static_assert(kRenormalize >= T::k - 1 && kUnreached + kRenormalize * kMaxBranch <= 32767);
   static_assert((T::k - 1 + kRenormalize) * kMaxBranch <= 32767);
-  alignas(16) std::int16_t buffers[2][T::states];
+  alignas(32) std::int16_t buffers[2][T::states];
   std::int16_t* metric = buffers[0];
   std::int16_t* next = buffers[1];
   std::fill_n(metric, T::states, static_cast<std::int16_t>(kUnreached));
   metric[0] = 0;
   for (std::size_t step = 0; step < in_bits; ++step) {
-    acs_step<T>(pairs[2 * step], pairs[2 * step + 1], metric, next, dec + step * T::groups);
+    acs_step<T, P>(pairs[2 * step], pairs[2 * step + 1], metric, next, dec + step * T::groups);
     std::swap(metric, next);
     if (step % kRenormalize == kRenormalize - 1) renormalize<T>(metric);
   }
+}
+
+#if defined(__SSE2__)
+// The Pack16 instance. flatten inlines the Pack16 ops, which only a
+// function with the avx2 target may inline.
+template <class T>
+[[gnu::target("avx2"), gnu::flatten]] void acs_loop_avx2(const std::int16_t* pairs, std::size_t in_bits,
+                                                        std::uint16_t* dec) {
+  acs_loop<T, Pack16>(pairs, in_bits, dec);
+}
+#endif
+
+// The trellis on `lanes` lanes per register.
+template <class T>
+void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec, AcsLanes lanes) {
+#if defined(__SSE2__)
+  if (lanes == AcsLanes::k16) return acs_loop_avx2<T>(pairs, in_bits, dec);
+#endif
+  (void)lanes;
+  acs_loop<T, Pack8>(pairs, in_bits, dec);
 }
 
 // The trellis bypass (see the header): walks from state 0 along the hard
@@ -302,32 +396,42 @@ void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t
   }
 }
 
+// The mother code's output bits of `data` (MSB first) and the K-1 flush
+// bits, out0 then out1 per input bit.
+template <class T>
+void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) {
+  std::uint32_t state = 0;
+  auto push = [&](std::uint32_t bit) {
+    const std::uint32_t reg = (state << 1) | bit;
+    out_bits.push_back(static_cast<std::uint8_t>(parity(reg & T::poly_a)));
+    out_bits.push_back(static_cast<std::uint8_t>(parity(reg & T::poly_b)));
+    state = reg & static_cast<std::uint32_t>(T::states - 1);
+  };
+  for (std::uint8_t byte : data) {
+    for (int i = 7; i >= 0; --i) push((byte >> i) & 1u);
+  }
+  for (int i = 0; i < T::k - 1; ++i) push(0);  // flush to state 0
+}
+
+// Trellis steps of a payload: its bits and the K-1 flush bits.
+std::size_t input_bits(ConvCode code, std::size_t payload_bytes) {
+  return payload_bytes * 8 + with_trellis(code, [](auto t) { return static_cast<std::size_t>(decltype(t)::k - 1); });
+}
+
 }  // namespace
 
+AcsLanes acs_lanes() {
+#if defined(__SSE2__)
+  static const bool avx2 = (__builtin_cpu_init(), __builtin_cpu_supports("avx2"));
+  return avx2 ? AcsLanes::k16 : AcsLanes::k8;
+#else
+  return AcsLanes::k8;
+#endif
+}
+
 ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
-  switch (spec.code) {
-    case ConvCode::kV27:
-      k_ = V27::k;
-      poly_a_ = V27::poly_a;
-      poly_b_ = V27::poly_b;
-      break;
-    case ConvCode::kV29:
-      k_ = V29::k;
-      poly_a_ = V29::poly_a;
-      poly_b_ = V29::poly_b;
-      break;
-    default:
-      throw std::invalid_argument("unknown convolutional code");
-  }
-  num_states_ = 1 << (k_ - 1);
-  branches_.resize(static_cast<std::size_t>(num_states_) << 1);
-  for (int state = 0; state < num_states_; ++state) {
-    for (int bit = 0; bit < 2; ++bit) {
-      const std::uint32_t reg = (static_cast<std::uint32_t>(state) << 1) | static_cast<std::uint32_t>(bit);
-      Branch& br = branches_[(static_cast<std::size_t>(state) << 1) | static_cast<std::size_t>(bit)];
-      br.out0 = static_cast<std::uint8_t>(parity(reg & poly_a_));
-      br.out1 = static_cast<std::uint8_t>(parity(reg & poly_b_));
-    }
+  if (spec.code != ConvCode::kV27 && spec.code != ConvCode::kV29) {
+    throw std::invalid_argument("unknown convolutional code");
   }
 }
 
@@ -340,24 +444,8 @@ double ConvolutionalCodec::rate() const {
   return 0.5;
 }
 
-void ConvolutionalCodec::raw_encode_bits(std::span<const std::uint8_t> data,
-                                         std::vector<std::uint8_t>& out_bits) const {
-  std::uint32_t state = 0;
-  auto push = [&](int bit) {
-    const Branch& br = branches_[(static_cast<std::size_t>(state) << 1) | static_cast<std::size_t>(bit)];
-    out_bits.push_back(br.out0);
-    out_bits.push_back(br.out1);
-    state = ((state << 1) | static_cast<std::uint32_t>(bit)) & static_cast<std::uint32_t>(num_states_ - 1);
-  };
-  for (std::uint8_t byte : data) {
-    for (int i = 7; i >= 0; --i) push((byte >> i) & 1);
-  }
-  for (int i = 0; i < k_ - 1; ++i) push(0);  // flush to state 0
-}
-
 std::size_t ConvolutionalCodec::encoded_bits(std::size_t payload_bytes) const {
-  const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
-  const std::size_t raw = in_bits * 2;
+  const std::size_t raw = input_bits(spec_.code, payload_bytes) * 2;
   const auto pat = puncture_pattern(spec_.rate);
   std::size_t kept_per_period = 0;
   for (std::uint8_t keep : pat) kept_per_period += keep;
@@ -370,7 +458,7 @@ std::size_t ConvolutionalCodec::encoded_bits(std::size_t payload_bytes) const {
 util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const {
   std::vector<std::uint8_t> raw;
   raw.reserve(data.size() * 16 + 32);
-  raw_encode_bits(data, raw);
+  with_trellis(spec_.code, [&](auto t) { raw_encode_bits<decltype(t)>(data, raw); });
 
   const auto pat = puncture_pattern(spec_.rate);
   util::BitWriter bw;
@@ -393,19 +481,26 @@ struct ViterbiWorkspace {
 
 template <class T>
 void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, std::vector<std::uint16_t>& dec,
-             std::uint8_t* out) {
+             std::uint8_t* out, AcsLanes lanes) {
   const std::size_t in_bits = pairs.size() / 2;
   if (walk_hard_decisions<T>(pairs.data(), in_bits, payload_bytes, out)) return;
   dec.resize(in_bits * T::groups);  // every word is written below
-  add_compare_select<T>(pairs.data(), in_bits, dec.data());
+  add_compare_select<T>(pairs.data(), in_bits, dec.data(), lanes);
   traceback<T>(dec.data(), payload_bytes, out);
 }
 
 }  // namespace
 
-util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft,
-                                            std::size_t payload_bytes) const {
-  const std::size_t in_bits = payload_bytes * 8 + static_cast<std::size_t>(k_ - 1);
+util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const {
+  return decode_soft(soft, payload_bytes, acs_lanes());
+}
+
+util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes,
+                                            AcsLanes lanes) const {
+  if (lanes == AcsLanes::k16 && acs_lanes() != AcsLanes::k16) {
+    throw std::invalid_argument("16 ACS lanes need an SSE2 build on a CPU with AVX2");
+  }
+  const std::size_t in_bits = input_bits(spec_.code, payload_bytes);
   thread_local ViterbiWorkspace ws;
   switch (spec_.rate) {
     case PunctureRate::kRate1_2: depuncture<kPattern1_2>(soft, in_bits, ws.pairs); break;
@@ -413,11 +508,7 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft,
     case PunctureRate::kRate3_4: depuncture<kPattern3_4>(soft, in_bits, ws.pairs); break;
   }
   util::Bytes out(payload_bytes);
-  if (spec_.code == ConvCode::kV27) {
-    viterbi<V27>(ws.pairs, payload_bytes, ws.decisions, out.data());
-  } else {
-    viterbi<V29>(ws.pairs, payload_bytes, ws.decisions, out.data());
-  }
+  with_trellis(spec_.code, [&](auto t) { viterbi<decltype(t)>(ws.pairs, payload_bytes, ws.decisions, out.data(), lanes); });
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -35,6 +34,15 @@ struct ConvSpec {
   ConvCode code = ConvCode::kV29;
   PunctureRate rate = PunctureRate::kRate1_2;
 };
+
+// The int16 lanes per register of decode_soft's add-compare-select: 8 (one
+// group of eight butterflies per SSE2 register, or the generic fallback
+// without SSE2) or 16 (two groups per AVX2 register).
+enum class AcsLanes { k8, k16 };
+
+// The lanes decode_soft runs at: k16 in an SSE2 build on a CPU with AVX2,
+// else k8. Chosen once per process.
+AcsLanes acs_lanes();
 
 class ConvolutionalCodec {
  public:
@@ -62,19 +70,22 @@ class ConvolutionalCodec {
   // The trellis is fixed at compile time: decode_soft runs a template
   // instance per code (v27: 4 groups of eight butterflies, v29: 16), with
   // every branch symbol a constant and the group loop fully unrolled. It
-  // runs as add-compare-select butterflies, eight per SSE2 register
-  // (paddw, pcmpgtw, pminsw; a generic fallback runs the same algorithm
-  // without SSE2). Butterfly j joins predecessors j and j + half to
-  // successors 2j (input bit 0) and 2j + 1 (input bit 1). Both codes tap
-  // the register's MSB and LSB in both polynomials, so a butterfly's four
-  // branches carry only two metrics: a = bm[s_j] on j -> 2j and
-  // j + half -> 2j + 1, b = bm[s_j ^ 3] on the crossing branches, where
-  // s_j = out0 * 2 + out1 of branch j -> 2j and bm is the step's four
-  // branch metrics. s_j is linear in j, so s_(8g + i) = s_(8g) ^ s_i: per
-  // step, four lane vectors bm[s_i ^ c] stay in registers and serve every
-  // group g as a (c = s_8g) and b (c = s_8g ^ 3), both picked at compile
-  // time. A successor takes the high predecessor only if its metric is
-  // strictly lower, so ties keep the low predecessor.
+  // runs as add-compare-select butterflies on int16 lanes (paddw, pcmpgtw,
+  // pminsw): eight per SSE2 register, or sixteen, two groups, per AVX2
+  // register where the CPU has AVX2 (acs_lanes(); a generic fallback runs
+  // the eight-lane algorithm without SSE2). Butterfly j joins predecessors
+  // j and j + half to successors 2j (input bit 0) and 2j + 1 (input bit
+  // 1). Both codes tap the register's MSB and LSB in both polynomials, so
+  // a butterfly's four branches carry only two metrics: a = bm[s_j] on
+  // j -> 2j and j + half -> 2j + 1, b = bm[s_j ^ 3] on the crossing
+  // branches, where s_j = out0 * 2 + out1 of branch j -> 2j and bm is the
+  // step's four branch metrics. s_j is linear in j, so s_(n*m + i) =
+  // s_(n*m) ^ s_i for n = 8 or 16 lanes: per step, four lane vectors
+  // bm[s_i ^ c] stay in registers and serve butterflies n*m to n*m + n - 1
+  // for every m as a (c = s_(n*m)) and b (c = s_(n*m) ^ 3), both picked at
+  // compile time. A
+  // successor takes the high predecessor only if its metric is strictly
+  // lower, so ties keep the low predecessor.
   //
   // int16 cannot overflow. State 0 starts at 0 and every other state at
   // 16384. Any state is reachable from any other in K-1 steps, so once the
@@ -111,9 +122,10 @@ class ConvolutionalCodec {
   // The rule admits a lone Q/2 beside a decisive bit.
   //
   // Each step's decisions (1 = high predecessor won) are one 16-bit word
-  // per group of eight butterflies, packed with packsswb + pmovmskb (the
-  // generic fallback keeps each all-ones lane's own bit of a lane constant
-  // and ORs the lanes together as 16-bit fields of two 64-bit words): bit i
+  // per group of eight butterflies, packed with packsswb + pmovmskb (on
+  // AVX2 one 32-bit store holds a register's two words; the generic
+  // fallback keeps each all-ones lane's own bit of a lane constant and ORs
+  // the lanes together as 16-bit fields of two 64-bit words): bit i
   // of group g's word is even successor 2(8g + i), bit 8 + i odd successor
   // 2(8g + i) + 1. Traceback reads successor `next` as bit
   // (next & 1) * 8 + (next >> 1) % 8 of word next >> 4, and writes each
@@ -125,6 +137,11 @@ class ConvolutionalCodec {
   // the float per-state decoder (oracles::decode_soft_reference) is the
   // coding-gain baseline it is checked against.
   util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const;
+
+  // decode_soft at `lanes` lanes rather than acs_lanes(), so each instance
+  // can be checked on one host; the output is the same. Throws
+  // std::invalid_argument for k16 where acs_lanes() is k8.
+  util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes, AcsLanes lanes) const;
 
   // Soft-bit quantization scale (even, so 0.5 is exact) and the erasure.
   static constexpr int kSoftScale = 254;
@@ -142,19 +159,7 @@ class ConvolutionalCodec {
   double rate() const;
 
  private:
-  struct Branch {
-    std::uint8_t out0;  // first output bit
-    std::uint8_t out1;  // second output bit
-  };
-
-  void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) const;
-
   ConvSpec spec_;
-  int k_;                 // constraint length
-  std::uint32_t poly_a_;
-  std::uint32_t poly_b_;
-  int num_states_;
-  std::vector<Branch> branches_;  // [state << 1 | input_bit]
 };
 
 }  // namespace sonic::fec

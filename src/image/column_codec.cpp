@@ -10,7 +10,9 @@
 namespace sonic::image {
 
 std::string ColumnCodecParams::fingerprint() const {
-  return "q" + std::to_string(quality) + "b" + std::to_string(payload_budget);
+  // Appended piece by piece: GCC 12 misreads "lit" + std::string as an
+  // overlapping copy (-Wrestrict).
+  return std::string("q").append(std::to_string(quality)).append("b").append(std::to_string(payload_budget));
 }
 
 namespace {

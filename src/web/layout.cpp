@@ -10,8 +10,16 @@
 namespace sonic::web {
 
 std::string LayoutParams::fingerprint() const {
-  return "w" + std::to_string(width) + "h" + std::to_string(max_height) + "m" +
-         std::to_string(margin) + "s" + std::to_string(text_scale);
+  // Appended piece by piece: GCC 12 misreads "lit" + std::string as an
+  // overlapping copy (-Wrestrict).
+  return std::string("w")
+      .append(std::to_string(width))
+      .append("h")
+      .append(std::to_string(max_height))
+      .append("m")
+      .append(std::to_string(margin))
+      .append("s")
+      .append(std::to_string(text_scale));
 }
 
 namespace {

@@ -14,7 +14,8 @@
 //    1024 bytes; its bit errors against the float per-state decoder on a
 //    noise grid; the trellis structure the butterfly relies on,
 //    concurrent decodes on one shared codec, soft input cut short or
-//    running long, and the trellis bypass on codewords and near misses;
+//    running long, the trellis bypass on codewords and near misses, and
+//    both ACS widths (8 and 16 lanes) in one run;
 //  * the table-driven Reed-Solomon syndromes vs. the per-root Horner
 //    loop, and decode's result and corrected bytes vs. the decoder built
 //    on it, at every block length for nroots 2 to 64 and with errors and
@@ -622,6 +623,98 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
   const auto coded = codec.encode(data);
   EXPECT_EQ(codec.decode_soft(quantized(hard_soft_bits(coded, codec.encoded_bits(data.size()))), data.size()), data);
+}
+
+// Both add-compare-select instances against the quantized oracle in one
+// run: 8 lanes (SSE2, or the generic fallback without it) and 16 (two
+// groups per AVX2 register, skipped on a CPU without AVX2). decode_soft
+// runs only acs_lanes(), so on an AVX2 host the tests above never reach the
+// 8-lane instance. Every code and rate: noisy frames of 0 to 1024 bytes,
+// hard input with ties everywhere, erasures and long tie runs, and 1-KiB
+// frames at both ends of the int16 range.
+class ViterbiLanesTest : public ::testing::TestWithParam<fec::AcsLanes> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == fec::AcsLanes::k16 && fec::acs_lanes() != fec::AcsLanes::k16) {
+      GTEST_SKIP() << "16 lanes need an SSE2 build on a CPU with AVX2";
+    }
+  }
+
+  void expect_oracle(const fec::ConvSpec& spec, std::span<const float> soft, std::size_t payload,
+                     const std::string& what) {
+    const fec::ConvolutionalCodec codec(spec);
+    ASSERT_EQ(codec.decode_soft(quantized(soft), payload, GetParam()),
+              oracles::decode_soft_quantized_reference(spec, soft, payload))
+        << spec_name(spec) << " " << what;
+  }
+};
+
+TEST_P(ViterbiLanesTest, NoisyPayloadsFromEmptyToOneKilobyte) {
+  Rng rng(33);
+  for (const auto& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    for (std::size_t payload : {std::size_t{0}, std::size_t{1}, std::size_t{120}, std::size_t{1024}}) {
+      expect_oracle(spec, soft_bits(codec, rng, payload, 0.3), payload, "payload=" + std::to_string(payload));
+    }
+  }
+}
+
+TEST_P(ViterbiLanesTest, HardDecisionInputWithTiesEverywhere) {
+  Rng rng(34);
+  for (const auto& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    for (double flip : {0.03, 0.12}) {
+      const std::size_t payload = 64;
+      std::vector<float> soft = hard_soft_bits(codec.encode(random_bytes(rng, payload)), codec.encoded_bits(payload));
+      for (auto& s : soft) {
+        if (rng.bernoulli(flip)) s = 1.0f - s;
+      }
+      expect_oracle(spec, soft, payload, "flip=" + std::to_string(flip));
+    }
+  }
+}
+
+TEST_P(ViterbiLanesTest, ErasuresAndLongTieRuns) {
+  Rng rng(35);
+  for (const auto& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    expect_oracle(spec, std::vector<float>(codec.encoded_bits(64), 0.5f), 64, "all-erasure");
+    auto soft = soft_bits(codec, rng, 120, 0.2);
+    for (std::size_t start : {std::size_t{0}, std::size_t{300}, soft.size() - 250}) {
+      std::fill(soft.begin() + static_cast<long>(start), soft.begin() + static_cast<long>(start + 200), 0.5f);
+    }
+    expect_oracle(spec, soft, 120, "erasure runs");
+  }
+}
+
+TEST_P(ViterbiLanesTest, OneKilobyteWithSaturatingMetrics) {
+  Rng rng(36);
+  for (const auto& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    for (double sigma : {0.0, 0.6}) {
+      auto soft = soft_bits(codec, rng, 1024, sigma);
+      soft[0] = soft[1] = 0.5f;  // a clean frame would take the trellis bypass
+      expect_oracle(spec, soft, 1024, "sigma=" + std::to_string(sigma));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothWidths, ViterbiLanesTest, ::testing::Values(fec::AcsLanes::k8, fec::AcsLanes::k16),
+                         [](const ::testing::TestParamInfo<fec::AcsLanes>& info) {
+                           return info.param == fec::AcsLanes::k8 ? std::string("lanes8") : std::string("lanes16");
+                         });
+
+// decode_soft runs acs_lanes(), and 16 lanes are refused where they cannot
+// run.
+TEST(ViterbiLanes, DecodeSoftRunsTheChosenWidth) {
+  Rng rng(37);
+  const fec::ConvSpec spec{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
+  const fec::ConvolutionalCodec codec(spec);
+  const auto soft = quantized(soft_bits(codec, rng, 64, 0.3));
+  EXPECT_EQ(codec.decode_soft(soft, 64), codec.decode_soft(soft, 64, fec::acs_lanes()));
+  if (fec::acs_lanes() == fec::AcsLanes::k8) {
+    EXPECT_THROW(codec.decode_soft(soft, 64, fec::AcsLanes::k16), std::invalid_argument);
+  }
 }
 
 // The trellis bypass against the quantized oracle, on every code and rate

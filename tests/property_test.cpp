@@ -168,7 +168,7 @@ TEST(SchedulerProperty, CompletionTimesMonotoneAndCausal) {
   Rng rng(17);
   core::BroadcastScheduler sched({9000.0, 2});
   for (int i = 0; i < 30; ++i) {
-    sched.enqueue("p" + std::to_string(i), 1000 + rng.uniform_int(20000), static_cast<double>(i));
+    sched.enqueue(std::string("p").append(std::to_string(i)), 1000 + rng.uniform_int(20000), static_cast<double>(i));
   }
   double prev = 0;
   for (const auto& item : sched.advance(1e6)) {

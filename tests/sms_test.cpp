@@ -124,8 +124,9 @@ TEST(SmsGateway, FaultScheduleIsDeterministicPerSeed) {
   p.reorder_rate = 0.3;
   SmsGateway a(p), b(p);
   for (int i = 0; i < 50; ++i) {
-    a.send({"u", "v", "m" + std::to_string(i), 0, 0}, static_cast<double>(i));
-    b.send({"u", "v", "m" + std::to_string(i), 0, 0}, static_cast<double>(i));
+    const std::string body = std::string("m").append(std::to_string(i));
+    a.send({"u", "v", body, 0, 0}, static_cast<double>(i));
+    b.send({"u", "v", body, 0, 0}, static_cast<double>(i));
   }
   const auto da = a.deliver_due("v", 1e9);
   const auto db = b.deliver_due("v", 1e9);
