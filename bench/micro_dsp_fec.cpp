@@ -2,7 +2,7 @@
 // Reed-Solomon, the image codecs and the end-to-end modem. These bound the
 // CPU cost of running a SONIC client on low-end hardware.
 //
-// Two modes:
+// Three modes:
 //
 //  * default — the google-benchmark suite (BM_* cases below).
 //  * --micro [--json FILE] — the perf-regression harness: every optimized
@@ -10,24 +10,33 @@
 //    printed as machine-readable BENCH_MICRO lines and optionally written
 //    as JSON (scripts/bench_micro.sh stores them in BENCH_MICRO.json so
 //    the speedups are recorded, not claimed).
+//  * --exhaustive-llr — the LLR soft-byte table, scalar and four-lane,
+//    against its float definition on all 2^32 floats and both scrambler
+//    flips (~25 s on four threads); exits 1 on any mismatch.
+//    scripts/tier1.sh runs it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "dsp/fast_math.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
+#include "fec/llr_quantizer.hpp"
 #include "fec/reed_solomon.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
@@ -431,11 +440,11 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
-  // A sonic-10k frame's received soft bits into its soft bytes, as the
-  // receiver places them: after is PacketCodec::place_soft, one run per
-  // payload symbol's bits; before is the float de-interleave, then the
-  // quantizer pass (oracles::place_soft_reference, whose two buffers are
-  // allocated per op). Own Rng.
+  // A sonic-10k frame's received LLRs into its soft bytes, as the receiver
+  // places them: after is PacketCodec::place_soft, one run per payload
+  // symbol's bits; before is exp per bit into a float de-interleave, then
+  // the quantizer pass (oracles::place_soft_reference, whose two buffers
+  // are allocated per op). The LLRs' probabilities are uniform. Own Rng.
   {
     const auto profile = *modem::profiles::get("sonic-10k");
     const modem::PacketCodec codec(modem::PacketSpec{profile.conv, profile.rs_nroots});
@@ -444,7 +453,10 @@ std::vector<MicroCase> build_micro_cases() {
                             static_cast<std::size_t>(modem::bits_per_symbol(profile.constellation));
     util::Rng soft_rng(46);
     auto soft = std::make_shared<std::vector<float>>(nbits);
-    for (auto& v : *soft) v = static_cast<float>(soft_rng.uniform());
+    for (auto& v : *soft) {
+      const float p = static_cast<float>(soft_rng.uniform());
+      v = std::log(p / (1.0f - p));
+    }
     auto frame = std::make_shared<std::vector<std::uint8_t>>(nbits);
     cases.push_back(MicroCase{
         "soft_place_sonic10k_frame", static_cast<double>(nbits), "bits",
@@ -458,6 +470,38 @@ std::vector<MicroCase> build_micro_cases() {
                                            first, *frame);
           }
           benchmark::DoNotOptimize(frame->data());
+        }});
+  }
+
+  // One soft byte per received bit from its LLR and scrambler bit: before
+  // is the float definition (fec::llr_soft_byte_reference: expf, the
+  // divide, the flip and quantize_soft), after the fec::LlrQuantizer
+  // lookup four bits a call, as place_soft runs it. 4096 LLRs whose
+  // probabilities are uniform, with the scrambler sequence's first bits.
+  // Own Rng.
+  {
+    util::Rng llr_rng(48);
+    auto llr = std::make_shared<std::vector<float>>(4096);
+    for (auto& v : *llr) {
+      const float p = static_cast<float>(llr_rng.uniform());
+      v = std::log(p / (1.0f - p));
+    }
+    auto out = std::make_shared<std::vector<std::uint8_t>>(llr->size());
+    const auto prbs = modem::scrambler_sequence();
+    cases.push_back(MicroCase{
+        "llr_soft_byte", static_cast<double>(llr->size()), "bits",
+        [llr, out, prbs] {
+          for (std::size_t i = 0; i < llr->size(); ++i) (*out)[i] = fec::llr_soft_byte_reference((*llr)[i], prbs[i]);
+          benchmark::DoNotOptimize(out->data());
+        },
+        [llr, out, prbs] {
+          const auto& quantize = fec::LlrQuantizer::get();
+          for (std::size_t i = 0; i < llr->size(); i += 4) {
+            const auto q = quantize(dsp::fastmath::load(llr->data() + i),
+                                    dsp::fastmath::V4i{prbs[i], prbs[i + 1], prbs[i + 2], prbs[i + 3]});
+            std::copy(q.begin(), q.end(), out->begin() + static_cast<long>(i));
+          }
+          benchmark::DoNotOptimize(out->data());
         }});
   }
 
@@ -645,9 +689,9 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
-  // 64-QAM soft demap of one sonic-10k symbol's data carriers, noisy
-  // points: before is the per-carrier oracle
-  // (oracles::qam_demap_soft_reference), after the block demapper. Own Rng.
+  // 64-QAM soft demap (max-log LLRs) of one sonic-10k symbol's data
+  // carriers, noisy points: before is the per-carrier oracle
+  // (oracles::qam_demap_llr_reference), after the block demapper. Own Rng.
   {
     const auto profile = *modem::profiles::get("sonic-10k");
     auto mapper = std::make_shared<modem::QamMapper>(profile.constellation);
@@ -664,7 +708,7 @@ std::vector<MicroCase> build_micro_cases() {
         "demap_soft_qam64", static_cast<double>(points->size()), "points",
         [mapper, points, soft, bits] {
           for (std::size_t k = 0; k < points->size(); ++k) {
-            oracles::qam_demap_soft_reference(*mapper, (*points)[k], kNoise, std::span(*soft).subspan(k * bits, bits));
+            oracles::qam_demap_llr_reference(*mapper, (*points)[k], kNoise, std::span(*soft).subspan(k * bits, bits));
           }
           benchmark::DoNotOptimize(soft->data());
         },
@@ -986,6 +1030,50 @@ int run_micro(const char* json_path) {
   return 0;
 }
 
+// --exhaustive-llr: fec::LlrQuantizer against fec::llr_soft_byte_reference
+// on every one of the 2^32 floats, both flips, through the scalar lookup
+// and the four-lane one (lanes of alternating flips, each float in both),
+// split over up to four threads. Prints the mismatched floats (and the
+// first per thread); returns 1 on any mismatch.
+int run_exhaustive_llr() {
+  const auto& quantize = fec::LlrQuantizer::get();
+  const unsigned threads = std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  constexpr std::uint64_t kFloats = std::uint64_t{1} << 32, kQuads = kFloats / 4;
+  std::vector<std::uint64_t> mismatches(threads, 0);
+  std::vector<std::int64_t> first(threads, -1);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      const dsp::fastmath::V4i flips[2] = {{0, 1, 0, 1}, {1, 0, 1, 0}};
+      std::uint64_t bad = 0;
+      for (std::uint64_t quad = kQuads * t / threads; quad < kQuads * (t + 1) / threads; ++quad) {
+        dsp::fastmath::V4f llr;
+        for (int l = 0; l < 4; ++l) llr[l] = std::bit_cast<float>(static_cast<std::uint32_t>(4 * quad + l));
+        const auto lanes0 = quantize(llr, flips[0]), lanes1 = quantize(llr, flips[1]);
+        for (int l = 0; l < 4; ++l) {
+          const std::uint8_t ref[2] = {fec::llr_soft_byte_reference(llr[l], false),
+                                       fec::llr_soft_byte_reference(llr[l], true)};
+          const bool miss = quantize(llr[l], false) != ref[0] || quantize(llr[l], true) != ref[1] ||
+                            lanes0[l] != ref[flips[0][l]] || lanes1[l] != ref[flips[1][l]];
+          if (miss && bad++ == 0) first[t] = static_cast<std::int64_t>(4 * quad + l);
+        }
+      }
+      mismatches[t] = bad;
+    });
+  }
+  for (auto& th : pool) th.join();
+  const double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  std::uint64_t total = 0;
+  for (unsigned t = 0; t < threads; ++t) {
+    total += mismatches[t];
+    if (first[t] >= 0) std::printf("EXHAUSTIVE_LLR first_mismatch=0x%08llx\n", static_cast<unsigned long long>(first[t]));
+  }
+  std::printf("EXHAUSTIVE_LLR floats=%llu flips=2 mismatched_floats=%llu threads=%u seconds=%.1f\n",
+              static_cast<unsigned long long>(kFloats), static_cast<unsigned long long>(total), threads, seconds);
+  return total == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -993,6 +1081,7 @@ int main(int argc, char** argv) {
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--micro") == 0) micro = true;
+    if (std::strcmp(argv[i], "--exhaustive-llr") == 0) return run_exhaustive_llr();
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[i + 1];
   }
   if (micro) return run_micro(json_path);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, a smoke run of
-# the end-to-end benchmark (its Release build of src/ plus every workload's
-# correctness checks), the full test suite rebuilt and rerun under
+# Tier-1 verification: the standard build + full test suite, the LLR
+# soft-byte table checked on every float (~25 s on four threads), a smoke
+# run of the end-to-end benchmark (its Release build of src/ plus every
+# workload's correctness checks), the full test suite rebuilt and rerun under
 # ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
 # pipeline's worker pool and the shared caches and codecs, then the kernel
 # suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
@@ -19,6 +20,12 @@ echo "== tier-1: build + full test suite =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== tier-1: LLR soft-byte table against its float definition on all 2^32 floats =="
+# The receive chain's soft bytes come from a table of the thresholds of
+# quantize_soft(1 / (1 + expf(-llr))), which is exact only while that
+# function is monotone under this libm's expf.
+build/bench/micro_dsp_fec --exhaustive-llr
 
 echo "== tier-1: end-to-end benchmark smoke run =="
 python3 e2ebench/run.py --smoke

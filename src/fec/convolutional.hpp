@@ -6,9 +6,11 @@
 //
 // Soft inputs are bytes from 0 to kSoftScale (254): 0 = confident logical
 // 0, kSoftScale = confident logical 1, kSoftErasure (127) = erasure/unknown.
-// A probability P(bit == 1) becomes one through quantize_soft, the one
-// quantizer of the receive chain; hard decisions map to exactly 0 and
-// kSoftScale.
+// A probability P(bit == 1) becomes one through quantize_soft; hard
+// decisions map to exactly 0 and kSoftScale. The receive chain holds LLRs,
+// not probabilities: its one quantizer is fec::LlrQuantizer
+// (fec/llr_quantizer.hpp), a threshold table whose definition is
+// quantize_soft of each LLR's probability.
 #pragma once
 
 #include <algorithm>

@@ -338,12 +338,12 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
     header_soft_.insert(header_soft_.end(), soft.begin(), soft.end());
   }
   if (header_soft_.size() < kHeaderBits) return std::nullopt;
-  // De-scrambled, then quantized, as place_soft does (with no interleaver).
+  // De-scrambled and quantized by the table place_soft uses (with no
+  // interleaver).
   const auto prbs = scrambler_sequence();
+  const auto& quantize = fec::LlrQuantizer::get();
   std::array<std::uint8_t, kHeaderBits> coded;
-  for (std::size_t i = 0; i < kHeaderBits; ++i) {
-    coded[i] = fec::ConvolutionalCodec::quantize_soft(prbs[i] ? 1.0f - header_soft_[i] : header_soft_[i]);
-  }
+  for (std::size_t i = 0; i < kHeaderBits; ++i) coded[i] = quantize(header_soft_[i], prbs[i]);
   const util::Bytes hdr = header_codec_.decode_soft(coded, 8);
   util::ByteReader hr(hdr);
   const std::uint16_t magic = hr.u16();
@@ -426,10 +426,7 @@ std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, s
   soft_.resize(nd * qbits);
   if (bpsk) {
     const float sigma2 = std::max(noise * 0.5f, 1e-7f);
-    for (std::size_t k = 0; k < nd; ++k) {
-      const float llr1 = 2.0f * eq[k].real() / sigma2;
-      soft_[k] = 1.0f / (1.0f + std::exp(-llr1));
-    }
+    for (std::size_t k = 0; k < nd; ++k) soft_[k] = 2.0f * eq[k].real() / sigma2;
   } else {
     qam_.demap_soft(std::span<const cplx>(eq.data(), nd), noise, soft_);
   }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
+#include "fec/llr_quantizer.hpp"
 #include "modem/packet.hpp"
 #include "modem/profile.hpp"
 #include "util/bytes.hpp"
@@ -138,8 +139,9 @@ class OfdmModem {
                                       std::vector<cplx>& h_smooth) const;
   // Equalizes the symbol whose FFT window starts at `pos` by the channel
   // estimate `h`, fits the pilot phase, updates `noise` from the pilot
-  // residual and returns the symbol's soft bits, P(bit == 1), in member
-  // scratch valid until the next call.
+  // residual and returns the symbol's soft bits as max-log LLRs,
+  // ln(P(bit == 1) / P(bit == 0)), in member scratch valid until the next
+  // call.
   std::span<const float> demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
                                       std::span<const cplx> h, float& noise) const;
 
@@ -164,8 +166,8 @@ class OfdmModem {
   // safety). spec_ holds synth_symbol's FFT-size working buffer, packed_
   // analyze_symbol's half-size one, carriers_ the used-bin view
   // analyze_symbol returns, h_ decode_header's raw channel estimate and
-  // header_soft_ its soft bits (as received, before de-scrambling), eq_
-  // demod_symbol's equalized bins and soft_ the soft bits it returns.
+  // header_soft_ its LLRs (as received, before de-scrambling), eq_
+  // demod_symbol's equalized bins and soft_ the LLRs it returns.
   mutable std::vector<dsp::cplx> spec_;
   mutable std::vector<dsp::cplx> packed_;
   mutable std::vector<cplx> carriers_;
@@ -194,20 +196,24 @@ struct OfdmKernelProbe {
                          std::vector<float>& out) {
     m.synth_symbol(carriers, out);
   }
-  // The soft bits the receiver hands its decoders for the burst at `start`:
-  // the descrambled header bits, then every payload symbol's; empty when
-  // the header does not decode.
+  // The soft bits the receiver hands its decoders for the burst at `start`,
+  // as probabilities P(bit == 1) (fec::llr_probability of each LLR): the
+  // descrambled header bits (1 - p where the scrambler bit is set), then
+  // every payload symbol's; empty when the header does not decode.
   static std::vector<float> soft_bits(const OfdmModem& m, std::span<const float> samples,
                                       std::size_t start) {
     std::vector<cplx> h;
     auto header = m.decode_header(samples, start, h);
     if (!header) return {};
     std::vector<float> soft = m.header_soft_;
-    for (std::size_t i = 0; i < soft.size(); ++i) soft[i] = scrambler_sequence()[i] ? 1.0f - soft[i] : soft[i];
+    for (std::size_t i = 0; i < soft.size(); ++i) {
+      const float p = fec::llr_probability(soft[i]);
+      soft[i] = scrambler_sequence()[i] ? 1.0f - p : p;
+    }
     const std::size_t first = 2 + m.header_symbols();
     for (std::size_t s = 0; s < m.payload_symbols(header->frame_len, header->frame_count); ++s) {
-      const auto bits = m.demod_symbol(samples, m.window_pos(start, first + s), false, h, header->noise);
-      soft.insert(soft.end(), bits.begin(), bits.end());
+      const auto llrs = m.demod_symbol(samples, m.window_pos(start, first + s), false, h, header->noise);
+      for (const float llr : llrs) soft.push_back(fec::llr_probability(llr));
     }
     return soft;
   }

@@ -7,6 +7,7 @@
 
 #include "dsp/fast_math.hpp"
 #include "fec/crc32.hpp"
+#include "fec/llr_quantizer.hpp"
 
 namespace sonic::modem {
 namespace {
@@ -114,38 +115,34 @@ util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
   return bw.take();
 }
 
-void PacketCodec::place_soft(std::span<const float> soft, std::size_t first, std::span<std::uint8_t> frame) {
+void PacketCodec::place_soft(std::span<const float> llr, std::size_t first, std::span<std::uint8_t> frame) {
   // Received bit i came from coded bit (i * stride) mod nbits, whitened by
   // mask bit i mod the sequence length; both step by add and wrap.
   const std::size_t nbits = frame.size();
   if (first >= nbits) return;
-  const std::size_t n = std::min(soft.size(), nbits - first);
+  const std::size_t n = std::min(llr.size(), nbits - first);
   const std::size_t step = pick_stride(nbits) % nbits;
   const auto prbs = scrambler_sequence();
+  const auto& quantize = fec::LlrQuantizer::get();
   std::size_t dst = first * step % nbits, mask = first % prbs.size();
   auto ahead = [nbits](std::size_t d, std::size_t off) { return d + off >= nbits ? d + off - nbits : d + off; };
-  // Four bits a pass in float lanes, each lane taking quantize_soft's
-  // operations (std::max's and std::min's selects), while the mask needs no
+  // Four bits a pass through the table's lanes while the mask needs no
   // wrap. The four positions are offsets of the first, so passes chain on
   // one wrap, not four.
   const std::size_t step2 = ahead(step, step), step3 = ahead(step2, step), step4 = ahead(step3, step);
   std::size_t i = 0;
   for (; i + 4 <= n && mask + 4 <= prbs.size(); i += 4, mask += 4) {
-    const auto p = dsp::fastmath::load(soft.data() + i);
-    auto v = dsp::fastmath::V4i{prbs[mask], prbs[mask + 1], prbs[mask + 2], prbs[mask + 3]} ? 1.0f - p : p;
-    v = v == v ? v : 0.5f;
-    v = v < 0.0f ? 0.0f : v;
-    v = (1.0f < v ? 1.0f : v) * static_cast<float>(fec::ConvolutionalCodec::kSoftScale) + 0.5f;
-    const auto q = __builtin_convertvector(v, dsp::fastmath::V4i);
-    frame[dst] = static_cast<std::uint8_t>(q[0]);
-    frame[ahead(dst, step)] = static_cast<std::uint8_t>(q[1]);
-    frame[ahead(dst, step2)] = static_cast<std::uint8_t>(q[2]);
-    frame[ahead(dst, step3)] = static_cast<std::uint8_t>(q[3]);
+    const auto q = quantize(dsp::fastmath::load(llr.data() + i),
+                            dsp::fastmath::V4i{prbs[mask], prbs[mask + 1], prbs[mask + 2], prbs[mask + 3]});
+    frame[dst] = q[0];
+    frame[ahead(dst, step)] = q[1];
+    frame[ahead(dst, step2)] = q[2];
+    frame[ahead(dst, step3)] = q[3];
     dst = ahead(dst, step4);
   }
   if (mask == prbs.size()) mask = 0;
   for (; i < n; ++i) {
-    frame[dst] = fec::ConvolutionalCodec::quantize_soft(prbs[mask] ? 1.0f - soft[i] : soft[i]);
+    frame[dst] = quantize(llr[i], prbs[mask]);
     dst = ahead(dst, step);
     if (++mask == prbs.size()) mask = 0;
   }

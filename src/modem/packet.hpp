@@ -42,14 +42,15 @@ class PacketCodec {
   // Exact number of coded bits produced for a payload of `payload_size`.
   std::size_t encoded_bits(std::size_t payload_size) const;
 
-  // Places a run of a frame's received soft bits, P(bit == 1) of bits
+  // Places a run of a frame's received soft bits, the max-log LLRs of bits
   // first, first + 1, ... of a frame of frame.size() coded bits, into the
-  // frame's soft bytes: each bit is de-scrambled in float (1 - p where its
-  // PRBS bit is set; flipping the byte instead, 254 - q, is not the same),
-  // quantized by fec::ConvolutionalCodec::quantize_soft and written at its
-  // de-interleaved position. Bits past the frame's end are ignored, and
-  // positions no run reaches keep what the caller put there.
-  static void place_soft(std::span<const float> soft, std::size_t first, std::span<std::uint8_t> frame);
+  // frame's soft bytes: each bit's byte is fec::LlrQuantizer's for its LLR
+  // and PRBS bit (the byte of the de-scrambled probability, 1 - p where
+  // the PRBS bit is set; flipping the byte instead, 254 - q, is not the
+  // same), written at its de-interleaved position. Bits past the frame's
+  // end are ignored, and positions no run reaches keep what the caller put
+  // there.
+  static void place_soft(std::span<const float> llr, std::size_t first, std::span<std::uint8_t> frame);
 
   // Decodes a frame's soft bytes, as place_soft leaves them, back to the
   // payload. Returns nullopt if RS fails or the CRC does not match.

@@ -22,16 +22,16 @@ int ilog2(int v) {
 
 std::uint32_t gray_encode(std::uint32_t i) { return i ^ (i >> 1); }
 
-// Soft bits of four axis values, one per lane, over the 2^B Gray-labelled
+// LLRs of four axis values, one per lane, over the 2^B Gray-labelled
 // levels: the squared distance to each level once, then per bit (MSB
 // first) the smallest distance among the levels with that bit 0 and with
 // it 1, as the select d < m ? d : m (std::min's order, so NaN distances are
 // skipped alike; min is exact, so the level order does not change a bit),
-// then (d0 - d1) / two_sigma2, std::exp per lane and 1 / (1 + e). Every
-// lane takes the per-carrier scalar loop's float operations in its order.
-// soft[k] holds bit k of the four values.
+// then (d0 - d1) / two_sigma2. Every lane takes the per-carrier scalar
+// loop's float operations in its order. llr[k] holds bit k of the four
+// values.
 template <int B>
-inline void demap_axis4(V4f r, const float* levels, float two_sigma2, V4f (&soft)[B]) {
+inline void demap_axis4(V4f r, const float* levels, float two_sigma2, V4f (&llr)[B]) {
   constexpr int kLevels = 1 << B;
   V4f dist[kLevels];
   for (int g = 0; g < kLevels; ++g) {
@@ -48,10 +48,7 @@ inline void demap_axis4(V4f r, const float* levels, float two_sigma2, V4f (&soft
         d0 = dist[g] < d0 ? dist[g] : d0;
       }
     }
-    const V4f llr1 = (d0 - d1) / two_sigma2;
-    V4f e;
-    for (int l = 0; l < 4; ++l) e[l] = std::exp(-llr1[l]);
-    soft[k] = 1.0f / (1.0f + e);
+    llr[k] = (d0 - d1) / two_sigma2;
   }
 }
 
@@ -69,13 +66,13 @@ void demap_block(std::span<const cplx> points, const float* levels, float two_si
       xy = padded;
     }
     const V4f lo = fastmath::load(xy), hi = fastmath::load(xy + 4);
-    V4f soft_i[B], soft_q[B];
-    demap_axis4<B>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6), levels, two_sigma2, soft_i);
-    demap_axis4<B>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7), levels, two_sigma2, soft_q);
+    V4f llr_i[B], llr_q[B];
+    demap_axis4<B>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6), levels, two_sigma2, llr_i);
+    demap_axis4<B>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7), levels, two_sigma2, llr_q);
     for (std::size_t l = 0; l < count; ++l) {
       for (int b = 0; b < B; ++b) {
-        out[b] = soft_i[b][l];
-        out[B + b] = soft_q[b][l];
+        out[b] = llr_i[b][l];
+        out[B + b] = llr_q[b][l];
       }
       out += 2 * B;
     }
@@ -123,18 +120,18 @@ cplx QamMapper::map(std::uint32_t bits) const {
 }
 
 void QamMapper::demap_soft(std::span<const cplx> points, float noise_var,
-                           std::span<float> soft_out) const {
-  if (soft_out.size() != points.size() * static_cast<std::size_t>(bits_))
-    throw std::invalid_argument("soft_out must hold bits_per_symbol() bits per point");
+                           std::span<float> llr_out) const {
+  if (llr_out.size() != points.size() * static_cast<std::size_t>(bits_))
+    throw std::invalid_argument("llr_out must hold bits_per_symbol() bits per point");
   // Per-axis noise variance is half the complex noise variance.
   const float two_sigma2 = 2.0f * std::max(noise_var * 0.5f, 1e-9f);
   static_assert(kMaxAxisLevels == 1 << 5, "one demap_block case per axis size");
   switch (axis_bits_) {
-    case 1: return demap_block<1>(points, levels_.data(), two_sigma2, soft_out.data());
-    case 2: return demap_block<2>(points, levels_.data(), two_sigma2, soft_out.data());
-    case 3: return demap_block<3>(points, levels_.data(), two_sigma2, soft_out.data());
-    case 4: return demap_block<4>(points, levels_.data(), two_sigma2, soft_out.data());
-    case 5: return demap_block<5>(points, levels_.data(), two_sigma2, soft_out.data());
+    case 1: return demap_block<1>(points, levels_.data(), two_sigma2, llr_out.data());
+    case 2: return demap_block<2>(points, levels_.data(), two_sigma2, llr_out.data());
+    case 3: return demap_block<3>(points, levels_.data(), two_sigma2, llr_out.data());
+    case 4: return demap_block<4>(points, levels_.data(), two_sigma2, llr_out.data());
+    case 5: return demap_block<5>(points, levels_.data(), two_sigma2, llr_out.data());
   }
 }
 

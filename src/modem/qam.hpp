@@ -37,20 +37,22 @@ class QamMapper {
   cplx map(std::uint32_t bits) const;
 
   // Soft demap of a block of received points (one OFDM symbol's data
-  // carriers): fills `soft_out` (size points.size() * bits_per_symbol())
-  // with P(bit == 1) estimates, point after point, given AWGN of variance
-  // `noise_var` per complex dimension. Max-log approximation: per axis the
-  // squared distance to each level once, then per bit the nearest level
-  // with that bit 0 and the nearest with it 1.
+  // carriers): fills `llr_out` (size points.size() * bits_per_symbol())
+  // with each bit's max-log LLR, ln(P(bit == 1) / P(bit == 0)), point after
+  // point, given AWGN of variance `noise_var` per complex dimension: per
+  // axis the squared distance to each level once, then per bit the nearest
+  // level with that bit 0 (d0) and the nearest with it 1 (d1), and
+  // (d0 - d1) / (2 sigma^2), sigma^2 = max(noise_var / 2, 1e-9). No exp:
+  // fec::LlrQuantizer turns an LLR into the decoder's soft byte.
   //
   // Square QAM runs four points per pass in float lanes: lane l of one
   // vector holds point l's I value and lane l of another its Q value, and
   // each lane takes the scalar path's float operations in its order (the
   // squared distance to every level, the minima as d < m ? d : m, the LLR
-  // divide, std::exp per lane and 1 / (1 + e)), so every soft bit is the
-  // scalar one, NaN and infinite points included. The bits are scattered
-  // back point by point; the last size() % 4 points run zero-padded.
-  void demap_soft(std::span<const cplx> points, float noise_var, std::span<float> soft_out) const;
+  // divide), so every LLR is the scalar one, NaN and infinite points
+  // included. The bits are scattered back point by point; the last
+  // size() % 4 points run zero-padded.
+  void demap_soft(std::span<const cplx> points, float noise_var, std::span<float> llr_out) const;
 
  private:
   int bits_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -282,11 +283,11 @@ TEST(Scrambler, ScrambledRoundTripStillDecodes) {
   modem::PacketCodec codec(modem::PacketSpec{});
   for (const Bytes& payload : {Bytes(100, 0x00), Bytes(100, 0xff), Bytes(64, 0xaa)}) {
     const auto coded = codec.encode(payload);
-    std::vector<float> soft(codec.encoded_bits(payload.size()));
+    std::vector<float> llr(codec.encoded_bits(payload.size()));
     util::BitReader br(coded);
-    for (auto& s : soft) s = static_cast<float>(br.bit());
-    std::vector<std::uint8_t> frame(soft.size(), fec::ConvolutionalCodec::kSoftErasure);
-    modem::PacketCodec::place_soft(soft, 0, frame);
+    for (auto& l : llr) l = br.bit() ? std::numeric_limits<float>::infinity() : -std::numeric_limits<float>::infinity();
+    std::vector<std::uint8_t> frame(llr.size(), fec::ConvolutionalCodec::kSoftErasure);
+    modem::PacketCodec::place_soft(llr, 0, frame);
     const auto decoded = codec.decode(frame, payload.size());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, payload);

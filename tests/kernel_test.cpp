@@ -72,6 +72,7 @@
 #include "dsp/resampler.hpp"
 #include "fec/convolutional.hpp"
 #include "fec/fountain.hpp"
+#include "fec/llr_quantizer.hpp"
 #include "fec/reed_solomon.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
@@ -919,7 +920,10 @@ TEST(PacketCodecAlloc, CleanSonic10kFrameDecodesWithOneAllocation) {
   const modem::PacketCodec codec(modem::PacketSpec{profile.conv, profile.rs_nroots});
   Rng rng(63);
   const auto payload = random_bytes(rng, 100);
-  const auto received = hard_soft_bits(codec.encode(payload), codec.encoded_bits(payload.size()));
+  const auto hard = hard_soft_bits(codec.encode(payload), codec.encoded_bits(payload.size()));
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> received(hard.size());  // hard decisions as LLRs
+  for (std::size_t i = 0; i < hard.size(); ++i) received[i] = hard[i] > 0.5f ? kInf : -kInf;
   std::vector<std::uint8_t> soft(received.size(), fec::ConvolutionalCodec::kSoftErasure);
   modem::PacketCodec::place_soft(received, 0, soft);
   ASSERT_EQ(codec.decode(soft, payload.size()), payload);  // sizes the thread-local buffers
@@ -968,30 +972,89 @@ TEST(SoftQuantizer, MatchesOracleOnSpecialsBoundariesAndRandomFloats) {
   }
 }
 
-// PacketCodec::place_soft against de-interleave-then-quantize over whole
-// sonic-10k frames at rates 1/2, 2/3 and 3/4, the frame split into runs of
-// every length from 1 to 400 bits, and a frame longer than the scrambler
-// sequence. The soft bits include NaN, infinities and values outside
-// [0, 1]; the frame starts as 255, which the quantizer never writes, so a
+// The LLR table against its float definition (quantize_soft of the
+// de-scrambled 1 / (1 + exp(-llr))), both flips, through the scalar lookup
+// and the four-lane one (lanes of alternating flips): both zeros, infinities,
+// NaN of every sign and several payloads, the largest and smallest
+// normals, subnormals; the 64 floats on each side of every threshold and
+// the threshold itself, as an LLR of either sign; and 10^6 seeded random
+// floats, half of them random bit patterns and half spread over [-8, 8].
+// `bench/micro_dsp_fec --exhaustive-llr` checks all 2^32 floats.
+TEST(LlrQuantizer, MatchesReferenceOnSpecialsThresholdsAndRandomFloats) {
+  const auto& quantize = fec::LlrQuantizer::get();
+  const auto check = [&quantize](float llr) {
+    const auto lanes = quantize(dsp::fastmath::splat(llr), dsp::fastmath::V4i{0, 1, 0, 1});
+    for (const bool flip : {false, true}) {
+      const std::uint8_t ref = fec::llr_soft_byte_reference(llr, flip);
+      ASSERT_EQ(quantize(llr, flip), ref)
+          << "llr=" << llr << " bits=0x" << std::hex << std::bit_cast<std::uint32_t>(llr) << " flip=" << flip;
+      ASSERT_EQ(lanes[flip], ref) << "lanes, llr=" << llr << " bits=0x" << std::hex
+                                  << std::bit_cast<std::uint32_t>(llr) << " flip=" << flip;
+      ASSERT_EQ(lanes[2 + flip], ref) << "lanes, llr=" << llr;
+    }
+  };
+  using lim = std::numeric_limits<float>;
+  for (const float s : {0.0f, -0.0f, lim::infinity(), -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN(),
+                        lim::signaling_NaN(), std::bit_cast<float>(0x7fc12345u), std::bit_cast<float>(0xffbfffffu),
+                        std::bit_cast<float>(0x7f800001u), lim::max(), -lim::max(), lim::min(), -lim::min(),
+                        lim::denorm_min(), -lim::denorm_min(), lim::min() / 2, -lim::min() / 2,
+                        std::bit_cast<float>(0x007fffffu), std::bit_cast<float>(0x807fffffu)}) {
+    check(s);
+  }
+  EXPECT_EQ(quantize(lim::quiet_NaN(), false), fec::ConvolutionalCodec::kSoftErasure);
+  EXPECT_EQ(quantize(lim::infinity(), false), fec::ConvolutionalCodec::kSoftScale);
+  EXPECT_EQ(quantize(lim::infinity(), true), 0);
+  for (const bool flip : {false, true}) {
+    const auto thresholds = quantize.thresholds(flip);
+    ASSERT_EQ(thresholds.size(), static_cast<std::size_t>(fec::ConvolutionalCodec::kSoftScale));
+    for (const float t : thresholds) {
+      float below = t, above = t;
+      for (int step = 0; step <= 64; ++step) {
+        for (const float v : {below, above}) {
+          check(v);
+          check(-v);
+        }
+        below = std::nextafter(below, -lim::infinity());
+        above = std::nextafter(above, lim::infinity());
+      }
+    }
+  }
+  Rng rng(66);
+  for (int i = 0; i < 500000; ++i) {
+    check(std::bit_cast<float>(static_cast<std::uint32_t>(rng.next())));
+    check(static_cast<float>(rng.uniform(-8.0, 8.0)));
+  }
+}
+
+// PacketCodec::place_soft against exp, de-interleave, then quantize over
+// whole sonic-10k frames at rates 1/2, 2/3 and 3/4, the frame split into
+// runs of every length from 1 to 400 bits, and a frame longer than the
+// scrambler sequence. The LLRs include NaN, infinities, huge finite values
+// and 0; the frame starts as 255, which the quantizer never writes, so a
 // position left unwritten shows.
 TEST(SoftPlacement, EverySplitMatchesDeinterleaveThenQuantize) {
   const auto profile = *modem::profiles::get("sonic-10k");
   Rng rng(65);
+  // An LLR whose probability P(bit == 1) is uniform on [0, 1).
+  const auto random_llr = [&rng] {
+    const float p = static_cast<float>(rng.uniform());
+    return std::log(p / (1.0f - p));
+  };
   const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(), -0.3f, 1.7f, 0.5f};
-  const std::uint32_t kFlipFirst[] = {0x3b010204, 0x3b010209, 0x3e03060c};
+                            -std::numeric_limits<float>::infinity(), -1e30f, 1e30f, 0.0f};
+  const std::uint32_t kFlipFirst[] = {0xc0c74ff6, 0xbe39f54a, 0x3ec80cd1};
   for (const std::uint32_t b : kFlipFirst) {
-    const float p = std::bit_cast<float>(b);
-    ASSERT_NE(fec::ConvolutionalCodec::quantize_soft(1.0f - p), 254 - fec::ConvolutionalCodec::quantize_soft(p));
+    const float llr = std::bit_cast<float>(b);
+    ASSERT_NE(fec::llr_soft_byte_reference(llr, true), 254 - fec::llr_soft_byte_reference(llr, false));
   }
   for (const fec::PunctureRate rate :
        {fec::PunctureRate::kRate1_2, fec::PunctureRate::kRate2_3, fec::PunctureRate::kRate3_4}) {
     const modem::PacketCodec codec(modem::PacketSpec{{profile.conv.code, rate}, profile.rs_nroots});
     const std::size_t nbits = codec.encoded_bits(core::kFrameSize);
     std::vector<float> soft(nbits);
-    for (auto& v : soft) v = rng.bernoulli(0.05) ? kSpecial[rng.uniform_int(6)] : static_cast<float>(rng.uniform());
-    // Floats whose flipped byte 254 - q(p) is not q(1 - p), so the flip
-    // must come before the quantizer.
+    for (auto& v : soft) v = rng.bernoulli(0.05) ? kSpecial[rng.uniform_int(6)] : random_llr();
+    // LLRs whose flipped byte 254 - q(p) is not q(1 - p), so the flip must
+    // come before the quantizer.
     for (std::size_t i = 0; i < 64; ++i) soft[i] = std::bit_cast<float>(kFlipFirst[i % 3]);
     const auto expect = oracles::place_soft_reference(soft);
     for (std::size_t run = 1; run <= 400; ++run) {
@@ -1015,7 +1078,7 @@ TEST(SoftPlacement, EverySplitMatchesDeinterleaveThenQuantize) {
   const std::size_t nbits = codec.encoded_bits(20000);
   ASSERT_GT(nbits, modem::scrambler_sequence().size());
   std::vector<float> soft(nbits);
-  for (auto& v : soft) v = static_cast<float>(rng.uniform());
+  for (auto& v : soft) v = random_llr();
   const auto expect = oracles::place_soft_reference(soft);
   for (const std::size_t run : {std::size_t{3}, std::size_t{397}}) {
     std::vector<std::uint8_t> frame(nbits, 255);
@@ -1169,10 +1232,10 @@ TEST(OfdmSymbolPath, RealInputSplitMatchesComplexInputFft) {
 // ------------------------------------------------------ QAM soft demap ---
 
 // The block demapper (each axis's level distances once, one symbol's
-// points per call) gives the bytes of the per-carrier, per-bit level loop,
-// for every constellation: blocks of 0 to 300 points, noise down to zero
-// (the 1e-9 variance floor), points off the grid and exactly on levels
-// and midpoints, where ties decide the minima.
+// points per call) gives the LLRs of the per-carrier, per-bit level loop,
+// bit for bit, for every constellation: blocks of 0 to 300 points, noise
+// down to zero (the 1e-9 variance floor), points off the grid and exactly
+// on levels and midpoints, where ties decide the minima.
 TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
   Rng rng(53);
   for (modem::Constellation c : {modem::Constellation::kQpsk, modem::Constellation::kQam16,
@@ -1198,7 +1261,7 @@ TEST(QamDemapEquivalence, AxisDistancesOnceMatchPerBitLoop) {
       mapper.demap_soft(points, noise, fast);
       std::vector<float> ref(bits);
       for (std::size_t k = 0; k < points.size(); ++k) {
-        oracles::qam_demap_soft_reference(mapper, points[k], noise, ref);
+        oracles::qam_demap_llr_reference(mapper, points[k], noise, ref);
         for (std::size_t b = 0; b < bits; ++b) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(fast[k * bits + b]), std::bit_cast<std::uint32_t>(ref[b]))
               << modem::constellation_name(c) << " trial=" << trial << " point=" << k << " bit=" << b;
@@ -1234,7 +1297,7 @@ TEST(QamDemapEquivalence, NonFinitePointsAtEveryTailLength) {
         mapper.demap_soft(points, noise, fast);
         std::vector<float> ref(bits);
         for (std::size_t k = 0; k < points.size(); ++k) {
-          oracles::qam_demap_soft_reference(mapper, points[k], noise, ref);
+          oracles::qam_demap_llr_reference(mapper, points[k], noise, ref);
           for (std::size_t b = 0; b < bits; ++b) {
             ASSERT_EQ(std::bit_cast<std::uint32_t>(fast[k * bits + b]), std::bit_cast<std::uint32_t>(ref[b]))
                 << modem::constellation_name(c) << " count=" << count << " point=" << k << " bit=" << b;

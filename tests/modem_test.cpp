@@ -27,13 +27,16 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return out;
 }
 
-// A whole frame's received soft bits as the soft bytes PacketCodec::decode
+// A whole frame's received LLRs as the soft bytes PacketCodec::decode
 // takes.
-std::vector<std::uint8_t> placed(std::span<const float> soft) {
-  std::vector<std::uint8_t> frame(soft.size(), fec::ConvolutionalCodec::kSoftErasure);
-  PacketCodec::place_soft(soft, 0, frame);
+std::vector<std::uint8_t> placed(std::span<const float> llr) {
+  std::vector<std::uint8_t> frame(llr.size(), fec::ConvolutionalCodec::kSoftErasure);
+  PacketCodec::place_soft(llr, 0, frame);
   return frame;
 }
+
+// A hard decision as an LLR: -inf for 0, +inf for 1.
+float hard_llr(int bit) { return bit ? std::numeric_limits<float>::infinity() : -std::numeric_limits<float>::infinity(); }
 
 void add_awgn(std::vector<float>& samples, double snr_db, Rng& rng) {
   double power = 0;
@@ -76,27 +79,27 @@ TEST_P(QamTest, UnitAverageEnergy) {
 TEST_P(QamTest, SoftDemapAgreesWithHardAtHighSnr) {
   QamMapper qam(GetParam());
   const int bits = qam.bits_per_symbol();
-  std::vector<float> soft(static_cast<std::size_t>(bits));
+  std::vector<float> llr(static_cast<std::size_t>(bits));
   for (std::uint32_t v = 0; v < static_cast<std::uint32_t>(GetParam()); ++v) {
     const cplx point = qam.map(v);
-    qam.demap_soft(std::span(&point, 1), 1e-4f, soft);
+    qam.demap_soft(std::span(&point, 1), 1e-4f, llr);
     std::uint32_t recovered = 0;
-    for (int b = 0; b < bits; ++b) recovered = (recovered << 1) | (soft[static_cast<std::size_t>(b)] > 0.5f ? 1u : 0u);
+    for (int b = 0; b < bits; ++b) recovered = (recovered << 1) | (llr[static_cast<std::size_t>(b)] > 0.0f ? 1u : 0u);
     EXPECT_EQ(recovered, v);
-    for (float s : soft) EXPECT_TRUE(s < 0.01f || s > 0.99f);  // confident
+    for (float l : llr) EXPECT_GT(std::fabs(l), std::log(99.0f));  // confident: P(bit) < 0.01 or > 0.99
   }
 }
 
 TEST_P(QamTest, SoftDemapUncertainNearBoundary) {
   QamMapper qam(GetParam());
   const int bits = qam.bits_per_symbol();
-  std::vector<float> soft(static_cast<std::size_t>(bits));
+  std::vector<float> llr(static_cast<std::size_t>(bits));
   // A symbol exactly between two axis levels must give ~0.5 on the
-  // deciding bit.
+  // deciding bit: 0.3 < P(bit == 1) < 0.7.
   const cplx origin(0.0f, 0.0f);
-  qam.demap_soft(std::span(&origin, 1), 0.5f, soft);
+  qam.demap_soft(std::span(&origin, 1), 0.5f, llr);
   bool any_uncertain = false;
-  for (float s : soft) any_uncertain |= (s > 0.3f && s < 0.7f);
+  for (float l : llr) any_uncertain |= std::fabs(l) < std::log(0.7f / 0.3f);
   EXPECT_TRUE(any_uncertain);
 }
 
@@ -143,10 +146,10 @@ TEST(PacketCodec, CleanRoundTrip) {
     const Bytes coded = codec.encode(payload);
     const std::size_t nbits = codec.encoded_bits(len);
     EXPECT_EQ(coded.size(), (nbits + 7) / 8);
-    std::vector<float> soft(nbits);
+    std::vector<float> llr(nbits);
     util::BitReader br(coded);
-    for (auto& s : soft) s = static_cast<float>(br.bit());
-    const auto decoded = codec.decode(placed(soft), len);
+    for (auto& l : llr) l = hard_llr(br.bit());
+    const auto decoded = codec.decode(placed(llr), len);
     ASSERT_TRUE(decoded.has_value()) << len;
     EXPECT_EQ(*decoded, payload);
   }
@@ -159,13 +162,13 @@ TEST(PacketCodec, SurvivesBurstErrors) {
   const Bytes payload = random_bytes(rng, 100);
   const Bytes coded = codec.encode(payload);
   const std::size_t nbits = codec.encoded_bits(100);
-  std::vector<float> soft(nbits);
+  std::vector<float> llr(nbits);
   util::BitReader br(coded);
-  for (auto& s : soft) s = static_cast<float>(br.bit());
+  for (auto& l : llr) l = hard_llr(br.bit());
   // A burst of 40 erased bits.
   const std::size_t burst_at = nbits / 3;
-  for (std::size_t i = 0; i < 40; ++i) soft[burst_at + i] = 0.5f;
-  const auto decoded = codec.decode(placed(soft), 100);
+  for (std::size_t i = 0; i < 40; ++i) llr[burst_at + i] = 0.0f;
+  const auto decoded = codec.decode(placed(llr), 100);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, payload);
 }
@@ -176,10 +179,13 @@ TEST(PacketCodec, DetectsCorruptionBeyondFec) {
   const Bytes payload = random_bytes(rng, 100);
   const Bytes coded = codec.encode(payload);
   const std::size_t nbits = codec.encoded_bits(100);
-  std::vector<float> soft(nbits);
-  // Total garbage.
-  for (auto& s : soft) s = static_cast<float>(rng.uniform());
-  const auto decoded = codec.decode(placed(soft), 100);
+  std::vector<float> llr(nbits);
+  // Total garbage: P(bit == 1) uniform on [0, 1).
+  for (auto& l : llr) {
+    const float p = static_cast<float>(rng.uniform());
+    l = std::log(p / (1.0f - p));
+  }
+  const auto decoded = codec.decode(placed(llr), 100);
   if (decoded.has_value()) {
     // Astronomically unlikely; if FEC "decodes", CRC must have caught it.
     EXPECT_NE(*decoded, payload);

@@ -28,8 +28,8 @@ std::vector<cplx> ofdm_analyze_reference(const modem::OfdmProfile& profile, std:
 
 namespace {
 
-void axis_demap_soft(std::span<const float> levels, int axis_bits, float r, float noise_var,
-                     std::span<float> soft_out) {
+void axis_demap_llr(std::span<const float> levels, int axis_bits, float r, float noise_var,
+                    std::span<float> llr_out) {
   const float sigma2 = std::max(noise_var * 0.5f, 1e-9f);
   for (int k = 0; k < axis_bits; ++k) {
     float d0 = std::numeric_limits<float>::max();
@@ -42,22 +42,21 @@ void axis_demap_soft(std::span<const float> levels, int axis_bits, float r, floa
         d0 = std::min(d0, d);
       }
     }
-    const float llr1 = (d0 - d1) / (2.0f * sigma2);  // log P(1)/P(0)
-    soft_out[static_cast<std::size_t>(k)] = 1.0f / (1.0f + std::exp(-llr1));
+    llr_out[static_cast<std::size_t>(k)] = (d0 - d1) / (2.0f * sigma2);  // log P(1)/P(0)
   }
 }
 
 }  // namespace
 
-void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
-                              std::span<float> soft_out) {
+void qam_demap_llr_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
+                             std::span<float> llr_out) {
   const int axis_bits = mapper.bits_per_symbol() / 2;
   // Label (g << axis_bits) maps to (level g, level 0).
   std::vector<float> levels(std::size_t{1} << axis_bits);
   for (std::uint32_t g = 0; g < levels.size(); ++g) levels[g] = mapper.map(g << axis_bits).real();
   const auto bits = static_cast<std::size_t>(axis_bits);
-  axis_demap_soft(levels, axis_bits, received.real(), noise_var, soft_out.subspan(0, bits));
-  axis_demap_soft(levels, axis_bits, received.imag(), noise_var, soft_out.subspan(bits));
+  axis_demap_llr(levels, axis_bits, received.real(), noise_var, llr_out.subspan(0, bits));
+  axis_demap_llr(levels, axis_bits, received.imag(), noise_var, llr_out.subspan(bits));
 }
 
 std::uint32_t qam_demap_hard_reference(const modem::QamMapper& mapper, cplx received) {
@@ -121,13 +120,14 @@ FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const 
   return best;
 }
 
-std::vector<std::uint8_t> place_soft_reference(std::span<const float> soft) {
-  const std::size_t n = soft.size();
+std::vector<std::uint8_t> place_soft_reference(std::span<const float> llr) {
+  const std::size_t n = llr.size();
   const std::size_t stride = n < 2 ? 1 : n % 101 != 0 ? 101 : n % 103 != 0 ? 103 : 1;
   const auto prbs = modem::scrambler_sequence();
   std::vector<float> deint(n);
   for (std::size_t i = 0; i < n; ++i) {
-    deint[i * stride % n] = prbs[i % prbs.size()] ? 1.0f - soft[i] : soft[i];
+    const float p = 1.0f / (1.0f + std::exp(-llr[i]));
+    deint[i * stride % n] = prbs[i % prbs.size()] ? 1.0f - p : p;
   }
   std::vector<std::uint8_t> out(n);
   for (std::size_t j = 0; j < n; ++j) out[j] = static_cast<std::uint8_t>(quantize_soft_reference(deint[j]));

@@ -26,12 +26,12 @@ using cplx = std::complex<float>;
 std::vector<cplx> ofdm_analyze_reference(const modem::OfdmProfile& profile, std::span<const float> samples,
                                          std::size_t pos);
 
-// The per-carrier soft demapper: one point's bits_per_symbol() soft bits,
-// every axis bit scanning the squared distances to all levels of its axis.
-// QamMapper::demap_soft on a block of points must give each point's bytes.
-// The levels are read back through QamMapper::map.
-void qam_demap_soft_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
-                              std::span<float> soft_out);
+// The per-carrier soft demapper: one point's bits_per_symbol() max-log
+// LLRs, every axis bit scanning the squared distances to all levels of its
+// axis. QamMapper::demap_soft on a block of points must give each point's
+// bytes. The levels are read back through QamMapper::map.
+void qam_demap_llr_reference(const modem::QamMapper& mapper, cplx received, float noise_var,
+                             std::span<float> llr_out);
 
 // Hard demap: the bit label of the constellation point nearest `received`,
 // taking the nearest level on each axis independently (exact for square
@@ -49,12 +49,13 @@ struct FineSyncReference {
 FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const float> tmpl, double tmpl_energy,
                                       std::size_t candidates);
 
-// modem::PacketCodec::place_soft over a whole frame, as the de-interleave
-// loop and the quantizer pass it replaced: received soft bit i is
+// modem::PacketCodec::place_soft over a whole frame, in the probability
+// domain, as the exp, the de-interleave loop and the quantizer pass it
+// replaced: received LLR i becomes p = 1 / (1 + exp(-llr)) in float,
 // de-scrambled (1 - p where scrambler bit i is set) into a float buffer at
 // its de-interleaved position (i * stride) mod n, stride 101 unless 101
 // divides n, then 103 unless 103 does, else 1; that buffer is then
 // quantized by quantize_soft_reference.
-std::vector<std::uint8_t> place_soft_reference(std::span<const float> soft);
+std::vector<std::uint8_t> place_soft_reference(std::span<const float> llr);
 
 }  // namespace sonic::oracles
