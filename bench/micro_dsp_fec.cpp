@@ -40,6 +40,7 @@
 #include "fec/reed_solomon.hpp"
 #include "fm/acoustic.hpp"
 #include "fm/fm_modem.hpp"
+#include "fm/link.hpp"
 #include "image/column_codec.hpp"
 #include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
@@ -56,6 +57,7 @@
 #include "oracles/rs_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
 #include "sonic/framing.hpp"
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/html.hpp"
@@ -328,6 +330,10 @@ struct MicroResult {
 std::vector<MicroCase> build_micro_cases() {
   std::vector<MicroCase> cases;
   auto rng = std::make_shared<util::Rng>(42);
+  // The Viterbi and FM rows timed at both kernel widths: util::simd_width()
+  // (no suffix) and the narrow instance (_sse2).
+  const std::pair<const char*, util::SimdWidth> kWidths[] = {{"", util::simd_width()},
+                                                              {"_sse2", util::SimdWidth::k128}};
 
   // FFT-1024 / FFT-4096: forward+inverse pair per op keeps the buffer
   // bounded across iterations; both variants do identical work shapes.
@@ -394,7 +400,8 @@ std::vector<MicroCase> build_micro_cases() {
   // Viterbi: the paper's inner code (V2,9) and the header code (V2,7),
   // noisy soft bits, 100-byte payloads. Before is the float per-state
   // decoder on the float soft bits, after decode_soft on their bytes: at
-  // acs_lanes() (16 lanes on an AVX2 CPU), and in the _sse2 row at 8 lanes.
+  // util::simd_width() (16 lanes on an AVX2 CPU), and in the _sse2 row at 8
+  // lanes.
   for (auto [name, code] : {std::pair{"viterbi_v29_100B", fec::ConvCode::kV29},
                             std::pair{"viterbi_v27_100B", fec::ConvCode::kV27}}) {
     const fec::ConvSpec spec{code, fec::PunctureRate::kRate1_2};
@@ -405,9 +412,9 @@ std::vector<MicroCase> build_micro_cases() {
       auto out = oracles::decode_soft_reference(spec, *soft, 100);
       benchmark::DoNotOptimize(out.data());
     };
-    for (auto [suffix, lanes] : {std::pair{"", fec::acs_lanes()}, std::pair{"_sse2", fec::AcsLanes::k8}}) {
-      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, [codec, bytes, lanes] {
-                                  auto out = codec->decode_soft(*bytes, 100, lanes);
+    for (auto [suffix, width] : kWidths) {
+      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, [codec, bytes, width] {
+                                  auto out = codec->decode_soft(*bytes, 100, width);
                                   benchmark::DoNotOptimize(out.data());
                                 }});
     }
@@ -728,17 +735,22 @@ std::vector<MicroCase> build_micro_cases() {
     auto audio = std::make_shared<std::vector<float>>(4410);
     for (auto& v : *audio) v = static_cast<float>(rng->uniform(-0.7, 0.7));
     auto iq_audio = std::make_shared<std::vector<float>>(oracles::resample_reference(*audio, 5.0));
-    auto up = std::make_shared<dsp::Resampler>(5.0);
-    cases.push_back(MicroCase{
-        "resample_up5", static_cast<double>(audio->size()), "samples",
-        [audio] {
-          auto out = oracles::resample_reference(*audio, 5.0);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [up, audio] {
-          auto out = up->process(*audio);
-          benchmark::DoNotOptimize(out.data());
-        }});
+    // resample_up5, resample_down5 and resample_skew run at
+    // util::simd_width() (eight lanes on an AVX2 CPU), and in their _sse2
+    // rows at four.
+    for (auto [suffix, width] : kWidths) {
+      auto up = std::make_shared<dsp::Resampler>(5.0, width);
+      cases.push_back(MicroCase{
+          std::string("resample_up5") + suffix, static_cast<double>(audio->size()), "samples",
+          [audio] {
+            auto out = oracles::resample_reference(*audio, 5.0);
+            benchmark::DoNotOptimize(out.data());
+          },
+          [up, audio] {
+            auto out = up->process(*audio);
+            benchmark::DoNotOptimize(out.data());
+          }});
+    }
 
     // The FM modulator's pattern: 512-sample pushes, then the flush.
     auto up_stream = std::make_shared<dsp::Resampler>(5.0);
@@ -761,33 +773,37 @@ std::vector<MicroCase> build_micro_cases() {
 
     const auto taps = dsp::design_lowpass(15000.0, 220500.0, 63);
     auto lp = std::make_shared<dsp::FirFilter>(taps);
-    auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps));
-    cases.push_back(MicroCase{
-        "resample_down5", static_cast<double>(iq_audio->size()), "samples",
-        [lp, iq_audio] {
-          lp->reset();
-          auto out = oracles::resample_reference(lp->process(*iq_audio), 0.2);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [down, iq_audio] {
-          down->reset();
-          auto out = down->push(*iq_audio);
-          auto tail = down->flush();
-          benchmark::DoNotOptimize(out.data());
-          benchmark::DoNotOptimize(tail.data());
-        }});
+    for (auto [suffix, width] : kWidths) {
+      auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps, width));
+      cases.push_back(MicroCase{
+          std::string("resample_down5") + suffix, static_cast<double>(iq_audio->size()), "samples",
+          [lp, iq_audio] {
+            lp->reset();
+            auto out = oracles::resample_reference(lp->process(*iq_audio), 0.2);
+            benchmark::DoNotOptimize(out.data());
+          },
+          [down, iq_audio] {
+            down->reset();
+            auto out = down->push(*iq_audio);
+            auto tail = down->flush();
+            benchmark::DoNotOptimize(out.data());
+            benchmark::DoNotOptimize(tail.data());
+          }});
+    }
 
-    auto skew = std::make_shared<dsp::Resampler>(1.0 + 30e-6);
-    cases.push_back(MicroCase{
-        "resample_skew", static_cast<double>(audio->size()), "samples",
-        [audio] {
-          auto out = oracles::resample_reference(*audio, 1.0 + 30e-6);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [skew, audio] {
-          auto out = skew->process(*audio);
-          benchmark::DoNotOptimize(out.data());
-        }});
+    for (auto [suffix, width] : kWidths) {
+      auto skew = std::make_shared<dsp::Resampler>(1.0 + 30e-6, width);
+      cases.push_back(MicroCase{
+          std::string("resample_skew") + suffix, static_cast<double>(audio->size()), "samples",
+          [audio] {
+            auto out = oracles::resample_reference(*audio, 1.0 + 30e-6);
+            benchmark::DoNotOptimize(out.data());
+          },
+          [skew, audio] {
+            auto out = skew->process(*audio);
+            benchmark::DoNotOptimize(out.data());
+          }});
+    }
 
     // Clock skew below 1 (-17 ppm): its cutoff just under 1 widens the
     // interpolated grid to 11 taps.
@@ -866,16 +882,20 @@ std::vector<MicroCase> build_micro_cases() {
     audio->resize(4410, 0.0f);
     const fm::FmParams params;
     auto iq = std::make_shared<std::vector<fm::cplx>>(fm::FmModulator(params).modulate(*audio));
-    cases.push_back(MicroCase{
-        "fm_modulate", static_cast<double>(audio->size()), "samples",
-        [audio, params] {
-          auto out = oracles::fm_modulate_reference(*audio, params);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [audio, params] {
-          auto out = fm::FmModulator(params).modulate(*audio);
-          benchmark::DoNotOptimize(out.data());
-        }});
+    // fm_modulate and fm_demodulate run at util::simd_width(), and in
+    // their _sse2 rows at four lanes.
+    for (auto [suffix, width] : kWidths) {
+      cases.push_back(MicroCase{
+          std::string("fm_modulate") + suffix, static_cast<double>(audio->size()), "samples",
+          [audio, params] {
+            auto out = oracles::fm_modulate_reference(*audio, params);
+            benchmark::DoNotOptimize(out.data());
+          },
+          [audio, params, width] {
+            auto out = fm::FmModulator(params, width).modulate(*audio);
+            benchmark::DoNotOptimize(out.data());
+          }});
+    }
 
     fm::RfChannelParams rf_params;
     rf_params.rssi_db = -86.0;
@@ -892,20 +912,22 @@ std::vector<MicroCase> build_micro_cases() {
         }});
 
     auto noisy = std::make_shared<std::vector<fm::cplx>>(fm::RfChannel(rf_params, util::Rng(44)).process(*iq));
-    auto demod = std::make_shared<fm::FmDemodulator>(params);
-    cases.push_back(MicroCase{
-        "fm_demodulate", static_cast<double>(noisy->size()), "iq_samples",
-        [noisy, params] {
-          auto out = oracles::fm_demodulate_arg_reference(*noisy, params);
-          benchmark::DoNotOptimize(out.data());
-        },
-        [noisy, demod] {
-          demod->reset();
-          auto out = demod->demodulate(*noisy);
-          auto tail = demod->finish();
-          benchmark::DoNotOptimize(out.data());
-          benchmark::DoNotOptimize(tail.data());
-        }});
+    for (auto [suffix, width] : kWidths) {
+      auto demod = std::make_shared<fm::FmDemodulator>(params, width);
+      cases.push_back(MicroCase{
+          std::string("fm_demodulate") + suffix, static_cast<double>(noisy->size()), "iq_samples",
+          [noisy, params] {
+            auto out = oracles::fm_demodulate_arg_reference(*noisy, params);
+            benchmark::DoNotOptimize(out.data());
+          },
+          [noisy, demod] {
+            demod->reset();
+            auto out = demod->demodulate(*noisy);
+            auto tail = demod->finish();
+            benchmark::DoNotOptimize(out.data());
+            benchmark::DoNotOptimize(tail.data());
+          }});
+    }
 
     fm::AcousticParams air;
     air.distance_m = 0.2;
@@ -921,6 +943,34 @@ std::vector<MicroCase> build_micro_cases() {
           auto tail = channel.finish();
           benchmark::DoNotOptimize(out.data());
           benchmark::DoNotOptimize(tail.data());
+        }});
+  }
+
+  // One 16-frame sonic-10k burst (200-byte frames) through FmLink::transmit
+  // at 20 cm, default RF, as the air_chain workload runs the link: after is
+  // the link, before the per-sample oracles of its four stages, seeded as
+  // the link seeds them. A fresh link per op, so every op draws the same
+  // channel.
+  {
+    const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+    std::vector<util::Bytes> frames;
+    for (int f = 0; f < 16; ++f) frames.push_back(random_bytes(*rng, 200));
+    auto audio = std::make_shared<std::vector<float>>(modem.modulate(frames));
+    fm::FmLinkConfig link;
+    link.acoustic.distance_m = 0.2;
+    cases.push_back(MicroCase{
+        "fm_link_burst", static_cast<double>(audio->size()), "samples",
+        [audio, link] {
+          const util::Rng rng(link.seed);
+          auto iq = oracles::fm_modulate_reference(*audio, link.fm);
+          iq = oracles::rf_channel_reference(iq, link.rf, rng.fork(1));
+          auto out = oracles::acoustic_reference(oracles::fm_demodulate_arg_reference(iq, link.fm), link.acoustic,
+                                                 rng.fork(2));
+          benchmark::DoNotOptimize(out.data());
+        },
+        [audio, link] {
+          auto out = fm::FmLink(link).transmit(*audio);
+          benchmark::DoNotOptimize(out.data());
         }});
   }
 

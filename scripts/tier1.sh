@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, the LLR
-# soft-byte table checked on every float (~25 s on four threads), a smoke
-# run of the end-to-end benchmark (its Release build of src/ plus every
-# workload's correctness checks), the full test suite rebuilt and rerun under
-# ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
-# pipeline's worker pool and the shared caches and codecs, then the kernel
-# suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
-# kernels (the Viterbi butterflies and decision gather, the ziggurat's miss
-# bits) stay tested and the Viterbi object holds no AVX2 code, and last the
-# end-to-end benchmark built the same way, its client receive chain
-# smoke-run on those fallbacks.
+# Tier-1 verification: the standard build + full test suite, a check that
+# no DSP, FM or FEC object of that build holds a fused multiply-add (which
+# would change bits the tests pin), the LLR soft-byte table checked on every
+# float (~25 s on four threads), a smoke run of the end-to-end benchmark
+# (its Release build of src/ plus every workload's correctness checks), the
+# full test suite rebuilt and rerun under ThreadSanitizer
+# (cmake -DSONIC_TSAN=ON) to catch data races in the pipeline's worker pool
+# and the shared caches and codecs, then the kernel suite built with
+# __SSE2__ undefined, so the generic fallbacks of the SSE2 kernels (the
+# Viterbi butterflies and decision gather, the FM chain's four-lane
+# kernels, the ziggurat's miss bits) stay tested and no DSP, FM or Viterbi
+# object holds AVX2 code, and last the end-to-end benchmark built the same
+# way, its client receive chain smoke-run on those fallbacks.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -20,6 +22,22 @@ echo "== tier-1: build + full test suite =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== tier-1: no fused multiply-add in the DSP, FM and FEC objects =="
+# The kernels' AVX2 instances carry target("avx2"), never "fma": a
+# contracted multiply-add rounds once where the four-lane instance rounds
+# twice, and the two would no longer give the same bits.
+# The disassembly is captured before grep reads it: `objdump | grep -q`
+# under pipefail fails (objdump dies of SIGPIPE) exactly when grep matches.
+# A glob that matches nothing stays literal and fails objdump.
+for obj in build/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build/src/fm/CMakeFiles/sonic_fm.dir/*.o \
+           build/src/fec/CMakeFiles/sonic_fec.dir/*.o; do
+  asm="$(objdump -d "$obj")"
+  if grep -qE 'vfn?m(add|sub)' <<< "$asm"; then
+    echo "tier-1: $obj holds a fused multiply-add" >&2
+    exit 1
+  fi
+done
 
 echo "== tier-1: LLR soft-byte table against its float definition on all 2^32 floats =="
 # The receive chain's soft bytes come from a table of the thresholds of
@@ -40,14 +58,17 @@ echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
 cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__
 cmake --build build-portable -j "$JOBS" --target sonic_kernel_tests
 ctest --test-dir build-portable -L kernel --output-on-failure -j "$JOBS"
-# The Viterbi's AVX2 instance is compiled only with __SSE2__ defined, so
-# the portable row never measures it: its object must hold no ymm register.
-CONV_OBJ=build-portable/src/fec/CMakeFiles/sonic_fec.dir/convolutional.cpp.o
-CONV_ASM="$(objdump -d "$CONV_OBJ")"
-if grep -q '%ymm' <<< "$CONV_ASM"; then
-  echo "tier-1: $CONV_OBJ holds AVX code in the portable build" >&2
-  exit 1
-fi
+# The AVX2 instances (the Viterbi's and the FM chain's) are compiled only
+# with __SSE2__ defined, so the portable row never measures them: these
+# objects must hold no ymm register.
+for obj in build-portable/src/fec/CMakeFiles/sonic_fec.dir/convolutional.cpp.o \
+           build-portable/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build-portable/src/fm/CMakeFiles/sonic_fm.dir/*.o; do
+  asm="$(objdump -d "$obj")"
+  if grep -q '%ymm' <<< "$asm"; then
+    echo "tier-1: $obj holds AVX code in the portable build" >&2
+    exit 1
+  fi
+done
 
 echo "== tier-1: client receive chain end to end on the portable paths =="
 cmake -S e2ebench -B build-portable-e2e -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-U__SSE2__

@@ -1,18 +1,31 @@
 // Branch-free float kernels for the simulated FM chain: sincos, atan2 and
-// exp2, four lanes at a time.
+// exp2, written once over a lane pack that has two instances:
+//  * Lanes4: four lanes in 16-byte vectors, V4f and V2d pairs: SSE2
+//    registers, or the generic lowering of a build without SSE2;
+//  * Lanes8: eight lanes in 32-byte vectors, V8f and V4d pairs, defined only
+//    under __SSE2__ and run only inside functions that carry
+//    target("avx2") and flatten (which inline these templates and the
+//    pack's ops into them), where util::simd_width() is k256.
+// That probe is the one dispatch decision: the build keeps the default ISA
+// (no -mavx2, which could make an inline header function every caller's
+// AVX2 copy, and no FMA, whose contracted multiply-add would change bits).
+// The kernels take vectors by reference, and Lanes8's ops carry
+// target("avx2"), so no function compiled at the default ISA passes a
+// 32-byte vector by value (-Wpsabi).
 //
-// Written with GCC/Clang vector extensions at the default ISA (plain SSE2 on
-// x86-64; no -march change, no runtime dispatch). Every range or quadrant decision is a lane select, never a
-// branch: under the default -ftrapping-math the compiler will not
-// if-convert the selects and the guarded division of a plain scalar loop,
-// so such loops would stay scalar. Each lane's result depends only on that
-// lane's inputs, so a value comes out bit-identical whichever lane or call
-// computes it.
+// Every range or quadrant decision is a lane select, never a branch: under
+// the default -ftrapping-math the compiler will not if-convert the selects
+// and the guarded division of a plain scalar loop, so such loops would stay
+// scalar. Each lane's result depends only on that lane's inputs, through
+// the same IEEE operations at either width, so a value comes out
+// bit-identical whichever lane, call or instance computes it.
 //
 // Accuracy against libm (FastMath tests): sincos within 1.2e-7 absolute,
 // atan2 within 2.5e-7 absolute, exp2 within 2e-7 relative.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -30,56 +43,134 @@ inline V4f load(const float* p) {
 }
 inline void store(float* p, V4f v) { std::memcpy(p, &v, sizeof v); }
 
-// Lanes of `hi` where `take` is set, else lanes of `lo`.
-inline V4f select(V4i take, V4f hi, V4f lo) {
-  const V4i h = reinterpret_cast<V4i>(hi);
-  const V4i l = reinterpret_cast<V4i>(lo);
-  return reinterpret_cast<V4f>((take & h) | (~take & l));
+// Any vector from or to memory, for code generic over the pack.
+template <class V>
+[[gnu::always_inline]] inline void load_to(V& v, const void* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+template <class V>
+[[gnu::always_inline]] inline void store_from(void* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
 }
 
-inline V4u bits(V4f v) { return reinterpret_cast<V4u>(v); }
-inline V4f from_bits(V4u v) { return reinterpret_cast<V4f>(v); }
+// The lane packs. F, I and U hold n floats, int32 and uint32; D holds n / 2
+// doubles, so a pack's doubles are a pair of D. The ops below are the only
+// ones whose lane indices depend on n.
+struct Lanes4 {
+  static constexpr std::size_t n = 4;
+  typedef float F __attribute__((vector_size(16)));
+  typedef std::int32_t I __attribute__((vector_size(16)));
+  typedef std::uint32_t U __attribute__((vector_size(16)));
+  typedef double D __attribute__((vector_size(16)));
+  // n doubles, only ever converted from or to F: GCC splits the conversion
+  // into cvtps2pd / cvtpd2ps pairs where a half-width float type would cost
+  // a scalar conversion per lane.
+  typedef double W __attribute__((vector_size(32)));
+
+  // The lanes of lo then hi, rounded to float.
+  static void narrow(const D& lo, const D& hi, F& out) {
+    out = __builtin_convertvector(W(__builtin_shufflevector(lo, hi, 0, 1, 2, 3)), F);
+  }
+  // f's lanes in double, the low half in lo.
+  static void widen(const F& f, D& lo, D& hi) {
+    const W w = __builtin_convertvector(f, W);
+    lo = __builtin_shufflevector(w, w, 0, 1);
+    hi = __builtin_shufflevector(w, w, 2, 3);
+  }
+  // The low 32 bits of each double of lo then hi.
+  static void low_words(const D& lo, const D& hi, U& out) {
+    out = __builtin_shufflevector(reinterpret_cast<U>(lo), reinterpret_cast<U>(hi), 0, 2, 4, 6);
+  }
+  // {a0, b0, a1, b1, ...}: its first n lanes in lo, the rest in hi.
+  static void interleave(const F& a, const F& b, F& lo, F& hi) {
+    lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
+    hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
+  }
+  // The even and the odd lanes of {lo, hi}.
+  static void deinterleave(const F& lo, const F& hi, F& even, F& odd) {
+    even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6);
+    odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7);
+  }
+};
+
+#if defined(__SSE2__)
+struct Lanes8 {
+  static constexpr std::size_t n = 8;
+  typedef float F __attribute__((vector_size(32)));
+  typedef std::int32_t I __attribute__((vector_size(32)));
+  typedef std::uint32_t U __attribute__((vector_size(32)));
+  typedef double D __attribute__((vector_size(32)));
+  typedef float H __attribute__((vector_size(16)));  // n / 2 floats
+  typedef double W __attribute__((vector_size(64)));
+
+  [[gnu::target("avx2")]] static void narrow(const D& lo, const D& hi, F& out) {
+    out = __builtin_shufflevector(__builtin_convertvector(lo, H), __builtin_convertvector(hi, H), 0, 1, 2, 3, 4, 5,
+                                  6, 7);
+  }
+  [[gnu::target("avx2")]] static void widen(const F& f, D& lo, D& hi) {
+    const W w = __builtin_convertvector(f, W);
+    lo = __builtin_shufflevector(w, w, 0, 1, 2, 3);
+    hi = __builtin_shufflevector(w, w, 4, 5, 6, 7);
+  }
+  [[gnu::target("avx2")]] static void low_words(const D& lo, const D& hi, U& out) {
+    out = __builtin_shufflevector(reinterpret_cast<U>(lo), reinterpret_cast<U>(hi), 0, 2, 4, 6, 8, 10, 12, 14);
+  }
+  [[gnu::target("avx2")]] static void interleave(const F& a, const F& b, F& lo, F& hi) {
+    lo = __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11);
+    hi = __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15);
+  }
+  [[gnu::target("avx2")]] static void deinterleave(const F& lo, const F& hi, F& even, F& odd) {
+    even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
+    odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7, 9, 11, 13, 15);
+  }
+};
+#endif
+
 constexpr std::uint32_t kSignBit = 0x80000000u;
 
-// sin and cos of the four doubles at x[0..3], rounded to float.
+// sin and cos of the P::n doubles at x, rounded to float.
 //
 // Cody–Waite reduction in double: k = round(x·2/π) and r = x − k·π/2 with
 // π/2 split in two, the first part short enough that k·part is exact for
 // |k| < 2^20 (|x| up to ~1.6e6 rad; beyond that r loses bits gradually).
 // Then float minimax polynomials for sin and cos on [−π/4, π/4] and a
 // quadrant select on k mod 4.
-inline void sincos(const double* x, V4f& s, V4f& c) {
-  typedef double V4d __attribute__((vector_size(32)));
+template <class P>
+[[gnu::always_inline]] inline void sincos(const double* x, typename P::F& s, typename P::F& c) {
+  using F = typename P::F;
+  using I = typename P::I;
+  using U = typename P::U;
+  using D = typename P::D;
   constexpr double kTwoOverPi = 0x1.45f306dc9c883p-1;
   constexpr double kPio2Hi = 0x1.921fb544p+0;          // 33 significant bits
   constexpr double kPio2Lo = 0x1.0b4611a626331p-34;    // π/2 − kPio2Hi
   constexpr double kRoundMagic = 0x1.8p52;             // 1.5·2^52
 
-  V4d xd;
-  std::memcpy(&xd, x, sizeof xd);
   // t's low mantissa bits hold k in two's complement (|k| < 2^51).
-  const V4d t = xd * kTwoOverPi + kRoundMagic;
-  const V4d kd = t - kRoundMagic;
-  const V4d rd = (xd - kd * kPio2Hi) - kd * kPio2Lo;
-  V4u t01, t23;
-  std::memcpy(&t01, &t, sizeof t01);
-  std::memcpy(&t23, reinterpret_cast<const char*>(&t) + sizeof t01, sizeof t23);
-  const V4u q = __builtin_shufflevector(t01, t23, 0, 2, 4, 6);
+  D t[2], rd[2];
+  for (std::size_t h = 0; h < 2; ++h) {
+    D xd;
+    load_to(xd, x + h * (P::n / 2));
+    t[h] = xd * kTwoOverPi + kRoundMagic;
+    const D kd = t[h] - kRoundMagic;
+    rd[h] = (xd - kd * kPio2Hi) - kd * kPio2Lo;
+  }
+  U q;
+  P::low_words(t[0], t[1], q);
 
-  const V4f r = __builtin_convertvector(rd, V4f);
-  const V4f z = r * r;
-  const V4f sin_r =
-      ((-1.9515295891e-4f * z + 8.3321608736e-3f) * z - 1.6666654611e-1f) * z * r + r;
-  const V4f cos_r =
-      ((2.443315711809948e-5f * z - 1.388731625493765e-3f) * z + 4.166664568298827e-2f) * z *
-          z -
+  F r;
+  P::narrow(rd[0], rd[1], r);
+  const F z = r * r;
+  const F sin_r = ((-1.9515295891e-4f * z + 8.3321608736e-3f) * z - 1.6666654611e-1f) * z * r + r;
+  const F cos_r =
+      ((2.443315711809948e-5f * z - 1.388731625493765e-3f) * z + 4.166664568298827e-2f) * z * z -
       0.5f * z + 1.0f;
 
   // Quadrant k mod 4: odd swaps sin and cos; sin flips sign in quadrants
   // 2 and 3, cos in quadrants 1 and 2.
-  const V4i swap = -reinterpret_cast<V4i>(q & 1u);
-  s = from_bits(bits(select(swap, cos_r, sin_r)) ^ ((q & 2u) << 30));
-  c = from_bits(bits(select(swap, sin_r, cos_r)) ^ (((q + 1u) & 2u) << 30));
+  const I swap = (q & 1u) != 0u;
+  s = reinterpret_cast<F>(reinterpret_cast<U>(swap ? cos_r : sin_r) ^ ((q & 2u) << 30));
+  c = reinterpret_cast<F>(reinterpret_cast<U>(swap ? sin_r : cos_r) ^ (((q + 1u) & 2u) << 30));
 }
 
 // atan2(y, x) per lane, with libm's signs and quadrants, including the
@@ -91,54 +182,59 @@ inline void sincos(const double* x, V4f& s, V4f& c) {
 // either way, guarded so 0/0 reads 0/1. The float polynomial is a minimax
 // fit of atan on [−tan(π/8), tan(π/8)]; n·π/4 is added as a short high
 // part (exact for n ≤ 4) plus a low correction.
-inline V4f atan2(V4f y, V4f x) {
+template <class P>
+[[gnu::always_inline]] inline void atan2(const typename P::F& y, const typename P::F& x, typename P::F& out) {
+  using F = typename P::F;
+  using I = typename P::I;
+  using U = typename P::U;
   constexpr float kTanPi8 = 0x1.a8279ap-2f;
   constexpr float kPio4Hi = 0x1.921fbp-1f;    // π/4, low mantissa bits clear
   constexpr float kPio4Lo = 0x1.5110b4p-23f;  // π/4 − kPio4Hi
 
-  const V4u xb = bits(x);
-  const V4u yb = bits(y);
-  const V4f ax = from_bits(xb & ~kSignBit);
-  const V4f ay = from_bits(yb & ~kSignBit);
-  const V4i swap = ay > ax;
-  const V4f lo = select(swap, ax, ay);
-  const V4f hi = select(swap, ay, ax);
-  const V4i mid = lo > hi * kTanPi8;
-  const V4f num = select(mid, lo - hi, lo);
-  const V4f den0 = select(mid, lo + hi, hi);
-  const V4f den = select(den0 == 0.0f, splat(1.0f), den0);
-  const V4f t = num / den;
-  const V4f z = t * t;
-  const V4f p =
-      (((8.05374449538e-2f * z - 1.38776856032e-1f) * z + 1.99777106478e-1f) * z -
-       3.33329491539e-1f) *
-          z * t +
+  const U xb = reinterpret_cast<U>(x);
+  const U yb = reinterpret_cast<U>(y);
+  const F ax = reinterpret_cast<F>(xb & ~kSignBit);
+  const F ay = reinterpret_cast<F>(yb & ~kSignBit);
+  const I swap = ay > ax;
+  const F lo = swap ? ax : ay;
+  const F hi = swap ? ay : ax;
+  const I mid = lo > hi * kTanPi8;
+  const F num = mid ? lo - hi : lo;
+  const F den0 = mid ? lo + hi : hi;
+  const F den = den0 == 0.0f ? 1.0f : den0;
+  const F t = num / den;
+  const F z = t * t;
+  const F p =
+      (((8.05374449538e-2f * z - 1.38776856032e-1f) * z + 1.99777106478e-1f) * z - 3.33329491539e-1f) * z * t +
       t;
 
   // n in units of π/4 (mid: 1, swap: 2 − n, x < 0: 4 − n); the polynomial
   // term is negated once per reflection.
-  const V4i xneg = reinterpret_cast<V4i>(xb) < 0;
-  V4i n = mid & 1;
-  n = (swap & (2 - n)) | (~swap & n);
-  n = (xneg & (4 - n)) | (~xneg & n);
-  const V4u flip = reinterpret_cast<V4u>(swap ^ xneg) & kSignBit;
-  const V4f nf = __builtin_convertvector(n, V4f);
-  const V4f a = nf * kPio4Hi + (from_bits(bits(p) ^ flip) + nf * kPio4Lo);
-  return from_bits(bits(a) | (yb & kSignBit));
+  const I xneg = reinterpret_cast<I>(xb) < 0;
+  I n = mid & 1;
+  n = swap ? 2 - n : n;
+  n = xneg ? 4 - n : n;
+  const U flip = reinterpret_cast<U>(swap ^ xneg) & kSignBit;
+  const F nf = __builtin_convertvector(n, F);
+  const F a = nf * kPio4Hi + (reinterpret_cast<F>(reinterpret_cast<U>(p) ^ flip) + nf * kPio4Lo);
+  out = reinterpret_cast<F>(reinterpret_cast<U>(a) | (yb & kSignBit));
 }
 
 // 2^x per lane, for x in [−125, 126] (clamped to it): x = k + f with k the
 // nearest integer and |f| ≤ 1/2, a float polynomial for 2^f, and k added
 // to the exponent bits.
-inline V4f exp2(V4f x) {
+template <class P>
+[[gnu::always_inline]] inline void exp2(const typename P::F& x_in, typename P::F& out) {
+  using F = typename P::F;
+  using U = typename P::U;
   constexpr float kRoundMagic = 0x1.8p23f;  // 1.5·2^23
-  x = select(x < -125.0f, splat(-125.0f), x);
-  x = select(x > 126.0f, splat(126.0f), x);
+  F x = x_in < -125.0f ? -125.0f : x_in;
+  x = x > 126.0f ? 126.0f : x;
   // t's bit pattern is the magic's plus k.
-  const V4f t = x + kRoundMagic;
-  const V4f f = x - (t - kRoundMagic);
-  const V4u k = bits(t) - bits(splat(kRoundMagic));
-  const V4f px =
+  const F t = x + kRoundMagic;
+  const F f = x - (t - kRoundMagic);
+  const U k = reinterpret_cast<U>(t) - std::bit_cast<std::uint32_t>(kRoundMagic);
+  const F px =
       (((((1.535336188319500e-4f * f + 1.339887440266574e-3f) * f + 9.618437357674640e-3f) * f +
          5.550332471162809e-2f) *
             f +
@@ -146,7 +242,20 @@ inline V4f exp2(V4f x) {
            f +
        6.931472028550421e-1f) *
       f;
-  return from_bits(bits(1.0f + px) + (k << 23));
+  out = reinterpret_cast<F>(reinterpret_cast<U>(1.0f + px) + (k << 23));
+}
+
+// The four-lane kernels on values.
+inline void sincos(const double* x, V4f& s, V4f& c) { sincos<Lanes4>(x, s, c); }
+inline V4f atan2(V4f y, V4f x) {
+  V4f out;
+  atan2<Lanes4>(y, x, out);
+  return out;
+}
+inline V4f exp2(V4f x) {
+  V4f out;
+  exp2<Lanes4>(x, out);
+  return out;
 }
 
 }  // namespace sonic::dsp::fastmath

@@ -38,34 +38,65 @@ std::vector<float> design_lowpass(double cutoff_hz, double sample_rate_hz, std::
 
 namespace {
 
-using fastmath::V4f;
-
-// Outputs per fir_block call: the lanes of kFirAccumulators V4f sums.
+// Outputs per fir_block call: the lanes of kFirAccumulators vector sums of
+// P::n floats, 16 in the Lanes4 instance and 32 in Lanes8. Buffers are
+// padded to the larger block.
 constexpr std::size_t kFirAccumulators = 4;
-constexpr std::size_t kFirBlock = 4 * kFirAccumulators;
+constexpr std::size_t kFirMaxBlock = 8 * kFirAccumulators;
 
 // out[i] = sum of window[i + k] * taps_rev[k] over k = 0..n-1, for
-// i = 0..kFirBlock-1. Lane i accumulates exactly the sequence of a scalar
-// loop `acc += window[i + k] * taps_rev[k]` from acc = 0 (the same products,
-// added in the same order), so an output is bit-identical whichever block
-// and lane computes it; the independent lanes keep the adds from waiting
-// on each other.
-void fir_block(const float* window, const float* taps_rev, std::size_t n, float* out) {
-  V4f acc[kFirAccumulators] = {};
+// i = 0..kFirAccumulators * P::n - 1. Lane i accumulates exactly the
+// sequence of a scalar loop `acc += window[i + k] * taps_rev[k]` from
+// acc = 0 (the same products, added in the same order), so an output is
+// bit-identical whichever block, lane and instance computes it; the
+// independent lanes keep the adds from waiting on each other.
+template <class P>
+[[gnu::always_inline]] inline void fir_block(const float* window, const float* taps_rev, std::size_t n, float* out) {
+  using F = typename P::F;
+  F acc[kFirAccumulators] = {};
   for (std::size_t k = 0; k < n; ++k) {
-    const V4f tap = fastmath::splat(taps_rev[k]);
+    // Unrolled, so the sums stay in registers at -O2 too.
+#pragma GCC unroll 4
     for (std::size_t a = 0; a < kFirAccumulators; ++a) {
-      acc[a] += fastmath::load(window + k + 4 * a) * tap;
+      F x;
+      fastmath::load_to(x, window + k + P::n * a);
+      acc[a] += x * taps_rev[k];
     }
   }
-  for (std::size_t a = 0; a < kFirAccumulators; ++a) fastmath::store(out + 4 * a, acc[a]);
+  for (std::size_t a = 0; a < kFirAccumulators; ++a) fastmath::store_from(out + P::n * a, acc[a]);
+}
+
+// The first `outputs` outputs (a multiple of kFirMaxBlock) of `window`.
+template <class P>
+[[gnu::always_inline]] inline void fir_blocks(const float* window, const float* taps_rev, std::size_t n,
+                                              std::size_t outputs, float* out) {
+  constexpr std::size_t kBlock = kFirAccumulators * P::n;
+  for (std::size_t b = 0; b < outputs; b += kBlock) fir_block<P>(window + b, taps_rev, n, out + b);
+}
+
+#if defined(__SSE2__)
+// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
+[[gnu::target("avx2"), gnu::flatten]] void fir_blocks_avx2(const float* window, const float* taps_rev, std::size_t n,
+                                                          std::size_t outputs, float* out) {
+  fir_blocks<fastmath::Lanes8>(window, taps_rev, n, outputs, out);
+}
+#endif
+
+// The instance `width` names.
+void fir_blocks_at(util::SimdWidth width, const float* window, const float* taps_rev, std::size_t n,
+                   std::size_t outputs, float* out) {
+#if defined(__SSE2__)
+  if (width == util::SimdWidth::k256) return fir_blocks_avx2(window, taps_rev, n, outputs, out);
+#endif
+  (void)width;
+  fir_blocks<fastmath::Lanes4>(window, taps_rev, n, outputs, out);
 }
 
 }  // namespace
 
-FirFilter::FirFilter(std::vector<float> taps)
+FirFilter::FirFilter(std::vector<float> taps, util::SimdWidth width)
     : taps_(std::move(taps)), taps_rev_(taps_.rbegin(), taps_.rend()),
-      hist_(taps_.empty() ? 0 : taps_.size() - 1, 0.0f) {
+      hist_(taps_.empty() ? 0 : taps_.size() - 1, 0.0f), width_(util::checked_simd_width(width)) {
   if (taps_.empty()) throw std::invalid_argument("empty taps");
 }
 
@@ -78,14 +109,12 @@ std::vector<float> FirFilter::process(std::span<const float> x) {
   if (n == 0) return {};
   // [history | chunk | zeros up to a whole block]; the padding's outputs
   // are computed and dropped.
-  const std::size_t blocks = (n + kFirBlock - 1) / kFirBlock;
-  work_.assign(h + blocks * kFirBlock, 0.0f);
+  const std::size_t outputs = (n + kFirMaxBlock - 1) / kFirMaxBlock * kFirMaxBlock;
+  work_.assign(h + outputs, 0.0f);
   std::copy(hist_.begin(), hist_.end(), work_.begin());
   std::copy(x.begin(), x.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-  std::vector<float> out(blocks * kFirBlock);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    fir_block(work_.data() + b * kFirBlock, taps_rev_.data(), t, out.data() + b * kFirBlock);
-  }
+  std::vector<float> out(outputs);
+  fir_blocks_at(width_, work_.data(), taps_rev_.data(), t, outputs, out.data());
   out.resize(n);
   // Carry the last taps-1 inputs.
   std::copy_n(work_.begin() + static_cast<std::ptrdiff_t>(n), h, hist_.begin());

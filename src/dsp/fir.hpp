@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dsp/window.hpp"
+#include "util/cpu.hpp"
 
 namespace sonic::dsp {
 
@@ -18,12 +19,15 @@ std::vector<float> design_lowpass(double cutoff_hz, double sample_rate_hz, std::
 //
 // process() lays the carried history and the new chunk out in one
 // contiguous window and computes 16 consecutive outputs per pass, in the
-// lanes of four 4-float vectors. Each lane sums its output's products in
-// tap order, exactly like a one-output scalar loop, so the output is
-// bit-identical to that loop and independent of how the stream is chunked.
+// lanes of four 4-float vectors, or 32 in four 8-float AVX2 vectors where
+// `width` is k256 (by default util::simd_width(), the process's one CPU
+// probe). Each lane sums its output's products in tap order, exactly like
+// a one-output scalar loop, so the output is bit-identical to that loop at
+// either width and independent of how the stream is chunked.
 class FirFilter {
  public:
-  explicit FirFilter(std::vector<float> taps);
+  // k256 throws std::invalid_argument where util::simd_width() is k128.
+  explicit FirFilter(std::vector<float> taps, util::SimdWidth width = util::simd_width());
 
   std::vector<float> process(std::span<const float> x);
   void reset();
@@ -37,6 +41,7 @@ class FirFilter {
   std::vector<float> taps_rev_;  // reversed: dot with an oldest-first window
   std::vector<float> hist_;      // last taps-1 inputs, oldest first
   std::vector<float> work_;      // contiguous [history | chunk] scratch
+  util::SimdWidth width_;
 };
 
 }  // namespace sonic::dsp

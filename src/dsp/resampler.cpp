@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dsp/fast_math.hpp"
 #include "util/units.hpp"
 
 namespace sonic::dsp {
@@ -41,9 +42,8 @@ constexpr std::uint64_t kMaxRationalPhases = 4096;
 constexpr std::size_t kGridPhases = 4096;
 // At most this many tables stay memoized (table_for).
 constexpr std::size_t kMaxCachedTables = 64;
-// Windows per block of whole-window outputs: against one row in the
-// rational ratios' phase-major pass, against one row pair on the grid.
-constexpr std::size_t kBlock = 4;
+// Windows per grid block of whole-window outputs, against one row pair.
+constexpr std::size_t kGridBlock = 4;
 
 double sinc(double x) {
   if (std::fabs(x) < 1e-12) return 1.0;
@@ -151,61 +151,101 @@ std::shared_ptr<const ResamplerTable> table_for(double ratio) {
   return table;
 }
 
-typedef double V2d __attribute__((vector_size(16)));
-
-V2d load2(const double* p) {
-  V2d v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
 // NX windows against NW rows: out[k * NW + m] is the dot product of window
 // k (x + k * x_step) with row m (w + m * w_step) over n taps. Every x and w
 // is a float held in double, so each product is exact. Each sum keeps four
 // partial sums: a_m takes the terms j = m mod 4 of the whole groups of
 // four, a0 also the tail, and the result is (a0 + a1) + (a2 + a3). The
 // order is fixed, so a window and row give bit-identical results whichever
-// form computes them; a row is loaded once for all NX windows, a window
-// once for all NW rows, and the NX * NW interleaved sums keep the adds from
-// waiting on each other.
-template <std::size_t NX, std::size_t NW>
-void dots(const double* x, long x_step, const double* w, long w_step, long n, double* out) {
-  V2d lo[NX][NW] = {}, hi[NX][NW] = {};  // {a0, a1}, {a2, a3}
+// form or lane pack computes them. {a0, a1, a2, a3} are one V4d in Lanes8
+// and a V2d pair in Lanes4; a row is loaded once for all NX windows, a
+// window once for all NW rows, and the NX * NW interleaved sums keep the
+// adds from waiting on each other. The unroll pragmas let GCC keep the sums
+// in registers: without them the four-lane 5:1 decimator spilled them to
+// the stack and ran ~15 % slower.
+template <class P, std::size_t NX, std::size_t NW>
+[[gnu::always_inline]] inline void dots(const double* x, long x_step, const double* w, long w_step, long n,
+                                        double* out) {
+  using D = typename P::D;
+  constexpr std::size_t kHalf = P::n / 2;    // doubles per D
+  constexpr std::size_t kParts = 4 / kHalf;  // D per group of four taps
+  D acc[NX][NW][kParts] = {};
   long j = 0;
   for (; j + 4 <= n; j += 4) {
-    V2d wlo[NW], whi[NW];
+    D wv[NW][kParts];
+#pragma GCC unroll 8
     for (std::size_t m = 0; m < NW; ++m) {
-      wlo[m] = load2(w + m * w_step + j);
-      whi[m] = load2(w + m * w_step + j + 2);
+#pragma GCC unroll 8
+      for (std::size_t h = 0; h < kParts; ++h) fastmath::load_to(wv[m][h], w + m * w_step + j + h * kHalf);
     }
+#pragma GCC unroll 8
     for (std::size_t k = 0; k < NX; ++k) {
-      const V2d xlo = load2(x + k * x_step + j);
-      const V2d xhi = load2(x + k * x_step + j + 2);
-      for (std::size_t m = 0; m < NW; ++m) {
-        lo[k][m] += xlo * wlo[m];
-        hi[k][m] += xhi * whi[m];
+#pragma GCC unroll 8
+      for (std::size_t h = 0; h < kParts; ++h) {
+        D xv;
+        fastmath::load_to(xv, x + k * x_step + j + h * kHalf);
+        for (std::size_t m = 0; m < NW; ++m) acc[k][m][h] += xv * wv[m][h];
       }
     }
   }
-  double a0[NX][NW];
+#pragma GCC unroll 8
   for (std::size_t k = 0; k < NX; ++k) {
-    for (std::size_t m = 0; m < NW; ++m) a0[k][m] = lo[k][m][0];
-  }
-  for (; j < n; ++j) {
-    for (std::size_t k = 0; k < NX; ++k) {
-      for (std::size_t m = 0; m < NW; ++m) a0[k][m] += x[k * x_step + j] * w[m * w_step + j];
-    }
-  }
-  for (std::size_t k = 0; k < NX; ++k) {
+#pragma GCC unroll 8
     for (std::size_t m = 0; m < NW; ++m) {
-      out[k * NW + m] = (a0[k][m] + lo[k][m][1]) + (hi[k][m][0] + hi[k][m][1]);
+      // a_e is lane e % kHalf of acc[k][m][e / kHalf].
+      double a0 = acc[k][m][0][0];
+      for (long tail = j; tail < n; ++tail) a0 += x[k * x_step + tail] * w[m * w_step + tail];
+      const D* a = acc[k][m];
+      out[k * NW + m] = (a0 + a[0][1]) + (a[2 / kHalf][2 % kHalf] + a[3 / kHalf][3 % kHalf]);
     }
   }
 }
 
-// Grid: an output from the dot products d[0], d[1] of its window with the
-// rows either side of its position, `w` of the way to the upper one.
-float lerp(const double* d, double w) { return static_cast<float>(d[0] + w * (d[1] - d[0])); }
+// W windows one input apart (window k at x + k) against NW rows:
+// out[m * W + k]. One lane per window: lane k of the vectors acc[m][p]
+// holds window k's partial sum a_p of row m, so every window keeps the
+// sums and the order of dots and leaves as one lane of
+// (a0 + a1) + (a2 + a3), with no horizontal step and no per-window scalar
+// tail.
+template <class P, std::size_t W, std::size_t NW>
+[[gnu::always_inline]] inline void adjacent_dots(const double* x, const double* w, long w_step, long n,
+                                                 double* out) {
+  using D = typename P::D;
+  constexpr std::size_t kHalf = P::n / 2;    // doubles per D
+  constexpr std::size_t kParts = W / kHalf;  // D per partial sum
+  static_assert(kParts * kHalf == W);
+  D acc[NW][4][kParts] = {};
+  long j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t h = 0; h < kParts; ++h) {
+        D xv;
+        fastmath::load_to(xv, x + j + p + h * kHalf);
+        for (std::size_t m = 0; m < NW; ++m) acc[m][p][h] += xv * w[m * w_step + j + p];
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    for (std::size_t h = 0; h < kParts; ++h) {
+      D xv;
+      fastmath::load_to(xv, x + j + h * kHalf);
+      for (std::size_t m = 0; m < NW; ++m) acc[m][0][h] += xv * w[m * w_step + j];
+    }
+  }
+  for (std::size_t m = 0; m < NW; ++m) {
+    for (std::size_t h = 0; h < kParts; ++h) {
+      const D sum = (acc[m][0][h] + acc[m][1][h]) + (acc[m][2][h] + acc[m][3][h]);
+      fastmath::store_from(out + m * W + h * kHalf, sum);
+    }
+  }
+}
+
+// Grid: an output from the dot products d[0] and d[d_step] of its window
+// with the rows either side of its position, `w` of the way to the upper
+// one.
+float lerp(const double* d, std::size_t d_step, double w) {
+  return static_cast<float>(d[0] + w * (d[d_step] - d[0]));
+}
 
 // Grid: the row below a fractional input position and the weight of the
 // row above it.
@@ -215,17 +255,194 @@ std::pair<std::size_t, double> grid_row(double frac) {
   return {r, pos - static_cast<double>(r)};
 }
 
+// Where one output's kernel sits: the input its window centres on, and its
+// phase row (rational ratios) or fractional position (grid).
+struct KernelPos {
+  long centre;
+  std::size_t phase;
+  double frac;
+};
+
+KernelPos locate(const ResamplerTable& t, double ratio, std::size_t i) {
+  if (t.rational) {
+    const std::uint64_t q = i * t.down;
+    return {static_cast<long>(q / t.up), static_cast<std::size_t>(q % t.up), 0.0};
+  }
+  const double src = static_cast<double>(i) / ratio;
+  const double c = std::floor(src);
+  return {static_cast<long>(c), 0, src - c};
+}
+
+// One output whose window is clamped to the inputs lo..hi at a stream edge
+// (absolute indices; `x` points at input lo).
+template <class P>
+[[gnu::always_inline]] inline float evaluate(const ResamplerTable& t, const double* x, long lo, long hi,
+                                             KernelPos p) {
+  // Clamping the window to the input leaves the taps of the row that face
+  // it: the row starts at input centre - before.
+  const long skip = lo - (p.centre - t.before);
+  const long n = hi - lo + 1;
+  if (n <= 0) return 0.0f;
+  if (t.rational) {
+    double y;
+    dots<P, 1, 1>(x, 0, t.row(p.phase) + skip, 0, n, &y);
+    return static_cast<float>(y);
+  }
+  // Grid: interpolate between the rows either side of the fractional
+  // position (the weights are linear in it, so interpolating the two dot
+  // products is the same as interpolating the rows).
+  const auto [r, w] = grid_row(p.frac);
+  double y[2];
+  dots<P, 1, 2>(x, 0, t.row(r) + skip, static_cast<long>(t.width), n, y);
+  return lerp(y, 1, w);
+}
+
+// One emit_ready pass: what it reads, and the cursor it advances (output i,
+// its kernel position p, written at y).
+struct EmitPass {
+  const ResamplerTable& t;
+  double ratio;
+  const double* hist;  // input `base` onwards
+  long base;
+  long end;  // inputs received
+  std::size_t out_total;
+  bool final_flush;
+  std::size_t i;
+  KernelPos p;
+  float* y;
+};
+
+// Emits outputs while their kernel window is satisfied, on lane pack P.
+template <class P>
+[[gnu::always_inline]] inline void emit(EmitPass& e) {
+  const ResamplerTable& t = e.t;
+  const double* hist = e.hist;
+  const long base = e.base, end = e.end;
+  const std::size_t out_total = e.out_total;
+  const double ratio = e.ratio;
+  const bool final_flush = e.final_flush;
+  std::size_t i = e.i;
+  KernelPos p = e.p;
+  float* y = e.y;
+  // From output i to i + 1: a rational ratio steps (i*M) div L and
+  // (i*M) mod L by M without dividing; the grid locates the next output.
+  const long centre_step = t.rational ? static_cast<long>(t.down / t.up) : 0;
+  const auto phase_step = t.rational ? static_cast<std::size_t>(t.down % t.up) : 0;
+  const auto step = [&] {
+    ++i;
+    if (!t.rational) {
+      p = locate(t, ratio, i);
+      return;
+    }
+    p.centre += centre_step;
+    p.phase += phase_step;
+    if (p.phase >= t.up) {
+      p.phase -= static_cast<std::size_t>(t.up);
+      ++p.centre;
+    }
+  };
+  // Output i is due once its whole window has been received (push()
+  // holds it until then), or at the end of the stream (flush(), which
+  // reads past the last input as silence).
+  const auto window_received = [&] { return p.centre + t.after < end; };
+  const auto width = static_cast<long>(t.width);
+  // A rational block is P::n windows per phase; a grid block kGridBlock
+  // windows between one row pair.
+  const std::size_t block = P::n * static_cast<std::size_t>(t.up);
+  const long window_step = static_cast<long>(t.down);
+  while (i < out_total && (final_flush || window_received())) {
+    if (t.rational && p.centre >= t.before && i + block <= out_total &&
+        locate(t, ratio, i + block - 1).centre + t.after < end) {
+      // Rational ratios run phase-major over blocks of P::n * L outputs
+      // whose windows all lie inside the input: outputs i + q + k*L
+      // (k < P::n) share row (i + q)*M mod L, and their windows step by M
+      // inputs, so each phase is one row against P::n windows, one lane
+      // per window where they lie one input apart (M = 1).
+      for (std::size_t q = 0; q < t.up; ++q) {
+        double d[P::n];
+        const double* x = hist + (p.centre - t.before - base);
+        if (window_step == 1) {
+          adjacent_dots<P, P::n, 1>(x, t.row(p.phase), 0, width, d);
+        } else {
+          dots<P, P::n, 1>(x, window_step, t.row(p.phase), 0, width, d);
+        }
+        for (std::size_t k = 0; k < P::n; ++k) y[q + k * t.up] = static_cast<float>(d[k]);
+        step();
+      }
+      // p is now L outputs past the block's first; the next block starts
+      // (P::n - 1) * L outputs and (P::n - 1) * M inputs further on, in
+      // the same phase.
+      y += block;
+      i += block - t.up;
+      p.centre += static_cast<long>(P::n - 1) * window_step;
+      continue;
+    }
+    if (!t.rational && p.centre >= t.before && window_received()) {
+      // Grid: up to kGridBlock outputs with whole windows. If all lie
+      // between the same two rows, windows one input apart (a skew 1 + eps
+      // moves to the next row every 1 / (4096 |eps|) outputs), they are one
+      // row pair against kGridBlock windows, one lane per window; otherwise
+      // each takes its own rows.
+      KernelPos pos[kGridBlock];
+      std::size_t n = 0;
+      do {
+        pos[n++] = p;
+        step();
+      } while (n < kGridBlock && i < out_total && window_received());
+      const std::size_t r = grid_row(pos[0].frac).first;
+      bool shared = n == kGridBlock;
+      for (std::size_t k = 1; shared && k < n; ++k) {
+        shared = pos[k].centre == pos[0].centre + static_cast<long>(k) && grid_row(pos[k].frac).first == r;
+      }
+      if (shared) {
+        double d[2 * kGridBlock];
+        adjacent_dots<P, kGridBlock, 2>(hist + (pos[0].centre - t.before - base), t.row(r), width, width, d);
+        for (std::size_t k = 0; k < kGridBlock; ++k) *y++ = lerp(d + k, kGridBlock, grid_row(pos[k].frac).second);
+        continue;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const long lo = pos[k].centre - t.before;
+        *y++ = evaluate<P>(t, hist + (lo - base), lo, pos[k].centre + t.after, pos[k]);
+      }
+      continue;
+    }
+    // One output at a time: a rational remainder short of a block, and
+    // windows clamped at a stream edge.
+    const long lo = std::max<long>(p.centre - t.before, 0);
+    *y++ = evaluate<P>(t, hist + (lo - base), lo, std::min(p.centre + t.after, end - 1), p);
+    step();
+  }
+  e.i = i;
+  e.p = p;
+  e.y = y;
+}
+
+#if defined(__SSE2__)
+// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
+[[gnu::target("avx2"), gnu::flatten]] void emit_avx2(EmitPass& e) { emit<fastmath::Lanes8>(e); }
+#endif
+
+// The instance `width` names.
+void emit_at(EmitPass& e, util::SimdWidth width) {
+#if defined(__SSE2__)
+  if (width == util::SimdWidth::k256) return emit_avx2(e);
+#endif
+  (void)width;
+  emit<fastmath::Lanes4>(e);
+}
+
 }  // namespace
 
-Resampler::Resampler(double ratio) : ratio_(ratio) {
+Resampler::Resampler(double ratio, util::SimdWidth width)
+    : ratio_(ratio), width_(util::checked_simd_width(width)) {
   if (!(ratio > 0)) throw std::invalid_argument("resample ratio must be positive");
   table_ = table_for(ratio_);
 }
 
-Resampler::Resampler(double ratio, std::shared_ptr<const ResamplerTable> table)
-    : ratio_(ratio), table_(std::move(table)) {}
+Resampler::Resampler(double ratio, std::shared_ptr<const ResamplerTable> table, util::SimdWidth width)
+    : ratio_(ratio), width_(util::checked_simd_width(width)), table_(std::move(table)) {}
 
-Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefilter) {
+Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefilter, util::SimdWidth width) {
   if (factor == 0) throw std::invalid_argument("decimation factor must be positive");
   if (prefilter.empty()) throw std::invalid_argument("empty prefilter");
   const double ratio = 1.0 / static_cast<double>(factor);
@@ -256,43 +473,11 @@ Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefil
   t->weights.resize(c.size());
   std::transform(c.rbegin(), c.rend(), t->weights.begin(),
                  [](double v) { return static_cast<float>(v); });
-  return Resampler(ratio, std::move(t));
-}
-
-Resampler::KernelPos Resampler::locate(std::size_t i) const {
-  const ResamplerTable& t = *table_;
-  if (t.rational) {
-    const std::uint64_t q = i * t.down;
-    return {static_cast<long>(q / t.up), static_cast<std::size_t>(q % t.up), 0.0};
-  }
-  const double src = static_cast<double>(i) / ratio_;
-  const double c = std::floor(src);
-  return {static_cast<long>(c), 0, src - c};
-}
-
-float Resampler::evaluate(const double* x, long lo, long hi, KernelPos p) const {
-  const ResamplerTable& t = *table_;
-  // Clamping the window to the input leaves the taps of the row that face
-  // it: the row starts at input centre - before.
-  const long skip = lo - (p.centre - t.before);
-  const long n = hi - lo + 1;
-  if (n <= 0) return 0.0f;
-  if (t.rational) {
-    double y;
-    dots<1, 1>(x, 0, t.row(p.phase) + skip, 0, n, &y);
-    return static_cast<float>(y);
-  }
-  // Grid: interpolate between the rows either side of the fractional
-  // position (the weights are linear in it, so interpolating the two dot
-  // products is the same as interpolating the rows).
-  const auto [r, w] = grid_row(p.frac);
-  double y[2];
-  dots<1, 2>(x, 0, t.row(r) + skip, static_cast<long>(t.width), n, y);
-  return lerp(y, w);
+  return Resampler(ratio, std::move(t), width);
 }
 
 std::vector<float> Resampler::process(std::span<const float> input) const {
-  Resampler stream(ratio_, table_);
+  Resampler stream(ratio_, table_, width_);
   auto out = stream.push(input);
   const auto tail = stream.flush();
   out.insert(out.end(), tail.begin(), tail.end());
@@ -301,106 +486,19 @@ std::vector<float> Resampler::process(std::span<const float> input) const {
 
 void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
   const ResamplerTable& t = *table_;
-  const long end = static_cast<long>(total_in_);
   const std::size_t out_total =
       static_cast<std::size_t>(std::floor(static_cast<double>(total_in_) * ratio_));
   // Sized for every output still to come, trimmed to the ones emitted.
   const std::size_t first = out.size();
   out.resize(first + (out_total > next_out_ ? out_total - next_out_ : 0));
-  float* y = out.data() + first;
-
-  // From output i to i + 1: a rational ratio steps (i*M) div L and
-  // (i*M) mod L by M without dividing; the grid locates the next output.
-  const long centre_step = t.rational ? static_cast<long>(t.down / t.up) : 0;
-  const auto phase_step = t.rational ? static_cast<std::size_t>(t.down % t.up) : 0;
-  const long base = static_cast<long>(hist_base_);
-  std::size_t i = next_out_;
-  KernelPos p = locate(i);
-  const auto step = [&] {
-    ++i;
-    if (!t.rational) {
-      p = locate(i);
-      return;
-    }
-    p.centre += centre_step;
-    p.phase += phase_step;
-    if (p.phase >= t.up) {
-      p.phase -= static_cast<std::size_t>(t.up);
-      ++p.centre;
-    }
-  };
-  // Output i is due once its whole window has been received (push()
-  // holds it until then), or at the end of the stream (flush(), which
-  // reads past the last input as silence).
-  const auto window_received = [&] { return p.centre + t.after < end; };
-  const std::size_t block = kBlock * static_cast<std::size_t>(t.up);
-  const long window_step = static_cast<long>(t.down);
-  while (i < out_total && (final_flush || window_received())) {
-    if (t.rational && p.centre >= t.before && i + block <= out_total &&
-        locate(i + block - 1).centre + t.after < end) {
-      // Rational ratios run phase-major over blocks of kBlock * L outputs
-      // whose windows all lie inside the input: outputs i + q + k*L
-      // (k < kBlock) share row (i + q)*M mod L, and their windows step by M
-      // inputs, so each phase is one row against kBlock windows.
-      for (std::size_t q = 0; q < t.up; ++q) {
-        double d[kBlock];
-        dots<kBlock, 1>(hist_.data() + (p.centre - t.before - base), window_step,
-                        t.row(p.phase), 0, static_cast<long>(t.width), d);
-        for (std::size_t k = 0; k < kBlock; ++k) y[q + k * t.up] = static_cast<float>(d[k]);
-        step();
-      }
-      // p is now L outputs past the block's first; the next block starts
-      // (kBlock - 1) * L outputs and (kBlock - 1) * M inputs further on, in
-      // the same phase.
-      y += block;
-      i += block - t.up;
-      p.centre += static_cast<long>(kBlock - 1) * window_step;
-      continue;
-    }
-    if (!t.rational && p.centre >= t.before && window_received()) {
-      // Grid: up to kBlock outputs with whole windows. If all kBlock lie
-      // between the same two rows, windows one input apart (a skew 1 + eps
-      // moves to the next row every 1 / (4096 |eps|) outputs), they are one
-      // row pair against kBlock windows; otherwise each takes its own rows.
-      KernelPos pos[kBlock];
-      std::size_t n = 0;
-      do {
-        pos[n++] = p;
-        step();
-      } while (n < kBlock && i < out_total && window_received());
-      const std::size_t r = grid_row(pos[0].frac).first;
-      bool shared = n == kBlock;
-      for (std::size_t k = 1; shared && k < n; ++k) {
-        shared = pos[k].centre == pos[0].centre + static_cast<long>(k) &&
-                 grid_row(pos[k].frac).first == r;
-      }
-      if (shared) {
-        double d[2 * kBlock];
-        const auto width = static_cast<long>(t.width);
-        dots<kBlock, 2>(hist_.data() + (pos[0].centre - t.before - base), 1, t.row(r), width,
-                        width, d);
-        for (std::size_t k = 0; k < kBlock; ++k) {
-          *y++ = lerp(d + 2 * k, grid_row(pos[k].frac).second);
-        }
-        continue;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        const long lo = pos[k].centre - t.before;
-        *y++ = evaluate(hist_.data() + (lo - base), lo, pos[k].centre + t.after, pos[k]);
-      }
-      continue;
-    }
-    // One output at a time: a rational remainder short of a block, and
-    // windows clamped at a stream edge. hist_ is contiguous with absolute
-    // base hist_base_.
-    const long lo = std::max<long>(p.centre - t.before, 0);
-    *y++ = evaluate(hist_.data() + (lo - base), lo, std::min(p.centre + t.after, end - 1), p);
-    step();
-  }
-  next_out_ = i;
-  out.resize(static_cast<std::size_t>(y - out.data()));
+  // hist_ is contiguous with absolute base hist_base_.
+  EmitPass e{t, ratio_, hist_.data(), static_cast<long>(hist_base_), static_cast<long>(total_in_), out_total,
+             final_flush, next_out_, locate(t, ratio_, next_out_), out.data() + first};
+  emit_at(e, width_);
+  next_out_ = e.i;
+  out.resize(static_cast<std::size_t>(e.y - out.data()));
   // Evict history the next output can no longer reach.
-  const long keep_from = p.centre - t.before;
+  const long keep_from = e.p.centre - t.before;
   if (keep_from > static_cast<long>(hist_base_)) {
     const std::size_t drop =
         std::min(hist_.size(), static_cast<std::size_t>(keep_from) - hist_base_);

@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "util/cpu.hpp"
+
 namespace sonic::dsp {
 
 // Precomputed kernel weights for one ratio (defined in resampler.cpp).
@@ -39,15 +41,22 @@ struct ResamplerTable;
 // its bits do not depend on which pass computes it. Outputs whose whole
 // window lies inside the input go in blocks that load a row once for
 // several windows:
-//  * rational ratios run phase-major over blocks of 4L outputs: outputs
-//    i + q + k*L (k < 4) share row q and their windows step by M, so the
-//    1:5 upsampler and the 5:1 decimator each compute one row against four
-//    windows per pass;
+//  * rational ratios run phase-major over blocks of n*L outputs, n the lane
+//    count of the kernels' instance (4, or 8 with AVX2): outputs
+//    i + q + k*L (k < n) share row q and their windows step by M. The 1:5
+//    upsampler's windows lie one input apart (M = 1), so each lane takes
+//    one window; the 5:1 decimator computes one row against n windows;
 //  * the grid takes four consecutive outputs between the same two rows as
-//    one row pair against four windows, and any other output alone.
+//    one row pair against four windows, one lane per window, and any other
+//    output alone.
 // The rest, a rational remainder short of a block and the few outputs
 // clamped at a stream edge, are computed one at a time, over the part of
 // the window inside the input.
+//
+// The kernels have a four-lane instance (SSE2, or the generic lowering of
+// a build without it) and an eight-lane AVX2 one; a resampler runs the one
+// its `width` names, by default util::simd_width(), the process's one CPU
+// probe. Both give the same bits.
 //
 // Streaming: push(chunk)* then flush() resamples an unbounded stream in
 // chunks with bounded memory. Interpolation state — the kernel's history
@@ -59,8 +68,9 @@ struct ResamplerTable;
 // stream.
 class Resampler {
  public:
-  // ratio = output_rate / input_rate.
-  explicit Resampler(double ratio);
+  // ratio = output_rate / input_rate. `width` picks the kernels' instance;
+  // k256 throws std::invalid_argument where util::simd_width() is k128.
+  explicit Resampler(double ratio, util::SimdWidth width = util::simd_width());
 
   // Integer-factor decimator (ratio 1/factor) with `prefilter`, a causal
   // FIR at the input rate, folded into its kernel: one filter whose taps are
@@ -73,7 +83,8 @@ class Resampler {
   // stream is silence, so the prefilter's tail rings on into the last 4
   // outputs, where a separate low-pass and Resampler(1.0 / factor) cut the
   // low-pass output off instead; every earlier output is the same.
-  static Resampler decimator(std::size_t factor, std::span<const float> prefilter);
+  static Resampler decimator(std::size_t factor, std::span<const float> prefilter,
+                             util::SimdWidth width = util::simd_width());
 
   // Batch: whole buffer in, floor(n * ratio) samples out; the resampler's
   // own stream state is left alone.
@@ -93,24 +104,14 @@ class Resampler {
   std::size_t history_size() const { return hist_.size(); }
 
  private:
-  // Where one output's kernel sits: the input its window centres on, and
-  // its phase row (rational ratios) or fractional position (grid).
-  struct KernelPos {
-    long centre;
-    std::size_t phase;
-    double frac;
-  };
-  KernelPos locate(std::size_t i) const;
-  // One output whose window is clamped to the inputs lo..hi at a stream
-  // edge (absolute indices; `x` points at input lo).
-  float evaluate(const double* x, long lo, long hi, KernelPos p) const;
   // Emits out[next_out_...] while the kernel window is satisfied; with
   // `final_flush` the stream is complete and end-of-input is silence.
   void emit_ready(std::vector<float>& out, bool final_flush);
 
-  Resampler(double ratio, std::shared_ptr<const ResamplerTable> table);
+  Resampler(double ratio, std::shared_ptr<const ResamplerTable> table, util::SimdWidth width);
 
   double ratio_;
+  util::SimdWidth width_;
   std::shared_ptr<const ResamplerTable> table_;
 
   // Streaming state: hist_[0] is absolute input index hist_base_. Inputs

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/cpu.hpp"
+
 #if defined(__SSE2__)
 #include <immintrin.h>
 #endif
@@ -105,7 +107,7 @@ struct Pack8 {
 // Two groups per AVX2 register, group 2P in the low 128 bits. Each op
 // carries the avx2 target, so it inlines only into the avx2 instance of
 // add_compare_select; decode_soft runs that instance only where the CPU
-// has AVX2 (acs_lanes()).
+// has AVX2 (util::simd_width()).
 struct Pack16 {
   using V = __m256i;
   using Word = std::uint32_t;  // group 2P's word in the low half
@@ -322,13 +324,13 @@ template <class T>
 }
 #endif
 
-// The trellis on `lanes` lanes per register.
+// The trellis at `width`: 8 lanes per register at k128, 16 at k256.
 template <class T>
-void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec, AcsLanes lanes) {
+void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec, util::SimdWidth width) {
 #if defined(__SSE2__)
-  if (lanes == AcsLanes::k16) return acs_loop_avx2<T>(pairs, in_bits, dec);
+  if (width == util::SimdWidth::k256) return acs_loop_avx2<T>(pairs, in_bits, dec);
 #endif
-  (void)lanes;
+  (void)width;
   acs_loop<T, Pack8>(pairs, in_bits, dec);
 }
 
@@ -420,15 +422,6 @@ std::size_t input_bits(ConvCode code, std::size_t payload_bytes) {
 
 }  // namespace
 
-AcsLanes acs_lanes() {
-#if defined(__SSE2__)
-  static const bool avx2 = (__builtin_cpu_init(), __builtin_cpu_supports("avx2"));
-  return avx2 ? AcsLanes::k16 : AcsLanes::k8;
-#else
-  return AcsLanes::k8;
-#endif
-}
-
 ConvolutionalCodec::ConvolutionalCodec(ConvSpec spec) : spec_(spec) {
   if (spec.code != ConvCode::kV27 && spec.code != ConvCode::kV29) {
     throw std::invalid_argument("unknown convolutional code");
@@ -481,25 +474,23 @@ struct ViterbiWorkspace {
 
 template <class T>
 void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, std::vector<std::uint16_t>& dec,
-             std::uint8_t* out, AcsLanes lanes) {
+             std::uint8_t* out, util::SimdWidth width) {
   const std::size_t in_bits = pairs.size() / 2;
   if (walk_hard_decisions<T>(pairs.data(), in_bits, payload_bytes, out)) return;
   dec.resize(in_bits * T::groups);  // every word is written below
-  add_compare_select<T>(pairs.data(), in_bits, dec.data(), lanes);
+  add_compare_select<T>(pairs.data(), in_bits, dec.data(), width);
   traceback<T>(dec.data(), payload_bytes, out);
 }
 
 }  // namespace
 
 util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const {
-  return decode_soft(soft, payload_bytes, acs_lanes());
+  return decode_soft(soft, payload_bytes, util::simd_width());
 }
 
 util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes,
-                                            AcsLanes lanes) const {
-  if (lanes == AcsLanes::k16 && acs_lanes() != AcsLanes::k16) {
-    throw std::invalid_argument("16 ACS lanes need an SSE2 build on a CPU with AVX2");
-  }
+                                            util::SimdWidth width) const {
+  util::checked_simd_width(width);
   const std::size_t in_bits = input_bits(spec_.code, payload_bytes);
   thread_local ViterbiWorkspace ws;
   switch (spec_.rate) {
@@ -508,7 +499,7 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, 
     case PunctureRate::kRate3_4: depuncture<kPattern3_4>(soft, in_bits, ws.pairs); break;
   }
   util::Bytes out(payload_bytes);
-  with_trellis(spec_.code, [&](auto t) { viterbi<decltype(t)>(ws.pairs, payload_bytes, ws.decisions, out.data(), lanes); });
+  with_trellis(spec_.code, [&](auto t) { viterbi<decltype(t)>(ws.pairs, payload_bytes, ws.decisions, out.data(), width); });
   return out;
 }
 

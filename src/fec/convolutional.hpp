@@ -18,6 +18,7 @@
 #include <span>
 
 #include "util/bytes.hpp"
+#include "util/cpu.hpp"
 
 namespace sonic::fec {
 
@@ -36,15 +37,6 @@ struct ConvSpec {
   ConvCode code = ConvCode::kV29;
   PunctureRate rate = PunctureRate::kRate1_2;
 };
-
-// The int16 lanes per register of decode_soft's add-compare-select: 8 (one
-// group of eight butterflies per SSE2 register, or the generic fallback
-// without SSE2) or 16 (two groups per AVX2 register).
-enum class AcsLanes { k8, k16 };
-
-// The lanes decode_soft runs at: k16 in an SSE2 build on a CPU with AVX2,
-// else k8. Chosen once per process.
-AcsLanes acs_lanes();
 
 class ConvolutionalCodec {
  public:
@@ -74,7 +66,7 @@ class ConvolutionalCodec {
   // every branch symbol a constant and the group loop fully unrolled. It
   // runs as add-compare-select butterflies on int16 lanes (paddw, pcmpgtw,
   // pminsw): eight per SSE2 register, or sixteen, two groups, per AVX2
-  // register where the CPU has AVX2 (acs_lanes(); a generic fallback runs
+  // register where util::simd_width() is k256 (a generic fallback runs
   // the eight-lane algorithm without SSE2). Butterfly j joins predecessors
   // j and j + half to successors 2j (input bit 0) and 2j + 1 (input bit
   // 1). Both codes tap the register's MSB and LSB in both polynomials, so
@@ -140,10 +132,12 @@ class ConvolutionalCodec {
   // coding-gain baseline it is checked against.
   util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const;
 
-  // decode_soft at `lanes` lanes rather than acs_lanes(), so each instance
-  // can be checked on one host; the output is the same. Throws
-  // std::invalid_argument for k16 where acs_lanes() is k8.
-  util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes, AcsLanes lanes) const;
+  // decode_soft at `width` rather than util::simd_width(): k128 runs eight
+  // int16 lanes per register, k256 sixteen. Each instance can be checked
+  // on one host; the output is the same. Throws std::invalid_argument for
+  // k256 where util::simd_width() is k128.
+  util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes,
+                          util::SimdWidth width) const;
 
   // Soft-bit quantization scale (even, so 0.5 is exact) and the erasure.
   static constexpr int kSoftScale = 254;

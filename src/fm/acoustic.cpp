@@ -8,10 +8,52 @@
 #include "util/units.hpp"
 
 namespace sonic::fm {
+namespace {
 
-AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
+namespace fastmath = dsp::fastmath;
+
+// The slow fading over out[0, n), padded to whole groups of P::n: sample
+// index + i is scaled by g · 2^(exponent_per_unit · (1 + sin(w · (index + i)
+// + phase))), P::n samples at a time.
+template <class P>
+[[gnu::always_inline]] inline void wobble_lanes(float* out, std::size_t n, std::size_t index, double w, double phase,
+                                                float exponent_per_unit, float g) {
+  using F = typename P::F;
+  for (std::size_t i = 0; i < n; i += P::n) {
+    double theta[P::n];
+    for (std::size_t j = 0; j < P::n; ++j) theta[j] = w * static_cast<double>(index + i + j) + phase;
+    F sin_theta, cos_theta, wobble, x;
+    fastmath::sincos<P>(theta, sin_theta, cos_theta);
+    fastmath::exp2<P>(exponent_per_unit * (1.0f + sin_theta), wobble);
+    fastmath::load_to(x, out + i);
+    fastmath::store_from(out + i, x * (g * wobble));
+  }
+}
+
+#if defined(__SSE2__)
+// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
+[[gnu::target("avx2"), gnu::flatten]] void wobble_avx2(float* out, std::size_t n, std::size_t index, double w,
+                                                      double phase, float exponent_per_unit, float g) {
+  wobble_lanes<fastmath::Lanes8>(out, n, index, w, phase, exponent_per_unit, g);
+}
+#endif
+
+// The instance `width` names.
+void wobble_at(util::SimdWidth width, float* out, std::size_t n, std::size_t index, double w, double phase,
+               float exponent_per_unit, float g) {
+#if defined(__SSE2__)
+  if (width == util::SimdWidth::k256) return wobble_avx2(out, n, index, w, phase, exponent_per_unit, g);
+#endif
+  (void)width;
+  wobble_lanes<fastmath::Lanes4>(out, n, index, w, phase, exponent_per_unit, g);
+}
+
+}  // namespace
+
+AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng, util::SimdWidth width)
     : params_(params),
       rng_(rng),
+      width_(util::checked_simd_width(width)),
       // Gentle roll-off from ~12 kHz: cheap phone mics lose the top octave.
       tilt_(dsp::Biquad::lowpass(12000.0, AcousticParams::sample_rate_hz, 0.6)) {
   if (params_.clock_skew_ppm < 0.0) {
@@ -41,7 +83,7 @@ AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
   // re-draw the skew or reset the interpolation window.
   if (params_.clock_skew_ppm > 0.0) {
     const double eps = rng_.uniform(-params_.clock_skew_ppm, params_.clock_skew_ppm) * 1e-6;
-    skew_.emplace(1.0 + eps);
+    skew_.emplace(1.0 + eps, width_);
   }
 }
 
@@ -60,28 +102,18 @@ std::vector<float> AcousticChannel::process(std::span<const float> audio) {
   }
 
   if (params_.distance_m > 0.0) {
-    namespace fastmath = dsp::fastmath;
     const float g = static_cast<float>(sonic::util::db_to_amplitude(trial_gain_db_));
     // Slow fading: depth grows with distance (hand-held phone, moving
     // listener); the phase and running sample index persist across chunks.
     // The gain 10^(wob_db / 20) is taken as 2^(wob_db · log2(10) / 20), with
-    // wob_db = −depth_db / 2 · (1 + sin(w · index + phase)), four samples at
-    // a time.
+    // wob_db = −depth_db / 2 · (1 + sin(w · index + phase)), four or eight
+    // samples at a time.
     const double depth_db = params_.wobble_depth_db_at_1m * params_.distance_m;
     const double w = sonic::util::kTwoPi * params_.wobble_rate_hz / params_.sample_rate_hz;
     const float exponent_per_unit = static_cast<float>(-0.5 * depth_db * std::log2(10.0) / 20.0);
     const std::size_t n = out.size();
-    out.resize((n + 3) / 4 * 4, 0.0f);  // whole groups of four
-    for (std::size_t i = 0; i < n; i += 4) {
-      double theta[4];
-      for (std::size_t j = 0; j < 4; ++j) {
-        theta[j] = w * static_cast<double>(wobble_index_ + i + j) + wobble_phase_;
-      }
-      fastmath::V4f sin_theta, cos_theta;
-      fastmath::sincos(theta, sin_theta, cos_theta);
-      const fastmath::V4f wobble = fastmath::exp2(exponent_per_unit * (1.0f + sin_theta));
-      fastmath::store(&out[i], fastmath::load(&out[i]) * (g * wobble));
-    }
+    out.resize((n + 7) / 8 * 8, 0.0f);  // whole groups of eight
+    wobble_at(width_, out.data(), n, wobble_index_, w, wobble_phase_, exponent_per_unit, g);
     out.resize(n);
     wobble_index_ += n;
     out = tilt_.process(out);

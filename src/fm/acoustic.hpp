@@ -25,6 +25,7 @@
 
 #include "dsp/biquad.hpp"
 #include "dsp/resampler.hpp"
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::fm {
@@ -60,9 +61,13 @@ struct AcousticParams {
 //
 // Throws std::invalid_argument when clock_skew_ppm is negative (it bounds a
 // symmetric per-trial draw; a negative bound silently disabled skew).
+//
+// The wobble's sincos and exp2 and the skew resampler run the instance of
+// the vector kernels that `width` names, by default util::simd_width() (the
+// process's one CPU probe); both give the same bits.
 class AcousticChannel {
  public:
-  AcousticChannel(AcousticParams params, sonic::util::Rng rng);
+  AcousticChannel(AcousticParams params, sonic::util::Rng rng, util::SimdWidth width = util::simd_width());
 
   // Feed one chunk (or the whole buffer); returns the audible result. With
   // clock skew enabled the output length trails the input by the skew
@@ -77,6 +82,7 @@ class AcousticChannel {
  private:
   AcousticParams params_;
   sonic::util::Rng rng_;
+  util::SimdWidth width_;
   double trial_gain_db_ = 0.0;
   double wobble_phase_ = 0.0;
   std::size_t wobble_index_ = 0;     // absolute sample position in the trial

@@ -12,33 +12,123 @@ namespace sonic::fm {
 namespace {
 
 namespace fastmath = dsp::fastmath;
-using fastmath::V4f;
 
 constexpr auto kDecimation = static_cast<std::size_t>(FmParams::iq_rate_hz / FmParams::audio_rate_hz);
 static_assert(kDecimation * FmParams::audio_rate_hz == FmParams::iq_rate_hz,
               "FmParams::iq_rate_hz must be an integer multiple of audio_rate_hz");
 
-// float(atan2(im, re) * scale) of z = cur·conj(prev) for four samples; the
+// Phase integration, d(phi)/dt = 2*pi*deviation*m(t), is a sequential pass
+// in double over a cache-sized block; cos and sin of the block's phases are
+// then taken P::n at a time and interleaved into the IQ at `out`, padded to
+// whole groups of P::n. Each lane's sincos depends only on its own phase,
+// so the block boundaries and the pack change nothing.
+template <class P>
+[[gnu::always_inline]] inline void integrate_lanes(const float* up, std::size_t size, double& phase, float* out) {
+  using F = typename P::F;
+  constexpr std::size_t kBlock = 256;
+  double phases[kBlock] = {};
+  const double k = sonic::util::kTwoPi * FmParams::deviation_hz / FmParams::iq_rate_hz;
+  for (std::size_t b = 0; b < size; b += kBlock) {
+    const std::size_t n = std::min(kBlock, size - b);
+    for (std::size_t i = 0; i < n; ++i) {
+      phase += k * static_cast<double>(up[b + i]);
+      if (phase > sonic::util::kPi) phase -= sonic::util::kTwoPi;
+      if (phase < -sonic::util::kPi) phase += sonic::util::kTwoPi;
+      phases[i] = phase;
+    }
+    for (std::size_t i = 0; i < n; i += P::n) {
+      F s, c, lo, hi;
+      fastmath::sincos<P>(phases + i, s, c);
+      P::interleave(c, s, lo, hi);
+      fastmath::store_from(out + 2 * (b + i), lo);
+      fastmath::store_from(out + 2 * (b + i) + P::n, hi);
+    }
+  }
+}
+
+// float(atan2(im, re) * scale) of z = cur·conj(prev) for P::n samples; the
 // product takes the same float operations as std::complex's.
-void discriminate4(const cplx* cur, const cplx* prev, double scale, float* out) {
-  typedef double V4d __attribute__((vector_size(32)));
+template <class P>
+[[gnu::always_inline]] inline void discriminate(const cplx* cur, const cplx* prev, double scale, float* out) {
+  using F = typename P::F;
+  using D = typename P::D;
   const float* c = reinterpret_cast<const float*>(cur);
   const float* p = reinterpret_cast<const float*>(prev);
-  const V4f c01 = fastmath::load(c), c23 = fastmath::load(c + 4);
-  const V4f p01 = fastmath::load(p), p23 = fastmath::load(p + 4);
-  const V4f cr = __builtin_shufflevector(c01, c23, 0, 2, 4, 6);
-  const V4f ci = __builtin_shufflevector(c01, c23, 1, 3, 5, 7);
-  const V4f pr = __builtin_shufflevector(p01, p23, 0, 2, 4, 6);
-  const V4f pi = __builtin_shufflevector(p01, p23, 1, 3, 5, 7);
-  const V4f dphi = fastmath::atan2(ci * pr - cr * pi, cr * pr + ci * pi);
-  fastmath::store(out, __builtin_convertvector(__builtin_convertvector(dphi, V4d) * scale, V4f));
+  F c_lo, c_hi, p_lo, p_hi, cr, ci, pr, pi, dphi;
+  fastmath::load_to(c_lo, c);
+  fastmath::load_to(c_hi, c + P::n);
+  fastmath::load_to(p_lo, p);
+  fastmath::load_to(p_hi, p + P::n);
+  P::deinterleave(c_lo, c_hi, cr, ci);
+  P::deinterleave(p_lo, p_hi, pr, pi);
+  fastmath::atan2<P>(ci * pr - cr * pi, cr * pr + ci * pi, dphi);
+  D lo, hi;
+  P::widen(dphi, lo, hi);
+  F scaled;
+  P::narrow(lo * scale, hi * scale, scaled);
+  fastmath::store_from(out, scaled);
+}
+
+// Samples [i, min(i + P::n, n)) of iq through copies: the head, whose first
+// predecessor is `prev`, and the tail.
+template <class P>
+[[gnu::always_inline]] inline void discriminate_partial(const cplx* iq, std::size_t n, std::size_t i, cplx prev,
+                                                        double scale, float* freq) {
+  cplx cur[P::n] = {}, before[P::n] = {};
+  float lanes[P::n] = {};
+  const std::size_t m = std::min(P::n, n - i);
+  for (std::size_t j = 0; j < m; ++j) {
+    cur[j] = iq[i + j];
+    before[j] = i + j == 0 ? prev : iq[i + j - 1];
+  }
+  discriminate<P>(cur, before, scale, lanes);
+  std::copy_n(lanes, m, freq + i);
+}
+
+// The discriminator over iq[0, n) (n > 0), P::n samples at a time; every
+// sample runs the same lane-wise kernel.
+template <class P>
+[[gnu::always_inline]] inline void discriminate_all(const cplx* iq, std::size_t n, cplx prev, double scale,
+                                                    float* freq) {
+  discriminate_partial<P>(iq, n, 0, prev, scale, freq);
+  std::size_t i = P::n;
+  for (; i + P::n <= n; i += P::n) discriminate<P>(iq + i, iq + i - 1, scale, freq + i);
+  if (i < n) discriminate_partial<P>(iq, n, i, prev, scale, freq);
+}
+
+#if defined(__SSE2__)
+// The Lanes8 instances; flatten inlines the pack's avx2 ops into them.
+[[gnu::target("avx2"), gnu::flatten]] void integrate_avx2(const float* up, std::size_t size, double& phase,
+                                                         float* out) {
+  integrate_lanes<fastmath::Lanes8>(up, size, phase, out);
+}
+[[gnu::target("avx2"), gnu::flatten]] void discriminate_avx2(const cplx* iq, std::size_t n, cplx prev,
+                                                            double scale, float* freq) {
+  discriminate_all<fastmath::Lanes8>(iq, n, prev, scale, freq);
+}
+#endif
+
+// The instances `width` names.
+void integrate_at(util::SimdWidth width, const float* up, std::size_t size, double& phase, float* out) {
+#if defined(__SSE2__)
+  if (width == util::SimdWidth::k256) return integrate_avx2(up, size, phase, out);
+#endif
+  (void)width;
+  integrate_lanes<fastmath::Lanes4>(up, size, phase, out);
+}
+void discriminate_at(util::SimdWidth width, const cplx* iq, std::size_t n, cplx prev, double scale, float* freq) {
+#if defined(__SSE2__)
+  if (width == util::SimdWidth::k256) return discriminate_avx2(iq, n, prev, scale, freq);
+#endif
+  (void)width;
+  discriminate_all<fastmath::Lanes4>(iq, n, prev, scale, freq);
 }
 
 }  // namespace
 
-std::vector<float> FmModulator::program(std::span<const float> audio) {
+std::vector<float> FmModulator::program(std::span<const float> audio) const {
   // Band-limit to the mono channel.
-  dsp::FirFilter lp(dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::audio_rate_hz, 63));
+  dsp::FirFilter lp(dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::audio_rate_hz, 63), width_);
   std::vector<float> program = lp.process(audio);
   // Headroom + limiter: keep instantaneous deviation within budget.
   for (auto& s : program) {
@@ -47,32 +137,9 @@ std::vector<float> FmModulator::program(std::span<const float> audio) {
   return program;
 }
 
-void FmModulator::integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) {
-  // Phase integration, d(phi)/dt = 2*pi*deviation*m(t), is a sequential
-  // pass in double over a cache-sized block; cos and sin of the block's
-  // phases are then taken four at a time and interleaved into the IQ. Each
-  // lane's sincos depends only on its own phase, so the block boundaries
-  // change nothing.
-  iq.resize((up.size() + 3) / 4 * 4);
-  float* out = reinterpret_cast<float*>(iq.data());
-  constexpr std::size_t kBlock = 256;
-  double phases[kBlock] = {};
-  const double k = sonic::util::kTwoPi * FmParams::deviation_hz / FmParams::iq_rate_hz;
-  for (std::size_t b = 0; b < up.size(); b += kBlock) {
-    const std::size_t n = std::min(kBlock, up.size() - b);
-    for (std::size_t i = 0; i < n; ++i) {
-      phase += k * static_cast<double>(up[b + i]);
-      if (phase > sonic::util::kPi) phase -= sonic::util::kTwoPi;
-      if (phase < -sonic::util::kPi) phase += sonic::util::kTwoPi;
-      phases[i] = phase;
-    }
-    for (std::size_t i = 0; i < n; i += 4) {
-      V4f s, c;
-      fastmath::sincos(phases + i, s, c);
-      fastmath::store(out + 2 * (b + i), __builtin_shufflevector(c, s, 0, 4, 1, 5));
-      fastmath::store(out + 2 * (b + i) + 4, __builtin_shufflevector(c, s, 2, 6, 3, 7));
-    }
-  }
+void FmModulator::integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const {
+  iq.resize((up.size() + 7) / 8 * 8);
+  integrate_at(width_, up.data(), up.size(), phase, reinterpret_cast<float*>(iq.data()));
 }
 
 std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
@@ -82,39 +149,24 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
   return iq;
 }
 
-FmDemodulator::FmDemodulator(FmParams)
-    : decim_(dsp::Resampler::decimator(
-          kDecimation, dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::iq_rate_hz, 63))) {}
+FmDemodulator::FmDemodulator(FmParams, util::SimdWidth width)
+    : width_(util::checked_simd_width(width)),
+      decim_(dsp::Resampler::decimator(
+          kDecimation, dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::iq_rate_hz, 63), width)) {}
 
 std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   // Quadrature discriminator: instantaneous frequency from the phase delta,
-  // four samples at a time. The reference sample carries across calls, and
-  // every sample runs the same lane-wise kernel, so chunk boundaries change
-  // nothing. The very first sample of a stream has no predecessor, so its
-  // delta is dropped (zero frequency) rather than measured against an
-  // arbitrary phase.
+  // four or eight samples at a time. The reference sample carries across
+  // calls, and every sample runs the same lane-wise kernel, so chunk
+  // boundaries change nothing. The very first sample of a stream has no
+  // predecessor, so its delta is dropped (zero frequency) rather than
+  // measured against an arbitrary phase.
   const std::size_t n = iq.size();
   std::vector<float> freq(n);
   const double scale =
       FmParams::iq_rate_hz / (sonic::util::kTwoPi * FmParams::deviation_hz * FmParams::input_gain);
-  // Samples [i, min(i + 4, n)) through copies: the head (whose first
-  // predecessor is prev_) and the tail.
-  const auto partial = [&](std::size_t i) {
-    cplx cur[4] = {}, prev[4] = {};
-    float lanes[4] = {};
-    const std::size_t m = std::min<std::size_t>(4, n - i);
-    for (std::size_t j = 0; j < m; ++j) {
-      cur[j] = iq[i + j];
-      prev[j] = i + j == 0 ? prev_ : iq[i + j - 1];
-    }
-    discriminate4(cur, prev, scale, lanes);
-    std::copy_n(lanes, m, freq.begin() + static_cast<std::ptrdiff_t>(i));
-  };
   if (n > 0) {
-    partial(0);
-    std::size_t i = 4;
-    for (; i + 4 <= n; i += 4) discriminate4(&iq[i], &iq[i - 1], scale, &freq[i]);
-    if (i < n) partial(i);
+    discriminate_at(width_, iq.data(), n, prev_, scale, freq.data());
     if (!have_prev_) freq[0] = 0.0f;
     have_prev_ = true;
     prev_ = iq.back();

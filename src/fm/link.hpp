@@ -18,10 +18,10 @@ struct FmLinkConfig {
   AcousticParams acoustic;     // distance etc. (distance 0 = cable)
   bool enable_rf = true;       // false: bypass the RF hop entirely (ideal
                                // radio, e.g. when only the acoustic hop is
-                               // under study). transmit() then runs ~4x
-                               // faster at 20 cm, ~5x over cable (one
+                               // under study). transmit() then runs
+                               // ~3.8x faster at 20 cm and over cable (one
                                // 16-frame sonic-10k burst, -O3 build, best
-                               // of 15, 4-core x86-64 container)
+                               // of 15, 4-core x86-64 container with AVX2)
   std::uint64_t seed = 1;
 };
 

@@ -92,6 +92,7 @@
 #include "oracles/ziggurat_reference.hpp"
 #include "sonic/framing.hpp"
 #include "sonic/pipeline.hpp"
+#include "util/cpu.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -629,14 +630,14 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
 // Both add-compare-select instances against the quantized oracle in one
 // run: 8 lanes (SSE2, or the generic fallback without it) and 16 (two
 // groups per AVX2 register, skipped on a CPU without AVX2). decode_soft
-// runs only acs_lanes(), so on an AVX2 host the tests above never reach the
+// runs only util::simd_width(), so on an AVX2 host the tests above never reach the
 // 8-lane instance. Every code and rate: noisy frames of 0 to 1024 bytes,
 // hard input with ties everywhere, erasures and long tie runs, and 1-KiB
 // frames at both ends of the int16 range.
-class ViterbiLanesTest : public ::testing::TestWithParam<fec::AcsLanes> {
+class ViterbiLanesTest : public ::testing::TestWithParam<util::SimdWidth> {
  protected:
   void SetUp() override {
-    if (GetParam() == fec::AcsLanes::k16 && fec::acs_lanes() != fec::AcsLanes::k16) {
+    if (GetParam() == util::SimdWidth::k256 && util::simd_width() != util::SimdWidth::k256) {
       GTEST_SKIP() << "16 lanes need an SSE2 build on a CPU with AVX2";
     }
   }
@@ -700,21 +701,22 @@ TEST_P(ViterbiLanesTest, OneKilobyteWithSaturatingMetrics) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothWidths, ViterbiLanesTest, ::testing::Values(fec::AcsLanes::k8, fec::AcsLanes::k16),
-                         [](const ::testing::TestParamInfo<fec::AcsLanes>& info) {
-                           return info.param == fec::AcsLanes::k8 ? std::string("lanes8") : std::string("lanes16");
+INSTANTIATE_TEST_SUITE_P(BothWidths, ViterbiLanesTest,
+                         ::testing::Values(util::SimdWidth::k128, util::SimdWidth::k256),
+                         [](const ::testing::TestParamInfo<util::SimdWidth>& info) {
+                           return info.param == util::SimdWidth::k128 ? std::string("lanes8") : std::string("lanes16");
                          });
 
-// decode_soft runs acs_lanes(), and 16 lanes are refused where they cannot
+// decode_soft runs util::simd_width(), and 16 lanes are refused where they cannot
 // run.
 TEST(ViterbiLanes, DecodeSoftRunsTheChosenWidth) {
   Rng rng(37);
   const fec::ConvSpec spec{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
   const fec::ConvolutionalCodec codec(spec);
   const auto soft = quantized(soft_bits(codec, rng, 64, 0.3));
-  EXPECT_EQ(codec.decode_soft(soft, 64), codec.decode_soft(soft, 64, fec::acs_lanes()));
-  if (fec::acs_lanes() == fec::AcsLanes::k8) {
-    EXPECT_THROW(codec.decode_soft(soft, 64, fec::AcsLanes::k16), std::invalid_argument);
+  EXPECT_EQ(codec.decode_soft(soft, 64), codec.decode_soft(soft, 64, util::simd_width()));
+  if (util::simd_width() == util::SimdWidth::k128) {
+    EXPECT_THROW(codec.decode_soft(soft, 64, util::SimdWidth::k256), std::invalid_argument);
   }
 }
 
@@ -1961,6 +1963,276 @@ TEST(ResamplerTables, PerTrialGridsAreNotMemoized) {
     EXPECT_GT(g_live_bytes.load(), baseline + 4097 * 11 * sizeof(double)) << k;
   }
   EXPECT_EQ(g_live_bytes.load(), baseline);
+}
+
+// ------------------------------------------ FM kernels at both widths ---
+// The FM chain's vector kernels have a four-lane instance and, in an SSE2
+// build, an eight-lane AVX2 one; a process runs the one util::simd_width()
+// names. On an AVX2 host both instances run here on the same inputs and
+// must give the same bits. The eight-lane half skips on a CPU without AVX2
+// (and in a build without SSE2, which has no eight-lane instance).
+
+bool runs_eight_lanes() { return util::simd_width() == util::SimdWidth::k256; }
+
+// Bit patterns, so that NaN payloads and signed zeros compare too.
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::transform(v.begin(), v.end(), bits.begin(), [](float f) { return std::bit_cast<std::uint32_t>(f); });
+  return bits;
+}
+
+#if defined(__SSE2__)
+// The fast_math kernels over whole arrays, n lanes at a time from
+// zero-padded copies: the four-lane instance and, from functions that carry
+// target("avx2") as the library's callers do, the eight-lane one.
+struct FastMathOut {
+  std::vector<float> a, b;  // sincos: sin and cos; atan2, exp2: the result in a
+};
+
+FastMathOut sincos4(std::vector<double> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0);
+  FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
+  for (std::size_t i = 0; i < x.size(); i += 4) {
+    fastmath::V4f s, c;
+    fastmath::sincos(&x[i], s, c);
+    fastmath::store(&out.a[i], s);
+    fastmath::store(&out.b[i], c);
+  }
+  out.a.resize(n);
+  out.b.resize(n);
+  return out;
+}
+
+FastMathOut atan2_4(std::vector<float> y, std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  y.resize(x.size(), 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  for (std::size_t i = 0; i < x.size(); i += 4) {
+    fastmath::store(&out.a[i], fastmath::atan2(fastmath::load(&y[i]), fastmath::load(&x[i])));
+  }
+  out.a.resize(n);
+  return out;
+}
+
+FastMathOut exp2_4(std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  for (std::size_t i = 0; i < x.size(); i += 4) fastmath::store(&out.a[i], fastmath::exp2(fastmath::load(&x[i])));
+  out.a.resize(n);
+  return out;
+}
+
+using Lanes8 = fastmath::Lanes8;
+
+[[gnu::target("avx2"), gnu::flatten]] void sincos8(const double* x, float* s, float* c, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    Lanes8::F vs, vc;
+    fastmath::sincos<Lanes8>(x + i, vs, vc);
+    fastmath::store_from(s + i, vs);
+    fastmath::store_from(c + i, vc);
+  }
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void atan2_8(const float* y, const float* x, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    Lanes8::F vy, vx, a;
+    fastmath::load_to(vy, y + i);
+    fastmath::load_to(vx, x + i);
+    fastmath::atan2<Lanes8>(vy, vx, a);
+    fastmath::store_from(out + i, a);
+  }
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void exp2_8(const float* x, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    Lanes8::F vx, e;
+    fastmath::load_to(vx, x + i);
+    fastmath::exp2<Lanes8>(vx, e);
+    fastmath::store_from(out + i, e);
+  }
+}
+
+FastMathOut sincos8(std::vector<double> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0);
+  FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
+  sincos8(x.data(), out.a.data(), out.b.data(), x.size());
+  out.a.resize(n);
+  out.b.resize(n);
+  return out;
+}
+
+FastMathOut atan2_8(std::vector<float> y, std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  y.resize(x.size(), 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  atan2_8(y.data(), x.data(), out.a.data(), x.size());
+  out.a.resize(n);
+  return out;
+}
+
+FastMathOut exp2_8(std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  exp2_8(x.data(), out.a.data(), x.size());
+  out.a.resize(n);
+  return out;
+}
+
+void expect_same_bits(const FastMathOut& four, const FastMathOut& eight) {
+  EXPECT_EQ(float_bits(four.a), float_bits(eight.a));
+  EXPECT_EQ(float_bits(four.b), float_bits(eight.b));
+}
+#endif
+
+// Every ordered pair of the special values: ±0, ±∞, NaN (quiet, signalling,
+// negative, with payloads), the axes' ±1, the smallest denormal, FLT_MIN,
+// FLT_MAX and values around tan(π/8); then random pairs at tiny and huge
+// magnitudes.
+TEST(FmWidths, Atan2SpecialValuesMatch) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+#if defined(__SSE2__)
+  using lim = std::numeric_limits<float>;
+  std::vector<float> specials = {0.0f,           -0.0f,          lim::infinity(), -lim::infinity(),
+                                 lim::quiet_NaN(), -lim::quiet_NaN(), lim::signaling_NaN(),
+                                 std::bit_cast<float>(0x7fc12345u), std::bit_cast<float>(0xffa00001u),
+                                 1.0f,           -1.0f,          lim::denorm_min(), -lim::denorm_min(),
+                                 lim::min(),     -lim::min(),    lim::max(),      -lim::max(),
+                                 0x1.a8279ap-2f, -0x1.a8279ap-2f, 0.5f,           3.0f};
+  std::vector<float> y, x;
+  for (float a : specials) {
+    for (float b : specials) {
+      y.push_back(a);
+      x.push_back(b);
+    }
+  }
+  Rng rng(94);
+  for (double scale : {1e-44, 1e-38, 1e-20, 1.0, 1e20, 1e38}) {
+    for (int i = 0; i < 4000; ++i) {
+      y.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * scale));
+      x.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * scale));
+    }
+  }
+  expect_same_bits(atan2_4(y, x), atan2_8(y, x));
+#endif
+}
+
+// Large arguments, where the Cody–Waite reduction loses bits, and the
+// principal range; ±0, ±∞ and NaN too.
+TEST(FmWidths, SincosLargeArgumentsMatch) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+#if defined(__SSE2__)
+  std::vector<double> x = {0.0, -0.0, std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 1.6e6, -1.6e6, 1e9, 1e15, -1e18, 4.5e15};
+  Rng rng(95);
+  for (double scale : {4.0, 1e5, 1e7, 1e12}) {
+    for (int i = 0; i < 20000; ++i) x.push_back(rng.uniform(-scale, scale));
+  }
+  expect_same_bits(sincos4(x), sincos8(x));
+#endif
+}
+
+// The clamps at −125 and 126, the values either side of them, ±∞ and NaN,
+// and the wobble's range.
+TEST(FmWidths, Exp2ClampsMatch) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+#if defined(__SSE2__)
+  std::vector<float> x = {-125.0f, 126.0f, std::nextafter(-125.0f, -200.0f), std::nextafter(-125.0f, 0.0f),
+                          std::nextafter(126.0f, 200.0f), std::nextafter(126.0f, 0.0f), -1e30f, 1e30f,
+                          std::numeric_limits<float>::infinity(), -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, 0.5f, -0.5f};
+  for (int i = 0; i <= 100000; ++i) x.push_back(static_cast<float>(-140.0 + 280.0 * i / 100000.0));
+  expect_same_bits(exp2_4(x), exp2_8(x));
+#endif
+}
+
+// Pushes of these lengths, cycled until the input runs out: single samples,
+// lengths that end inside a block of either instance, and long ones.
+std::vector<std::size_t> width_chunks() { return {1, 3, 7, 13, 29, 64, 101, 512, 2049}; }
+
+template <typename Stage, typename T>
+std::vector<float> run_chunked(Stage stage, const std::vector<T>& x) {
+  std::vector<float> out;
+  const auto chunks = width_chunks();
+  for (std::size_t pos = 0, c = 0; pos < x.size(); ++c) {
+    const std::size_t len = std::min(chunks[c % chunks.size()], x.size() - pos);
+    const auto y = stage.feed(std::span<const T>(x.data() + pos, len));
+    out.insert(out.end(), y.begin(), y.end());
+    pos += len;
+  }
+  const auto tail = stage.finish();
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+TEST(FmWidths, FirMatches) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+  Rng rng(96);
+  const auto audio = random_audio(rng, 20000, 0.9);
+  const auto taps = dsp::design_lowpass(15000.0, 44100.0, 63);
+  const auto four = run_chunked(FirStage{dsp::FirFilter(taps, util::SimdWidth::k128)}, audio);
+  EXPECT_EQ(float_bits(run_chunked(FirStage{dsp::FirFilter(taps, util::SimdWidth::k256)}, audio)), float_bits(four));
+  EXPECT_EQ(float_bits(dsp::FirFilter(taps, util::SimdWidth::k256).process(audio)), float_bits(four));
+}
+
+// The five resampler configurations of FmKernels.StageOutputsArePinned,
+// chunked and in one call.
+TEST(FmWidths, ResamplerConfigurationsMatch) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+  Rng rng(97);
+  const auto audio = random_audio(rng, 20000, 0.9);
+  const auto iq_lowpass = dsp::design_lowpass(15000.0, 220500.0, 63);
+  const std::pair<const char*, std::function<dsp::Resampler(util::SimdWidth)>> configs[] = {
+      {"up5", [](util::SimdWidth w) { return dsp::Resampler(5.0, w); }},
+      {"decimator5", [&](util::SimdWidth w) { return dsp::Resampler::decimator(5, iq_lowpass, w); }},
+      {"skew_up", [](util::SimdWidth w) { return dsp::Resampler(1.0 + 30e-6, w); }},
+      {"skew_down", [](util::SimdWidth w) { return dsp::Resampler(1.0 - 17e-6, w); }},
+      {"640/147", [](util::SimdWidth w) { return dsp::Resampler(640.0 / 147.0, w); }},
+  };
+  for (const auto& [name, make] : configs) {
+    const auto four = run_chunked(ResamplerStage{make(util::SimdWidth::k128)}, audio);
+    EXPECT_EQ(float_bits(run_chunked(ResamplerStage{make(util::SimdWidth::k256)}, audio)), float_bits(four)) << name;
+    EXPECT_EQ(float_bits(make(util::SimdWidth::k256).process(audio)), float_bits(four)) << name;
+  }
+}
+
+// The stages built on those kernels: modulator, demodulator (on noisy IQ)
+// and the acoustic hop at 20 cm.
+TEST(FmWidths, ModemAndAcousticStagesMatch) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+  Rng rng(98);
+  const auto audio = random_audio(rng, 20000, 0.9);
+  const fm::FmParams params;
+  const auto iq = fm::FmModulator(params, util::SimdWidth::k128).modulate(audio);
+  const auto iq8 = fm::FmModulator(params, util::SimdWidth::k256).modulate(audio);
+  ASSERT_EQ(iq.size(), iq8.size());
+  EXPECT_EQ(std::memcmp(iq.data(), iq8.data(), iq.size() * sizeof(fm::cplx)), 0);
+
+  fm::RfChannelParams rf;
+  rf.rssi_db = -88.0;
+  const auto noisy = fm::RfChannel(rf, Rng(99)).process(iq);
+  EXPECT_EQ(float_bits(run_chunked(DemodulatorStage{fm::FmDemodulator(params, util::SimdWidth::k256)}, noisy)),
+            float_bits(run_chunked(DemodulatorStage{fm::FmDemodulator(params, util::SimdWidth::k128)}, noisy)));
+
+  fm::AcousticParams air;
+  air.distance_m = 0.2;
+  const auto heard = [&](util::SimdWidth w) {
+    return run_chunked(AcousticStage{fm::AcousticChannel(air, Rng(100), w)}, audio);
+  };
+  EXPECT_EQ(float_bits(heard(util::SimdWidth::k256)), float_bits(heard(util::SimdWidth::k128)));
+}
+
+// Where the CPU cannot run the eight-lane instance, asking for it throws.
+TEST(FmWidths, EightLanesRefusedWithoutAvx2) {
+  if (runs_eight_lanes()) GTEST_SKIP() << "this CPU runs the eight-lane instance";
+  EXPECT_THROW(dsp::Resampler(5.0, util::SimdWidth::k256), std::invalid_argument);
+  EXPECT_THROW(dsp::FirFilter({1.0f}, util::SimdWidth::k256), std::invalid_argument);
+  EXPECT_THROW(fm::FmDemodulator({}, util::SimdWidth::k256), std::invalid_argument);
 }
 
 // ------------------------------------------- FFT and OFDM modem bit pins ---
