@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsp/fast_math.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
@@ -58,6 +57,7 @@
 #include "oracles/viterbi_reference.hpp"
 #include "sonic/framing.hpp"
 #include "util/cpu.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
 #include "web/html.hpp"
@@ -504,8 +504,8 @@ std::vector<MicroCase> build_micro_cases() {
         [llr, out, prbs] {
           const auto& quantize = fec::LlrQuantizer::get();
           for (std::size_t i = 0; i < llr->size(); i += 4) {
-            const auto q = quantize(dsp::fastmath::load(llr->data() + i),
-                                    dsp::fastmath::V4i{prbs[i], prbs[i + 1], prbs[i + 2], prbs[i + 3]});
+            const auto q = quantize(util::load(llr->data() + i),
+                                    util::Lanes4::I{prbs[i], prbs[i + 1], prbs[i + 2], prbs[i + 3]});
             std::copy(q.begin(), q.end(), out->begin() + static_cast<long>(i));
           }
           benchmark::DoNotOptimize(out->data());
@@ -1095,10 +1095,10 @@ int run_exhaustive_llr() {
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      const dsp::fastmath::V4i flips[2] = {{0, 1, 0, 1}, {1, 0, 1, 0}};
+      const util::Lanes4::I flips[2] = {{0, 1, 0, 1}, {1, 0, 1, 0}};
       std::uint64_t bad = 0;
       for (std::uint64_t quad = kQuads * t / threads; quad < kQuads * (t + 1) / threads; ++quad) {
-        dsp::fastmath::V4f llr;
+        util::Lanes4::F llr;
         for (int l = 0; l < 4; ++l) llr[l] = std::bit_cast<float>(static_cast<std::uint32_t>(4 * quad + l));
         const auto lanes0 = quantize(llr, flips[0]), lanes1 = quantize(llr, flips[1]);
         for (int l = 0; l < 4; ++l) {

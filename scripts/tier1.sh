@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, a check that
-# no DSP, FM or FEC object of that build holds a fused multiply-add (which
-# would change bits the tests pin), the LLR soft-byte table checked on every
-# float (~25 s on four threads), a smoke run of the end-to-end benchmark
-# (its Release build of src/ plus every workload's correctness checks), the
-# full test suite rebuilt and rerun under ThreadSanitizer
-# (cmake -DSONIC_TSAN=ON) to catch data races in the pipeline's worker pool
-# and the shared caches and codecs, then the kernel suite built with
-# __SSE2__ undefined, so the generic fallbacks of the SSE2 kernels (the
-# Viterbi butterflies and decision gather, the FM chain's four-lane
-# kernels, the ziggurat's miss bits) stay tested and no DSP, FM or Viterbi
-# object holds AVX2 code, and last the end-to-end benchmark built the same
-# way, its client receive chain smoke-run on those fallbacks.
+# no DSP, FM, FEC, modem or util object of that build holds a fused
+# multiply-add (which would change bits the tests pin) and that only the
+# one width dispatch's AVX2 instances hold 32-byte registers, the LLR
+# soft-byte table checked on every float (~25 s on four threads), a smoke
+# run of the end-to-end benchmark (its Release build of src/ plus every
+# workload's correctness checks), the full test suite rebuilt and rerun
+# under ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
+# pipeline's worker pool and the shared caches and codecs, then the kernel
+# suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
+# kernels (the Viterbi butterflies and decision gather, the FM chain's
+# four-lane kernels, the ziggurat's miss bits) stay tested and no DSP, FM,
+# FEC, modem or util object holds AVX2 code, and last the end-to-end
+# benchmark built the same way, its client receive chain smoke-run on
+# those fallbacks.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -23,18 +25,37 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== tier-1: no fused multiply-add in the DSP, FM and FEC objects =="
+echo "== tier-1: no fused multiply-add in the DSP, FM, FEC, modem and util objects =="
 # The kernels' AVX2 instances carry target("avx2"), never "fma": a
 # contracted multiply-add rounds once where the four-lane instance rounds
-# twice, and the two would no longer give the same bits.
+# twice, and the two would no longer give the same bits. The modem and util
+# objects hold bit-pinned lane code too (float_dots4, demap_block,
+# place_soft, the ziggurat's rectangle4).
 # The disassembly is captured before grep reads it: `objdump | grep -q`
 # under pipefail fails (objdump dies of SIGPIPE) exactly when grep matches.
 # A glob that matches nothing stays literal and fails objdump.
 for obj in build/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build/src/fm/CMakeFiles/sonic_fm.dir/*.o \
-           build/src/fec/CMakeFiles/sonic_fec.dir/*.o; do
+           build/src/fec/CMakeFiles/sonic_fec.dir/*.o build/src/modem/CMakeFiles/sonic_modem.dir/*.o \
+           build/src/util/CMakeFiles/sonic_util.dir/*.o; do
   asm="$(objdump -d "$obj")"
   if grep -qE 'vfn?m(add|sub)' <<< "$asm"; then
     echo "tier-1: $obj holds a fused multiply-add" >&2
+    exit 1
+  fi
+done
+
+echo "== tier-1: 32-byte registers only in the one width dispatch =="
+# util::at_width (util/lanes.hpp) reaches AVX2 through one function,
+# util::run_lanes8, which carries target("avx2") and flatten; each of its
+# instances inlines one kernel. A %ymm in any other function would be AVX
+# code that the process's one CPU probe does not guard.
+for obj in build/src/*/CMakeFiles/*.dir/*.o; do
+  asm="$(objdump -d -C "$obj")"
+  stray="$(awk '/^[0-9a-f]+ <.*>:$/ { fn = $0 }
+                /%ymm/ && fn !~ /^[0-9a-f]+ <void sonic::util::run_lanes8</ { print fn }' <<< "$asm" | sort -u)"
+  if [[ -n "$stray" ]]; then
+    echo "tier-1: $obj holds AVX code outside util::run_lanes8:" >&2
+    echo "$stray" >&2
     exit 1
   fi
 done
@@ -58,10 +79,11 @@ echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
 cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__
 cmake --build build-portable -j "$JOBS" --target sonic_kernel_tests
 ctest --test-dir build-portable -L kernel --output-on-failure -j "$JOBS"
-# The AVX2 instances (the Viterbi's and the FM chain's) are compiled only
-# with __SSE2__ defined, so the portable row never measures them: these
-# objects must hold no ymm register.
-for obj in build-portable/src/fec/CMakeFiles/sonic_fec.dir/convolutional.cpp.o \
+# The AVX2 instances (util::run_lanes8's) are compiled only with __SSE2__
+# defined, so the portable row never measures them: no object of the
+# libraries that hold lane code may hold a ymm register.
+for obj in build-portable/src/fec/CMakeFiles/sonic_fec.dir/*.o build-portable/src/modem/CMakeFiles/sonic_modem.dir/*.o \
+           build-portable/src/util/CMakeFiles/sonic_util.dir/*.o \
            build-portable/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build-portable/src/fm/CMakeFiles/sonic_fm.dir/*.o; do
   asm="$(objdump -d "$obj")"
   if grep -q '%ymm' <<< "$asm"; then

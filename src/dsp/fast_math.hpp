@@ -1,17 +1,7 @@
 // Branch-free float kernels for the simulated FM chain: sincos, atan2 and
-// exp2, written once over a lane pack that has two instances:
-//  * Lanes4: four lanes in 16-byte vectors, V4f and V2d pairs: SSE2
-//    registers, or the generic lowering of a build without SSE2;
-//  * Lanes8: eight lanes in 32-byte vectors, V8f and V4d pairs, defined only
-//    under __SSE2__ and run only inside functions that carry
-//    target("avx2") and flatten (which inline these templates and the
-//    pack's ops into them), where util::simd_width() is k256.
-// That probe is the one dispatch decision: the build keeps the default ISA
-// (no -mavx2, which could make an inline header function every caller's
-// AVX2 copy, and no FMA, whose contracted multiply-add would change bits).
-// The kernels take vectors by reference, and Lanes8's ops carry
-// target("avx2"), so no function compiled at the default ISA passes a
-// 32-byte vector by value (-Wpsabi).
+// exp2, written once over the lane packs of util/lanes.hpp and run through
+// util::at_width by their callers, at four lanes or, where
+// util::simd_width() is k256, at eight in the AVX2 instance.
 //
 // Every range or quadrant decision is a lane select, never a branch: under
 // the default -ftrapping-math the compiler will not if-convert the selects
@@ -27,104 +17,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+
+#include "util/lanes.hpp"
 
 namespace sonic::dsp::fastmath {
-
-typedef float V4f __attribute__((vector_size(16)));
-typedef std::int32_t V4i __attribute__((vector_size(16)));
-typedef std::uint32_t V4u __attribute__((vector_size(16)));
-
-inline V4f splat(float c) { return V4f{c, c, c, c}; }
-inline V4f load(const float* p) {
-  V4f v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store(float* p, V4f v) { std::memcpy(p, &v, sizeof v); }
-
-// Any vector from or to memory, for code generic over the pack.
-template <class V>
-[[gnu::always_inline]] inline void load_to(V& v, const void* p) {
-  std::memcpy(&v, p, sizeof v);
-}
-template <class V>
-[[gnu::always_inline]] inline void store_from(void* p, const V& v) {
-  std::memcpy(p, &v, sizeof v);
-}
-
-// The lane packs. F, I and U hold n floats, int32 and uint32; D holds n / 2
-// doubles, so a pack's doubles are a pair of D. The ops below are the only
-// ones whose lane indices depend on n.
-struct Lanes4 {
-  static constexpr std::size_t n = 4;
-  typedef float F __attribute__((vector_size(16)));
-  typedef std::int32_t I __attribute__((vector_size(16)));
-  typedef std::uint32_t U __attribute__((vector_size(16)));
-  typedef double D __attribute__((vector_size(16)));
-  // n doubles, only ever converted from or to F: GCC splits the conversion
-  // into cvtps2pd / cvtpd2ps pairs where a half-width float type would cost
-  // a scalar conversion per lane.
-  typedef double W __attribute__((vector_size(32)));
-
-  // The lanes of lo then hi, rounded to float.
-  static void narrow(const D& lo, const D& hi, F& out) {
-    out = __builtin_convertvector(W(__builtin_shufflevector(lo, hi, 0, 1, 2, 3)), F);
-  }
-  // f's lanes in double, the low half in lo.
-  static void widen(const F& f, D& lo, D& hi) {
-    const W w = __builtin_convertvector(f, W);
-    lo = __builtin_shufflevector(w, w, 0, 1);
-    hi = __builtin_shufflevector(w, w, 2, 3);
-  }
-  // The low 32 bits of each double of lo then hi.
-  static void low_words(const D& lo, const D& hi, U& out) {
-    out = __builtin_shufflevector(reinterpret_cast<U>(lo), reinterpret_cast<U>(hi), 0, 2, 4, 6);
-  }
-  // {a0, b0, a1, b1, ...}: its first n lanes in lo, the rest in hi.
-  static void interleave(const F& a, const F& b, F& lo, F& hi) {
-    lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
-    hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
-  }
-  // The even and the odd lanes of {lo, hi}.
-  static void deinterleave(const F& lo, const F& hi, F& even, F& odd) {
-    even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6);
-    odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7);
-  }
-};
-
-#if defined(__SSE2__)
-struct Lanes8 {
-  static constexpr std::size_t n = 8;
-  typedef float F __attribute__((vector_size(32)));
-  typedef std::int32_t I __attribute__((vector_size(32)));
-  typedef std::uint32_t U __attribute__((vector_size(32)));
-  typedef double D __attribute__((vector_size(32)));
-  typedef float H __attribute__((vector_size(16)));  // n / 2 floats
-  typedef double W __attribute__((vector_size(64)));
-
-  [[gnu::target("avx2")]] static void narrow(const D& lo, const D& hi, F& out) {
-    out = __builtin_shufflevector(__builtin_convertvector(lo, H), __builtin_convertvector(hi, H), 0, 1, 2, 3, 4, 5,
-                                  6, 7);
-  }
-  [[gnu::target("avx2")]] static void widen(const F& f, D& lo, D& hi) {
-    const W w = __builtin_convertvector(f, W);
-    lo = __builtin_shufflevector(w, w, 0, 1, 2, 3);
-    hi = __builtin_shufflevector(w, w, 4, 5, 6, 7);
-  }
-  [[gnu::target("avx2")]] static void low_words(const D& lo, const D& hi, U& out) {
-    out = __builtin_shufflevector(reinterpret_cast<U>(lo), reinterpret_cast<U>(hi), 0, 2, 4, 6, 8, 10, 12, 14);
-  }
-  [[gnu::target("avx2")]] static void interleave(const F& a, const F& b, F& lo, F& hi) {
-    lo = __builtin_shufflevector(a, b, 0, 8, 1, 9, 2, 10, 3, 11);
-    hi = __builtin_shufflevector(a, b, 4, 12, 5, 13, 6, 14, 7, 15);
-  }
-  [[gnu::target("avx2")]] static void deinterleave(const F& lo, const F& hi, F& even, F& odd) {
-    even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
-    odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7, 9, 11, 13, 15);
-  }
-};
-#endif
 
 constexpr std::uint32_t kSignBit = 0x80000000u;
 
@@ -150,7 +46,7 @@ template <class P>
   D t[2], rd[2];
   for (std::size_t h = 0; h < 2; ++h) {
     D xd;
-    load_to(xd, x + h * (P::n / 2));
+    util::load_to(xd, x + h * (P::n / 2));
     t[h] = xd * kTwoOverPi + kRoundMagic;
     const D kd = t[h] - kRoundMagic;
     rd[h] = (xd - kd * kPio2Hi) - kd * kPio2Lo;
@@ -243,19 +139,6 @@ template <class P>
        6.931472028550421e-1f) *
       f;
   out = reinterpret_cast<F>(reinterpret_cast<U>(1.0f + px) + (k << 23));
-}
-
-// The four-lane kernels on values.
-inline void sincos(const double* x, V4f& s, V4f& c) { sincos<Lanes4>(x, s, c); }
-inline V4f atan2(V4f y, V4f x) {
-  V4f out;
-  atan2<Lanes4>(y, x, out);
-  return out;
-}
-inline V4f exp2(V4f x) {
-  V4f out;
-  exp2<Lanes4>(x, out);
-  return out;
 }
 
 }  // namespace sonic::dsp::fastmath

@@ -7,16 +7,16 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 #include "util/units.hpp"
 
 namespace sonic::dsp {
 namespace {
 
-using fastmath::V4f;
-using fastmath::load;
-using fastmath::splat;
-using fastmath::store;
+using V4f = util::Lanes4::F;
+using util::load;
+using util::splat;
+using util::store;
 
 // The radix-2 butterfly on four lanes: v = hi·w, then lo + v and lo − v,
 // each lane in the float operations and order of a scalar radix-2 loop, so

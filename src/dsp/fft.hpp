@@ -9,10 +9,10 @@
 // Twiddles are evaluated per-element in double precision (no recurrence),
 // so accuracy does not drift with transform size.
 //
-// The kernel is decimation in time, four lanes at a time (the V4f vector
-// extensions of fast_math.hpp, plain SSE2 on x86-64). The bit-reversed
+// The kernel is decimation in time, four lanes at a time (util::Lanes4's
+// vector extensions, plain SSE2 on x86-64). The bit-reversed
 // input is gathered into split real and imaginary arrays, running the two
-// smallest stages in registers on the way; every later stage is a V4f
+// smallest stages in registers on the way; every later stage is a four-lane
 // loop over contiguous per-stage twiddles; the result is interleaved back
 // into the caller's buffer, scaled by 1/N for the inverse. Each butterfly
 // computes v = hi·w and lo ± v with the same float operations in the same

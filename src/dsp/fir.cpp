@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 #include "util/units.hpp"
 
 namespace sonic::dsp {
@@ -59,11 +59,11 @@ template <class P>
 #pragma GCC unroll 4
     for (std::size_t a = 0; a < kFirAccumulators; ++a) {
       F x;
-      fastmath::load_to(x, window + k + P::n * a);
+      util::load_to(x, window + k + P::n * a);
       acc[a] += x * taps_rev[k];
     }
   }
-  for (std::size_t a = 0; a < kFirAccumulators; ++a) fastmath::store_from(out + P::n * a, acc[a]);
+  for (std::size_t a = 0; a < kFirAccumulators; ++a) util::store_from(out + P::n * a, acc[a]);
 }
 
 // The first `outputs` outputs (a multiple of kFirMaxBlock) of `window`.
@@ -72,24 +72,6 @@ template <class P>
                                               std::size_t outputs, float* out) {
   constexpr std::size_t kBlock = kFirAccumulators * P::n;
   for (std::size_t b = 0; b < outputs; b += kBlock) fir_block<P>(window + b, taps_rev, n, out + b);
-}
-
-#if defined(__SSE2__)
-// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
-[[gnu::target("avx2"), gnu::flatten]] void fir_blocks_avx2(const float* window, const float* taps_rev, std::size_t n,
-                                                          std::size_t outputs, float* out) {
-  fir_blocks<fastmath::Lanes8>(window, taps_rev, n, outputs, out);
-}
-#endif
-
-// The instance `width` names.
-void fir_blocks_at(util::SimdWidth width, const float* window, const float* taps_rev, std::size_t n,
-                   std::size_t outputs, float* out) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return fir_blocks_avx2(window, taps_rev, n, outputs, out);
-#endif
-  (void)width;
-  fir_blocks<fastmath::Lanes4>(window, taps_rev, n, outputs, out);
 }
 
 }  // namespace
@@ -114,7 +96,7 @@ std::vector<float> FirFilter::process(std::span<const float> x) {
   std::copy(hist_.begin(), hist_.end(), work_.begin());
   std::copy(x.begin(), x.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
   std::vector<float> out(outputs);
-  fir_blocks_at(width_, work_.data(), taps_rev_.data(), t, outputs, out.data());
+  util::at_width(width_, [&]<class P> { fir_blocks<P>(work_.data(), taps_rev_.data(), t, outputs, out.data()); });
   out.resize(n);
   // Carry the last taps-1 inputs.
   std::copy_n(work_.begin() + static_cast<std::ptrdiff_t>(n), h, hist_.begin());

@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 #include "util/units.hpp"
 
 namespace sonic::dsp {
@@ -157,8 +157,8 @@ std::shared_ptr<const ResamplerTable> table_for(double ratio) {
 // partial sums: a_m takes the terms j = m mod 4 of the whole groups of
 // four, a0 also the tail, and the result is (a0 + a1) + (a2 + a3). The
 // order is fixed, so a window and row give bit-identical results whichever
-// form or lane pack computes them. {a0, a1, a2, a3} are one V4d in Lanes8
-// and a V2d pair in Lanes4; a row is loaded once for all NX windows, a
+// form or lane pack computes them. {a0, a1, a2, a3} are one D in Lanes8
+// and a pair of D in Lanes4; a row is loaded once for all NX windows, a
 // window once for all NW rows, and the NX * NW interleaved sums keep the
 // adds from waiting on each other. The unroll pragmas let GCC keep the sums
 // in registers: without them the four-lane 5:1 decimator spilled them to
@@ -176,14 +176,14 @@ template <class P, std::size_t NX, std::size_t NW>
 #pragma GCC unroll 8
     for (std::size_t m = 0; m < NW; ++m) {
 #pragma GCC unroll 8
-      for (std::size_t h = 0; h < kParts; ++h) fastmath::load_to(wv[m][h], w + m * w_step + j + h * kHalf);
+      for (std::size_t h = 0; h < kParts; ++h) util::load_to(wv[m][h], w + m * w_step + j + h * kHalf);
     }
 #pragma GCC unroll 8
     for (std::size_t k = 0; k < NX; ++k) {
 #pragma GCC unroll 8
       for (std::size_t h = 0; h < kParts; ++h) {
         D xv;
-        fastmath::load_to(xv, x + k * x_step + j + h * kHalf);
+        util::load_to(xv, x + k * x_step + j + h * kHalf);
         for (std::size_t m = 0; m < NW; ++m) acc[k][m][h] += xv * wv[m][h];
       }
     }
@@ -220,7 +220,7 @@ template <class P, std::size_t W, std::size_t NW>
     for (std::size_t p = 0; p < 4; ++p) {
       for (std::size_t h = 0; h < kParts; ++h) {
         D xv;
-        fastmath::load_to(xv, x + j + p + h * kHalf);
+        util::load_to(xv, x + j + p + h * kHalf);
         for (std::size_t m = 0; m < NW; ++m) acc[m][p][h] += xv * w[m * w_step + j + p];
       }
     }
@@ -228,14 +228,14 @@ template <class P, std::size_t W, std::size_t NW>
   for (; j < n; ++j) {
     for (std::size_t h = 0; h < kParts; ++h) {
       D xv;
-      fastmath::load_to(xv, x + j + h * kHalf);
+      util::load_to(xv, x + j + h * kHalf);
       for (std::size_t m = 0; m < NW; ++m) acc[m][0][h] += xv * w[m * w_step + j];
     }
   }
   for (std::size_t m = 0; m < NW; ++m) {
     for (std::size_t h = 0; h < kParts; ++h) {
       const D sum = (acc[m][0][h] + acc[m][1][h]) + (acc[m][2][h] + acc[m][3][h]);
-      fastmath::store_from(out + m * W + h * kHalf, sum);
+      util::store_from(out + m * W + h * kHalf, sum);
     }
   }
 }
@@ -417,20 +417,6 @@ template <class P>
   e.y = y;
 }
 
-#if defined(__SSE2__)
-// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
-[[gnu::target("avx2"), gnu::flatten]] void emit_avx2(EmitPass& e) { emit<fastmath::Lanes8>(e); }
-#endif
-
-// The instance `width` names.
-void emit_at(EmitPass& e, util::SimdWidth width) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return emit_avx2(e);
-#endif
-  (void)width;
-  emit<fastmath::Lanes4>(e);
-}
-
 }  // namespace
 
 Resampler::Resampler(double ratio, util::SimdWidth width)
@@ -494,7 +480,7 @@ void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
   // hist_ is contiguous with absolute base hist_base_.
   EmitPass e{t, ratio_, hist_.data(), static_cast<long>(hist_base_), static_cast<long>(total_in_), out_total,
              final_flush, next_out_, locate(t, ratio_, next_out_), out.data() + first};
-  emit_at(e, width_);
+  util::at_width(width_, [&]<class P> { emit<P>(e); });
   next_out_ = e.i;
   out.resize(static_cast<std::size_t>(e.y - out.data()));
   // Evict history the next output can no longer reach.

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "util/cpu.hpp"
-
-#if defined(__SSE2__)
-#include <immintrin.h>
-#endif
+#include "util/lanes.hpp"
 
 namespace sonic::fec {
 namespace {
@@ -76,115 +72,6 @@ decltype(auto) with_trellis(ConvCode code, F&& f) {
   return code == ConvCode::kV27 ? f(V27{}) : f(V29{});
 }
 
-// A lane pack: `groups` groups of eight int16 ACS lanes in one register and
-// the ops decode_soft runs on them. Pack8 holds one group: SSE2 intrinsics,
-// or the same lane-wise arithmetic without SSE2.
-#if defined(__SSE2__)
-struct Pack8 {
-  using V = __m128i;
-  using Word = std::uint16_t;  // the pack's decision words
-  static constexpr std::size_t groups = 1;
-
-  static V load(const std::int16_t* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
-  static void store(std::int16_t* p, V v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
-  static V splat(std::int16_t v) { return _mm_set1_epi16(v); }
-  static V add(V a, V b) { return _mm_add_epi16(a, b); }
-  static V sub(V a, V b) { return _mm_sub_epi16(a, b); }
-  static V bit_xor(V a, V b) { return _mm_xor_si128(a, b); }
-  static V min(V a, V b) { return _mm_min_epi16(a, b); }
-  static V greater(V a, V b) { return _mm_cmpgt_epi16(a, b); }
-  // Lane i of `even` to p[2i], lane i of `odd` to p[2i + 1].
-  static void store_interleaved(std::int16_t* p, V even, V odd) {
-    store(p, _mm_unpacklo_epi16(even, odd));
-    store(p + 8, _mm_unpackhi_epi16(even, odd));
-  }
-  // Bit i: lane i of mask `even` is set; bit 8 + i: lane i of mask `odd`.
-  static Word decisions(V even, V odd) {
-    return static_cast<Word>(_mm_movemask_epi8(_mm_packs_epi16(even, odd)));
-  }
-};
-
-// Two groups per AVX2 register, group 2P in the low 128 bits. Each op
-// carries the avx2 target, so it inlines only into the avx2 instance of
-// add_compare_select; decode_soft runs that instance only where the CPU
-// has AVX2 (util::simd_width()).
-struct Pack16 {
-  using V = __m256i;
-  using Word = std::uint32_t;  // group 2P's word in the low half
-  static constexpr std::size_t groups = 2;
-
-  [[gnu::target("avx2")]] static V load(const std::int16_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  [[gnu::target("avx2")]] static void store(std::int16_t* p, V v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  [[gnu::target("avx2")]] static V splat(std::int16_t v) { return _mm256_set1_epi16(v); }
-  [[gnu::target("avx2")]] static V add(V a, V b) { return _mm256_add_epi16(a, b); }
-  [[gnu::target("avx2")]] static V sub(V a, V b) { return _mm256_sub_epi16(a, b); }
-  [[gnu::target("avx2")]] static V bit_xor(V a, V b) { return _mm256_xor_si256(a, b); }
-  [[gnu::target("avx2")]] static V min(V a, V b) { return _mm256_min_epi16(a, b); }
-  [[gnu::target("avx2")]] static V greater(V a, V b) { return _mm256_cmpgt_epi16(a, b); }
-  // vpunpck{l,h}wd interleave within each 128-bit half; vperm2i128 puts
-  // the halves back in state order.
-  [[gnu::target("avx2")]] static void store_interleaved(std::int16_t* p, V even, V odd) {
-    const V lo = _mm256_unpacklo_epi16(even, odd), hi = _mm256_unpackhi_epi16(even, odd);
-    store(p, _mm256_permute2x128_si256(lo, hi, 0x20));
-    store(p + 16, _mm256_permute2x128_si256(lo, hi, 0x31));
-  }
-  // vpacksswb packs within each 128-bit half, so bits 0-15 are group 2P's
-  // word and bits 16-31 group 2P+1's.
-  [[gnu::target("avx2")]] static Word decisions(V even, V odd) {
-    return static_cast<Word>(_mm256_movemask_epi8(_mm256_packs_epi16(even, odd)));
-  }
-};
-#else
-struct Pack8 {
-  typedef std::int16_t V __attribute__((vector_size(16)));
-  using Word = std::uint16_t;
-  static constexpr std::size_t groups = 1;
-
-  static V load(const std::int16_t* p) {
-    V v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-  }
-  static void store(std::int16_t* p, V v) { std::memcpy(p, &v, sizeof v); }
-  static V splat(std::int16_t v) { return V{v, v, v, v, v, v, v, v}; }
-  static V add(V a, V b) { return a + b; }
-  static V sub(V a, V b) { return a - b; }
-  static V bit_xor(V a, V b) { return a ^ b; }
-  static V min(V a, V b) { return a < b ? a : b; }
-  static V greater(V a, V b) { return a > b; }
-  static void store_interleaved(std::int16_t* p, V even, V odd) {
-    store(p, __builtin_shufflevector(even, odd, 0, 8, 1, 9, 2, 10, 3, 11));
-    store(p + 8, __builtin_shufflevector(even, odd, 4, 12, 5, 13, 6, 14, 7, 15));
-  }
-  // Each all-ones lane keeps its own bit of a lane constant; the lanes are
-  // then OR-ed together as 16-bit fields of two words, which holds on
-  // either byte order.
-  static Word decisions(V even, V odd) {
-    typedef std::uint16_t Vu __attribute__((vector_size(16)));
-    constexpr Vu kEvenBits = {1, 2, 4, 8, 16, 32, 64, 128};
-    constexpr Vu kOddBits = {256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
-    const Vu v = (reinterpret_cast<Vu>(even) & kEvenBits) | (reinterpret_cast<Vu>(odd) & kOddBits);
-    std::uint64_t words[2];
-    std::memcpy(words, &v, sizeof words);
-    std::uint64_t x = words[0] | words[1];
-    x |= x >> 32;
-    x |= x >> 16;
-    return static_cast<Word>(x & 0xffffu);
-  }
-};
-#endif
-
-// The smallest of a Pack8's eight lanes.
-inline std::int16_t lane_min(Pack8::V v) {
-  std::int16_t lanes[8];
-  std::memcpy(lanes, &v, sizeof lanes);
-  return *std::min_element(lanes, lanes + 8);
-}
-
 constexpr std::int16_t kErasure = ConvolutionalCodec::kSoftErasure;
 static_assert(ConvolutionalCodec::kSoftScale % 2 == 0, "0.5 must quantize exactly");
 
@@ -214,46 +101,45 @@ void depuncture(std::span<const std::uint8_t> soft, std::size_t in_bits, std::ve
   }
 }
 
-// The templates from here to acs_loop run on either pack. Their Pack16
-// instances hold 256-bit values in functions without the avx2 target, for
-// which GCC warns that passing them would change the ABI; they exist only
-// inlined into acs_loop_avx2, which has the target, so none is passed.
-// GCC reports the warning at the end of the file, so it stays off to there.
-#pragma GCC diagnostic ignored "-Wpsabi"
+// Groups of eight butterflies in one int16 vector of pack P: one in
+// Lanes4's eight lanes, two in Lanes8's sixteen.
+template <class P>
+constexpr std::size_t kGroups = P::n / 4;
 
-// Lane i of a pack: `set` where bit `bit` of s_i is set (bit 1 is out0,
-// bit 0 out1), else `clear`.
+// Lane i of an int16 vector of P: `set` where bit `bit` of s_i is set (bit
+// 1 is out0, bit 0 out1), else `clear`.
 template <class T, class P, unsigned bit, std::int16_t set, std::int16_t clear>
-[[gnu::always_inline]] inline typename P::V lane_constant() {
+[[gnu::always_inline]] inline void lane_constant(typename P::S& v) {
   static constexpr auto lanes = []<std::size_t... I>(std::index_sequence<I...>) {
-    return std::array<std::int16_t, 8 * P::groups>{(T::sym(I) & bit ? set : clear)...};
-  }(std::make_index_sequence<8 * P::groups>{});
-  return P::load(lanes.data());
+    return std::array<std::int16_t, 8 * kGroups<P>>{(T::sym(I) & bit ? set : clear)...};
+  }(std::make_index_sequence<8 * kGroups<P>>{});
+  util::load_to(v, lanes.data());
 }
 
-// Pack K's butterflies, 8 * P::groups of them from butterfly
-// 8 * P::groups * K on: each metric vector is loaded once, and each
+// Vector K's butterflies, 8 * kGroups<P> of them from butterfly
+// 8 * kGroups<P> * K on: each metric vector is loaded once, and each
 // group's decisions are one 16-bit word, even successors in the low byte.
+// Wrapping int16 adds, pminsw and pcmpgtw (vp* in the Lanes8 instance).
 template <class T, class P, std::size_t K>
-[[gnu::always_inline]] inline void butterflies(const typename P::V (&lanes)[4], const std::int16_t* __restrict metric,
+[[gnu::always_inline]] inline void butterflies(const typename P::S (&lanes)[4], const std::int16_t* __restrict metric,
                                                std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
-  using V = typename P::V;
-  constexpr std::size_t first = 8 * P::groups * K;
+  using S = typename P::S;
+  constexpr std::size_t first = 8 * kGroups<P> * K;
   constexpr unsigned c = T::sym(first);
-  const V a = lanes[c];
-  const V b = lanes[c ^ 3];
-  const V lo = P::load(metric + first), hi = P::load(metric + T::half + first);
-  const V m0e = P::add(lo, a), m1e = P::add(hi, b);
-  const V m0o = P::add(lo, b), m1o = P::add(hi, a);
-  P::store_interleaved(next + 2 * first, P::min(m0e, m1e), P::min(m0o, m1o));
-  const typename P::Word word = P::decisions(P::greater(m0e, m1e), P::greater(m0o, m1o));
-  std::memcpy(dec + P::groups * K, &word, sizeof word);
+  const S& a = lanes[c];
+  const S& b = lanes[c ^ 3];
+  S lo, hi;
+  util::load_to(lo, metric + first);
+  util::load_to(hi, metric + T::half + first);
+  const S m0e = lo + a, m1e = hi + b;
+  const S m0o = lo + b, m1o = hi + a;
+  P::store_interleaved(next + 2 * first, m0e < m1e ? m0e : m1e, m0o < m1o ? m0o : m1o);
+  P::decisions(m0e > m1e, m0o > m1o, dec + kGroups<P> * K);
 }
 
-// Every pack's butterflies, unrolled. A helper rather than a lambda: a
-// lambda in the avx2 instance would not inherit its target.
+// Every vector's butterflies, unrolled.
 template <class T, class P, std::size_t... K>
-[[gnu::always_inline]] inline void all_butterflies(const typename P::V (&lanes)[4], const std::int16_t* __restrict metric,
+[[gnu::always_inline]] inline void all_butterflies(const typename P::S (&lanes)[4], const std::int16_t* __restrict metric,
                                                    std::int16_t* __restrict next, std::uint16_t* __restrict dec,
                                                    std::index_sequence<K...>) {
   (butterflies<T, P, K>(lanes, metric, next, dec), ...);
@@ -264,30 +150,49 @@ template <class T, class P, std::size_t... K>
 template <class T, class P>
 [[gnu::always_inline]] inline void acs_step(std::int16_t q0, std::int16_t q1, const std::int16_t* __restrict metric,
                                             std::int16_t* __restrict next, std::uint16_t* __restrict dec) {
-  using V = typename P::V;
+  using S = typename P::S;
   constexpr std::int16_t Q = ConvolutionalCodec::kSoftScale;
   // The step's four lane patterns: lanes[c] holds bm[s_i ^ c] in lane i,
-  // which is `a` of every pack with base symbol c and `b` of every pack
-  // with base symbol c ^ 3. Each half of bm is the distance of one received
+  // which is `a` of every vector with base symbol c and `b` of every
+  // vector with base symbol c ^ 3. Each half of bm is the distance of one received
   // value to the expected bit: q for a 0, Q - q for a 1. So x0, the
   // distance of q0 to lane i's out0, is (q0 ^ m) + (m ? Q + 1 : 0) with m
   // all ones where out0 is 1; x0_flip, the distance to the other bit, is
   // Q - x0. x1 likewise.
-  const V x0 = P::add(P::bit_xor(P::splat(q0), lane_constant<T, P, 2, -1, 0>()), lane_constant<T, P, 2, Q + 1, 0>());
-  const V x1 = P::add(P::bit_xor(P::splat(q1), lane_constant<T, P, 1, -1, 0>()), lane_constant<T, P, 1, Q + 1, 0>());
-  const V x0_flip = P::sub(P::splat(Q), x0), x1_flip = P::sub(P::splat(Q), x1);
-  const V lanes[4] = {P::add(x0, x1), P::add(x0, x1_flip), P::add(x0_flip, x1), P::add(x0_flip, x1_flip)};
-  all_butterflies<T, P>(lanes, metric, next, dec, std::make_index_sequence<T::groups / P::groups>{});
+  S m0, c0, m1, c1;
+  lane_constant<T, P, 2, -1, 0>(m0);
+  lane_constant<T, P, 2, Q + 1, 0>(c0);
+  lane_constant<T, P, 1, -1, 0>(m1);
+  lane_constant<T, P, 1, Q + 1, 0>(c1);
+  const S x0 = (q0 ^ m0) + c0, x1 = (q1 ^ m1) + c1;
+  const S x0_flip = Q - x0, x1_flip = Q - x1;
+  const S lanes[4] = {x0 + x1, x0 + x1_flip, x0_flip + x1, x0_flip + x1_flip};
+  all_butterflies<T, P>(lanes, metric, next, dec, std::make_index_sequence<T::groups / kGroups<P>>{});
 }
 
 // Subtracts the smallest metric from all of them, eight lanes at a time in
 // either instance: it runs once every kRenormalize steps.
 template <class T>
 [[gnu::always_inline]] inline void renormalize(std::int16_t* metric) {
-  Pack8::V lowest = Pack8::load(metric);
-  for (std::size_t i = 8; i < T::states; i += 8) lowest = Pack8::min(lowest, Pack8::load(metric + i));
-  const Pack8::V shift = Pack8::splat(lane_min(lowest));
-  for (std::size_t i = 0; i < T::states; i += 8) Pack8::store(metric + i, Pack8::sub(Pack8::load(metric + i), shift));
+  using S = util::Lanes4::S;
+  S lowest, v;
+  util::load_to(lowest, metric);
+  for (std::size_t i = 8; i < T::states; i += 8) {
+    util::load_to(v, metric + i);
+    lowest = v < lowest ? v : lowest;
+  }
+  // Every lane to the smallest of the eight.
+  v = __builtin_shufflevector(lowest, lowest, 4, 5, 6, 7, 0, 1, 2, 3);
+  lowest = v < lowest ? v : lowest;
+  v = __builtin_shufflevector(lowest, lowest, 2, 3, 0, 1, 6, 7, 4, 5);
+  lowest = v < lowest ? v : lowest;
+  v = __builtin_shufflevector(lowest, lowest, 1, 0, 3, 2, 5, 4, 7, 6);
+  lowest = v < lowest ? v : lowest;
+  const std::int16_t shift = lowest[0];
+  for (std::size_t i = 0; i < T::states; i += 8) {
+    util::load_to(v, metric + i);
+    util::store_from(metric + i, S(v - shift));
+  }
 }
 
 // Runs the trellis over in_bits quantized (q0, q1) pairs on lane pack P
@@ -312,26 +217,6 @@ template <class T, class P>
     std::swap(metric, next);
     if (step % kRenormalize == kRenormalize - 1) renormalize<T>(metric);
   }
-}
-
-#if defined(__SSE2__)
-// The Pack16 instance. flatten inlines the Pack16 ops, which only a
-// function with the avx2 target may inline.
-template <class T>
-[[gnu::target("avx2"), gnu::flatten]] void acs_loop_avx2(const std::int16_t* pairs, std::size_t in_bits,
-                                                        std::uint16_t* dec) {
-  acs_loop<T, Pack16>(pairs, in_bits, dec);
-}
-#endif
-
-// The trellis at `width`: 8 lanes per register at k128, 16 at k256.
-template <class T>
-void add_compare_select(const std::int16_t* pairs, std::size_t in_bits, std::uint16_t* dec, util::SimdWidth width) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return acs_loop_avx2<T>(pairs, in_bits, dec);
-#endif
-  (void)width;
-  acs_loop<T, Pack8>(pairs, in_bits, dec);
 }
 
 // The trellis bypass (see the header): walks from state 0 along the hard
@@ -478,7 +363,8 @@ void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, 
   const std::size_t in_bits = pairs.size() / 2;
   if (walk_hard_decisions<T>(pairs.data(), in_bits, payload_bytes, out)) return;
   dec.resize(in_bits * T::groups);  // every word is written below
-  add_compare_select<T>(pairs.data(), in_bits, dec.data(), width);
+  // 8 lanes per register at k128, 16 at k256.
+  util::at_width(width, [&]<class P> { acs_loop<T, P>(pairs.data(), in_bits, dec.data()); });
   traceback<T>(dec.data(), payload_bytes, out);
 }
 

@@ -64,10 +64,11 @@ class ConvolutionalCodec {
   // The trellis is fixed at compile time: decode_soft runs a template
   // instance per code (v27: 4 groups of eight butterflies, v29: 16), with
   // every branch symbol a constant and the group loop fully unrolled. It
-  // runs as add-compare-select butterflies on int16 lanes (paddw, pcmpgtw,
-  // pminsw): eight per SSE2 register, or sixteen, two groups, per AVX2
-  // register where util::simd_width() is k256 (a generic fallback runs
-  // the eight-lane algorithm without SSE2). Butterfly j joins predecessors
+  // runs as add-compare-select butterflies on the int16 lanes of
+  // util/lanes.hpp's packs (paddw, pcmpgtw, pminsw), through the one width
+  // dispatch util::at_width: eight per SSE2 register (Lanes4; the generic
+  // lowering without SSE2), or sixteen, two groups, per AVX2 register
+  // (Lanes8) where util::simd_width() is k256. Butterfly j joins predecessors
   // j and j + half to successors 2j (input bit 0) and 2j + 1 (input bit
   // 1). Both codes tap the register's MSB and LSB in both polynomials, so
   // a butterfly's four branches carry only two metrics: a = bm[s_j] on
@@ -116,10 +117,10 @@ class ConvolutionalCodec {
   // The rule admits a lone Q/2 beside a decisive bit.
   //
   // Each step's decisions (1 = high predecessor won) are one 16-bit word
-  // per group of eight butterflies, packed with packsswb + pmovmskb (on
-  // AVX2 one 32-bit store holds a register's two words; the generic
-  // fallback keeps each all-ones lane's own bit of a lane constant and ORs
-  // the lanes together as 16-bit fields of two 64-bit words): bit i
+  // per group of eight butterflies, packed with packsswb + pmovmskb (the
+  // packs' decisions(); on AVX2 one 32-bit store holds a register's two
+  // words, and the generic fallback keeps each all-ones lane's own bit of a
+  // lane constant and ORs the lanes together as 16-bit fields): bit i
   // of group g's word is even successor 2(8g + i), bit 8 + i odd successor
   // 2(8g + i) + 1. Traceback reads successor `next` as bit
   // (next & 1) * 8 + (next >> 1) % 8 of word next >> 4, and writes each

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "fec/reed_solomon.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::fec {
@@ -26,7 +27,7 @@ constexpr std::size_t kBatchBytes = std::size_t{1} << 20;
 
 // 16 bytes as one vector register (SSE2/NEON width); loads and stores go
 // through memcpy, so any alignment is fine.
-using Vec16 = std::uint64_t __attribute__((vector_size(16)));
+using Vec16 = util::Lanes4::Q;
 
 // dst ^= src over n bytes, n a multiple of 16 (the packed block stride).
 void xor_block(std::uint8_t* __restrict dst, const std::uint8_t* __restrict src, std::size_t n) {

@@ -50,7 +50,7 @@ LlrQuantizer::LlrQuantizer() {
         (byte(from_ordered(mid)) >= k ? hi : lo) = mid;
       }
       const float step = from_ordered(hi);
-      const auto b = static_cast<std::size_t>(buckets(dsp::fastmath::V4f{step})[0]);
+      const auto b = static_cast<std::size_t>(buckets(util::Lanes4::F{step})[0]);
       if (b < next) throw std::runtime_error("LlrQuantizer: two soft-byte thresholds share a bucket");
       for (; next <= b; ++next) base[next] = static_cast<std::uint8_t>(k - 1);
       thr[b] = step;

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsp/fast_math.hpp"
 #include "fec/convolutional.hpp"
+#include "util/lanes.hpp"
 
 namespace sonic::fec {
 
@@ -57,18 +57,18 @@ class LlrQuantizer {
   // keys and their buckets are lane selects, not branches: a confident
   // bit's LLR lies beyond the table's range, so a clamp branch would go
   // both ways on received data.
-  std::array<std::uint8_t, 4> operator()(dsp::fastmath::V4f llr, dsp::fastmath::V4i flip) const {
-    using dsp::fastmath::V4u;
-    const auto sign = reinterpret_cast<V4u>(flip) << 31;
-    const auto key = reinterpret_cast<dsp::fastmath::V4f>(reinterpret_cast<V4u>(llr) ^ sign);
-    const dsp::fastmath::V4i b = buckets(key) + flip * static_cast<int>(kBuckets);
+  std::array<std::uint8_t, 4> operator()(util::Lanes4::F llr, util::Lanes4::I flip) const {
+    using U = util::Lanes4::U;
+    const auto sign = reinterpret_cast<U>(flip) << 31;
+    const auto key = reinterpret_cast<util::Lanes4::F>(reinterpret_cast<U>(llr) ^ sign);
+    const util::Lanes4::I b = buckets(key) + flip * static_cast<int>(kBuckets);
     return {byte(b[0], key[0]), byte(b[1], key[1]), byte(b[2], key[2]), byte(b[3], key[3])};
   }
 
   // The soft byte of one received bit: llr_soft_byte_reference(llr, flip).
   std::uint8_t operator()(float llr, bool flip) const {
     const auto key = std::bit_cast<float>(std::bit_cast<std::uint32_t>(llr) ^ (std::uint32_t{flip} << 31));
-    return byte(buckets(dsp::fastmath::V4f{key})[0] + static_cast<int>(flip) * static_cast<int>(kBuckets), key);
+    return byte(buckets(util::Lanes4::F{key})[0] + static_cast<int>(flip) * static_cast<int>(kBuckets), key);
   }
 
   // The keys at which the byte of `flip` steps up by one, ascending (the
@@ -84,11 +84,11 @@ class LlrQuantizer {
 
   // The bucket of each key: (key - kLo) * kScale, clamped to
   // [0, kBuckets - 1] (NaN to 0), truncated. Monotone in the key.
-  static dsp::fastmath::V4i buckets(dsp::fastmath::V4f key) {
+  static util::Lanes4::I buckets(util::Lanes4::F key) {
     auto t = (key - kLo) * kScale;
     t = t > 0.0f ? t : 0.0f;
     t = t < static_cast<float>(kBuckets - 1) ? t : static_cast<float>(kBuckets - 1);
-    return __builtin_convertvector(t, dsp::fastmath::V4i);
+    return __builtin_convertvector(t, util::Lanes4::I);
   }
 
   // The byte of `key` in table entry `b` (a bucket, plus kBuckets where

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 #include "util/units.hpp"
 
 namespace sonic::fm {
@@ -25,27 +26,9 @@ template <class P>
     F sin_theta, cos_theta, wobble, x;
     fastmath::sincos<P>(theta, sin_theta, cos_theta);
     fastmath::exp2<P>(exponent_per_unit * (1.0f + sin_theta), wobble);
-    fastmath::load_to(x, out + i);
-    fastmath::store_from(out + i, x * (g * wobble));
+    util::load_to(x, out + i);
+    util::store_from(out + i, x * (g * wobble));
   }
-}
-
-#if defined(__SSE2__)
-// The Lanes8 instance; flatten inlines the pack's avx2 ops into it.
-[[gnu::target("avx2"), gnu::flatten]] void wobble_avx2(float* out, std::size_t n, std::size_t index, double w,
-                                                      double phase, float exponent_per_unit, float g) {
-  wobble_lanes<fastmath::Lanes8>(out, n, index, w, phase, exponent_per_unit, g);
-}
-#endif
-
-// The instance `width` names.
-void wobble_at(util::SimdWidth width, float* out, std::size_t n, std::size_t index, double w, double phase,
-               float exponent_per_unit, float g) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return wobble_avx2(out, n, index, w, phase, exponent_per_unit, g);
-#endif
-  (void)width;
-  wobble_lanes<fastmath::Lanes4>(out, n, index, w, phase, exponent_per_unit, g);
 }
 
 }  // namespace
@@ -113,7 +96,9 @@ std::vector<float> AcousticChannel::process(std::span<const float> audio) {
     const float exponent_per_unit = static_cast<float>(-0.5 * depth_db * std::log2(10.0) / 20.0);
     const std::size_t n = out.size();
     out.resize((n + 7) / 8 * 8, 0.0f);  // whole groups of eight
-    wobble_at(width_, out.data(), n, wobble_index_, w, wobble_phase_, exponent_per_unit, g);
+    util::at_width(width_, [&]<class P> {
+      wobble_lanes<P>(out.data(), n, wobble_index_, w, wobble_phase_, exponent_per_unit, g);
+    });
     out.resize(n);
     wobble_index_ += n;
     out = tilt_.process(out);

@@ -6,6 +6,7 @@
 #include "dsp/fast_math.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/resampler.hpp"
+#include "util/lanes.hpp"
 #include "util/units.hpp"
 
 namespace sonic::fm {
@@ -40,8 +41,8 @@ template <class P>
       F s, c, lo, hi;
       fastmath::sincos<P>(phases + i, s, c);
       P::interleave(c, s, lo, hi);
-      fastmath::store_from(out + 2 * (b + i), lo);
-      fastmath::store_from(out + 2 * (b + i) + P::n, hi);
+      util::store_from(out + 2 * (b + i), lo);
+      util::store_from(out + 2 * (b + i) + P::n, hi);
     }
   }
 }
@@ -55,10 +56,10 @@ template <class P>
   const float* c = reinterpret_cast<const float*>(cur);
   const float* p = reinterpret_cast<const float*>(prev);
   F c_lo, c_hi, p_lo, p_hi, cr, ci, pr, pi, dphi;
-  fastmath::load_to(c_lo, c);
-  fastmath::load_to(c_hi, c + P::n);
-  fastmath::load_to(p_lo, p);
-  fastmath::load_to(p_hi, p + P::n);
+  util::load_to(c_lo, c);
+  util::load_to(c_hi, c + P::n);
+  util::load_to(p_lo, p);
+  util::load_to(p_hi, p + P::n);
   P::deinterleave(c_lo, c_hi, cr, ci);
   P::deinterleave(p_lo, p_hi, pr, pi);
   fastmath::atan2<P>(ci * pr - cr * pi, cr * pr + ci * pi, dphi);
@@ -66,7 +67,7 @@ template <class P>
   P::widen(dphi, lo, hi);
   F scaled;
   P::narrow(lo * scale, hi * scale, scaled);
-  fastmath::store_from(out, scaled);
+  util::store_from(out, scaled);
 }
 
 // Samples [i, min(i + P::n, n)) of iq through copies: the head, whose first
@@ -96,34 +97,6 @@ template <class P>
   if (i < n) discriminate_partial<P>(iq, n, i, prev, scale, freq);
 }
 
-#if defined(__SSE2__)
-// The Lanes8 instances; flatten inlines the pack's avx2 ops into them.
-[[gnu::target("avx2"), gnu::flatten]] void integrate_avx2(const float* up, std::size_t size, double& phase,
-                                                         float* out) {
-  integrate_lanes<fastmath::Lanes8>(up, size, phase, out);
-}
-[[gnu::target("avx2"), gnu::flatten]] void discriminate_avx2(const cplx* iq, std::size_t n, cplx prev,
-                                                            double scale, float* freq) {
-  discriminate_all<fastmath::Lanes8>(iq, n, prev, scale, freq);
-}
-#endif
-
-// The instances `width` names.
-void integrate_at(util::SimdWidth width, const float* up, std::size_t size, double& phase, float* out) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return integrate_avx2(up, size, phase, out);
-#endif
-  (void)width;
-  integrate_lanes<fastmath::Lanes4>(up, size, phase, out);
-}
-void discriminate_at(util::SimdWidth width, const cplx* iq, std::size_t n, cplx prev, double scale, float* freq) {
-#if defined(__SSE2__)
-  if (width == util::SimdWidth::k256) return discriminate_avx2(iq, n, prev, scale, freq);
-#endif
-  (void)width;
-  discriminate_all<fastmath::Lanes4>(iq, n, prev, scale, freq);
-}
-
 }  // namespace
 
 std::vector<float> FmModulator::program(std::span<const float> audio) const {
@@ -139,7 +112,8 @@ std::vector<float> FmModulator::program(std::span<const float> audio) const {
 
 void FmModulator::integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const {
   iq.resize((up.size() + 7) / 8 * 8);
-  integrate_at(width_, up.data(), up.size(), phase, reinterpret_cast<float*>(iq.data()));
+  float* out = reinterpret_cast<float*>(iq.data());
+  util::at_width(width_, [&]<class P> { integrate_lanes<P>(up.data(), up.size(), phase, out); });
 }
 
 std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
@@ -166,7 +140,7 @@ std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   const double scale =
       FmParams::iq_rate_hz / (sonic::util::kTwoPi * FmParams::deviation_hz * FmParams::input_gain);
   if (n > 0) {
-    discriminate_at(width_, iq.data(), n, prev_, scale, freq.data());
+    util::at_width(width_, [&]<class P> { discriminate_all<P>(iq.data(), n, prev_, scale, freq.data()); });
     if (!have_prev_) freq[0] = 0.0f;
     have_prev_ = true;
     prev_ = iq.back();

@@ -5,9 +5,9 @@
 #include <numeric>
 #include <vector>
 
-#include "dsp/fast_math.hpp"
 #include "fec/crc32.hpp"
 #include "fec/llr_quantizer.hpp"
+#include "util/lanes.hpp"
 
 namespace sonic::modem {
 namespace {
@@ -132,8 +132,8 @@ void PacketCodec::place_soft(std::span<const float> llr, std::size_t first, std:
   const std::size_t step2 = ahead(step, step), step3 = ahead(step2, step), step4 = ahead(step3, step);
   std::size_t i = 0;
   for (; i + 4 <= n && mask + 4 <= prbs.size(); i += 4, mask += 4) {
-    const auto q = quantize(dsp::fastmath::load(llr.data() + i),
-                            dsp::fastmath::V4i{prbs[mask], prbs[mask + 1], prbs[mask + 2], prbs[mask + 3]});
+    const auto q = quantize(util::load(llr.data() + i),
+                            util::Lanes4::I{prbs[mask], prbs[mask + 1], prbs[mask + 2], prbs[mask + 3]});
     frame[dst] = q[0];
     frame[ahead(dst, step)] = q[1];
     frame[ahead(dst, step2)] = q[2];

@@ -21,10 +21,6 @@ double OfdmProfile::raw_bit_rate() const {
   return static_cast<double>(data_carriers()) * bits_per_symbol(constellation) / symbol_duration_s();
 }
 
-double OfdmProfile::bandwidth_hz() const {
-  return static_cast<double>(num_subcarriers) * subcarrier_spacing_hz();
-}
-
 double OfdmProfile::net_bit_rate(std::size_t payload_bytes, int frames_per_burst) const {
   const std::size_t samples =
       OfdmModem(*this).burst_samples(payload_bytes, static_cast<std::size_t>(frames_per_burst));

@@ -42,8 +42,6 @@ struct OfdmProfile {
   // count.
   double net_bit_rate(std::size_t payload_bytes = 100, int frames_per_burst = 16) const;
 
-  // Audio bandwidth occupied by the subcarriers.
-  double bandwidth_hz() const;
   double subcarrier_spacing_hz() const { return sample_rate / fft_size; }
 };
 

@@ -6,13 +6,12 @@
 #include <limits>
 #include <stdexcept>
 
-#include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 
 namespace sonic::modem {
 namespace {
 
-namespace fastmath = dsp::fastmath;
-using fastmath::V4f;
+using V4f = util::Lanes4::F;
 
 int ilog2(int v) {
   int b = 0;
@@ -39,7 +38,7 @@ inline void demap_axis4(V4f r, const float* levels, float two_sigma2, V4f (&llr)
     dist[g] = d * d;
   }
   for (int k = 0; k < B; ++k) {
-    V4f d0 = fastmath::splat(std::numeric_limits<float>::max());
+    V4f d0 = util::splat(std::numeric_limits<float>::max());
     V4f d1 = d0;
     for (int g = 0; g < kLevels; ++g) {
       if ((g >> (B - 1 - k)) & 1) {
@@ -65,7 +64,7 @@ void demap_block(std::span<const cplx> points, const float* levels, float two_si
       std::memcpy(padded, xy, count * sizeof(cplx));
       xy = padded;
     }
-    const V4f lo = fastmath::load(xy), hi = fastmath::load(xy + 4);
+    const V4f lo = util::load(xy), hi = util::load(xy + 4);
     V4f llr_i[B], llr_q[B];
     demap_axis4<B>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6), levels, two_sigma2, llr_i);
     demap_axis4<B>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7), levels, two_sigma2, llr_q);

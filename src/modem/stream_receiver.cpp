@@ -5,13 +5,13 @@
 #include <limits>
 #include <stdexcept>
 
-#include "dsp/fast_math.hpp"
+#include "util/lanes.hpp"
 
 namespace sonic::modem {
 namespace {
 
-typedef double V2d __attribute__((vector_size(16)));
-using dsp::fastmath::V4f;
+using V2d = util::Lanes4::D;
+using V4f = util::Lanes4::F;
 
 // Dot product in double over eight lanes (index mod 8) summed in a fixed
 // order, plus a serial tail: the same window gives the same bits wherever
@@ -36,8 +36,8 @@ void float_dots4(const float* x, const float* w, std::size_t n, float (&dot)[4])
   V4f acc[4] = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const V4f wv = dsp::fastmath::load(w + i);
-    for (std::size_t j = 0; j < 4; ++j) acc[j] += dsp::fastmath::load(x + j + i) * wv;
+    const V4f wv = util::load(w + i);
+    for (std::size_t j = 0; j < 4; ++j) acc[j] += util::load(x + j + i) * wv;
   }
   for (std::size_t j = 0; j < 4; ++j) {
     float d = (acc[j][0] + acc[j][1]) + (acc[j][2] + acc[j][3]);

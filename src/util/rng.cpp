@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/lanes.hpp"
+
 namespace sonic::util {
 namespace {
 
@@ -64,34 +66,27 @@ inline float with_sign(float z, std::uint32_t c) {
   return std::bit_cast<float>(std::bit_cast<std::uint32_t>(z) | ((c << 8) & 0x80000000u));
 }
 
-typedef std::uint64_t V2u __attribute__((vector_size(16)));
-typedef std::uint32_t V4u __attribute__((vector_size(16)));
-typedef std::int32_t V4i __attribute__((vector_size(16)));
-typedef float V4f __attribute__((vector_size(16)));
-
 // The four candidates of draws a and b: writes each one's signed rectangle
 // deviate to out[0..3] and returns a bit per candidate (bit 2j for the low
 // half of draw j, 2j + 1 for its high half) that missed its layer's inner
-// rectangle. Written with GCC/Clang vector extensions, which lower to
-// scalar code on targets without SIMD; each lane's arithmetic is the
-// scalar ZigguratNormal::resolve's.
+// rectangle. Written on Lanes4's vector extensions, which lower to scalar
+// code on targets without SIMD; each lane's arithmetic is the scalar
+// ZigguratNormal::resolve's.
 inline unsigned rectangle4(std::uint64_t a, std::uint64_t b, const ZigguratTable& t, float* out) {
-  const V4u c = reinterpret_cast<V4u>(V2u{a, b});
-  const V4u lo = reinterpret_cast<V4u>(V2u{t.layer[(a >> 24) & 0xff], t.layer[a >> 56]});
-  const V4u hi = reinterpret_cast<V4u>(V2u{t.layer[(b >> 24) & 0xff], t.layer[b >> 56]});
-  const V4f width = reinterpret_cast<V4f>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6));
-  const V4i inner = reinterpret_cast<V4i>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7));
-  const V4i u = reinterpret_cast<V4i>(c & kPositionMask);
-  const V4f z = __builtin_convertvector(u, V4f) * width;
-  const V4u z_bits = reinterpret_cast<V4u>(z) | ((c << 8) & 0x80000000u);
+  using F = Lanes4::F;
+  using I = Lanes4::I;
+  using U = Lanes4::U;
+  using Q = Lanes4::Q;
+  const U c = reinterpret_cast<U>(Q{a, b});
+  const U lo = reinterpret_cast<U>(Q{t.layer[(a >> 24) & 0xff], t.layer[a >> 56]});
+  const U hi = reinterpret_cast<U>(Q{t.layer[(b >> 24) & 0xff], t.layer[b >> 56]});
+  const F width = reinterpret_cast<F>(__builtin_shufflevector(lo, hi, 0, 2, 4, 6));
+  const I inner = reinterpret_cast<I>(__builtin_shufflevector(lo, hi, 1, 3, 5, 7));
+  const I u = reinterpret_cast<I>(c & kPositionMask);
+  const F z = __builtin_convertvector(u, F) * width;
+  const U z_bits = reinterpret_cast<U>(z) | ((c << 8) & 0x80000000u);
   std::memcpy(out, &z_bits, sizeof z_bits);
-  const V4i miss = u >= inner;  // both below 2^23: the signed compare SSE2 has
-#if defined(__SSE2__)
-  return static_cast<unsigned>(__builtin_ia32_movmskps(reinterpret_cast<V4f>(miss)));
-#else
-  const V4u bit = reinterpret_cast<V4u>(miss) & V4u{1, 2, 4, 8};
-  return bit[0] | bit[1] | bit[2] | bit[3];
-#endif
+  return Lanes4::mask_bits(u >= inner);  // both below 2^23: the signed compare SSE2 has
 }
 
 }  // namespace

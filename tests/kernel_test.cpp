@@ -93,6 +93,7 @@
 #include "sonic/framing.hpp"
 #include "sonic/pipeline.hpp"
 #include "util/cpu.hpp"
+#include "util/lanes.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -985,7 +986,7 @@ TEST(SoftQuantizer, MatchesOracleOnSpecialsBoundariesAndRandomFloats) {
 TEST(LlrQuantizer, MatchesReferenceOnSpecialsThresholdsAndRandomFloats) {
   const auto& quantize = fec::LlrQuantizer::get();
   const auto check = [&quantize](float llr) {
-    const auto lanes = quantize(dsp::fastmath::splat(llr), dsp::fastmath::V4i{0, 1, 0, 1});
+    const auto lanes = quantize(util::splat(llr), util::Lanes4::I{0, 1, 0, 1});
     for (const bool flip : {false, true}) {
       const std::uint8_t ref = fec::llr_soft_byte_reference(llr, flip);
       ASSERT_EQ(quantize(llr, flip), ref)
@@ -1552,29 +1553,69 @@ TEST(RfChannelDrawOrder, ImaginaryTakesTheFirstDrawAfterFading) {
 
 namespace fastmath = dsp::fastmath;
 
-// Runs a four-lane kernel over whole arrays, zero-padding the last group.
-template <typename Kernel>
-std::vector<float> lanes_map(std::size_t n, Kernel&& kernel) {
-  std::vector<float> out((n + 3) / 4 * 4);
-  for (std::size_t i = 0; i < n; i += 4) fastmath::store(&out[i], kernel(i));
-  out.resize(n);
+// The fast_math kernels over whole arrays at `width`, P::n lanes at a time
+// from copies zero-padded to whole groups of eight.
+struct FastMathOut {
+  std::vector<float> a, b;  // sincos: sin and cos; atan2, exp2: the result in a
+};
+
+FastMathOut sincos_at(util::SimdWidth width, std::vector<double> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0);
+  FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
+  util::at_width(width, [&]<class P> {
+    for (std::size_t i = 0; i < x.size(); i += P::n) {
+      typename P::F s, c;
+      fastmath::sincos<P>(&x[i], s, c);
+      util::store_from(&out.a[i], s);
+      util::store_from(&out.b[i], c);
+    }
+  });
+  out.a.resize(n);
+  out.b.resize(n);
+  return out;
+}
+
+FastMathOut atan2_at(util::SimdWidth width, std::vector<float> y, std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  y.resize(x.size(), 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  util::at_width(width, [&]<class P> {
+    for (std::size_t i = 0; i < x.size(); i += P::n) {
+      typename P::F vy, vx, a;
+      util::load_to(vy, &y[i]);
+      util::load_to(vx, &x[i]);
+      fastmath::atan2<P>(vy, vx, a);
+      util::store_from(&out.a[i], a);
+    }
+  });
+  out.a.resize(n);
+  return out;
+}
+
+FastMathOut exp2_at(util::SimdWidth width, std::vector<float> x) {
+  const std::size_t n = x.size();
+  x.resize((n + 7) / 8 * 8, 0.0f);
+  FastMathOut out{std::vector<float>(x.size()), {}};
+  util::at_width(width, [&]<class P> {
+    for (std::size_t i = 0; i < x.size(); i += P::n) {
+      typename P::F vx, e;
+      util::load_to(vx, &x[i]);
+      fastmath::exp2<P>(vx, e);
+      util::store_from(&out.a[i], e);
+    }
+  });
+  out.a.resize(n);
   return out;
 }
 
 void expect_sincos_close(const std::vector<double>& x, double bound) {
-  std::vector<double> padded(x);
-  padded.resize((x.size() + 3) / 4 * 4, 0.0);
-  std::vector<float> s(padded.size()), c(padded.size());
-  for (std::size_t i = 0; i < padded.size(); i += 4) {
-    fastmath::V4f vs, vc;
-    fastmath::sincos(&padded[i], vs, vc);
-    fastmath::store(&s[i], vs);
-    fastmath::store(&c[i], vc);
-  }
+  const auto got = sincos_at(util::SimdWidth::k128, x);
   double worst_s = 0.0, worst_c = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    worst_s = std::max(worst_s, std::fabs(s[i] - std::sin(x[i])));
-    worst_c = std::max(worst_c, std::fabs(c[i] - std::cos(x[i])));
+    worst_s = std::max(worst_s, std::fabs(got.a[i] - std::sin(x[i])));
+    worst_c = std::max(worst_c, std::fabs(got.b[i] - std::cos(x[i])));
   }
   EXPECT_LE(worst_s, bound);
   EXPECT_LE(worst_c, bound);
@@ -1600,14 +1641,7 @@ TEST(FastMath, SincosMatchesLibmOnLargeArguments) {
 }
 
 double atan2_error(const std::vector<float>& y, const std::vector<float>& x) {
-  const auto got = lanes_map(x.size(), [&](std::size_t i) {
-    float ly[4] = {}, lx[4] = {};
-    for (std::size_t j = 0; j < 4 && i + j < x.size(); ++j) {
-      ly[j] = y[i + j];
-      lx[j] = x[i + j];
-    }
-    return fastmath::atan2(fastmath::load(ly), fastmath::load(lx));
-  });
+  const auto got = atan2_at(util::SimdWidth::k128, y, x).a;
   double worst = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     worst = std::max(worst, std::fabs(got[i] - std::atan2(static_cast<double>(y[i]), static_cast<double>(x[i]))));
@@ -1638,7 +1672,7 @@ TEST(FastMath, Atan2SignedZerosAndAxes) {
   for (float y : values) {
     for (float x : values) {
       SCOPED_TRACE(::testing::Message() << "atan2(" << y << ", " << x << ")");
-      const float got = fastmath::atan2(fastmath::splat(y), fastmath::splat(x))[0];
+      const float got = atan2_at(util::SimdWidth::k128, {y}, {x}).a[0];
       const float expect = std::atan2(y, x);
       EXPECT_NEAR(got, expect, 2.5e-7);
       EXPECT_EQ(std::signbit(got), std::signbit(expect));
@@ -1648,7 +1682,7 @@ TEST(FastMath, Atan2SignedZerosAndAxes) {
     }
   }
   // std::arg of the origin is 0, as the discriminator's was.
-  EXPECT_EQ(fastmath::atan2(fastmath::splat(0.0f), fastmath::splat(0.0f))[0], std::arg(fm::cplx(0.0f, 0.0f)));
+  EXPECT_EQ(atan2_at(util::SimdWidth::k128, {0.0f}, {0.0f}).a[0], std::arg(fm::cplx(0.0f, 0.0f)));
 }
 
 TEST(FastMath, Atan2TinyAndHugeMagnitudes) {
@@ -1681,18 +1715,14 @@ TEST(FastMath, Exp2MatchesLibmOverWobbleRange) {
   for (int k = -6; k <= 1; ++k) {
     for (float d : {-0.5f, -1e-6f, 0.0f, 1e-6f, 0.5f}) x.push_back(static_cast<float>(k) + d);
   }
-  const auto got = lanes_map(x.size(), [&](std::size_t i) {
-    float lx[4] = {};
-    for (std::size_t j = 0; j < 4 && i + j < x.size(); ++j) lx[j] = x[i + j];
-    return fastmath::exp2(fastmath::load(lx));
-  });
+  const auto got = exp2_at(util::SimdWidth::k128, x).a;
   double worst = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double expect = std::exp2(static_cast<double>(x[i]));
     worst = std::max(worst, std::fabs(got[i] - expect) / expect);
   }
   EXPECT_LE(worst, 2e-7);
-  EXPECT_EQ(fastmath::exp2(fastmath::splat(0.0f))[0], 1.0f);
+  EXPECT_EQ(exp2_at(util::SimdWidth::k128, {0.0f}).a[0], 1.0f);
 }
 
 // --------------------------------------------------------- FM oracles ---
@@ -1981,114 +2011,22 @@ std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
   return bits;
 }
 
-#if defined(__SSE2__)
-// The fast_math kernels over whole arrays, n lanes at a time from
-// zero-padded copies: the four-lane instance and, from functions that carry
-// target("avx2") as the library's callers do, the eight-lane one.
-struct FastMathOut {
-  std::vector<float> a, b;  // sincos: sin and cos; atan2, exp2: the result in a
-};
-
-FastMathOut sincos4(std::vector<double> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0);
-  FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
-  for (std::size_t i = 0; i < x.size(); i += 4) {
-    fastmath::V4f s, c;
-    fastmath::sincos(&x[i], s, c);
-    fastmath::store(&out.a[i], s);
-    fastmath::store(&out.b[i], c);
-  }
-  out.a.resize(n);
-  out.b.resize(n);
-  return out;
-}
-
-FastMathOut atan2_4(std::vector<float> y, std::vector<float> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0f);
-  y.resize(x.size(), 0.0f);
-  FastMathOut out{std::vector<float>(x.size()), {}};
-  for (std::size_t i = 0; i < x.size(); i += 4) {
-    fastmath::store(&out.a[i], fastmath::atan2(fastmath::load(&y[i]), fastmath::load(&x[i])));
-  }
-  out.a.resize(n);
-  return out;
-}
-
-FastMathOut exp2_4(std::vector<float> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0f);
-  FastMathOut out{std::vector<float>(x.size()), {}};
-  for (std::size_t i = 0; i < x.size(); i += 4) fastmath::store(&out.a[i], fastmath::exp2(fastmath::load(&x[i])));
-  out.a.resize(n);
-  return out;
-}
-
-using Lanes8 = fastmath::Lanes8;
-
-[[gnu::target("avx2"), gnu::flatten]] void sincos8(const double* x, float* s, float* c, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 8) {
-    Lanes8::F vs, vc;
-    fastmath::sincos<Lanes8>(x + i, vs, vc);
-    fastmath::store_from(s + i, vs);
-    fastmath::store_from(c + i, vc);
-  }
-}
-
-[[gnu::target("avx2"), gnu::flatten]] void atan2_8(const float* y, const float* x, float* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 8) {
-    Lanes8::F vy, vx, a;
-    fastmath::load_to(vy, y + i);
-    fastmath::load_to(vx, x + i);
-    fastmath::atan2<Lanes8>(vy, vx, a);
-    fastmath::store_from(out + i, a);
-  }
-}
-
-[[gnu::target("avx2"), gnu::flatten]] void exp2_8(const float* x, float* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 8) {
-    Lanes8::F vx, e;
-    fastmath::load_to(vx, x + i);
-    fastmath::exp2<Lanes8>(vx, e);
-    fastmath::store_from(out + i, e);
-  }
-}
-
-FastMathOut sincos8(std::vector<double> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0);
-  FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
-  sincos8(x.data(), out.a.data(), out.b.data(), x.size());
-  out.a.resize(n);
-  out.b.resize(n);
-  return out;
-}
-
-FastMathOut atan2_8(std::vector<float> y, std::vector<float> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0f);
-  y.resize(x.size(), 0.0f);
-  FastMathOut out{std::vector<float>(x.size()), {}};
-  atan2_8(y.data(), x.data(), out.a.data(), x.size());
-  out.a.resize(n);
-  return out;
-}
-
-FastMathOut exp2_8(std::vector<float> x) {
-  const std::size_t n = x.size();
-  x.resize((n + 7) / 8 * 8, 0.0f);
-  FastMathOut out{std::vector<float>(x.size()), {}};
-  exp2_8(x.data(), out.a.data(), x.size());
-  out.a.resize(n);
-  return out;
-}
-
 void expect_same_bits(const FastMathOut& four, const FastMathOut& eight) {
   EXPECT_EQ(float_bits(four.a), float_bits(eight.a));
   EXPECT_EQ(float_bits(four.b), float_bits(eight.b));
 }
-#endif
+
+// at_width runs its kernel at the pack `width` names. The FmWidths and
+// ViterbiLanesTest cases compare bits, which a k256 path quietly running
+// the four-lane instance would still match.
+TEST(LaneDispatch, EachWidthRunsItsPack) {
+  std::size_t lanes = 0;
+  util::at_width(util::SimdWidth::k128, [&]<class P> { lanes = P::n; });
+  EXPECT_EQ(lanes, 4u);
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+  util::at_width(util::SimdWidth::k256, [&]<class P> { lanes = P::n; });
+  EXPECT_EQ(lanes, 8u);
+}
 
 // Every ordered pair of the special values: ±0, ±∞, NaN (quiet, signalling,
 // negative, with payloads), the axes' ±1, the smallest denormal, FLT_MIN,
@@ -2096,7 +2034,6 @@ void expect_same_bits(const FastMathOut& four, const FastMathOut& eight) {
 // magnitudes.
 TEST(FmWidths, Atan2SpecialValuesMatch) {
   if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
-#if defined(__SSE2__)
   using lim = std::numeric_limits<float>;
   std::vector<float> specials = {0.0f,           -0.0f,          lim::infinity(), -lim::infinity(),
                                  lim::quiet_NaN(), -lim::quiet_NaN(), lim::signaling_NaN(),
@@ -2118,37 +2055,32 @@ TEST(FmWidths, Atan2SpecialValuesMatch) {
       x.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * scale));
     }
   }
-  expect_same_bits(atan2_4(y, x), atan2_8(y, x));
-#endif
+  expect_same_bits(atan2_at(util::SimdWidth::k128, y, x), atan2_at(util::SimdWidth::k256, y, x));
 }
 
 // Large arguments, where the Cody–Waite reduction loses bits, and the
 // principal range; ±0, ±∞ and NaN too.
 TEST(FmWidths, SincosLargeArgumentsMatch) {
   if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
-#if defined(__SSE2__)
   std::vector<double> x = {0.0, -0.0, std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::quiet_NaN(), 1.6e6, -1.6e6, 1e9, 1e15, -1e18, 4.5e15};
   Rng rng(95);
   for (double scale : {4.0, 1e5, 1e7, 1e12}) {
     for (int i = 0; i < 20000; ++i) x.push_back(rng.uniform(-scale, scale));
   }
-  expect_same_bits(sincos4(x), sincos8(x));
-#endif
+  expect_same_bits(sincos_at(util::SimdWidth::k128, x), sincos_at(util::SimdWidth::k256, x));
 }
 
 // The clamps at −125 and 126, the values either side of them, ±∞ and NaN,
 // and the wobble's range.
 TEST(FmWidths, Exp2ClampsMatch) {
   if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
-#if defined(__SSE2__)
   std::vector<float> x = {-125.0f, 126.0f, std::nextafter(-125.0f, -200.0f), std::nextafter(-125.0f, 0.0f),
                           std::nextafter(126.0f, 200.0f), std::nextafter(126.0f, 0.0f), -1e30f, 1e30f,
                           std::numeric_limits<float>::infinity(), -std::numeric_limits<float>::infinity(),
                           std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, 0.5f, -0.5f};
   for (int i = 0; i <= 100000; ++i) x.push_back(static_cast<float>(-140.0 + 280.0 * i / 100000.0));
-  expect_same_bits(exp2_4(x), exp2_8(x));
-#endif
+  expect_same_bits(exp2_at(util::SimdWidth::k128, x), exp2_at(util::SimdWidth::k256, x));
 }
 
 // Pushes of these lengths, cycled until the input runs out: single samples,
