@@ -327,11 +327,21 @@ struct MicroResult {
   double after_items_per_s;
 };
 
+// `after` with util::simd_width() pinned to `width` on the timing thread for
+// each op, so the guard holds around the timed work itself.
+std::function<void()> pinned_to(util::SimdWidth width, std::function<void()> after) {
+  return [width, after = std::move(after)] {
+    const util::ScopedSimdWidth pin(width);
+    after();
+  };
+}
+
 std::vector<MicroCase> build_micro_cases() {
   std::vector<MicroCase> cases;
   auto rng = std::make_shared<util::Rng>(42);
   // The Viterbi and FM rows timed at both kernel widths: util::simd_width()
-  // (no suffix) and the narrow instance (_sse2).
+  // (no suffix) and the narrow instance (_sse2), each after-side under
+  // pinned_to.
   const std::pair<const char*, util::SimdWidth> kWidths[] = {{"", util::simd_width()},
                                                               {"_sse2", util::SimdWidth::k128}};
 
@@ -413,10 +423,10 @@ std::vector<MicroCase> build_micro_cases() {
       benchmark::DoNotOptimize(out.data());
     };
     for (auto [suffix, width] : kWidths) {
-      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, [codec, bytes, width] {
-                                  auto out = codec->decode_soft(*bytes, 100, width);
+      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, pinned_to(width, [codec, bytes] {
+                                  auto out = codec->decode_soft(*bytes, 100);
                                   benchmark::DoNotOptimize(out.data());
-                                }});
+                                })});
     }
   }
 
@@ -739,17 +749,17 @@ std::vector<MicroCase> build_micro_cases() {
     // util::simd_width() (eight lanes on an AVX2 CPU), and in their _sse2
     // rows at four.
     for (auto [suffix, width] : kWidths) {
-      auto up = std::make_shared<dsp::Resampler>(5.0, width);
+      auto up = std::make_shared<dsp::Resampler>(5.0);
       cases.push_back(MicroCase{
           std::string("resample_up5") + suffix, static_cast<double>(audio->size()), "samples",
           [audio] {
             auto out = oracles::resample_reference(*audio, 5.0);
             benchmark::DoNotOptimize(out.data());
           },
-          [up, audio] {
+          pinned_to(width, [up, audio] {
             auto out = up->process(*audio);
             benchmark::DoNotOptimize(out.data());
-          }});
+          })});
     }
 
     // The FM modulator's pattern: 512-sample pushes, then the flush.
@@ -774,7 +784,7 @@ std::vector<MicroCase> build_micro_cases() {
     const auto taps = dsp::design_lowpass(15000.0, 220500.0, 63);
     auto lp = std::make_shared<dsp::FirFilter>(taps);
     for (auto [suffix, width] : kWidths) {
-      auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps, width));
+      auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps));
       cases.push_back(MicroCase{
           std::string("resample_down5") + suffix, static_cast<double>(iq_audio->size()), "samples",
           [lp, iq_audio] {
@@ -782,27 +792,27 @@ std::vector<MicroCase> build_micro_cases() {
             auto out = oracles::resample_reference(lp->process(*iq_audio), 0.2);
             benchmark::DoNotOptimize(out.data());
           },
-          [down, iq_audio] {
+          pinned_to(width, [down, iq_audio] {
             down->reset();
             auto out = down->push(*iq_audio);
             auto tail = down->flush();
             benchmark::DoNotOptimize(out.data());
             benchmark::DoNotOptimize(tail.data());
-          }});
+          })});
     }
 
     for (auto [suffix, width] : kWidths) {
-      auto skew = std::make_shared<dsp::Resampler>(1.0 + 30e-6, width);
+      auto skew = std::make_shared<dsp::Resampler>(1.0 + 30e-6);
       cases.push_back(MicroCase{
           std::string("resample_skew") + suffix, static_cast<double>(audio->size()), "samples",
           [audio] {
             auto out = oracles::resample_reference(*audio, 1.0 + 30e-6);
             benchmark::DoNotOptimize(out.data());
           },
-          [skew, audio] {
+          pinned_to(width, [skew, audio] {
             auto out = skew->process(*audio);
             benchmark::DoNotOptimize(out.data());
-          }});
+          })});
     }
 
     // Clock skew below 1 (-17 ppm): its cutoff just under 1 widens the
@@ -891,10 +901,10 @@ std::vector<MicroCase> build_micro_cases() {
             auto out = oracles::fm_modulate_reference(*audio, params);
             benchmark::DoNotOptimize(out.data());
           },
-          [audio, params, width] {
-            auto out = fm::FmModulator(params, width).modulate(*audio);
+          pinned_to(width, [audio, params] {
+            auto out = fm::FmModulator(params).modulate(*audio);
             benchmark::DoNotOptimize(out.data());
-          }});
+          })});
     }
 
     fm::RfChannelParams rf_params;
@@ -913,20 +923,20 @@ std::vector<MicroCase> build_micro_cases() {
 
     auto noisy = std::make_shared<std::vector<fm::cplx>>(fm::RfChannel(rf_params, util::Rng(44)).process(*iq));
     for (auto [suffix, width] : kWidths) {
-      auto demod = std::make_shared<fm::FmDemodulator>(params, width);
+      auto demod = std::make_shared<fm::FmDemodulator>(params);
       cases.push_back(MicroCase{
           std::string("fm_demodulate") + suffix, static_cast<double>(noisy->size()), "iq_samples",
           [noisy, params] {
             auto out = oracles::fm_demodulate_arg_reference(*noisy, params);
             benchmark::DoNotOptimize(out.data());
           },
-          [noisy, demod] {
+          pinned_to(width, [noisy, demod] {
             demod->reset();
             auto out = demod->demodulate(*noisy);
             auto tail = demod->finish();
             benchmark::DoNotOptimize(out.data());
             benchmark::DoNotOptimize(tail.data());
-          }});
+          })});
     }
 
     fm::AcousticParams air;

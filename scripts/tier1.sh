@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, a check that
-# no DSP, FM, FEC, modem or util object of that build holds a fused
-# multiply-add (which would change bits the tests pin) and that only the
+# Tier-1 verification: a check that no header outside util/cpu.hpp and
+# util/lanes.hpp names the kernel width, the standard build + full test
+# suite, a check that no DSP, FM, FEC, modem or util object of that build
+# holds a fused multiply-add (which would change bits the tests pin) and that only the
 # one width dispatch's AVX2 instances hold 32-byte registers, the LLR
 # soft-byte table checked on every float (~25 s on four threads), a smoke
 # run of the end-to-end benchmark (its Release build of src/ plus every
@@ -19,6 +20,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
+
+echo "== tier-1: no kernel width knob outside util/cpu.hpp and util/lanes.hpp =="
+# The kernel width is one decision per process (util::simd_width()); only
+# a test or a benchmark row narrows its own thread, through
+# util::ScopedSimdWidth. Any other header naming SimdWidth would bring a
+# width parameter back into a kernel's interface.
+knobs="$(grep -rl SimdWidth --include='*.hpp' src | grep -vxE 'src/util/(cpu|lanes)\.hpp' || true)"
+if [[ -n "$knobs" ]]; then
+  echo "tier-1: these headers name SimdWidth:" >&2
+  echo "$knobs" >&2
+  exit 1
+fi
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S .

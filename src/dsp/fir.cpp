@@ -76,9 +76,9 @@ template <class P>
 
 }  // namespace
 
-FirFilter::FirFilter(std::vector<float> taps, util::SimdWidth width)
+FirFilter::FirFilter(std::vector<float> taps)
     : taps_(std::move(taps)), taps_rev_(taps_.rbegin(), taps_.rend()),
-      hist_(taps_.empty() ? 0 : taps_.size() - 1, 0.0f), width_(util::checked_simd_width(width)) {
+      hist_(taps_.empty() ? 0 : taps_.size() - 1, 0.0f) {
   if (taps_.empty()) throw std::invalid_argument("empty taps");
 }
 
@@ -96,7 +96,7 @@ std::vector<float> FirFilter::process(std::span<const float> x) {
   std::copy(hist_.begin(), hist_.end(), work_.begin());
   std::copy(x.begin(), x.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
   std::vector<float> out(outputs);
-  util::at_width(width_, [&]<class P> { fir_blocks<P>(work_.data(), taps_rev_.data(), t, outputs, out.data()); });
+  util::at_width([&]<class P> { fir_blocks<P>(work_.data(), taps_rev_.data(), t, outputs, out.data()); });
   out.resize(n);
   // Carry the last taps-1 inputs.
   std::copy_n(work_.begin() + static_cast<std::ptrdiff_t>(n), h, hist_.begin());

@@ -419,16 +419,15 @@ template <class P>
 
 }  // namespace
 
-Resampler::Resampler(double ratio, util::SimdWidth width)
-    : ratio_(ratio), width_(util::checked_simd_width(width)) {
+Resampler::Resampler(double ratio) : ratio_(ratio) {
   if (!(ratio > 0)) throw std::invalid_argument("resample ratio must be positive");
   table_ = table_for(ratio_);
 }
 
-Resampler::Resampler(double ratio, std::shared_ptr<const ResamplerTable> table, util::SimdWidth width)
-    : ratio_(ratio), width_(util::checked_simd_width(width)), table_(std::move(table)) {}
+Resampler::Resampler(double ratio, std::shared_ptr<const ResamplerTable> table)
+    : ratio_(ratio), table_(std::move(table)) {}
 
-Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefilter, util::SimdWidth width) {
+Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefilter) {
   if (factor == 0) throw std::invalid_argument("decimation factor must be positive");
   if (prefilter.empty()) throw std::invalid_argument("empty prefilter");
   const double ratio = 1.0 / static_cast<double>(factor);
@@ -459,11 +458,11 @@ Resampler Resampler::decimator(std::size_t factor, std::span<const float> prefil
   t->weights.resize(c.size());
   std::transform(c.rbegin(), c.rend(), t->weights.begin(),
                  [](double v) { return static_cast<float>(v); });
-  return Resampler(ratio, std::move(t), width);
+  return Resampler(ratio, std::move(t));
 }
 
 std::vector<float> Resampler::process(std::span<const float> input) const {
-  Resampler stream(ratio_, table_, width_);
+  Resampler stream(ratio_, table_);
   auto out = stream.push(input);
   const auto tail = stream.flush();
   out.insert(out.end(), tail.begin(), tail.end());
@@ -480,7 +479,7 @@ void Resampler::emit_ready(std::vector<float>& out, bool final_flush) {
   // hist_ is contiguous with absolute base hist_base_.
   EmitPass e{t, ratio_, hist_.data(), static_cast<long>(hist_base_), static_cast<long>(total_in_), out_total,
              final_flush, next_out_, locate(t, ratio_, next_out_), out.data() + first};
-  util::at_width(width_, [&]<class P> { emit<P>(e); });
+  util::at_width([&]<class P> { emit<P>(e); });
   next_out_ = e.i;
   out.resize(static_cast<std::size_t>(e.y - out.data()));
   // Evict history the next output can no longer reach.

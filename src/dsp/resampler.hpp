@@ -9,8 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "util/cpu.hpp"
-
 namespace sonic::dsp {
 
 // Precomputed kernel weights for one ratio (defined in resampler.cpp).
@@ -55,8 +53,7 @@ struct ResamplerTable;
 //
 // The kernels have a four-lane instance (SSE2, or the generic lowering of
 // a build without it) and an eight-lane AVX2 one; a resampler runs the one
-// its `width` names, by default util::simd_width(), the process's one CPU
-// probe. Both give the same bits.
+// util::simd_width() names. Both give the same bits.
 //
 // Streaming: push(chunk)* then flush() resamples an unbounded stream in
 // chunks with bounded memory. Interpolation state — the kernel's history
@@ -68,9 +65,8 @@ struct ResamplerTable;
 // stream.
 class Resampler {
  public:
-  // ratio = output_rate / input_rate. `width` picks the kernels' instance;
-  // k256 throws std::invalid_argument where util::simd_width() is k128.
-  explicit Resampler(double ratio, util::SimdWidth width = util::simd_width());
+  // ratio = output_rate / input_rate.
+  explicit Resampler(double ratio);
 
   // Integer-factor decimator (ratio 1/factor) with `prefilter`, a causal
   // FIR at the input rate, folded into its kernel: one filter whose taps are
@@ -83,8 +79,7 @@ class Resampler {
   // stream is silence, so the prefilter's tail rings on into the last 4
   // outputs, where a separate low-pass and Resampler(1.0 / factor) cut the
   // low-pass output off instead; every earlier output is the same.
-  static Resampler decimator(std::size_t factor, std::span<const float> prefilter,
-                             util::SimdWidth width = util::simd_width());
+  static Resampler decimator(std::size_t factor, std::span<const float> prefilter);
 
   // Batch: whole buffer in, floor(n * ratio) samples out; the resampler's
   // own stream state is left alone.
@@ -108,10 +103,9 @@ class Resampler {
   // `final_flush` the stream is complete and end-of-input is silence.
   void emit_ready(std::vector<float>& out, bool final_flush);
 
-  Resampler(double ratio, std::shared_ptr<const ResamplerTable> table, util::SimdWidth width);
+  Resampler(double ratio, std::shared_ptr<const ResamplerTable> table);
 
   double ratio_;
-  util::SimdWidth width_;
   std::shared_ptr<const ResamplerTable> table_;
 
   // Streaming state: hist_[0] is absolute input index hist_base_. Inputs

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/cpu.hpp"
 #include "util/lanes.hpp"
 
 namespace sonic::fec {
@@ -359,24 +358,18 @@ struct ViterbiWorkspace {
 
 template <class T>
 void viterbi(const std::vector<std::int16_t>& pairs, std::size_t payload_bytes, std::vector<std::uint16_t>& dec,
-             std::uint8_t* out, util::SimdWidth width) {
+             std::uint8_t* out) {
   const std::size_t in_bits = pairs.size() / 2;
   if (walk_hard_decisions<T>(pairs.data(), in_bits, payload_bytes, out)) return;
   dec.resize(in_bits * T::groups);  // every word is written below
   // 8 lanes per register at k128, 16 at k256.
-  util::at_width(width, [&]<class P> { acs_loop<T, P>(pairs.data(), in_bits, dec.data()); });
+  util::at_width([&]<class P> { acs_loop<T, P>(pairs.data(), in_bits, dec.data()); });
   traceback<T>(dec.data(), payload_bytes, out);
 }
 
 }  // namespace
 
 util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const {
-  return decode_soft(soft, payload_bytes, util::simd_width());
-}
-
-util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes,
-                                            util::SimdWidth width) const {
-  util::checked_simd_width(width);
   const std::size_t in_bits = input_bits(spec_.code, payload_bytes);
   thread_local ViterbiWorkspace ws;
   switch (spec_.rate) {
@@ -385,7 +378,7 @@ util::Bytes ConvolutionalCodec::decode_soft(std::span<const std::uint8_t> soft, 
     case PunctureRate::kRate3_4: depuncture<kPattern3_4>(soft, in_bits, ws.pairs); break;
   }
   util::Bytes out(payload_bytes);
-  with_trellis(spec_.code, [&](auto t) { viterbi<decltype(t)>(ws.pairs, payload_bytes, ws.decisions, out.data(), width); });
+  with_trellis(spec_.code, [&](auto t) { viterbi<decltype(t)>(ws.pairs, payload_bytes, ws.decisions, out.data()); });
   return out;
 }
 

@@ -18,7 +18,6 @@
 #include <span>
 
 #include "util/bytes.hpp"
-#include "util/cpu.hpp"
 
 namespace sonic::fec {
 
@@ -132,13 +131,6 @@ class ConvolutionalCodec {
   // the float per-state decoder (oracles::decode_soft_reference) is the
   // coding-gain baseline it is checked against.
   util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes) const;
-
-  // decode_soft at `width` rather than util::simd_width(): k128 runs eight
-  // int16 lanes per register, k256 sixteen. Each instance can be checked
-  // on one host; the output is the same. Throws std::invalid_argument for
-  // k256 where util::simd_width() is k128.
-  util::Bytes decode_soft(std::span<const std::uint8_t> soft, std::size_t payload_bytes,
-                          util::SimdWidth width) const;
 
   // Soft-bit quantization scale (even, so 0.5 is exact) and the erasure.
   static constexpr int kSoftScale = 254;

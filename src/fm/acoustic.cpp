@@ -33,10 +33,9 @@ template <class P>
 
 }  // namespace
 
-AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng, util::SimdWidth width)
+AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng)
     : params_(params),
       rng_(rng),
-      width_(util::checked_simd_width(width)),
       // Gentle roll-off from ~12 kHz: cheap phone mics lose the top octave.
       tilt_(dsp::Biquad::lowpass(12000.0, AcousticParams::sample_rate_hz, 0.6)) {
   if (params_.clock_skew_ppm < 0.0) {
@@ -66,7 +65,7 @@ AcousticChannel::AcousticChannel(AcousticParams params, sonic::util::Rng rng, ut
   // re-draw the skew or reset the interpolation window.
   if (params_.clock_skew_ppm > 0.0) {
     const double eps = rng_.uniform(-params_.clock_skew_ppm, params_.clock_skew_ppm) * 1e-6;
-    skew_.emplace(1.0 + eps, width_);
+    skew_.emplace(1.0 + eps);
   }
 }
 
@@ -96,7 +95,7 @@ std::vector<float> AcousticChannel::process(std::span<const float> audio) {
     const float exponent_per_unit = static_cast<float>(-0.5 * depth_db * std::log2(10.0) / 20.0);
     const std::size_t n = out.size();
     out.resize((n + 7) / 8 * 8, 0.0f);  // whole groups of eight
-    util::at_width(width_, [&]<class P> {
+    util::at_width([&]<class P> {
       wobble_lanes<P>(out.data(), n, wobble_index_, w, wobble_phase_, exponent_per_unit, g);
     });
     out.resize(n);

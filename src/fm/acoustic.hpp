@@ -25,7 +25,6 @@
 
 #include "dsp/biquad.hpp"
 #include "dsp/resampler.hpp"
-#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::fm {
@@ -63,11 +62,11 @@ struct AcousticParams {
 // symmetric per-trial draw; a negative bound silently disabled skew).
 //
 // The wobble's sincos and exp2 and the skew resampler run the instance of
-// the vector kernels that `width` names, by default util::simd_width() (the
-// process's one CPU probe); both give the same bits.
+// the vector kernels that util::simd_width() names on the calling thread;
+// both give the same bits.
 class AcousticChannel {
  public:
-  AcousticChannel(AcousticParams params, sonic::util::Rng rng, util::SimdWidth width = util::simd_width());
+  AcousticChannel(AcousticParams params, sonic::util::Rng rng);
 
   // Feed one chunk (or the whole buffer); returns the audible result. With
   // clock skew enabled the output length trails the input by the skew
@@ -82,7 +81,6 @@ class AcousticChannel {
  private:
   AcousticParams params_;
   sonic::util::Rng rng_;
-  util::SimdWidth width_;
   double trial_gain_db_ = 0.0;
   double wobble_phase_ = 0.0;
   std::size_t wobble_index_ = 0;     // absolute sample position in the trial

@@ -101,7 +101,7 @@ template <class P>
 
 std::vector<float> FmModulator::program(std::span<const float> audio) const {
   // Band-limit to the mono channel.
-  dsp::FirFilter lp(dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::audio_rate_hz, 63), width_);
+  dsp::FirFilter lp(dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::audio_rate_hz, 63));
   std::vector<float> program = lp.process(audio);
   // Headroom + limiter: keep instantaneous deviation within budget.
   for (auto& s : program) {
@@ -113,7 +113,7 @@ std::vector<float> FmModulator::program(std::span<const float> audio) const {
 void FmModulator::integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const {
   iq.resize((up.size() + 7) / 8 * 8);
   float* out = reinterpret_cast<float*>(iq.data());
-  util::at_width(width_, [&]<class P> { integrate_lanes<P>(up.data(), up.size(), phase, out); });
+  util::at_width([&]<class P> { integrate_lanes<P>(up.data(), up.size(), phase, out); });
 }
 
 std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
@@ -123,10 +123,9 @@ std::vector<cplx> FmModulator::modulate(std::span<const float> audio) const {
   return iq;
 }
 
-FmDemodulator::FmDemodulator(FmParams, util::SimdWidth width)
-    : width_(util::checked_simd_width(width)),
-      decim_(dsp::Resampler::decimator(
-          kDecimation, dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::iq_rate_hz, 63), width)) {}
+FmDemodulator::FmDemodulator(FmParams)
+    : decim_(dsp::Resampler::decimator(
+          kDecimation, dsp::design_lowpass(FmParams::audio_lowpass_hz, FmParams::iq_rate_hz, 63))) {}
 
 std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   // Quadrature discriminator: instantaneous frequency from the phase delta,
@@ -140,7 +139,7 @@ std::vector<float> FmDemodulator::demodulate(std::span<const cplx> iq) {
   const double scale =
       FmParams::iq_rate_hz / (sonic::util::kTwoPi * FmParams::deviation_hz * FmParams::input_gain);
   if (n > 0) {
-    util::at_width(width_, [&]<class P> { discriminate_all<P>(iq.data(), n, prev_, scale, freq.data()); });
+    util::at_width([&]<class P> { discriminate_all<P>(iq.data(), n, prev_, scale, freq.data()); });
     if (!have_prev_) freq[0] = 0.0f;
     have_prev_ = true;
     prev_ = iq.back();

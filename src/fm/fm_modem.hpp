@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "dsp/resampler.hpp"
-#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::fm {
@@ -37,14 +36,11 @@ struct FmParams {
 };
 
 // The modulator's and demodulator's vector kernels (program low-pass, 1:5
-// upsampler, sincos, discriminator, decimator) run the instance `width`
-// names: by default util::simd_width(), the process's one CPU probe; k128
-// forces the four-lane instance (k256 throws std::invalid_argument where
-// the CPU cannot run it). Both give the same bits.
+// upsampler, sincos, discriminator, decimator) run the instance that
+// util::simd_width() names on the calling thread. Both give the same bits.
 class FmModulator {
  public:
-  explicit FmModulator(FmParams = {}, util::SimdWidth width = util::simd_width())
-      : width_(util::checked_simd_width(width)) {}
+  explicit FmModulator(FmParams = {}) {}
   // Audio in [-1, 1] -> constant-envelope (unit power) IQ at iq_rate: the
   // streamed modulate() run to completion and its blocks concatenated.
   std::vector<cplx> modulate(std::span<const float> audio) const;
@@ -63,14 +59,12 @@ class FmModulator {
   // Integrates `up` (program at iq_rate) onto `phase` and writes the IQ to
   // iq[0, up.size()); iq is padded to whole groups of eight.
   void integrate(std::span<const float> up, double& phase, std::vector<cplx>& iq) const;
-
-  util::SimdWidth width_;
 };
 
 template <typename Sink>
 void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
   const std::vector<float> prog = program(audio);
-  dsp::Resampler up(FmParams::iq_rate_hz / FmParams::audio_rate_hz, width_);
+  dsp::Resampler up(FmParams::iq_rate_hz / FmParams::audio_rate_hz);
   constexpr std::size_t kProgramBlock = 512;
   std::vector<cplx> iq;
   double phase = 0.0;
@@ -98,7 +92,7 @@ void FmModulator::modulate(std::span<const float> audio, Sink&& sink) const {
 // audio-rate outputs.
 class FmDemodulator {
  public:
-  explicit FmDemodulator(FmParams = {}, util::SimdWidth width = util::simd_width());
+  explicit FmDemodulator(FmParams = {});
   // IQ at iq_rate -> audio at audio_rate; every output sample that the
   // decimator can already fully determine. Carries state across calls.
   std::vector<float> demodulate(std::span<const cplx> iq);
@@ -108,7 +102,6 @@ class FmDemodulator {
   void reset();
 
  private:
-  util::SimdWidth width_;
   cplx prev_{1.0f, 0.0f};
   bool have_prev_ = false;
   dsp::Resampler decim_;  // low-pass + decimator, one stage

@@ -40,11 +40,6 @@ Carousel::Carousel(BroadcastPipeline* pipeline, Metrics* metrics, Params params)
 
 void Carousel::record_hit(const std::string& url) { ++hits_[url]; }
 
-std::uint32_t Carousel::next_repair_seq(const std::string& url) const {
-  const auto it = repair_seq_.find(url);
-  return it == repair_seq_.end() ? 0 : it->second;
-}
-
 void Carousel::refresh_catalog(double now_s) {
   catalog_.clear();
   for (const auto& [url, hits] : hits_) catalog_.emplace_back(url, hits);

@@ -63,8 +63,6 @@ class Carousel {
 
   std::size_t cycles_completed() const { return cycles_completed_; }
   std::size_t pages_in_flight() const { return in_flight_; }
-  // Where url's rateless repair stream resumes next cycle (diagnostics).
-  std::uint32_t next_repair_seq(const std::string& url) const;
 
  private:
   void refresh_catalog(double now_s);

@@ -5,12 +5,14 @@
 //    generic lowering of a build without SSE2;
 //  * Lanes8: 32-byte vectors (8 floats, 16 int16), defined only under
 //    __SSE2__; its ops carry target("avx2").
-// util::at_width(width, f) runs f.template operator()<P>() at the pack
-// `width` names: Lanes4 inline in the caller, Lanes8 inside run_lanes8,
-// the one function that carries target("avx2") and flatten, which inline f,
-// the kernel templates it calls and the pack's ops into it. Its instances
-// are the only functions that hold a 32-byte register, and
-// util::simd_width() (cpu.hpp) decides once per process whether they run.
+// util::at_width(f) runs f.template operator()<P>() at the pack that
+// util::simd_width() (cpu.hpp) names on the calling thread: Lanes4 inline
+// in the caller, Lanes8 inside run_lanes8, the one function that carries
+// target("avx2") and flatten, which inline f, the kernel templates it
+// calls and the pack's ops into it. Its instances are the only functions
+// that hold a 32-byte register. The CPU probe decides once per process
+// whether they run; only a test or benchmark row narrows a thread to
+// Lanes4, through util::ScopedSimdWidth. No kernel takes a width.
 // The build keeps the default ISA: no -mavx2, which could make an inline
 // header function every caller's AVX2 copy, and no FMA, whose contracted
 // multiply-add would change bits.
@@ -183,15 +185,14 @@ template <class Kernel>
 }
 #endif
 
-// kernel.template operator()<P>() with P = Lanes8 at k256, Lanes4 at k128.
-// A caller checks `width` once (checked_simd_width); a build without SSE2
-// has only the Lanes4 instance.
+// kernel.template operator()<P>() with P = Lanes8 where simd_width() is
+// k256 on the calling thread, else Lanes4. A build without SSE2 has only
+// the Lanes4 instance.
 template <class Kernel>
-[[gnu::always_inline]] inline void at_width(SimdWidth width, Kernel&& kernel) {
+[[gnu::always_inline]] inline void at_width(Kernel&& kernel) {
 #if defined(__SSE2__)
-  if (width == SimdWidth::k256) return run_lanes8(kernel);
+  if (simd_width() == SimdWidth::k256) return run_lanes8(kernel);
 #endif
-  (void)width;
   kernel.template operator()<Lanes4>();
 }
 

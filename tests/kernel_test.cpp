@@ -630,11 +630,12 @@ TEST(ViterbiEquivalence, CleanRoundTripStillDecodes) {
 
 // Both add-compare-select instances against the quantized oracle in one
 // run: 8 lanes (SSE2, or the generic fallback without it) and 16 (two
-// groups per AVX2 register, skipped on a CPU without AVX2). decode_soft
-// runs only util::simd_width(), so on an AVX2 host the tests above never reach the
-// 8-lane instance. Every code and rate: noisy frames of 0 to 1024 bytes,
-// hard input with ties everywhere, erasures and long tie runs, and 1-KiB
-// frames at both ends of the int16 range.
+// groups per AVX2 register, skipped on a CPU without AVX2), each under a
+// util::ScopedSimdWidth. decode_soft runs util::simd_width(), so on an
+// AVX2 host the tests above never reach the 8-lane instance. Every code
+// and rate: noisy frames of 0 to 1024 bytes, hard input with ties
+// everywhere, erasures and long tie runs, and 1-KiB frames at both ends of
+// the int16 range.
 class ViterbiLanesTest : public ::testing::TestWithParam<util::SimdWidth> {
  protected:
   void SetUp() override {
@@ -646,7 +647,8 @@ class ViterbiLanesTest : public ::testing::TestWithParam<util::SimdWidth> {
   void expect_oracle(const fec::ConvSpec& spec, std::span<const float> soft, std::size_t payload,
                      const std::string& what) {
     const fec::ConvolutionalCodec codec(spec);
-    ASSERT_EQ(codec.decode_soft(quantized(soft), payload, GetParam()),
+    const util::ScopedSimdWidth pin(GetParam());
+    ASSERT_EQ(codec.decode_soft(quantized(soft), payload),
               oracles::decode_soft_quantized_reference(spec, soft, payload))
         << spec_name(spec) << " " << what;
   }
@@ -708,16 +710,20 @@ INSTANTIATE_TEST_SUITE_P(BothWidths, ViterbiLanesTest,
                            return info.param == util::SimdWidth::k128 ? std::string("lanes8") : std::string("lanes16");
                          });
 
-// decode_soft runs util::simd_width(), and 16 lanes are refused where they cannot
-// run.
+// decode_soft runs util::simd_width() of the calling thread, and 16 lanes
+// are refused where they cannot run.
 TEST(ViterbiLanes, DecodeSoftRunsTheChosenWidth) {
   Rng rng(37);
   const fec::ConvSpec spec{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
   const fec::ConvolutionalCodec codec(spec);
   const auto soft = quantized(soft_bits(codec, rng, 64, 0.3));
-  EXPECT_EQ(codec.decode_soft(soft, 64), codec.decode_soft(soft, 64, util::simd_width()));
+  const auto unpinned = codec.decode_soft(soft, 64);
+  {
+    const util::ScopedSimdWidth same(util::simd_width());
+    EXPECT_EQ(codec.decode_soft(soft, 64), unpinned);
+  }
   if (util::simd_width() == util::SimdWidth::k128) {
-    EXPECT_THROW(codec.decode_soft(soft, 64, util::SimdWidth::k256), std::invalid_argument);
+    EXPECT_THROW(util::ScopedSimdWidth(util::SimdWidth::k256), std::invalid_argument);
   }
 }
 
@@ -1553,8 +1559,9 @@ TEST(RfChannelDrawOrder, ImaginaryTakesTheFirstDrawAfterFading) {
 
 namespace fastmath = dsp::fastmath;
 
-// The fast_math kernels over whole arrays at `width`, P::n lanes at a time
-// from copies zero-padded to whole groups of eight.
+// The fast_math kernels over whole arrays at `width` (a ScopedSimdWidth
+// held around the dispatch), P::n lanes at a time from copies zero-padded
+// to whole groups of eight.
 struct FastMathOut {
   std::vector<float> a, b;  // sincos: sin and cos; atan2, exp2: the result in a
 };
@@ -1563,7 +1570,8 @@ FastMathOut sincos_at(util::SimdWidth width, std::vector<double> x) {
   const std::size_t n = x.size();
   x.resize((n + 7) / 8 * 8, 0.0);
   FastMathOut out{std::vector<float>(x.size()), std::vector<float>(x.size())};
-  util::at_width(width, [&]<class P> {
+  const util::ScopedSimdWidth pin(width);
+  util::at_width([&]<class P> {
     for (std::size_t i = 0; i < x.size(); i += P::n) {
       typename P::F s, c;
       fastmath::sincos<P>(&x[i], s, c);
@@ -1581,7 +1589,8 @@ FastMathOut atan2_at(util::SimdWidth width, std::vector<float> y, std::vector<fl
   x.resize((n + 7) / 8 * 8, 0.0f);
   y.resize(x.size(), 0.0f);
   FastMathOut out{std::vector<float>(x.size()), {}};
-  util::at_width(width, [&]<class P> {
+  const util::ScopedSimdWidth pin(width);
+  util::at_width([&]<class P> {
     for (std::size_t i = 0; i < x.size(); i += P::n) {
       typename P::F vy, vx, a;
       util::load_to(vy, &y[i]);
@@ -1598,7 +1607,8 @@ FastMathOut exp2_at(util::SimdWidth width, std::vector<float> x) {
   const std::size_t n = x.size();
   x.resize((n + 7) / 8 * 8, 0.0f);
   FastMathOut out{std::vector<float>(x.size()), {}};
-  util::at_width(width, [&]<class P> {
+  const util::ScopedSimdWidth pin(width);
+  util::at_width([&]<class P> {
     for (std::size_t i = 0; i < x.size(); i += P::n) {
       typename P::F vx, e;
       util::load_to(vx, &x[i]);
@@ -2016,16 +2026,56 @@ void expect_same_bits(const FastMathOut& four, const FastMathOut& eight) {
   EXPECT_EQ(float_bits(four.b), float_bits(eight.b));
 }
 
-// at_width runs its kernel at the pack `width` names. The FmWidths and
-// ViterbiLanesTest cases compare bits, which a k256 path quietly running
-// the four-lane instance would still match.
+// `f()` with util::simd_width() pinned to `width` on this thread.
+template <class F>
+auto pinned(util::SimdWidth width, F&& f) {
+  const util::ScopedSimdWidth pin(width);
+  return f();
+}
+
+// at_width runs its kernel at the pack the thread's width names. The
+// FmWidths and ViterbiLanesTest cases compare bits, which a k256 path
+// quietly running the four-lane instance would still match.
 TEST(LaneDispatch, EachWidthRunsItsPack) {
-  std::size_t lanes = 0;
-  util::at_width(util::SimdWidth::k128, [&]<class P> { lanes = P::n; });
-  EXPECT_EQ(lanes, 4u);
+  const auto lanes = [] {
+    std::size_t n = 0;
+    util::at_width([&]<class P> { n = P::n; });
+    return n;
+  };
+  EXPECT_EQ(pinned(util::SimdWidth::k128, lanes), 4u);
   if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
-  util::at_width(util::SimdWidth::k256, [&]<class P> { lanes = P::n; });
-  EXPECT_EQ(lanes, 8u);
+  EXPECT_EQ(pinned(util::SimdWidth::k256, lanes), 8u);
+  EXPECT_EQ(lanes(), 8u);
+}
+
+// A guard pins only its own thread: a std::thread started under a k128
+// guard reads the probe's answer.
+TEST(LaneDispatch, GuardPinsOnlyItsThread) {
+  const util::SimdWidth probe = util::simd_width();
+  const util::ScopedSimdWidth four(util::SimdWidth::k128);
+  EXPECT_EQ(util::simd_width(), util::SimdWidth::k128);
+  util::SimdWidth seen = util::SimdWidth::k128;
+  std::thread([&] { seen = util::simd_width(); }).join();
+  EXPECT_EQ(seen, probe);
+}
+
+// Nested guards restore the enclosing width as each one ends.
+TEST(LaneDispatch, NestedGuardsRestoreInScopeOrder) {
+  const util::SimdWidth probe = util::simd_width();
+  {
+    const util::ScopedSimdWidth outer(util::SimdWidth::k128);
+    {
+      const util::ScopedSimdWidth inner(probe);
+      EXPECT_EQ(util::simd_width(), probe);
+      {
+        const util::ScopedSimdWidth innermost(util::SimdWidth::k128);
+        EXPECT_EQ(util::simd_width(), util::SimdWidth::k128);
+      }
+      EXPECT_EQ(util::simd_width(), probe);
+    }
+    EXPECT_EQ(util::simd_width(), util::SimdWidth::k128);
+  }
+  EXPECT_EQ(util::simd_width(), probe);
 }
 
 // Every ordered pair of the special values: ±0, ±∞, NaN (quiet, signalling,
@@ -2107,9 +2157,11 @@ TEST(FmWidths, FirMatches) {
   Rng rng(96);
   const auto audio = random_audio(rng, 20000, 0.9);
   const auto taps = dsp::design_lowpass(15000.0, 44100.0, 63);
-  const auto four = run_chunked(FirStage{dsp::FirFilter(taps, util::SimdWidth::k128)}, audio);
-  EXPECT_EQ(float_bits(run_chunked(FirStage{dsp::FirFilter(taps, util::SimdWidth::k256)}, audio)), float_bits(four));
-  EXPECT_EQ(float_bits(dsp::FirFilter(taps, util::SimdWidth::k256).process(audio)), float_bits(four));
+  const auto four = pinned(util::SimdWidth::k128, [&] { return run_chunked(FirStage{dsp::FirFilter(taps)}, audio); });
+  pinned(util::SimdWidth::k256, [&] {
+    EXPECT_EQ(float_bits(run_chunked(FirStage{dsp::FirFilter(taps)}, audio)), float_bits(four));
+    EXPECT_EQ(float_bits(dsp::FirFilter(taps).process(audio)), float_bits(four));
+  });
 }
 
 // The five resampler configurations of FmKernels.StageOutputsArePinned,
@@ -2119,17 +2171,19 @@ TEST(FmWidths, ResamplerConfigurationsMatch) {
   Rng rng(97);
   const auto audio = random_audio(rng, 20000, 0.9);
   const auto iq_lowpass = dsp::design_lowpass(15000.0, 220500.0, 63);
-  const std::pair<const char*, std::function<dsp::Resampler(util::SimdWidth)>> configs[] = {
-      {"up5", [](util::SimdWidth w) { return dsp::Resampler(5.0, w); }},
-      {"decimator5", [&](util::SimdWidth w) { return dsp::Resampler::decimator(5, iq_lowpass, w); }},
-      {"skew_up", [](util::SimdWidth w) { return dsp::Resampler(1.0 + 30e-6, w); }},
-      {"skew_down", [](util::SimdWidth w) { return dsp::Resampler(1.0 - 17e-6, w); }},
-      {"640/147", [](util::SimdWidth w) { return dsp::Resampler(640.0 / 147.0, w); }},
+  const std::pair<const char*, dsp::Resampler> configs[] = {
+      {"up5", dsp::Resampler(5.0)},
+      {"decimator5", dsp::Resampler::decimator(5, iq_lowpass)},
+      {"skew_up", dsp::Resampler(1.0 + 30e-6)},
+      {"skew_down", dsp::Resampler(1.0 - 17e-6)},
+      {"640/147", dsp::Resampler(640.0 / 147.0)},
   };
-  for (const auto& [name, make] : configs) {
-    const auto four = run_chunked(ResamplerStage{make(util::SimdWidth::k128)}, audio);
-    EXPECT_EQ(float_bits(run_chunked(ResamplerStage{make(util::SimdWidth::k256)}, audio)), float_bits(four)) << name;
-    EXPECT_EQ(float_bits(make(util::SimdWidth::k256).process(audio)), float_bits(four)) << name;
+  for (const auto& [name, resampler] : configs) {
+    const auto four = pinned(util::SimdWidth::k128, [&] { return run_chunked(ResamplerStage{resampler}, audio); });
+    pinned(util::SimdWidth::k256, [&] {
+      EXPECT_EQ(float_bits(run_chunked(ResamplerStage{resampler}, audio)), float_bits(four)) << name;
+      EXPECT_EQ(float_bits(resampler.process(audio)), float_bits(four)) << name;
+    });
   }
 }
 
@@ -2140,31 +2194,29 @@ TEST(FmWidths, ModemAndAcousticStagesMatch) {
   Rng rng(98);
   const auto audio = random_audio(rng, 20000, 0.9);
   const fm::FmParams params;
-  const auto iq = fm::FmModulator(params, util::SimdWidth::k128).modulate(audio);
-  const auto iq8 = fm::FmModulator(params, util::SimdWidth::k256).modulate(audio);
+  const auto modulate = [&] { return fm::FmModulator(params).modulate(audio); };
+  const auto iq = pinned(util::SimdWidth::k128, modulate);
+  const auto iq8 = pinned(util::SimdWidth::k256, modulate);
   ASSERT_EQ(iq.size(), iq8.size());
   EXPECT_EQ(std::memcmp(iq.data(), iq8.data(), iq.size() * sizeof(fm::cplx)), 0);
 
   fm::RfChannelParams rf;
   rf.rssi_db = -88.0;
   const auto noisy = fm::RfChannel(rf, Rng(99)).process(iq);
-  EXPECT_EQ(float_bits(run_chunked(DemodulatorStage{fm::FmDemodulator(params, util::SimdWidth::k256)}, noisy)),
-            float_bits(run_chunked(DemodulatorStage{fm::FmDemodulator(params, util::SimdWidth::k128)}, noisy)));
+  const auto demodulate = [&] { return run_chunked(DemodulatorStage{fm::FmDemodulator(params)}, noisy); };
+  EXPECT_EQ(float_bits(pinned(util::SimdWidth::k256, demodulate)),
+            float_bits(pinned(util::SimdWidth::k128, demodulate)));
 
   fm::AcousticParams air;
   air.distance_m = 0.2;
-  const auto heard = [&](util::SimdWidth w) {
-    return run_chunked(AcousticStage{fm::AcousticChannel(air, Rng(100), w)}, audio);
-  };
-  EXPECT_EQ(float_bits(heard(util::SimdWidth::k256)), float_bits(heard(util::SimdWidth::k128)));
+  const auto heard = [&] { return run_chunked(AcousticStage{fm::AcousticChannel(air, Rng(100))}, audio); };
+  EXPECT_EQ(float_bits(pinned(util::SimdWidth::k256, heard)), float_bits(pinned(util::SimdWidth::k128, heard)));
 }
 
-// Where the CPU cannot run the eight-lane instance, asking for it throws.
+// Where the CPU cannot run the eight-lane instance, pinning it throws.
 TEST(FmWidths, EightLanesRefusedWithoutAvx2) {
   if (runs_eight_lanes()) GTEST_SKIP() << "this CPU runs the eight-lane instance";
-  EXPECT_THROW(dsp::Resampler(5.0, util::SimdWidth::k256), std::invalid_argument);
-  EXPECT_THROW(dsp::FirFilter({1.0f}, util::SimdWidth::k256), std::invalid_argument);
-  EXPECT_THROW(fm::FmDemodulator({}, util::SimdWidth::k256), std::invalid_argument);
+  EXPECT_THROW(util::ScopedSimdWidth(util::SimdWidth::k256), std::invalid_argument);
 }
 
 // ------------------------------------------- FFT and OFDM modem bit pins ---
