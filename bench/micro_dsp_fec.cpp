@@ -984,6 +984,49 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
+  // The transmitter on sonic-10k's 100-byte frames. packet_encode_sonic10k
+  // codes sixteen frames: before is the per-bit encoder
+  // (oracles::packet_encode_reference: per-bit conv and LFSR RS, BitReader
+  // and BitWriter), after PacketCodec::encode. ofdm_modulate_sonic10k
+  // modulates one 16-frame burst: before is the per-bit transmitter on the
+  // frozen radix-2 inverse FFT (oracles::ofdm_modulate_reference), after
+  // OfdmModem::modulate, so its speedup also holds the plan's gain over
+  // that FFT. Own Rng.
+  {
+    const auto profile = *modem::profiles::get("sonic-10k");
+    const modem::PacketSpec spec{profile.conv, profile.rs_nroots};
+    auto codec = std::make_shared<modem::PacketCodec>(spec);
+    auto modem = std::make_shared<modem::OfdmModem>(profile);
+    util::Rng tx_rng(47);
+    auto frames = std::make_shared<std::vector<util::Bytes>>();
+    for (int f = 0; f < 16; ++f) frames->push_back(random_bytes(tx_rng, core::kFrameSize));
+    cases.push_back(MicroCase{
+        "packet_encode_sonic10k", static_cast<double>(16 * core::kFrameSize), "bytes",
+        [spec, frames] {
+          for (const auto& f : *frames) {
+            auto out = oracles::packet_encode_reference(spec, f);
+            benchmark::DoNotOptimize(out.data());
+          }
+        },
+        [codec, frames] {
+          for (const auto& f : *frames) {
+            auto out = codec->encode(f);
+            benchmark::DoNotOptimize(out.data());
+          }
+        }});
+    const double samples = static_cast<double>(modem->burst_samples(core::kFrameSize, frames->size()));
+    cases.push_back(MicroCase{
+        "ofdm_modulate_sonic10k", samples, "samples",
+        [modem, frames] {
+          auto out = oracles::ofdm_modulate_reference(*modem, *frames);
+          benchmark::DoNotOptimize(out.data());
+        },
+        [modem, frames] {
+          auto out = modem->modulate(*frames);
+          benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
   // The column codec on one corpus page at the default 1080-px layout:
   // before is the per-pixel oracle, after the strip codec. The decode
   // drops every 7th segment, as a lossy broadcast would.

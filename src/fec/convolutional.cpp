@@ -282,21 +282,118 @@ void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t
   }
 }
 
-// The mother code's output bits of `data` (MSB first) and the K-1 flush
-// bits, out0 then out1 per input bit.
+// The mother code's sixteen output bits for the byte `byte` fed MSB first
+// from `state`: out0 then out1 per input bit, the first input bit's pair in
+// bits 15 and 14.
 template <class T>
-void raw_encode_bits(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out_bits) {
-  std::uint32_t state = 0;
-  auto push = [&](std::uint32_t bit) {
-    const std::uint32_t reg = (state << 1) | bit;
-    out_bits.push_back(static_cast<std::uint8_t>(parity(reg & T::poly_a)));
-    out_bits.push_back(static_cast<std::uint8_t>(parity(reg & T::poly_b)));
+constexpr std::uint32_t byte_out_bits(std::uint32_t state, std::uint32_t byte) {
+  std::uint32_t bits = 0;
+  for (int i = 7; i >= 0; --i) {
+    const std::uint32_t reg = (state << 1) | ((byte >> i) & 1u);
+    bits = (bits << 2) | static_cast<std::uint32_t>(parity(reg & T::poly_a) * 2 + parity(reg & T::poly_b));
     state = reg & static_cast<std::uint32_t>(T::states - 1);
-  };
-  for (std::uint8_t byte : data) {
-    for (int i = 7; i >= 0; --i) push((byte >> i) & 1u);
   }
-  for (int i = 0; i < T::k - 1; ++i) push(0);  // flush to state 0
+  return bits;
+}
+
+// The encoder is linear over GF(2) in its state and input bits, so a
+// byte's output bits from `state` are from_state[state] (the state fed a
+// zero byte) XOR from_byte[byte] (the byte fed from state 0), and the
+// state after it is the byte's last K-1 bits.
+template <class T>
+struct ByteTables {
+  template <std::size_t N, class F>
+  static constexpr std::array<std::uint16_t, N> table(F f) {
+    std::array<std::uint16_t, N> t{};
+    for (std::size_t i = 0; i < N; ++i) t[i] = static_cast<std::uint16_t>(f(static_cast<std::uint32_t>(i)));
+    return t;
+  }
+  static constexpr auto from_state = table<T::states>([](std::uint32_t s) { return byte_out_bits<T>(s, 0); });
+  static constexpr auto from_byte = table<256>([](std::uint32_t b) { return byte_out_bits<T>(0, b); });
+  static_assert(T::states <= 256, "a byte must fill the state");
+};
+
+// Punctures the mother code's output through the pattern Pat and packs the
+// kept bits MSB first. Raw bits arrive up to sixteen at a time and leave in
+// chunks of twelve, whole periods of every pattern, each through one table
+// of its kept bits; the last partial chunk keeps its pattern prefix.
+template <const auto& Pat>
+class Puncturer {
+  static constexpr int kPeriod = static_cast<int>(std::size(Pat));
+  static constexpr int kChunk = 12;
+  static_assert(kChunk % kPeriod == 0, "a chunk holds whole pattern periods");
+  static constexpr int kept(int raw) {
+    int n = 0;
+    for (int i = 0; i < raw; ++i) n += Pat[i % kPeriod];
+    return n;
+  }
+  static constexpr int kChunkKept = kept(kChunk);
+  static constexpr auto kTable = [] {
+    std::array<std::uint16_t, 1u << kChunk> t{};
+    for (std::uint32_t c = 0; c < t.size(); ++c) {
+      std::uint32_t bits = 0;
+      for (int i = 0; i < kChunk; ++i) {
+        if (Pat[i % kPeriod]) bits = (bits << 1) | ((c >> (kChunk - 1 - i)) & 1u);
+      }
+      t[c] = static_cast<std::uint16_t>(bits);
+    }
+    return t;
+  }();
+
+ public:
+  explicit Puncturer(std::uint8_t* out) : out_(out) {}
+
+  // Appends the raw bits `bits` (n <= 16 of them, first in the MSB).
+  void push(std::uint32_t bits, int n) {
+    if constexpr (kChunkKept == kChunk) {
+      keep(bits, n);
+    } else {
+      raw_ = (raw_ << n) | bits;
+      raw_n_ += n;
+      while (raw_n_ >= kChunk) {
+        raw_n_ -= kChunk;
+        keep(kTable[(raw_ >> raw_n_) & ((1u << kChunk) - 1)], kChunkKept);
+      }
+    }
+  }
+
+  // Writes the last partial chunk and byte, zero-padded.
+  void finish() {
+    if (raw_n_ > 0) {
+      const int n = kept(raw_n_);
+      keep(static_cast<std::uint32_t>(kTable[(raw_ << (kChunk - raw_n_)) & ((1u << kChunk) - 1)] >> (kChunkKept - n)), n);
+    }
+    if (out_n_ > 0) *out_++ = static_cast<std::uint8_t>(out_bits_ << (8 - out_n_));
+  }
+
+ private:
+  void keep(std::uint32_t bits, int n) {
+    out_bits_ = (out_bits_ << n) | bits;
+    out_n_ += n;
+    while (out_n_ >= 8) {
+      out_n_ -= 8;
+      *out_++ = static_cast<std::uint8_t>(out_bits_ >> out_n_);
+    }
+  }
+
+  std::uint8_t* out_;
+  std::uint64_t raw_ = 0, out_bits_ = 0;  // only the low raw_n_ and out_n_ bits are pending
+  int raw_n_ = 0, out_n_ = 0;
+};
+
+// encode on the trellis T and the pattern Pat: a byte a step through
+// ByteTables, then the K-1 flush bits (the state fed zeros).
+template <class T, const auto& Pat>
+void encode_bytes(std::span<const std::uint8_t> data, std::uint8_t* out) {
+  using Tables = ByteTables<T>;
+  Puncturer<Pat> punct(out);
+  std::uint32_t state = 0;
+  for (const std::uint8_t byte : data) {
+    punct.push(Tables::from_state[state] ^ Tables::from_byte[byte], 16);
+    state = byte & static_cast<std::uint32_t>(T::states - 1);
+  }
+  punct.push(static_cast<std::uint32_t>(Tables::from_state[state]) >> (16 - 2 * (T::k - 1)), 2 * (T::k - 1));
+  punct.finish();
 }
 
 // Trellis steps of a payload: its bits and the K-1 flush bits.
@@ -332,19 +429,22 @@ std::size_t ConvolutionalCodec::encoded_bits(std::size_t payload_bytes) const {
   return bits;
 }
 
-util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const {
-  std::vector<std::uint8_t> raw;
-  raw.reserve(data.size() * 16 + 32);
-  with_trellis(spec_.code, [&](auto t) { raw_encode_bits<decltype(t)>(data, raw); });
+void ConvolutionalCodec::encode(std::span<const std::uint8_t> data, std::span<std::uint8_t> out) const {
+  if (out.size() != (encoded_bits(data.size()) + 7) / 8) throw std::invalid_argument("conv output size mismatch");
+  with_trellis(spec_.code, [&](auto t) {
+    using T = decltype(t);
+    switch (spec_.rate) {
+      case PunctureRate::kRate1_2: encode_bytes<T, kPattern1_2>(data, out.data()); break;
+      case PunctureRate::kRate2_3: encode_bytes<T, kPattern2_3>(data, out.data()); break;
+      case PunctureRate::kRate3_4: encode_bytes<T, kPattern3_4>(data, out.data()); break;
+    }
+  });
+}
 
-  const auto pat = puncture_pattern(spec_.rate);
-  util::BitWriter bw;
-  std::size_t p = 0;
-  for (std::uint8_t bit : raw) {
-    if (pat[p]) bw.bit(bit);
-    if (++p == pat.size()) p = 0;
-  }
-  return bw.take();
+util::Bytes ConvolutionalCodec::encode(std::span<const std::uint8_t> data) const {
+  util::Bytes out((encoded_bits(data.size()) + 7) / 8);
+  encode(data, out);
+  return out;
 }
 
 namespace {

@@ -2,7 +2,8 @@
 // scheme (v29)" (§3.3), i.e. the constraint-length-9 rate-1/2 code that the
 // Quiet library inherits from libfec. We also provide the K=7 "v27" code and
 // puncturing to rates 2/3 and 3/4 so transmission profiles can trade
-// robustness for throughput.
+// robustness for throughput. Both the encoder (a byte a step) and the
+// Viterbi decoder run on one compile-time description of each trellis.
 //
 // Soft inputs are bytes from 0 to kSoftScale (254): 0 = confident logical
 // 0, kSoftScale = confident logical 1, kSoftErasure (127) = erasure/unknown.
@@ -42,8 +43,21 @@ class ConvolutionalCodec {
   explicit ConvolutionalCodec(ConvSpec spec);
 
   // Encodes `data` (bytes, MSB-first) plus K-1 flush bits; returns the
-  // punctured output bitstream packed into bytes.
+  // punctured output bitstream packed into bytes, the last one zero-padded.
+  //
+  // A byte a step, from two tables built at compile time from the trellis
+  // the decoder runs on: the code is linear over GF(2), so a byte's sixteen
+  // output bits are those of the state fed a zero byte XOR those of the
+  // byte fed from state 0 (2 x 512 bytes for v29), and the byte's last K-1
+  // bits are the next state. Puncturing keeps the pattern's bits of twelve
+  // raw bits at a time (two periods of 3/4, three of 2/3) through one
+  // 4096-entry table; rate 1/2 keeps all. The output is byte-identical to
+  // the per-bit encoder (oracles::conv_encode_reference in the test-only
+  // library).
   util::Bytes encode(std::span<const std::uint8_t> data) const;
+  // The same into `out`, which holds (encoded_bits(data.size()) + 7) / 8
+  // bytes (else std::invalid_argument); allocates nothing.
+  void encode(std::span<const std::uint8_t> data, std::span<std::uint8_t> out) const;
 
   // Number of encoded bits produced for `payload_bytes` input bytes
   // (after puncturing, before byte packing).

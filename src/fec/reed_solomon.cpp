@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace sonic::fec {
 
@@ -42,41 +43,65 @@ std::uint8_t GF256::inv(std::uint8_t a) const { return exp_[255 - log_[a]]; }
 ReedSolomon::ReedSolomon(int nroots) : nroots_(nroots) {
   if (nroots < 2 || nroots > kMaxRoots) throw std::invalid_argument("rs nroots out of range");
   const GF256& gf = GF256::instance();
-  // g(x) = prod_{i=0}^{nroots-1} (x - alpha^i), fcr = 0.
-  genpoly_.assign(static_cast<std::size_t>(nroots) + 1, 0);
-  genpoly_[0] = 1;
+  // g(x) = prod_{i=0}^{nroots-1} (x - alpha^i), fcr = 0, ascending powers
+  // (genpoly[nroots] == 1).
+  const std::size_t n = static_cast<std::size_t>(nroots);
+  std::vector<std::uint8_t> genpoly(n + 1, 0);
+  genpoly[0] = 1;
   for (int i = 0; i < nroots; ++i) {
     const std::uint8_t root = gf.exp(i);
     // Multiply genpoly by (x + root); in GF(2), -root == root.
-    for (int j = i + 1; j > 0; --j) {
-      genpoly_[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
-          genpoly_[static_cast<std::size_t>(j - 1)] ^
-          gf.mul(genpoly_[static_cast<std::size_t>(j)], root));
+    for (std::size_t j = static_cast<std::size_t>(i) + 1; j > 0; --j) {
+      genpoly[j] = static_cast<std::uint8_t>(genpoly[j - 1] ^ gf.mul(genpoly[j], root));
     }
-    genpoly_[0] = gf.mul(genpoly_[0], root);
+    genpoly[0] = gf.mul(genpoly[0], root);
+  }
+  // Row f: f times g's coefficients of x^(nroots-1) down to x^0, byte j
+  // of the row in bits 8 (j % 8) of word j / 8, the words past nroots
+  // bytes zero.
+  const std::size_t words = (n + 7) / 8;
+  rows_.assign(256 * words, 0);
+  for (std::size_t f = 0; f < 256; ++f) {
+    for (std::size_t j = 0; j < n; ++j) {
+      rows_[f * words + j / 8] |= std::uint64_t{gf.mul(static_cast<std::uint8_t>(f), genpoly[n - 1 - j])} << (8 * (j % 8));
+    }
   }
 }
 
-util::Bytes ReedSolomon::encode(std::span<const std::uint8_t> data) const {
-  if (static_cast<int>(data.size()) > max_data())
-    throw std::invalid_argument("rs payload too large");
-  const GF256& gf = GF256::instance();
-  // Systematic encode: parity = (data * x^nroots) mod genpoly, via LFSR.
-  std::vector<std::uint8_t> parity(static_cast<std::size_t>(nroots_), 0);
-  for (std::uint8_t byte : data) {
-    const std::uint8_t feedback = static_cast<std::uint8_t>(byte ^ parity[0]);
-    std::copy(parity.begin() + 1, parity.end(), parity.begin());
-    parity.back() = 0;
-    if (feedback != 0) {
-      for (int j = 0; j < nroots_; ++j) {
-        parity[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
-            parity[static_cast<std::size_t>(j)] ^
-            gf.mul(feedback, genpoly_[static_cast<std::size_t>(nroots_ - 1 - j)]));
-      }
-    }
+namespace {
+
+// The LFSR over W words of remainder, byte j in bits 8 (j % 8) of word
+// j / 8: per data byte, the feedback is the byte XOR remainder byte 0, the
+// remainder shifts down a byte (zeros enter at the top) and takes the
+// feedback's row.
+template <std::size_t W>
+void lfsr_parity(const std::uint64_t* rows, std::span<const std::uint8_t> data, std::span<std::uint8_t> out) {
+  std::uint64_t rem[W] = {};
+  for (const std::uint8_t byte : data) {
+    const std::uint64_t* row = rows + (byte ^ (rem[0] & 0xffu)) * W;
+    for (std::size_t k = 0; k + 1 < W; ++k) rem[k] = ((rem[k] >> 8) | (rem[k + 1] << 56)) ^ row[k];
+    rem[W - 1] = (rem[W - 1] >> 8) ^ row[W - 1];
   }
-  util::Bytes out(data.begin(), data.end());
-  out.insert(out.end(), parity.begin(), parity.end());
+  for (std::size_t j = 0; j < out.size(); ++j) out[j] = static_cast<std::uint8_t>(rem[j / 8] >> (8 * (j % 8)));
+}
+
+}  // namespace
+
+void ReedSolomon::parity(std::span<const std::uint8_t> data, std::span<std::uint8_t> out) const {
+  if (static_cast<int>(data.size()) > max_data()) throw std::invalid_argument("rs payload too large");
+  if (out.size() != static_cast<std::size_t>(nroots_)) throw std::invalid_argument("rs parity size mismatch");
+  // Systematic encode: parity = (data * x^nroots) mod g(x). One instance
+  // per remainder width, 1 to kMaxRoots / 8 words.
+  const std::size_t words = (out.size() + 7) / 8;
+  [&]<std::size_t... W>(std::index_sequence<W...>) {
+    ((words == W + 1 ? lfsr_parity<W + 1>(rows_.data(), data, out) : void()), ...);
+  }(std::make_index_sequence<kMaxRoots / 8>{});
+}
+
+util::Bytes ReedSolomon::encode(std::span<const std::uint8_t> data) const {
+  util::Bytes out(data.size() + static_cast<std::size_t>(nroots_));
+  std::copy(data.begin(), data.end(), out.begin());
+  parity(data, std::span(out).subspan(data.size()));
   return out;
 }
 

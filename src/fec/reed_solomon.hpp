@@ -2,7 +2,9 @@
 // (§3.3). Block length 255 with a configurable number of parity symbols
 // (default 32, i.e. RS(255,223)); shortened blocks are supported so SONIC's
 // 100-byte frames fit in a single codeword. The decoder corrects e errors
-// and f erasures whenever 2e + f <= nroots.
+// and f erasures whenever 2e + f <= nroots. Both directions are
+// table-driven: the encoder's LFSR XORs one precomputed row per data byte,
+// and the syndromes step one times_alpha table per root.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +51,17 @@ class ReedSolomon {
   int nroots() const { return nroots_; }
   int max_data() const { return 255 - nroots_; }
 
-  // Appends nroots parity bytes to `data` (size() <= max_data()).
+  // Appends nroots parity bytes to `data` (size() <= max_data(), else
+  // std::invalid_argument).
   util::Bytes encode(std::span<const std::uint8_t> data) const;
+  // The nroots parity bytes of `data` into `out` (out.size() == nroots()),
+  // allocating nothing: the LFSR with its remainder in up to eight 64-bit
+  // words on the stack, each data byte one shift of the remainder and one
+  // XOR of the feedback's row of a 256-row table built in the constructor
+  // (the feedback times the generator's coefficients), with no branch and
+  // no GF256::mul. Byte-identical to the byte-array LFSR
+  // (oracles::rs_encode_reference in the test-only library).
+  void parity(std::span<const std::uint8_t> data, std::span<std::uint8_t> out) const;
 
   // Corrects `block` (data || parity, total <= 255) in place.
   // `erasures` holds byte indexes into `block` known to be unreliable.
@@ -73,7 +84,7 @@ class ReedSolomon {
 
  private:
   int nroots_;
-  std::vector<std::uint8_t> genpoly_;  // ascending powers, genpoly_[nroots] == 1
+  std::vector<std::uint64_t> rows_;  // parity's 256 feedback rows, (nroots + 7) / 8 words each
 };
 
 }  // namespace sonic::fec

@@ -200,7 +200,6 @@ void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
   emit(preamble_b_);
 
   // Header symbols: BPSK on data carriers, pilots in place.
-  util::BitReader hbr(header_coded);
   const auto prbs = scrambler_sequence();
   std::size_t sent = 0;
   std::vector<cplx> carriers = pilots_;
@@ -209,7 +208,7 @@ void OfdmModem::synth_head(std::size_t frame_len, std::size_t frame_count,
       if (is_pilot(i)) continue;
       // Whitened like the payload: the fixed header pattern must not form
       // a high-crest OFDM symbol.
-      const int bit = (sent < kHeaderBits ? hbr.bit() : 0) ^ prbs[sent % prbs.size()];
+      const int bit = (sent < kHeaderBits ? (header_coded[sent / 8] >> (7 - sent % 8)) & 1 : 0) ^ prbs[sent % prbs.size()];
       ++sent;
       carriers[static_cast<std::size_t>(i)] = cplx(bit ? 1.0f : -1.0f, 0.0f);
     }
@@ -229,21 +228,30 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   if (burst_samples(frame_len, frames.size()) > kMaxBurstSamples)
     throw std::invalid_argument("burst longer than OfdmModem::kMaxBurstSamples");
 
-  // Payload bit stream: per-frame PacketCodec output (MSB first),
-  // concatenated, then zeros to fill the last symbol.
-  std::vector<util::Bytes> coded;
-  coded.reserve(frames.size());
-  for (const auto& f : frames) coded.push_back(payload_codec_.encode(f));
+  // Payload bit stream: the frames' PacketCodec output (MSB first) back to
+  // back, frame f from bit f * frame_bits, then zeros to fill the last
+  // symbol; two bytes past the last symbol's bits let each QAM label be
+  // read as one three-byte window.
+  const int qbits = qam_.bits_per_symbol();
+  const std::size_t nsym = payload_symbols(frame_len, frames.size());
   const std::size_t frame_bits = payload_codec_.encoded_bits(frame_len);
-  std::size_t frame = 0, bit_in_frame = 0;
-  auto next_bit = [&]() -> std::uint32_t {
-    if (frame == coded.size()) return 0;
-    const std::uint32_t bit = (coded[frame][bit_in_frame / 8] >> (7 - bit_in_frame % 8)) & 1u;
-    if (++bit_in_frame == frame_bits) {
-      bit_in_frame = 0;
-      ++frame;
+  util::Bytes stream((nsym * static_cast<std::size_t>(profile_.data_carriers() * qbits) + 7) / 8 + 2);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const util::Bytes coded = payload_codec_.encode(frames[f]);
+    const std::size_t shift = f * frame_bits % 8;
+    std::uint8_t* dst = stream.data() + f * frame_bits / 8;
+    for (std::size_t j = 0; j < coded.size(); ++j) {
+      dst[j] = static_cast<std::uint8_t>(dst[j] | coded[j] >> shift);
+      dst[j + 1] = static_cast<std::uint8_t>(dst[j + 1] | coded[j] << (8 - shift));
     }
-    return bit;
+  }
+  std::size_t pos = 0;
+  auto next_label = [&]() -> std::uint32_t {
+    const std::uint8_t* p = stream.data() + pos / 8;
+    const std::uint32_t window = static_cast<std::uint32_t>(p[0] << 16 | p[1] << 8 | p[2]);
+    const std::uint32_t label = window >> (24 - pos % 8 - static_cast<std::size_t>(qbits)) & ((1u << qbits) - 1);
+    pos += static_cast<std::size_t>(qbits);
+    return label;
   };
 
   std::vector<float> out;
@@ -259,15 +267,11 @@ std::vector<float> OfdmModem::modulate(const std::vector<util::Bytes>& frames) c
   // Payload symbols: one carriers buffer, pilots in place, data carriers
   // rewritten per symbol.
   {
-    const int qbits = qam_.bits_per_symbol();
-    const std::size_t nsym = payload_symbols(frame_len, frames.size());
     std::vector<cplx> carriers = pilots_;
     for (std::size_t s = 0; s < nsym; ++s) {
       for (int i = 0; i < profile_.num_subcarriers; ++i) {
         if (is_pilot(i)) continue;
-        std::uint32_t v = 0;
-        for (int b = 0; b < qbits; ++b) v = (v << 1) | next_bit();
-        carriers[static_cast<std::size_t>(i)] = qam_.map(v);
+        carriers[static_cast<std::size_t>(i)] = qam_.map(next_label());
       }
       emit(carriers);
     }

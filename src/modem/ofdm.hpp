@@ -196,6 +196,11 @@ struct OfdmKernelProbe {
                          std::vector<float>& out) {
     m.synth_symbol(carriers, out);
   }
+  // The per-used-bin values the transmitter sends: the two preambles, and
+  // the pilots (zero on data bins).
+  static std::span<const cplx> preamble_a(const OfdmModem& m) { return m.preamble_a_; }
+  static std::span<const cplx> preamble_b(const OfdmModem& m) { return m.preamble_b_; }
+  static std::span<const cplx> pilots(const OfdmModem& m) { return m.pilots_; }
   // The soft bits the receiver hands its decoders for the burst at `start`,
   // as probabilities P(bit == 1) (fec::llr_probability of each LLR): the
   // descrambled header bits (1 - p where the scrambler bit is set), then

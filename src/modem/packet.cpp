@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "fec/crc32.hpp"
@@ -40,6 +41,22 @@ std::span<const std::uint8_t> scrambler_sequence() {
   return kSeq;
 }
 
+namespace {
+
+// scrambler_sequence() packed MSB first: bit 7 - i % 8 of byte i / 8 is
+// mask bit i.
+std::span<const std::uint8_t> packed_scrambler() {
+  static const std::vector<std::uint8_t> kPacked = [] {
+    const auto seq = scrambler_sequence();
+    std::vector<std::uint8_t> packed(seq.size() / 8);
+    for (std::size_t i = 0; i < seq.size(); ++i) packed[i / 8] |= static_cast<std::uint8_t>(seq[i] << (7 - i % 8));
+    return packed;
+  }();
+  return kPacked;
+}
+
+}  // namespace
+
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
   std::uint16_t crc = 0xffff;
   for (std::uint8_t b : data) {
@@ -52,6 +69,12 @@ std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
 }
 
 PacketCodec::PacketCodec(PacketSpec spec) : spec_(spec), conv_(spec.conv) {
+  // A full block of rs_data_len bytes and its parity must fit one RS
+  // codeword of 255 bytes.
+  constexpr int kMaxRoots = 255 - static_cast<int>(PacketSpec::rs_data_len);
+  if (spec_.rs_nroots != 0 && (spec_.rs_nroots < 2 || spec_.rs_nroots > kMaxRoots)) {
+    throw std::invalid_argument("rs_nroots must be 0 or in [2, 255 - rs_data_len]");
+  }
   if (spec_.rs_nroots > 0) rs_.emplace(spec_.rs_nroots);
 }
 
@@ -72,47 +95,61 @@ double PacketCodec::expansion(std::size_t payload_size) const {
 }
 
 util::Bytes PacketCodec::encode(std::span<const std::uint8_t> payload) const {
-  // 1. payload || crc32
-  util::Bytes body(payload.begin(), payload.end());
-  const std::uint32_t crc = fec::crc32(payload);
-  for (int i = 0; i < 4; ++i) body.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  // The RS codewords and the conv output, reused across calls per thread,
+  // so concurrent encodes on a shared codec stay safe.
+  thread_local util::Bytes body, coded;
 
-  // 2. Outer RS per block.
-  util::Bytes rs_out;
+  // 1. payload || crc32 (little-endian).
+  const std::size_t with_crc = payload.size() + 4;
+  body.resize(rs_encoded_size(payload.size()));
+  std::copy(payload.begin(), payload.end(), body.begin());
+  const std::uint32_t crc = fec::crc32(payload);
+  for (std::size_t i = 0; i < 4; ++i) body[payload.size() + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+
+  // 2. Outer RS per block: each block's data moved up to its place, the
+  // last block first, and its parity written after it.
   if (rs_) {
-    const std::size_t block = PacketSpec::rs_data_len;
-    for (std::size_t off = 0; off < body.size(); off += block) {
-      const std::size_t n = std::min(block, body.size() - off);
-      const util::Bytes coded = rs_->encode(std::span(body).subspan(off, n));
-      rs_out.insert(rs_out.end(), coded.begin(), coded.end());
+    const std::size_t k = PacketSpec::rs_data_len, nroots = static_cast<std::size_t>(spec_.rs_nroots);
+    for (std::size_t b = (with_crc + k - 1) / k; b-- > 0;) {
+      const std::size_t n = std::min(k, with_crc - b * k);
+      std::uint8_t* block = body.data() + b * (k + nroots);
+      std::memmove(block, body.data() + b * k, n);
+      rs_->parity(std::span(block, n), std::span(block + n, nroots));
     }
-  } else {
-    rs_out = std::move(body);
   }
 
   // 3. Inner convolutional code.
-  util::Bytes conv_out = conv_.encode(rs_out);
+  const std::size_t nbits = conv_.encoded_bits(body.size());
+  coded.resize((nbits + 7) / 8);
+  conv_.encode(body, coded);
 
-  // 4. Bit-level stride interleave + PRBS whitening.
-  const std::size_t nbits = conv_.encoded_bits(rs_out.size());
-  const std::size_t stride = pick_stride(nbits);
-  util::BitReader br(conv_out);
-  std::vector<std::uint8_t> bits(nbits);
-  for (auto& b : bits) b = static_cast<std::uint8_t>(br.bit());
-  util::BitWriter bw;
-  // Output position i carries input bit src = (i * stride) mod nbits,
-  // whitened by mask bit i mod the sequence length; both step by add and
-  // wrap.
-  const auto prbs = scrambler_sequence();
-  const std::size_t step = nbits > 0 ? stride % nbits : 0;
-  std::size_t src = 0, mask = 0;
-  for (std::size_t i = 0; i < nbits; ++i) {
-    bw.bit(bits[src] ^ prbs[mask]);
-    src += step;
-    if (src >= nbits) src -= nbits;
-    if (++mask == prbs.size()) mask = 0;
+  // 4. Stride interleave and PRBS whitening, a byte at a time: output bit
+  // i is coded bit (i * stride) mod nbits, XORed with scrambler bit i mod
+  // the sequence length, whose packed bytes line up with the output's (the
+  // length is a multiple of 8). Bit b of every output byte has its own
+  // source, stepping 8 * stride by add and wrap, so the eight chains run
+  // side by side.
+  util::Bytes out((nbits + 7) / 8);
+  auto ahead = [nbits](std::size_t d, std::size_t off) { return d + off >= nbits ? d + off - nbits : d + off; };
+  const std::size_t step = pick_stride(nbits) % nbits, step8 = 8 * step % nbits;
+  std::size_t src[8] = {0};
+  for (int b = 1; b < 8; ++b) src[b] = ahead(src[b - 1], step);
+  auto gather = [&](int count) {
+    std::uint32_t bits = 0;
+    for (int b = 0; b < count; ++b) {
+      bits |= static_cast<std::uint32_t>((coded[src[b] / 8] >> (7 - src[b] % 8)) & 1u) << (7 - b);
+      src[b] = ahead(src[b], step8);
+    }
+    return bits;
+  };
+  const auto prbs = packed_scrambler();
+  const std::size_t whole = nbits / 8;
+  for (std::size_t j = 0; j < whole; ++j) out[j] = static_cast<std::uint8_t>(gather(8) ^ prbs[j % prbs.size()]);
+  if (const int tail = static_cast<int>(nbits % 8); tail > 0) {
+    const std::uint32_t kept = 0xffu << (8 - tail) & 0xffu;  // the last byte's padding stays zero
+    out[whole] = static_cast<std::uint8_t>(gather(tail) ^ (prbs[whole % prbs.size()] & kept));
   }
-  return bw.take();
+  return out;
 }
 
 void PacketCodec::place_soft(std::span<const float> llr, std::size_t first, std::span<std::uint8_t> frame) {

@@ -5,6 +5,13 @@
 // Wire format (before OFDM mapping):
 //   payload || crc32(payload)  --RS-->  blocks+parity  --conv-->  coded bits
 //   --stride interleave + whitening-->  transmitted bits
+//
+// The transmit side works a byte at a time, with no per-bit call: the RS
+// blocks and their parity are laid out in one buffer, the convolutional
+// code reads its compile-time byte tables, and each interleaved output
+// byte gathers its eight coded bits and XORs a packed byte of the
+// scrambler sequence. The receive side places each soft bit at its
+// de-interleaved position (place_soft).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +30,10 @@ namespace sonic::modem {
 // deviation budget.
 struct PacketSpec {
   fec::ConvSpec conv{fec::ConvCode::kV29, fec::PunctureRate::kRate1_2};
-  int rs_nroots = 32;      // 0 disables the outer code
+  // 0 disables the outer code; else 2 to 255 - rs_data_len (32), so a full
+  // block and its parity fit one 255-byte codeword. PacketCodec throws
+  // std::invalid_argument for any other value.
+  int rs_nroots = 32;
   static constexpr std::size_t rs_data_len = 223;  // payload bytes per RS block
 };
 
@@ -36,7 +46,12 @@ class PacketCodec {
  public:
   explicit PacketCodec(PacketSpec spec);
 
-  // Encodes payload; returns the coded bitstream packed MSB-first.
+  // Encodes payload; returns the coded bitstream packed MSB-first, the
+  // last byte zero-padded. Allocates only the result once its thread's
+  // reused buffers (the RS codewords and the conv output, thread_local, so
+  // concurrent encodes on a shared codec are safe) have grown to the
+  // payload size. Byte-identical to the per-bit encoder
+  // (oracles::packet_encode_reference in the test-only library).
   util::Bytes encode(std::span<const std::uint8_t> payload) const;
 
   // Exact number of coded bits produced for a payload of `payload_size`.

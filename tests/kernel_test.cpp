@@ -20,6 +20,11 @@
 //    loop, and decode's result and corrected bytes vs. the decoder built
 //    on it, at every block length for nroots 2 to 64 and with errors and
 //    erasures together;
+//  * the byte-wise transmit encoders vs. the per-bit ones: the
+//    convolutional code at every code and rate, the RS parity at every
+//    length, PacketCodec::encode at every payload length to 500 bytes and
+//    whole OfdmModem::modulate bursts on every profile, every float bit,
+//    and concurrent encodes on one shared codec;
 //  * the real-input OFDM symbol analysis vs. the complex-input FFT, the
 //    four-point QAM soft demapper vs. the per-carrier, per-bit level loop
 //    (NaN and infinite points, every tail length), and the float-screened
@@ -41,7 +46,7 @@
 //
 // plus the allocation-free guarantee for the OFDM steady-state symbol path
 // and a clean Reed-Solomon block, one allocation for a clean frame's
-// decode, no IQ-rate buffer in an FM link burst, the bounded allocation for forged
+// decode and one for a frame's encode, no IQ-rate buffer in an FM link burst, the bounded allocation for forged
 // OFDM headers, the streaming receiver's memory independent of the burst
 // length, the column encoder's peak memory independent of the page height
 // and the station building a capped page without a page-sized raster,
@@ -941,6 +946,140 @@ TEST(PacketCodecAlloc, CleanSonic10kFrameDecodesWithOneAllocation) {
   const std::size_t allocations = g_alloc_count.load() - before;
   ASSERT_EQ(decoded, payload);
   EXPECT_EQ(allocations, 1u);
+}
+
+// ------------------------------------------------- transmit encoders ---
+// The byte-wise encoders against the per-bit ones they replaced, byte for
+// byte.
+
+// Every code and rate on payloads of 0 to 500 bytes, so every length mod
+// the 3/4 pattern's three-byte cycle meets every flush length, plus the
+// all-zero and all-one bytes that pin the state tables' corners.
+TEST(ConvEncodeEquivalence, MatchesPerBitReferenceAtEveryLength) {
+  Rng rng(110);
+  for (const fec::ConvSpec& spec : kAllSpecs) {
+    const fec::ConvolutionalCodec codec(spec);
+    for (std::size_t len = 0; len <= 500; ++len) {
+      auto data = random_bytes(rng, len);
+      if (len % 7 == 1) std::fill(data.begin(), data.end(), std::uint8_t{0xff});
+      if (len % 7 == 2) std::fill(data.begin(), data.end(), std::uint8_t{0});
+      ASSERT_EQ(codec.encode(data), oracles::conv_encode_reference(spec, data)) << spec_name(spec) << " len=" << len;
+    }
+  }
+}
+
+TEST(ConvEncodeEquivalence, IntoSpanNeedsTheExactSize) {
+  const fec::ConvolutionalCodec codec({fec::ConvCode::kV29, fec::PunctureRate::kRate3_4});
+  const util::Bytes data(10, 0x5a);
+  util::Bytes out((codec.encoded_bits(data.size()) + 7) / 8);
+  codec.encode(data, out);
+  EXPECT_EQ(out, codec.encode(data));
+  util::Bytes short_out(out.size() - 1);
+  EXPECT_THROW(codec.encode(data, short_out), std::invalid_argument);
+}
+
+// Every data length up to max_data() at nroots 2, 16, 32 and 64, and the
+// too-long block.
+TEST(ReedSolomonEncode, MatchesLfsrReferenceAtEveryLength) {
+  Rng rng(111);
+  for (int nroots : {2, 16, 32, 64}) {
+    const fec::ReedSolomon rs(nroots);
+    for (int len = 0; len <= rs.max_data(); ++len) {
+      auto data = random_bytes(rng, static_cast<std::size_t>(len));
+      if (len % 5 == 3) std::fill(data.begin(), data.end(), std::uint8_t{0});
+      ASSERT_EQ(rs.encode(data), oracles::rs_encode_reference(nroots, data)) << "nroots=" << nroots << " len=" << len;
+    }
+    EXPECT_THROW(rs.encode(random_bytes(rng, static_cast<std::size_t>(rs.max_data()) + 1)), std::invalid_argument);
+  }
+}
+
+// Every code and rate at rs_nroots 0, 2, 16 and 32 on payloads of 0 to 500
+// bytes: one, two and three RS blocks, their edges at 219/220 and 442/443
+// payload bytes, and the interleaver's every tail length.
+TEST(PacketEncodeEquivalence, MatchesPerBitReferenceAtEveryLength) {
+  Rng rng(112);
+  for (const fec::ConvSpec& conv : kAllSpecs) {
+    for (int nroots : {0, 2, 16, 32}) {
+      const modem::PacketSpec spec{conv, nroots};
+      const modem::PacketCodec codec(spec);
+      for (std::size_t len = 0; len <= 500; ++len) {
+        const auto payload = random_bytes(rng, len);
+        const auto coded = codec.encode(payload);
+        ASSERT_EQ(coded.size(), (codec.encoded_bits(len) + 7) / 8);
+        ASSERT_EQ(coded, oracles::packet_encode_reference(spec, payload))
+            << spec_name(conv) << " nroots=" << nroots << " len=" << len;
+      }
+    }
+  }
+}
+
+// Four threads encode distinct payloads on one shared codec; each result
+// must equal the serial encode. encode keeps its buffers thread_local, so
+// this is the test TSan (scripts/tier1.sh) runs for it.
+TEST(PacketEncodeConcurrency, SharedCodecMatchesSerialEncodes) {
+  Rng rng(113);
+  const modem::PacketCodec codec(modem::PacketSpec{{fec::ConvCode::kV29, fec::PunctureRate::kRate3_4}, 16});
+  constexpr std::size_t kThreads = 4, kPerThread = 6;
+  const std::size_t sizes[] = {1, 100, 250, 0, 480, 100};
+  std::vector<std::vector<util::Bytes>> inputs(kThreads), expect(kThreads), got(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      inputs[t].push_back(random_bytes(rng, sizes[(i + t) % kPerThread]));
+      expect[t].push_back(codec.encode(inputs[t][i]));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        got[t].clear();
+        for (const auto& payload : inputs[t]) got[t].push_back(codec.encode(payload));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expect[t]) << "thread " << t;
+}
+
+// Once its thread's buffers are sized, a sonic-10k frame's encode
+// allocates only the coded bytes it returns.
+TEST(PacketCodecAlloc, Sonic10kFrameEncodeAllocatesOnlyItsResult) {
+  const auto profile = *modem::profiles::get("sonic-10k");
+  const modem::PacketCodec codec(modem::PacketSpec{profile.conv, profile.rs_nroots});
+  Rng rng(114);
+  const auto payload = random_bytes(rng, 100);
+  const auto first = codec.encode(payload);  // sizes the thread-local buffers
+  const std::size_t before = g_alloc_count.load();
+  const std::size_t max_before = g_alloc_max.exchange(0);
+  const auto coded = codec.encode(payload);
+  const std::size_t allocations = g_alloc_count.load() - before;
+  const std::size_t largest = g_alloc_max.exchange(max_before);
+  EXPECT_EQ(coded, first);
+  EXPECT_EQ(allocations, 1u);
+  EXPECT_EQ(largest, coded.size());
+}
+
+// Whole bursts against the per-bit transmitter on the frozen radix-2 IFFT,
+// every float bit: every profile, frames of 1, 100 and 257 bytes, 1 to 5
+// frames, so frames start at every bit offset of a byte.
+TEST(OfdmModulateEquivalence, MatchesPerBitReferenceOnEveryProfile) {
+  Rng rng(115);
+  for (const char* name : {"robust-2k", "audible-7k", "sonic-10k", "cable-64k"}) {
+    const modem::OfdmModem modem(*modem::profiles::get(name));
+    for (const std::size_t len : {1u, 100u, 257u}) {
+      for (std::size_t count = 1; count <= 5; count += 2) {
+        std::vector<util::Bytes> frames;
+        for (std::size_t f = 0; f < count; ++f) frames.push_back(random_bytes(rng, len));
+        const auto audio = modem.modulate(frames);
+        const auto ref = oracles::ofdm_modulate_reference(modem, frames);
+        ASSERT_EQ(audio.size(), ref.size()) << name << " len=" << len << " frames=" << count;
+        for (std::size_t i = 0; i < audio.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(audio[i]), std::bit_cast<std::uint32_t>(ref[i]))
+              << name << " len=" << len << " frames=" << count << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ soft-bit bytes ---

@@ -200,6 +200,25 @@ TEST(PacketCodec, ExpansionMatchesSpec) {
   EXPECT_NEAR(codec.expansion(100), 2.73, 0.02);
 }
 
+// The outer code is off (0) or has 2 to 32 roots: a full 223-byte block
+// and its parity must fit one 255-byte RS codeword.
+TEST(PacketCodec, RejectsRsSpecsItCannotEncode) {
+  const fec::ConvSpec conv{fec::ConvCode::kV29, fec::PunctureRate::kRate3_4};
+  for (int nroots : {-1, 1, 33, 64}) {
+    EXPECT_THROW(PacketCodec(PacketSpec{conv, nroots}), std::invalid_argument) << nroots;
+  }
+  Rng rng(5);
+  const Bytes payload = random_bytes(rng, 500);
+  for (int nroots : {0, 2, 32}) {
+    PacketCodec codec(PacketSpec{conv, nroots});
+    const Bytes coded = codec.encode(payload);
+    std::vector<float> llr(codec.encoded_bits(payload.size()));
+    util::BitReader br(coded);
+    for (auto& l : llr) l = hard_llr(br.bit());
+    EXPECT_EQ(codec.decode(placed(llr), payload.size()), payload) << nroots;
+  }
+}
+
 TEST(Crc16, KnownVector) {
   const std::string s = "123456789";
   const std::vector<std::uint8_t> data(s.begin(), s.end());

@@ -1,6 +1,7 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
 // modem::OfdmModem::analyze_symbol, the block modem::QamMapper::demap_soft,
-// the screened modem::pick_fine_sync and modem::PacketCodec::place_soft,
+// the screened modem::pick_fine_sync, modem::PacketCodec::place_soft, the
+// byte-wise modem::PacketCodec::encode and modem::OfdmModem::modulate,
 // plus the hard QAM demapper the constellation tests decode with. They
 // live in the sonic_oracles library, which only tests and benches link.
 #pragma once
@@ -11,8 +12,11 @@
 #include <span>
 #include <vector>
 
+#include "modem/ofdm.hpp"
+#include "modem/packet.hpp"
 #include "modem/profile.hpp"
 #include "modem/qam.hpp"
+#include "util/bytes.hpp"
 
 namespace sonic::oracles {
 
@@ -57,5 +61,23 @@ FineSyncReference fine_sync_reference(std::span<const float> x, std::span<const 
 // divides n, then 103 unless 103 does, else 1; that buffer is then
 // quantized by quantize_soft_reference.
 std::vector<std::uint8_t> place_soft_reference(std::span<const float> llr);
+
+// The per-bit PacketCodec(spec).encode(payload) must match byte for byte:
+// payload || crc32 (little-endian), each rs_data_len-byte block through
+// rs_encode_reference, the whole through conv_encode_reference, then every
+// coded bit read back through util::BitReader into a bit vector and
+// written, stride-interleaved (output bit i is coded bit (i * stride) mod
+// n, the stride as place_soft_reference picks it) and XORed with scrambler
+// bit i mod the sequence length, through util::BitWriter.
+util::Bytes packet_encode_reference(const modem::PacketSpec& spec, std::span<const std::uint8_t> payload);
+
+// modem.modulate(frames) as the per-bit transmitter ran it: the preambles,
+// the v27 header from conv_encode_reference read one bit per BPSK carrier,
+// each frame through packet_encode_reference and one bit at a time into
+// each data carrier's QAM label, every symbol synthesized through the
+// frozen radix-2 inverse FFT (fft_radix2_reference, bit-identical to the
+// plan), then the one-symbol gap. The preamble and pilot values are the
+// modem's (OfdmKernelProbe).
+std::vector<float> ofdm_modulate_reference(const modem::OfdmModem& modem, const std::vector<util::Bytes>& frames);
 
 }  // namespace sonic::oracles

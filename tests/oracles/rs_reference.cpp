@@ -6,6 +6,36 @@
 
 namespace sonic::oracles {
 
+std::vector<std::uint8_t> rs_encode_reference(int nroots, std::span<const std::uint8_t> data) {
+  const fec::GF256& gf = fec::GF256::instance();
+  // g(x) = prod_{i=0}^{nroots-1} (x - alpha^i), ascending powers.
+  std::vector<std::uint8_t> genpoly(static_cast<std::size_t>(nroots) + 1, 0);
+  genpoly[0] = 1;
+  for (int i = 0; i < nroots; ++i) {
+    const std::uint8_t root = gf.exp(i);
+    for (int j = i + 1; j > 0; --j) {
+      genpoly[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
+          genpoly[static_cast<std::size_t>(j - 1)] ^ gf.mul(genpoly[static_cast<std::size_t>(j)], root));
+    }
+    genpoly[0] = gf.mul(genpoly[0], root);
+  }
+  std::vector<std::uint8_t> parity(static_cast<std::size_t>(nroots), 0);
+  for (std::uint8_t byte : data) {
+    const std::uint8_t feedback = static_cast<std::uint8_t>(byte ^ parity[0]);
+    std::copy(parity.begin() + 1, parity.end(), parity.begin());
+    parity.back() = 0;
+    if (feedback != 0) {
+      for (int j = 0; j < nroots; ++j) {
+        parity[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
+            parity[static_cast<std::size_t>(j)] ^ gf.mul(feedback, genpoly[static_cast<std::size_t>(nroots - 1 - j)]));
+      }
+    }
+  }
+  std::vector<std::uint8_t> out(data.begin(), data.end());
+  out.insert(out.end(), parity.begin(), parity.end());
+  return out;
+}
+
 std::vector<std::uint8_t> rs_syndromes_reference(int nroots, std::span<const std::uint8_t> block) {
   const fec::GF256& gf = fec::GF256::instance();
   const int n = static_cast<int>(block.size());

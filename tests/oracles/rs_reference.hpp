@@ -1,8 +1,8 @@
-// Reference Reed-Solomon syndromes and decoder, kept as the test oracle and
-// the before-case of bench/micro_dsp_fec: fec::ReedSolomon::decode as it
-// was before its syndromes went table-driven, one Horner chain per root of
-// general GF256::mul calls into a heap vector. It lives in the
-// sonic_oracles library, which only tests and benches link.
+// Reference Reed-Solomon encoder, syndromes and decoder, kept as the test
+// oracles and the before-cases of bench/micro_dsp_fec: fec::ReedSolomon as
+// it was before its encoder and syndromes went table-driven, general
+// GF256::mul calls into heap vectors. They live in the sonic_oracles
+// library, which only tests and benches link.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,11 @@
 #include <vector>
 
 namespace sonic::oracles {
+
+// ReedSolomon(nroots).encode(data): data followed by the nroots parity
+// bytes of the LFSR over g(x) = prod_{i<nroots} (x - alpha^i), one byte
+// shift and nroots GF256::mul calls per data byte.
+std::vector<std::uint8_t> rs_encode_reference(int nroots, std::span<const std::uint8_t> data);
 
 // S_i = r(alpha^i) for i < nroots; byte j of `block` is the coefficient of
 // x^(n-1-j) in the (shortened) codeword polynomial.

@@ -110,6 +110,37 @@ std::size_t input_bits(const fec::ConvSpec& spec, std::size_t payload_bytes) {
 
 }  // namespace
 
+util::Bytes conv_encode_reference(const fec::ConvSpec& spec, std::span<const std::uint8_t> data) {
+  const ConvPolys code = conv_polys(spec.code);
+  std::vector<std::uint8_t> raw;
+  raw.reserve(data.size() * 16 + 32);
+  std::uint32_t state = 0;
+  auto push = [&](std::uint32_t bit) {
+    const std::uint32_t reg = (state << 1) | bit;
+    raw.push_back(static_cast<std::uint8_t>(std::popcount(reg & code.poly_a) & 1));
+    raw.push_back(static_cast<std::uint8_t>(std::popcount(reg & code.poly_b) & 1));
+    state = reg & ((1u << (code.k - 1)) - 1);
+  };
+  for (std::uint8_t byte : data) {
+    for (int i = 7; i >= 0; --i) push((byte >> i) & 1u);
+  }
+  for (int i = 0; i < code.k - 1; ++i) push(0);  // flush to state 0
+
+  std::vector<std::uint8_t> pattern;
+  switch (spec.rate) {
+    case fec::PunctureRate::kRate1_2: pattern = {1, 1}; break;
+    case fec::PunctureRate::kRate2_3: pattern = {1, 1, 1, 0}; break;
+    case fec::PunctureRate::kRate3_4: pattern = {1, 1, 0, 1, 1, 0}; break;
+  }
+  util::BitWriter bw;
+  std::size_t p = 0;
+  for (std::uint8_t bit : raw) {
+    if (pattern[p]) bw.bit(bit);
+    if (++p == pattern.size()) p = 0;
+  }
+  return bw.take();
+}
+
 ConvPolys conv_polys(fec::ConvCode code) {
   switch (code) {
     case fec::ConvCode::kV27: return {7, 0x6d, 0x4f};

@@ -1,7 +1,8 @@
 // Reference Viterbi decoders for fec::ConvolutionalCodec::decode_soft: the
 // quantized one is its byte-exact test oracle, the float one the coding-gain
-// baseline and the before-case of bench/micro_dsp_fec. They live in the
-// sonic_oracles library, which only tests and benches link.
+// baseline and the before-case of bench/micro_dsp_fec. The per-bit encoder
+// fec::ConvolutionalCodec::encode replaced is kept beside them. They live
+// in the sonic_oracles library, which only tests and benches link.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,11 @@ util::Bytes decode_soft_reference(const fec::ConvSpec& spec, std::span<const flo
 // decode_soft's quantizer, written out: round(clamp(s, 0, 1) * kSoftScale),
 // halves rounding up, NaN to the erasure kSoftScale / 2.
 std::int64_t quantize_soft_reference(float s);
+
+// The per-bit encoder ConvolutionalCodec(spec).encode must match byte for
+// byte: two parities per input bit (MSB first) and the K-1 zero flush bits
+// into a bit vector, then every kept position through util::BitWriter.
+util::Bytes conv_encode_reference(const fec::ConvSpec& spec, std::span<const std::uint8_t> data);
 
 // The same per-state decoder on soft bits quantized by
 // quantize_soft_reference, with exact 64-bit integer path metrics (no
