@@ -50,6 +50,7 @@
 #include "oracles/column_reference.hpp"
 #include "oracles/fm_reference.hpp"
 #include "oracles/fountain_reference.hpp"
+#include "oracles/frozen_dsp.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
@@ -384,26 +385,30 @@ std::vector<MicroCase> build_micro_cases() {
       (*spectrum)[b] = v;
       (*spectrum)[nfft - b] = std::conj(v);
     }
+    // Each at util::simd_width() (eight lanes on an AVX2 CPU), and in its
+    // _sse2 row at four.
     for (auto [name, input, inverse] :
          {std::tuple{"fft_512_fwd", packed, false}, std::tuple{"ifft_1024", spectrum, true}}) {
-      auto buf = std::make_shared<std::vector<dsp::cplx>>(input->size());
-      auto plan = dsp::FftPlan::get(input->size());
-      cases.push_back(MicroCase{
-          name, static_cast<double>(input->size()), "samples",
-          [input, buf, inverse] {
-            std::copy(input->begin(), input->end(), buf->begin());
-            oracles::fft_radix2_reference(*buf, inverse);
-            benchmark::DoNotOptimize(buf->data());
-          },
-          [input, buf, plan, inverse] {
-            std::copy(input->begin(), input->end(), buf->begin());
-            if (inverse) {
-              plan->inverse(*buf);
-            } else {
-              plan->forward(*buf);
-            }
-            benchmark::DoNotOptimize(buf->data());
-          }});
+      for (auto [suffix, width] : kWidths) {
+        auto buf = std::make_shared<std::vector<dsp::cplx>>(input->size());
+        auto plan = dsp::FftPlan::get(input->size());
+        cases.push_back(MicroCase{
+            std::string(name) + suffix, static_cast<double>(input->size()), "samples",
+            [input, buf, inverse] {
+              std::copy(input->begin(), input->end(), buf->begin());
+              oracles::fft_radix2_reference(*buf, inverse);
+              benchmark::DoNotOptimize(buf->data());
+            },
+            pinned_to(width, [input, buf, plan, inverse] {
+              std::copy(input->begin(), input->end(), buf->begin());
+              if (inverse) {
+                plan->inverse(*buf);
+              } else {
+                plan->forward(*buf);
+              }
+              benchmark::DoNotOptimize(buf->data());
+            })});
+      }
     }
   }
 
@@ -737,10 +742,10 @@ std::vector<MicroCase> build_micro_cases() {
 
   // Resampling on 0.1 s of program audio: the FM modulator's 1:5 upsampler
   // (44.1 -> 220.5 kHz), the demodulator's 5:1 stage (before: 63-tap
-  // low-pass then the per-tap-kernel decimator; after: the fused
-  // Resampler::decimator), and the acoustic clock-skew stage at +30 and
-  // -17 ppm. Before is the per-tap kernel oracle, after the table-driven
-  // path.
+  // low-pass, oracles::frozen::FirFilter, then the per-tap-kernel
+  // decimator; after: the fused Resampler::decimator), and the acoustic
+  // clock-skew stage at +30 and -17 ppm. Before is the per-tap kernel
+  // oracle, after the table-driven path.
   {
     auto audio = std::make_shared<std::vector<float>>(4410);
     for (auto& v : *audio) v = static_cast<float>(rng->uniform(-0.7, 0.7));
@@ -782,7 +787,7 @@ std::vector<MicroCase> build_micro_cases() {
         }});
 
     const auto taps = dsp::design_lowpass(15000.0, 220500.0, 63);
-    auto lp = std::make_shared<dsp::FirFilter>(taps);
+    auto lp = std::make_shared<oracles::frozen::FirFilter>(taps);
     for (auto [suffix, width] : kWidths) {
       auto down = std::make_shared<dsp::Resampler>(dsp::Resampler::decimator(5, taps));
       cases.push_back(MicroCase{

@@ -2,7 +2,8 @@
 # Tier-1 verification: a check that no header outside util/cpu.hpp and
 # util/lanes.hpp names the kernel width, the standard build + full test
 # suite, a check that no DSP, FM, FEC, modem or util object of that build
-# holds a fused multiply-add (which would change bits the tests pin) and that only the
+# holds a fused multiply-add (which would change bits the tests pin), that no
+# modem object calls libgcc's complex division, and that only the
 # one width dispatch's AVX2 instances hold 32-byte registers, the LLR
 # soft-byte table checked on every float (~25 s on four threads), a smoke
 # run of the end-to-end benchmark (its Release build of src/ plus every
@@ -53,6 +54,19 @@ for obj in build/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build/src/fm/CMakeFiles/so
   asm="$(objdump -d "$obj")"
   if grep -qE 'vfn?m(add|sub)' <<< "$asm"; then
     echo "tier-1: $obj holds a fused multiply-add" >&2
+    exit 1
+  fi
+done
+
+echo "== tier-1: no libgcc complex division in the modem objects =="
+# The receiver's equalizer, channel-estimate and pilot divisions go through
+# dsp::divide (dsp/complex_divide.hpp), which keeps std::complex<float>'s
+# bits without a __divsc3 call per carrier. A plain complex `y / h` under
+# src/modem/ would bring the call back.
+for obj in build/src/modem/CMakeFiles/sonic_modem.dir/*.o; do
+  syms="$(nm "$obj")"
+  if grep -q '__divsc3' <<< "$syms"; then
+    echo "tier-1: $obj references __divsc3" >&2
     exit 1
   fi
 done

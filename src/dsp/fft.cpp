@@ -1,11 +1,14 @@
 #include "dsp/fft.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "util/lanes.hpp"
 #include "util/units.hpp"
@@ -13,31 +16,223 @@
 namespace sonic::dsp {
 namespace {
 
-using V4f = util::Lanes4::F;
-using util::load;
-using util::splat;
-using util::store;
+// Points per first pass at the widest pack: two eight-point blocks.
+constexpr std::size_t kMaxFirstPass = 16;
 
-// The radix-2 butterfly on four lanes: v = hi·w, then lo + v and lo − v,
-// each lane in the float operations and order of a scalar radix-2 loop, so
-// results stay bit-identical to one.
-inline void butterfly(V4f& lr, V4f& li, V4f& hr, V4f& hi, V4f wr, V4f wi) {
-  const V4f vr = hr * wr - hi * wi;
-  const V4f vi = hr * wi + hi * wr;
-  const V4f ur = lr;
-  const V4f ui = li;
+// Every lane of `out` to x, bits untouched (a sum with a zero vector would
+// turn −0 into +0).
+template <class F>
+[[gnu::always_inline]] inline void splat(float x, F& out) {
+  float t[sizeof(F) / sizeof(float)];
+  std::fill(std::begin(t), std::end(t), x);
+  util::load_to(out, t);
+}
+
+// The radix-2 butterfly on a pack's lanes: v = hi·w, then lo + v and
+// lo − v, each lane in the float operations and order of a scalar radix-2
+// loop, so results stay bit-identical to one.
+template <class F>
+[[gnu::always_inline]] inline void butterfly(F& lr, F& li, F& hr, F& hi, const F& wr, const F& wi) {
+  const F vr = hr * wr - hi * wi;
+  const F vi = hr * wi + hi * wr;
+  const F ur = lr;
+  const F ui = li;
   lr = ur + vr;
   li = ui + vi;
   hr = ur - vr;
   hi = ui - vi;
 }
 
-// (a.re, a.im, b.re, b.im).
-inline V4f pair(const cplx& a, const cplx& b) {
-  float t[4];
-  std::memcpy(t, &a, sizeof a);
-  std::memcpy(t + 2, &b, sizeof b);
-  return load(t);
+template <class F>
+[[gnu::always_inline]] inline void load_pair(F& r, F& i, const float* re, const float* im, std::size_t at) {
+  util::load_to(r, re + at);
+  util::load_to(i, im + at);
+}
+
+// Where a pass leaves its results: the split working arrays, or, on the
+// last pass, the caller's complex buffer, scaled by 1/N for the inverse.
+enum class Sink { kSplit, kOut, kOutScaled };
+
+// Points at..at + P::n of a pass's results.
+template <class P, Sink S>
+[[gnu::always_inline]] inline void put(float* re, float* im, cplx* out, const typename P::F& scale, std::size_t at,
+                                       typename P::F& r, typename P::F& i) {
+  if constexpr (S == Sink::kSplit) {
+    util::store_from(re + at, r);
+    util::store_from(im + at, i);
+  } else {
+    if constexpr (S == Sink::kOutScaled) {
+      r = r * scale;
+      i = i * scale;
+    }
+    typename P::F lo, hi;
+    P::interleave(r, i, lo, hi);
+    float* o = reinterpret_cast<float*>(out + at);
+    util::store_from(o, lo);
+    util::store_from(o + P::n, hi);
+  }
+}
+
+// A complex point as one 64-bit lane, bits untouched.
+[[gnu::always_inline]] inline double point(const cplx& c) {
+  double d;
+  std::memcpy(&d, &c, sizeof d);
+  return d;
+}
+
+// The points src[br[first + 8 (t / 2) + 2 (t % 2)]] for t = 0 .. P::n / 2 − 1,
+// as P::n floats (re, im, re, im, ...): with `first` 0 or 4, the even
+// positions of each eight-point block, in two halves that
+// deinterleave_blocks puts in order; 1 and 5 give the odd ones.
+template <class P, std::size_t... T>
+[[gnu::always_inline]] inline void gather(const cplx* src, const std::uint32_t* br, std::size_t first,
+                                          typename P::F& out, std::index_sequence<T...>) {
+  const typename P::D d{point(src[br[first + 8 * (T / 2) + 2 * (T % 2)]])...};
+  out = reinterpret_cast<typename P::F>(d);
+}
+
+// The first pass: the bit-reversed gather of P::n / 4 eight-point blocks at
+// a time and their stages h = 1, 2 and 4 in registers, into the split
+// arrays. Each shuffle is a permutation, so where n < 8 the stages beyond
+// it are skipped and the points still leave in order.
+template <class P>
+[[gnu::always_inline]] inline void gather_pass(const cplx* src, const std::uint32_t* bitrev, std::size_t m,
+                                               std::size_t n, const float* w_re, const float* w_im, float* re,
+                                               float* im) {
+  using F = typename P::F;
+  // Stage 2 pairs lanes of positions (0, 4, 1, 5) with (2, 6, 3, 7) in each
+  // block, twiddles j = 0, 0, 1, 1; stage 4 pairs (0, 1, 2, 3) with
+  // (4, 5, 6, 7), twiddles j = 0 .. 3.
+  float t2r[P::n] = {}, t2i[P::n] = {}, t4r[P::n] = {}, t4i[P::n] = {};
+  for (std::size_t l = 0; l < P::n; ++l) {
+    if (n >= 4) {
+      t2r[l] = w_re[2 + l % 4 / 2];
+      t2i[l] = w_im[2 + l % 4 / 2];
+    }
+    if (n >= 8) {
+      t4r[l] = w_re[4 + l % 4];
+      t4i[l] = w_im[4 + l % 4];
+    }
+  }
+  F w1r, w1i, w2r, w2i, w4r, w4i;
+  splat(w_re[1], w1r);
+  splat(w_im[1], w1i);
+  util::load_to(w2r, t2r);
+  util::load_to(w2i, t2i);
+  util::load_to(w4r, t4r);
+  util::load_to(w4i, t4i);
+  constexpr auto lanes = std::make_index_sequence<P::n / 2>{};
+  for (std::size_t i = 0; i < m; i += 2 * P::n) {
+    const std::uint32_t* br = bitrev + i;
+    F xe, ye, xo, yo;
+    gather<P>(src, br, 0, xe, lanes);
+    gather<P>(src, br, 4, ye, lanes);
+    gather<P>(src, br, 1, xo, lanes);
+    gather<P>(src, br, 5, yo, lanes);
+    // Lane k of each block: position 2k in lo, 2k + 1 in hi.
+    F lr, li, hr, hi;
+    P::deinterleave_blocks(xe, ye, lr, li);
+    P::deinterleave_blocks(xo, yo, hr, hi);
+    butterfly(lr, li, hr, hi, w1r, w1i);
+    F ar, ai, br2, bi;  // positions (0, 4, 1, 5) and (2, 6, 3, 7)
+    P::deinterleave_blocks(lr, hr, ar, br2);
+    P::deinterleave_blocks(li, hi, ai, bi);
+    if (n >= 4) butterfly(ar, ai, br2, bi, w2r, w2i);
+    F cr, ci, dr, di;  // positions (0, 1, 2, 3) and (4, 5, 6, 7)
+    P::deinterleave_blocks(ar, br2, cr, dr);
+    P::deinterleave_blocks(ai, bi, ci, di);
+    if (n >= 8) butterfly(cr, ci, dr, di, w4r, w4i);
+    F lo, hi2;
+    P::interleave_blocks(cr, dr, lo, hi2);
+    util::store_from(re + i, lo);
+    util::store_from(re + i + P::n, hi2);
+    P::interleave_blocks(ci, di, lo, hi2);
+    util::store_from(im + i, lo);
+    util::store_from(im + i + P::n, hi2);
+  }
+}
+
+// Stage h alone (h >= 8): P::n butterflies per step, twiddles contiguous.
+template <class P, Sink S>
+[[gnu::always_inline]] inline void stage(float* re, float* im, std::size_t n, std::size_t h, const float* w_re,
+                                         const float* w_im, cplx* out, const typename P::F& scale) {
+  using F = typename P::F;
+  for (std::size_t i = 0; i < n; i += 2 * h) {
+    for (std::size_t j = 0; j < h; j += P::n) {
+      F lr, li, hr, hi, wr, wi;
+      load_pair(lr, li, re, im, i + j);
+      load_pair(hr, hi, re, im, i + h + j);
+      load_pair(wr, wi, w_re, w_im, h + j);
+      butterfly(lr, li, hr, hi, wr, wi);
+      put<P, S>(re, im, out, scale, i + j, lr, li);
+      put<P, S>(re, im, out, scale, i + h + j, hr, hi);
+    }
+  }
+}
+
+// Stages h and 2h (h >= 8) in one pass over the points: x0 .. x3 at
+// i + j, + h, + 2h and + 3h take stage h's butterflies (x0, x1) and
+// (x2, x3), then stage 2h's (x0, x2) and (x1, x3), each the butterfly the
+// two stages run alone.
+template <class P, Sink S>
+[[gnu::always_inline]] inline void stage_pair(float* re, float* im, std::size_t n, std::size_t h,
+                                              const float* w_re, const float* w_im, cplx* out,
+                                              const typename P::F& scale) {
+  using F = typename P::F;
+  for (std::size_t i = 0; i < n; i += 4 * h) {
+    for (std::size_t j = 0; j < h; j += P::n) {
+      F r0, i0, r1, i1, r2, i2, r3, i3, wr, wi;
+      load_pair(r0, i0, re, im, i + j);
+      load_pair(r1, i1, re, im, i + h + j);
+      load_pair(r2, i2, re, im, i + 2 * h + j);
+      load_pair(r3, i3, re, im, i + 3 * h + j);
+      load_pair(wr, wi, w_re, w_im, h + j);
+      butterfly(r0, i0, r1, i1, wr, wi);
+      butterfly(r2, i2, r3, i3, wr, wi);
+      load_pair(wr, wi, w_re, w_im, 2 * h + j);
+      butterfly(r0, i0, r2, i2, wr, wi);
+      load_pair(wr, wi, w_re, w_im, 3 * h + j);
+      butterfly(r1, i1, r3, i3, wr, wi);
+      put<P, S>(re, im, out, scale, i + j, r0, i0);
+      put<P, S>(re, im, out, scale, i + h + j, r1, i1);
+      put<P, S>(re, im, out, scale, i + 2 * h + j, r2, i2);
+      put<P, S>(re, im, out, scale, i + 3 * h + j, r3, i3);
+    }
+  }
+}
+
+// The stages from h = 8 up: stage 8 alone where their count is odd, then
+// pairs; the last pass writes the caller's buffer.
+template <class P, Sink Last>
+[[gnu::always_inline]] inline void later_stages(float* re, float* im, std::size_t n, const float* w_re,
+                                                const float* w_im, cplx* out, float inv_n) {
+  typename P::F scale;
+  splat(inv_n, scale);
+  std::size_t h = 8;
+  if (std::countr_zero(n) % 2 == 0) {  // log2(n) − 3 stages, an odd count
+    if (2 * h == n) return stage<P, Last>(re, im, n, h, w_re, w_im, out, scale);
+    stage<P, Sink::kSplit>(re, im, n, h, w_re, w_im, out, scale);
+    h *= 2;
+  }
+  for (; 4 * h < n; h *= 4) stage_pair<P, Sink::kSplit>(re, im, n, h, w_re, w_im, out, scale);
+  stage_pair<P, Last>(re, im, n, h, w_re, w_im, out, scale);
+}
+
+// The whole transform of the m >= 2 P::n points at src (n of them used)
+// into out, through the split arrays re and im.
+template <class P>
+[[gnu::always_inline]] inline void transform(const cplx* src, const std::uint32_t* bitrev, std::size_t m,
+                                             std::size_t n, const float* w_re, const float* w_im, bool inverse,
+                                             float* re, float* im, cplx* out) {
+  gather_pass<P>(src, bitrev, m, n, w_re, w_im, re, im);
+  const float inv_n = 1.0f / static_cast<float>(n);
+  if (n <= 8) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = inverse ? cplx(re[i] * inv_n, im[i] * inv_n) : cplx(re[i], im[i]);
+  } else if (inverse) {
+    later_stages<P, Sink::kOutScaled>(re, im, n, w_re, w_im, out, inv_n);
+  } else {
+    later_stages<P, Sink::kOut>(re, im, n, w_re, w_im, out, inv_n);
+  }
 }
 
 // Split real and imaginary working arrays, one per thread, grown to the
@@ -54,7 +249,7 @@ bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_power_of_two(n)) throw std::invalid_argument("fft size must be a power of two");
-  const std::size_t padded = std::max<std::size_t>(n, 8);
+  const std::size_t padded = std::max(n, kMaxFirstPass);
   bitrev_.resize(padded);
   int log2n = 0;
   while ((std::size_t{1} << log2n) < n) ++log2n;
@@ -87,82 +282,19 @@ void FftPlan::run(std::span<cplx> data, bool inverse) const {
   if (n_ == 1) return;  // one point: the identity, and 1/N = 1
   cplx* a = data.data();
   const float* wim = inverse ? w_im_inv_.data() : w_im_.data();
-
-  // Transforms below the first pass's eight points run zero-padded: the
-  // padding only ever meets itself.
-  const std::size_t m = std::max<std::size_t>(n_, 8);
-  cplx small[8] = {};
+  // Transforms below the first pass's width run zero-padded: the padding
+  // only ever meets itself.
+  cplx small[kMaxFirstPass] = {};
   const cplx* src = a;
-  if (n_ < 8) {
+  if (n_ < kMaxFirstPass) {
     std::copy(a, a + n_, small);
     src = small;
   }
-  float* re = scratch(2 * m);
-  float* im = re + m;
-
-  // Gather eight bit-reversed points at a time and run stages h = 1 and
-  // h = 2 in registers. Stage 1 pairs positions (0,1), (2,3), (4,5), (6,7):
-  // lanes lo = 0, 2, 4, 6 and hi = 1, 3, 5, 7. Stage 2 pairs (0,2), (1,3),
-  // (4,6), (5,7) with twiddles j = 0, 1, 0, 1.
-  const V4f w1r = splat(w_re_[1]);
-  const V4f w1i = splat(wim[1]);
-  const V4f w2r = n_ >= 4 ? V4f{w_re_[2], w_re_[3], w_re_[2], w_re_[3]} : splat(0.0f);
-  const V4f w2i = n_ >= 4 ? V4f{wim[2], wim[3], wim[2], wim[3]} : splat(0.0f);
-  for (std::size_t i = 0; i < m; i += 8) {
-    const std::uint32_t* br = bitrev_.data() + i;
-    const V4f lo01 = pair(src[br[0]], src[br[2]]);
-    const V4f lo23 = pair(src[br[4]], src[br[6]]);
-    const V4f hi01 = pair(src[br[1]], src[br[3]]);
-    const V4f hi23 = pair(src[br[5]], src[br[7]]);
-    V4f lr = __builtin_shufflevector(lo01, lo23, 0, 2, 4, 6);
-    V4f li = __builtin_shufflevector(lo01, lo23, 1, 3, 5, 7);
-    V4f hr = __builtin_shufflevector(hi01, hi23, 0, 2, 4, 6);
-    V4f hi = __builtin_shufflevector(hi01, hi23, 1, 3, 5, 7);
-    butterfly(lr, li, hr, hi, w1r, w1i);  // lo = y0 y2 y4 y6, hi = y1 y3 y5 y7
-    if (n_ < 4) {
-      store(re + i, __builtin_shufflevector(lr, hr, 0, 4, 1, 5));
-      store(im + i, __builtin_shufflevector(li, hi, 0, 4, 1, 5));
-      continue;
-    }
-    V4f ar = __builtin_shufflevector(lr, hr, 0, 4, 2, 6);  // y0 y1 y4 y5
-    V4f ai = __builtin_shufflevector(li, hi, 0, 4, 2, 6);
-    V4f br2 = __builtin_shufflevector(lr, hr, 1, 5, 3, 7);  // y2 y3 y6 y7
-    V4f bi = __builtin_shufflevector(li, hi, 1, 5, 3, 7);
-    butterfly(ar, ai, br2, bi, w2r, w2i);  // a = z0 z1 z4 z5, b = z2 z3 z6 z7
-    store(re + i, __builtin_shufflevector(ar, br2, 0, 1, 4, 5));
-    store(re + i + 4, __builtin_shufflevector(ar, br2, 2, 3, 6, 7));
-    store(im + i, __builtin_shufflevector(ai, bi, 0, 1, 4, 5));
-    store(im + i + 4, __builtin_shufflevector(ai, bi, 2, 3, 6, 7));
-  }
-
-  // Stages h >= 4: four butterflies per step, twiddles contiguous.
-  for (std::size_t h = 4; h < n_; h <<= 1) {
-    const float* wr = w_re_.data() + h;
-    const float* wi = wim + h;
-    for (std::size_t i = 0; i < n_; i += 2 * h) {
-      float* lo_r = re + i;
-      float* lo_i = im + i;
-      float* hi_r = re + i + h;
-      float* hi_i = im + i + h;
-      for (std::size_t j = 0; j < h; j += 4) {
-        V4f lr = load(lo_r + j), li = load(lo_i + j);
-        V4f hr = load(hi_r + j), hi = load(hi_i + j);
-        butterfly(lr, li, hr, hi, load(wr + j), load(wi + j));
-        store(lo_r + j, lr);
-        store(lo_i + j, li);
-        store(hi_r + j, hr);
-        store(hi_i + j, hi);
-      }
-    }
-  }
-
-  // Interleave back, with the inverse's 1/N on each part.
-  if (inverse) {
-    const float inv_n = 1.0f / static_cast<float>(n_);
-    for (std::size_t i = 0; i < n_; ++i) a[i] = cplx(re[i] * inv_n, im[i] * inv_n);
-  } else {
-    for (std::size_t i = 0; i < n_; ++i) a[i] = cplx(re[i], im[i]);
-  }
+  util::at_width([&]<class P> {
+    const std::size_t m = std::max(n_, 2 * P::n);
+    float* re = scratch(2 * m);
+    transform<P>(src, bitrev_.data(), m, n_, w_re_.data(), wim, inverse, re, re + m, a);
+  });
 }
 
 void FftPlan::forward(std::span<cplx> data) const { run(data, false); }

@@ -9,15 +9,23 @@
 // Twiddles are evaluated per-element in double precision (no recurrence),
 // so accuracy does not drift with transform size.
 //
-// The kernel is decimation in time, four lanes at a time (util::Lanes4's
-// vector extensions, plain SSE2 on x86-64). The bit-reversed
-// input is gathered into split real and imaginary arrays, running the two
-// smallest stages in registers on the way; every later stage is a four-lane
-// loop over contiguous per-stage twiddles; the result is interleaved back
-// into the caller's buffer, scaled by 1/N for the inverse. Each butterfly
-// computes v = hi·w and lo ± v with the same float operations in the same
-// order as a scalar radix-2 loop, so the output is bit-identical to one
-// (tests/oracles' fft_radix2_reference).
+// The kernel is decimation in time, written once over the lane packs of
+// util/lanes.hpp and run through util::at_width: four lanes, or eight in
+// the AVX2 instance where util::simd_width() is k256. Its passes:
+//  * the bit-reversed gather, each point one 64-bit load into a register,
+//    two eight-point blocks per pass at eight lanes (one at four), with
+//    stages h = 1, 2 and 4 run in registers, into split real and imaginary
+//    arrays;
+//  * the stages from h = 8 in fused pairs, h and 2h in one pass over the
+//    arrays (x0 .. x3 at i + j + {0, h, 2h, 3h}: stage h's butterflies,
+//    then stage 2h's), stage 8 alone first where the count is odd, each
+//    loop over contiguous per-stage twiddles;
+//  * the last of those passes writes the caller's buffer, interleaved back
+//    to complex and scaled by 1/N for the inverse.
+// Each butterfly computes v = hi·w and lo ± v with the same float
+// operations in the same order as a scalar radix-2 loop, so the output is
+// bit-identical to one (tests/oracles' fft_radix2_reference) in either
+// instance.
 #pragma once
 
 #include <complex>
@@ -49,8 +57,8 @@ class FftPlan {
   void run(std::span<cplx> data, bool inverse) const;
 
   std::size_t n_;
-  // Bit-reversed index of each position, padded to 8 entries (the first
-  // pass's width) with entries that point past n_.
+  // Bit-reversed index of each position, padded to 16 entries (the widest
+  // first pass) with entries that point past n_.
   std::vector<std::uint32_t> bitrev_;
   // Stage h (h butterflies per block, h = 1, 2, 4, ..., n/2) reads its
   // twiddles contiguously at [h, 2h): w_re_[h + j] + i w_im_[h + j] =

@@ -262,21 +262,39 @@ bool walk_hard_decisions(const std::int16_t* pairs, std::size_t in_bits, std::si
 // payload byte as its eight steps are passed. The input bit that produced
 // a state is its LSB; a set decision means the winning predecessor was the
 // high one, whose evicted MSB was 1.
+//
+// The predecessor of `state` is lo = state >> 1 with the step's decision e
+// as its top bit, and e only picks which of lo's two versions comes next:
+// both of their decisions for the step before are loaded while e is still
+// being selected, so the serial chain per step is one select, not a load.
 template <class T>
 void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t* out) {
-  std::uint32_t state = 0;
-  auto back = [&](std::size_t step) {
-    const std::uint32_t word = dec[step * T::groups + (state >> 4)];
-    const std::uint32_t evicted = (word >> ((state & 1) * 8 + ((state >> 1) & 7))) & 1u;
-    state = (state >> 1) | (evicted << (T::k - 2));
+  constexpr std::uint32_t kTop = 1u << (T::k - 2);
+  static_assert(T::k - 2 >= 4, "the top bit must not move a state's bit within its decision word");
+  // The decision of `step` for state s: word s >> 4, bit (s & 1) * 8 + the
+  // next three bits.
+  auto decision = [dec](std::size_t step, std::uint32_t s) {
+    const std::uint32_t word = dec[step * T::groups + (s >> 4)];
+    return (word >> ((s & 1) * 8 + ((s >> 1) & 7))) & 1u;
   };
   std::size_t step = payload_bytes * 8 + static_cast<std::size_t>(T::k - 1);
-  while (step > payload_bytes * 8) back(--step);
+  std::uint32_t state = 0;
+  std::uint32_t e = decision(step - 1, state);  // the decision of the step about to be passed
+  auto back = [&] {
+    --step;
+    const std::uint32_t lo = state >> 1;
+    state = lo | e << (T::k - 2);
+    if (step > 0) {
+      const std::uint32_t e0 = decision(step - 1, lo), e1 = decision(step - 1, lo | kTop);
+      e = e ? e1 : e0;
+    }
+  };
+  while (step > payload_bytes * 8) back();
   for (std::size_t byte = payload_bytes; byte-- > 0;) {
     std::uint32_t bits = 0;  // step 8 * byte + 7 - b is bit b, counted from the LSB
     for (std::uint32_t b = 0; b < 8; ++b) {
       bits |= (state & 1u) << b;
-      back(--step);
+      back();
     }
     out[byte] = static_cast<std::uint8_t>(bits);
   }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "dsp/complex_divide.hpp"
 #include "dsp/fft.hpp"
 #include "modem/stream_receiver.hpp"
 #include "util/rng.hpp"
@@ -306,9 +307,7 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   const auto yb = analyze_symbol(samples, window_pos(start, 1));
   auto& h = h_;
   h.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    h[static_cast<std::size_t>(i)] = yb[static_cast<std::size_t>(i)] / preamble_b_[static_cast<std::size_t>(i)];
-  }
+  dsp::divide(yb, preamble_b_, h);
   // Smooth H across 3 neighbours and estimate noise from the residual.
   h_smooth.resize(h.size());
   for (int i = 0; i < n; ++i) {
@@ -373,9 +372,7 @@ std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, s
   const auto y = analyze_symbol(samples, pos);
   auto& eq = eq_;
   eq.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    eq[static_cast<std::size_t>(i)] = y[static_cast<std::size_t>(i)] / h[static_cast<std::size_t>(i)];
-  }
+  dsp::divide(y, h, eq);
   // Pilot linear-phase fit: theta(i) ~ a + b*i.
   double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
   int np = 0;
@@ -383,7 +380,7 @@ std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, s
   double amp_acc = 0;
   for (int i = 0; i < n; ++i) {
     if (!is_pilot(i)) continue;
-    const cplx e = eq[static_cast<std::size_t>(i)] / pilots_[static_cast<std::size_t>(i)];
+    const cplx e = dsp::divide(eq[static_cast<std::size_t>(i)], pilots_[static_cast<std::size_t>(i)]);
     double th = std::arg(e);
     if (np > 0) {
       while (th - prev_th > sonic::util::kPi) th -= sonic::util::kTwoPi;

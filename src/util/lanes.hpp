@@ -86,6 +86,16 @@ struct Lanes4 {
     even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6);
     odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7);
   }
+  // Block by block of four lanes (shufps): each block of `even` holds
+  // lanes 0 and 2 of x's block then of y's, and `odd` lanes 1 and 3. One
+  // block here, so the same as deinterleave.
+  static void deinterleave_blocks(const F& x, const F& y, F& even, F& odd) { deinterleave(x, y, even, odd); }
+  // The four-lane blocks of a and b in turn, a's first: the first n lanes in
+  // lo, the rest in hi.
+  static void interleave_blocks(const F& a, const F& b, F& lo, F& hi) {
+    lo = a;
+    hi = b;
+  }
   // Lane i of `even` to p[2i], lane i of `odd` to p[2i + 1] (punpck[lh]wd).
   static void store_interleaved(std::int16_t* p, const S& even, const S& odd) {
     store_from(p, S(__builtin_shufflevector(even, odd, 0, 8, 1, 9, 2, 10, 3, 11)));
@@ -162,6 +172,16 @@ struct Lanes8 {
   [[gnu::target("avx2")]] static void deinterleave(const F& lo, const F& hi, F& even, F& odd) {
     even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
     odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7, 9, 11, 13, 15);
+  }
+  // vshufps, within each 128-bit half.
+  [[gnu::target("avx2")]] static void deinterleave_blocks(const F& x, const F& y, F& even, F& odd) {
+    even = __builtin_shufflevector(x, y, 0, 2, 8, 10, 4, 6, 12, 14);
+    odd = __builtin_shufflevector(x, y, 1, 3, 9, 11, 5, 7, 13, 15);
+  }
+  // vperm2f128.
+  [[gnu::target("avx2")]] static void interleave_blocks(const F& a, const F& b, F& lo, F& hi) {
+    lo = __builtin_shufflevector(a, b, 0, 1, 2, 3, 8, 9, 10, 11);
+    hi = __builtin_shufflevector(a, b, 4, 5, 6, 7, 12, 13, 14, 15);
   }
   // vpunpck[lh]wd interleave within each 128-bit half; vperm2i128 puts the
   // halves back in lane order.

@@ -3,9 +3,9 @@
 // its kept reference implementation —
 //
 //  * FftPlan vs. the legacy twiddle-recurrence kernel vs. dft_naive ground
-//    truth, including the accuracy-drift regression the tables fix; the
-//    four-lane FftPlan vs. the strided radix-2 loop, bit for bit, and
-//    concurrent transforms on one shared plan;
+//    truth, including the accuracy-drift regression the tables fix; both
+//    FftPlan instances (four and eight lanes) vs. the strided radix-2
+//    loop, bit for bit, and concurrent transforms on one shared plan;
 //  * the int16 SIMD-butterfly Viterbi vs. the scalar per-state decoder on
 //    the same quantized input, byte-identical across both codes and all
 //    puncture rates on noisy, hard-decision, all-erasure and long-tie
@@ -27,8 +27,9 @@
 //    and concurrent encodes on one shared codec;
 //  * the real-input OFDM symbol analysis vs. the complex-input FFT, the
 //    four-point QAM soft demapper vs. the per-carrier, per-bit level loop
-//    (NaN and infinite points, every tail length), and the float-screened
-//    fine-sync pick vs. the all-exact scan;
+//    (NaN and infinite points, every tail length), the float-screened
+//    fine-sync pick vs. the all-exact scan, and the equalizer's inline
+//    complex divide vs. std::complex<float> division;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -71,6 +72,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/complex_divide.hpp"
 #include "dsp/fast_math.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
@@ -2894,6 +2896,126 @@ TEST(PageBuildMemory, PipelineHoldsNoPageSizedRaster) {
   ASSERT_NE(bundle, nullptr);
   EXPECT_EQ(bundle->metadata.height, layout.max_height);
   EXPECT_LT(peak, std::size_t{8} << 20) << "peak " << peak << " bytes for " << bundle->frames.size() << " frames";
+}
+
+// ------------------------------------------------------------ FFT widths ---
+
+// FftWidths' inputs at size n: dense, signed zeros and units, an impulse,
+// and magnitudes from subnormal to near FLT_MAX, whose sums overflow to
+// infinities and then to NaNs, which both sides form alike.
+std::vector<std::vector<dsp::cplx>> fft_width_inputs(Rng& rng, std::size_t n) {
+  std::vector<std::vector<dsp::cplx>> inputs = {random_signal(rng, n), std::vector<dsp::cplx>(n),
+                                                std::vector<dsp::cplx>(n, dsp::cplx(0.0f, -0.0f)),
+                                                std::vector<dsp::cplx>(n)};
+  const float units[] = {0.0f, -0.0f, 1.0f, -1.0f};
+  for (auto& x : inputs[1]) x = dsp::cplx(units[rng.uniform_int(4)], units[rng.uniform_int(4)]);
+  inputs[2][rng.uniform_int(n)] = dsp::cplx(0.5f, -2.0f);
+  const float magnitudes[] = {0x1p-149f, -0x1p-130f, 0x1.fffffep127f, -0x1p126f, 3.0f, -0.0f};
+  for (auto& x : inputs[3]) x = dsp::cplx(magnitudes[rng.uniform_int(6)], magnitudes[rng.uniform_int(6)]);
+  return inputs;
+}
+
+// Every size from 2 to 4096, forward and inverse, with util::simd_width()
+// pinned to `width` around each transform, against the strided radix-2
+// loop, bit for bit.
+void expect_fft_matches_reference(util::SimdWidth width) {
+  Rng rng(211);
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    const auto plan = dsp::FftPlan::get(n);
+    for (const auto& x : fft_width_inputs(rng, n)) {
+      for (const bool inverse : {false, true}) {
+        auto fast = x, ref = x;
+        {
+          const util::ScopedSimdWidth pin(width);
+          if (inverse) {
+            plan->inverse(fast);
+          } else {
+            plan->forward(fast);
+          }
+        }
+        oracles::fft_radix2_reference(ref, inverse);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i]), std::bit_cast<std::uint64_t>(ref[i]))
+              << "n=" << n << " inverse=" << inverse << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftWidths, FourLanesMatchTheReference) { expect_fft_matches_reference(util::SimdWidth::k128); }
+
+TEST(FftWidths, EightLanesMatchTheReference) {
+  if (!runs_eight_lanes()) GTEST_SKIP() << "no AVX2 instance on this CPU or build";
+  expect_fft_matches_reference(util::SimdWidth::k256);
+}
+
+// -------------------------------------------------------- complex divide ---
+
+std::uint64_t cplx_bits(dsp::cplx z) { return std::bit_cast<std::uint64_t>(z); }
+
+// Every ordered pair of parts from zeros, units, subnormals, huge values,
+// infinities and NaNs, then random parts with exponents within +-40.
+std::vector<dsp::cplx> divide_operands(Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, 1.0f, -3.5f, 0x1p-149f, -0x1.8p-140f, 0x1p-126f,
+                            0x1.fffffep127f, -0x1p120f, inf, -inf, nan, -nan};
+  std::vector<dsp::cplx> out;
+  for (float re : specials) {
+    for (float im : specials) out.emplace_back(re, im);
+  }
+  auto part = [&] {
+    const double mag = rng.uniform(1.0, 2.0) * std::ldexp(1.0, static_cast<int>(rng.uniform_int(81)) - 40);
+    return static_cast<float>(rng.bernoulli(0.5) ? mag : -mag);
+  };
+  for (int i = 0; i < 3000; ++i) out.emplace_back(part(), part());
+  return out;
+}
+
+// dsp::divide against std::complex<float>'s division on every pair of
+// operands, both the one-value and the span form, the span at each width
+// and at every tail length; and against the double formula wherever that
+// gives no NaN part.
+TEST(ComplexDivide, MatchesStdComplexAndTheDoubleFormula) {
+  Rng rng(212);
+  const auto ops = divide_operands(rng);
+  std::vector<dsp::cplx> num, den, expect;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (std::size_t j = 0; j < ops.size(); j += i < 169 ? 1 : 97) {
+      num.push_back(ops[i]);
+      den.push_back(ops[j]);
+      expect.push_back(ops[i] / ops[j]);
+    }
+  }
+  std::size_t by_formula = 0;
+  for (std::size_t k = 0; k < num.size(); ++k) {
+    const double a = num[k].real(), b = num[k].imag(), c = den[k].real(), d = den[k].imag();
+    const dsp::cplx formula(static_cast<float>((a * c + b * d) / (c * c + d * d)),
+                            static_cast<float>((b * c - a * d) / (c * c + d * d)));
+    if (!std::isnan(formula.real()) && !std::isnan(formula.imag())) {
+      ASSERT_EQ(cplx_bits(formula), cplx_bits(expect[k])) << num[k] << " / " << den[k];
+      ++by_formula;
+    }
+    ASSERT_EQ(cplx_bits(dsp::divide(num[k], den[k])), cplx_bits(expect[k])) << num[k] << " / " << den[k];
+  }
+  EXPECT_GT(by_formula, num.size() / 2);
+
+  std::vector<util::SimdWidth> widths = {util::SimdWidth::k128};
+  if (runs_eight_lanes()) widths.push_back(util::SimdWidth::k256);
+  for (const auto width : widths) {
+    const util::ScopedSimdWidth pin(width);
+    std::vector<dsp::cplx> out(num.size());
+    dsp::divide(num, den, out);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      ASSERT_EQ(cplx_bits(out[k]), cplx_bits(expect[k])) << num[k] << " / " << den[k];
+    }
+    for (std::size_t len = 0; len <= 17; ++len) {
+      std::vector<dsp::cplx> part(len);
+      dsp::divide(std::span(num).subspan(160, len), std::span(den).subspan(160, len), part);
+      for (std::size_t k = 0; k < len; ++k) ASSERT_EQ(cplx_bits(part[k]), cplx_bits(expect[160 + k])) << len;
+    }
+  }
 }
 
 }  // namespace

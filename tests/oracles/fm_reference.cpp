@@ -6,7 +6,7 @@
 
 #include "dsp/biquad.hpp"
 #include "dsp/fir.hpp"
-#include "dsp/resampler.hpp"
+#include "oracles/frozen_dsp.hpp"
 #include "oracles/resampler_reference.hpp"
 #include "oracles/ziggurat_reference.hpp"
 #include "util/units.hpp"
@@ -15,7 +15,7 @@ namespace sonic::oracles {
 
 std::vector<fm::cplx> fm_modulate_reference(std::span<const float> audio,
                                             const fm::FmParams& params) {
-  dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.audio_rate_hz, 63));
+  frozen::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.audio_rate_hz, 63));
   std::vector<float> program = lp.process(audio);
   for (auto& s : program) {
     s = std::clamp(static_cast<float>(s * params.input_gain), -1.0f, 1.0f);
@@ -62,7 +62,7 @@ std::vector<float> fm_discriminate_reference(std::span<const fm::cplx> iq,
 std::vector<float> fm_demodulate_arg_reference(std::span<const fm::cplx> iq,
                                                const fm::FmParams& params) {
   const auto factor = static_cast<std::size_t>(std::round(params.iq_rate_hz / params.audio_rate_hz));
-  auto decim = dsp::Resampler::decimator(
+  auto decim = frozen::Resampler::decimator(
       factor, dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
   auto audio = decim.push(fm_discriminate_reference(iq, params));
   const auto tail = decim.flush();
@@ -72,7 +72,7 @@ std::vector<float> fm_demodulate_arg_reference(std::span<const fm::cplx> iq,
 
 std::vector<float> fm_demodulate_reference(std::span<const fm::cplx> iq,
                                            const fm::FmParams& params) {
-  dsp::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
+  frozen::FirFilter lp(dsp::design_lowpass(params.audio_lowpass_hz, params.iq_rate_hz, 63));
   return resample_reference(lp.process(fm_discriminate_reference(iq, params)),
                             params.audio_rate_hz / params.iq_rate_hz);
 }
@@ -91,7 +91,7 @@ std::vector<float> acoustic_reference(std::span<const float> audio,
     trial_gain_db = gain;
     wobble_phase = rng.uniform(0.0, util::kTwoPi);
   }
-  std::optional<dsp::Resampler> skew;
+  std::optional<frozen::Resampler> skew;
   if (params.clock_skew_ppm > 0.0) {
     skew.emplace(1.0 + rng.uniform(-params.clock_skew_ppm, params.clock_skew_ppm) * 1e-6);
   }

@@ -29,12 +29,13 @@ std::vector<float> fm_discriminate_reference(std::span<const fm::cplx> iq,
                                              const fm::FmParams& params);
 
 // FmDemodulator over one whole IQ stream, flushed, with
-// fm_discriminate_reference in front of the same fused decimating low-pass.
+// fm_discriminate_reference in front of the same fused decimating low-pass
+// (frozen::Resampler::decimator).
 std::vector<float> fm_demodulate_arg_reference(std::span<const fm::cplx> iq,
                                                const fm::FmParams& params);
 
 // The original two-stage FmDemodulator over one whole IQ stream, flushed:
-// fm_discriminate_reference, 63-tap low-pass at iq_rate (dsp::FirFilter),
+// fm_discriminate_reference, 63-tap low-pass at iq_rate (frozen::FirFilter),
 // then resample_reference at audio_rate / iq_rate.
 std::vector<float> fm_demodulate_reference(std::span<const fm::cplx> iq,
                                            const fm::FmParams& params);

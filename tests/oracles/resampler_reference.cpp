@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/resampler.hpp"
+#include "oracles/frozen_dsp.hpp"
 #include "util/units.hpp"
 
 namespace sonic::oracles {
@@ -46,7 +46,7 @@ std::vector<float> resample_reference(std::span<const float> input, double ratio
 }
 
 std::vector<float> resample(std::span<const float> input, double in_rate, double out_rate) {
-  return dsp::Resampler(out_rate / in_rate).process(input);
+  return frozen::Resampler(out_rate / in_rate).process(input);
 }
 
 }  // namespace sonic::oracles

@@ -13,8 +13,8 @@ namespace sonic::oracles {
 // window centred on floor(i / ratio). floor(n * ratio) outputs.
 std::vector<float> resample_reference(std::span<const float> input, double ratio);
 
-// One batch call of the shipped resampler: dsp::Resampler(out_rate /
-// in_rate).process(input).
+// One batch call of the resampler, through its frozen copy:
+// frozen::Resampler(out_rate / in_rate).process(input) (frozen_dsp.hpp).
 std::vector<float> resample(std::span<const float> input, double in_rate, double out_rate);
 
 }  // namespace sonic::oracles
