@@ -416,20 +416,27 @@ std::vector<MicroCase> build_micro_cases() {
   // noisy soft bits, 100-byte payloads. Before is the float per-state
   // decoder on the float soft bits, after decode_soft on their bytes: at
   // util::simd_width() (16 lanes on an AVX2 CPU), and in the _sse2 row at 8
-  // lanes.
+  // lanes. Each op decodes the next of 64 distinct noisy frames, so the
+  // branch predictor cannot learn one frame's traceback path.
+  constexpr std::size_t kViterbiFrames = 64;
   for (auto [name, code] : {std::pair{"viterbi_v29_100B", fec::ConvCode::kV29},
                             std::pair{"viterbi_v27_100B", fec::ConvCode::kV27}}) {
     const fec::ConvSpec spec{code, fec::PunctureRate::kRate1_2};
     auto codec = std::make_shared<fec::ConvolutionalCodec>(spec);
-    auto soft = std::make_shared<std::vector<float>>(noisy_soft_bits(*codec, 100, *rng));
-    auto bytes = std::make_shared<std::vector<std::uint8_t>>(quantized(*soft));
-    auto reference = [spec, soft] {
-      auto out = oracles::decode_soft_reference(spec, *soft, 100);
+    auto soft = std::make_shared<std::vector<std::vector<float>>>();
+    auto bytes = std::make_shared<std::vector<std::vector<std::uint8_t>>>();
+    for (std::size_t f = 0; f < kViterbiFrames; ++f) {
+      soft->push_back(noisy_soft_bits(*codec, 100, *rng));
+      bytes->push_back(quantized(soft->back()));
+    }
+    auto reference = [spec, soft, next = std::make_shared<std::size_t>(0)] {
+      auto out = oracles::decode_soft_reference(spec, (*soft)[(*next)++ % kViterbiFrames], 100);
       benchmark::DoNotOptimize(out.data());
     };
     for (auto [suffix, width] : kWidths) {
-      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference, pinned_to(width, [codec, bytes] {
-                                  auto out = codec->decode_soft(*bytes, 100);
+      cases.push_back(MicroCase{std::string(name) + suffix, 100.0, "bytes", reference,
+                                pinned_to(width, [codec, bytes, next = std::make_shared<std::size_t>(0)] {
+                                  auto out = codec->decode_soft((*bytes)[(*next)++ % kViterbiFrames], 100);
                                   benchmark::DoNotOptimize(out.data());
                                 })});
     }
@@ -677,6 +684,44 @@ std::vector<MicroCase> build_micro_cases() {
         [modem, audio] {
           auto bins = modem::OfdmKernelProbe::analyze(*modem, *audio, 128);
           benchmark::DoNotOptimize(bins.data());
+        }});
+  }
+
+  // One sonic-10k payload symbol through demod_symbol, each op the next of
+  // a noisy 32-frame burst's payload symbols (more than 64, so no branch
+  // learns one symbol): after is the modem's (analysis, equalizer divide,
+  // pilot fit and phase correction in lanes, demap); before is the same
+  // analysis, then the frozen per-carrier copy of the rest
+  // (oracles::ofdm_demod_reference). Own Rng.
+  {
+    auto modem = std::make_shared<modem::OfdmModem>(*modem::profiles::get("sonic-10k"));
+    auto mapper = std::make_shared<modem::QamMapper>(modem->profile().constellation);
+    util::Rng demod_rng(49);
+    std::vector<util::Bytes> frames(32);
+    for (auto& f : frames) f = random_bytes(demod_rng, 100);
+    const auto burst = modem->modulate(frames);
+    auto audio = std::make_shared<std::vector<float>>(300, 0.0f);
+    audio->insert(audio->end(), burst.begin(), burst.end());
+    for (auto& v : *audio) v += static_cast<float>(demod_rng.normal(0.0, 0.1 * modem->profile().amplitude));
+    auto h = std::make_shared<std::vector<dsp::cplx>>();
+    float noise = 0.0f;
+    auto windows = std::make_shared<std::vector<std::size_t>>(
+        modem::OfdmKernelProbe::payload_windows(*modem, *audio, 300, *h, noise));
+    auto pilots = modem::OfdmKernelProbe::pilots(*modem);
+    cases.push_back(MicroCase{
+        "ofdm_demod_symbol", static_cast<double>(modem->profile().num_subcarriers), "carriers",
+        [modem, mapper, audio, h, noise, windows, pilots, next = std::make_shared<std::size_t>(0)] {
+          const std::size_t pos = (*windows)[(*next)++ % windows->size()];
+          float n = noise;
+          const auto y = modem::OfdmKernelProbe::analyze(*modem, *audio, pos);
+          auto soft = oracles::ofdm_demod_reference(modem->profile(), *mapper, y, *h, pilots, false, n);
+          benchmark::DoNotOptimize(soft.data());
+        },
+        [modem, audio, h, noise, windows, next = std::make_shared<std::size_t>(0)] {
+          const std::size_t pos = (*windows)[(*next)++ % windows->size()];
+          float n = noise;
+          auto soft = modem::OfdmKernelProbe::demod(*modem, *audio, pos, false, *h, n);
+          benchmark::DoNotOptimize(soft.data());
         }});
   }
 

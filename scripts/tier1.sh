@@ -3,8 +3,8 @@
 # util/lanes.hpp names the kernel width, the standard build + full test
 # suite, a check that no DSP, FM, FEC, modem or util object of that build
 # holds a fused multiply-add (which would change bits the tests pin), that no
-# modem object calls libgcc's complex division, and that only the
-# one width dispatch's AVX2 instances hold 32-byte registers, the LLR
+# modem object calls libgcc's complex division or multiplication, and that
+# only the one width dispatch's AVX2 instances hold 32-byte registers, the LLR
 # soft-byte table checked on every float (~25 s on four threads), a smoke
 # run of the end-to-end benchmark (its Release build of src/ plus every
 # workload's correctness checks), the full test suite rebuilt and rerun
@@ -58,17 +58,21 @@ for obj in build/src/dsp/CMakeFiles/sonic_dsp.dir/*.o build/src/fm/CMakeFiles/so
   fi
 done
 
-echo "== tier-1: no libgcc complex division in the modem objects =="
+echo "== tier-1: no libgcc complex division or multiplication in the modem objects =="
 # The receiver's equalizer, channel-estimate and pilot divisions go through
-# dsp::divide (dsp/complex_divide.hpp), which keeps std::complex<float>'s
-# bits without a __divsc3 call per carrier. A plain complex `y / h` under
-# src/modem/ would bring the call back.
+# dsp::divide (dsp/complex_divide.hpp), and its phase correction and
+# real-FFT split multiply through dsp/carrier_math.hpp: both keep
+# std::complex<float>'s bits in vector lanes and reach libgcc's __divsc3
+# and __mulsc3 only from src/dsp/, for NaN parts. A plain complex `y / h`
+# or `w * z` under src/modem/ would bring the call back.
 for obj in build/src/modem/CMakeFiles/sonic_modem.dir/*.o; do
   syms="$(nm "$obj")"
-  if grep -q '__divsc3' <<< "$syms"; then
-    echo "tier-1: $obj references __divsc3" >&2
-    exit 1
-  fi
+  for fn in __divsc3 __mulsc3; do
+    if grep -q "$fn" <<< "$syms"; then
+      echo "tier-1: $obj references $fn" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "== tier-1: 32-byte registers only in the one width dispatch =="

@@ -267,6 +267,8 @@ bool walk_hard_decisions(const std::int16_t* pairs, std::size_t in_bits, std::si
 // as its top bit, and e only picks which of lo's two versions comes next:
 // both of their decisions for the step before are loaded while e is still
 // being selected, so the serial chain per step is one select, not a load.
+// The select is a mask, not a conditional: GCC compiles `e ? e1 : e0` here
+// to a jump, which noisy frames' random decisions mispredict.
 template <class T>
 void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t* out) {
   constexpr std::uint32_t kTop = 1u << (T::k - 2);
@@ -286,7 +288,7 @@ void traceback(const std::uint16_t* dec, std::size_t payload_bytes, std::uint8_t
     state = lo | e << (T::k - 2);
     if (step > 0) {
       const std::uint32_t e0 = decision(step - 1, lo), e1 = decision(step - 1, lo | kTop);
-      e = e ? e1 : e0;
+      e = e0 ^ ((e0 ^ e1) & (0u - e));
     }
   };
   while (step > payload_bytes * 8) back();

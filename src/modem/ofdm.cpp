@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "dsp/carrier_math.hpp"
 #include "dsp/complex_divide.hpp"
 #include "dsp/fft.hpp"
 #include "modem/stream_receiver.hpp"
@@ -96,8 +97,13 @@ OfdmModem::OfdmModem(OfdmProfile profile)
     if (is_pilot(i)) {
       // BPSK pilots (real axis) at pilot positions.
       pilots_[static_cast<std::size_t>(i)] = cplx(pilot_vals[static_cast<std::size_t>(i)].real() > 0 ? 1.0f : -1.0f, 0.0f);
+      pilot_at_.push_back(static_cast<std::size_t>(i));
+      pilot_values_.push_back(pilots_[static_cast<std::size_t>(i)]);
     }
   }
+  pilot_eq_.resize(pilot_at_.size());
+  pilot_q_.resize(pilot_at_.size());
+  pilot_mag_.resize(pilot_at_.size());
 
   // Time-domain gain: with K unit-energy carriers (hermitian-doubled), the
   // post-IFFT RMS is sqrt(2K)/N; scale to the profile's amplitude target.
@@ -173,13 +179,7 @@ std::span<const cplx> OfdmModem::analyze_symbol(std::span<const float> samples, 
 
   // Z[k] holds E[k] + i O[k], the spectra of the even and odd samples, and
   // Z*[N/2 - k] holds E[k] - i O[k]; X[k] = E[k] + W_N^k O[k].
-  const float half_gain = 0.5f / tx_gain_;
-  const std::size_t first = static_cast<std::size_t>(profile_.first_bin());
-  for (std::size_t i = 0; i < carriers_.size(); ++i) {
-    const cplx z = packed_[first + i];
-    const cplx mirror = std::conj(packed_[half - first - i]);
-    carriers_[i] = (z + mirror) * half_gain + split_twiddle_[i] * (z - mirror);
-  }
+  dsp::split_bins(packed_, static_cast<std::size_t>(profile_.first_bin()), 0.5f / tx_gain_, split_twiddle_, carriers_);
   return carriers_;
 }
 
@@ -366,6 +366,42 @@ std::optional<OfdmModem::Header> OfdmModem::decode_header(std::span<const float>
   return header;
 }
 
+OfdmModem::PhaseFit OfdmModem::fit_pilot_phase(std::span<const cplx> eq) const {
+  // Pilot linear-phase fit: theta(i) ~ a + b*i.
+  const std::size_t np = pilot_at_.size();
+  for (std::size_t k = 0; k < np; ++k) pilot_eq_[k] = eq[pilot_at_[k]];
+  dsp::divide(pilot_eq_, pilot_values_, pilot_q_);
+  dsp::magnitudes(pilot_q_, pilot_mag_);
+  double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
+  double prev_th = 0;
+  double amp_acc = 0;
+  for (std::size_t k = 0; k < np; ++k) {
+    const int i = static_cast<int>(pilot_at_[k]);
+    double th = std::arg(pilot_q_[k]);
+    if (k > 0) {
+      while (th - prev_th > sonic::util::kPi) th -= sonic::util::kTwoPi;
+      while (th - prev_th < -sonic::util::kPi) th += sonic::util::kTwoPi;
+    }
+    prev_th = th;
+    amp_acc += pilot_mag_[k];
+    sum_k += i;
+    sum_k2 += static_cast<double>(i) * i;
+    sum_th += th;
+    sum_kth += static_cast<double>(i) * th;
+  }
+  PhaseFit fit;
+  if (np >= 2) {
+    const double n = static_cast<double>(np);
+    const double det = n * sum_k2 - sum_k * sum_k;
+    if (std::fabs(det) > 1e-9) {
+      fit.b = (n * sum_kth - sum_k * sum_th) / det;
+      fit.a = (sum_th - fit.b * sum_k) / n;
+    }
+    fit.amp = std::max(amp_acc / n, 1e-6);
+  }
+  return fit;
+}
+
 std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
                                                std::span<const cplx> h, float& noise) const {
   const int n = profile_.num_subcarriers;
@@ -373,54 +409,23 @@ std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, s
   auto& eq = eq_;
   eq.resize(static_cast<std::size_t>(n));
   dsp::divide(y, h, eq);
-  // Pilot linear-phase fit: theta(i) ~ a + b*i.
-  double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
-  int np = 0;
-  double prev_th = 0;
-  double amp_acc = 0;
-  for (int i = 0; i < n; ++i) {
-    if (!is_pilot(i)) continue;
-    const cplx e = dsp::divide(eq[static_cast<std::size_t>(i)], pilots_[static_cast<std::size_t>(i)]);
-    double th = std::arg(e);
-    if (np > 0) {
-      while (th - prev_th > sonic::util::kPi) th -= sonic::util::kTwoPi;
-      while (th - prev_th < -sonic::util::kPi) th += sonic::util::kTwoPi;
-    }
-    prev_th = th;
-    amp_acc += std::abs(e);
-    sum_k += i;
-    sum_k2 += static_cast<double>(i) * i;
-    sum_th += th;
-    sum_kth += static_cast<double>(i) * th;
-    ++np;
-  }
-  double a = 0, b = 0;
-  double amp = 1.0;
-  if (np >= 2) {
-    const double det = np * sum_k2 - sum_k * sum_k;
-    if (std::fabs(det) > 1e-9) {
-      b = (np * sum_kth - sum_k * sum_th) / det;
-      a = (sum_th - b * sum_k) / np;
-    }
-    amp = std::max(amp_acc / np, 1e-6);
-  }
-  // Apply the correction. Pilots give the residual noise; the corrected
-  // data carriers are packed in order at the front of eq (slot nd <= i, so
-  // eq[i] is read before anything is written over it).
+  const PhaseFit fit = fit_pilot_phase(eq);
+  // Apply the correction in place. Pilots give the residual noise, summed
+  // in carrier order; the data carriers between them move down to the
+  // front of eq, in order (to slot nd <= their own).
+  dsp::derotate(eq, fit.a, fit.b, fit.amp, eq);
   float pilot_noise = 0;
-  int pilot_cnt = 0;
-  std::size_t nd = 0;
-  for (int i = 0; i < n; ++i) {
-    const double phi = a + b * i;
-    const cplx corr = eq[static_cast<std::size_t>(i)] *
-                      cplx(static_cast<float>(std::cos(-phi) / amp), static_cast<float>(std::sin(-phi) / amp));
-    if (is_pilot(i)) {
-      pilot_noise += std::norm(corr - pilots_[static_cast<std::size_t>(i)]);
-      ++pilot_cnt;
-      continue;
-    }
-    eq[nd++] = corr;
+  std::size_t nd = 0, from = 0;
+  auto pack_data = [&](std::size_t to) {
+    if (nd != from) std::copy(eq.data() + from, eq.data() + to, eq.data() + nd);
+    nd += to - from;
+  };
+  for (const std::size_t p : pilot_at_) {
+    pack_data(p);
+    pilot_noise += std::norm(eq[p] - pilots_[p]);
+    from = p + 1;
   }
+  pack_data(eq.size());
   // Soft bits of the whole symbol, demapped with the noise from before this
   // symbol's pilots.
   const std::size_t qbits = bpsk ? 1 : static_cast<std::size_t>(qam_.bits_per_symbol());
@@ -431,8 +436,8 @@ std::span<const float> OfdmModem::demod_symbol(std::span<const float> samples, s
   } else {
     qam_.demap_soft(std::span<const cplx>(eq.data(), nd), noise, soft_);
   }
-  if (pilot_cnt > 0) {
-    const float obs = pilot_noise / static_cast<float>(pilot_cnt);
+  if (!pilot_at_.empty()) {
+    const float obs = pilot_noise / static_cast<float>(pilot_at_.size());
     noise = 0.7f * noise + 0.3f * std::max(obs, 1e-7f);
   }
   return soft_;

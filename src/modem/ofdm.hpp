@@ -20,6 +20,7 @@
 // it — the per-frame loss behaviour the paper's transport relies on (§3.3).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -144,6 +145,14 @@ class OfdmModem {
   // call.
   std::span<const float> demod_symbol(std::span<const float> samples, std::size_t pos, bool bpsk,
                                       std::span<const cplx> h, float& noise) const;
+  // The least-squares line theta(i) = a + b * i through the unwrapped
+  // phases of the pilots' equalized values eq[i] / pilot, and their mean
+  // magnitude (at least 1e-6); a = b = 0 and amp = 1 with fewer than two
+  // pilots.
+  struct PhaseFit {
+    double a = 0.0, b = 0.0, amp = 1.0;
+  };
+  PhaseFit fit_pilot_phase(std::span<const cplx> eq) const;
 
   OfdmProfile profile_;
   QamMapper qam_;
@@ -159,6 +168,8 @@ class OfdmModem {
   std::vector<cplx> preamble_a_;  // per-used-bin values (zeros on odd bins)
   std::vector<cplx> preamble_b_;
   std::vector<cplx> pilots_;      // fixed pilot values (zero on data bins)
+  std::vector<std::size_t> pilot_at_;  // the pilot bins, ascending
+  std::vector<cplx> pilot_values_;     // their values
   std::vector<float> template_b_;  // time-domain preamble B (with CP)
   float tx_gain_;
 
@@ -167,12 +178,16 @@ class OfdmModem {
   // analyze_symbol's half-size one, carriers_ the used-bin view
   // analyze_symbol returns, h_ decode_header's raw channel estimate and
   // header_soft_ its LLRs (as received, before de-scrambling), eq_
-  // demod_symbol's equalized bins and soft_ the LLRs it returns.
+  // demod_symbol's equalized bins and soft_ the LLRs it returns; pilot_eq_,
+  // pilot_q_ and pilot_mag_ hold fit_pilot_phase's gathered pilot bins,
+  // their quotients by the pilot values and those quotients' magnitudes.
   mutable std::vector<dsp::cplx> spec_;
   mutable std::vector<dsp::cplx> packed_;
   mutable std::vector<cplx> carriers_;
   mutable std::vector<cplx> h_, eq_;
   mutable std::vector<float> header_soft_, soft_;
+  mutable std::vector<cplx> pilot_eq_, pilot_q_;
+  mutable std::vector<float> pilot_mag_;
 };
 
 // Test/bench peephole into the private per-symbol kernels. The kernel tests
@@ -201,6 +216,27 @@ struct OfdmKernelProbe {
   static std::span<const cplx> preamble_a(const OfdmModem& m) { return m.preamble_a_; }
   static std::span<const cplx> preamble_b(const OfdmModem& m) { return m.preamble_b_; }
   static std::span<const cplx> pilots(const OfdmModem& m) { return m.pilots_; }
+  // Decodes the header of the burst at `start`, its channel estimate into
+  // h and its noise into noise, and returns the FFT window position of
+  // each payload symbol; empty when the header does not decode.
+  static std::vector<std::size_t> payload_windows(const OfdmModem& m, std::span<const float> samples,
+                                                  std::size_t start, std::vector<cplx>& h, float& noise) {
+    auto header = m.decode_header(samples, start, h);
+    if (!header) return {};
+    noise = header->noise;
+    std::vector<std::size_t> pos(m.payload_symbols(header->frame_len, header->frame_count));
+    for (std::size_t s = 0; s < pos.size(); ++s) pos[s] = m.window_pos(start, 2 + m.header_symbols() + s);
+    return pos;
+  }
+  static std::span<const float> demod(const OfdmModem& m, std::span<const float> samples, std::size_t pos,
+                                      bool bpsk, std::span<const cplx> h, float& noise) {
+    return m.demod_symbol(samples, pos, bpsk, h, noise);
+  }
+  // demod's pilot phase fit of the equalized bins eq: {a, b, amp}.
+  static std::array<double, 3> pilot_fit(const OfdmModem& m, std::span<const cplx> eq) {
+    const auto fit = m.fit_pilot_phase(eq);
+    return {fit.a, fit.b, fit.amp};
+  }
   // The soft bits the receiver hands its decoders for the burst at `start`,
   // as probabilities P(bit == 1) (fec::llr_probability of each LLR): the
   // descrambled header bits (1 - p where the scrambler bit is set), then

@@ -37,6 +37,8 @@ void float_dots4(const float* x, const float* w, std::size_t n, float (&dot)[4])
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const V4f wv = util::load(w + i);
+    // Unrolled, so the sums stay in registers at -O2 too.
+#pragma GCC unroll 4
     for (std::size_t j = 0; j < 4; ++j) acc[j] += util::load(x + j + i) * wv;
   }
   for (std::size_t j = 0; j < 4; ++j) {

@@ -47,8 +47,7 @@ template <class V>
 }
 
 // F, I and U hold n floats, int32 and uint32; D holds n / 2 doubles, so a
-// pack's doubles are a pair of D; S holds 2n int16. Lanes4's Q holds two
-// uint64.
+// pack's doubles are a pair of D, and Q n / 2 uint64; S holds 2n int16.
 struct Lanes4 {
   static constexpr std::size_t n = 4;
   typedef float F __attribute__((vector_size(16)));
@@ -122,6 +121,16 @@ struct Lanes4 {
     *words = static_cast<std::uint16_t>(x & 0xffffu);
 #endif
   }
+  // f's lanes in reverse order.
+  static void reverse(const F& f, F& out) { out = __builtin_shufflevector(f, f, 3, 2, 1, 0); }
+  // The correctly rounded square root of each lane (sqrtpd).
+  static void sqrt(const D& x, D& out) {
+#if defined(__SSE2__)
+    out = __builtin_ia32_sqrtpd(x);
+#else
+    for (std::size_t k = 0; k < n / 2; ++k) out[k] = __builtin_sqrt(x[k]);
+#endif
+  }
   // Bit i set where lane i of the all-ones-or-zero `mask` is set (movmskps).
   static unsigned mask_bits(const I& mask) {
 #if defined(__SSE2__)
@@ -149,6 +158,7 @@ struct Lanes8 {
   typedef std::int32_t I __attribute__((vector_size(32)));
   typedef std::uint32_t U __attribute__((vector_size(32)));
   typedef double D __attribute__((vector_size(32)));
+  typedef std::uint64_t Q __attribute__((vector_size(32)));
   typedef std::int16_t S __attribute__((vector_size(32)));
   typedef float H __attribute__((vector_size(16)));  // n / 2 floats
   typedef double W __attribute__((vector_size(64)));
@@ -189,6 +199,14 @@ struct Lanes8 {
     store_from(p, S(__builtin_shufflevector(even, odd, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23)));
     store_from(p + 16, S(__builtin_shufflevector(even, odd, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30,
                                                  15, 31)));
+  }
+  // vpermps.
+  [[gnu::target("avx2")]] static void reverse(const F& f, F& out) {
+    out = __builtin_shufflevector(f, f, 7, 6, 5, 4, 3, 2, 1, 0);
+  }
+  [[gnu::target("avx2")]] static void sqrt(const D& x, D& out) { out = __builtin_ia32_sqrtpd256(x); }
+  [[gnu::target("avx2")]] static unsigned mask_bits(const I& mask) {
+    return static_cast<unsigned>(__builtin_ia32_movmskps256(reinterpret_cast<F>(mask)));
   }
   // Two decision words, Lanes4's of lanes 0-7 then of lanes 8-15:
   // vpacksswb packs within each 128-bit half.

@@ -30,6 +30,11 @@
 //    (NaN and infinite points, every tail length), the float-screened
 //    fine-sync pick vs. the all-exact scan, and the equalizer's inline
 //    complex divide vs. std::complex<float> division;
+//  * the receiver's per-carrier lane math vs. std::complex and libm: the
+//    screened phase correction (random and crafted screen cases), the
+//    lane multiply, the pilot magnitudes and the real-FFT split, and the
+//    whole of demod_symbol vs. its frozen per-carrier copy, with the
+//    correction's libm share on client_rx-like symbols;
 //  * word-wide fountain xor_into vs. the byte loop on odd/unaligned spans;
 //  * the multi-output FirFilter vs. the ring-buffer reference;
 //  * the table-driven Resampler vs. the per-tap kernel oracle, and the
@@ -72,6 +77,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/carrier_math.hpp"
 #include "dsp/complex_divide.hpp"
 #include "dsp/fast_math.hpp"
 #include "dsp/fft.hpp"
@@ -1347,6 +1353,23 @@ TEST(OfdmSymbolPath, SteadyStateAnalyzeAndSynthesizeDoNotAllocate) {
   const std::size_t after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "steady-state symbol path allocated "
                            << (after - before) << " times in 400 kernel calls";
+}
+
+// demod_symbol's pilot fit and correction run on buffers sized when the
+// modem is built.
+TEST(OfdmSymbolPath, SteadyStateDemodDoesNotAllocate) {
+  modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  Rng rng(53);
+  std::vector<float> audio(static_cast<std::size_t>(modem.profile().fft_size) * 8);
+  for (auto& s : audio) s = static_cast<float>(rng.uniform(-0.5, 0.5));
+  const std::vector<dsp::cplx> h(static_cast<std::size_t>(modem.profile().num_subcarriers), dsp::cplx(0.9f, 0.1f));
+  float noise = 0.1f;
+  (void)modem::OfdmKernelProbe::demod(modem, audio, 0, false, h, noise);
+  const std::size_t before = g_alloc_count.load();
+  for (int i = 0; i < 200; ++i) {
+    (void)modem::OfdmKernelProbe::demod(modem, audio, static_cast<std::size_t>(i), i % 7 == 0, h, noise);
+  }
+  EXPECT_EQ(g_alloc_count.load(), before);
 }
 
 // The real-input analysis (one half-size FFT of the packed even and odd
@@ -3016,6 +3039,334 @@ TEST(ComplexDivide, MatchesStdComplexAndTheDoubleFormula) {
       for (std::size_t k = 0; k < len; ++k) ASSERT_EQ(cplx_bits(part[k]), cplx_bits(expect[160 + k])) << len;
     }
   }
+}
+
+// ----------------------------------------------------------- carrier math ---
+
+// Equal bits, except that a NaN part only has to be a NaN: IEEE 754 leaves
+// the sign and payload of an operation on two NaNs open, and GCC's inline
+// complex product adds its two cross terms in whichever order its register
+// allocation picks at each call site, so two compilations of one product
+// may disagree there.
+bool same_value(dsp::cplx got, dsp::cplx want) {
+  auto same = [](float g, float w) {
+    return std::isnan(w) ? std::isnan(g) : std::bit_cast<std::uint32_t>(g) == std::bit_cast<std::uint32_t>(w);
+  };
+  return same(got.real(), want.real()) && same(got.imag(), want.imag());
+}
+
+std::vector<util::SimdWidth> both_widths() {
+  std::vector<util::SimdWidth> widths = {util::SimdWidth::k128};
+  if (runs_eight_lanes()) widths.push_back(util::SimdWidth::k256);
+  return widths;
+}
+
+double log_uniform(Rng& rng, double lo, double hi) { return lo * std::pow(hi / lo, rng.uniform(0.0, 1.0)); }
+
+float random_part(Rng& rng) {
+  const double mag = rng.uniform(1.0, 2.0) * std::ldexp(1.0, static_cast<int>(rng.uniform_int(41)) - 20);
+  return static_cast<float>(rng.bernoulli(0.5) ? mag : -mag);
+}
+
+// dsp::derotate against the per-carrier expression on 92-carrier calls, at
+// each width: phase lines like the pilot fit's, wide angles up to and past
+// the screen's 1e5 and tiny ones, amp from the 1e-6 floor to 1e3; over 10^6
+// values a width. Lines like the pilot fit's nearly never take libm.
+TEST(CarrierMath, DerotateMatchesTheReferenceOnRandomValues) {
+  constexpr std::size_t kCarriers = 92;
+  constexpr int kCalls = 11000;
+  std::vector<dsp::cplx> in(kCarriers), got(kCarriers), want(kCarriers);
+  for (const auto width : both_widths()) {
+    const util::ScopedSimdWidth pin(width);
+    Rng rng(230);
+    std::size_t typical_values = 0, typical_by_libm = 0, by_libm = 0;
+    for (int call = 0; call < kCalls; ++call) {
+      const int regime = call % 10;
+      double a, b;
+      if (regime < 6) {
+        a = rng.uniform(-8.0, 8.0);
+        b = rng.uniform(-0.2, 0.2);
+      } else if (regime < 9) {
+        a = (rng.bernoulli(0.5) ? 1.0 : -1.0) * log_uniform(rng, 1.0, 2e5);
+        b = (rng.bernoulli(0.5) ? 1.0 : -1.0) * log_uniform(rng, 1e-3, 1e3);
+      } else {
+        a = (rng.bernoulli(0.5) ? 1.0 : -1.0) * log_uniform(rng, 1e-15, 1e-6);
+        b = (rng.bernoulli(0.5) ? 1.0 : -1.0) * log_uniform(rng, 1e-15, 1e-6);
+      }
+      const double amp = log_uniform(rng, 1e-6, 1e3);
+      for (auto& v : in) v = dsp::cplx(random_part(rng), random_part(rng));
+      oracles::derotate_reference(in, a, b, amp, want);
+      const std::size_t libm = dsp::derotate(in, a, b, amp, got);
+      by_libm += libm;
+      if (regime < 6) {
+        typical_values += kCarriers;
+        typical_by_libm += libm;
+      }
+      for (std::size_t i = 0; i < kCarriers; ++i) {
+        ASSERT_TRUE(same_value(got[i], want[i])) << got[i] << " vs " << want[i] << "a=" << a << " b=" << b << " amp=" << amp << " i=" << i;
+      }
+    }
+    EXPECT_LE(typical_by_libm * 10000, typical_values);
+    EXPECT_GT(by_libm, 0u) << "the wide and tiny angles must reach libm";
+  }
+}
+
+// One angle x = -a on all eight lanes of a call (b = 0), the input 1.
+std::size_t derotate_eight(double a, double amp, std::vector<dsp::cplx>& got, std::vector<dsp::cplx>& want,
+                           dsp::cplx value = dsp::cplx(1.0f, 0.0f)) {
+  const std::vector<dsp::cplx> in(8, value);
+  got.assign(8, dsp::cplx());
+  want.assign(8, dsp::cplx());
+  oracles::derotate_reference(in, a, 0.0, amp, want);
+  return dsp::derotate(in, a, 0.0, amp, got);
+}
+
+// The screen's edges: quotients that libm puts exactly on a float rounding
+// midpoint (the kernel need only be an ulp off to round the other way, so
+// the screen must send every such lane to libm), amp at the pilot fit's
+// 1e-6 floor, |x| at and past 1e5, signed zeros, NaN and infinite angles,
+// amps and inputs.
+TEST(CarrierMath, DerotateScreenEdges) {
+  std::vector<dsp::cplx> got, want;
+  auto expect_same = [&](const std::string& what) {
+    for (std::size_t i = 0; i < got.size(); ++i) ASSERT_TRUE(same_value(got[i], want[i])) << got[i] << " vs " << want[i] << what << " i=" << i;
+  };
+  for (const auto width : both_widths()) {
+    const util::ScopedSimdWidth pin(width);
+    Rng rng(231);
+    std::size_t midpoints = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+      const double x = rng.uniform(-8.0, 8.0);
+      const bool use_sin = trial % 2 == 1;
+      const double l = use_sin ? std::sin(x) : std::cos(x);
+      if (std::fabs(l) < 1e-3) continue;
+      // A float midpoint m in [1, 2): f plus half its ulp.
+      const float f = static_cast<float>(rng.uniform(1.0, 2.0));
+      const double m = static_cast<double>(f) + 0x1p-24;
+      const double amp = std::fabs(l) / m;
+      if (!(amp >= 1e-6) || std::fabs(l) / amp != m) continue;
+      ++midpoints;
+      EXPECT_EQ(derotate_eight(-x, amp, got, want), 8u) << "x=" << x << " amp=" << amp;
+      expect_same("midpoint x=" + std::to_string(x));
+    }
+    EXPECT_GT(midpoints, 500u);
+
+    for (int trial = 0; trial < 200; ++trial) {
+      derotate_eight(rng.uniform(-8.0, 8.0), 1e-6, got, want, dsp::cplx(random_part(rng), random_part(rng)));
+      expect_same("amp floor");
+    }
+
+    const double limit = 1e5;
+    for (const double a : {limit, -limit, std::nextafter(limit, 0.0), -std::nextafter(limit, 0.0), limit + 1.0,
+                           1e10, -1e300}) {
+      const std::size_t libm = derotate_eight(a, 0.7, got, want);
+      expect_same("a=" + std::to_string(a));
+      if (std::fabs(a) >= limit) {
+        EXPECT_EQ(libm, 8u) << "a=" << a;
+      }
+    }
+
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double a : {0.0, -0.0, inf, -inf, nan}) {
+      EXPECT_EQ(derotate_eight(a, 1.0, got, want), 8u) << "a=" << a;
+      expect_same("a=" + std::to_string(a));
+    }
+    for (const double amp : {0.0, -0.0, inf, nan, 1e-310}) {
+      EXPECT_EQ(derotate_eight(1.0, amp, got, want), 8u) << "amp=" << amp;
+      expect_same("amp=" + std::to_string(amp));
+    }
+    // x = +0: a = -0 and b = -0 give -0 + -0 * 0 = -0.
+    {
+      const std::vector<dsp::cplx> in(8, dsp::cplx(1.0f, -1.0f));
+      got.assign(8, dsp::cplx());
+      want.assign(8, dsp::cplx());
+      oracles::derotate_reference(in, -0.0, -0.0, 1.0, want);
+      dsp::derotate(in, -0.0, -0.0, 1.0, got);
+      expect_same("x=+0");
+    }
+    const float finf = std::numeric_limits<float>::infinity();
+    const float fnan = std::numeric_limits<float>::quiet_NaN();
+    for (const dsp::cplx v : {dsp::cplx(finf, 0.0f), dsp::cplx(0.0f, -finf), dsp::cplx(finf, finf),
+                              dsp::cplx(fnan, 1.0f), dsp::cplx(fnan, finf), dsp::cplx(0x1p-149f, -0x1.fffffep127f)}) {
+      derotate_eight(0.3, 0.5, got, want, v);
+      expect_same("input");
+    }
+  }
+}
+
+// Every ordered pair of divide_operands' zeros, units, subnormals, huge
+// values, infinities, NaNs and random parts, at each width and every tail
+// length.
+TEST(CarrierMath, MultiplyMatchesStdComplex) {
+  Rng rng(232);
+  const auto ops = divide_operands(rng);
+  std::vector<dsp::cplx> a, b, expect;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (std::size_t j = 0; j < ops.size(); j += i < 169 ? 1 : 97) {
+      a.push_back(ops[i]);
+      b.push_back(ops[j]);
+      expect.push_back(ops[i] * ops[j]);
+    }
+  }
+  for (const auto width : both_widths()) {
+    const util::ScopedSimdWidth pin(width);
+    std::vector<dsp::cplx> out(a.size());
+    dsp::multiply(a, b, out);
+    for (std::size_t k = 0; k < out.size(); ++k) ASSERT_TRUE(same_value(out[k], expect[k])) << a[k] << " * " << b[k];
+    for (std::size_t len = 0; len <= 17; ++len) {
+      std::vector<dsp::cplx> part(len);
+      dsp::multiply(std::span(a).subspan(160, len), std::span(b).subspan(160, len), part);
+      for (std::size_t k = 0; k < len; ++k) ASSERT_TRUE(same_value(part[k], expect[160 + k])) << len;
+    }
+  }
+}
+
+// std::abs (glibc's cabsf, hypotf) on divide_operands and on 2^16 random
+// bit patterns of both parts, NaNs and infinities included.
+TEST(CarrierMath, MagnitudesMatchStdAbs) {
+  Rng rng(233);
+  auto in = divide_operands(rng);
+  for (int i = 0; i < 65536; ++i) {
+    in.emplace_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng.next())),
+                    std::bit_cast<float>(static_cast<std::uint32_t>(rng.next())));
+  }
+  for (const auto width : both_widths()) {
+    const util::ScopedSimdWidth pin(width);
+    std::vector<float> out(in.size());
+    dsp::magnitudes(in, out);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[k]), std::bit_cast<std::uint32_t>(std::abs(in[k]))) << in[k];
+    }
+    for (std::size_t len = 0; len <= 17; ++len) {
+      std::vector<float> part(len);
+      dsp::magnitudes(std::span(in).subspan(150, len), part);
+      for (std::size_t k = 0; k < len; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(part[k]), std::bit_cast<std::uint32_t>(std::abs(in[150 + k]))) << len;
+      }
+    }
+  }
+}
+
+// The split against its scalar expression on random spectra with NaN and
+// infinite bins, at each width, every count to 40 and three offsets.
+TEST(CarrierMath, SplitBinsMatchesTheScalarSplit) {
+  Rng rng(234);
+  const float finf = std::numeric_limits<float>::infinity();
+  const float fnan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto width : both_widths()) {
+    const util::ScopedSimdWidth pin(width);
+    for (std::size_t count = 0; count <= 40; ++count) {
+      for (std::size_t first = 1; first <= 3; ++first) {
+        std::vector<dsp::cplx> packed(first + count + 2), twiddle(count), out(count);
+        for (auto& v : packed) v = dsp::cplx(random_part(rng), random_part(rng));
+        for (auto& v : twiddle) v = dsp::cplx(random_part(rng), random_part(rng));
+        if (count > 4) {
+          packed[first + 1] = dsp::cplx(finf, 1.0f);
+          packed[packed.size() - first - 3] = dsp::cplx(fnan, 0.0f);
+          twiddle[count - 1] = dsp::cplx(0.0f, finf);
+        }
+        const float half_gain = static_cast<float>(rng.uniform(0.1, 2.0));
+        dsp::split_bins(packed, first, half_gain, twiddle, out);
+        for (std::size_t i = 0; i < count; ++i) {
+          const dsp::cplx z = packed[first + i], m = std::conj(packed[packed.size() - first - i]);
+          const dsp::cplx want = (z + m) * half_gain + twiddle[i] * (z - m);
+          ASSERT_TRUE(same_value(out[i], want)) << "count=" << count << " first=" << first << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// A modem for a profile with an odd carrier count and a pilot every third
+// carrier, and one with no pilots, beside the four shipped profiles.
+std::vector<modem::OfdmProfile> demod_profiles() {
+  auto out = modem::profiles::all();
+  modem::OfdmProfile odd = *modem::profiles::get("robust-2k");
+  odd.name = "odd-45";
+  odd.num_subcarriers = 45;
+  odd.pilot_spacing = 3;
+  out.push_back(odd);
+  modem::OfdmProfile bare = *modem::profiles::get("audible-7k");
+  bare.name = "no-pilots";
+  bare.pilot_spacing = 0;
+  out.push_back(bare);
+  return out;
+}
+
+// demod_symbol against its frozen per-carrier copy on every payload symbol
+// of noisy bursts, soft bits and the updated noise bit for bit, QAM and
+// BPSK, at each width.
+TEST(OfdmDemod, MatchesTheFrozenReference) {
+  for (const auto& profile : demod_profiles()) {
+    const modem::OfdmModem modem(profile);
+    const modem::QamMapper mapper(profile.constellation);
+    const auto pilots = modem::OfdmKernelProbe::pilots(modem);
+    for (const double sigma_scale : {0.05, 0.3}) {
+      Rng rng(235);
+      const auto burst = modem.modulate(pin_frames(rng));
+      std::vector<float> audio(300, 0.0f);
+      audio.insert(audio.end(), burst.begin(), burst.end());
+      for (auto& s : audio) s += static_cast<float>(rng.normal(0.0, sigma_scale * profile.amplitude));
+      std::vector<dsp::cplx> h;
+      float header_noise = 0.0f;
+      const auto windows = modem::OfdmKernelProbe::payload_windows(modem, audio, 300, h, header_noise);
+      ASSERT_FALSE(windows.empty()) << profile.name;
+      for (const auto width : both_widths()) {
+        const util::ScopedSimdWidth pin(width);
+        float noise = header_noise, ref_noise = header_noise;
+        for (std::size_t s = 0; s < windows.size(); ++s) {
+          const bool bpsk = s % 5 == 4;
+          const auto y = modem::OfdmKernelProbe::analyze(modem, audio, windows[s]);
+          const std::vector<dsp::cplx> bins(y.begin(), y.end());
+          const auto want = oracles::ofdm_demod_reference(profile, mapper, bins, h, pilots, bpsk, ref_noise);
+          const auto got = modem::OfdmKernelProbe::demod(modem, audio, windows[s], bpsk, h, noise);
+          ASSERT_EQ(got.size(), want.size()) << profile.name;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[k]), std::bit_cast<std::uint32_t>(want[k]))
+                << profile.name << " symbol " << s << " bit " << k;
+          }
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(noise), std::bit_cast<std::uint32_t>(ref_noise)) << profile.name;
+        }
+      }
+    }
+  }
+}
+
+// The correction's libm share on the symbols client_rx decodes: sonic-10k
+// bursts of 16 100-byte frames through the acoustic channel at 0.96 m,
+// each payload symbol's pilot fit as demod_symbol computes it.
+TEST(OfdmDemod, RotationsRarelyTakeLibmOnClientRxLikeSymbols) {
+  const modem::OfdmModem modem(*modem::profiles::get("sonic-10k"));
+  Rng rng(236);
+  fm::AcousticParams acoustic;
+  acoustic.distance_m = 0.96;
+  std::size_t values = 0, by_libm = 0, bursts = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<util::Bytes> frames(16);
+    for (auto& f : frames) f = random_bytes(rng, 100);
+    fm::AcousticChannel channel(acoustic, rng.fork(static_cast<std::uint64_t>(trial) + 1));
+    auto heard = channel.process(modem.modulate(frames));
+    const auto tail = channel.finish();
+    heard.insert(heard.end(), tail.begin(), tail.end());
+    for (const auto& burst : modem.receive_all(heard)) {
+      std::vector<dsp::cplx> h;
+      float noise = 0.0f;
+      const auto windows = modem::OfdmKernelProbe::payload_windows(modem, heard, burst.start_sample, h, noise);
+      if (windows.empty()) continue;
+      ++bursts;
+      std::vector<dsp::cplx> eq(h.size()), out(h.size());
+      for (const std::size_t pos : windows) {
+        dsp::divide(modem::OfdmKernelProbe::analyze(modem, heard, pos), h, eq);
+        const auto [a, b, amp] = modem::OfdmKernelProbe::pilot_fit(modem, eq);
+        by_libm += dsp::derotate(eq, a, b, amp, out);
+        values += eq.size();
+      }
+    }
+  }
+  ASSERT_GT(bursts, 0u);
+  std::printf("derotate: %zu of %zu rotations through libm in %zu bursts\n", by_libm, values, bursts);
+  EXPECT_LE(by_libm * 10000, values);
 }
 
 }  // namespace

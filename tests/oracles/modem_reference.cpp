@@ -11,6 +11,7 @@
 #include "oracles/kernel_reference.hpp"
 #include "oracles/rs_reference.hpp"
 #include "oracles/viterbi_reference.hpp"
+#include "util/units.hpp"
 
 namespace sonic::oracles {
 
@@ -248,6 +249,79 @@ std::vector<float> ofdm_modulate_reference(const modem::OfdmModem& modem, const 
   }
   out.insert(out.end(), static_cast<std::size_t>(N + cp), 0.0f);
   return out;
+}
+
+void derotate_reference(std::span<const cplx> in, double a, double b, double amp, std::span<cplx> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double phi = a + b * static_cast<double>(i);
+    out[i] = in[i] * cplx(static_cast<float>(std::cos(-phi) / amp), static_cast<float>(std::sin(-phi) / amp));
+  }
+}
+
+std::vector<float> ofdm_demod_reference(const modem::OfdmProfile& profile, const modem::QamMapper& mapper,
+                                        std::span<const cplx> y, std::span<const cplx> h,
+                                        std::span<const cplx> pilots, bool bpsk, float& noise) {
+  const int n = profile.num_subcarriers;
+  auto is_pilot = [&](int i) { return profile.pilot_spacing > 0 && i % profile.pilot_spacing == 0; };
+  std::vector<cplx> eq(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < eq.size(); ++i) eq[i] = y[i] / h[i];
+  double sum_k = 0, sum_k2 = 0, sum_th = 0, sum_kth = 0;
+  int np = 0;
+  double prev_th = 0;
+  double amp_acc = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!is_pilot(i)) continue;
+    const cplx e = eq[static_cast<std::size_t>(i)] / pilots[static_cast<std::size_t>(i)];
+    double th = std::arg(e);
+    if (np > 0) {
+      while (th - prev_th > util::kPi) th -= util::kTwoPi;
+      while (th - prev_th < -util::kPi) th += util::kTwoPi;
+    }
+    prev_th = th;
+    amp_acc += std::abs(e);
+    sum_k += i;
+    sum_k2 += static_cast<double>(i) * i;
+    sum_th += th;
+    sum_kth += static_cast<double>(i) * th;
+    ++np;
+  }
+  double a = 0, b = 0;
+  double amp = 1.0;
+  if (np >= 2) {
+    const double det = np * sum_k2 - sum_k * sum_k;
+    if (std::fabs(det) > 1e-9) {
+      b = (np * sum_kth - sum_k * sum_th) / det;
+      a = (sum_th - b * sum_k) / np;
+    }
+    amp = std::max(amp_acc / np, 1e-6);
+  }
+  float pilot_noise = 0;
+  int pilot_cnt = 0;
+  std::vector<cplx> data;
+  for (int i = 0; i < n; ++i) {
+    const double phi = a + b * i;
+    const cplx corr = eq[static_cast<std::size_t>(i)] *
+                      cplx(static_cast<float>(std::cos(-phi) / amp), static_cast<float>(std::sin(-phi) / amp));
+    if (is_pilot(i)) {
+      pilot_noise += std::norm(corr - pilots[static_cast<std::size_t>(i)]);
+      ++pilot_cnt;
+      continue;
+    }
+    data.push_back(corr);
+  }
+  const std::size_t qbits = bpsk ? 1 : static_cast<std::size_t>(mapper.bits_per_symbol());
+  std::vector<float> soft(data.size() * qbits);
+  if (bpsk) {
+    const float sigma2 = std::max(noise * 0.5f, 1e-7f);
+    for (std::size_t k = 0; k < data.size(); ++k) soft[k] = 2.0f * data[k].real() / sigma2;
+  } else {
+    mapper.demap_soft(data, noise, soft);
+  }
+  if (pilot_cnt > 0) {
+    const float obs = pilot_noise / static_cast<float>(pilot_cnt);
+    noise = 0.7f * noise + 0.3f * std::max(obs, 1e-7f);
+  }
+  return soft;
 }
 
 }  // namespace sonic::oracles

@@ -1,5 +1,6 @@
 // Reference (pre-optimization) modem kernels, kept as test oracles for
-// modem::OfdmModem::analyze_symbol, the block modem::QamMapper::demap_soft,
+// modem::OfdmModem::analyze_symbol and demod_symbol's per-carrier math (and
+// dsp::derotate), the block modem::QamMapper::demap_soft,
 // the screened modem::pick_fine_sync, modem::PacketCodec::place_soft, the
 // byte-wise modem::PacketCodec::encode and modem::OfdmModem::modulate,
 // plus the hard QAM demapper the constellation tests decode with. They
@@ -79,5 +80,24 @@ util::Bytes packet_encode_reference(const modem::PacketSpec& spec, std::span<con
 // plan), then the one-symbol gap. The preamble and pilot values are the
 // modem's (OfdmKernelProbe).
 std::vector<float> ofdm_modulate_reference(const modem::OfdmModem& modem, const std::vector<util::Bytes>& frames);
+
+// The per-carrier phase correction as the receiver ran it, one carrier at a
+// time: out[i] = in[i] * cplx(float(std::cos(-phi) / amp),
+// float(std::sin(-phi) / amp)) with phi = a + b * i, through std::complex
+// and libm. dsp::derotate must match every bit.
+void derotate_reference(std::span<const cplx> in, double a, double b, double amp, std::span<cplx> out);
+
+// modem::OfdmModem::demod_symbol from the analyzed bins y on, frozen as it
+// ran one carrier at a time on std::complex and libm: the equalizer
+// quotients y[i] / h[i]; the least-squares phase line through the pilots'
+// unwrapped std::arg(eq[i] / pilot) and their mean std::abs (at least
+// 1e-6); every carrier corrected by derotate_reference's expression, the
+// pilots' squared residuals summed in order and the data carriers packed
+// in order; then the soft bits (BPSK 2 re / max(noise / 2, 1e-7), else
+// mapper.demap_soft) and the noise update 0.7 noise + 0.3 max(residual,
+// 1e-7). `pilots` holds the modem's pilot values (OfdmKernelProbe).
+std::vector<float> ofdm_demod_reference(const modem::OfdmProfile& profile, const modem::QamMapper& mapper,
+                                        std::span<const cplx> y, std::span<const cplx> h,
+                                        std::span<const cplx> pilots, bool bpsk, float& noise);
 
 }  // namespace sonic::oracles
