@@ -9,7 +9,8 @@
 //    kernel timed against its kept reference implementation, results
 //    printed as machine-readable BENCH_MICRO lines and optionally written
 //    as JSON (scripts/bench_micro.sh stores them in BENCH_MICRO.json so
-//    the speedups are recorded, not claimed).
+//    the speedups are recorded, not claimed), headed by the host
+//    reference kernel's time, `ref_kernel_us`.
 //  * --exhaustive-llr — the LLR soft-byte table, scalar and four-lane,
 //    against its float definition on all 2^32 floats and both scrambler
 //    flips (~25 s on four threads); exits 1 on any mismatch.
@@ -51,6 +52,7 @@
 #include "oracles/fm_reference.hpp"
 #include "oracles/fountain_reference.hpp"
 #include "oracles/frozen_dsp.hpp"
+#include "oracles/frozen_row_encoder.hpp"
 #include "oracles/kernel_reference.hpp"
 #include "oracles/modem_reference.hpp"
 #include "oracles/resampler_reference.hpp"
@@ -1141,10 +1143,80 @@ std::vector<MicroCase> build_micro_cases() {
         }});
   }
 
+  // The row-fed encoder alone on the same capped corpus page, fed the same
+  // rows: before is the frozen copy of the encoder from before repeated
+  // rows were passed as a count, fed every row of the page; after is the
+  // library's, fed the page's distinct rows, each with the count of rows
+  // that repeat it. Both read the distinct rows from one painted buffer.
+  {
+    const web::PkCorpus corpus;
+    const web::LayoutParams layout;
+    auto page = std::make_shared<web::PageLayout>();
+    for (const web::PageRef& ref : corpus.pages()) {
+      *page = web::layout_html(web::parse_html(corpus.html(ref, 0)), layout);
+      if (page->height() == layout.max_height) break;
+    }
+    auto rows = std::make_shared<image::Raster>();
+    const std::vector<int>& distinct = page->distinct_rows();
+    page->paint_distinct(0, static_cast<int>(distinct.size()), *rows);
+    const std::size_t width = static_cast<std::size_t>(page->width());
+    // Each page row's pixels: the distinct row it equals.
+    auto page_rows = std::make_shared<std::vector<const image::Rgb*>>();
+    for (std::size_t i = 0; i < distinct.size(); ++i) {
+      const int end = i + 1 < distinct.size() ? distinct[i + 1] : page->height();
+      for (int y = distinct[i]; y < end; ++y) page_rows->push_back(rows->pixels().data() + i * width);
+    }
+    const image::ColumnCodecParams params{10, 84};  // make_bundle's cut for the segment header
+    const double pixels = static_cast<double>(page->width()) * page->height();
+    cases.push_back(MicroCase{
+        "row_fed_encode_1080", pixels, "pixels",
+        [page, page_rows, params] {
+          oracles::frozen::RowFedEncoder encoder(page->width(), page->height(), params);
+          const auto& r = *page_rows;
+          for (std::size_t y = 0; y < r.size(); ++y) encoder.push_row(r[y], y > 0 ? r[y - 1] : nullptr);
+          auto out = encoder.finish();
+          benchmark::DoNotOptimize(out.data());
+        },
+        [page, rows, width, params] {
+          image::RowFedEncoder encoder(page->width(), page->height(), params);
+          const std::vector<int>& d = page->distinct_rows();
+          const image::Rgb* row = rows->pixels().data();
+          for (std::size_t i = 0; i < d.size(); ++i, row += width) {
+            encoder.push_row(row, i > 0 ? row - width : nullptr);
+            encoder.repeat_row((i + 1 < d.size() ? d[i + 1] : page->height()) - d[i] - 1);
+          }
+          auto out = encoder.finish();
+          benchmark::DoNotOptimize(out.data());
+        }});
+  }
+
   return cases;
 }
 
+thread_local volatile float g_kernel_sink = 0.0f;
+
+// The host reference: a copy of e2ebench's reference kernel, a fixed
+// libm-heavy loop (sin/cos and multiply-adds), in µs, best of three runs.
+// It records how fast the host ran; it does not make two ledgers' ns
+// comparable.
+double reference_kernel_us() {
+  double best = 1e9;
+  for (int run = 0; run < 3; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    float acc = 0.0f;
+    for (int i = 0; i < 50000; ++i) {
+      const float x = 0.001f * static_cast<float>(i % 997);
+      acc += std::sin(x) * std::cos(0.5f * x) + x * x * 0.25f;
+    }
+    g_kernel_sink = acc;
+    best = std::min(best, std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count());
+  }
+  return best;
+}
+
 int run_micro(const char* json_path) {
+  const double ref_kernel_us = reference_kernel_us();
+  std::printf("BENCH_MICRO ref_kernel_us=%.1f\n", ref_kernel_us);
   const auto cases = build_micro_cases();
   std::vector<MicroResult> results;
   for (const auto& c : cases) {
@@ -1166,7 +1238,8 @@ int run_micro(const char* json_path) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 1;
     }
-    std::fprintf(f, "{\n  \"generated_by\": \"bench/micro_dsp_fec --micro\",\n  \"kernels\": [\n");
+    std::fprintf(f, "{\n  \"generated_by\": \"bench/micro_dsp_fec --micro\",\n  \"ref_kernel_us\": %.1f,\n  \"kernels\": [\n",
+                 ref_kernel_us);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
       std::fprintf(f,

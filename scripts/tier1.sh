@@ -9,7 +9,10 @@
 # run of the end-to-end benchmark (its Release build of src/ plus every
 # workload's correctness checks), the full test suite rebuilt and rerun
 # under ThreadSanitizer (cmake -DSONIC_TSAN=ON) to catch data races in the
-# pipeline's worker pool and the shared caches and codecs, then the kernel
+# pipeline's worker pool and the shared caches and codecs, and under
+# Address+UndefinedBehaviorSanitizer (scripts/asan.sh) to catch
+# out-of-bounds indexing and UB in the hand-indexed row, lane and
+# bit-writer code, then the kernel
 # suite built with __SSE2__ undefined, so the generic fallbacks of the SSE2
 # kernels (the Viterbi butterflies and decision gather, the FM chain's
 # four-lane kernels, the ziggurat's miss bits) stay tested and no DSP, FM,
@@ -105,6 +108,9 @@ cmake -B build-tsan -S . -DSONIC_TSAN=ON
 cmake --build build-tsan -j "$JOBS" \
   --target sonic_tests sonic_uplink_tests sonic_streaming_tests sonic_kernel_tests
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+
+echo "== tier-1: full test suite under Address+UBSanitizer =="
+scripts/asan.sh "$JOBS"
 
 echo "== tier-1: kernel suite on the portable (non-SSE2) paths =="
 cmake -B build-portable -S . -DCMAKE_CXX_FLAGS=-U__SSE2__

@@ -12,12 +12,13 @@
 // knob follows the same libjpeg-style scale as swebp.
 //
 // Memory layout: rows are row-major, but segments run down columns. The
-// encoder takes the page one row at a time, top to bottom. It skips each
-// 64-px chunk of a row that equals the chunk above, quantizes only pixels
-// that differ from the one above (each RGB value converted once through a
-// per-page cache), and keeps per column only its current word and the
-// resumable state of its open segment (bit writer, pending run), handing a
-// column the run that just ended when its word changes. Its memory is
+// encoder takes the page one row at a time, top to bottom; a caller that
+// knows a row repeats the row above passes only a count for it. It skips
+// each 64-px chunk of a row that equals the chunk above, quantizes only
+// pixels that differ from the one above (each RGB value converted once
+// through a per-page cache), and keeps per column only its current word
+// and the resumable state of its open segment (bit writer, pending run),
+// handing a column the run that just ended when its word changes. Its memory is
 // O(width x payload budget) plus the segments it returns and a buffer for
 // sorting them by column, whatever the height. The decoder orders the
 // segments by column, keeping arrival order within a column, decodes strips
@@ -72,6 +73,11 @@ class RowFedEncoder {
   // The next row's `width` pixels, and the row above it (null for the
   // first row). Throws std::logic_error past the last row.
   void push_row(const Rgb* row, const Rgb* above);
+
+  // `count` more rows equal to the last row pushed: no column's word
+  // changes, so they are only counted. Throws std::logic_error before the
+  // first row, for a negative count, or past the last row.
+  void repeat_row(int count);
 
   // After all `height` rows: the segments column by column, each column's
   // top to bottom. Throws std::logic_error if rows are missing.

@@ -77,8 +77,9 @@ class BundleBuilder {
                 std::vector<web::ClickRegion> click_map, const image::ColumnCodecParams& codec,
                 std::uint32_t expiry_s, const UepPolicy& uep);
 
-  // The next row's pixels, and the row above it (null for the first row).
-  void push_row(const image::Rgb* row, const image::Rgb* above);
+  // The next row's pixels, the row above it (null for the first row), and
+  // how many rows after it repeat it.
+  void push_row(const image::Rgb* row, const image::Rgb* above, int repeats = 0);
 
   // After all `height` rows: the page's frames.
   PageBundle finish();
@@ -108,14 +109,21 @@ BundleBuilder::BundleBuilder(std::uint32_t page_id, const std::string& url, int 
   bundle_.metadata.click_map = std::move(click_map);
 }
 
-void BundleBuilder::push_row(const image::Rgb* row, const image::Rgb* above) {
+void BundleBuilder::push_row(const image::Rgb* row, const image::Rgb* above, int repeats) {
+  int rows = 1 + repeats;  // rows equal to `row` from next_row_ on
   if (!bottom_ || next_row_ < top_rows_) {
+    const int top = bottom_ ? std::min(rows, top_rows_ - next_row_) : rows;
     top_.push_row(row, above);
-  } else {
-    // The bottom region is a page of its own: its first row has none above.
-    bottom_->push_row(row, next_row_ == top_rows_ ? nullptr : above);
+    top_.repeat_row(top - 1);
+    next_row_ += top;
+    rows -= top;
+    if (rows == 0) return;
   }
-  ++next_row_;
+  // The bottom region is a page of its own: its first row has none above,
+  // even when it repeats the top region's last row.
+  bottom_->push_row(row, next_row_ == top_rows_ ? nullptr : above);
+  bottom_->repeat_row(rows - 1);
+  next_row_ += rows;
 }
 
 PageBundle BundleBuilder::finish() {
@@ -287,15 +295,21 @@ PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
   const int width = page.width();
   const int height = page.height();
   BundleBuilder builder(page_id, url, width, height, page.click_map, codec, expiry_s, uep);
-  // A band's last row is the next band's first row's `above`.
+  // Only the distinct rows are painted and pushed, each with the count of
+  // rows below it that repeat it. The row above a distinct row is the
+  // previous distinct row; a band's last is the next band's first's.
+  const std::vector<int>& distinct = page.distinct_rows();
+  const int count = static_cast<int>(distinct.size());
   image::Raster band;
   std::vector<image::Rgb> above(static_cast<std::size_t>(width));
-  for (int y0 = 0; y0 < height; y0 += web::PageLayout::kBandRows) {
-    const int rows = std::min(web::PageLayout::kBandRows, height - y0);
-    page.paint(y0, rows, band);
+  for (int i0 = 0; i0 < count; i0 += web::PageLayout::kBandRows) {
+    const int rows = std::min(web::PageLayout::kBandRows, count - i0);
+    page.paint_distinct(i0, rows, band);
     const image::Rgb* row = band.pixels().data();
     for (int r = 0; r < rows; ++r, row += width) {
-      builder.push_row(row, r > 0 ? row - width : y0 > 0 ? above.data() : nullptr);
+      const std::size_t i = static_cast<std::size_t>(i0 + r);
+      const int next = i + 1 < distinct.size() ? distinct[i + 1] : height;
+      builder.push_row(row, r > 0 ? row - width : i0 > 0 ? above.data() : nullptr, next - distinct[i] - 1);
     }
     std::copy_n(row - width, width, above.begin());
   }

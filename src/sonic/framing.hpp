@@ -100,9 +100,10 @@ PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
                        std::uint32_t expiry_s = 24 * 3600, const UepPolicy& uep = {});
 
 // The same bundle, byte for byte, built from a laid-out page without its
-// raster: the page is painted in PageLayout::kBandRows-row bands, each
-// band's rows pushed straight into the column encoder, so only one band
-// (207 KB at 1080 px) is held at a time.
+// raster: only the page's distinct rows are painted, in bands of
+// PageLayout::kBandRows, each pushed straight into the column encoder with
+// the count of rows that repeat it, so only one band (207 KB at 1080 px) is
+// held at a time.
 PageBundle make_bundle(std::uint32_t page_id, const std::string& url,
                        const web::PageLayout& page, const image::ColumnCodecParams& codec,
                        std::uint32_t expiry_s = 24 * 3600, const UepPolicy& uep = {});

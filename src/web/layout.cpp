@@ -1,6 +1,7 @@
 #include "web/layout.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -57,6 +58,25 @@ struct Style {
 };
 
 
+// Bit r (0 <= r <= kGlyphHeight) set where glyph row r of `c` differs
+// from row r - 1, the rows outside the glyph being blank.
+unsigned glyph_row_changes(char c) {
+  static const std::array<std::uint8_t, 256> table = [] {
+    std::array<std::uint8_t, 256> changes{};
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      const std::uint8_t* glyph = glyph_rows(static_cast<char>(i));
+      std::uint8_t above = 0;
+      for (int r = 0; r < kGlyphHeight; ++r) {
+        if (glyph[r] != above) changes[i] |= static_cast<std::uint8_t>(1u << r);
+        above = glyph[r];
+      }
+      if (above != 0) changes[i] |= static_cast<std::uint8_t>(1u << kGlyphHeight);
+    }
+    return changes;
+  }();
+  return table[static_cast<unsigned char>(c)];
+}
+
 int height_cap(const LayoutParams& params) {
   return params.max_height > 0 ? std::min(params.max_height, kHardHeightCeiling) : kHardHeightCeiling;
 }
@@ -81,6 +101,7 @@ class LayoutRecorder {
     out_.height_ = std::max(1, std::min(out_.full_height_, cap_));
     // Drop click regions that fell below the crop.
     std::erase_if(out_.click_map, [&](const ClickRegion& r) { return r.y >= out_.height_; });
+    find_distinct_rows();
     bucket_by_band();
     return std::move(out_);
   }
@@ -273,31 +294,87 @@ class LayoutRecorder {
     out_.ops_.push_back(op);
   }
 
-  // Lists each op under every kBandRows-row band of the page it touches,
+  // Whether the op paints any pixel of the page.
+  bool visible(const Op& op) const {
+    return op.h > 0 && op.y < out_.height_ && op.y + op.h > 0 && op.w > 0 && op.x < out_.width_ && op.x + op.w > 0;
+  }
+
+  // Lists row 0 and every row an op starts, ends or changes on. A row that
+  // is none of these is covered by the same ops as the row above, each
+  // painting it alike: a rect is uniform down its rows, a text run's glyph
+  // row spans `scale` rows and changes only where some character's does,
+  // and a photo is one colour per row.
+  void find_distinct_rows() {
+    const int height = out_.height_;
+    std::vector<std::uint8_t> edge(static_cast<std::size_t>(height), 0);
+    edge[0] = 1;
+    const auto mark = [&](int y) {
+      if (y >= 0 && y < height) edge[static_cast<std::size_t>(y)] = 1;
+    };
+    for (const Op& op : out_.ops_) {
+      if (!visible(op)) continue;
+      switch (op.kind) {
+        case Op::Kind::kRect:
+          mark(op.y);
+          mark(op.y + op.h);
+          break;
+        case Op::Kind::kText: {
+          unsigned changes = 0;
+          for (int i = 0; i < op.len; ++i) changes |= glyph_row_changes(out_.text_[static_cast<std::size_t>(op.aux + i)]);
+          for (int r = 0; r <= kGlyphHeight; ++r) {
+            if (changes >> r & 1) mark(op.y + r * op.scale);
+          }
+          break;
+        }
+        case Op::Kind::kPhoto: {
+          const int y1 = std::min(op.y + op.h, height);
+          mark(op.y);
+          mark(y1);
+          image::Rgb above = PageLayout::photo_row(op, std::max(op.y, 0) - op.y);
+          for (int y = std::max(op.y, 0) + 1; y < y1; ++y) {
+            const image::Rgb c = PageLayout::photo_row(op, y - op.y);
+            if (c != above) mark(y);
+            above = c;
+          }
+          break;
+        }
+      }
+    }
+    // index[y]: distinct rows above row y, the distinct_index of row y.
+    std::vector<int> index(static_cast<std::size_t>(height) + 1);
+    for (int y = 0; y < height; ++y) {
+      index[static_cast<std::size_t>(y)] = static_cast<int>(out_.distinct_.size());
+      if (edge[static_cast<std::size_t>(y)]) out_.distinct_.push_back(y);
+    }
+    index[static_cast<std::size_t>(height)] = static_cast<int>(out_.distinct_.size());
+    // Each op's distinct rows: those that lie in its rows on the page.
+    for (Op& op : out_.ops_) {
+      if (!visible(op)) continue;
+      op.d0 = index[static_cast<std::size_t>(std::max(op.y, 0))];
+      op.d1 = index[static_cast<std::size_t>(std::min(op.y + op.h, height))];
+    }
+  }
+
+  // Lists each op under every band of kBandRows distinct rows it touches,
   // keeping paint order within a band.
   void bucket_by_band() {
-    const int bands = (out_.height_ + PageLayout::kBandRows - 1) / PageLayout::kBandRows;
+    const int distinct = static_cast<int>(out_.distinct_.size());
+    const int bands = (distinct + PageLayout::kBandRows - 1) / PageLayout::kBandRows;
     std::vector<int>& start = out_.band_start_;
     start.assign(static_cast<std::size_t>(bands) + 1, 0);
-    const auto band_range = [&](const Op& op, int& first, int& last) {
-      const int y0 = std::max(op.y, 0);
-      const int y1 = std::min(op.y + op.h, out_.height_);
-      if (y0 >= y1 || op.w <= 0 || op.x >= out_.width_ || op.x + op.w <= 0) return false;
-      first = y0 / PageLayout::kBandRows;
-      last = (y1 - 1) / PageLayout::kBandRows;
-      return true;
-    };
-    int first = 0, last = 0;
     for (const Op& op : out_.ops_) {
-      if (!band_range(op, first, last)) continue;
-      for (int b = first; b <= last; ++b) ++start[static_cast<std::size_t>(b) + 1];
+      if (op.d0 >= op.d1) continue;
+      for (int b = op.d0 / PageLayout::kBandRows; b <= (op.d1 - 1) / PageLayout::kBandRows; ++b) {
+        ++start[static_cast<std::size_t>(b) + 1];
+      }
     }
     for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
     out_.band_ops_.resize(static_cast<std::size_t>(start.back()));
     std::vector<int> fill(start.begin(), start.end() - 1);
     for (std::size_t i = 0; i < out_.ops_.size(); ++i) {
-      if (!band_range(out_.ops_[i], first, last)) continue;
-      for (int b = first; b <= last; ++b) {
+      const Op& op = out_.ops_[i];
+      if (op.d0 >= op.d1) continue;
+      for (int b = op.d0 / PageLayout::kBandRows; b <= (op.d1 - 1) / PageLayout::kBandRows; ++b) {
         out_.band_ops_[static_cast<std::size_t>(fill[static_cast<std::size_t>(b)]++)] = static_cast<int>(i);
       }
     }
@@ -352,81 +429,125 @@ class LayoutRecorder {
 };
 
 struct PageLayout::Target {
-  image::Raster* out;  // holds page rows from y0 on
-  int y0;
-  int clip0, clip1;  // page rows [clip0, clip1) may be painted
+  image::Raster* out;  // holds distinct rows from `first` on
+  int first;
+  int clip0, clip1;  // distinct rows [clip0, clip1) may be painted
 
-  void fill(int x, int y, int w, int h, image::Rgb color) const {
-    const int ya = std::max(y, clip0);
-    const int yb = std::min(y + h, clip1);
-    if (ya < yb) out->fill_rect(x, ya - y0, w, yb - ya, color);
+  // Fills distinct rows [i, i + n), clipped.
+  void fill(int x, int i, int w, int n, image::Rgb color) const {
+    const int ia = std::max(i, clip0);
+    const int ib = std::min(i + n, clip1);
+    if (ia < ib) out->fill_rect(x, ia - first, w, ib - ia, color);
+  }
+
+  image::Rgb* row(int i) const {
+    return out->pixels().data() + static_cast<std::size_t>(out->width()) * static_cast<std::size_t>(i - first);
   }
 };
+
+int PageLayout::distinct_index(int y) const {
+  return static_cast<int>(std::lower_bound(distinct_.begin(), distinct_.end(), y) - distinct_.begin());
+}
+
+// The top-to-bottom blend, tinted inside two horizontal "subject" bands.
+image::Rgb PageLayout::photo_row(const Op& op, int yy) {
+  const int h = op.h;
+  const int band0 = op.aux;
+  const int k = h > 1 ? yy * 255 / (h - 1) : 0;
+  image::Rgb c{static_cast<std::uint8_t>((op.color.r * (255 - k) + op.bottom.r * k) / 255),
+               static_cast<std::uint8_t>((op.color.g * (255 - k) + op.bottom.g * k) / 255),
+               static_cast<std::uint8_t>((op.color.b * (255 - k) + op.bottom.b * k) / 255)};
+  if ((yy > band0 && yy < band0 + h / 6) || (yy > h / 2 && yy < h / 2 + h / 8)) {
+    c.r = static_cast<std::uint8_t>(255 - c.r / 2);
+    c.g = static_cast<std::uint8_t>(c.g / 2 + 40);
+  }
+  return c;
+}
 
 void PageLayout::paint_op(const Op& op, const Target& t) const {
   switch (op.kind) {
     case Op::Kind::kRect:
-      t.fill(op.x, op.y, op.w, op.h, op.color);
+      t.fill(op.x, op.d0, op.w, op.d1 - op.d0, op.color);
       return;
     case Op::Kind::kText: {
-      // Glyph rows that meet the clip; each row's runs of set pixels are
-      // filled as one rect.
+      // Glyph row r spans distinct rows [at[r], at[r + 1]); each set pixel
+      // of a character's glyph row is `scale` pixels wide on each of them.
       const int s = op.scale;
-      const int r0 = std::max(0, (t.clip0 - op.y) / s);
-      const int r1 = std::min(kGlyphHeight, (t.clip1 - op.y + s - 1) / s);
+      int at[kGlyphHeight + 1];
+      for (int r = 0, i = op.d0; r <= kGlyphHeight; ++r) {
+        while (i < op.d1 && distinct_[static_cast<std::size_t>(i)] < op.y + r * s) ++i;
+        at[r] = i;
+      }
+      int r0 = 0, r1 = kGlyphHeight;
+      while (r0 < r1 && at[r0 + 1] <= t.clip0) ++r0;
+      while (r1 > r0 && at[r1 - 1] >= t.clip1) --r1;
       const int advance = (kGlyphWidth + 1) * s;
       int x = op.x;
-      for (int i = 0; i < op.len && x < width_; ++i, x += advance) {
-        const std::uint8_t* glyph = glyph_rows(text_[static_cast<std::size_t>(op.aux + i)]);
+      for (int c = 0; c < op.len && x < width_; ++c, x += advance) {
+        const std::uint8_t* glyph = glyph_rows(text_[static_cast<std::size_t>(op.aux + c)]);
         for (int r = r0; r < r1; ++r) {
-          const auto on = [&](int col) { return (glyph[r] >> (kGlyphWidth - 1 - col) & 1) != 0; };
-          for (int col = 0; col < kGlyphWidth;) {
-            if (!on(col)) {
-              ++col;
-              continue;
+          if (glyph[r] == 0) continue;
+          for (int i = std::max(at[r], t.clip0); i < std::min(at[r + 1], t.clip1); ++i) {
+            image::Rgb* px = t.row(i);
+            for (int col = 0; col < kGlyphWidth; ++col) {
+              if ((glyph[r] >> (kGlyphWidth - 1 - col) & 1) == 0) continue;
+              const int xa = std::max(x + col * s, 0);
+              const int xb = std::min(x + (col + 1) * s, width_);
+              for (int xx = xa; xx < xb; ++xx) px[xx] = op.color;
             }
-            int end = col + 1;
-            while (end < kGlyphWidth && on(end)) ++end;
-            t.fill(x + col * s, op.y + r * s, (end - col) * s, s, op.color);
-            col = end;
           }
         }
       }
       return;
     }
-    case Op::Kind::kPhoto: {
-      // One colour per row: the top-to-bottom blend, tinted inside two
-      // horizontal "subject" bands.
-      const int h = op.h;
-      const int band0 = op.aux;
-      const int yy_end = std::min(h, t.clip1 - op.y);
-      for (int yy = std::max(0, t.clip0 - op.y); yy < yy_end; ++yy) {
-        const int k = h > 1 ? yy * 255 / (h - 1) : 0;
-        image::Rgb c{static_cast<std::uint8_t>((op.color.r * (255 - k) + op.bottom.r * k) / 255),
-                     static_cast<std::uint8_t>((op.color.g * (255 - k) + op.bottom.g * k) / 255),
-                     static_cast<std::uint8_t>((op.color.b * (255 - k) + op.bottom.b * k) / 255)};
-        if ((yy > band0 && yy < band0 + h / 6) || (yy > h / 2 && yy < h / 2 + h / 8)) {
-          c.r = static_cast<std::uint8_t>(255 - c.r / 2);
-          c.g = static_cast<std::uint8_t>(c.g / 2 + 40);
-        }
-        t.fill(op.x, op.y + yy, op.w, 1, c);
+    case Op::Kind::kPhoto:
+      for (int i = std::max(op.d0, t.clip0); i < std::min(op.d1, t.clip1); ++i) {
+        t.fill(op.x, i, op.w, 1, photo_row(op, distinct_[static_cast<std::size_t>(i)] - op.y));
       }
       return;
+  }
+}
+
+void PageLayout::paint_distinct(int first, int count, image::Raster& out) const {
+  if (first < 0 || count < 0 || first > static_cast<int>(distinct_.size()) - count) {
+    throw std::invalid_argument("PageLayout::paint_distinct: rows outside the page");
+  }
+  // Each band is cleared right before its ops paint it, while its rows are
+  // in cache.
+  out.reshape(width_, count);
+  const int end = first + count;
+  for (int b = first / kBandRows; b * kBandRows < end; ++b) {
+    const Target target{&out, first, std::max(first, b * kBandRows), std::min(end, (b + 1) * kBandRows)};
+    target.fill(0, target.clip0, width_, target.clip1 - target.clip0, image::Rgb{255, 255, 255});
+    for (int k = band_start_[static_cast<std::size_t>(b)]; k < band_start_[static_cast<std::size_t>(b) + 1]; ++k) {
+      paint_op(ops_[static_cast<std::size_t>(band_ops_[static_cast<std::size_t>(k)])], target);
     }
   }
 }
 
 void PageLayout::paint(int y0, int rows, image::Raster& out) const {
   if (y0 < 0 || rows < 0 || y0 > height_ - rows) throw std::invalid_argument("PageLayout::paint: rows outside the page");
-  // Each band is cleared right before its ops paint it, while its rows are
-  // in cache.
-  out.reshape(width_, rows);
+  if (rows == 0) {
+    out.reshape(width_, 0);
+    return;
+  }
+  // Distinct rows j0 (the one row y0 repeats, or y0 itself) to j1 - 1 land
+  // in rows [y0, y1). Painted to the top of `out`, each is copied down from
+  // the last: distinct row j sits at row j - j0 and its copies start at or
+  // below it, above the copies of distinct row j + 1.
   const int y1 = y0 + rows;
-  for (int b = y0 / kBandRows; b * kBandRows < y1; ++b) {
-    const Target target{&out, y0, std::max(y0, b * kBandRows), std::min(y1, (b + 1) * kBandRows)};
-    target.fill(0, target.clip0, width_, target.clip1 - target.clip0, image::Rgb{255, 255, 255});
-    for (int k = band_start_[static_cast<std::size_t>(b)]; k < band_start_[static_cast<std::size_t>(b) + 1]; ++k) {
-      paint_op(ops_[static_cast<std::size_t>(band_ops_[static_cast<std::size_t>(k)])], target);
+  const int j0 = distinct_index(y0 + 1) - 1;
+  const int j1 = distinct_index(y1);
+  out.reshape(width_, rows);  // so growing back after paint_distinct keeps the storage
+  paint_distinct(j0, j1 - j0, out);
+  out.reshape(width_, rows);
+  const std::size_t row_px = static_cast<std::size_t>(width_);
+  image::Rgb* px = out.pixels().data();
+  for (int j = j1 - 1; j >= j0; --j) {
+    const image::Rgb* src = px + row_px * static_cast<std::size_t>(j - j0);
+    const int next = j + 1 < static_cast<int>(distinct_.size()) ? distinct_[static_cast<std::size_t>(j) + 1] : height_;
+    for (int y = std::max(distinct_[static_cast<std::size_t>(j)], y0); y < std::min(next, y1); ++y) {
+      if (y - y0 != j - j0) std::copy_n(src, row_px, px + row_px * static_cast<std::size_t>(y - y0));
     }
   }
 }

@@ -5,10 +5,14 @@
 //
 // Layout and painting are separate. layout_html walks the page once and
 // records what to draw — rects, text runs, image placeholders — in paint
-// order, with the click map and the page height. PageLayout::paint then
-// replays the ops that touch any range of rows, clipped to it, so a caller
-// can paint the page band by band without ever holding the whole raster
-// (the broadcast pipeline does), or all at once (render_html).
+// order, with the click map and the page height. From the draw list it also
+// knows which rows can differ from the row above: the rows where an op
+// starts, ends or changes. Every other row repeats the row above.
+// PageLayout::paint_distinct paints only those distinct rows, one after
+// another, replaying the ops that touch them; PageLayout::paint expands
+// them into any range of page rows. A caller can so paint the page band by
+// band without ever holding the whole raster (the broadcast pipeline
+// paints distinct rows only), or all at once (render_html).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +56,7 @@ struct LayoutParams {
 // replays.
 class PageLayout {
  public:
-  // Rows painted per draw-list bucket.
+  // Distinct rows painted per draw-list bucket.
   static constexpr int kBandRows = 64;
 
   int width() const { return width_; }
@@ -63,10 +67,25 @@ class PageLayout {
   // Link regions, in document order, none starting below height().
   std::vector<ClickRegion> click_map;
 
+  // The rows that can differ from the row above, ascending: row 0, and
+  // each row where an op starts, ends or changes. These are a rect's y and
+  // y + h; each glyph-row boundary y + r * scale of a text run where some
+  // character's glyph row differs from the one above it (blank above the
+  // first and below the last); and each row where a photo's colour
+  // changes. Every other row is a copy of the row above.
+  const std::vector<int>& distinct_rows() const { return distinct_; }
+
+  // Paints distinct rows [first, first + count) — page rows
+  // distinct_rows()[first] on — onto `out`, re-dimensioned to width() x
+  // count, one row each: white, then every op that touches them, clipped to
+  // them, in paint order. Throws std::invalid_argument unless 0 <= first
+  // and first + count <= distinct_rows().size().
+  void paint_distinct(int first, int count, image::Raster& out) const;
+
   // Paints page rows [y0, y0 + rows) onto `out`, re-dimensioned to
-  // width() x rows: white, then every op that touches those rows, clipped
-  // to them, in paint order. Rows are the same whatever range they are
-  // painted in. Throws std::invalid_argument unless 0 <= y0 and
+  // width() x rows: the distinct rows they hold, each copied down over the
+  // rows that repeat it. Rows are the same whatever range they are painted
+  // in. Throws std::invalid_argument unless 0 <= y0 and
   // y0 + rows <= height().
   void paint(int y0, int rows, image::Raster& out) const;
 
@@ -82,18 +101,24 @@ class PageLayout {
     int x = 0, y = 0, w = 0, h = 0;  // rows [y, y + h) are the op's; text: h = glyph height
     int aux = 0;  // text: offset into text_; photo: first row of its first tinted band
     int len = 0;  // text: characters
+    int d0 = 0, d1 = 0;  // distinct rows [d0, d1) lie in its rows on the page
   };
 
-  struct Target;  // pixels of the rows being painted, and their clip
+  struct Target;  // pixels of the distinct rows being painted, and their clip
   void paint_op(const Op& op, const Target& target) const;
+  // A photo's colour on its row yy.
+  static image::Rgb photo_row(const Op& op, int yy);
+  // Index into distinct_ of the first distinct row at or below page row y.
+  int distinct_index(int y) const;
 
   int width_ = 0;
   int height_ = 0;
   int full_height_ = 0;
   std::vector<Op> ops_;
   std::string text_;  // every text run's characters, back to back
-  // Op indices per kBandRows-row band, in paint order: band b's are
-  // band_ops_[band_start_[b] .. band_start_[b + 1]).
+  std::vector<int> distinct_;  // see distinct_rows()
+  // Op indices per band of kBandRows distinct rows, in paint order: band
+  // b's are band_ops_[band_start_[b] .. band_start_[b + 1]).
   std::vector<int> band_start_;
   std::vector<int> band_ops_;
 };

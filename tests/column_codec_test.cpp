@@ -7,7 +7,9 @@
 //    addressable column, and on the cases the row-fed encoder shortcuts:
 //    RGB changes that keep the quantized word, one row chunk repeating
 //    next to one that changes, a change only in the last row, heights 1
-//    and 2, width 1, and runs cut where their ue() stops fitting;
+//    and 2, width 1, runs cut where their ue() stops fitting, a run and
+//    explicit row too long for one write, and repeated rows passed as a
+//    count (the frozen pre-count encoder alongside);
 //  * column_decode giving the identical image and mask on dropped,
 //    shuffled, duplicated, overlapping and out-of-image segments, on
 //    truncated data, on bit flips and on hand-built edge-case codes;
@@ -16,15 +18,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "image/column_codec.hpp"
 #include "oracles/column_reference.hpp"
+#include "oracles/frozen_row_encoder.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
+#include "web/html.hpp"
 #include "web/layout.hpp"
 
 namespace sonic {
@@ -244,6 +249,67 @@ TEST(ColumnCodecOracle, EncodeMatchesWhenRunsCrossTheFitCut) {
     }
     EXPECT_GT(cut_inside_run, 0) << "budget " << budget;
   }
+}
+
+TEST(ColumnCodecOracle, EncodeMatchesWhenARunAndItsRowOverflowOneWrite) {
+  // The encoder writes ue(run) and the explicit row after it as one code
+  // when the three fit 56 bits, else code by code. At quality 100 the
+  // quantizer step is 1: after a run of more than 1 000 rows (ue: 19 bits
+  // or more), a jump from green to magenta costs se(dY) and the flag (14
+  // bits) and se(dCb) se(dCr) (34 bits), 67 bits or more in all. Column x
+  // holds green for 1 000 + 37x rows, magenta for x + 1 rows, then green
+  // again, so the magenta row is coded when the green returns; at quality
+  // 10 the same page takes the one-write path.
+  const int width = 24;
+  Raster img(width, 2200, Rgb{0, 255, 0});
+  for (int x = 0; x < width; ++x) img.fill_rect(x, 1000 + 37 * x, 1, x + 1, Rgb{255, 0, 255});
+  for (int quality : {100, 10}) {
+    for (int budget : {94, 200}) expect_encode_matches(img, {quality, budget}, "run then a full-scale jump");
+  }
+}
+
+// A row that repeats the row above can be passed as a count: the encoder
+// then skips its chunk comparison, and the segments stay the same. Fed the
+// distinct rows of a laid-out page with their repeat counts, it matches
+// the reference on the page's raster, as does the frozen pre-count encoder
+// fed every row.
+TEST(ColumnCodecOracle, RepeatedRowsPassedAsACountEncodeAlike) {
+  const web::PkCorpus corpus;
+  for (const std::size_t page : {0, 41, 77}) {
+    const web::LayoutParams layout{360, 3000, 12, 2};
+    const web::PageLayout laid = web::layout_html(web::parse_html(corpus.html(corpus.pages()[page], 0)), layout);
+    const Raster full = web::render_html(corpus.html(corpus.pages()[page], 0), layout).image;
+    const std::vector<int>& distinct = laid.distinct_rows();
+    Raster rows;
+    laid.paint_distinct(0, static_cast<int>(distinct.size()), rows);
+    for (const ColumnCodecParams params : {ColumnCodecParams{10, 84}, ColumnCodecParams{100, 20}}) {
+      image::RowFedEncoder encoder(laid.width(), laid.height(), params);
+      const std::size_t w = static_cast<std::size_t>(laid.width());
+      for (std::size_t i = 0; i < distinct.size(); ++i) {
+        const Rgb* row = rows.pixels().data() + i * w;
+        encoder.push_row(row, i > 0 ? row - w : nullptr);
+        encoder.repeat_row((i + 1 < distinct.size() ? distinct[i + 1] : laid.height()) - distinct[i] - 1);
+      }
+      const auto want = oracles::column_encode_reference(full, params);
+      const std::string label = "page " + std::to_string(page) + " q" + std::to_string(params.quality);
+      expect_same_segments(encoder.finish(), want, label);
+
+      oracles::frozen::RowFedEncoder frozen(full.width(), full.height(), params);
+      for (int y = 0; y < full.height(); ++y) {
+        const Rgb* row = full.pixels().data() + static_cast<std::size_t>(y) * w;
+        frozen.push_row(row, y > 0 ? row - w : nullptr);
+      }
+      expect_same_segments(frozen.finish(), want, label + " frozen");
+    }
+  }
+  image::RowFedEncoder encoder(4, 3, {10, 94});
+  const Raster row(4, 1, Rgb{1, 2, 3});
+  EXPECT_THROW(encoder.repeat_row(1), std::logic_error);  // no row yet
+  encoder.push_row(row.pixels().data(), nullptr);
+  EXPECT_THROW(encoder.repeat_row(-1), std::logic_error);
+  EXPECT_THROW(encoder.repeat_row(3), std::logic_error);  // past the last row
+  encoder.repeat_row(2);
+  EXPECT_EQ(encoder.finish().size(), 4u);
 }
 
 // ------------------------------------------------------------- decoder ---

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "image/column_codec.hpp"
@@ -16,6 +17,7 @@
 #include "sonic/server.hpp"
 #include "util/rng.hpp"
 #include "web/corpus.hpp"
+#include "web/html.hpp"
 #include "web/layout.hpp"
 
 namespace sonic {
@@ -95,6 +97,37 @@ TEST(Uep, SegmentsAreTheTwoRegionsEncodedAlone) {
       EXPECT_TRUE(got[i].col == want[i].col && got[i].row0 == want[i].row0 && got[i].rows == want[i].rows &&
                   got[i].data == want[i].data)
           << "segment " << i;
+    }
+  }
+}
+
+// A page built from its layout pushes each distinct row with the count of
+// rows that repeat it. A UEP boundary inside such a repeat splits it: the
+// top region takes the rows above the boundary, and the bottom region
+// starts with the same row as a full row with none above, as the raster
+// path gives it (Uep.SegmentsAreTheTwoRegionsEncodedAlone).
+TEST(Uep, BoundaryOnARepeatedRowMatchesTheRasterPath) {
+  const web::PkCorpus corpus;
+  const web::LayoutParams params{360, 3000, 12, 2};
+  for (const std::size_t page : {3, 58}) {
+    const std::string html = corpus.html(corpus.pages()[page], 0);
+    const web::PageLayout layout = web::layout_html(web::parse_html(html), params);
+    const web::RenderResult raster = web::render_html(html, params);
+    // The longest repeat on the page: its first, second and last repeated
+    // rows, then the distinct row below it.
+    const std::vector<int>& distinct = layout.distinct_rows();
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i + 1 < distinct.size(); ++i) {
+      if (distinct[i + 1] - distinct[i] > distinct[longest + 1] - distinct[longest]) longest = i;
+    }
+    ASSERT_GE(distinct[longest + 1] - distinct[longest], 4) << "page " << page;
+    const int top = distinct[longest], below = distinct[longest + 1];
+    for (const int boundary : {top + 1, top + 2, below - 1, below}) {
+      const core::UepPolicy uep{true, (boundary + 0.5) / layout.height(), 2};
+      ASSERT_EQ(static_cast<int>(layout.height() * uep.top_fraction), boundary);
+      EXPECT_TRUE(core::make_bundle(1, "x.pk/", layout, {10, 94}, 3600, uep).frames ==
+                  core::make_bundle(1, "x.pk/", raster, {10, 94}, 3600, uep).frames)
+          << "page " << page << " boundary " << boundary;
     }
   }
 }

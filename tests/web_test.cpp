@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -309,11 +310,14 @@ std::string band_edge_page() {
   return html;
 }
 
-TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
+// Nested backgrounds, list bullets, a photo taller than every cap, text
+// and links that cross any cap, and glyph lines and photos across band
+// edges.
+std::vector<std::string> hand_written_pages() {
   std::string long_links = "<p>";
   for (int i = 0; i < 60; ++i) long_links += "words <a href=\"l.pk/" + std::to_string(i) + "\">a link that wraps</a> ";
   long_links += "</p>";
-  const std::vector<std::string> pages = {
+  return {
       // Nested bgcolor blocks, the inner one with headings and a link.
       "<div bgcolor=\"#ffeecc\"><h2>Outer block</h2><p>outer text before the inner block</p>"
       "<div bgcolor=\"#203040\"><h3 color=\"white\">Inner</h3><p color=\"white\">inner text that "
@@ -329,6 +333,10 @@ TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
       "<h1>Head</h1>" + long_links + "<hr/>" + long_links,
       band_edge_page(),
   };
+}
+
+TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
+  const std::vector<std::string> pages = hand_written_pages();
   for (const int width : {1080, 200}) {
     for (const int cap : {0, 37, 64, 65, 128, 400, 1000}) {
       const LayoutParams params{width, cap, 24, 2};
@@ -350,6 +358,46 @@ TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
     }
   }
   EXPECT_TRUE(crosses);
+}
+
+// Every row the draw list does not list as distinct equals the row above
+// it in the reference's full paint, so painting and encoding only the
+// distinct rows loses nothing. Run on every corpus page, three search
+// pages and the hand-written pages, at the broadcast layout, a 96 x 400
+// smoke layout and a 360-px page without the PH cap.
+TEST(LayoutOracle, RowsNotListedAsDistinctEqualTheRowAbove) {
+  PkCorpus corpus;
+  std::vector<std::pair<std::string, std::string>> pages;
+  for (const PageRef& ref : corpus.pages()) pages.emplace_back(ref.url, corpus.html(ref, 0));
+  for (const char* query : {"cricket score", "rain", "election results"}) {
+    pages.emplace_back(std::string("search:") + query, corpus.search_html(query, 0));
+  }
+  const std::vector<std::string> hand_written = hand_written_pages();
+  for (std::size_t i = 0; i < hand_written.size(); ++i) pages.emplace_back("hand-written " + std::to_string(i), hand_written[i]);
+  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24, 2}, LayoutParams{360, 0, 24, 2}}) {
+    for (const auto& [name, html] : pages) {
+      const std::string what = name + " at " + params.fingerprint();
+      const Node root = parse_html(html);
+      const PageLayout layout = layout_html(root, params);
+      const image::Raster full = oracles::render_html_reference(root, params).image;
+      ASSERT_EQ(full.height(), layout.height()) << what;
+      const std::vector<int>& distinct = layout.distinct_rows();
+      ASSERT_FALSE(distinct.empty()) << what;
+      EXPECT_EQ(distinct.front(), 0) << what;
+      EXPECT_TRUE(std::adjacent_find(distinct.begin(), distinct.end(), std::greater_equal<int>()) == distinct.end()) << what;
+      EXPECT_LT(distinct.back(), layout.height()) << what;
+      const std::size_t row_px = static_cast<std::size_t>(full.width());
+      int mismatches = 0, first = -1;
+      for (int y = 1; y < full.height(); ++y) {
+        if (std::binary_search(distinct.begin(), distinct.end(), y)) continue;
+        const auto row = full.pixels().begin() + static_cast<std::ptrdiff_t>(row_px * static_cast<std::size_t>(y));
+        if (!std::equal(row, row + static_cast<std::ptrdiff_t>(row_px), row - static_cast<std::ptrdiff_t>(row_px))) {
+          if (mismatches++ == 0) first = y;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << what << ": first at row " << first;
+    }
+  }
 }
 
 // A bgcolor block inside a list item wraps at the item's indent, and its
