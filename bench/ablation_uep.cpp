@@ -28,9 +28,12 @@ struct Outcome {
   double bytes = 0;
 };
 
-image::Raster top_crop(const image::Raster& img, double fraction) {
-  return img.cropped_to_height(std::max(1, static_cast<int>(img.height() * fraction)));
+// The top region UEP protects: its first max(1, int(height * kUepTopFraction)) rows.
+int top_rows(const image::Raster& img) {
+  return std::max(1, static_cast<int>(img.height() * core::kUepTopFraction));
 }
+
+image::Raster top_crop(const image::Raster& img) { return img.cropped_to_height(top_rows(img)); }
 
 Outcome deliver(const web::RenderResult& page, const core::UepPolicy& uep, double loss,
                 std::uint64_t seed) {
@@ -45,15 +48,15 @@ Outcome deliver(const web::RenderResult& page, const core::UepPolicy& uep, doubl
   out.bytes = static_cast<double>(bundle.total_bytes());
   if (!received) return out;
   // Top-region coverage from the pre-interpolation mask.
-  const int top_rows = std::max(1, static_cast<int>(page.image.height() * 0.2));
+  const int rows = top_rows(page.image);
   std::size_t got = 0;
-  for (int y = 0; y < top_rows; ++y) {
+  for (int y = 0; y < rows; ++y) {
     for (int x = 0; x < page.image.width(); ++x) {
       got += received->mask[static_cast<std::size_t>(y) * page.image.width() + x];
     }
   }
-  out.top_coverage = static_cast<double>(got) / (static_cast<double>(top_rows) * page.image.width());
-  out.top_rating = eval::content_rating(top_crop(page.image, 0.2), top_crop(received->image, 0.2));
+  out.top_coverage = static_cast<double>(got) / (static_cast<double>(rows) * page.image.width());
+  out.top_rating = eval::content_rating(top_crop(page.image), top_crop(received->image));
   return out;
 }
 
@@ -65,7 +68,7 @@ int main(int argc, char** argv) {
   const int trials = bench::arg_int(argc, argv, "--trials", 5);
 
   web::PkCorpus corpus;
-  web::LayoutParams layout{360, 1800, 12, 2};
+  web::LayoutParams layout{360, 1800, 12};
 
   std::printf("UEP ablation: %.0f%% frame loss, top 20%% of page protected 2x\n\n", loss * 100);
   std::printf("%-10s %14s %14s %12s\n", "variant", "top coverage", "top rating", "bytes");

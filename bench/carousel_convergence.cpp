@@ -49,7 +49,7 @@ AirLog record_station(double overhead, int rounds, double round_s) {
   web::PkCorpus corpus;
   sms::SmsGateway gateway({2.0, 0.5, 0.0, 99});
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{240, 2000, 10, 2};  // small, fast renders
+  sp.layout = web::LayoutParams{240, 2000, 10};  // small, fast renders
   sp.carousel_enabled = true;
   sp.carousel.max_pages = 1;
   sp.carousel.repair_overhead = overhead;

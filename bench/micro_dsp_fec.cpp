@@ -211,7 +211,7 @@ BENCHMARK(BM_ReedSolomonDecode);
 void BM_SwebpEncodeQ10(benchmark::State& state) {
   web::PkCorpus corpus;
   const auto page = web::render_html(corpus.html(corpus.pages()[0], 0),
-                                     web::LayoutParams{360, 2000, 12, 2});
+                                     web::LayoutParams{360, 2000, 12});
   for (auto _ : state) {
     auto coded = image::swebp_encode(page.image, 10);
     benchmark::DoNotOptimize(coded);
@@ -224,7 +224,7 @@ BENCHMARK(BM_SwebpEncodeQ10);
 void BM_ColumnCodecEncode(benchmark::State& state) {
   web::PkCorpus corpus;
   const auto page = web::render_html(corpus.html(corpus.pages()[0], 0),
-                                     web::LayoutParams{360, 2000, 12, 2});
+                                     web::LayoutParams{360, 2000, 12});
   for (auto _ : state) {
     auto segments = image::column_encode(page.image, {10, 94});
     benchmark::DoNotOptimize(segments);
@@ -268,7 +268,7 @@ void BM_RenderCorpusPage(benchmark::State& state) {
   web::PkCorpus corpus;
   const std::string html = corpus.html(corpus.pages()[0], 0);
   for (auto _ : state) {
-    auto page = web::render_html(html, web::LayoutParams{1080, 10000, 24, 2});
+    auto page = web::render_html(html, web::LayoutParams{1080, 10000, 24});
     benchmark::DoNotOptimize(page);
   }
 }

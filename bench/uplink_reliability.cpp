@@ -43,7 +43,7 @@ PointResult run_point(double loss, double dup, double reorder, int num_requests,
 
   sonic::core::SonicServer::Params sp;
   sp.rate_bps = 40000.0;
-  sp.layout = sonic::web::LayoutParams{240, 2000, 10, 2};
+  sp.layout = sonic::web::LayoutParams{240, 2000, 10};
   sp.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   sonic::core::SonicServer server(&corpus, &gateway, sp);
 

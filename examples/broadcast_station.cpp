@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   core::SonicServer::Params sp;
   sp.rate_bps = rate_kbps * 1000.0;
-  sp.layout = web::LayoutParams{360, 3000, 12, 2};  // scaled-down renders
+  sp.layout = web::LayoutParams{360, 3000, 12};  // scaled-down renders
   sp.render_threads = threads;
   core::SonicServer server(&corpus, &gateway, sp);
 

@@ -17,7 +17,7 @@ int main() {
   sms::SmsGateway gateway({3.0, 1.0, 0.0, 13});
 
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{360, 2000, 12, 2};
+  sp.layout = web::LayoutParams{360, 2000, 12};
   core::SonicServer server(&corpus, &gateway, sp);
 
   // A downlink-only client (no phone number, no gateway).

@@ -18,7 +18,7 @@ int main() {
   sms::SmsGateway gateway({3.0, 1.0, 0.0, 77});
 
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{360, 2400, 12, 2};
+  sp.layout = web::LayoutParams{360, 2400, 12};
   sp.rate_bps = 10000.0;  // the verified sonic-10k rate
   sp.transmitters = {{"lahore-fm", 93.7, 31.52, 74.35, 40.0}};
   core::SonicServer server(&corpus, &gateway, sp);

@@ -9,8 +9,11 @@
 # Each argument is a CMake build directory holding bench/<name> binaries.
 # The wall-clock figures these benches print (throughput_profiles'
 # "simulated in X s", carousel_convergence's "N.NN ms" decode timings) are
-# masked before comparing; everything else must match byte for byte. Outputs are kept in a temporary directory, named on
-# a mismatch. Exits 0 when every bench matches, 1 otherwise.
+# masked before comparing; everything else must match byte for byte. The
+# 28 (bench, side) runs go as parallel jobs, nproc at a time, the slowest
+# benches first; each run writes only its own files, and the comparison
+# waits for all of them. Outputs are kept in a temporary directory, named
+# on a mismatch. Exits 0 when every bench matches, 1 otherwise.
 set -uo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -37,22 +40,47 @@ BENCHES=(
   fig4c_backlog
 )
 
-OUT="$(mktemp -d)"
-failed=0
+# fig4b_size_cdf and fig4c_backlog take most of a side's time, so they
+# start first and the short benches fill the other cores around them.
+LAUNCH=(fig4b_size_cdf fig4c_backlog)
 for bench in "${BENCHES[@]}"; do
-  for side in parent change; do
-    if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
-    bin="$dir/bench/$bench"
-    if [ ! -x "$bin" ]; then
-      echo "missing $bin" >&2
+  case "$bench" in fig4b_size_cdf|fig4c_backlog) ;; *) LAUNCH+=("$bench") ;; esac
+done
+
+for bench in "${BENCHES[@]}"; do
+  for dir in "$PARENT" "$CHANGE"; do
+    if [ ! -x "$dir/bench/$bench" ]; then
+      echo "missing $dir/bench/$bench" >&2
       exit 2
     fi
-    "$bin" > "$OUT/$bench.$side.raw" 2>/dev/null
-    echo "$?" > "$OUT/$bench.$side.rc"
-    mask='s/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/'
-    if [ "$bench" = carousel_convergence ]; then mask='s/[0-9]+\.[0-9]+ ms/<wall-clock> ms/g'; fi
-    sed -E "$mask" "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
   done
+done
+
+OUT="$(mktemp -d)"
+
+# run <bench> <side>: the bench's stdout with its wall-clock figures
+# masked, and its exit code.
+run() {
+  local bench="$1" side="$2" dir mask
+  if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
+  "$dir/bench/$bench" > "$OUT/$bench.$side.raw" 2>/dev/null
+  echo "$?" > "$OUT/$bench.$side.rc"
+  mask='s/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/'
+  if [ "$bench" = carousel_convergence ]; then mask='s/[0-9]+\.[0-9]+ ms/<wall-clock> ms/g'; fi
+  sed -E "$mask" "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
+}
+
+JOBS="$(nproc)"
+for bench in "${LAUNCH[@]}"; do
+  for side in parent change; do
+    while [ "$(jobs -rp | wc -l)" -ge "$JOBS" ]; do wait -n; done
+    run "$bench" "$side" &
+  done
+done
+wait
+
+failed=0
+for bench in "${BENCHES[@]}"; do
   if cmp -s "$OUT/$bench.parent" "$OUT/$bench.change" &&
      cmp -s "$OUT/$bench.parent.rc" "$OUT/$bench.change.rc"; then
     echo "identical  $bench"

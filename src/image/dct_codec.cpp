@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "image/exp_golomb.hpp"
 #include "util/units.hpp"
 
 namespace sonic::image {
@@ -60,24 +61,6 @@ Planes to_ycbcr420(const Raster& img) {
   return p;
 }
 
-Raster from_ycbcr420(const Planes& p) {
-  Raster img(p.w, p.h);
-  for (int yy = 0; yy < p.h; ++yy) {
-    for (int xx = 0; xx < p.w; ++xx) {
-      const float Y = p.y[static_cast<std::size_t>(yy) * p.w + xx];
-      const std::size_t ci = static_cast<std::size_t>(yy / 2) * p.cw + xx / 2;
-      const float Cb = p.cb[ci] - 128.0f;
-      const float Cr = p.cr[ci] - 128.0f;
-      auto clamp8 = [](float v) {
-        return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
-      };
-      img.at(xx, yy) = Rgb{clamp8(Y + 1.402f * Cr), clamp8(Y - 0.344136f * Cb - 0.714136f * Cr),
-                           clamp8(Y + 1.772f * Cb)};
-    }
-  }
-  return img;
-}
-
 // --- DCT ------------------------------------------------------------------
 
 struct DctTables {
@@ -112,25 +95,6 @@ void fdct8x8(const float in[64], float out[64]) {
       float acc = 0;
       for (int y = 0; y < 8; ++y) acc += tmp[y * 8 + u] * t.c[v][y];
       out[v * 8 + u] = acc;
-    }
-  }
-}
-
-void idct8x8(const float in[64], float out[64]) {
-  const auto& t = dct_tables();
-  float tmp[64];
-  for (int v = 0; v < 8; ++v) {
-    for (int x = 0; x < 8; ++x) {
-      float acc = 0;
-      for (int u = 0; u < 8; ++u) acc += in[v * 8 + u] * t.c[u][x];
-      tmp[v * 8 + x] = acc;
-    }
-  }
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      float acc = 0;
-      for (int v = 0; v < 8; ++v) acc += tmp[v * 8 + x] * t.c[v][y];
-      out[y * 8 + x] = acc;
     }
   }
 }
@@ -181,37 +145,6 @@ constexpr int kZigzag[64] = {0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18,
                              35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
                              58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
 
-// --- entropy: Exp-Golomb --------------------------------------------------
-
-void put_ue(util::BitWriter& bw, std::uint32_t v) {
-  // Exp-Golomb order 0 of v (v >= 0): N leading zeros + (v+1) in N+1 bits.
-  const std::uint32_t vp1 = v + 1;
-  int bits = 0;
-  while ((1u << (bits + 1)) <= vp1) ++bits;
-  for (int i = 0; i < bits; ++i) bw.bit(0);
-  bw.bits(vp1, bits + 1);
-}
-
-std::uint32_t get_ue(util::BitReader& br) {
-  int zeros = 0;
-  while (br.ok() && br.bit() == 0) {
-    if (++zeros > 32) return 0;
-  }
-  std::uint32_t v = 1;
-  for (int i = 0; i < zeros; ++i) v = (v << 1) | static_cast<std::uint32_t>(br.bit());
-  return v - 1;
-}
-
-void put_se(util::BitWriter& bw, int v) {
-  // Signed mapping: 0,1,-1,2,-2,... -> 0,1,2,3,4,...
-  put_ue(bw, v <= 0 ? static_cast<std::uint32_t>(-2 * v) : static_cast<std::uint32_t>(2 * v - 1));
-}
-
-int get_se(util::BitReader& br) {
-  const std::uint32_t u = get_ue(br);
-  return (u & 1) ? static_cast<int>((u + 1) / 2) : -static_cast<int>(u / 2);
-}
-
 // --- per-plane coding -------------------------------------------------------
 
 void encode_plane(util::BitWriter& bw, const std::vector<float>& plane, int w, int h,
@@ -254,46 +187,6 @@ void encode_plane(util::BitWriter& bw, const std::vector<float>& plane, int w, i
   }
 }
 
-bool decode_plane(util::BitReader& br, std::vector<float>& plane, int w, int h,
-                  const std::array<int, 64>& quant) {
-  const int bw_blocks = (w + 7) / 8;
-  const int bh_blocks = (h + 7) / 8;
-  int prev_dc = 0;
-  float coef[64], block[64];
-  plane.assign(static_cast<std::size_t>(w) * h, 0.0f);
-  for (int by = 0; by < bh_blocks; ++by) {
-    for (int bx = 0; bx < bw_blocks; ++bx) {
-      int q[64] = {0};
-      prev_dc += get_se(br);
-      q[0] = prev_dc;
-      int i = 1;
-      while (i < 64) {
-        const std::uint32_t token = get_ue(br);
-        if (token == 0) break;  // EOB
-        i += static_cast<int>(token) - 1;
-        if (i >= 64) return false;
-        q[i] = get_se(br);
-        ++i;
-        if (i == 64) {
-          if (get_ue(br) != 0) return false;  // trailing EOB
-          break;
-        }
-      }
-      if (!br.ok()) return false;
-      for (int k = 0; k < 64; ++k) coef[kZigzag[k]] = static_cast<float>(q[k]) * static_cast<float>(quant[static_cast<std::size_t>(kZigzag[k])]);
-      idct8x8(coef, block);
-      for (int y = 0; y < 8; ++y) {
-        for (int x = 0; x < 8; ++x) {
-          const int sy = by * 8 + y, sx = bx * 8 + x;
-          if (sy >= h || sx >= w) continue;
-          plane[static_cast<std::size_t>(sy) * w + sx] = block[y * 8 + x] + 128.0f;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 util::Bytes swebp_encode(const Raster& img, int quality) {
@@ -317,35 +210,6 @@ util::Bytes swebp_encode(const Raster& img, int quality) {
   const util::Bytes body = bw.take();
   out.insert(out.end(), body.begin(), body.end());
   return out;
-}
-
-std::optional<SwebpInfo> swebp_peek(std::span<const std::uint8_t> data) {
-  util::ByteReader r(data);
-  if (r.u32() != kMagic) return std::nullopt;
-  SwebpInfo info;
-  info.width = static_cast<int>(r.u32());
-  info.height = static_cast<int>(r.u32());
-  info.quality = r.u8();
-  if (!r.ok() || info.width <= 0 || info.height <= 0 || info.width > 1 << 16 || info.height > 1 << 20)
-    return std::nullopt;
-  return info;
-}
-
-std::optional<Raster> swebp_decode(std::span<const std::uint8_t> data) {
-  const auto info = swebp_peek(data);
-  if (!info) return std::nullopt;
-  const auto ql = scaled_table(kLumaBase, info->quality);
-  const auto qc = scaled_table(kChromaBase, info->quality);
-  Planes p;
-  p.w = info->width;
-  p.h = info->height;
-  p.cw = (p.w + 1) / 2;
-  p.ch = (p.h + 1) / 2;
-  util::BitReader br(data.subspan(13));
-  if (!decode_plane(br, p.y, p.w, p.h, ql)) return std::nullopt;
-  if (!decode_plane(br, p.cb, p.cw, p.ch, qc)) return std::nullopt;
-  if (!decode_plane(br, p.cr, p.cw, p.ch, qc)) return std::nullopt;
-  return from_ycbcr420(p);
 }
 
 }  // namespace sonic::image

@@ -9,26 +9,13 @@
 // Figure 4(b) measures.
 #pragma once
 
-#include <optional>
-#include <span>
-
 #include "image/raster.hpp"
 #include "util/bytes.hpp"
 
 namespace sonic::image {
 
-// Encodes at `quality` in [1, 100] (higher = better/larger).
+// Encodes at `quality` in [1, 100] (higher = better/larger). Only the
+// encoded size is ever used; the decoder is a test oracle.
 util::Bytes swebp_encode(const Raster& img, int quality);
-
-// Returns nullopt on malformed input.
-std::optional<Raster> swebp_decode(std::span<const std::uint8_t> data);
-
-// Parsed header info without full decode.
-struct SwebpInfo {
-  int width = 0;
-  int height = 0;
-  int quality = 0;
-};
-std::optional<SwebpInfo> swebp_peek(std::span<const std::uint8_t> data);
 
 }  // namespace sonic::image

@@ -3,37 +3,12 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "image/exp_golomb.hpp"
+
 namespace sonic::image {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x534c5331;  // "SLS1"
-
-void put_ue(util::BitWriter& bw, std::uint32_t v) {
-  const std::uint32_t vp1 = v + 1;
-  int bits = 0;
-  while ((1u << (bits + 1)) <= vp1) ++bits;
-  for (int i = 0; i < bits; ++i) bw.bit(0);
-  bw.bits(vp1, bits + 1);
-}
-
-std::uint32_t get_ue(util::BitReader& br) {
-  int zeros = 0;
-  while (br.ok() && br.bit() == 0) {
-    if (++zeros > 32) return 0;
-  }
-  std::uint32_t v = 1;
-  for (int i = 0; i < zeros; ++i) v = (v << 1) | static_cast<std::uint32_t>(br.bit());
-  return v - 1;
-}
-
-void put_se(util::BitWriter& bw, int v) {
-  put_ue(bw, v <= 0 ? static_cast<std::uint32_t>(-2 * v) : static_cast<std::uint32_t>(2 * v - 1));
-}
-
-int get_se(util::BitReader& br) {
-  const std::uint32_t u = get_ue(br);
-  return (u & 1) ? static_cast<int>((u + 1) / 2) : -static_cast<int>(u / 2);
-}
 
 // PNG's Paeth predictor.
 int paeth(int a, int b, int c) {
@@ -70,42 +45,6 @@ util::Bytes lossless_encode(const Raster& img) {
   const util::Bytes body = bw.take();
   out.insert(out.end(), body.begin(), body.end());
   return out;
-}
-
-std::optional<Raster> lossless_decode(std::span<const std::uint8_t> data) {
-  util::ByteReader r(data);
-  if (r.u32() != kMagic) return std::nullopt;
-  const int w = static_cast<int>(r.u32());
-  const int h = static_cast<int>(r.u32());
-  if (!r.ok() || w <= 0 || h <= 0 || w > 1 << 16 || h > 1 << 20) return std::nullopt;
-  Raster img(w, h);
-  util::BitReader br(data.subspan(12));
-  for (int ch = 0; ch < 3; ++ch) {
-    auto get = [&](int x, int y) -> int {
-      if (x < 0 || y < 0) return 0;
-      const Rgb& p = img.at(x, y);
-      return ch == 0 ? p.r : ch == 1 ? p.g : p.b;
-    };
-    auto set = [&](int x, int y, int v) {
-      Rgb& p = img.at(x, y);
-      const std::uint8_t b = static_cast<std::uint8_t>(v);
-      if (ch == 0) {
-        p.r = b;
-      } else if (ch == 1) {
-        p.g = b;
-      } else {
-        p.b = b;
-      }
-    };
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const int pred = paeth(get(x - 1, y), get(x, y - 1), get(x - 1, y - 1));
-        set(x, y, pred + get_se(br));
-      }
-    }
-  }
-  if (!br.ok()) return std::nullopt;
-  return img;
 }
 
 }  // namespace sonic::image

@@ -4,15 +4,11 @@
 // be reproduced (bench/fig4b_size_cdf --lossless).
 #pragma once
 
-#include <optional>
-#include <span>
-
 #include "image/raster.hpp"
 #include "util/bytes.hpp"
 
 namespace sonic::image {
 
 util::Bytes lossless_encode(const Raster& img);
-std::optional<Raster> lossless_decode(std::span<const std::uint8_t> data);
 
 }  // namespace sonic::image

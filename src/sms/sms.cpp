@@ -131,15 +131,6 @@ std::vector<SmsMessage> SmsGateway::deliver_due(const std::string& to, double no
   std::sort(out.begin(), out.end(),
             [](const SmsMessage& a, const SmsMessage& b) { return a.deliver_at_s < b.deliver_at_s; });
   messages_delivered_ += out.size();
-  if (params_.delivery_reports) {
-    // Reports ride the same lossy network; never report on a report.
-    for (const SmsMessage& msg : out) {
-      if (msg.from == kSmscNumber) continue;
-      ++reports_generated_;
-      send({kSmscNumber, msg.from, kDeliveryReportPrefix + msg.body.substr(0, 40), now_s, 0.0},
-           now_s);
-    }
-  }
   return out;
 }
 

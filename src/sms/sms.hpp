@@ -8,8 +8,8 @@
 // The gateway is a faithful adversary, not an oracle: send() always
 // succeeds (the SMSC accepted the message) — whether it is *delivered* is
 // decided silently inside the network. Messages can be lost per segment,
-// duplicated, reordered by tens of seconds, and (optionally) confirmed by
-// delivery reports, all seeded and deterministic like the acoustic channel.
+// duplicated and reordered by tens of seconds, all seeded and deterministic
+// like the acoustic channel.
 // End-to-end delivery is therefore the uplink protocol's problem (client
 // retry state machine + idempotent server), exactly as over real GSM.
 #pragma once
@@ -45,13 +45,7 @@ struct SmsGatewayParams {
   double duplication_rate = 0.0;  // a delivered message arrives twice
   double reorder_rate = 0.0;      // a message picks up an extra delay ...
   double reorder_delay_s = 30.0;  // ... uniform in [0, reorder_delay_s)
-  bool delivery_reports = false;  // sender receives "SMSC DLR ..." on delivery
 };
-
-// Sender of gateway-generated delivery reports; reports are themselves SMS
-// (they ride the same lossy queue) but never generate reports of their own.
-inline constexpr const char* kSmscNumber = "SMSC";
-inline constexpr const char* kDeliveryReportPrefix = "SMSC DLR ";
 
 // Discrete-event SMS carrier: send() stamps a delivery time; deliver_due()
 // drains messages for one recipient whose time has come.
@@ -76,7 +70,6 @@ class SmsGateway {
   std::size_t messages_duplicated() const { return messages_duplicated_; }
   std::size_t messages_reordered() const { return messages_reordered_; }
   std::size_t segments_lost() const { return segments_lost_; }
-  std::size_t reports_generated() const { return reports_generated_; }
 
   // Scripted fault control, so tests can flip network conditions
   // mid-scenario instead of hunting for seeds.
@@ -97,7 +90,6 @@ class SmsGateway {
   std::size_t messages_duplicated_ = 0;
   std::size_t messages_reordered_ = 0;
   std::size_t segments_lost_ = 0;
-  std::size_t reports_generated_ = 0;
 };
 
 // ---- SONIC request/ACK wire format (§3.1) ---------------------------------

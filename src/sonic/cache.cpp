@@ -76,7 +76,7 @@ void BundleCache::put(const std::string& key, int version, std::shared_ptr<const
   }
   lru_.push_front(key);
   entries_[key] = Entry{version, std::move(bundle), lru_.begin()};
-  while (max_pages_ > 0 && entries_.size() > max_pages_) {
+  while (entries_.size() > max_pages_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
     ++evictions_;

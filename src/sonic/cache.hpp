@@ -60,8 +60,8 @@ class PageCache {
 class BundleCache {
  public:
   // max_pages bounds the catalog kept hot (least recently used evicted
-  // first). 0 is rejected by the pipeline's validation.
-  explicit BundleCache(std::size_t max_pages = 256);
+  // first); at least 1, which the pipeline's validation ensures.
+  explicit BundleCache(std::size_t max_pages);
 
   // Returns the cached bundle when present at exactly `version`, promoting
   // it to most-recently-used; nullptr (and eviction) on version mismatch.

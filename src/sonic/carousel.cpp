@@ -2,25 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "fec/fountain.hpp"
+#include "sonic/validated.hpp"
 
 namespace sonic::core {
 namespace {
 
 // Catalog recomputation cadence: hourly, the pipeline's render epoch.
 constexpr double kRefreshIntervalS = 3600.0;
-
-Carousel::Params validated(Carousel::Params params) {
-  const auto errors = params.validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid Carousel::Params:";
-    for (const auto& e : errors) msg += "\n  - " + e;
-    throw std::invalid_argument(msg);
-  }
-  return params;
-}
 
 }  // namespace
 
@@ -33,10 +23,8 @@ std::vector<std::string> Carousel::Params::validate() const {
   return errors;
 }
 
-Carousel::Carousel(BroadcastPipeline* pipeline, Metrics* metrics, Params params)
-    : pipeline_(pipeline), metrics_(metrics), params_(validated(std::move(params))) {
-  if (pipeline_ == nullptr) throw std::invalid_argument("Carousel needs a pipeline");
-}
+Carousel::Carousel(BroadcastPipeline& pipeline, Metrics& metrics, Params params)
+    : pipeline_(pipeline), metrics_(metrics), params_(validated(std::move(params), "Carousel::Params")) {}
 
 void Carousel::record_hit(const std::string& url) { ++hits_[url]; }
 
@@ -50,10 +38,8 @@ void Carousel::refresh_catalog(double now_s) {
   if (catalog_.size() > params_.max_pages) catalog_.resize(params_.max_pages);
   refreshed_once_ = true;
   next_refresh_s_ = now_s + kRefreshIntervalS;
-  if (metrics_ != nullptr) {
-    metrics_->counter("carousel_refreshes").add(1);
-    metrics_->histogram("carousel_catalog_pages").observe(static_cast<double>(catalog_.size()));
-  }
+  metrics_.counter("carousel_refreshes").add(1);
+  metrics_.histogram("carousel_catalog_pages").observe(static_cast<double>(catalog_.size()));
 }
 
 std::vector<std::shared_ptr<const PageBundle>> Carousel::drive(double now_s) {
@@ -68,7 +54,7 @@ std::vector<std::shared_ptr<const PageBundle>> Carousel::drive(double now_s) {
   for (const auto& [url, hits] : catalog_) urls.push_back(url);
 
   std::vector<std::shared_ptr<const PageBundle>> out;
-  for (auto& prepared : pipeline_->prepare(urls, now_s)) {
+  for (auto& prepared : pipeline_.prepare(urls, now_s)) {
     if (!prepared.bundle) continue;  // url fell out of the corpus
     const PageBundle& src = *prepared.bundle;
     const auto k = static_cast<std::uint16_t>(src.frames.size());
@@ -96,16 +82,14 @@ std::vector<std::shared_ptr<const PageBundle>> Carousel::drive(double now_s) {
             src.page_id, static_cast<std::uint16_t>(seqs[i]), k, symbols[i]));
       }
     }
-    if (metrics_ != nullptr) {
-      metrics_->counter("carousel_repair_frames").add(repair_frames);
-    }
+    metrics_.counter("carousel_repair_frames").add(repair_frames);
     out.push_back(std::move(air));
   }
   if (out.empty()) return out;
 
   in_flight_ = out.size();
   cycle_started_s_ = now_s;
-  if (metrics_ != nullptr) metrics_->counter("carousel_cycles_started").add(1);
+  metrics_.counter("carousel_cycles_started").add(1);
   return out;
 }
 
@@ -113,10 +97,8 @@ void Carousel::on_broadcast_complete(double completed_at_s) {
   if (in_flight_ == 0) return;
   if (--in_flight_ == 0) {
     ++cycles_completed_;
-    if (metrics_ != nullptr) {
-      metrics_->counter("carousel_cycles").add(1);
-      metrics_->histogram("carousel_cycle_s").observe(completed_at_s - cycle_started_s_);
-    }
+    metrics_.counter("carousel_cycles").add(1);
+    metrics_.histogram("carousel_cycle_s").observe(completed_at_s - cycle_started_s_);
   }
 }
 

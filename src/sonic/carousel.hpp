@@ -40,9 +40,9 @@ class Carousel {
     std::vector<std::string> validate() const;
   };
 
-  // `metrics` may be shared with the owning server; may be null (metrics
-  // are skipped). `pipeline` must outlive the carousel.
-  Carousel(BroadcastPipeline* pipeline, Metrics* metrics, Params params);
+  // `metrics` may be shared with the owning server. Both must outlive the
+  // carousel. Throws std::invalid_argument when params do not validate.
+  Carousel(BroadcastPipeline& pipeline, Metrics& metrics, Params params);
 
   // Popularity accounting: one broadcast-worthy request for `url`.
   void record_hit(const std::string& url);
@@ -67,8 +67,8 @@ class Carousel {
  private:
   void refresh_catalog(double now_s);
 
-  BroadcastPipeline* pipeline_;
-  Metrics* metrics_;
+  BroadcastPipeline& pipeline_;
+  Metrics& metrics_;
   Params params_;
 
   std::map<std::string, std::size_t> hits_;

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "sonic/validated.hpp"
 
 namespace sonic::core {
-namespace {
-
-SonicClient::Params validated(SonicClient::Params params) {
-  const auto errors = params.validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid SonicClient::Params:";
-    for (const auto& e : errors) msg += "\n  - " + e;
-    throw std::invalid_argument(msg);
-  }
-  return params;
-}
-
-}  // namespace
 
 std::vector<std::string> SonicClient::Params::validate() const {
   std::vector<std::string> errors;
@@ -50,7 +38,7 @@ std::vector<std::string> SonicClient::Params::validate() const {
 
 SonicClient::SonicClient(sms::SmsGateway* gateway, Params params)
     : gateway_(gateway),
-      params_(validated(std::move(params))),
+      params_(validated(std::move(params), "SonicClient::Params")),
       metrics_(std::make_unique<Metrics>()),
       frames_received_(&metrics_->counter("frames_received")),
       frames_dropped_malformed_(&metrics_->counter("frames_dropped_malformed")),
@@ -235,10 +223,6 @@ std::vector<sms::RequestAck> SonicClient::poll_acks(double now_s) {
   std::vector<sms::RequestAck> acks;
   if (!has_uplink()) return acks;
   for (const sms::SmsMessage& msg : gateway_->deliver_due(params_.phone_number, now_s)) {
-    if (msg.body.rfind(sms::kDeliveryReportPrefix, 0) == 0) {
-      metrics_->counter("uplink_delivery_reports").add(1);
-      continue;
-    }
     const auto ack = sms::parse_ack(msg.body);
     if (!ack) continue;
     // Match the response to a live request: by echoed id, or by URL for a

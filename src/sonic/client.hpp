@@ -177,9 +177,8 @@ class SonicClient {
   // convergence histograms (fountain_repairs_used,
   // fountain_reception_overhead), pages_fountain_decoded. Uplink: uplink_requests, uplink_retries,
   // uplink_server_retries (RETRY sheds honored), uplink_acked,
-  // uplink_rejected, uplink_gave_up, uplink_stale_acks, uplink_coalesced,
-  // uplink_delivery_reports counters; uplink_ack_latency_s /
-  // uplink_attempts histograms.
+  // uplink_rejected, uplink_gave_up, uplink_stale_acks, uplink_coalesced
+  // counters; uplink_ack_latency_s / uplink_attempts histograms.
   Metrics& metrics() { return *metrics_; }
   const Metrics& metrics() const { return *metrics_; }
 

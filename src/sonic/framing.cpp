@@ -55,7 +55,7 @@ int first_encoder_rows(int width, int height, const UepPolicy& uep) {
     throw std::invalid_argument("page raster exceeds the 16-bit column/row fields");
   }
   if (!uep.enabled) return height;
-  const int boundary = std::max(1, static_cast<int>(height * uep.top_fraction));
+  const int boundary = std::max(1, static_cast<int>(height * kUepTopFraction));
   return std::min(boundary, height);
 }
 
@@ -138,8 +138,7 @@ PageBundle BundleBuilder::finish() {
   // With UEP the first encoder's rows are repeated: the top region, or the
   // whole page when the boundary falls at or below its end.
   const int protected_rows = uep_.enabled ? top_rows_ : 0;
-  const int top_copies = std::max(1, uep_.copies);
-  auto copies = [&](const image::ColumnSegment& seg) { return seg.row0 < protected_rows ? top_copies : 1; };
+  auto copies = [&](const image::ColumnSegment& seg) { return seg.row0 < protected_rows ? kUepCopies : 1; };
   std::size_t segment_frames = 0;
   for (const auto& seg : segments) segment_frames += static_cast<std::size_t>(copies(seg));
 
@@ -185,12 +184,6 @@ PageBundle BundleBuilder::finish() {
 }
 
 }  // namespace
-
-util::Bytes serialize_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
-  util::Bytes frame = frame_with_header(header, payload.size());
-  std::copy_n(payload.begin(), std::min(payload.size(), kFramePayloadSize), frame.begin() + kFrameHeaderSize);
-  return frame;
-}
 
 std::optional<std::pair<FrameHeader, util::Bytes>> parse_frame(std::span<const std::uint8_t> frame) {
   if (frame.size() != kFrameSize) return std::nullopt;

@@ -82,14 +82,16 @@ struct PageBundle {
 
 // Unequal error protection (the §4 "dynamic scheme with higher error
 // protection for important parts of an image/webpage" the paper leaves as
-// an optimization): segments overlapping the top `top_fraction` of the page
-// — title, masthead, first headline — are transmitted `copies` times.
+// an optimization): segments in the top kUepTopFraction of the page —
+// title, masthead, first headline — are transmitted kUepCopies times.
+// The top region ends at row max(1, int(height * kUepTopFraction)).
 // Repetition at the frame level composes with the per-frame FEC and needs
 // no receiver changes (the assembler dedups).
+constexpr double kUepTopFraction = 0.2;
+constexpr int kUepCopies = 2;
+
 struct UepPolicy {
   bool enabled = false;
-  double top_fraction = 0.2;
-  int copies = 2;
 };
 
 // Builds the frame sequence for a rendered page. Throws
@@ -166,10 +168,8 @@ class PageAssembler {
   std::map<std::uint32_t, Partial> pages_;
 };
 
-// Frame header (de)serialization; payload is padded to kFrameSize. For
-// type 2 frames parse_frame returns the kFountainBlockSize-byte symbol as
-// the payload.
-util::Bytes serialize_frame(const FrameHeader& header, std::span<const std::uint8_t> payload);
+// Frame header parsing. For type 2 frames parse_frame returns the
+// kFountainBlockSize-byte symbol as the payload.
 std::optional<std::pair<FrameHeader, util::Bytes>> parse_frame(std::span<const std::uint8_t> frame);
 
 // Fountain wire helpers (v2).

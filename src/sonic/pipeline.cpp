@@ -4,6 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "sonic/validated.hpp"
+
 namespace sonic::core {
 namespace {
 
@@ -28,7 +30,7 @@ std::vector<std::string> BroadcastPipeline::Params::validate() const {
 
 BroadcastPipeline::BroadcastPipeline(const web::PkCorpus* corpus, Params params, Metrics* metrics)
     : corpus_(corpus),
-      params_(std::move(params)),
+      params_(validated(std::move(params), "BroadcastPipeline::Params")),
       owned_metrics_(metrics ? nullptr : std::make_unique<Metrics>()),
       metrics_(metrics ? metrics : owned_metrics_.get()),
       rendered_counter_(&metrics_->counter("pages_rendered")),

@@ -64,7 +64,8 @@ class BroadcastPipeline {
   };
 
   // `metrics` may be shared with the owning server; when null the pipeline
-  // owns a private registry (reachable via metrics()).
+  // owns a private registry (reachable via metrics()). Throws
+  // std::invalid_argument when params do not validate.
   BroadcastPipeline(const web::PkCorpus* corpus, Params params, Metrics* metrics = nullptr);
   ~BroadcastPipeline();
 

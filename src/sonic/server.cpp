@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <stdexcept>
+
+#include "sonic/validated.hpp"
 
 namespace sonic::core {
 namespace {
@@ -14,16 +15,6 @@ double distance_km(double lat1, double lon1, double lat2, double lon2) {
   const double dlat = (lat1 - lat2) * kKmPerDegree;
   const double dlon = (lon1 - lon2) * kKmPerDegree * std::cos(lat1 * 3.14159265 / 180.0);
   return std::sqrt(dlat * dlat + dlon * dlon);
-}
-
-SonicServer::Params validated(SonicServer::Params params) {
-  const auto errors = params.validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid SonicServer::Params:";
-    for (const auto& e : errors) msg += "\n  - " + e;
-    throw std::invalid_argument(msg);
-  }
-  return params;
 }
 
 BroadcastPipeline::Params pipeline_params(const SonicServer::Params& p) {
@@ -53,12 +44,7 @@ std::vector<std::string> SonicServer::Params::validate() const {
     if (!(t.range_km > 0.0)) errors.push_back("transmitter '" + t.name + "' range_km must be positive");
   }
   if (page_expiry_s == 0) errors.push_back("page_expiry_s must be nonzero");
-  if (!(dedup_ttl_s > 0.0)) errors.push_back("dedup_ttl_s must be positive");
   if (shed_backlog_bytes < 0.0) errors.push_back("shed_backlog_bytes must be >= 0 (0 disables shedding)");
-  if (!(shed_retry_floor_s > 0.0)) errors.push_back("shed_retry_floor_s must be positive");
-  if (shed_retry_cap_s < shed_retry_floor_s) {
-    errors.push_back("shed_retry_cap_s must be >= shed_retry_floor_s");
-  }
   for (const auto& e : pipeline_params(*this).validate()) errors.push_back(e);
   if (carousel_enabled) {
     for (const auto& e : carousel.validate()) errors.push_back(e);
@@ -69,11 +55,11 @@ std::vector<std::string> SonicServer::Params::validate() const {
 SonicServer::SonicServer(const web::PkCorpus* corpus, sms::SmsGateway* gateway, Params params)
     : corpus_(corpus),
       gateway_(gateway),
-      params_(validated(std::move(params))),
+      params_(validated(std::move(params), "SonicServer::Params")),
       metrics_(std::make_unique<Metrics>()),
       pipeline_(corpus_, pipeline_params(params_), metrics_.get()) {
   if (params_.carousel_enabled) {
-    carousel_ = std::make_unique<Carousel>(&pipeline_, metrics_.get(), params_.carousel);
+    carousel_ = std::make_unique<Carousel>(pipeline_, *metrics_, params_.carousel);
   }
   shards_.reserve(params_.transmitters.size());
   for (std::size_t i = 0; i < params_.transmitters.size(); ++i) {
@@ -122,7 +108,7 @@ std::size_t SonicServer::total_queue_length() const {
 
 void SonicServer::purge_dedup(double now_s) {
   for (auto it = dedup_.begin(); it != dedup_.end();) {
-    if (it->second.last_seen_s + params_.dedup_ttl_s <= now_s) {
+    if (it->second.last_seen_s + kDedupTtlS <= now_s) {
       it = dedup_.erase(it);
     } else {
       ++it;
@@ -194,7 +180,7 @@ void SonicServer::poll_sms(double now_s) {
     // the client's resend after the wait must be served, not replayed.
     if (params_.shed_backlog_bytes > 0.0 && shard.backlog_bytes() > params_.shed_backlog_bytes) {
       const double drain_s = shard.backlog_bytes() * 8.0 / shard.aggregate_rate_bps();
-      const double retry_s = std::clamp(drain_s, params_.shed_retry_floor_s, params_.shed_retry_cap_s);
+      const double retry_s = std::clamp(drain_s, kShedRetryFloorS, kShedRetryCapS);
       ack.accepted = false;
       ack.reason = "RETRY " + std::to_string(static_cast<int>(std::ceil(retry_s)));
       metrics_->counter("requests_shed").add(1);

@@ -54,6 +54,16 @@ struct CompletedBroadcast {
 
 class SonicServer {
  public:
+  // Uplink idempotency: a request whose last copy (same sender, id, url)
+  // arrived less than kDedupTtlS ago is re-ACKed, never re-served; each
+  // duplicate renews the window (sliding TTL), so the entry outlives any
+  // retry schedule with gaps below the TTL.
+  static constexpr double kDedupTtlS = 900.0;
+  // A shed request's "RETRY <sec>": the backlog's drain time, clamped to
+  // [kShedRetryFloorS, kShedRetryCapS].
+  static constexpr double kShedRetryFloorS = 15.0;
+  static constexpr double kShedRetryCapS = 600.0;
+
   struct Params {
     std::string phone_number = "+92-SONIC";
     double rate_bps = 10000.0;  // the verified sonic-10k rate, per frequency
@@ -72,17 +82,9 @@ class SonicServer {
     bool carousel_enabled = false;
     Carousel::Params carousel;
 
-    // Uplink idempotency and overload control. A request whose last copy
-    // (same sender, id, url) arrived less than dedup_ttl_s ago is re-ACKed,
-    // never re-served; each duplicate renews the window (sliding TTL), so
-    // the entry outlives any retry schedule with gaps below the TTL.
-    // When a shard's backlog exceeds shed_backlog_bytes (> 0 enables
-    // shedding), new requests are NACKed "RETRY <sec>" with sec derived
-    // from the backlog's drain time, clamped to [floor, cap].
-    double dedup_ttl_s = 900.0;
+    // Overload control: when a shard's backlog exceeds shed_backlog_bytes
+    // (> 0 enables shedding), new requests are NACKed "RETRY <sec>".
     double shed_backlog_bytes = 0.0;  // 0 = shedding disabled
-    double shed_retry_floor_s = 15.0;
-    double shed_retry_cap_s = 600.0;
 
     // Descriptive configuration errors (negative rate, zero frequencies,
     // empty transmitter list, zero cache, ...); empty when sane. The
@@ -99,7 +101,7 @@ class SonicServer {
   // ETA + frequency) or NACKs each one and enqueues accepted pages for
   // broadcast on the covering transmitter's shard. Search queries
   // ("SONIC ASK ...") produce a results page broadcast under the url
-  // "search:<query>". Idempotent: duplicates within dedup_ttl_s are
+  // "search:<query>". Idempotent: duplicates within kDedupTtlS are
   // re-ACKed with a fresh ETA and never enqueue a second broadcast;
   // requests beyond the shard's shed bound are NACKed "RETRY <sec>".
   // Registry counters: requests_received / served / deduped / coalesced /

@@ -43,20 +43,6 @@ std::uint64_t Metrics::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
-std::vector<std::string> Metrics::counter_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  for (const auto& [name, counter] : counters_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> Metrics::histogram_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  for (const auto& [name, histogram] : histograms_) names.push_back(name);
-  return names;
-}
-
 std::string Metrics::report() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;

@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace sonic::core {
 
@@ -56,8 +55,6 @@ class Metrics {
   Histogram& histogram(const std::string& name);
 
   std::uint64_t counter_value(const std::string& name) const;  // 0 when absent
-  std::vector<std::string> counter_names() const;
-  std::vector<std::string> histogram_names() const;
 
   // Human-readable dump, one instrument per line, sorted by name — what
   // examples/broadcast_station and the benches print.

@@ -18,9 +18,7 @@ std::string LayoutParams::fingerprint() const {
       .append("h")
       .append(std::to_string(max_height))
       .append("m")
-      .append(std::to_string(margin))
-      .append("s")
-      .append(std::to_string(text_scale));
+      .append(std::to_string(margin));
 }
 
 namespace {
@@ -94,7 +92,7 @@ class LayoutRecorder {
 
   PageLayout run(const Node& root) {
     Style body;
-    body.scale = params_.text_scale;
+    body.scale = LayoutParams::kTextScale;
     block(root, body);
     flush_line();
     out_.full_height_ = std::min(cursor_y_ + params_.margin / 2, kHardHeightCeiling);
@@ -154,15 +152,15 @@ class LayoutRecorder {
       Style s = style;
       int space_before = 6, space_after = 6;
       if (tag == "h1") {
-        s.scale = params_.text_scale + 3;
+        s.scale = LayoutParams::kTextScale + 3;
         space_before = 16;
         space_after = 12;
       } else if (tag == "h2") {
-        s.scale = params_.text_scale + 2;
+        s.scale = LayoutParams::kTextScale + 2;
         space_before = 14;
         space_after = 10;
       } else if (tag == "h3") {
-        s.scale = params_.text_scale + 1;
+        s.scale = LayoutParams::kTextScale + 1;
         space_before = 10;
         space_after = 8;
       } else if (tag == "p") {

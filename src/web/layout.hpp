@@ -40,10 +40,12 @@ struct RenderResult {
 };
 
 struct LayoutParams {
+  // Body text: 5x7 glyphs at 2x; headings h1..h3 add 3, 2 and 1.
+  static constexpr int kTextScale = 2;
+
   int width = 1080;       // §3.2: images are created 1080 px wide
   int max_height = 10000; // §3.2: PH cap; 0 = unlimited ("PH: none")
   int margin = 24;
-  int text_scale = 2;     // body text: 5x7 glyphs at 2x
 
   // Compact fingerprint of every knob that changes the rendered raster —
   // part of the broadcast pipeline's render-cache key.

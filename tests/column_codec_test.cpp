@@ -70,7 +70,7 @@ void expect_decode_matches(int width, int height, const std::vector<ColumnSegmen
 Raster corpus_page(std::size_t index, int width, int max_height) {
   const web::PkCorpus corpus;
   const auto& ref = corpus.pages()[index % corpus.pages().size()];
-  return web::render_html(corpus.html(ref, 0), web::LayoutParams{width, max_height, 24, 2}).image;
+  return web::render_html(corpus.html(ref, 0), web::LayoutParams{width, max_height, 24}).image;
 }
 
 Raster noise_raster(int width, int height, std::uint64_t seed) {
@@ -276,7 +276,7 @@ TEST(ColumnCodecOracle, EncodeMatchesWhenARunAndItsRowOverflowOneWrite) {
 TEST(ColumnCodecOracle, RepeatedRowsPassedAsACountEncodeAlike) {
   const web::PkCorpus corpus;
   for (const std::size_t page : {0, 41, 77}) {
-    const web::LayoutParams layout{360, 3000, 12, 2};
+    const web::LayoutParams layout{360, 3000, 12};
     const web::PageLayout laid = web::layout_html(web::parse_html(corpus.html(corpus.pages()[page], 0)), layout);
     const Raster full = web::render_html(corpus.html(corpus.pages()[page], 0), layout).image;
     const std::vector<int>& distinct = laid.distinct_rows();

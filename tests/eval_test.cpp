@@ -18,7 +18,7 @@ image::Raster page_image() {
       "<p>more lines of text to fill the page with readable content here</p>"
       "<img width=\"150\" height=\"80\"/>"
       "<p>and a final paragraph of text content for the metric to chew on</p>",
-      sonic::web::LayoutParams{240, 1000, 10, 2});
+      sonic::web::LayoutParams{240, 1000, 10});
   return page.image;
 }
 

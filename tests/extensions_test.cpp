@@ -31,7 +31,7 @@ web::RenderResult small_page() {
       "<h1>Top Headline</h1><p>important masthead content up here</p>"
       "<p>body body body body body body body body body body body body</p>"
       "<p>more body text further down the page that matters less</p>",
-      web::LayoutParams{200, 1200, 10, 2});
+      web::LayoutParams{200, 1200, 10});
 }
 
 // -------------------------------------------------------------------- UEP ---
@@ -46,45 +46,36 @@ TEST(Uep, DisabledPolicyMatchesBaseline) {
 TEST(Uep, AddsFramesOnlyForTopRegion) {
   const auto page = small_page();
   const auto base = core::make_bundle(1, "x.pk/", page, {10, 94});
-  core::UepPolicy uep;
-  uep.enabled = true;
-  uep.top_fraction = 0.25;
-  uep.copies = 2;
-  const auto protected_bundle = core::make_bundle(1, "x.pk/", page, {10, 94}, 24 * 3600, uep);
+  const auto protected_bundle = core::make_bundle(1, "x.pk/", page, {10, 94}, 24 * 3600, core::UepPolicy{true});
   EXPECT_GT(protected_bundle.frames.size(), base.frames.size());
   // On this short test page every column is a single RLE segment, so the
   // region split plus the top copies roughly triples the count; on real
-  // 10k-px pages (many segments per column) the overhead is ~top_fraction.
+  // 10k-px pages (many segments per column) the overhead is ~kUepTopFraction.
   EXPECT_LT(protected_bundle.frames.size(), base.frames.size() * 35 / 10);
 }
 
 // UEP encodes the rows above the boundary and those below it as two pages:
-// the segment frames carry column_encode of the top rows, each twice, then
-// column_encode of the bottom rows as a raster of their own, shifted down
-// past the boundary.
+// the segment frames carry column_encode of the top rows, each kUepCopies
+// times, then column_encode of the bottom rows as a raster of their own,
+// shifted down past the boundary.
 TEST(Uep, SegmentsAreTheTwoRegionsEncodedAlone) {
   const web::PkCorpus corpus;
-  for (const auto& page : {small_page(), web::render_html(corpus.html(corpus.pages()[3], 0), web::LayoutParams{360, 3000, 12, 2})}) {
-    core::UepPolicy uep;
-    uep.enabled = true;
-    uep.top_fraction = 0.3;
-    uep.copies = 2;
-    const int boundary = static_cast<int>(page.image.height() * uep.top_fraction);
+  for (const auto& page : {small_page(), web::render_html(corpus.html(corpus.pages()[3], 0), web::LayoutParams{360, 3000, 12})}) {
+    const int boundary = static_cast<int>(page.image.height() * core::kUepTopFraction);
     image::Raster bottom(page.image.width(), page.image.height() - boundary);
     std::copy(page.image.pixels().begin() + static_cast<std::ptrdiff_t>(page.image.width()) * boundary,
               page.image.pixels().end(), bottom.pixels().begin());
     const image::ColumnCodecParams codec{10, 84};  // make_bundle's cut for the 6-byte segment header
     std::vector<image::ColumnSegment> want;
     for (const auto& seg : image::column_encode(page.image.cropped_to_height(boundary), codec)) {
-      want.push_back(seg);
-      want.push_back(seg);
+      want.insert(want.end(), core::kUepCopies, seg);
     }
     for (auto seg : image::column_encode(bottom, codec)) {
       seg.row0 = static_cast<std::uint16_t>(seg.row0 + boundary);
       want.push_back(seg);
     }
     std::vector<image::ColumnSegment> got;
-    for (const auto& frame : core::make_bundle(1, "x.pk/", page, {10, 94}, 3600, uep).frames) {
+    for (const auto& frame : core::make_bundle(1, "x.pk/", page, {10, 94}, 3600, core::UepPolicy{true}).frames) {
       const auto parsed = core::parse_frame(frame);
       ASSERT_TRUE(parsed.has_value());
       if (parsed->first.type != core::kFrameTypeSegment) continue;
@@ -105,28 +96,48 @@ TEST(Uep, SegmentsAreTheTwoRegionsEncodedAlone) {
 // rows that repeat it. A UEP boundary inside such a repeat splits it: the
 // top region takes the rows above the boundary, and the bottom region
 // starts with the same row as a full row with none above, as the raster
-// path gives it (Uep.SegmentsAreTheTwoRegionsEncodedAlone).
+// path gives it (Uep.SegmentsAreTheTwoRegionsEncodedAlone). The boundary is
+// a fixed fraction of the page height, so the PH cap places it: a page cut
+// to `height` rows has its boundary at int(height * kUepTopFraction).
 TEST(Uep, BoundaryOnARepeatedRowMatchesTheRasterPath) {
   const web::PkCorpus corpus;
-  const web::LayoutParams params{360, 3000, 12, 2};
   for (const std::size_t page : {3, 58}) {
     const std::string html = corpus.html(corpus.pages()[page], 0);
-    const web::PageLayout layout = web::layout_html(web::parse_html(html), params);
-    const web::RenderResult raster = web::render_html(html, params);
-    // The longest repeat on the page: its first, second and last repeated
-    // rows, then the distinct row below it.
-    const std::vector<int>& distinct = layout.distinct_rows();
-    std::size_t longest = 0;
+    const web::Node root = web::parse_html(html);
+    const web::PageLayout full = web::layout_html(root, web::LayoutParams{360, 0, 12});
+    // The page height whose boundary is row `boundary`.
+    auto height_for = [](int boundary) {
+      int height = static_cast<int>(boundary / core::kUepTopFraction);
+      while (static_cast<int>(height * core::kUepTopFraction) < boundary) ++height;
+      return height;
+    };
+    // The longest repeat that a boundary on its first repeated row leaves
+    // on the page, with a line of text to spare: its first, second and last
+    // repeated rows, then the distinct row below it.
+    const std::vector<int>& distinct = full.distinct_rows();
+    auto gap = [&](std::size_t i) { return distinct[i + 1] - distinct[i]; };
+    std::size_t longest = distinct.size();
     for (std::size_t i = 0; i + 1 < distinct.size(); ++i) {
-      if (distinct[i + 1] - distinct[i] > distinct[longest + 1] - distinct[longest]) longest = i;
+      const bool on_page = distinct[i + 1] + 40 < std::min(height_for(distinct[i] + 1), full.height());
+      if (on_page && (longest == distinct.size() || gap(i) > gap(longest))) longest = i;
     }
-    ASSERT_GE(distinct[longest + 1] - distinct[longest], 4) << "page " << page;
+    ASSERT_LT(longest, distinct.size()) << "page " << page;
+    ASSERT_GE(gap(longest), 4) << "page " << page;
     const int top = distinct[longest], below = distinct[longest + 1];
     for (const int boundary : {top + 1, top + 2, below - 1, below}) {
-      const core::UepPolicy uep{true, (boundary + 0.5) / layout.height(), 2};
-      ASSERT_EQ(static_cast<int>(layout.height() * uep.top_fraction), boundary);
-      EXPECT_TRUE(core::make_bundle(1, "x.pk/", layout, {10, 94}, 3600, uep).frames ==
-                  core::make_bundle(1, "x.pk/", raster, {10, 94}, 3600, uep).frames)
+      const int height = height_for(boundary);
+      ASSERT_EQ(static_cast<int>(height * core::kUepTopFraction), boundary);
+      const web::LayoutParams params{360, height, 12};
+      const web::PageLayout layout = web::layout_html(root, params);
+      ASSERT_EQ(layout.height(), height);
+      // The cap leaves the repeat as it was.
+      const std::vector<int>& capped = layout.distinct_rows();
+      const auto at = std::lower_bound(capped.begin(), capped.end(), top);
+      ASSERT_TRUE(at != capped.end() && *at == top && at + 1 != capped.end() && *(at + 1) == below)
+          << "page " << page << " boundary " << boundary;
+      EXPECT_TRUE(core::make_bundle(1, "x.pk/", layout, {10, 94}, 3600, core::UepPolicy{true}).frames ==
+                  core::make_bundle(1, "x.pk/", web::render_html(html, params), {10, 94}, 3600,
+                                    core::UepPolicy{true}).frames)
           << "page " << page << " boundary " << boundary;
     }
   }
@@ -137,18 +148,14 @@ TEST(Uep, RejectsPagesTallerThanSixteenBitRows) {
   // half's row0 past the boundary would wrap.
   web::RenderResult tall;
   tall.image = image::Raster(1, 70000);
-  core::UepPolicy uep;
-  uep.enabled = true;
-  uep.top_fraction = 0.5;
-  EXPECT_THROW(core::make_bundle(1, "tall.pk/", tall, {10, 94}, 3600, uep), std::invalid_argument);
+  EXPECT_THROW(core::make_bundle(1, "tall.pk/", tall, {10, 94}, 3600, core::UepPolicy{true}),
+               std::invalid_argument);
   EXPECT_THROW(core::make_bundle(1, "tall.pk/", tall, {10, 94}), std::invalid_argument);
 }
 
 TEST(Uep, DuplicateFramesStillReassembleExactly) {
   const auto page = small_page();
-  core::UepPolicy uep;
-  uep.enabled = true;
-  const auto bundle = core::make_bundle(2, "y.pk/", page, {50, 94}, 3600, uep);
+  const auto bundle = core::make_bundle(2, "y.pk/", page, {50, 94}, 3600, core::UepPolicy{true});
   core::PageAssembler assembler;
   for (const auto& frame : bundle.frames) assembler.push(frame);
   const auto received = assembler.assemble(2, image::InterpolationMode::kLeft);
@@ -160,11 +167,7 @@ TEST(Uep, DuplicateFramesStillReassembleExactly) {
 
 TEST(Uep, TopRegionSurvivesLossBetter) {
   const auto page = small_page();
-  core::UepPolicy uep;
-  uep.enabled = true;
-  uep.top_fraction = 0.3;
-  uep.copies = 2;
-  const auto bundle = core::make_bundle(3, "z.pk/", page, {10, 94}, 3600, uep);
+  const auto bundle = core::make_bundle(3, "z.pk/", page, {10, 94}, 3600, core::UepPolicy{true});
 
   double top_cov = 0, bottom_cov = 0;
   const int trials = 10;
@@ -182,7 +185,7 @@ TEST(Uep, TopRegionSurvivesLossBetter) {
     const auto received = assembler.assemble(3, image::InterpolationMode::kNone);
     ASSERT_TRUE(received.has_value());
     const int w = page.image.width();
-    const int top_rows = static_cast<int>(page.image.height() * 0.3);
+    const int top_rows = static_cast<int>(page.image.height() * core::kUepTopFraction);
     std::size_t top = 0, bottom = 0;
     for (int y = 0; y < page.image.height(); ++y) {
       for (int x = 0; x < w; ++x) {
@@ -214,7 +217,7 @@ TEST(Search, QueryWireFormatRoundTrip) {
 TEST(Search, ResultsPageRendersWithLinksIntoCorpus) {
   web::PkCorpus corpus;
   const std::string html = corpus.search_html("cricket", 0);
-  const auto page = web::render_html(html, web::LayoutParams{360, 4000, 12, 2});
+  const auto page = web::render_html(html, web::LayoutParams{360, 4000, 12});
   ASSERT_GE(page.click_map.size(), 6u);
   // Every result must link to a real corpus page.
   for (const auto& region : page.click_map) {
@@ -229,7 +232,7 @@ TEST(Search, EndToEndAskFlow) {
   web::PkCorpus corpus;
   sms::SmsGateway gateway({2.0, 0.5, 0.0, 42});
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{240, 2000, 10, 2};
+  sp.layout = web::LayoutParams{240, 2000, 10};
   sp.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   core::SonicServer server(&corpus, &gateway, sp);
 
@@ -266,7 +269,7 @@ TEST(Search, ServerCachesResultsPages) {
   web::PkCorpus corpus;
   sms::SmsGateway gateway({1.0, 0.0, 0.0, 43});
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{240, 2000, 10, 2};
+  sp.layout = web::LayoutParams{240, 2000, 10};
   core::SonicServer server(&corpus, &gateway, sp);
 
   auto send_query = [&](const std::string& from, double now) {

@@ -10,12 +10,16 @@
 #include "image/interpolate.hpp"
 #include "image/lossless.hpp"
 #include "image/raster.hpp"
+#include "oracles/image_decoders.hpp"
 #include "oracles/readback.hpp"
 #include "util/rng.hpp"
 
 namespace sonic::image {
 namespace {
 
+using oracles::lossless_decode;
+using oracles::swebp_decode;
+using oracles::swebp_peek;
 using sonic::util::Rng;
 
 // A webpage-like test card: white background, dark text-ish stripes, a

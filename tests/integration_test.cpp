@@ -50,7 +50,7 @@ TEST(FullStack, PageOverFmCableArrivesIntact) {
   web::PkCorpus corpus;
   sms::SmsGateway gateway({2.0, 0.5, 0.0, 1});
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{200, 600, 10, 2};  // small page: PHY is slow
+  sp.layout = web::LayoutParams{200, 600, 10};  // small page: PHY is slow
   core::SonicServer server(&corpus, &gateway, sp);
   const std::string url = corpus.pages()[0].url;
   server.push_pages({url}, 0.0);
@@ -76,7 +76,7 @@ TEST(FullStack, OneMeterAirHopLosesSomeFramesButPageRemainsUsable) {
   web::PkCorpus corpus;
   sms::SmsGateway gateway({2.0, 0.5, 0.0, 2});
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{200, 600, 10, 2};
+  sp.layout = web::LayoutParams{200, 600, 10};
   core::SonicServer server(&corpus, &gateway, sp);
   const std::string url = corpus.pages()[8].url;
   server.push_pages({url}, 0.0);
@@ -114,7 +114,7 @@ TEST(FullStack, UplinkSurvivesLossDuplicationAndReordering) {
   sms::SmsGateway gateway(gp);
 
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{240, 2000, 10, 2};
+  sp.layout = web::LayoutParams{240, 2000, 10};
   sp.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   core::SonicServer server(&corpus, &gateway, sp);
 
@@ -167,7 +167,7 @@ TEST(FullStack, UplinkRetryCountMatchesGatewayDropCount) {
   sms::SmsGateway gateway({2.0, 0.5, 0.25, 77});
 
   core::SonicServer::Params sp;
-  sp.layout = web::LayoutParams{240, 2000, 10, 2};
+  sp.layout = web::LayoutParams{240, 2000, 10};
   sp.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   core::SonicServer server(&corpus, &gateway, sp);
 

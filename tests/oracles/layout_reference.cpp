@@ -15,6 +15,10 @@ using web::Node;
 using web::text_height;
 using web::text_width;
 
+// Body text scale, kept here rather than read from the library so the
+// oracle does not move with it; headings add 3, 2 and 1.
+constexpr int kTextScale = 2;
+
 void draw_glyph(image::Raster& img, char c, int x, int y, int scale, image::Rgb color) {
   const std::uint8_t* rows = web::glyph_rows(c);
   for (int r = 0; r < web::kGlyphHeight; ++r) {
@@ -83,7 +87,7 @@ class Layouter {
 
   void run(const Node& root) {
     Style body;
-    body.scale = params_.text_scale;
+    body.scale = kTextScale;
     block(root, body);
     flush_line();
   }
@@ -146,15 +150,15 @@ class Layouter {
       Style s = style;
       int space_before = 6, space_after = 6;
       if (tag == "h1") {
-        s.scale = params_.text_scale + 3;
+        s.scale = kTextScale + 3;
         space_before = 16;
         space_after = 12;
       } else if (tag == "h2") {
-        s.scale = params_.text_scale + 2;
+        s.scale = kTextScale + 2;
         space_before = 14;
         space_after = 10;
       } else if (tag == "h3") {
-        s.scale = params_.text_scale + 1;
+        s.scale = kTextScale + 1;
         space_before = 10;
         space_after = 8;
       } else if (tag == "p") {

@@ -19,7 +19,7 @@ namespace {
 
 BroadcastPipeline::Params small_pipeline_params() {
   BroadcastPipeline::Params pp;
-  pp.layout = web::LayoutParams{240, 2000, 10, 2};  // small, fast renders
+  pp.layout = web::LayoutParams{240, 2000, 10};  // small, fast renders
   return pp;
 }
 
@@ -32,9 +32,8 @@ TEST(Metrics, CountersAccumulateAndReport) {
   EXPECT_EQ(m.counter("pages").value(), 5u);
   EXPECT_EQ(m.counter_value("pages"), 5u);
   EXPECT_EQ(m.counter_value("absent"), 0u);
-  ASSERT_EQ(m.counter_names().size(), 1u);
-  EXPECT_EQ(m.counter_names()[0], "pages");
   EXPECT_NE(m.report().find("pages"), std::string::npos);
+  EXPECT_EQ(m.report().find("absent"), std::string::npos);
 }
 
 TEST(Metrics, HistogramTracksSummary) {
@@ -49,7 +48,7 @@ TEST(Metrics, HistogramTracksSummary) {
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 6.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_EQ(m.histogram_names().size(), 1u);
+  EXPECT_NE(m.report().find("wait"), std::string::npos);
 }
 
 // --------------------------------------------------------------- Pipeline ---
@@ -135,7 +134,7 @@ TEST(Pipeline, BandBuiltBundlesEqualTheRasterPath) {
   urls.push_back("search:cricket score");
   const auto prepared = pipeline.prepare(urls, 0.0);
   ASSERT_EQ(prepared.size(), urls.size());
-  const UepPolicy uep{true, 0.2, 2};
+  const UepPolicy uep{true};
   for (std::size_t i = 0; i < urls.size(); ++i) {
     ASSERT_NE(prepared[i].bundle, nullptr) << urls[i];
     const PageBundle& bundle = *prepared[i].bundle;
@@ -218,6 +217,20 @@ TEST(Pipeline, ValidateRejectsNonsense) {
   EXPECT_TRUE(small_pipeline_params().validate().empty());
 }
 
+// The pipeline refuses what its validate() names, as the server, carousel
+// and client do: a zero-page cache would otherwise grow without bound, and
+// a negative thread count would run serially.
+TEST(Pipeline, ConstructorThrowsOnInvalidConfig) {
+  const web::PkCorpus corpus;
+  BroadcastPipeline::Params zero_cache = small_pipeline_params();
+  zero_cache.cache_pages = 0;
+  EXPECT_THROW(BroadcastPipeline(&corpus, zero_cache), std::invalid_argument);
+  BroadcastPipeline::Params negative_threads = small_pipeline_params();
+  negative_threads.num_threads = -2;
+  EXPECT_THROW(BroadcastPipeline(&corpus, negative_threads), std::invalid_argument);
+  EXPECT_NO_THROW(BroadcastPipeline(&corpus, small_pipeline_params()));
+}
+
 // ----------------------------------------------------- Per-transmitter shards ---
 
 struct TwoCityWorld {
@@ -225,7 +238,7 @@ struct TwoCityWorld {
   sms::SmsGateway gateway{{2.0, 0.5, 0.0, 99}};
   SonicServer::Params server_params;
   TwoCityWorld() {
-    server_params.layout = web::LayoutParams{240, 2000, 10, 2};
+    server_params.layout = web::LayoutParams{240, 2000, 10};
     server_params.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0},
                                   {"karachi", 101.1, 24.86, 67.0, 40.0}};
   }

@@ -8,7 +8,6 @@
 
 #include "fec/fountain.hpp"
 #include "image/column_codec.hpp"
-#include "image/dct_codec.hpp"
 #include "modem/ofdm.hpp"
 #include "modem/profile.hpp"
 #include "sms/sms.hpp"
@@ -72,26 +71,6 @@ TEST(ColumnCodecProperty, DecodeNeverCrashesOnCorruptSegments) {
   }
 }
 
-// ------------------------------------------------------------ swebp fuzz ---
-
-TEST(SwebpProperty, DecoderSurvivesBitFlips) {
-  Rng rng(5);
-  image::Raster img(40, 40);
-  for (auto& p : img.pixels()) {
-    p = {static_cast<std::uint8_t>(rng.uniform_int(256)), 128, 30};
-  }
-  const auto clean = image::swebp_encode(img, 40);
-  for (int trial = 0; trial < 300; ++trial) {
-    auto corrupt = clean;
-    const int flips = 1 + static_cast<int>(rng.uniform_int(8));
-    for (int i = 0; i < flips; ++i) {
-      corrupt[rng.uniform_int(corrupt.size())] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    }
-    // Must not crash; may fail or return a damaged image.
-    (void)image::swebp_decode(corrupt);
-  }
-}
-
 // --------------------------------------------------------- framing fuzz ---
 
 TEST(FramingProperty, AssemblerSurvivesArbitraryFrames) {
@@ -106,7 +85,7 @@ TEST(FramingProperty, AssemblerSurvivesArbitraryFrames) {
   // arrived: bit flips in the symbol, a contradicting k, and repair seqs past
   // the 255 - k MDS evaluation points.
   const auto page = web::render_html("<h1>Fuzz</h1><p>repair frames under attack</p>",
-                                     web::LayoutParams{96, 200, 4, 1});
+                                     web::LayoutParams{96, 200, 4});
   const auto bundle = core::make_bundle(7, "fuzz.pk/", page, {10, 94});
   const auto k = static_cast<std::uint16_t>(bundle.frames.size());
   ASSERT_LE(k, fec::FountainParams::mds_max_k);  // the MDS regime, where seqs wrap
@@ -231,7 +210,7 @@ TEST(OfdmProperty, ReceiverSurvivesTruncatedStreams) {
 
 TEST(CorpusProperty, EveryPageParsesRendersAndHasWorkingLinks) {
   web::PkCorpus corpus;
-  web::LayoutParams layout{240, 1200, 10, 2};
+  web::LayoutParams layout{240, 1200, 10};
   // All 100 pages (cheap small renders): must produce content and in-bounds
   // click maps pointing at real pages.
   for (const auto& ref : corpus.pages()) {

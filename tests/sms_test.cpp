@@ -102,22 +102,6 @@ TEST(SmsGateway, MultipartBodiesAreSuperLinearlyFragile) {
   EXPECT_NEAR(short_ratio, 0.7, 0.08);
 }
 
-TEST(SmsGateway, DeliveryReportsReachTheSender) {
-  SmsGatewayParams p{1.0, 0.0, 0.0, 8};
-  p.delivery_reports = true;
-  SmsGateway gw(p);
-  gw.send({"alice", "bob", "hello bob", 0, 0}, 0.0);
-  ASSERT_EQ(gw.deliver_due("bob", 100.0).size(), 1u);
-  EXPECT_EQ(gw.reports_generated(), 1u);
-  const auto reports = gw.deliver_due("alice", 1000.0);
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].from, std::string(kSmscNumber));
-  EXPECT_EQ(reports[0].body.rfind(kDeliveryReportPrefix, 0), 0u);
-  // Reports never beget reports.
-  EXPECT_TRUE(gw.deliver_due("SMSC", 1e6).empty());
-  EXPECT_EQ(gw.reports_generated(), 1u);
-}
-
 TEST(SmsGateway, FaultScheduleIsDeterministicPerSeed) {
   SmsGatewayParams p{3.0, 2.0, 0.2, 9};
   p.duplication_rate = 0.2;

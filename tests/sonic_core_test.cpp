@@ -5,6 +5,7 @@
 #include <map>
 
 #include "fec/fountain.hpp"
+#include "oracles/frame_forge.hpp"
 #include "sonic/cache.hpp"
 #include "sonic/carousel.hpp"
 #include "sonic/client.hpp"
@@ -17,13 +18,14 @@
 namespace sonic::core {
 namespace {
 
+using oracles::serialize_frame;
 using sonic::util::Rng;
 
 web::RenderResult small_page(const std::string& link = "target.pk/") {
   return web::render_html(
       "<h1>Headline</h1><p>Some body text for the page that wraps across lines.</p>"
       "<p><a href=\"" + link + "\">read more</a></p><p>tail content</p>",
-      web::LayoutParams{240, 1200, 10, 2});
+      web::LayoutParams{240, 1200, 10});
 }
 
 // ---------------------------------------------------------------- Framing ---
@@ -316,7 +318,7 @@ struct World {
   sms::SmsGateway gateway{{2.0, 0.5, 0.0, 99}};
   SonicServer::Params server_params;
   World() {
-    server_params.layout = web::LayoutParams{240, 2000, 10, 2};  // small, fast renders
+    server_params.layout = web::LayoutParams{240, 2000, 10};  // small, fast renders
     server_params.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   }
 };
@@ -578,14 +580,14 @@ TEST(Carousel, PopularityCatalogAndPersistentRepairStream) {
 TEST(Carousel, RepairTailCapsAtDistinctSymbols) {
   const web::PkCorpus corpus;
   BroadcastPipeline::Params pp;
-  pp.layout = web::LayoutParams{150, 200, 10, 2};  // narrow and short: ~150 frames
+  pp.layout = web::LayoutParams{150, 200, 10};  // narrow and short: ~150 frames
   BroadcastPipeline pipeline(&corpus, pp);
   const std::string url = corpus.pages()[0].url;
   const std::size_t k = pipeline.prepare({url}, 0.0).front().bundle->frames.size();
   ASSERT_GT(k, 127u);
   ASSERT_LE(k, fec::FountainParams::mds_max_k);
 
-  Carousel carousel(&pipeline, nullptr, Carousel::Params{1, 1.0});
+  Carousel carousel(pipeline, pipeline.metrics(), Carousel::Params{1, 1.0});
   carousel.record_hit(url);
   const auto cycle = carousel.drive(0.0);
   ASSERT_EQ(cycle.size(), 1u);
@@ -667,7 +669,7 @@ TEST(Framing, SeedReceiverIgnoresRepairFramesGracefully) {
 // A page small enough that its bundle stays in the MDS regime with room for
 // k repair points (small_page() is past the MDS limit).
 web::RenderResult tiny_page() {
-  return web::render_html("<h1>Tiny</h1><p>a short page</p>", web::LayoutParams{96, 200, 4, 1});
+  return web::render_html("<h1>Tiny</h1><p>a short page</p>", web::LayoutParams{96, 200, 4});
 }
 
 TEST(Framing, RepairOnlyReceptionAssemblesTheSamePage) {

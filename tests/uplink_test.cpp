@@ -3,6 +3,8 @@
 // shedding. Runs as its own executable under `ctest -L uplink`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,7 @@ struct World {
   sms::SmsGateway gateway{{1.0, 0.0, 0.0, 42}};
   SonicServer::Params server_params;
   World() {
-    server_params.layout = web::LayoutParams{240, 2000, 10, 2};
+    server_params.layout = web::LayoutParams{240, 2000, 10};
     server_params.transmitters = {{"lahore", 93.7, 31.52, 74.35, 40.0}};
   }
 };
@@ -158,7 +160,6 @@ TEST(Uplink, ServerDedupsRetransmissionsWithoutSecondBroadcast) {
 
 TEST(Uplink, DedupEntryExpiresAfterTtl) {
   World w;
-  w.server_params.dedup_ttl_s = 100.0;
   SonicServer server(&w.corpus, &w.gateway, w.server_params);
   const std::string url = w.corpus.pages()[1].url;
   const std::string body = sms::encode_request({url, 31.52, 74.35, 9});
@@ -169,25 +170,36 @@ TEST(Uplink, DedupEntryExpiresAfterTtl) {
   EXPECT_EQ(server.dedup_entries(), 1u);
   server.advance(100000.0);  // broadcast completes, in-flight window closes
 
-  // Same body long after the TTL: a genuinely new request, served again.
-  w.gateway.send({"+923001230006", server.phone_number(), body, 200.0, 0}, 200.0);
-  server.poll_sms(205.0);
+  // A copy polled 10 s inside the TTL is a duplicate, and renews the entry.
+  const double inside = 5.0 + SonicServer::kDedupTtlS - 10.0;
+  w.gateway.send({"+923001230006", server.phone_number(), body, inside - 5.0, 0}, inside - 5.0);
+  server.poll_sms(inside);
+  EXPECT_EQ(server.metrics().counter_value("requests_served"), 1u);
+  EXPECT_EQ(server.metrics().counter_value("requests_deduped"), 1u);
+
+  // Same body long after the renewed TTL: a genuinely new request, served
+  // again.
+  const double after = inside + SonicServer::kDedupTtlS + 100.0;
+  w.gateway.send({"+923001230006", server.phone_number(), body, after - 5.0, 0}, after - 5.0);
+  server.poll_sms(after);
   EXPECT_EQ(server.metrics().counter_value("requests_served"), 2u);
-  EXPECT_EQ(server.metrics().counter_value("requests_deduped"), 0u);
+  EXPECT_EQ(server.metrics().counter_value("requests_deduped"), 1u);
   EXPECT_EQ(server.dedup_entries(), 1u);  // the expired entry was purged
 }
 
 TEST(Uplink, OverloadShedNacksRetryAndClientHonorsIt) {
   World w;
   w.server_params.shed_backlog_bytes = 1.0;  // any backlog sheds
-  w.server_params.shed_retry_floor_s = 15.0;
-  w.server_params.shed_retry_cap_s = 20.0;
   SonicServer server(&w.corpus, &w.gateway, w.server_params);
   SonicClient client(&w.gateway, client_params("+923001230007"));
 
   // Fill the shard's backlog, then ask for a page while it is saturated.
   server.push_pages({w.corpus.pages()[2].url, w.corpus.pages()[3].url}, 0.0);
   ASSERT_GT(server.total_backlog_bytes(), 1.0);
+  // The shed's RETRY: the backlog's drain time at the shard's 10 kbps,
+  // clamped to [kShedRetryFloorS, kShedRetryCapS], in whole seconds.
+  const double retry_s = std::ceil(std::clamp(server.total_backlog_bytes() * 8.0 / 10000.0,
+                                              SonicServer::kShedRetryFloorS, SonicServer::kShedRetryCapS));
   const std::string url = w.corpus.pages()[4].url;
   client.request(url, 0.0);
   server.poll_sms(2.0);
@@ -199,12 +211,15 @@ TEST(Uplink, OverloadShedNacksRetryAndClientHonorsIt) {
   EXPECT_TRUE(client.poll_acks(4.0).empty());
   EXPECT_EQ(client.uplink_state(client.last_uplink_id()), UplinkState::kBackoff);
 
-  server.advance(1000.0);  // backlog fully drained
-  client.tick(30.0);       // past the 15..20 s retry window: resend fires
+  server.advance(100000.0);  // backlog fully drained
+  client.tick(4.0 + retry_s - 1.0);  // a second early: still waiting
+  EXPECT_EQ(client.metrics().counter_value("uplink_server_retries"), 0u);
+  const double resend_s = 4.0 + retry_s;
+  client.tick(resend_s);  // the RETRY is up: resend fires
   EXPECT_EQ(client.metrics().counter_value("uplink_server_retries"), 1u);
-  server.poll_sms(32.0);
+  server.poll_sms(resend_s + 2.0);
   EXPECT_EQ(server.metrics().counter_value("requests_served"), 1u);
-  const auto acks = client.poll_acks(34.0);
+  const auto acks = client.poll_acks(resend_s + 4.0);
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].accepted);
   EXPECT_EQ(acks[0].url, url);
@@ -328,20 +343,24 @@ TEST(Uplink, SearchQueriesRideTheSameStateMachine) {
   EXPECT_EQ(client.metrics().counter_value("uplink_retries"), 1u);
 }
 
-TEST(Uplink, DeliveryReportsAreCountedNotMisparsed) {
+// An SMSC delivery report ("SMSC DLR ...") is not an ACK: the client drops
+// it like any body parse_ack refuses, and the real ACK still settles the
+// request.
+TEST(Uplink, StrayDeliveryReportIsDropped) {
   World w;
-  sms::SmsGatewayParams gp = w.gateway.params();
-  gp.delivery_reports = true;
-  sms::SmsGateway gw(gp);
-  SonicServer server(&w.corpus, &gw, w.server_params);
-  SonicClient client(&gw, client_params("+923001230015"));
+  SonicServer server(&w.corpus, &w.gateway, w.server_params);
+  SonicClient client(&w.gateway, client_params("+923001230015"));
 
-  client.request(w.corpus.pages()[0].url, 0.0);
-  server.poll_sms(5.0);  // request delivered -> DLR queued back to the client
+  const std::string url = w.corpus.pages()[0].url;
+  client.request(url, 0.0);
+  const std::string report = "SMSC DLR " + sms::encode_request({url, 31.52, 74.35, client.last_uplink_id()});
+  ASSERT_FALSE(sms::parse_ack(report).has_value());
+  w.gateway.send({"SMSC", "+923001230015", report, 1.0, 0}, 1.0);
+  server.poll_sms(5.0);
   const auto acks = client.poll_acks(10.0);
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].accepted);
-  EXPECT_EQ(client.metrics().counter_value("uplink_delivery_reports"), 1u);
+  EXPECT_EQ(client.uplink_pending(), 0u);
   EXPECT_EQ(client.metrics().counter_value("uplink_stale_acks"), 0u);
 }
 

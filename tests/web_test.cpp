@@ -226,7 +226,7 @@ TEST(Layout, ImagePlaceholderRespectsDims) {
 // like the bound they exceed, [16, 40000] px, instead of overflowing the int
 // layout arithmetic.
 TEST(Layout, HugeImageAttributesAreClamped) {
-  const LayoutParams params{200, 10000, 12, 2};
+  const LayoutParams params{200, 10000, 12};
   const auto page = [&](const std::string& w, const std::string& h) {
     return render_html("<img width=\"" + w + "\" height=\"" + h + "\"/><p>after</p>", params);
   };
@@ -288,7 +288,7 @@ TEST(LayoutOracle, CorpusPagesMatchTheReference) {
   }
   // The broadcast layout and a 96 x 400 smoke layout, where most pages
   // cross the cap and the margins squeeze images and words.
-  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24, 2}}) {
+  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24}}) {
     for (const auto& [name, html] : pages) {
       const Node root = parse_html(html);
       expect_same_render(render_html(root, params), oracles::render_html_reference(root, params),
@@ -339,7 +339,7 @@ TEST(LayoutOracle, HandWrittenPagesMatchTheReference) {
   const std::vector<std::string> pages = hand_written_pages();
   for (const int width : {1080, 200}) {
     for (const int cap : {0, 37, 64, 65, 128, 400, 1000}) {
-      const LayoutParams params{width, cap, 24, 2};
+      const LayoutParams params{width, cap, 24};
       for (std::size_t i = 0; i < pages.size(); ++i) {
         const Node root = parse_html(pages[i]);
         expect_same_render(render_html(root, params), oracles::render_html_reference(root, params),
@@ -374,7 +374,7 @@ TEST(LayoutOracle, RowsNotListedAsDistinctEqualTheRowAbove) {
   }
   const std::vector<std::string> hand_written = hand_written_pages();
   for (std::size_t i = 0; i < hand_written.size(); ++i) pages.emplace_back("hand-written " + std::to_string(i), hand_written[i]);
-  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24, 2}, LayoutParams{360, 0, 24, 2}}) {
+  for (const LayoutParams& params : {LayoutParams{}, LayoutParams{96, 400, 24}, LayoutParams{360, 0, 24}}) {
     for (const auto& [name, html] : pages) {
       const std::string what = name + " at " + params.fingerprint();
       const Node root = parse_html(html);
@@ -407,7 +407,7 @@ TEST(Layout, BackgroundCoversAnIndentedBlock) {
   const std::string html =
       "<ul><li><div bgcolor=\"#102030\"><p color=\"white\">indented text long enough to wrap onto "
       "several lines in a narrow page</p></div></li></ul>";
-  const LayoutParams params{200, 0, 24, 2};
+  const LayoutParams params{200, 0, 24};
   const RenderResult page = render_html(html, params);
   const image::Rgb bg{0x10, 0x20, 0x30};
   const image::Rgb white{255, 255, 255};
