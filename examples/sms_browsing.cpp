@@ -34,8 +34,9 @@ int main() {
   const std::string url = corpus.pages()[0].url;
 
   // --- 1: request by SMS ----------------------------------------------------
-  std::printf("[%6.1fs] user-C texts: %s\n", now, sms::encode_request({url, cp.lat, cp.lon}).c_str());
   user_c.request(url, now);
+  std::printf("[%6.1fs] user-C texts: %s\n", now,
+              sms::encode_request({url, cp.lat, cp.lon, user_c.last_uplink_id()}).c_str());
 
   now += 6.0;  // carrier store-and-forward
   server.poll_sms(now);

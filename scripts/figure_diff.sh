@@ -12,8 +12,10 @@
 # masked before comparing; everything else must match byte for byte. The
 # 28 (bench, side) runs go as parallel jobs, nproc at a time, the slowest
 # benches first; each run writes only its own files, and the comparison
-# waits for all of them. Outputs are kept in a temporary directory, named
-# on a mismatch. Exits 0 when every bench matches, 1 otherwise.
+# waits for all of them. Each bench's line also gives both runs' wall
+# seconds, taken while the other jobs share the cores. Outputs are kept in
+# a temporary directory, named on a mismatch. Exits 0 when every bench
+# matches, 1 otherwise.
 set -uo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -59,12 +61,14 @@ done
 OUT="$(mktemp -d)"
 
 # run <bench> <side>: the bench's stdout with its wall-clock figures
-# masked, and its exit code.
+# masked, its exit code and its wall seconds.
 run() {
-  local bench="$1" side="$2" dir mask
+  local bench="$1" side="$2" dir mask start
   if [ "$side" = parent ]; then dir="$PARENT"; else dir="$CHANGE"; fi
+  start="$EPOCHREALTIME"
   "$dir/bench/$bench" > "$OUT/$bench.$side.raw" 2>/dev/null
   echo "$?" > "$OUT/$bench.$side.rc"
+  awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f\n", b - a }' > "$OUT/$bench.$side.sec"
   mask='s/\(simulated in [0-9.]+ s\)/(simulated in <wall-clock> s)/'
   if [ "$bench" = carousel_convergence ]; then mask='s/[0-9]+\.[0-9]+ ms/<wall-clock> ms/g'; fi
   sed -E "$mask" "$OUT/$bench.$side.raw" > "$OUT/$bench.$side"
@@ -81,11 +85,12 @@ wait
 
 failed=0
 for bench in "${BENCHES[@]}"; do
+  wall="parent $(cat "$OUT/$bench.parent.sec") s, change $(cat "$OUT/$bench.change.sec") s"
   if cmp -s "$OUT/$bench.parent" "$OUT/$bench.change" &&
      cmp -s "$OUT/$bench.parent.rc" "$OUT/$bench.change.rc"; then
-    echo "identical  $bench"
+    echo "identical  $bench ($wall)"
   else
-    echo "DIFFERENT  $bench (exit $(cat "$OUT/$bench.parent.rc") vs $(cat "$OUT/$bench.change.rc"))"
+    echo "DIFFERENT  $bench (exit $(cat "$OUT/$bench.parent.rc") vs $(cat "$OUT/$bench.change.rc"); $wall)"
     diff "$OUT/$bench.parent" "$OUT/$bench.change" | head -20
     failed=1
   fi

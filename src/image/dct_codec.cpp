@@ -202,14 +202,11 @@ util::Bytes swebp_encode(const Raster& img, int quality) {
   head.u8(static_cast<std::uint8_t>(quality));
 
   util::BitWriter bw;
+  for (std::uint8_t b : head.bytes()) bw.bits(b, 8);
   encode_plane(bw, p.y, p.w, p.h, ql);
   encode_plane(bw, p.cb, p.cw, p.ch, qc);
   encode_plane(bw, p.cr, p.cw, p.ch, qc);
-
-  util::Bytes out = head.take();
-  const util::Bytes body = bw.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return bw.take();
 }
 
 }  // namespace sonic::image

@@ -28,6 +28,7 @@ util::Bytes lossless_encode(const Raster& img) {
   head.u32(static_cast<std::uint32_t>(img.height()));
 
   util::BitWriter bw;
+  for (std::uint8_t b : head.bytes()) bw.bits(b, 8);
   for (int ch = 0; ch < 3; ++ch) {
     auto get = [&](int x, int y) -> int {
       if (x < 0 || y < 0) return 0;
@@ -41,10 +42,7 @@ util::Bytes lossless_encode(const Raster& img) {
       }
     }
   }
-  util::Bytes out = head.take();
-  const util::Bytes body = bw.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return bw.take();
 }
 
 }  // namespace sonic::image

@@ -139,7 +139,7 @@ std::optional<util::Bytes> FskModem::demodulate(std::span<const float> samples, 
   };
 
   if (!read_symbols(2)) return std::nullopt;
-  const util::Bytes len_bytes = bw.bytes();
+  const auto len_bytes = bw.bytes();
   const std::size_t len = static_cast<std::size_t>(len_bytes[0]) | (static_cast<std::size_t>(len_bytes[1]) << 8);
   if (!read_symbols(2 + len + 4)) return std::nullopt;
 

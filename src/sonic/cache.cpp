@@ -14,7 +14,7 @@ void PageCache::put(ReceivedPage page, double now_s) {
   entry.page = std::move(page);
   entries_[url] = std::move(entry);
 
-  if (max_pages_ > 0 && entries_.size() > max_pages_) {
+  if (entries_.size() > max_pages_) {
     auto oldest = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second.received_at_s < oldest->second.received_at_s) oldest = it;

@@ -26,7 +26,7 @@ struct CatalogEntry {
 class PageCache {
  public:
   // max_pages bounds memory on the low-end device; the oldest entry is
-  // evicted first (0 = unbounded).
+  // evicted first. At least 1, which the client's validation ensures.
   explicit PageCache(std::size_t max_pages = 64);
 
   void put(ReceivedPage page, double now_s);

@@ -219,13 +219,10 @@ util::Bytes serialize_repair_frame(std::uint32_t page_id, std::uint16_t repair_s
   if (symbol.size() != kFountainBlockSize) {
     throw std::invalid_argument("serialize_repair_frame: bad symbol size");
   }
-  util::ByteWriter w;
-  w.u32(page_id);
-  w.u16(repair_seq);
-  w.u16(k);
-  w.u8(kFrameTypeRepair);
-  w.raw(symbol);
-  return w.take();
+  // The symbol takes the payload_len byte too.
+  util::Bytes frame = frame_with_header(FrameHeader{page_id, repair_seq, k, kFrameTypeRepair}, 0);
+  std::copy(symbol.begin(), symbol.end(), frame.begin() + kFrameHeaderSize - 1);
+  return frame;
 }
 
 util::Bytes serialize_metadata(const PageMetadata& m) {

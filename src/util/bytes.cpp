@@ -63,37 +63,4 @@ std::string ByteReader::str() {
   return out;
 }
 
-void BitWriter::bit(int b) {
-  if (fill_ == 0) buf_.push_back(0);
-  if (b) buf_.back() |= static_cast<std::uint8_t>(1u << (7 - fill_));
-  fill_ = (fill_ + 1) % 8;
-}
-
-void BitWriter::bits(std::uint32_t value, int count) {
-  for (int i = count - 1; i >= 0; --i) bit(static_cast<int>((value >> i) & 1u));
-}
-
-void BitWriter::align() { fill_ = 0; }
-
-Bytes BitWriter::take() {
-  fill_ = 0;
-  return std::move(buf_);
-}
-
-int BitReader::bit() {
-  if (pos_ >= data_.size() * 8) {
-    ok_ = false;
-    return 0;
-  }
-  int b = (data_[pos_ / 8] >> (7 - pos_ % 8)) & 1;
-  ++pos_;
-  return b;
-}
-
-std::uint32_t BitReader::bits(int count) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < count; ++i) v = (v << 1) | static_cast<std::uint32_t>(bit());
-  return v;
-}
-
 }  // namespace sonic::util

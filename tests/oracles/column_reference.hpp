@@ -13,12 +13,13 @@ namespace sonic::oracles {
 
 // The straightforward encoder: walks the row-major raster one column at a
 // time, converts and quantizes every pixel, and checks the frame budget row
-// by row through a bit-at-a-time util::BitWriter.
+// by row against util::BitWriter's bit count, writing each code's leading
+// zeros one bit at a time.
 std::vector<image::ColumnSegment> column_encode_reference(const image::Raster& img,
                                                           const image::ColumnCodecParams& params);
 
-// The straightforward decoder: decodes the segments in order through
-// util::BitReader and writes every emitted pixel straight into the
+// The straightforward decoder: decodes the segments in order one bit at a
+// time through util::BitReader::bit() and writes every emitted pixel straight into the
 // row-major raster, so a later segment overwrites an earlier one. A segment
 // ends at the first decoded component outside [0, 2047], like a truncated
 // one.

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
+#include "image/exp_golomb.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -77,6 +79,93 @@ TEST(BitReader, PastEndReturnsZeroAndNotOk) {
   EXPECT_EQ(r.bits(8), 0xffu);
   EXPECT_EQ(r.bit(), 0);
   EXPECT_FALSE(r.ok());
+}
+
+// A per-bit packer: one vector entry per bit, packed MSB first on demand.
+struct NaiveBits {
+  std::vector<int> bits;
+  void put(std::uint64_t value, int count) {
+    for (int i = count - 1; i >= 0; --i) bits.push_back(static_cast<int>((value >> i) & 1));
+  }
+  Bytes packed() const {
+    Bytes out((bits.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
+    return out;
+  }
+};
+
+TEST(BitWriter, MatchesAPerBitPacker) {
+  Rng rng(11);
+  BitWriter w;
+  for (int round = 0; round < 4; ++round) {
+    // The same writer across take()s: each one starts a fresh stream.
+    NaiveBits naive;
+    const int writes = 200 + 300 * round;
+    for (int i = 0; i < writes; ++i) {
+      const int count = static_cast<int>(rng.uniform_int(57));
+      const std::uint64_t value = count == 0 ? 0 : rng.next() >> (64 - count);
+      if (count == 1 && rng.bernoulli(0.5)) {
+        w.bit(static_cast<int>(value));
+      } else {
+        w.bits(value, count);
+      }
+      naive.put(value, count);
+      ASSERT_EQ(w.bit_count(), naive.bits.size());
+      if (i % 17 == 0) {
+        const auto mid = w.bytes();
+        ASSERT_EQ(Bytes(mid.begin(), mid.end()), naive.packed()) << "round " << round << " write " << i;
+      }
+    }
+    ASSERT_EQ(w.take(), naive.packed()) << "round " << round;
+    EXPECT_EQ(w.bit_count(), 0u);
+    EXPECT_TRUE(w.bytes().empty());
+  }
+}
+
+// ue(v) read one bit at a time, as the oracles do.
+std::uint32_t get_ue_per_bit(BitReader& br) {
+  int zeros = 0;
+  while (br.ok() && br.bit() == 0) {
+    if (++zeros > 32) return 0;
+  }
+  std::uint32_t v = 1;
+  for (int i = 0; i < zeros; ++i) v = (v << 1) | static_cast<std::uint32_t>(br.bit());
+  return v - 1;
+}
+
+TEST(ExpGolomb, WindowedDecodeMatchesPerBitDecode) {
+  Rng rng(12);
+  for (int stream = 0; stream < 300; ++stream) {
+    // Codes of 0 to 40 leading zeros, some of 33+ zeros with nothing
+    // after, at every bit offset; the stream is then cut at a random bit,
+    // so the last codes run past the end.
+    NaiveBits naive;
+    const int codes = 1 + static_cast<int>(rng.uniform_int(24));
+    for (int c = 0; c < codes; ++c) {
+      const int zeros = rng.bernoulli(0.3) ? static_cast<int>(rng.uniform_int(41)) : static_cast<int>(rng.uniform_int(6));
+      naive.put(0, zeros);
+      if (zeros > 32 && rng.bernoulli(0.5)) continue;
+      naive.put(1, 1);
+      for (int i = 0; i < zeros; ++i) naive.put(rng.next() >> 63, 1);
+    }
+    naive.bits.resize(rng.uniform_int(naive.bits.size() + 1));
+    const Bytes data = naive.packed();
+    BitReader windowed(data);
+    BitReader per_bit(data);
+    for (int read = 0; read < codes + 2; ++read) {
+      if (rng.bernoulli(0.5)) {
+        ASSERT_EQ(image::get_ue(windowed), get_ue_per_bit(per_bit)) << "stream " << stream << " read " << read;
+      } else {
+        const std::uint32_t u = get_ue_per_bit(per_bit);
+        const int se = (u & 1) ? static_cast<int>((u + 1) / 2) : -static_cast<int>(u / 2);
+        ASSERT_EQ(image::get_se(windowed), se) << "stream " << stream << " read " << read;
+      }
+      ASSERT_EQ(windowed.ok(), per_bit.ok()) << "stream " << stream << " read " << read;
+      ASSERT_EQ(windowed.bits_left(), per_bit.bits_left()) << "stream " << stream << " read " << read;
+    }
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {
